@@ -32,13 +32,9 @@ from .graph import (
     condition_alpha,
 )
 from .spectral import (
-    BondScattering,
-    MULTIPLICITY_SCALE,
     Spectrum,
-    _scan_interval,
     eigenvalues,
     negative_spectrum,
-    scan_step,
     spectral_gap,
 )
 
@@ -78,15 +74,9 @@ def levels_theta(m: MetricGraph, v: int, theta: float, k_max: float, n_max: int 
     return all_levels(_with_theta(m, v, theta), k_max, n_max)
 
 
-def _eigenvalues_near(m: MetricGraph, k: float, width: float = 1e-4) -> list[tuple[float, int]]:
-    bs = BondScattering(m)
-    dk = min(scan_step(m), width / 8.0)
-    tau = MULTIPLICITY_SCALE * bs.n_bonds
-    return _scan_interval(bs, max(k - width, 1e-9), k + width, dk, tau)
-
-
 def multiplicity_at(m: MetricGraph, k: float, tol: float = 1e-8) -> int:
-    return sum(mult for kk, mult in _eigenvalues_near(m, k) if abs(kk - k) <= tol)
+    near = eigenvalues(m, k + 1e-4, max(k - 1e-4, 1e-9)).eigenpairs
+    return sum(p.multiplicity for p in near if abs(p.k - k) <= tol)
 
 
 def is_flat_band(m: MetricGraph, v: int, k: float, probe_thetas=(math.pi, 1.2, -0.7)) -> bool:
@@ -266,7 +256,7 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     k1, k1_mult = spectral_gap(m)
     # small enough that theta_sg lands within the strong-classification
     # window even for flat dispersion slopes, large enough to sit clear of
-    # the eigenvalue solver noise (~1e-11)
+    # the eigenvalue solver noise (~1e-14 relative)
     tol_k = 1e-10 * max(1.0, k1)
 
     m_dir = _with_theta(m, v, math.pi)
@@ -292,7 +282,8 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
             hi = mid
         else:
             lo = mid
-    theta_sg = 0.5 * (lo + hi)
+    # hi is the smallest theta known to reach k1
+    theta_sg = hi
 
     dir_mult = multiplicity_at(m_dir, k1) if dirichlet_k0 >= k1 - tol_k else 0
     if theta_sg > math.pi + STRONG_TOL:

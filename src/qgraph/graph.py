@@ -65,6 +65,8 @@ class DeltaTheta:
     theta: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.theta):
+            raise InvalidInputError(f"delta parameter theta={self.theta} is not finite")
         if not (-math.pi < self.theta <= math.pi):
             raise InvalidInputError(f"delta parameter theta={self.theta} outside (-pi, pi]")
 
@@ -265,6 +267,8 @@ class LengthVector:
         arr = np.asarray(values, dtype=float).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidInputError("length vector must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError("edge lengths must be finite")
         if np.any(arr < -1e-15):
             raise InvalidInputError("edge lengths must be nonnegative")
         arr[arr < 0] = 0.0
@@ -324,6 +328,8 @@ class MetricGraph:
             raise InvalidInputError("need one length per edge")
         if graph.edge_count == 0:
             raise DegenerateGraphError("metric graph needs at least one edge")
+        if not np.all(np.isfinite(arr)):
+            raise InvalidInputError("metric graph lengths must be finite")
         if np.any(arr <= 0):
             raise InvalidInputError("metric graph lengths must be strictly positive")
         if conditions is None:
@@ -561,6 +567,8 @@ def graph_from_dict(doc: dict) -> tuple[DiscreteGraph, LengthVector, tuple[Condi
         g = DiscreteGraph(doc["vertices"], [tuple(e) for e in doc["edges"]])
     except KeyError as exc:
         raise InvalidInputError(f"graph document missing field {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"graph document has a malformed vertex or edge: {exc}") from exc
     if "lengths" in doc:
         lengths = LengthVector(doc["lengths"])
         if lengths.size != g.edge_count:

@@ -33,11 +33,8 @@ from .graph import (
 )
 from . import families
 from .spectral import (
-    BondScattering,
-    MULTIPLICITY_SCALE,
-    _scan_interval,
     eigenfunction,
-    scan_step,
+    eigenvalues,
     spectral_gap,
 )
 
@@ -289,18 +286,12 @@ def _cluster_energies(m: MetricGraph) -> tuple[float, int, np.ndarray]:
     a relative window of k1 gives a stable ascent direction (for a truly
     multiple gap this is the basis-independent eigenspace trace).
     """
-    k1, mult = spectral_gap(m)
-    bs = BondScattering(m)
-    dk = scan_step(m)
-    tau = MULTIPLICITY_SCALE * bs.n_bonds
-    hi = k1 * (1.0 + CLUSTER_WINDOW)
-    cluster = _scan_interval(bs, k1 - 1e-7, hi, min(dk, k1 * CLUSTER_WINDOW / 16), tau)
-    if not cluster:
-        cluster = [(k1, mult)]
+    k1, _ = spectral_gap(m)
+    cluster = eigenvalues(m, k1 * (1.0 + CLUSTER_WINDOW), k1 - 1e-7).eigenpairs
     total = np.zeros(m.graph.edge_count)
     dims = 0
-    for k, _ in cluster:
-        for f in eigenfunction(m, k):
+    for p in cluster:
+        for f in eigenfunction(m, p.k):
             total += f.energies()
             dims += 1
     return k1, dims, total / dims

@@ -1,23 +1,49 @@
-"""Eigenvalues and eigenfunctions via the bond-scattering secular equation.
+"""Eigenvalues and eigenfunctions of metric graphs.
 
-Every edge contributes two directed bonds; on bond b the solution of
+Eigenvalues come from an exact count.  By the Dirichlet-to-Neumann
+counting argument (L. Friedlander, Arch. Rational Mech. Anal. 116, 1991;
+Berkolaiko-Kuchment, Introduction to Quantum Graphs, 2013) the number of
+eigenvalues lambda < k^2, negative ones included, is
+
+    N(k) = sum_e ceil(k l_e / pi) - 2E + n_-(K(k))
+
+where n_- counts the negative eigenvalues of the symmetric
+(V' + 2E)-square matrix
+
+    K(k) = [[diag alpha, sqrt(k/2) P diag sin(k l/2), sqrt(k/2) Q diag cos(k l/2)],
+            [.,          diag(sin(k l) / 2),          0                          ],
+            [.,          0,                           -diag(sin(k l) / 2)        ]].
+
+V' are the non-Dirichlet vertices, alpha their delta couplings, P the
+unsigned and Q the signed vertex-edge incidence matrix (a loop has P = 2,
+Q = 0).  The Schur complement of the two edge blocks is the vertex matrix
+with diagonal sum_e k cot(k l_e) + alpha_v and off-diagonal -k csc(k l_e);
+K keeps every entry analytic in k, so no pole cancels.  The first term
+jumps at the poles k l_e / pi in Z, and the count is never taken within
+_POLE_WINDOW of one.
+
+One level finder serves every spectrum.  It bisects on N until a bracket
+holds levels and no pole, then runs regula falsi (Illinois) on the
+eigenvalue of K that crosses zero in it; a bracket that shrinks inside a
+pole window is reported as the pole itself.  The multiplicity of a level
+r is N(r + d) - N(r - d) with d = max(1e-10 r, 1e-9), with no threshold
+on any matrix; levels closer than d merge into one.  Negative
+eigenvalues lambda = -kappa^2 of attractive delta couplings go through
+the same finder with the hyperbolic vertex matrix, see `negative_spectrum`.
+
+Eigenfunctions come from the bond-scattering secular equation.  Every
+edge contributes two directed bonds; on bond b the solution of
 -f'' = k^2 f is a^in e^{-ikx} + a^out e^{ikx}.  Collecting the incoming
 amplitudes into a vector a of size 2E, the vertex conditions force
 a = U(k) a with the unitary U(k) = e^{ikL} J Sigma(k), where L is the
 diagonal of bond lengths, J the bond-reversal permutation and Sigma the
-block-diagonal vertex scattering matrix.  Positive eigenvalues are the k
-with det(I - U(k)) = 0, located by sweeping log|det(I - U(k))| and
-refining its dips; the number of singular values of I - U(k) below a
-threshold at the root gives the multiplicity.
+block-diagonal vertex scattering matrix.  At a level of multiplicity m
+the eigenspace is spanned by the m smallest singular vectors of I - U(k).
 
 Vertex scattering blocks:
     Neumann           2/d - delta_{ee'}
     Dirichlet         -delta_{ee'}
     delta-type        -delta_{ee'} + 2/(d + i alpha/k), alpha = tan(theta/2)
-
-Attractive delta couplings (alpha < 0) create negative eigenvalues; those
-are found separately from the real hyperbolic vertex-secular matrix, see
-`negative_spectrum`.
 
 The k = 0 eigenvalue of a Neumann graph (constant eigenfunction) is
 handled symbolically; U(0) is degenerate and never evaluated.
@@ -42,9 +68,10 @@ from .graph import (
     is_neumann,
 )
 
-MULTIPLICITY_SCALE = 1e-7      # singular values below this * 2E count as nullspace
-BRACKET_REFINE_WIDTH = 1e-12   # golden-section bracket width in k
-MAX_SCAN_POINTS = 2_000_000
+_POLE_WINDOW = 1e-11   # the count is never taken this close (in k l_e / pi) to a pole
+_MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a multiplicity,
+_MULT_FLOOR = 1e-9     # and its least absolute value, for levels near k = 0
+_MAX_LEVELS = 10_000   # most levels one search resolves
 
 
 # ---------------------------------------------------------------------------
@@ -106,224 +133,252 @@ class BondScattering:
         phases = np.exp(1j * k * self.bond_lengths)
         return phases[:, None] * self.sigma(k)[self.jperm, :]
 
-    def U_batch(self, ks: np.ndarray) -> np.ndarray:
-        ks = np.asarray(ks, dtype=float)
-        phases = np.exp(1j * ks[:, None] * self.bond_lengths[None, :])
-        if not self.delta_terms:
-            sig = np.broadcast_to(
-                self.sigma_base[self.jperm, :].astype(complex),
-                (ks.size, self.n_bonds, self.n_bonds),
-            )
-        else:
-            sig = np.repeat(
-                self.sigma_base[None, :, :].astype(complex), ks.size, axis=0
-            )
-            for alpha, d, mask in self.delta_terms:
-                coef = 2.0 / (d + 1j * alpha / ks)
-                sig = sig + coef[:, None, None] * mask[None, :, :]
-            sig = sig[:, self.jperm, :]
-        return phases[:, :, None] * sig
-
     def singular_values(self, k: float) -> np.ndarray:
         """All singular values of I - U(k), ascending."""
         a = np.eye(self.n_bonds) - self.U(k)
         return np.sort(np.linalg.svd(a, compute_uv=False))
 
-    def smallest_singular(self, k: float) -> float:
-        return float(self.singular_values(k)[0])
-
-    def smallest_singular_batch(self, ks: np.ndarray) -> np.ndarray:
-        ub = self.U_batch(np.asarray(ks, dtype=float))
-        a = np.eye(self.n_bonds)[None, :, :] - ub
-        return np.linalg.svd(a, compute_uv=False)[:, -1]
-
+    # no solver path calls these two; they stay because the benchmark's
+    # layer tracer (perfbench/layers.py) wraps them by name
     def log_abs_det(self, k: float) -> float:
         a = np.eye(self.n_bonds) - self.U(k)
         return float(np.linalg.slogdet(a)[1])
 
     def log_abs_det_batch(self, ks: np.ndarray) -> np.ndarray:
-        ub = self.U_batch(np.asarray(ks, dtype=float))
-        a = np.eye(self.n_bonds)[None, :, :] - ub
-        return np.linalg.slogdet(a)[1]
+        return np.array([self.log_abs_det(k) for k in ks])
 
 
 def secular_value(m: MetricGraph, k: float) -> float:
     """Smallest singular value of I - U(k); zero exactly at eigenvalues."""
     if k <= 0:
         raise InvalidInputError("secular_value needs k > 0; k = 0 is handled symbolically")
-    return BondScattering(m).smallest_singular(k)
-
-
-def secular_values(m: MetricGraph, ks) -> np.ndarray:
-    return BondScattering(m).smallest_singular_batch(np.asarray(ks, dtype=float))
+    return float(BondScattering(m).singular_values(k)[0])
 
 
 # ---------------------------------------------------------------------------
-# root search on the positive axis
+# eigenvalue count and the level finder
 # ---------------------------------------------------------------------------
 
 
-def scan_step(m: MetricGraph) -> float:
-    """pi / (16 L E): well below the mean eigenvalue spacing pi / L."""
-    return math.pi / (16.0 * m.total_length * max(1, m.graph.edge_count))
+@dataclass(frozen=True)
+class _Sample:
+    """The count at one point: N, its pole term, and the count matrix's spectrum."""
+
+    k: float
+    count: int
+    poles: int
+    evals: np.ndarray
 
 
-def _golden_min(f, a: float, b: float, tol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
+class _Count:
+    """N(k) = poles(k) + offset + n_-(matrix(k)), nondecreasing in k."""
+
+    offset = 0
+
+    def matrix(self, k: float) -> np.ndarray:
+        raise NotImplementedError
+
+    def poles(self, k: float) -> int:
+        return 0
+
+    def pole_near(self, k: float) -> tuple[float, float] | None:
+        """(pole, half-width of its window) when k lies inside that window."""
+        return None
+
+    def lone_pole(self, a: float, b: float) -> tuple[float, float] | None:
+        """(pole, half-width of its window) when (a, b) holds one pole only."""
+        return None
+
+    def sample(self, k: float) -> _Sample:
+        evals = np.linalg.eigvalsh(self.matrix(k))
+        poles = self.poles(k)
+        return _Sample(k, poles + self.offset + int(np.count_nonzero(evals < 0.0)), poles, evals)
+
+    def off_pole(self, k: float, direction: float) -> float:
+        """k itself, or the first point past its pole window in the given direction."""
+        hit = self.pole_near(k)
+        while hit is not None:
+            pole, half = hit
+            k = pole + direction * 2.0 * half
+            hit = self.pole_near(k)
+        return k
+
+
+def _vertex_scale(alpha: np.ndarray) -> np.ndarray:
+    return 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
+
+
+class _TrigCount(_Count):
+    """The count of the eigenvalues lambda < k^2, k > 0 (module docstring)."""
+
+    def __init__(self, m: MetricGraph) -> None:
+        g = m.graph
+        keep = [v for v in range(g.vertex_count) if not is_dirichlet(m.conditions[v])]
+        row = {v: i for i, v in enumerate(keep)}
+        E = g.edge_count
+        # columns 0..E-1 hold P, columns E..2E-1 hold Q
+        coupling = np.zeros((len(keep), 2 * E))
+        for e, (u, v) in enumerate(g.edges):
+            for w, sign in ((u, 1.0), (v, -1.0)):
+                if w in row:
+                    coupling[row[w], e] += 1.0
+                    coupling[row[w], E + e] += sign
+        alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
+        # the congruence diag(s) on the vertex rows keeps the inertia and
+        # stops a near-Dirichlet coupling from swamping the other entries
+        s = _vertex_scale(alpha)
+        self.coupling = coupling * s[:, None]
+        self.alpha = alpha * s * s
+        self.lengths = np.asarray(m.lengths, dtype=float)
+        self.offset = -2 * E
+
+    def matrix(self, k: float) -> np.ndarray:
+        nv = self.alpha.size
+        n = nv + 2 * self.lengths.size
+        half = 0.5 * k * self.lengths
+        trig = np.concatenate([np.sin(half), np.cos(half)])
+        edge = 0.5 * np.sin(2.0 * half)
+        K = np.zeros((n, n))
+        K[:nv, nv:] = math.sqrt(0.5 * k) * self.coupling * trig
+        K[nv:, :nv] = K[:nv, nv:].T
+        K.flat[:: n + 1] = np.concatenate([self.alpha, edge, -edge])
+        return K
+
+    def poles(self, k: float) -> int:
+        return int(np.ceil(k * self.lengths / math.pi).sum())
+
+    def pole_near(self, k: float) -> tuple[float, float] | None:
+        x = k * self.lengths / math.pi
+        n = np.rint(x)
+        near = (np.abs(x - n) < _POLE_WINDOW) & (n > 0)
+        if not near.any():
+            return None
+        e = int(np.argmax(near))
+        l = float(self.lengths[e])
+        return float(n[e]) * math.pi / l, _POLE_WINDOW * math.pi / l
+
+    def lone_pole(self, a: float, b: float) -> tuple[float, float] | None:
+        first = np.ceil(a * self.lengths / math.pi)
+        inside = np.ceil(b * self.lengths / math.pi) - first
+        if inside.max() != 1.0:
+            return None
+        at = inside == 1.0
+        poles = first[at] * math.pi / self.lengths[at]
+        half = _POLE_WINDOW * math.pi / float(self.lengths[at].min())
+        # equal lengths, or lengths in integer ratios, share their poles
+        if poles.max() - poles.min() > half:
+            return None
+        return float(poles.min()), half
+
+
+def _split(count: _Count, a: float, b: float) -> tuple[float | None, float | None]:
+    """(point, None) with the point inside (a, b) and clear of every pole
+    window, or (None, pole) when the bracket has shrunk onto a pole.
+
+    A bracket holding a single pole is split at the edges of that pole's
+    window, so a level sitting on the pole costs two counts.  Otherwise
+    the midpoint splits it, moved out of any pole window.
+    """
+    mid = 0.5 * (a + b)
+    hit = count.lone_pole(a, b) or count.pole_near(mid)
+    if hit is None:
+        return mid, None
+    pole, half = hit
+    edges = (count.off_pole(pole - 2.0 * half, -1.0), count.off_pole(pole + 2.0 * half, 1.0))
+    for k in sorted(edges, key=lambda x: abs(x - mid)):
+        if a < k < b:
+            return k, None
+    return None, pole
+
+
+def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> float:
+    """The lowest level of a pole-free bracket.
+
+    With i = n_-(matrix) at lo, the i-th eigenvalue is positive at lo,
+    negative at hi and changes sign exactly at the lowest level in between.
+    """
+    i = int(np.count_nonzero(lo.evals < 0.0))
+    a, fa, b, fb = lo.k, float(lo.evals[i]), hi.k, float(hi.evals[i])
+    tol = 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
+    side = 0
     while b - a > tol:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
+        c = (a * fb - b * fa) / (fb - fa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+        fc = float(np.linalg.eigvalsh(count.matrix(c))[i])
+        if fc > 0.0:
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+        elif fc < 0.0:
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5
+            side = -1
         else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
+            return c
     return 0.5 * (a + b)
 
 
-def _local_minima_brackets(ks: np.ndarray, svals: np.ndarray) -> list[tuple[float, float]]:
-    brackets = []
-    n = ks.size
-    for i in range(n):
-        left = svals[i - 1] if i > 0 else np.inf
-        right = svals[i + 1] if i < n - 1 else np.inf
-        if svals[i] <= left and svals[i] <= right:
-            a = ks[i - 1] if i > 0 else ks[i]
-            b = ks[i + 1] if i < n - 1 else ks[i]
-            if b > a:
-                brackets.append((float(a), float(b)))
-    return brackets
+def _lowest_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample]) -> float:
+    """The lowest level in (lo.k, hi.k]; needs hi.count > lo.count.
 
-
-def _null_function_norms(bs: BondScattering, k: float, tau: float) -> list[float]:
-    """L2 norms of the functions rebuilt from each near-null amplitude direction.
-
-    Near k = 0 the secular matrix has spurious null vectors whose
-    reconstructed function vanishes identically (sin-type cancellations);
-    genuine low-lying eigenfunctions are near constant with norm O(1).
+    Every count taken is added to seen, for the brackets of later levels.
     """
-    E = bs.n_bonds // 2
-    a = np.eye(bs.n_bonds) - bs.U(k)
-    _, svals, vh = np.linalg.svd(a)
-    sigma = bs.sigma(k)
-    norms = []
-    lengths = bs.bond_lengths[:E]
-    for i in range(bs.n_bonds):
-        if svals[i] >= tau:
-            continue
-        a_in = vh[i].conj()
-        a_out = sigma @ a_in
-        A = a_in[:E] + a_out[:E]
-        B = 1j * (a_out[:E] - a_in[:E])
-        total = 0.0
-        for e in range(E):
-            l = float(lengths[e])
-            total += (
-                abs(A[e]) ** 2 * _int_cc(k, l)
-                + abs(B[e]) ** 2 * _int_ss(k, l)
-                + 2.0 * (A[e] * np.conj(B[e])).real * _int_cs(k, l)
-            )
-        norms.append(total)
-    return norms
-
-
-def _refine_roots(
-    bs: BondScattering,
-    brackets: list[tuple[float, float]],
-    tau: float,
-    k_floor: float,
-) -> list[tuple[float, int, np.ndarray]]:
-    total_length = float(bs.bond_lengths.sum()) / 2.0
-    small_k_guard = 0.5 * math.pi / total_length
-    norm_floor = 1e-6 * total_length
-    roots = []
-    for a, b in brackets:
-        # refine on log|det|: very short edges put a nearly flat singular
-        # branch below every other, which would blur a sigma_min search
-        k_star = _golden_min(bs.log_abs_det, max(a, k_floor), b, BRACKET_REFINE_WIDTH)
-        svals = bs.singular_values(k_star)
-        mult = int(np.count_nonzero(svals < tau))
-        if mult >= 1 and k_star < small_k_guard:
-            # reject the k -> 0 artifact directions whose function vanishes
-            mult = sum(1 for n in _null_function_norms(bs, k_star, tau) if n > norm_floor)
-        if mult >= 1:
-            roots.append((k_star, mult, svals))
-    return roots
-
-
-def _scan_interval(
-    bs: BondScattering,
-    k_lo: float,
-    k_hi: float,
-    dk: float,
-    tau: float,
-    first_only: bool = False,
-    accept_above: float = 0.0,
-) -> list[tuple[float, int]]:
-    """Eigenvalues in (k_lo, k_hi]: coarse scan, refinement, escalation.
-
-    Roots at or below accept_above are dropped (the k -> 0 constant-mode
-    artifact of Neumann graphs).  With first_only, refinement stops at the
-    lowest accepted root; its escalation window is still searched for an
-    even lower companion.
-    """
-    if k_hi <= k_lo:
-        return []
-    n_points = int((k_hi - k_lo) / dk) + 2
-    if n_points > MAX_SCAN_POINTS:
-        raise ResourceBudgetError("scan range too large for the configured step")
-    ks = np.linspace(k_lo, k_hi, n_points)
-    logdet = bs.log_abs_det_batch(ks)
-    brackets = _local_minima_brackets(ks, logdet)
-
-    l_max = float(bs.bond_lengths.max())
-    accepted: list[tuple[float, int]] = []
-
-    def escalate(k_star: float, mult: int, sv: np.ndarray, step: float, depth: int) -> None:
-        """Split companion roots hiding within one scan step of k_star.
-
-        The next singular value above the multiplicity cluster bounds how
-        close an unresolved companion can be; rescan ever finer until the
-        cluster either separates or collapses into the multiplicity count.
-        """
-        if depth > 3:
-            return
-        sigma_next = sv[min(mult, sv.size - 1)]
-        if sigma_next >= 2.0 * l_max * step:
-            return
-        a = max(k_lo, k_star - 2.0 * step)
-        b = min(k_hi, k_star + 2.0 * step)
-        fine = np.linspace(a, b, 513)
-        fine_step = (b - a) / 512.0
-        fine_ld = bs.log_abs_det_batch(fine)
-        for k2, m2, sv2 in _refine_roots(bs, _local_minima_brackets(fine, fine_ld), tau, k_lo):
-            if k2 <= accept_above:
-                continue
-            if all(abs(k2 - k0) > 1e-9 for k0, _ in accepted):
-                accepted.append((k2, m2))
-            escalate(k2, m2, sv2, fine_step, depth + 1)
-
-    for bracket in brackets:
-        for k_star, mult, sv in _refine_roots(bs, [bracket], tau, k_lo):
-            if k_star > accept_above and all(abs(k_star - k0) > 1e-9 for k0, _ in accepted):
-                accepted.append((k_star, mult))
-            escalate(k_star, mult, sv, dk, 1)
-        if first_only and accepted:
-            break
-
-    accepted.sort()
-    merged: list[tuple[float, int]] = []
-    for k_star, mult in accepted:
-        if merged and abs(k_star - merged[-1][0]) < 1e-9:
-            prev_k, prev_m = merged[-1]
-            merged[-1] = (min(prev_k, k_star), max(prev_m, mult))
+    while lo.poles != hi.poles:
+        mid, pole = _split(count, lo.k, hi.k)
+        if pole is not None:
+            return pole
+        s = count.sample(mid)
+        seen.append(s)
+        if s.count > lo.count:
+            hi = s
         else:
-            merged.append((k_star, mult))
-    return merged
+            lo = s
+    return _illinois(count, lo, hi)
+
+
+def _merge_width(r: float) -> float:
+    """Levels closer than this to r count as r."""
+    return max(_MULT_PROBE * r, _MULT_FLOOR)
+
+
+def _around(count: _Count, r: float, lo: _Sample | None = None) -> tuple[_Sample, _Sample]:
+    """The counts just below and just above r; their difference is r's multiplicity.
+
+    lo, the lower end of the search, stands in for the lower count when
+    it lies above it.
+    """
+    width = _merge_width(r)
+    below_k = count.off_pole(r - width, -1.0)
+    below = lo if lo is not None and below_k <= lo.k else count.sample(below_k)
+    return below, count.sample(count.off_pole(r + width, 1.0))
+
+
+def _levels(count: _Count, k_lo: float, k_hi: float, first_only: bool = False) -> list[tuple[float, int]]:
+    """Levels in (k_lo, k_hi] with their multiplicities, ascending."""
+    lo = count.sample(count.off_pole(k_lo, -1.0))
+    # a level sitting on k_hi belongs to the range
+    hi = count.sample(count.off_pole(k_hi + _merge_width(k_hi), 1.0))
+    if hi.count - lo.count > _MAX_LEVELS:
+        raise ResourceBudgetError(
+            f"{hi.count - lo.count} eigenvalues in ({k_lo}, {k_hi}], more than {_MAX_LEVELS}"
+        )
+    seen = [lo, hi]
+    out: list[tuple[float, int]] = []
+    while lo.count < hi.count:
+        # the tightest bracket above lo among the counts taken so far
+        lo = max((s for s in seen if s.count == lo.count), key=lambda s: s.k)
+        upper = min((s for s in seen if s.count > lo.count), key=lambda s: s.k)
+        r = _lowest_level(count, lo, upper, seen)
+        below, above = _around(count, r, lo)
+        out.append((r, above.count - below.count))
+        if first_only:
+            break
+        seen.append(above)
+        lo = above
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,55 +420,35 @@ class Spectrum:
         return sum(p.multiplicity for p in self.eigenpairs if abs(p.k - k) <= tol)
 
 
-def _neumann_floor(m: MetricGraph) -> float:
-    # Neumann graphs have no eigenvalue in (0, pi/L); anything detected far
-    # below that is the k -> 0 artifact of the constant function.
-    return 0.45 * math.pi / m.total_length if m.is_neumann_graph() else 0.0
+def _k_floor(m: MetricGraph) -> float:
+    """Where the positive search starts; far below the lowest level pi / (2 L) of
+    any graph without attractive couplings or tiny repulsive ones."""
+    return 1e-6 * math.pi / (16.0 * m.total_length * m.graph.edge_count)
 
 
 def eigenvalues(m: MetricGraph, k_max: float, k_min: float = 0.0) -> Spectrum:
     """All eigenvalues in (k_min, k_max], prepending k = 0 for Neumann graphs."""
     if k_max <= 0:
         raise InvalidInputError("k_max must be positive")
-    bs = BondScattering(m)
-    dk = scan_step(m)
-    tau = MULTIPLICITY_SCALE * bs.n_bonds
-    k_eps = max(k_min, 1e-6 * dk)
-    floor = max(_neumann_floor(m), k_min)
-    roots = _scan_interval(bs, k_eps, k_max, dk, tau, accept_above=floor)
-    pairs = [Eigenpair(k, mult) for k, mult in roots]
+    levels = _levels(_TrigCount(m), max(k_min, _k_floor(m)), k_max)
+    pairs = [Eigenpair(k, mult) for k, mult in levels]
     if m.is_neumann_graph() and k_min == 0.0:
         pairs.insert(0, Eigenpair(0.0, 1))
     return Spectrum(tuple(pairs))
 
 
 def gap_upper_bound(m: MetricGraph) -> float:
-    """Safe scan cap: pi E / L (equilateral flower) plus 2 pi / L for the circle."""
+    """Safe search cap: pi E / L (equilateral flower) plus 2 pi / L for the circle."""
     return math.pi * (m.graph.edge_count + 2) / m.total_length
 
 
 def spectral_gap(m: MetricGraph) -> tuple[float, int]:
-    """Smallest positive eigenvalue and its multiplicity.
-
-    Scans upward in windows until the first root; bounded by the universal
-    gap bound.
-    """
-    bs = BondScattering(m)
-    dk = scan_step(m)
-    tau = MULTIPLICITY_SCALE * bs.n_bonds
-    floor = _neumann_floor(m)
-    k_cap = gap_upper_bound(m) + 2.0 * dk
-    window = max(256 * dk, math.pi / m.total_length)
-    k_lo = 1e-6 * dk
-    while True:
-        k_hi = min(k_lo + window, k_cap)
-        roots = _scan_interval(bs, k_lo, k_hi, dk, tau, first_only=True, accept_above=floor)
-        if roots:
-            return roots[0]
-        if k_hi >= k_cap:
-            raise NoEigenspaceError("no eigenvalue found below the universal bound")
-        # overlap windows so boundary minima are never split
-        k_lo = k_hi - 2.0 * dk
+    """Smallest positive eigenvalue and its multiplicity, searched below the
+    universal gap bound."""
+    levels = _levels(_TrigCount(m), _k_floor(m), gap_upper_bound(m), first_only=True)
+    if not levels:
+        raise NoEigenspaceError("no eigenvalue found below the universal bound")
+    return levels[0]
 
 
 # ---------------------------------------------------------------------------
@@ -542,20 +577,23 @@ def constant_eigenfunction(m: MetricGraph) -> EdgeTrig:
 def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
     """Orthonormal real basis of the eigenspace at k.
 
-    Raises NoEigenspaceError when k is not an eigenvalue at the solver's
-    multiplicity threshold.
+    The dimension is the counted multiplicity at k; raises
+    NoEigenspaceError when the count finds no eigenvalue there.
     """
     if abs(k) <= 1e-12:
         if not m.is_neumann_graph():
             raise NoEigenspaceError("k = 0 is only an eigenvalue of Neumann graphs")
         return [constant_eigenfunction(m)]
+    if k < 0:
+        raise InvalidInputError("eigenfunctions are built for k > 0 only")
+    below, above = _around(_TrigCount(m), k)
+    mult = above.count - below.count
+    if mult <= 0:
+        raise NoEigenspaceError(f"k = {k} is not an eigenvalue")
     bs = BondScattering(m)
-    tau = MULTIPLICITY_SCALE * bs.n_bonds
     a = np.eye(bs.n_bonds) - bs.U(k)
-    _, svals, vh = np.linalg.svd(a)
-    null = [vh[i].conj() for i in range(bs.n_bonds) if svals[i] < tau]
-    if not null:
-        raise NoEigenspaceError(f"k = {k} is not an eigenvalue (sigma_min = {svals[-1]:.3e})")
+    _, _, vh = np.linalg.svd(a)
+    null = [row.conj() for row in vh[-mult:]]
 
     E = m.graph.edge_count
     sigma = bs.sigma(k)
@@ -566,12 +604,13 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
         candidates.append((np.real(fwd_in + fwd_out), np.imag(fwd_in - fwd_out)))
         candidates.append((np.imag(fwd_in + fwd_out), np.real(fwd_out - fwd_in)))
 
+    # the real and imaginary parts span the real eigenspace: keep its mult
+    # leading Gram directions
     trigs = [EdgeTrig(k, tuple(A), tuple(B)) for A, B in candidates]
     gram = np.array([[t1.inner(t2, m.lengths) for t2 in trigs] for t1 in trigs])
     evals, evecs = np.linalg.eigh(gram)
-    keep = evals > 1e-8 * max(evals.max(), 1e-300)
     basis: list[EdgeTrig] = []
-    for lam, vec in zip(evals[keep], evecs[:, keep].T):
+    for lam, vec in zip(evals[-mult:], evecs[:, -mult:].T):
         A = sum(c * np.asarray(t.amp_cos) for c, t in zip(vec, trigs)) / math.sqrt(lam)
         B = sum(c * np.asarray(t.amp_sin) for c, t in zip(vec, trigs)) / math.sqrt(lam)
         coeffs = np.concatenate([A, B])
@@ -820,76 +859,38 @@ def _hyperbolic_vertex_matrix(m: MetricGraph, kappa: float, keep: list[int]) -> 
     return M
 
 
-def _zero_limit_matrix(m: MetricGraph, keep: list[int]) -> np.ndarray:
-    """kappa -> 0 limit: weighted graph Laplacian plus the delta couplings."""
-    idx = {v: i for i, v in enumerate(keep)}
-    n = len(keep)
-    M = np.zeros((n, n))
-    for e, (u, v) in enumerate(m.graph.edges):
-        if u == v:
-            continue
-        w = 1.0 / float(m.lengths[e])
-        if u in idx:
-            M[idx[u], idx[u]] += w
-        if v in idx:
-            M[idx[v], idx[v]] += w
-        if u in idx and v in idx:
-            M[idx[u], idx[v]] -= w
-            M[idx[v], idx[u]] -= w
-    for v in keep:
-        M[idx[v], idx[v]] += condition_alpha(m.conditions[v])
-    return M
+class _HyperbolicCount(_Count):
+    """Negative levels lambda = -kappa^2 in the variable kappa > 0.
+
+    The hyperbolic vertex matrix grows with kappa and has n_-(H) = number
+    of eigenvalues below -kappa^2, so n_-(-H(kappa)) counts, up to a
+    constant, the levels with kappa_j < kappa.  There are no poles.
+    """
+
+    def __init__(self, m: MetricGraph, keep: list[int]) -> None:
+        self.m = m
+        self.keep = keep
+        self.scale = _vertex_scale(np.array([condition_alpha(m.conditions[v]) for v in keep]))
+
+    def matrix(self, kappa: float) -> np.ndarray:
+        s = self.scale
+        return -s[:, None] * _hyperbolic_vertex_matrix(self.m, kappa, self.keep) * s[None, :]
 
 
 def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
     """Negative-eigenvalue branch, reported as k = -kappa (so lambda = -kappa^2).
 
-    The number of negative eigenvalues equals the number of negative
-    eigenvalues of the kappa -> 0 limit matrix; each is then located by
-    bisection on the matching (monotone in kappa) eigenvalue branch.
+    The levels are those of the hyperbolic count between kappa = 1e-9 and
+    a kappa where the hyperbolic vertex matrix is positive definite.
     """
     if all(condition_alpha(c) >= 0 for c in m.conditions if not is_dirichlet(c)):
         return []
     keep = [v for v in range(m.graph.vertex_count) if not is_dirichlet(m.conditions[v])]
-    if not keep:
-        return []
-    M0 = _zero_limit_matrix(m, keep)
-    scale = max(float(np.abs(M0).max()), 1.0)
-    n_neg = int(np.count_nonzero(np.linalg.eigvalsh(M0) < -1e-12 * scale))
-    if n_neg == 0:
-        return []
-
-    kappa_lo = 1e-9
+    count = _HyperbolicCount(m, keep)
     kappa_hi = 1.0
     for _ in range(80):
-        evals = np.linalg.eigvalsh(_hyperbolic_vertex_matrix(m, kappa_hi, keep))
-        if evals[0] > 0:
+        if count.sample(kappa_hi).count == len(keep):
             break
         kappa_hi *= 2.0
-    roots = []
-    for j in range(n_neg):
-
-        def branch(kappa: float, j=j) -> float:
-            return float(np.linalg.eigvalsh(_hyperbolic_vertex_matrix(m, kappa, keep))[j])
-
-        lo, hi = kappa_lo, kappa_hi
-        if branch(lo) >= 0:
-            continue
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if branch(mid) < 0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13 * max(1.0, hi):
-                break
-        roots.append(-0.5 * (lo + hi))
-
-    roots.sort()
-    merged: list[Eigenpair] = []
-    for k in roots:
-        if merged and abs(k - merged[-1].k) < 1e-9:
-            merged[-1] = Eigenpair(merged[-1].k, merged[-1].multiplicity + 1)
-        else:
-            merged.append(Eigenpair(k, 1))
-    return merged
+    levels = _levels(count, 1e-9, kappa_hi)
+    return [Eigenpair(-kappa, mult) for kappa, mult in reversed(levels)]

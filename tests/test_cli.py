@@ -168,6 +168,15 @@ def test_parse_error_exit_code():
     assert "--graph" in err
 
 
+def test_nan_length_is_rejected(tmp_path):
+    path = tmp_path / "nan.json"
+    path.write_text('{"vertices": 2, "edges": [[0, 1], [0, 1]], "lengths": [NaN, 0.5]}')
+    code, out, err = run_cli(["spectrum", "--graph", str(path)])
+    assert code != 0
+    assert out == ""
+    assert "InvalidInputError: edge lengths must be finite" in err
+
+
 def test_thread_count_does_not_change_output(loop_file):
     import os
     import subprocess

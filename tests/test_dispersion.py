@@ -79,6 +79,14 @@ def test_attractive_coupling_has_one_negative_level():
     assert lv[0] == pytest.approx(-kappa, abs=1e-9)
 
 
+def test_close_delta_level_not_missed():
+    # 12.8230972 lies 0.26 above the double level 4 pi; a log|det| scan
+    # stepped over it
+    lv = levels_theta(metric(*flower(2)), 0, 2.552544031041707, 6 * PI)
+    assert len(lv) == 6
+    assert any(abs(k - 12.8230972395) <= 1e-9 for k in lv)
+
+
 # ---------------------------------------------------------------------------
 # dispersion curves
 # ---------------------------------------------------------------------------
@@ -173,12 +181,15 @@ def test_gluing_interlacing_opposite_deltas():
 
 
 def test_star_center_is_strong():
-    rep = spectral_gap_parameter(metric(*star(3)), 0)
-    assert rep.classification == "strong"
-    assert rep.theta_sg == pytest.approx(PI, abs=1e-6)
-    assert rep.k1_multiplicity == 2
-    assert rep.dirichlet_multiplicity == 3
-    assert rep.k1_is_flat_band
+    # star(4) used to stop short of pi (3.13837, "obeys"): near theta = pi
+    # the solver skipped the lowest delta level
+    for E in (3, 4):
+        rep = spectral_gap_parameter(metric(*star(E)), 0)
+        assert rep.classification == "strong"
+        assert rep.theta_sg == pytest.approx(PI, abs=1e-6)
+        assert rep.k1_multiplicity == E - 1
+        assert rep.dirichlet_multiplicity == E
+        assert rep.k1_is_flat_band
 
 
 def test_uneven_two_flower_violates():

@@ -8,10 +8,12 @@ import pytest
 
 from qgraph import (
     DegenerateGraphError,
+    DeltaTheta,
     DiscreteGraph,
     GraphStructureError,
     InvalidInputError,
     LengthVector,
+    MetricGraph,
     UnsupportedTopologyError,
     betti,
     contract_zero_edges,
@@ -65,6 +67,17 @@ def test_length_vector_rejects_large_drift():
 def test_length_vector_rejects_negative():
     with pytest.raises(InvalidInputError):
         LengthVector([1.5, -0.5])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_rejected(bad):
+    # comparisons with NaN are false, so every range check alone lets it through
+    with pytest.raises(InvalidInputError):
+        LengthVector([bad, 0.5, 0.5])
+    with pytest.raises(InvalidInputError):
+        MetricGraph(DiscreteGraph(2, [(0, 1), (0, 1)]), [bad, 0.5])
+    with pytest.raises(InvalidInputError):
+        DeltaTheta(bad)
 
 
 # ---------------------------------------------------------------------------

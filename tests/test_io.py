@@ -72,3 +72,14 @@ def test_length_count_mismatch_rejected():
     doc = {"vertices": 2, "edges": [[0, 1]], "lengths": [0.5, 0.5]}
     with pytest.raises(InvalidInputError):
         graph_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    {"vertices": 2, "edges": [[0, 1], [0, 1]], "lengths": [math.nan, 1.0]},
+    {"vertices": 2, "edges": [[0, 1], [0, 1]], "lengths": [math.inf, 0.5]},
+    {"vertices": 2, "edges": [[0, 1]], "conditions": {"0": {"delta_theta": math.nan}}},
+    {"vertices": 2, "edges": [[0, math.nan]]},
+])
+def test_non_finite_document_rejected(doc):
+    with pytest.raises(InvalidInputError):
+        graph_from_dict(doc)

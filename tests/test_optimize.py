@@ -252,6 +252,15 @@ def test_upper_bound_values():
     assert upper_bound(g) == pytest.approx(1.5 * PI)
     k1, _ = spectral_gap(metric(*star(3)))
     assert k1 == pytest.approx(upper_bound(g), abs=1e-9)
+    # three levels within 1.5e-3 of each other near 3 pi; the lowest one
+    # used to be missed, putting the reported gap above the bound
+    g, _ = stower(2, 2)
+    lengths = [0.33335101848844, 0.33335101848844, 0.16664898151156, 0.16664898151156]
+    k1, mult = spectral_gap(metric(g, np.array(lengths)))
+    assert k1 == pytest.approx(9.424277951317, abs=1e-9)
+    assert mult == 1
+    assert upper_bound(g) == pytest.approx(3 * PI)
+    assert k1 <= upper_bound(g)
 
 
 def test_upper_bound_excluded_pairs():
