@@ -1,27 +1,13 @@
-"""Order-preserving parallel map capped by the QGRAPH_THREADS env var."""
+"""Order-preserving map over optimizer restarts and theta grids.
+
+It runs serially: the work is Python code around small numpy calls, and a
+thread pool measured slower on every workload.  It stays a function of its
+own because the benchmark's layer tracer (perfbench/layers.py) wraps it by
+name.
+"""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-
-def thread_budget() -> int:
-    raw = os.environ.get("QGRAPH_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n < 1:
-        n = min(4, os.cpu_count() or 1)
-    return n
-
 
 def parallel_map(fn, items):
-    """Map preserving input order; runs serially when one thread is allowed."""
-    items = list(items)
-    n = thread_budget()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(n, len(items))) as pool:
-        return list(pool.map(fn, items))
+    return [fn(x) for x in items]

@@ -239,10 +239,6 @@ class SgpReport:
     k1_is_flat_band: bool
 
 
-def _first_positive(m: MetricGraph) -> float:
-    return spectral_gap(m)[0]
-
-
 def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     """Locate theta_SG in [0, 2pi] by monotone bisection on the K branch.
 
@@ -260,19 +256,19 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     tol_k = 1e-10 * max(1.0, k1)
 
     m_dir = _with_theta(m, v, math.pi)
-    dirichlet_k0 = _first_positive(m_dir)
+    dirichlet_k0 = spectral_gap(m_dir)[0]
 
     if dirichlet_k0 >= k1 - tol_k:
         # Dirichlet criterion holds: theta_SG in (0, pi]
         def reached(theta: float) -> bool:
-            return _first_positive(_with_theta(m, v, theta)) >= k1 - tol_k
+            return spectral_gap(_with_theta(m, v, theta))[0] >= k1 - tol_k
 
         lo, hi = 0.0, math.pi
     else:
         # theta_SG in (pi, 2pi]: follow the k1 branch at theta - 2pi
         def reached(theta: float) -> bool:
             mt = _with_theta(m, v, theta - 2 * math.pi)
-            return _first_positive(mt) >= k1 - tol_k
+            return spectral_gap(mt)[0] >= k1 - tol_k
 
         lo, hi = math.pi, 2 * math.pi
 
@@ -293,7 +289,6 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     else:
         classification = "obeys"
 
-    flat = is_flat_band(m, v, k1) if theta_sg < 2 * math.pi - STRONG_TOL else False
     return SgpReport(
         vertex=v,
         theta_sg=theta_sg,
@@ -302,7 +297,7 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
         k1_multiplicity=k1_mult,
         dirichlet_k0=dirichlet_k0,
         dirichlet_multiplicity=dir_mult,
-        k1_is_flat_band=flat,
+        k1_is_flat_band=is_flat_band(m, v, k1),
     )
 
 

@@ -89,10 +89,6 @@ def dumbbell(bridge_length: float) -> tuple[DiscreteGraph, LengthVector]:
     return g, LengthVector([half, bridge_length, half])
 
 
-def figure_eight() -> tuple[DiscreteGraph, LengthVector]:
-    return flower(2)
-
-
 def standarin_chain(
     n: int,
     n_mandarins: int,

@@ -104,10 +104,6 @@ def catalog_entry(family: str, *params: int) -> CatalogEntry:
     raise InvalidInputError(f"unknown catalog family {family!r}")
 
 
-def catalog_gap(entry: CatalogEntry) -> float:
-    return entry.gap
-
-
 def full_catalog() -> list[CatalogEntry]:
     entries = []
     for E in (2, 3, 4, 5):
@@ -263,19 +259,27 @@ class _AscentState:
         return LengthVector(out)
 
 
-def _contract_state(state: _AscentState, to_zero: list[int]) -> _AscentState:
-    lv = state.lengths.copy()
-    lv[to_zero] = 0.0
-    lv = lv / lv.sum()
-    mg, _, edge_map = contract_with_maps(state.graph, LengthVector(lv))
-    new_map: list[int | None] = []
-    for cur in state.orig_map:
-        new_map.append(None if cur is None else edge_map[cur])
-    return _AscentState(mg.graph, mg.lengths.copy(), new_map)
+def _settle(state: _AscentState, drop=()) -> _AscentState:
+    """Contract the edges in drop, set every symmetrizable group to its mean
+    and renormalize.
 
-
-def _gap(m: MetricGraph) -> tuple[float, int]:
-    return spectral_gap(m)
+    Symmetrizing never lowers the gap.  Groups share no edges and a mean
+    keeps their sum, so all of them are set in one move.  Without drop the
+    topology and the pin counts carry over.
+    """
+    g, lv, orig_map = state.graph, state.lengths.copy(), state.orig_map
+    if drop:
+        lv[list(drop)] = 0.0
+        mg, _, edge_map = contract_with_maps(g, LengthVector(lv / lv.sum()))
+        g, lv = mg.graph, mg.lengths.copy()
+        orig_map = [None if cur is None else edge_map[cur] for cur in orig_map]
+    if g.edge_count >= 3:
+        for _v, _kind, group in symmetrizable_groups(g):
+            lv[list(group)] = lv[list(group)].mean()
+    settled = _AscentState(g, lv / lv.sum(), orig_map)
+    if not drop:
+        settled.pin_count = state.pin_count
+    return settled
 
 
 def _cluster_energies(m: MetricGraph) -> tuple[float, int, np.ndarray]:
@@ -300,28 +304,24 @@ def _cluster_energies(m: MetricGraph) -> tuple[float, int, np.ndarray]:
 def _single_ascent(
     state: _AscentState, opts: MaximizeOptions, trace: list[TraceStep]
 ) -> tuple[_AscentState, float]:
-    gap, mult = _gap(state.metric())
+    gap = spectral_gap(state.metric())[0]
     trace.append(TraceStep(gap, 0.0, "init"))
 
     for _ in range(opts.max_iters):
         moved = False
 
         # symmetrization moves are non-decreasing whenever they apply
-        if state.graph.edge_count >= 3:
-            for v, _kind, group in symmetrizable_groups(state.graph):
-                vals = state.lengths[list(group)]
-                if vals.max() - vals.min() <= 1e-13:
-                    continue
-                cand = state.lengths.copy()
-                cand[list(group)] = vals.mean()
-                cand /= cand.sum()
-                cand_gap, cand_mult = _gap(MetricGraph(state.graph, cand))
-                if cand_gap >= gap - GAP_SLACK:
-                    state.lengths = cand
-                    if cand_gap > gap + opts.improve_tol:
-                        moved = True
-                    gap, mult = cand_gap, cand_mult
-                    trace.append(TraceStep(gap, 0.0, "symmetrize"))
+        if state.graph.edge_count >= 3 and any(
+            np.ptp(state.lengths[list(group)]) > 1e-13
+            for _v, _kind, group in symmetrizable_groups(state.graph)
+        ):
+            cand = _settle(state)
+            cand_gap = spectral_gap(cand.metric())[0]
+            if cand_gap >= gap - GAP_SLACK:
+                if cand_gap > gap + opts.improve_tol:
+                    moved = True
+                state, gap = cand, cand_gap
+                trace.append(TraceStep(gap, 0.0, "symmetrize"))
 
         # ascent step along the eigenspace-averaged energy gradient; gradient
         # moves must strictly improve (the slack is reserved for the provably
@@ -336,26 +336,25 @@ def _single_ascent(
                 cand = _project_simplex_lb(state.lengths + eta * direction, opts.l_min)
                 if np.allclose(cand, state.lengths, atol=1e-15):
                     break
-                cand_gap, cand_mult = _gap(MetricGraph(state.graph, cand))
+                cand_gap = spectral_gap(MetricGraph(state.graph, cand))[0]
                 if cand_gap > gap + opts.improve_tol:
-                    accepted = (cand, cand_gap, cand_mult, eta)
+                    accepted = (cand, cand_gap, eta)
                     break
                 eta *= 0.5
             # expand the step while it keeps improving
             while accepted is not None:
-                eta2 = accepted[3] * 2.0
+                eta2 = accepted[2] * 2.0
                 cand = _project_simplex_lb(state.lengths + eta2 * direction, opts.l_min)
                 if np.allclose(cand, accepted[0], atol=1e-15):
                     break
-                cand_gap, cand_mult = _gap(MetricGraph(state.graph, cand))
+                cand_gap = spectral_gap(MetricGraph(state.graph, cand))[0]
                 if cand_gap > accepted[1] + opts.improve_tol:
-                    accepted = (cand, cand_gap, cand_mult, eta2)
+                    accepted = (cand, cand_gap, eta2)
                 else:
                     break
             if accepted is not None:
-                state.lengths = accepted[0]
-                gap, mult = accepted[1], accepted[2]
-                trace.append(TraceStep(gap, accepted[3], "gradient"))
+                state.lengths, gap = accepted[0], accepted[1]
+                trace.append(TraceStep(gap, accepted[2], "gradient"))
                 moved = True
 
         # nonsmooth stalls (gap maximum at an eigenvalue crossing): probe
@@ -368,10 +367,9 @@ def _single_ascent(
             # topologies, where no dangling/loop symmetrization applies
             cand = np.full(state.graph.edge_count, 1.0 / state.graph.edge_count)
             if not np.allclose(cand, state.lengths, atol=1e-14):
-                cand_gap, cand_mult = _gap(MetricGraph(state.graph, cand))
+                cand_gap = spectral_gap(MetricGraph(state.graph, cand))[0]
                 if cand_gap > gap + opts.improve_tol:
-                    state.lengths = cand
-                    gap, mult = cand_gap, cand_mult
+                    state.lengths, gap = cand, cand_gap
                     trace.append(TraceStep(gap, 0.0, "equalize"))
                     moved = True
 
@@ -389,20 +387,14 @@ def _single_ascent(
             for drop in probes:
                 if len(drop) >= state.graph.edge_count:
                     continue
-                cand_state = _contract_state(state, drop)
-                lv = cand_state.lengths.copy()
-                if cand_state.graph.edge_count >= 3:
-                    for _v, _kind, group in symmetrizable_groups(cand_state.graph):
-                        lv[list(group)] = lv[list(group)].mean()
-                cand_state.lengths = lv / lv.sum()
-                cand_gap, cand_mult = _gap(cand_state.metric())
+                cand_state = _settle(state, drop)
+                cand_gap = spectral_gap(cand_state.metric())[0]
                 if cand_gap > gap + opts.improve_tol and (
                     best_probe is None or cand_gap > best_probe[1]
                 ):
-                    best_probe = (cand_state, cand_gap, cand_mult)
+                    best_probe = (cand_state, cand_gap)
             if best_probe is not None:
-                state = best_probe[0]
-                gap, mult = best_probe[1], best_probe[2]
+                state, gap = best_probe
                 trace.append(TraceStep(gap, 0.0, "contract-probe"))
                 moved = True
 
@@ -414,16 +406,10 @@ def _single_ascent(
         state.pin_count[~at_floor] = 0
         to_zero = [int(e) for e in np.nonzero(state.pin_count >= opts.pin_iters)[0]]
         if to_zero and len(to_zero) < state.graph.edge_count:
-            cand_state = _contract_state(state, to_zero)
-            lv = cand_state.lengths.copy()
-            if cand_state.graph.edge_count >= 3:
-                for _v, _kind, group in symmetrizable_groups(cand_state.graph):
-                    lv[list(group)] = lv[list(group)].mean()
-            cand_state.lengths = lv / lv.sum()
-            cand_gap, cand_mult = _gap(cand_state.metric())
+            cand_state = _settle(state, to_zero)
+            cand_gap = spectral_gap(cand_state.metric())[0]
             if cand_gap >= gap - GAP_SLACK:
-                state = cand_state
-                gap, mult = cand_gap, cand_mult
+                state, gap = cand_state, cand_gap
                 trace.append(TraceStep(gap, 0.0, "contract"))
                 moved = True
             else:
@@ -452,13 +438,10 @@ def maximize_gap(
         raise InvalidInputError("init lengths do not match the graph")
     rng = np.random.default_rng(opts.seed)
 
-    starts: list[_AscentState] = []
+    starts = [_AscentState(g, init.values.copy(), list(range(g.edge_count)))]
     if init.zero_edges():
         # honor a boundary start by contracting it first
-        mg0, _, edge_map0 = contract_with_maps(g, init)
-        starts.append(_AscentState(mg0.graph, mg0.lengths.copy(), list(edge_map0)))
-    else:
-        starts.append(_AscentState(g, init.values.copy(), list(range(g.edge_count))))
+        starts[0] = _settle(starts[0], init.zero_edges())
     for _ in range(opts.seeds):
         lv = families.random_lengths(rng, g.edge_count, l_min=2 * opts.l_min).values
         starts.append(_AscentState(g, lv, list(range(g.edge_count))))

@@ -65,11 +65,6 @@ class CriticalityReport:
         }
 
 
-def energies_to_dict(energies: np.ndarray) -> dict:
-    """Per-edge energies or gradients keyed by edge id, JSON-ready."""
-    return {str(e): float(x) for e, x in enumerate(energies)}
-
-
 def is_critical(m: MetricGraph, tol: float = 1e-6) -> CriticalityReport:
     """Critical point of the gap on the length simplex: equal edge energies.
 

@@ -171,9 +171,34 @@ class _Sample:
 
 
 class _Count:
-    """N(k) = poles(k) + offset + n_-(matrix(k)), nondecreasing in k."""
+    """N(k) = poles(k) + offset + n_-(matrix(k)), nondecreasing in k.
+
+    Both counts couple the non-Dirichlet vertices to the edges through the
+    incidence C = diag(s) [P | Q] (module docstring) and the couplings
+    alpha s^2.  The congruence diag(s), s = 1 / sqrt(max(1, |alpha|)),
+    keeps the inertia and stops a near-Dirichlet coupling from swamping
+    the other entries.
+    """
 
     offset = 0
+
+    def __init__(self, m: MetricGraph) -> None:
+        g = m.graph
+        keep = [v for v in range(g.vertex_count) if not is_dirichlet(m.conditions[v])]
+        row = {v: i for i, v in enumerate(keep)}
+        E = g.edge_count
+        # columns 0..E-1 hold P, columns E..2E-1 hold Q
+        coupling = np.zeros((len(keep), 2 * E))
+        for e, (u, v) in enumerate(g.edges):
+            for w, sign in ((u, 1.0), (v, -1.0)):
+                if w in row:
+                    coupling[row[w], e] += 1.0
+                    coupling[row[w], E + e] += sign
+        alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
+        s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
+        self.coupling = coupling * s[:, None]
+        self.alpha = alpha * s * s
+        self.lengths = np.asarray(m.lengths, dtype=float)
 
     def matrix(self, k: float) -> np.ndarray:
         raise NotImplementedError
@@ -204,33 +229,12 @@ class _Count:
         return k
 
 
-def _vertex_scale(alpha: np.ndarray) -> np.ndarray:
-    return 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
-
-
 class _TrigCount(_Count):
     """The count of the eigenvalues lambda < k^2, k > 0 (module docstring)."""
 
     def __init__(self, m: MetricGraph) -> None:
-        g = m.graph
-        keep = [v for v in range(g.vertex_count) if not is_dirichlet(m.conditions[v])]
-        row = {v: i for i, v in enumerate(keep)}
-        E = g.edge_count
-        # columns 0..E-1 hold P, columns E..2E-1 hold Q
-        coupling = np.zeros((len(keep), 2 * E))
-        for e, (u, v) in enumerate(g.edges):
-            for w, sign in ((u, 1.0), (v, -1.0)):
-                if w in row:
-                    coupling[row[w], e] += 1.0
-                    coupling[row[w], E + e] += sign
-        alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
-        # the congruence diag(s) on the vertex rows keeps the inertia and
-        # stops a near-Dirichlet coupling from swamping the other entries
-        s = _vertex_scale(alpha)
-        self.coupling = coupling * s[:, None]
-        self.alpha = alpha * s * s
-        self.lengths = np.asarray(m.lengths, dtype=float)
-        self.offset = -2 * E
+        super().__init__(m)
+        self.offset = -2 * self.lengths.size
 
     def matrix(self, k: float) -> np.ndarray:
         nv = self.alpha.size
@@ -398,9 +402,6 @@ class Spectrum:
 
     eigenpairs: tuple[Eigenpair, ...]
 
-    def ks(self) -> list[float]:
-        return [p.k for p in self.eigenpairs]
-
     def expanded(self, n_max: int | None = None) -> list[float]:
         out: list[float] = []
         for p in self.eigenpairs:
@@ -415,9 +416,6 @@ class Spectrum:
             if p.k > 1e-12:
                 return p.k
         raise NoEigenspaceError("no positive eigenvalue in the computed range")
-
-    def multiplicity_of(self, k: float, tol: float = 1e-8) -> int:
-        return sum(p.multiplicity for p in self.eigenpairs if abs(p.k - k) <= tol)
 
 
 def _k_floor(m: MetricGraph) -> float:
@@ -734,10 +732,6 @@ def from_eigenfunction(f: EdgeTrig, lengths: np.ndarray) -> PiecewiseTrig:
     return PiecewiseTrig(pieces)
 
 
-def constant_on_edges(lengths: np.ndarray, value: float) -> tuple[tuple[TrigPiece, ...], ...]:
-    return tuple((TrigPiece(0.0, float(l), value, 0.0, 0.0, 0.0),) for l in lengths)
-
-
 def harmonic_interpolant(m: MetricGraph, vertex_values, freq: float) -> PiecewiseTrig:
     """The unique f with f'' + freq^2 f = 0 on edges matching the vertex values.
 
@@ -832,49 +826,21 @@ def merged_neumann_entry(d1: int, d2: int, diagonal: bool) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _hyperbolic_vertex_matrix(m: MetricGraph, kappa: float, keep: list[int]) -> np.ndarray:
-    """Vertex-secular matrix for lambda = -kappa^2; Dirichlet vertices removed."""
-    idx = {v: i for i, v in enumerate(keep)}
-    n = len(keep)
-    M = np.zeros((n, n))
-    for e, (u, v) in enumerate(m.graph.edges):
-        l = float(m.lengths[e])
-        if u == v:
-            if u in idx:
-                M[idx[u], idx[u]] += 2.0 * kappa * math.tanh(kappa * l / 2.0)
-            continue
-        x = kappa * l
-        coth = kappa / math.tanh(x)
-        # sinh overflows near x = 710; beyond that csch is numerically zero
-        csch = kappa / math.sinh(x) if x < 700.0 else 2.0 * kappa * math.exp(-x)
-        if u in idx:
-            M[idx[u], idx[u]] += coth
-        if v in idx:
-            M[idx[v], idx[v]] += coth
-        if u in idx and v in idx:
-            M[idx[u], idx[v]] -= csch
-            M[idx[v], idx[u]] -= csch
-    for v in keep:
-        M[idx[v], idx[v]] += condition_alpha(m.conditions[v])
-    return M
-
-
 class _HyperbolicCount(_Count):
     """Negative levels lambda = -kappa^2 in the variable kappa > 0.
 
-    The hyperbolic vertex matrix grows with kappa and has n_-(H) = number
-    of eigenvalues below -kappa^2, so n_-(-H(kappa)) counts, up to a
+    The hyperbolic vertex matrix H(kappa) = diag alpha + (kappa/2) C
+    diag(tanh(kappa l/2), coth(kappa l/2)) C^T (diagonal sum_e kappa
+    coth(kappa l_e) + alpha_v, off-diagonal -kappa csch(kappa l_e), a loop
+    2 kappa tanh(kappa l/2)) grows with kappa and has n_-(H) = number of
+    eigenvalues below -kappa^2, so n_-(-H(kappa)) counts, up to a
     constant, the levels with kappa_j < kappa.  There are no poles.
     """
 
-    def __init__(self, m: MetricGraph, keep: list[int]) -> None:
-        self.m = m
-        self.keep = keep
-        self.scale = _vertex_scale(np.array([condition_alpha(m.conditions[v]) for v in keep]))
-
     def matrix(self, kappa: float) -> np.ndarray:
-        s = self.scale
-        return -s[:, None] * _hyperbolic_vertex_matrix(self.m, kappa, self.keep) * s[None, :]
+        t = np.tanh(0.5 * kappa * self.lengths)
+        d = 0.5 * kappa * np.concatenate([t, 1.0 / t])
+        return -(np.diag(self.alpha) + (self.coupling * d) @ self.coupling.T)
 
 
 def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
@@ -885,11 +851,10 @@ def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
     """
     if all(condition_alpha(c) >= 0 for c in m.conditions if not is_dirichlet(c)):
         return []
-    keep = [v for v in range(m.graph.vertex_count) if not is_dirichlet(m.conditions[v])]
-    count = _HyperbolicCount(m, keep)
+    count = _HyperbolicCount(m)
     kappa_hi = 1.0
     for _ in range(80):
-        if count.sample(kappa_hi).count == len(keep):
+        if count.sample(kappa_hi).count == count.alpha.size:
             break
         kappa_hi *= 2.0
     levels = _levels(count, 1e-9, kappa_hi)

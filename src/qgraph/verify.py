@@ -292,11 +292,23 @@ def check_a9(seed: int) -> _Check:
 def check_a10(seed: int) -> _Check:
     c = _Check()
     g, _ = families.star(4)
+    bound = upper_bound(g)
     rng = np.random.default_rng(seed + 10)
     for i in range(10):
         init = families.random_lengths(rng, 4, l_min=0.02)
         res = maximize_gap(g, init, MaximizeOptions(seeds=0, seed=seed + i))
         c.expect(res.gap >= 2 * PI - 1e-6, f"star-4 init #{i}: reached {res.gap:.9f}")
+        # no reported gap may exceed a proven bound: pi (E - El/2), and
+        # pi / diameter for trees
+        c.expect(
+            res.gap <= bound + 1e-8,
+            f"star-4 init #{i}: gap {res.gap:.9f} above the bound {bound:.9f}",
+        )
+        diameter_bound = PI / tree_diameter(metric(g, res.lengths))
+        c.expect(
+            res.gap <= diameter_bound + 1e-8,
+            f"star-4 init #{i}: gap {res.gap:.9f} above pi / diameter {diameter_bound:.9f}",
+        )
     g, _ = families.stower(1, 1)
     init = families.random_lengths(rng, 2, l_min=0.05)
     res = maximize_gap(g, init, MaximizeOptions(seeds=2, seed=seed))

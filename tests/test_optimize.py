@@ -14,7 +14,6 @@ from qgraph import (
     betti,
     brute_force_gap,
     catalog_entry,
-    catalog_gap,
     full_catalog,
     infimize_gap,
     maximize_gap,
@@ -44,9 +43,9 @@ PI = math.pi
 
 
 def test_catalog_stower_values():
-    assert catalog_gap(catalog_entry("stower", 3, 2)) == pytest.approx(4 * PI)
-    assert catalog_gap(catalog_entry("stower", 1, 3)) == pytest.approx(5 * PI / 2)
-    assert catalog_gap(catalog_entry("stower", 3, 1)) == pytest.approx(7 * PI / 2)
+    assert catalog_entry("stower", 3, 2).gap == pytest.approx(4 * PI)
+    assert catalog_entry("stower", 1, 3).gap == pytest.approx(5 * PI / 2)
+    assert catalog_entry("stower", 3, 1).gap == pytest.approx(7 * PI / 2)
 
 
 def test_catalog_canonical_lengths():
