@@ -25,10 +25,7 @@ def fmt(x: float) -> str:
 
 
 def _load_metric(path):
-    g, lengths, conditions = load_graph(path)
-    if lengths.is_interior():
-        return g, lengths, metric(g, lengths, conditions)
-    return g, lengths, metric(g, lengths)
+    return metric(*load_graph(path))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -40,7 +37,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_spectrum(args) -> int:
-    _, _, m = _load_metric(args.graph)
+    m = _load_metric(args.graph)
     spec = eigenvalues(m, args.kmax)
     lines = ["n,k,multiplicity"]
     for n, pair in enumerate(spec.eigenpairs):
@@ -50,7 +47,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_eigenfunction(args) -> int:
-    _, _, m = _load_metric(args.graph)
+    m = _load_metric(args.graph)
     if args.k is not None:
         k = args.k
     else:
@@ -67,21 +64,21 @@ def cmd_eigenfunction(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    g, lengths, _ = _load_metric(args.graph)
+    g, lengths, _ = load_graph(args.graph)
     res = maximize_gap(g, lengths, MaximizeOptions(seed=args.seed))
     _emit(json.dumps(res.to_dict(), indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_infimum(args) -> int:
-    g, _, _ = _load_metric(args.graph)
+    g, _, _ = load_graph(args.graph)
     res = infimize_gap(g)
     _emit(json.dumps(res.to_dict(), indent=2) + "\n", args.out)
     return 0
 
 
 def cmd_dispersion(args) -> int:
-    _, _, m = _load_metric(args.graph)
+    m = _load_metric(args.graph)
     curve = dispersion_curve(m, args.vertex, grid_size=args.grid, k_max=args.kmax)
     n_levels = 6
     lines = ["theta," + ",".join(f"k{i}" for i in range(n_levels))]
@@ -93,7 +90,7 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_sgp(args) -> int:
-    _, _, m = _load_metric(args.graph)
+    m = _load_metric(args.graph)
     rep = spectral_gap_parameter(m, args.vertex)
     doc = {
         "vertex": rep.vertex,
@@ -110,8 +107,8 @@ def cmd_sgp(args) -> int:
 
 
 def cmd_glue(args) -> int:
-    _, _, m1 = _load_metric(args.graph)
-    _, _, m2 = _load_metric(args.graph2)
+    m1 = _load_metric(args.graph)
+    m2 = _load_metric(args.graph2)
     L = args.length
     if L is None:
         k1a, _ = spectral_gap(m1)

@@ -7,6 +7,14 @@ a negative k.  The union of all sweeps organizes into a strictly
 increasing dispersion branch K(theta) on (-pi, 3pi] plus theta-independent
 flat bands whose eigenfunctions vanish at the marked vertex.
 
+Multiplicities here are differences of the eigenvalue count, as in
+`spectral.multiplicity_at`; no level is matched to another by a
+tolerance.  The flat multiplicity at k is the least counted multiplicity
+at k under the couplings theta = 1.2 and -0.7, and k is a flat band when
+it is positive.  A dispersion curve takes its flat bands from the levels
+of its first grid row and removes them from every row within the
+count's merge width.
+
 The spectral gap parameter theta_SG solves K(theta_SG) = k1(Neumann); it
 lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
 the vertex keeps the gap (Dirichlet criterion), and controls when gluing
@@ -33,26 +41,20 @@ from .graph import (
 )
 from .spectral import (
     Spectrum,
+    _merge_width,
     eigenvalues,
+    multiplicity_at,
     negative_spectrum,
     spectral_gap,
 )
 
 SGP_THETA_TOL = 1e-8
-FLAT_MATCH_TOL = 1e-7
 STRONG_TOL = 1e-6
+GLUE_K_TOL = 1e-8  # the glued gap meets the bound k1(G1) + k1(G2) within this
 
 
 def _with_theta(m: MetricGraph, v: int, theta: float) -> MetricGraph:
-    if not -math.pi < theta <= math.pi:
-        raise InvalidInputError("theta must lie in (-pi, pi]")
-    if theta == 0.0:
-        cond = NEUMANN
-    elif theta == math.pi:
-        cond = DIRICHLET
-    else:
-        cond = DeltaTheta(theta)
-    return m.with_condition(v, cond)
+    return m.with_condition(v, DeltaTheta(theta))
 
 
 def spectrum_theta(m: MetricGraph, v: int, theta: float, k_max: float) -> Spectrum:
@@ -74,20 +76,19 @@ def levels_theta(m: MetricGraph, v: int, theta: float, k_max: float, n_max: int 
     return all_levels(_with_theta(m, v, theta), k_max, n_max)
 
 
-def multiplicity_at(m: MetricGraph, k: float, tol: float = 1e-8) -> int:
-    near = eigenvalues(m, k + 1e-4, max(k - 1e-4, 1e-9)).eigenpairs
-    return sum(p.multiplicity for p in near if abs(p.k - k) <= tol)
+def flat_multiplicity(m: MetricGraph, v: int, k: float) -> int:
+    """Multiplicity of the flat band at k > 0 for couplings at v; 0 off flat bands.
+
+    The least counted multiplicity at k under the couplings theta = 1.2 and
+    -0.7.  Off the flat bands every level moves strictly with theta, so the
+    moving branch meets k under one of them at most.
+    """
+    return min(multiplicity_at(_with_theta(m, v, theta), k) for theta in (1.2, -0.7))
 
 
-def is_flat_band(m: MetricGraph, v: int, k: float, probe_thetas=(math.pi, 1.2, -0.7)) -> bool:
-    """k in the spectrum at two distinct theta values implies a flat band."""
-    hits = 1 if multiplicity_at(m, k) > 0 else 0  # theta = 0 spectrum
-    for theta in probe_thetas:
-        if hits >= 2:
-            return True
-        if multiplicity_at(_with_theta(m, v, theta), k) > 0:
-            hits += 1
-    return hits >= 2
+def is_flat_band(m: MetricGraph, v: int, k: float) -> bool:
+    """k > 0 stays an eigenvalue under every delta coupling at v."""
+    return flat_multiplicity(m, v, k) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -131,34 +132,14 @@ class DispersionCurve:
         return worst
 
 
-def _detect_flat_bands(level_lists: list[list[float]], k_cut: float) -> list[FlatBand]:
-    """Values present in at least two different spectra, with generic multiplicity."""
-    counts: list[dict] = []
-    for lv in level_lists:
-        d: dict[float, int] = {}
-        for k in lv:
-            if k <= 1e-9 or k > k_cut:
-                continue
-            for key in d:
-                if abs(key - k) <= FLAT_MATCH_TOL:
-                    d[key] += 1
-                    break
-            else:
-                d[k] = 1
-        counts.append(d)
-    candidates: list[float] = []
-    for d in counts:
-        for k in d:
-            if not any(abs(k - c) <= FLAT_MATCH_TOL for c in candidates):
-                candidates.append(k)
+def _detect_flat_bands(m: MetricGraph, v: int, levels: list[float], k_cut: float) -> list[FlatBand]:
+    """The flat bands among the positive levels up to k_cut of one spectrum."""
     flats = []
-    for k in sorted(candidates):
-        present = []
-        for d in counts:
-            hit = [m for key, m in d.items() if abs(key - k) <= FLAT_MATCH_TOL]
-            present.append(hit[0] if hit else 0)
-        if all(p > 0 for p in present):
-            flats.append(FlatBand(k, min(present)))
+    for k in sorted(set(levels)):
+        if 1e-9 < k <= k_cut:
+            mult = flat_multiplicity(m, v, k)
+            if mult > 0:
+                flats.append(FlatBand(k, mult))
     return flats
 
 
@@ -168,7 +149,7 @@ def _remove_flats(levels: list[float], flats: list[FlatBand]) -> list[float]:
         removed = 0
         i = 0
         while i < len(out) and removed < fb.multiplicity:
-            if abs(out[i] - fb.k) <= FLAT_MATCH_TOL:
+            if abs(out[i] - fb.k) <= _merge_width(fb.k):
                 out.pop(i)
                 removed += 1
             else:
@@ -197,20 +178,13 @@ def dispersion_curve(
     thetas = np.array([-math.pi + 2 * math.pi * (j + 1) / grid_size for j in range(grid_size)])
     thetas[-1] = math.pi
     level_lists = parallel_map(lambda t: levels_theta(m, v, float(t), k_max), thetas)
-    flats = _detect_flat_bands(level_lists, k_cut=k_max - math.pi / m.total_length)
+    flats = _detect_flat_bands(m, v, level_lists[0], k_cut=k_max - math.pi / m.total_length)
+    nonflat = [_remove_flats(lv, flats) for lv in level_lists]
 
-    branch_th = []
-    branch_val = []
-    for t, lv in zip(thetas, level_lists):
-        nonflat = _remove_flats(lv, flats)
-        if len(nonflat) >= 1:
-            branch_th.append(float(t))
-            branch_val.append(nonflat[0])
-    for t, lv in zip(thetas, level_lists):
-        nonflat = _remove_flats(lv, flats)
-        if len(nonflat) >= 2:
-            branch_th.append(float(t) + 2 * math.pi)
-            branch_val.append(nonflat[1])
+    branch_th = [float(t) for t, lv in zip(thetas, nonflat) if len(lv) >= 1]
+    branch_val = [lv[0] for lv in nonflat if len(lv) >= 1]
+    branch_th += [float(t) + 2 * math.pi for t, lv in zip(thetas, nonflat) if len(lv) >= 2]
+    branch_val += [lv[1] for lv in nonflat if len(lv) >= 2]
 
     return DispersionCurve(
         vertex=v,
@@ -257,31 +231,21 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
 
     m_dir = _with_theta(m, v, math.pi)
     dirichlet_k0 = spectral_gap(m_dir)[0]
-
-    if dirichlet_k0 >= k1 - tol_k:
-        # Dirichlet criterion holds: theta_SG in (0, pi]
-        def reached(theta: float) -> bool:
-            return spectral_gap(_with_theta(m, v, theta))[0] >= k1 - tol_k
-
-        lo, hi = 0.0, math.pi
-    else:
-        # theta_SG in (pi, 2pi]: follow the k1 branch at theta - 2pi
-        def reached(theta: float) -> bool:
-            mt = _with_theta(m, v, theta - 2 * math.pi)
-            return spectral_gap(mt)[0] >= k1 - tol_k
-
-        lo, hi = math.pi, 2 * math.pi
-
+    # the Dirichlet criterion puts theta_SG in (0, pi]; otherwise it lies in
+    # (pi, 2pi], where the k1 branch is followed at theta - 2pi
+    dirichlet_holds = dirichlet_k0 >= k1 - tol_k
+    shift = 0.0 if dirichlet_holds else math.pi
+    lo, hi = shift, shift + math.pi
     while hi - lo > SGP_THETA_TOL:
         mid = 0.5 * (lo + hi)
-        if reached(mid):
+        if spectral_gap(_with_theta(m, v, mid - 2 * shift))[0] >= k1 - tol_k:
             hi = mid
         else:
             lo = mid
     # hi is the smallest theta known to reach k1
     theta_sg = hi
 
-    dir_mult = multiplicity_at(m_dir, k1) if dirichlet_k0 >= k1 - tol_k else 0
+    dir_mult = multiplicity_at(m_dir, k1) if dirichlet_holds else 0
     if theta_sg > math.pi + STRONG_TOL:
         classification = "violates"
     elif abs(theta_sg - math.pi) <= STRONG_TOL and dir_mult > k1_mult:
@@ -381,9 +345,7 @@ class GluingReport:
     parts_flat: tuple[bool, bool]
 
 
-def gluing_bound_check(
-    m1: MetricGraph, v1: int, m2: MetricGraph, v2: int, tol: float = 1e-8
-) -> GluingReport:
+def gluing_bound_check(m1: MetricGraph, v1: int, m2: MetricGraph, v2: int) -> GluingReport:
     """Evaluate the gluing at the optimal length split and test the bound.
 
     Checks k1(glued) <= k1(G1) + k1(G2), with equality exactly when
@@ -397,7 +359,7 @@ def gluing_bound_check(
     glued = glue(m1, v1, m2, v2, L)
     k1_glued, glued_mult = spectral_gap(glued)
     total = k1a + k1b
-    equality = abs(k1_glued - total) <= tol
+    equality = abs(k1_glued - total) <= GLUE_K_TOL
     sgp_ok = rep1.theta_sg + rep2.theta_sg <= 2 * math.pi + STRONG_TOL
     return GluingReport(
         k1_parts=(k1a, k1b),
@@ -405,7 +367,7 @@ def gluing_bound_check(
         optimal_L=L,
         k1_glued=k1_glued,
         glued_multiplicity=glued_mult,
-        subadditive=k1_glued <= total + tol,
+        subadditive=k1_glued <= total + GLUE_K_TOL,
         equality=equality,
         sgp_condition=sgp_ok,
         consistent=equality == sgp_ok,

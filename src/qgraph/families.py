@@ -174,12 +174,7 @@ def random_tree(rng: np.random.Generator, n_vertices: int) -> DiscreteGraph:
     return DiscreteGraph(n_vertices, edges)
 
 
-def random_connected_graph(
-    rng: np.random.Generator,
-    n_vertices: int,
-    n_edges: int,
-    allow_loops: bool = True,
-) -> DiscreteGraph:
+def random_connected_graph(rng: np.random.Generator, n_vertices: int, n_edges: int) -> DiscreteGraph:
     """Random spanning tree plus random extra edges (loops/parallels allowed)."""
     if n_edges < n_vertices - 1:
         raise InvalidInputError("too few edges for a connected graph")
@@ -187,7 +182,5 @@ def random_connected_graph(
     while len(edges) < n_edges:
         u = int(rng.integers(0, n_vertices))
         v = int(rng.integers(0, n_vertices))
-        if u == v and not allow_loops:
-            continue
         edges.append((min(u, v), max(u, v)))
     return DiscreteGraph(n_vertices, edges)

@@ -294,9 +294,6 @@ class LengthVector:
     def zero_edges(self) -> list[int]:
         return [int(e) for e in np.nonzero(self.values == 0.0)[0]]
 
-    def as_array(self) -> np.ndarray:
-        return self.values.copy()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LengthVector) and np.array_equal(self.values, other.values)
 
@@ -358,9 +355,6 @@ class MetricGraph:
         conds[v] = cond
         return MetricGraph(self.graph, self.lengths, conds)
 
-    def with_lengths(self, lengths) -> "MetricGraph":
-        return MetricGraph(self.graph, lengths, self.conditions)
-
     def __repr__(self) -> str:
         return f"MetricGraph({self.graph!r}, {self.lengths.tolist()})"
 
@@ -368,14 +362,17 @@ class MetricGraph:
 def metric(g: DiscreteGraph, lengths=None, conditions=None) -> MetricGraph:
     """Metric graph on g; default lengths are equilateral, conditions Neumann.
 
-    Zero entries in a LengthVector are contracted away first.
+    Zero entries in a LengthVector are contracted away first; contraction
+    keeps Neumann conditions only.
     """
     if lengths is None:
         lengths = equilateral(g.edge_count)
     if isinstance(lengths, LengthVector):
         if lengths.is_interior():
             return MetricGraph(g, lengths.values, conditions)
-        if conditions is not None:
+        if conditions is not None and (
+            len(conditions) != g.vertex_count or not all(is_neumann(c) for c in conditions)
+        ):
             raise InvalidInputError("cannot carry vertex conditions through contraction")
         return contract_zero_edges(g, lengths)
     return MetricGraph(g, lengths, conditions)

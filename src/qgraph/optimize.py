@@ -40,6 +40,11 @@ from .spectral import (
 
 GAP_SLACK = 1e-10   # moves must not lose more than this
 CLUSTER_WINDOW = 2e-4   # branches within k1 * (1 + this) steer the ascent together
+MAX_ITERS = 120     # ascent iterations per start
+L_MIN = 1e-4        # length floor of the ascent
+PIN_ITERS = 5       # iterations at the floor before an edge is contracted
+STEP_SCALE = 0.1    # length of the first trial gradient step
+IMPROVE_TOL = 1e-9  # least gain that counts as a move
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +165,9 @@ def symmetrizable_groups(g: DiscreteGraph) -> list[tuple[int, str, tuple[int, ..
 def symmetrize(m: MetricGraph, v: int, group) -> LengthVector:
     """Replace the group's lengths by their mean; the gap cannot decrease.
 
-    The group must consist entirely of dangling edges at v or entirely of
-    loops at v, and the graph must have at least three edges.
+    The group must lie within one of the `symmetrizable_groups` at v:
+    all dangling edges at v or all loops at v.  The graph must have at
+    least three edges.
     """
     g = m.graph
     group = tuple(sorted(int(e) for e in group))
@@ -169,18 +175,8 @@ def symmetrize(m: MetricGraph, v: int, group) -> LengthVector:
         raise InvalidGroupError("symmetrization needs at least two edges")
     if g.edge_count < 3:
         raise InvalidGroupError("symmetrization requires a graph with E >= 3")
-    deg = g.degrees()
-    kinds = set()
-    for e in group:
-        a, b = g.edges[e]
-        if a == v and b == v:
-            kinds.add("loops")
-        elif (a == v and deg[b] == 1) or (b == v and deg[a] == 1):
-            kinds.add("dangling")
-        else:
-            raise InvalidGroupError(f"edge {e} is neither a loop nor a dangling edge at {v}")
-    if len(kinds) != 1:
-        raise InvalidGroupError("cannot mix loops and dangling edges in one group")
+    if not any(w == v and set(group) <= set(edges) for w, _kind, edges in symmetrizable_groups(g)):
+        raise InvalidGroupError(f"edges {group} are not all loops or all dangling edges at {v}")
     lengths = m.lengths.copy()
     lengths[list(group)] = lengths[list(group)].mean()
     return LengthVector(lengths / lengths.sum())
@@ -216,13 +212,8 @@ class OptimizationResult:
 
 @dataclass
 class MaximizeOptions:
-    max_iters: int = 120
     seeds: int = 10
     seed: int = 0
-    l_min: float = 1e-4
-    pin_iters: int = 5
-    step_scale: float = 0.1
-    improve_tol: float = 1e-9
 
 
 def _project_simplex_lb(y: np.ndarray, l_min: float) -> np.ndarray:
@@ -301,13 +292,11 @@ def _cluster_energies(m: MetricGraph) -> tuple[float, int, np.ndarray]:
     return k1, dims, total / dims
 
 
-def _single_ascent(
-    state: _AscentState, opts: MaximizeOptions, trace: list[TraceStep]
-) -> tuple[_AscentState, float]:
+def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_AscentState, float]:
     gap = spectral_gap(state.metric())[0]
     trace.append(TraceStep(gap, 0.0, "init"))
 
-    for _ in range(opts.max_iters):
+    for _ in range(MAX_ITERS):
         moved = False
 
         # symmetrization moves are non-decreasing whenever they apply
@@ -318,7 +307,7 @@ def _single_ascent(
             cand = _settle(state)
             cand_gap = spectral_gap(cand.metric())[0]
             if cand_gap >= gap - GAP_SLACK:
-                if cand_gap > gap + opts.improve_tol:
+                if cand_gap > gap + IMPROVE_TOL:
                     moved = True
                 state, gap = cand, cand_gap
                 trace.append(TraceStep(gap, 0.0, "symmetrize"))
@@ -330,25 +319,25 @@ def _single_ascent(
         direction = energies.mean() - energies
         norm = float(np.linalg.norm(direction))
         if norm > 1e-12 * energies.mean():
-            eta = opts.step_scale / norm
+            eta = STEP_SCALE / norm
             accepted = None
             for _halving in range(40):
-                cand = _project_simplex_lb(state.lengths + eta * direction, opts.l_min)
+                cand = _project_simplex_lb(state.lengths + eta * direction, L_MIN)
                 if np.allclose(cand, state.lengths, atol=1e-15):
                     break
                 cand_gap = spectral_gap(MetricGraph(state.graph, cand))[0]
-                if cand_gap > gap + opts.improve_tol:
+                if cand_gap > gap + IMPROVE_TOL:
                     accepted = (cand, cand_gap, eta)
                     break
                 eta *= 0.5
             # expand the step while it keeps improving
             while accepted is not None:
                 eta2 = accepted[2] * 2.0
-                cand = _project_simplex_lb(state.lengths + eta2 * direction, opts.l_min)
+                cand = _project_simplex_lb(state.lengths + eta2 * direction, L_MIN)
                 if np.allclose(cand, accepted[0], atol=1e-15):
                     break
                 cand_gap = spectral_gap(MetricGraph(state.graph, cand))[0]
-                if cand_gap > accepted[1] + opts.improve_tol:
+                if cand_gap > accepted[1] + IMPROVE_TOL:
                     accepted = (cand, cand_gap, eta2)
                 else:
                     break
@@ -368,7 +357,7 @@ def _single_ascent(
             cand = np.full(state.graph.edge_count, 1.0 / state.graph.edge_count)
             if not np.allclose(cand, state.lengths, atol=1e-14):
                 cand_gap = spectral_gap(MetricGraph(state.graph, cand))[0]
-                if cand_gap > gap + opts.improve_tol:
+                if cand_gap > gap + IMPROVE_TOL:
                     state.lengths, gap = cand, cand_gap
                     trace.append(TraceStep(gap, 0.0, "equalize"))
                     moved = True
@@ -389,7 +378,7 @@ def _single_ascent(
                     continue
                 cand_state = _settle(state, drop)
                 cand_gap = spectral_gap(cand_state.metric())[0]
-                if cand_gap > gap + opts.improve_tol and (
+                if cand_gap > gap + IMPROVE_TOL and (
                     best_probe is None or cand_gap > best_probe[1]
                 ):
                     best_probe = (cand_state, cand_gap)
@@ -401,10 +390,10 @@ def _single_ascent(
         # pin bookkeeping and boundary contraction; contraction is evaluated
         # together with the symmetrization of any groups it creates, which
         # often lands exactly on the closed-form supremizer
-        at_floor = state.lengths <= opts.l_min * (1 + 1e-9)
+        at_floor = state.lengths <= L_MIN * (1 + 1e-9)
         state.pin_count[at_floor] += 1
         state.pin_count[~at_floor] = 0
-        to_zero = [int(e) for e in np.nonzero(state.pin_count >= opts.pin_iters)[0]]
+        to_zero = [int(e) for e in np.nonzero(state.pin_count >= PIN_ITERS)[0]]
         if to_zero and len(to_zero) < state.graph.edge_count:
             cand_state = _settle(state, to_zero)
             cand_gap = spectral_gap(cand_state.metric())[0]
@@ -413,10 +402,10 @@ def _single_ascent(
                 trace.append(TraceStep(gap, 0.0, "contract"))
                 moved = True
             else:
-                state.pin_count[to_zero] = -10 * opts.pin_iters  # back off
+                state.pin_count[to_zero] = -10 * PIN_ITERS  # back off
 
         pin_pending = bool(
-            np.any((state.pin_count > 0) & (state.pin_count < opts.pin_iters))
+            np.any((state.pin_count > 0) & (state.pin_count < PIN_ITERS))
         )
         if not moved and not pin_pending:
             break
@@ -443,12 +432,12 @@ def maximize_gap(
         # honor a boundary start by contracting it first
         starts[0] = _settle(starts[0], init.zero_edges())
     for _ in range(opts.seeds):
-        lv = families.random_lengths(rng, g.edge_count, l_min=2 * opts.l_min).values
+        lv = families.random_lengths(rng, g.edge_count, l_min=2 * L_MIN).values
         starts.append(_AscentState(g, lv, list(range(g.edge_count))))
 
     def run(start: _AscentState) -> tuple[float, _AscentState, list[TraceStep]]:
         trace: list[TraceStep] = []
-        state, gap = _single_ascent(start, opts, trace)
+        state, gap = _single_ascent(start, trace)
         return gap, state, trace
 
     best: tuple[float, _AscentState, list[TraceStep]] | None = None

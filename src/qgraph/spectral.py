@@ -435,6 +435,15 @@ def eigenvalues(m: MetricGraph, k_max: float, k_min: float = 0.0) -> Spectrum:
     return Spectrum(tuple(pairs))
 
 
+def multiplicity_at(m: MetricGraph, k: float) -> int:
+    """The number of eigenvalues at k > 0, counted as N(k + d) - N(k - d) with
+    d the merge width; zero when k is not an eigenvalue."""
+    if k <= 0:
+        raise InvalidInputError("multiplicities are counted for k > 0 only")
+    below, above = _around(_TrigCount(m), k)
+    return above.count - below.count
+
+
 def gap_upper_bound(m: MetricGraph) -> float:
     """Safe search cap: pi E / L (equilateral flower) plus 2 pi / L for the circle."""
     return math.pi * (m.graph.edge_count + 2) / m.total_length
@@ -584,8 +593,7 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
         return [constant_eigenfunction(m)]
     if k < 0:
         raise InvalidInputError("eigenfunctions are built for k > 0 only")
-    below, above = _around(_TrigCount(m), k)
-    mult = above.count - below.count
+    mult = multiplicity_at(m, k)
     if mult <= 0:
         raise NoEigenspaceError(f"k = {k} is not an eigenvalue")
     bs = BondScattering(m)

@@ -9,7 +9,7 @@ import pytest
 
 from qgraph import save_graph, verify
 from qgraph.cli import main
-from qgraph.families import flower, loop, star
+from qgraph.families import flower, loop, mandarin, necklace, star, stower
 
 PI = math.pi
 
@@ -180,6 +180,81 @@ def test_nan_length_is_rejected(tmp_path):
     assert code != 0
     assert out == ""
     assert "InvalidInputError: edge lengths must be finite" in err
+
+
+def test_conditions_on_a_contracted_graph_are_rejected(tmp_path):
+    # contraction keeps Neumann conditions only; a Dirichlet end must not
+    # silently turn into the Neumann interval (levels 0, pi, ...)
+    doc = '{"vertices": 3, "edges": [[0, 1], [1, 2]], "lengths": [1.0, 0.0], "conditions": %s}'
+    path = tmp_path / "contracted.json"
+    path.write_text(doc % '{"0": "dirichlet"}')
+    code, out, err = run_cli(["spectrum", "--graph", str(path), "--kmax", "5"])
+    assert code != 0
+    assert out == ""
+    assert "InvalidInputError: cannot carry vertex conditions through contraction" in err
+    path.write_text(doc % '{"0": "neumann"}')
+    code, out, _ = run_cli(["spectrum", "--graph", str(path), "--kmax", "5"])
+    assert code == 0
+    assert out == "n,k,multiplicity\n0,0,1\n1,3.14159265359,1\n"
+
+
+# stdout of `qgraph sgp`, byte for byte: floats are printed exactly, so any
+# change in the solver's arithmetic shows here
+SGP_OUTPUT = {
+    "star4-v0": (star(4), 0, """{
+  "vertex": 0,
+  "theta_sg": 3.141592653589793,
+  "classification": "strong",
+  "k1": 6.283185307179579,
+  "k1_multiplicity": 3,
+  "dirichlet_k0": 6.283185307179583,
+  "dirichlet_multiplicity": 4,
+  "k1_is_flat_band": true
+}
+"""),
+    "mandarin2-v0": (mandarin(2), 0, """{
+  "vertex": 0,
+  "theta_sg": 6.283185301327914,
+  "classification": "violates",
+  "k1": 6.283185307179586,
+  "k1_multiplicity": 2,
+  "dirichlet_k0": 3.141592653589793,
+  "dirichlet_multiplicity": 0,
+  "k1_is_flat_band": true
+}
+"""),
+    "necklace2-v0": (necklace(2), 0, """{
+  "vertex": 0,
+  "theta_sg": 6.283185301327914,
+  "classification": "violates",
+  "k1": 6.283185307179589,
+  "k1_multiplicity": 1,
+  "dirichlet_k0": 3.1415926535897896,
+  "dirichlet_multiplicity": 0,
+  "k1_is_flat_band": false
+}
+"""),
+    "stower21-v1": (stower(2, 1), 1, """{
+  "vertex": 1,
+  "theta_sg": 6.283185307179586,
+  "classification": "violates",
+  "k1": 7.853981633974483,
+  "k1_multiplicity": 2,
+  "dirichlet_k0": 2.318238045004025,
+  "dirichlet_multiplicity": 0,
+  "k1_is_flat_band": true
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SGP_OUTPUT))
+def test_sgp_output_is_pinned(case, tmp_path, capsys):
+    (g, lv), vertex, expected = SGP_OUTPUT[case]
+    path = tmp_path / "graph.json"
+    save_graph(path, g, lv)
+    assert main(["sgp", "--graph", str(path), "--vertex", str(vertex)]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_round_trip_load_save(star3_file, tmp_path):

@@ -19,6 +19,7 @@ from qgraph import (
     spectral_gap_parameter,
     spectrum_theta,
 )
+from qgraph import spectral
 from qgraph.dispersion import multiplicity_at, _with_theta
 from qgraph.families import (
     flower,
@@ -27,6 +28,7 @@ from qgraph.families import (
     mandarin,
     random_connected_graph,
     random_lengths,
+    standarin_chain,
     star,
     stower,
 )
@@ -119,6 +121,24 @@ def test_star_curve_flat_band_with_multiplicity():
     assert hits and hits[0].multiplicity == 2
 
 
+@pytest.mark.parametrize(
+    "graph, expected",
+    [
+        # sin(k x) along the petals vanishes at the vertex: one mode at
+        # k = 2 pi and 6 pi, one per petal at 4 pi and 8 pi
+        (flower(2), [(2 * PI, 1), (4 * PI, 2), (6 * PI, 1), (8 * PI, 2)]),
+        # flat multiplicities above two and of mixed size in one curve
+        (standarin_chain(2, 1, 2), [(4 * PI, 4), (8 * PI, 1)]),
+    ],
+)
+def test_flat_bands_are_exact(graph, expected):
+    curve = dispersion_curve(metric(*graph), 0, grid_size=16)
+    assert [fb.multiplicity for fb in curve.flat_bands] == [mult for _, mult in expected]
+    for fb, (k, _) in zip(curve.flat_bands, expected):
+        assert abs(fb.k - k) <= 1e-9
+    assert np.all(np.diff(curve.branch_values) > 0)
+
+
 def test_interval_curve_has_no_flat_bands():
     curve = dispersion_curve(metric(*interval()), 0, grid_size=12, n_levels=3, k_max=4 * PI)
     assert curve.flat_bands == ()
@@ -153,6 +173,8 @@ def test_multiplicity_at_crossing():
     for theta in (0.5, -1.0, 2.0):
         assert multiplicity_at(_with_theta(m, 0, theta), 1.5 * PI) == 2
     assert multiplicity_at(_with_theta(m, 0, PI), 1.5 * PI) == 3
+    # one count decides multiplicities everywhere
+    assert multiplicity_at is spectral.multiplicity_at
 
 
 def test_interlacing_random_graph_with_negative_branch():

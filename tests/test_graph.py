@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from qgraph import (
+    DIRICHLET,
+    NEUMANN,
     DegenerateGraphError,
     DeltaTheta,
     DiscreteGraph,
@@ -161,6 +163,11 @@ def test_contract_two_star_to_interval():
     assert m.graph.vertex_count == 2
     assert m.graph.edge_count == 1
     assert m.total_length == 1.0
+    # metric() contracts through Neumann conditions and rejects any other
+    assert metric(g, LengthVector([1.0, 0.0]), (NEUMANN,) * 3).graph == m.graph
+    for conditions in ((DIRICHLET, NEUMANN, NEUMANN), (NEUMANN,) * 2):
+        with pytest.raises(InvalidInputError):
+            metric(g, LengthVector([1.0, 0.0]), conditions)
 
 
 def test_contract_triangle_to_two_cycle():

@@ -16,6 +16,7 @@ from qgraph import DIRICHLET, NEUMANN, DeltaTheta, DiscreteGraph, MetricGraph
 from qgraph.spectral import (
     eigenfunction,
     eigenvalues,
+    multiplicity_at,
     secular_value,
     vertex_condition_residual,
 )
@@ -48,6 +49,7 @@ def test_counted_levels_solve_the_secular_equation(m):
         if pair.k == 0.0:
             continue
         assert secular_value(m, pair.k) <= 1e-8, pair
+        assert multiplicity_at(m, pair.k) == pair.multiplicity, pair
         basis = eigenfunction(m, pair.k)
         assert len(basis) == pair.multiplicity, pair
         for f in basis:
