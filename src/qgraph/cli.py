@@ -15,6 +15,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .dispersion import dispersion_curve, glue, spectral_gap_parameter
+from .errors import QGraphError
 from .graph import graph_to_dict, load_graph, metric
 from .optimize import MaximizeOptions, full_catalog, infimize_gap, maximize_gap
 from .spectral import eigenfunction, eigenvalues, spectral_gap
@@ -212,8 +213,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; exit code 0 on success, 1 when `verify` fails, 2 on bad input."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except QGraphError as exc:
+        print(f"qgraph: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,7 +13,9 @@ tolerance.  The flat multiplicity at k is the least counted multiplicity
 at k under the couplings theta = 1.2 and -0.7, and k is a flat band when
 it is positive.  A dispersion curve takes its flat bands from the levels
 of its first grid row and removes them from every row within the
-count's merge width.
+count's merge width.  The rows of a theta grid are searched in lockstep
+(`spectral.eigenvalues_lockstep`), each with the values a search of that
+row alone would see.
 
 The spectral gap parameter theta_SG solves K(theta_SG) = k1(Neumann); it
 lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
@@ -29,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .errors import InvalidInputError
 from .graph import (
     DIRICHLET,
@@ -43,6 +44,8 @@ from .spectral import (
     Spectrum,
     _merge_width,
     eigenvalues,
+    eigenvalues_lockstep,
+    gap_reaches,
     multiplicity_at,
     negative_spectrum,
     spectral_gap,
@@ -62,18 +65,29 @@ def spectrum_theta(m: MetricGraph, v: int, theta: float, k_max: float) -> Spectr
     return eigenvalues(_with_theta(m, v, theta), k_max)
 
 
-def all_levels(m: MetricGraph, k_max: float, n_max: int | None = None) -> list[float]:
-    """Sorted eigenvalue list of any metric graph, negative branch included."""
+def _with_negative(m: MetricGraph, spectrum: Spectrum, n_max: int | None) -> list[float]:
+    """The negative branch of m followed by its nonnegative spectrum, cut at n_max."""
     out: list[float] = []
     for p in negative_spectrum(m):
         out.extend([p.k] * p.multiplicity)
-    out.extend(eigenvalues(m, k_max).expanded())
+    out.extend(spectrum.expanded())
     return out if n_max is None else out[:n_max]
+
+
+def all_levels(m: MetricGraph, k_max: float, n_max: int | None = None) -> list[float]:
+    """Sorted eigenvalue list of any metric graph, negative branch included."""
+    return _with_negative(m, eigenvalues(m, k_max), n_max)
 
 
 def levels_theta(m: MetricGraph, v: int, theta: float, k_max: float, n_max: int | None = None) -> list[float]:
     """Eigenvalue list including the negative branch for attractive coupling."""
     return all_levels(_with_theta(m, v, theta), k_max, n_max)
+
+
+def levels_thetas(m: MetricGraph, v: int, thetas, k_max: float, n_max: int | None = None) -> list[list[float]]:
+    """levels_theta at every theta; the nonnegative spectra are searched in lockstep."""
+    ms = [_with_theta(m, v, float(t)) for t in thetas]
+    return [_with_negative(mt, spec, n_max) for mt, spec in zip(ms, eigenvalues_lockstep(ms, k_max))]
 
 
 def flat_multiplicity(m: MetricGraph, v: int, k: float) -> int:
@@ -177,7 +191,7 @@ def dispersion_curve(
         k_max = math.pi * (n_levels + 3) / m.total_length
     thetas = np.array([-math.pi + 2 * math.pi * (j + 1) / grid_size for j in range(grid_size)])
     thetas[-1] = math.pi
-    level_lists = parallel_map(lambda t: levels_theta(m, v, float(t), k_max), thetas)
+    level_lists = levels_thetas(m, v, thetas, k_max)
     flats = _detect_flat_bands(m, v, level_lists[0], k_cut=k_max - math.pi / m.total_length)
     nonflat = [_remove_flats(lv, flats) for lv in level_lists]
 
@@ -219,7 +233,9 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     On [0, pi] the branch is the lowest delta eigenvalue; past pi it is
     the second eigenvalue at theta - 2pi.  In both regimes the branch is
     nondecreasing and saturates at k1 exactly from theta_SG on, so the
-    smallest theta reaching k1 is the parameter.
+    smallest theta reaching k1 is the parameter.  Each step only asks
+    whether the gap at the trial coupling reaches k1, which two counts
+    answer (`spectral.gap_reaches`).
     """
     if not m.is_neumann_graph():
         raise InvalidInputError("spectral gap parameter is defined for Neumann graphs")
@@ -238,7 +254,7 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     lo, hi = shift, shift + math.pi
     while hi - lo > SGP_THETA_TOL:
         mid = 0.5 * (lo + hi)
-        if spectral_gap(_with_theta(m, v, mid - 2 * shift))[0] >= k1 - tol_k:
+        if gap_reaches(_with_theta(m, v, mid - 2 * shift), k1 - tol_k):
             hi = mid
         else:
             lo = mid

@@ -351,6 +351,8 @@ class MetricGraph:
         return all(is_neumann(c) for c in self.conditions)
 
     def with_condition(self, v: int, cond: Condition) -> "MetricGraph":
+        if not 0 <= v < self.graph.vertex_count:
+            raise InvalidInputError(f"no vertex {v} in a graph with {self.graph.vertex_count} vertices")
         conds = list(self.conditions)
         conds[v] = cond
         return MetricGraph(self.graph, self.lengths, conds)

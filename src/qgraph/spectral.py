@@ -31,6 +31,15 @@ on any matrix; levels closer than d merge into one.  Negative
 eigenvalues lambda = -kappa^2 of attractive delta couplings go through
 the same finder with the hyperbolic vertex matrix, see `negative_spectrum`.
 
+The finder is a generator, `_level_search`: it yields each k whose count
+matrix it needs and is sent that matrix's eigenvalues.  Two drivers run
+it.  `_run` evaluates one matrix at a time and serves single spectra.
+`_run_lockstep` advances many searches of one graph that differ in their
+vertex conditions, as the rows of a delta sweep do; at each step it
+builds their matrices at once with `_TrigCount.matrices` and calls one
+stacked eigvalsh.  The stacked build forms every entry as `matrix` does,
+so each search sees the same values under either driver.
+
 Eigenfunctions come from the bond-scattering secular equation.  Every
 edge contributes two directed bonds; on bond b the solution of
 -f'' = k^2 f is a^in e^{-ikx} + a^out e^{ikx}.  Collecting the incoming
@@ -52,6 +61,7 @@ handled symbolically; U(0) is degenerate and never evaluated.
 from __future__ import annotations
 
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +82,10 @@ _POLE_WINDOW = 1e-11   # the count is never taken this close (in k l_e / pi) to 
 _MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a multiplicity,
 _MULT_FLOOR = 1e-9     # and its least absolute value, for levels near k = 0
 _MAX_LEVELS = 10_000   # most levels one search resolves
+
+# a level search yields each k whose count matrix it needs and is sent that
+# matrix's eigenvalues, ascending; it returns its result
+_Search = Generator[float, np.ndarray, object]
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +198,7 @@ class _Count:
 
     def __init__(self, m: MetricGraph) -> None:
         g = m.graph
+        self.graph = g
         keep = [v for v in range(g.vertex_count) if not is_dirichlet(m.conditions[v])]
         row = {v: i for i, v in enumerate(keep)}
         E = g.edge_count
@@ -214,10 +229,13 @@ class _Count:
         """(pole, half-width of its window) when (a, b) holds one pole only."""
         return None
 
-    def sample(self, k: float) -> _Sample:
-        evals = np.linalg.eigvalsh(self.matrix(k))
+    def made(self, k: float, evals: np.ndarray) -> _Sample:
+        """The sample at k, from the eigenvalues of matrix(k)."""
         poles = self.poles(k)
         return _Sample(k, poles + self.offset + int(np.count_nonzero(evals < 0.0)), poles, evals)
+
+    def sample(self, k: float) -> _Sample:
+        return self.made(k, np.linalg.eigvalsh(self.matrix(k)))
 
     def off_pole(self, k: float, direction: float) -> float:
         """k itself, or the first point past its pole window in the given direction."""
@@ -246,6 +264,25 @@ class _TrigCount(_Count):
         K[:nv, nv:] = math.sqrt(0.5 * k) * self.coupling * trig
         K[nv:, :nv] = K[:nv, nv:].T
         K.flat[:: n + 1] = np.concatenate([self.alpha, edge, -edge])
+        return K
+
+    @staticmethod
+    def matrices(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """counts[j].matrix(ks[j]) for counts sharing their lengths, stacked;
+        coupling[j] and alpha[j] are those of counts[j].
+
+        Every entry is formed by the same operations, in the same order, as
+        in `matrix`, so the two agree bit for bit.
+        """
+        b, nv = alpha.shape
+        n = nv + 2 * lengths.size
+        half = (0.5 * ks)[:, None] * lengths
+        trig = np.concatenate([np.sin(half), np.cos(half)], axis=1)
+        edge = 0.5 * np.sin(2.0 * half)
+        K = np.zeros((b, n, n))
+        K[:, :nv, nv:] = np.sqrt(0.5 * ks)[:, None, None] * coupling * trig[:, None, :]
+        K[:, nv:, :nv] = K[:, :nv, nv:].transpose(0, 2, 1)
+        K.reshape(b, n * n)[:, :: n + 1] = np.concatenate([alpha, edge, -edge], axis=1)
         return K
 
     def poles(self, k: float) -> int:
@@ -295,7 +332,7 @@ def _split(count: _Count, a: float, b: float) -> tuple[float | None, float | Non
     return None, pole
 
 
-def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> float:
+def _illinois(lo: _Sample, hi: _Sample) -> _Search:
     """The lowest level of a pole-free bracket.
 
     With i = n_-(matrix) at lo, the i-th eigenvalue is positive at lo,
@@ -309,7 +346,7 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> float:
         c = (a * fb - b * fa) / (fb - fa)
         if not a < c < b:
             c = 0.5 * (a + b)
-        fc = float(np.linalg.eigvalsh(count.matrix(c))[i])
+        fc = float((yield c)[i])
         if fc > 0.0:
             a, fa = c, fc
             if side == 1:
@@ -325,7 +362,7 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> float:
     return 0.5 * (a + b)
 
 
-def _lowest_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample]) -> float:
+def _lowest_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample]) -> _Search:
     """The lowest level in (lo.k, hi.k]; needs hi.count > lo.count.
 
     Every count taken is added to seen, for the brackets of later levels.
@@ -334,13 +371,13 @@ def _lowest_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample]) 
         mid, pole = _split(count, lo.k, hi.k)
         if pole is not None:
             return pole
-        s = count.sample(mid)
+        s = count.made(mid, (yield mid))
         seen.append(s)
         if s.count > lo.count:
             hi = s
         else:
             lo = s
-    return _illinois(count, lo, hi)
+    return (yield from _illinois(lo, hi))
 
 
 def _merge_width(r: float) -> float:
@@ -348,7 +385,7 @@ def _merge_width(r: float) -> float:
     return max(_MULT_PROBE * r, _MULT_FLOOR)
 
 
-def _around(count: _Count, r: float, lo: _Sample | None = None) -> tuple[_Sample, _Sample]:
+def _around(count: _Count, r: float, lo: _Sample | None = None) -> _Search:
     """The counts just below and just above r; their difference is r's multiplicity.
 
     lo, the lower end of the search, stands in for the lower count when
@@ -356,15 +393,18 @@ def _around(count: _Count, r: float, lo: _Sample | None = None) -> tuple[_Sample
     """
     width = _merge_width(r)
     below_k = count.off_pole(r - width, -1.0)
-    below = lo if lo is not None and below_k <= lo.k else count.sample(below_k)
-    return below, count.sample(count.off_pole(r + width, 1.0))
+    below = lo if lo is not None and below_k <= lo.k else count.made(below_k, (yield below_k))
+    above_k = count.off_pole(r + width, 1.0)
+    return below, count.made(above_k, (yield above_k))
 
 
-def _levels(count: _Count, k_lo: float, k_hi: float, first_only: bool = False) -> list[tuple[float, int]]:
+def _level_search(count: _Count, k_lo: float, k_hi: float, first_only: bool = False) -> _Search:
     """Levels in (k_lo, k_hi] with their multiplicities, ascending."""
-    lo = count.sample(count.off_pole(k_lo, -1.0))
+    lo_k = count.off_pole(k_lo, -1.0)
+    lo = count.made(lo_k, (yield lo_k))
     # a level sitting on k_hi belongs to the range
-    hi = count.sample(count.off_pole(k_hi + _merge_width(k_hi), 1.0))
+    hi_k = count.off_pole(k_hi + _merge_width(k_hi), 1.0)
+    hi = count.made(hi_k, (yield hi_k))
     if hi.count - lo.count > _MAX_LEVELS:
         raise ResourceBudgetError(
             f"{hi.count - lo.count} eigenvalues in ({k_lo}, {k_hi}], more than {_MAX_LEVELS}"
@@ -375,14 +415,63 @@ def _levels(count: _Count, k_lo: float, k_hi: float, first_only: bool = False) -
         # the tightest bracket above lo among the counts taken so far
         lo = max((s for s in seen if s.count == lo.count), key=lambda s: s.k)
         upper = min((s for s in seen if s.count > lo.count), key=lambda s: s.k)
-        r = _lowest_level(count, lo, upper, seen)
-        below, above = _around(count, r, lo)
+        r = yield from _lowest_level(count, lo, upper, seen)
+        below, above = yield from _around(count, r, lo)
         out.append((r, above.count - below.count))
         if first_only:
             break
         seen.append(above)
         lo = above
     return out
+
+
+def _run(count: _Count, search: _Search):
+    """The result of a search, evaluating its count matrices one at a time."""
+    k = next(search)
+    while True:
+        try:
+            k = search.send(np.linalg.eigvalsh(count.matrix(k)))
+        except StopIteration as stop:
+            return stop.value
+
+
+def _run_lockstep(jobs: list[tuple[_TrigCount, _Search]]) -> list:
+    """The results of many searches on one graph, advanced in lockstep.
+
+    The searches may differ in their vertex conditions only.  At each step
+    the points they wait for are grouped by matrix size (a Dirichlet vertex
+    drops its row), and each group costs one stacked build and one stacked
+    eigvalsh.  Every search is sent the eigenvalues `_run` would send it.
+    """
+    if not jobs:
+        return []
+    counts = [count for count, _ in jobs]
+    lengths, graph = counts[0].lengths, counts[0].graph
+    assert all(c.graph == graph and np.array_equal(c.lengths, lengths) for c in counts)
+    by_size: dict[int, list[int]] = {}
+    for j, c in enumerate(counts):
+        by_size.setdefault(c.alpha.size, []).append(j)
+    groups = [
+        (js, np.stack([counts[j].coupling for j in js]), np.stack([counts[j].alpha for j in js]))
+        for js in by_size.values()
+    ]
+    pending = {j: next(search) for j, (_, search) in enumerate(jobs)}
+    results: list = [None] * len(jobs)
+    while pending:
+        for js, coupling, alpha in groups:
+            rows = [i for i, j in enumerate(js) if j in pending]
+            if not rows:
+                continue
+            ks = np.array([pending[js[i]] for i in rows])
+            evals = np.linalg.eigvalsh(_TrigCount.matrices(coupling[rows], alpha[rows], lengths, ks))
+            for i, ev in zip(rows, evals):
+                j = js[i]
+                try:
+                    pending[j] = jobs[j][1].send(ev)
+                except StopIteration as stop:
+                    results[j] = stop.value
+                    del pending[j]
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -424,15 +513,33 @@ def _k_floor(m: MetricGraph) -> float:
     return 1e-6 * math.pi / (16.0 * m.total_length * m.graph.edge_count)
 
 
-def eigenvalues(m: MetricGraph, k_max: float, k_min: float = 0.0) -> Spectrum:
-    """All eigenvalues in (k_min, k_max], prepending k = 0 for Neumann graphs."""
+def _positive_search(m: MetricGraph, k_max: float, k_min: float) -> tuple[_TrigCount, _Search]:
     if k_max <= 0:
         raise InvalidInputError("k_max must be positive")
-    levels = _levels(_TrigCount(m), max(k_min, _k_floor(m)), k_max)
+    count = _TrigCount(m)
+    return count, _level_search(count, max(k_min, _k_floor(m)), k_max)
+
+
+def _spectrum(m: MetricGraph, levels: list[tuple[float, int]], k_min: float) -> Spectrum:
     pairs = [Eigenpair(k, mult) for k, mult in levels]
     if m.is_neumann_graph() and k_min == 0.0:
         pairs.insert(0, Eigenpair(0.0, 1))
     return Spectrum(tuple(pairs))
+
+
+def eigenvalues(m: MetricGraph, k_max: float, k_min: float = 0.0) -> Spectrum:
+    """All eigenvalues in (k_min, k_max], prepending k = 0 for Neumann graphs."""
+    return _spectrum(m, _run(*_positive_search(m, k_max, k_min)), k_min)
+
+
+def eigenvalues_lockstep(ms: list[MetricGraph], k_max: float) -> list[Spectrum]:
+    """eigenvalues(m, k_max) for every m, searched in lockstep.
+
+    The graphs share their edges and lengths and differ in vertex
+    conditions only, as the rows of a delta sweep do.
+    """
+    levels = _run_lockstep([_positive_search(m, k_max, 0.0) for m in ms])
+    return [_spectrum(m, lv, 0.0) for m, lv in zip(ms, levels)]
 
 
 def multiplicity_at(m: MetricGraph, k: float) -> int:
@@ -440,7 +547,8 @@ def multiplicity_at(m: MetricGraph, k: float) -> int:
     d the merge width; zero when k is not an eigenvalue."""
     if k <= 0:
         raise InvalidInputError("multiplicities are counted for k > 0 only")
-    below, above = _around(_TrigCount(m), k)
+    count = _TrigCount(m)
+    below, above = _run(count, _around(count, k))
     return above.count - below.count
 
 
@@ -452,10 +560,24 @@ def gap_upper_bound(m: MetricGraph) -> float:
 def spectral_gap(m: MetricGraph) -> tuple[float, int]:
     """Smallest positive eigenvalue and its multiplicity, searched below the
     universal gap bound."""
-    levels = _levels(_TrigCount(m), _k_floor(m), gap_upper_bound(m), first_only=True)
+    count = _TrigCount(m)
+    levels = _run(count, _level_search(count, _k_floor(m), gap_upper_bound(m), first_only=True))
     if not levels:
         raise NoEigenspaceError("no eigenvalue found below the universal bound")
     return levels[0]
+
+
+def gap_reaches(m: MetricGraph, k: float) -> bool:
+    """spectral_gap(m)[0] >= k, decided by two counts.
+
+    The gap reaches k when no level lies between the point where
+    `spectral_gap` starts its search and k: N(k) <= N(k_floor), both
+    points moved below any pole window they sit in.
+    """
+    count = _TrigCount(m)
+    floor = count.sample(count.off_pole(_k_floor(m), -1.0))
+    below = count.sample(count.off_pole(k, -1.0))
+    return below.count <= floor.count
 
 
 # ---------------------------------------------------------------------------
@@ -865,5 +987,5 @@ def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
         if count.sample(kappa_hi).count == count.alpha.size:
             break
         kappa_hi *= 2.0
-    levels = _levels(count, 1e-9, kappa_hi)
+    levels = _run(count, _level_search(count, 1e-9, kappa_hi))
     return [Eigenpair(-kappa, mult) for kappa, mult in reversed(levels)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .dispersion import glue, levels_theta
+from .dispersion import glue, levels_thetas
 from .errors import MultiplicityError, NotApplicableError
 from .graph import LengthVector, metric, tree_diameter
 from .optimize import (
@@ -249,7 +249,7 @@ def check_a8(seed: int) -> _Check:
         m = metric(g, lengths)
         v = int(rng.integers(0, g.vertex_count))
         k_max = PI * (n_levels + 3)
-        rows = [levels_theta(m, v, t, k_max, n_max=n_levels + 1) for t in thetas]
+        rows = levels_thetas(m, v, thetas, k_max, n_max=n_levels + 1)
         for i in range(len(thetas)):
             for j in range(i + 1, len(thetas)):
                 lo = np.array(rows[i][: n_levels + 1])

@@ -198,6 +198,27 @@ def test_conditions_on_a_contracted_graph_are_rejected(tmp_path):
     assert out == "n,k,multiplicity\n0,0,1\n1,3.14159265359,1\n"
 
 
+BAD_INPUT = {
+    "nan-length": ('{"vertices": 2, "edges": [[0, 1], [0, 1]], "lengths": [NaN, 0.5]}', "spectrum"),
+    "unknown-vertex": ('{"vertices": 2, "edges": [[0, 1]], "conditions": {"5": "dirichlet"}}', "spectrum"),
+    "contracted-dirichlet": ('{"vertices": 3, "edges": [[0, 1], [1, 2]], "lengths": [1.0, 0.0], '
+                             '"conditions": {"0": "dirichlet"}}', "spectrum"),
+    "negative-vertex-id": ('{"vertices": 2, "edges": [[0, 1]]}', "dispersion", "--vertex", "-1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUT))
+def test_bad_input_exits_2_with_one_line(case, tmp_path):
+    doc, command, *extra = BAD_INPUT[case]
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, out, err = run_cli([command, "--graph", str(path), *extra])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("qgraph: InvalidInputError: ") and err.count("\n") == 1
+
+
 # stdout of `qgraph sgp`, byte for byte: floats are printed exactly, so any
 # change in the solver's arithmetic shows here
 SGP_OUTPUT = {
@@ -254,6 +275,60 @@ def test_sgp_output_is_pinned(case, tmp_path, capsys):
     path = tmp_path / "graph.json"
     save_graph(path, g, lv)
     assert main(["sgp", "--graph", str(path), "--vertex", str(vertex)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# stdout of `qgraph dispersion --grid 16`: star(3) at a leaf has three flat
+# bands and a negative branch; flower(2) at its vertex has a delta level
+# close to the double level 4 pi
+DISPERSION_OUTPUT = {
+    "star3-v1": (star(3), 1, """\
+theta,k0,k1,k2,k3,k4,k5
+-2.74889357189,-4.91497475472,2.62921621471,4.71238898038,8.9005536084,13.423898715,14.1371669412
+-2.35619449019,-2.28663968613,3.52821322413,4.71238898038,9.16597314882,13.7909489332,14.1371669412
+-1.96349540849,-1.53032250303,3.99968385685,4.71238898038,9.26431204108,13.9230984708,14.1371669412
+-1.57079632679,-1.15359177076,4.2512523461,4.71238898038,9.31777489767,13.994523278,14.1371669412
+-1.1780972451,-0.89659836398,4.4120357307,4.71238898038,9.35343553428,14.0420785815,14.1371669412
+-0.785398163397,-0.680600320765,4.53007970956,4.71238898038,9.38064406395,14.0783417127,14.1371669412
+-0.392699081699,-0.457875879671,4.62645874483,4.71238898038,9.40362768721,14.1089724391,14.1371669412
+0,0,4.71238898038,4.71238898038,9.42477796077,14.1371669412,14.1371669412
+0.392699081699,0.434855763426,4.71238898038,4.79529759674,9.44583375203,14.1371669412,14.1652494459
+0.785398163397,0.611223365439,4.71238898038,4.88164111704,9.46850274481,14.1371669412,14.1955069519
+1.1780972451,0.753603453913,4.71238898038,4.97901691124,9.49505902307,14.1371669412,14.2309950736
+1.57079632679,0.888681999089,4.71238898038,5.09915742368,9.52941815869,14.1371669412,14.276998663
+1.96349540849,1.03309534382,4.71238898038,5.26474216517,9.58002258441,14.1371669412,14.3449905855
+2.35619449019,1.20675268103,4.71238898038,5.53042238701,9.67050896607,14.1371669412,14.4675274242
+2.74889357189,1.44676233805,4.71238898038,6.07116927067,9.90224163283,14.1371669412,14.7898900355
+3.14159265359,1.84643912601,4.71238898038,7.57833883476,11.2712170868,14.1371669412,17.0031167955
+"""),
+    "flower2-v0": (flower(2), 0, """\
+theta,k0,k1,k2,k3,k4,k5
+-2.74889357189,-2.36657692715,6.28318530718,12.1542059409,12.5663706144,12.5663706144,18.8495559215
+-2.35619449019,-1.59394686529,6.28318530718,12.3713801683,12.5663706144,12.5663706144,18.8495559215
+-1.96349540849,-1.24276049978,6.28318530718,12.4461604349,12.5663706144,12.5663706144,18.8495559215
+-1.57079632679,-1.01053684035,6.28318530718,12.4862934957,12.5663706144,12.5663706144,18.8495559215
+-1.1780972451,-0.823155120509,6.28318530718,12.5129749228,12.5663706144,12.5663706144,18.8495559215
+-0.785398163397,-0.646384402261,6.28318530718,12.533322383,12.5663706144,12.5663706144,18.8495559215
+-0.392699081699,-0.446922141916,6.28318530718,12.5505217652,12.5663706144,12.5663706144,18.8495559215
+0,0,6.28318530718,12.5663706144,12.5663706144,12.5663706144,18.8495559215
+0.392699081699,0.445073925598,6.28318530718,12.5663706144,12.5663706144,12.5821795869,18.8495559215
+0.785398163397,0.640830463014,6.28318530718,12.5663706144,12.5663706144,12.5992459339,18.8495559215
+1.1780972451,0.811775888082,6.28318530718,12.5663706144,12.5663706144,12.6193163995,18.8495559215
+1.57079632679,0.989701860738,6.28318530718,12.5663706144,12.5663706144,12.6454402023,18.8495559215
+1.96349540849,1.20461031001,6.28318530718,12.5663706144,12.5663706144,12.6843250133,18.8495559215
+2.35619449019,1.51576215046,6.28318530718,12.5663706144,12.5663706144,12.7554980196,18.8495559215
+2.74889357189,2.1312760026,6.28318530718,12.5663706144,12.5663706144,12.9532729366,18.8495559215
+3.14159265359,6.28318530718,6.28318530718,12.5663706144,12.5663706144,18.8495559215,18.8495559215
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISPERSION_OUTPUT))
+def test_dispersion_output_is_pinned(case, tmp_path, capsys):
+    (g, lv), vertex, expected = DISPERSION_OUTPUT[case]
+    path = tmp_path / "graph.json"
+    save_graph(path, g, lv)
+    assert main(["dispersion", "--graph", str(path), "--vertex", str(vertex), "--grid", "16"]) == 0
     assert capsys.readouterr().out == expected
 
 

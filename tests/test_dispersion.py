@@ -7,12 +7,14 @@ import pytest
 
 from qgraph import (
     DeltaTheta,
+    InvalidInputError,
     all_levels,
     dispersion_curve,
     glue,
     gluing_bound_check,
     identify_vertices,
     levels_theta,
+    levels_thetas,
     metric,
     negative_spectrum,
     spectral_gap,
@@ -26,6 +28,7 @@ from qgraph.families import (
     interval,
     loop,
     mandarin,
+    necklace,
     random_connected_graph,
     random_lengths,
     standarin_chain,
@@ -102,6 +105,31 @@ def test_close_delta_level_not_missed():
     lv = levels_theta(metric(*flower(2)), 0, 2.552544031041707, 6 * PI)
     assert len(lv) == 6
     assert any(abs(k - 12.8230972395) <= 1e-9 for k in lv)
+
+
+SWEEP = [-3.0, -PI / 2, -0.2, 0.0, 0.9, 2.5, PI]
+
+
+@pytest.mark.parametrize("family, v", [
+    (star(3), 0), (star(3), 1), (flower(2), 0), (stower(2, 1), 1), (mandarin(3), 0),
+    (necklace(2), 0), (interval(), 0), (loop(), 0),
+])
+def test_lockstep_rows_equal_single_rows(family, v):
+    m = metric(*family)
+    k_max = 7 * PI
+    rows = levels_thetas(m, v, SWEEP, k_max, n_max=8)
+    assert rows == [levels_theta(m, v, t, k_max, n_max=8) for t in SWEEP]
+
+
+@pytest.mark.parametrize("v", [-1, 4])
+def test_vertex_outside_the_graph_is_rejected(v):
+    m = metric(*star(3))  # vertices 0..3
+    with pytest.raises(InvalidInputError, match="no vertex"):
+        m.with_condition(v, DeltaTheta(1.0))
+    with pytest.raises(InvalidInputError, match="no vertex"):
+        dispersion_curve(m, v, grid_size=8)
+    with pytest.raises(InvalidInputError, match="no vertex"):
+        spectral_gap_parameter(m, v)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Property test: the counted spectrum against the bond-scattering equation.
+"""Property tests: the counted spectrum against the bond-scattering equation,
+and delta sweeps searched in lockstep against the same rows searched alone.
 
 Every level that `eigenvalues` reports is checked with quantities the
 count never uses: the smallest singular value of I - U(k), the dimension
@@ -12,7 +13,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgraph import DIRICHLET, NEUMANN, DeltaTheta, DiscreteGraph, MetricGraph
+from qgraph import DIRICHLET, NEUMANN, DeltaTheta, DiscreteGraph, MetricGraph, levels_theta, levels_thetas
 from qgraph.spectral import (
     eigenfunction,
     eigenvalues,
@@ -54,3 +55,14 @@ def test_counted_levels_solve_the_secular_equation(m):
         assert len(basis) == pair.multiplicity, pair
         for f in basis:
             assert vertex_condition_residual(m, f) <= 1e-8, pair
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(small_graphs(), st.data())
+def test_lockstep_sweep_rows_equal_single_rows(m, data):
+    # every row of a sweep is searched with exactly the values a search of
+    # that row alone sees, so the levels agree bit for bit
+    v = data.draw(st.integers(0, m.graph.vertex_count - 1))
+    thetas = [-2.9, -1.0, 0.0, 0.4, 2.2, math.pi]
+    k_max = 2.0 * math.pi * m.graph.edge_count / m.total_length
+    assert levels_thetas(m, v, thetas, k_max) == [levels_theta(m, v, t, k_max) for t in thetas]

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 from qgraph import (
+    DIRICHLET,
     BondScattering,
+    DeltaTheta,
     InvalidInputError,
     NoEigenspaceError,
     PiecewiseTrig,
@@ -35,8 +37,9 @@ from qgraph.families import (
     random_connected_graph,
     random_lengths,
     star,
+    stower,
 )
-from qgraph.spectral import from_eigenfunction, vertex_condition_residual
+from qgraph.spectral import _TrigCount, from_eigenfunction, gap_reaches, vertex_condition_residual
 
 PI = math.pi
 
@@ -173,6 +176,51 @@ def test_short_edge_spectrum_not_masked():
     m = metric(g, np.array([1e-4, 1e-4, 0.9998]))
     k1, _ = spectral_gap(m)
     assert k1 == pytest.approx(2 * PI, abs=2e-3)
+
+
+def _swept_counts(m, v):
+    """Count objects for delta couplings at v, Dirichlet and negative theta included."""
+    return [_TrigCount(m.with_condition(v, cond))
+            for cond in (DeltaTheta(-2.5), DeltaTheta(-0.3), DeltaTheta(0.0), DeltaTheta(0.7),
+                         DeltaTheta(3.1), DIRICHLET)]
+
+
+def _stacked_graphs():
+    rng = np.random.default_rng(7)
+    out = [(metric(*flower(2)), 0), (metric(*stower(2, 1)), 1), (metric(*star(4)), 2)]
+    for _ in range(3):
+        g = random_connected_graph(rng, 3, 5)  # extra edges, loops among them
+        m = metric(g, random_lengths(rng, 5, l_min=0.05))
+        out.append((m.with_condition(2, DeltaTheta(float(rng.uniform(-3, 3)))), 0))
+    return out
+
+
+def test_stacked_count_matrices_equal_single_ones():
+    ks = [1e-7, 0.37, 3.0, 2 * PI, 12.9, 40.1]
+    for m, v in _stacked_graphs():
+        counts = _swept_counts(m, v)
+        assert counts[-1].alpha.size == counts[0].alpha.size - 1  # Dirichlet drops v
+        for group in (counts[:-1], counts[-1:]):
+            for k_shift in range(len(ks)):
+                row_ks = [ks[(j + k_shift) % len(ks)] for j in range(len(group))]
+                coupling = np.stack([count.coupling for count in group])
+                alpha = np.stack([count.alpha for count in group])
+                stack = _TrigCount.matrices(coupling, alpha, group[0].lengths, np.array(row_ks))
+                assert stack.shape[0] == len(group)
+                for j, (count, k) in enumerate(zip(group, row_ks)):
+                    assert np.array_equal(stack[j], count.matrix(k)), (m, v, j, k)
+
+
+@pytest.mark.parametrize("family", [star(4), mandarin(3), stower(2, 1)])
+@pytest.mark.parametrize("theta", [-2.5, -0.3, 0.7, 3.1])
+def test_gap_reaches_is_the_gap_comparison(family, theta):
+    m = metric(*family).with_condition(0, DeltaTheta(theta))
+    k1 = spectral_gap(m)[0]
+    answers = []
+    for k in (k1 * (1 - 1e-9), k1 - 1e-10 * k1, k1 * (1 + 1e-9)):
+        answers.append(gap_reaches(m, k))
+        assert answers[-1] == (spectral_gap(m)[0] >= k), k
+    assert answers == [True, True, False]
 
 
 # ---------------------------------------------------------------------------
