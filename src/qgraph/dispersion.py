@@ -293,9 +293,11 @@ def glue(m1: MetricGraph, v1: int, m2: MetricGraph, v2: int, L: float) -> Metric
     """
     if not 0.0 <= L <= 1.0:
         raise InvalidInputError("gluing parameter L must lie in [0, 1]")
-    for m in (m1, m2):
+    for m, v in ((m1, v1), (m2, v2)):
         if abs(m.total_length - 1.0) > 1e-9:
             raise InvalidInputError("gluing expects total length one on both graphs")
+        if not 0 <= v < m.graph.vertex_count:
+            raise InvalidInputError(f"no vertex {v} in a graph with {m.graph.vertex_count} vertices")
     if L == 0.0:
         return m2
     if L == 1.0:

@@ -590,5 +590,11 @@ def save_graph(path, g: DiscreteGraph, lengths: LengthVector | None = None, cond
 
 
 def load_graph(path) -> tuple[DiscreteGraph, LengthVector, tuple[Condition, ...]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot read graph file {path}: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidInputError(f"graph file {path} is not valid JSON: {exc}") from exc
+    return graph_from_dict(doc)

@@ -273,15 +273,14 @@ def _settle(state: _AscentState, drop=()) -> _AscentState:
     return settled
 
 
-def _cluster_energies(m: MetricGraph) -> tuple[float, int, np.ndarray]:
-    """Gap, cluster size, and eigenspace-averaged edge energies.
+def _cluster_energies(m: MetricGraph, k1: float) -> np.ndarray:
+    """Edge energies averaged over the eigenspaces near the gap k1 of m.
 
     Near-degenerate gaps make single-branch gradients zigzag across the
     eigenvalue crossing; averaging the energies over every branch within
     a relative window of k1 gives a stable ascent direction (for a truly
     multiple gap this is the basis-independent eigenspace trace).
     """
-    k1, _ = spectral_gap(m)
     cluster = eigenvalues(m, k1 * (1.0 + CLUSTER_WINDOW), k1 - 1e-7).eigenpairs
     total = np.zeros(m.graph.edge_count)
     dims = 0
@@ -289,7 +288,7 @@ def _cluster_energies(m: MetricGraph) -> tuple[float, int, np.ndarray]:
         for f in eigenfunction(m, p.k):
             total += f.energies()
             dims += 1
-    return k1, dims, total / dims
+    return total / dims
 
 
 def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_AscentState, float]:
@@ -315,7 +314,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
         # ascent step along the eigenspace-averaged energy gradient; gradient
         # moves must strictly improve (the slack is reserved for the provably
         # non-decreasing moves, otherwise slack-sized losses can accumulate)
-        _, _, energies = _cluster_energies(state.metric())
+        energies = _cluster_energies(state.metric(), gap)
         direction = energies.mean() - energies
         norm = float(np.linalg.norm(direction))
         if norm > 1e-12 * energies.mean():
@@ -531,10 +530,7 @@ def brute_force_gap(g: DiscreteGraph, resolution: int, mode: str = "max") -> Opt
     sign = 1.0 if mode == "max" else -1.0
     for comp in _compositions(resolution, E):
         lengths = LengthVector(np.array(comp, dtype=float) / resolution)
-        try:
-            mg, _, _ = contract_with_maps(g, lengths)
-        except Exception:
-            continue
+        mg, _, _ = contract_with_maps(g, lengths)
         gap, _ = spectral_gap(mg)
         if best_gap is None or sign * gap > sign * best_gap + 1e-12:
             best_gap = gap

@@ -8,6 +8,14 @@ energies agree; the eigenfunction then decomposes the graph into
 edge-disjoint Eulerian paths and cycles on which k L_i = pi mu_i, with
 mu_i counting eigenfunction zeros (vertex zeros weighted by half the
 vertex degree inside the part).
+
+The decomposition comes from one fixed pairing of edge ends.  At a
+critical point the outgoing derivatives at each vertex come in pairs d
+and -d, and an end left over has f' = 0.  Each end is paired with the
+first unpaired end at its vertex whose derivative is its negative; the
+paths run from the unpaired ends along edge, far end, partner, and the
+remaining edges close into cycles.  An unpaired end with f' != 0 means
+the point is not critical.
 """
 
 from __future__ import annotations
@@ -23,7 +31,7 @@ from .spectral import EdgeTrig, spectral_gap, eigenfunction
 
 ZERO_SCALE = 1e-8       # |f| below this * max|f| counts as a zero
 VERTEX_SNAP = 1e-8      # zeros this close to an endpoint belong to the vertex
-DERIV_MATCH = 1e-6      # relative tolerance for pairing f' values at a vertex
+DERIV_MATCH = 1e-6      # pairing tolerance for f' at a vertex, relative to sqrt(mean energy)
 
 
 def gap_eigenpair(m: MetricGraph) -> tuple[float, EdgeTrig]:
@@ -72,32 +80,26 @@ def is_critical(m: MetricGraph, tol: float = 1e-6) -> CriticalityReport:
     vertices and has equal magnitude on all edges at even-degree ones;
     both characterizations are reported.
     """
-    k, f = gap_eigenpair(m)
+    return _criticality(m, *gap_eigenpair(m), tol)
+
+
+def _criticality(m: MetricGraph, k: float, f: EdgeTrig, tol: float) -> CriticalityReport:
+    """`is_critical` for the gap eigenpair (k, f) of m, already solved."""
     energies = f.energies()
     mean = float(energies.mean())
     spread = float((energies.max() - energies.min()) / mean)
-
-    deriv_scale = max(abs(f.outgoing_derivative(e, end, m.lengths))
-                      for e in range(m.graph.edge_count) for end in (0, 1))
-    deriv_scale = max(deriv_scale, tol)
-    odd_bad = []
-    even_bad = []
-    for v in range(m.graph.vertex_count):
-        ends = m.graph.incident_ends(v)
-        derivs = [abs(f.outgoing_derivative(e, end, m.lengths)) for e, end in ends]
-        if len(ends) % 2 == 1:
-            if max(derivs) > tol * deriv_scale:
-                odd_bad.append(v)
-        else:
-            if max(derivs) - min(derivs) > tol * deriv_scale:
-                even_bad.append(v)
+    derivs = [[abs(f.outgoing_derivative(e, end, m.lengths)) for e, end in m.graph.incident_ends(v)]
+              for v in range(m.graph.vertex_count)]
+    bar = tol * max(max(map(max, derivs)), tol)
     return CriticalityReport(
         critical=spread <= tol,
         k=k,
         energies=tuple(float(x) for x in energies),
         spread=spread,
-        odd_vertex_violations=tuple(odd_bad),
-        even_vertex_violations=tuple(even_bad),
+        odd_vertex_violations=tuple(v for v, d in enumerate(derivs) if len(d) % 2 == 1 and max(d) > bar),
+        even_vertex_violations=tuple(
+            v for v, d in enumerate(derivs) if len(d) % 2 == 0 and max(d) - min(d) > bar
+        ),
     )
 
 
@@ -211,122 +213,59 @@ class PathDecomposition:
 
 
 def path_decomposition(m: MetricGraph, tol: float = 1e-6) -> PathDecomposition:
-    """Edge-disjoint Eulerian paths/cycles traced along the gap eigenfunction.
+    """Edge-disjoint Eulerian paths and cycles traced along the gap eigenfunction.
 
-    At even vertices the walk continues on an unused edge whose outgoing
-    derivative is minus the arriving one (ties broken by lowest edge id);
-    paths start and end at odd-degree vertices, cycles close when the
-    derivative matching holds at the start.
+    The edge ends are paired as `_pair_ends` describes.  Paths run from
+    each unpaired end, in vertex order, along edge, far end, partner until
+    they reach another unpaired end; the edges no path reaches close into
+    cycles, each started at the first end of the lowest vertex left.
     """
-    report = is_critical(m, tol)
-    if not report.critical:
-        raise PreconditionError("path decomposition requires a critical point (equal energies)")
     k, f = gap_eigenpair(m)
+    if not _criticality(m, k, f, tol).critical:
+        raise PreconditionError("path decomposition requires a critical point (equal energies)")
     g = m.graph
-
-    unused: list[set[int]] = [set() for _ in range(g.vertex_count)]
-    remaining_deg = [0] * g.vertex_count
-    used_edges = [False] * g.edge_count
-    end_of: dict[tuple[int, int], int] = {}
-    for e, (u, v) in enumerate(g.edges):
-        unused[u].add(e)
-        unused[v].add(e)
-        remaining_deg[u] += 1
-        remaining_deg[v] += 1
-        end_of[(e, 0)] = u
-        end_of[(e, 1)] = v
-
-    deriv_scale = max(
-        (abs(f.outgoing_derivative(e, end, m.lengths)) for e in range(g.edge_count) for end in (0, 1)),
-        default=0.0,
-    )
-    match_tol = DERIV_MATCH * max(deriv_scale, 1e-12)
-
-    def leave(v: int, incoming_deriv: float | None) -> tuple[int, int] | None:
-        """Pick the unused edge-end at v continuing the walk; None if stuck."""
-        candidates = []
-        for e in sorted(unused[v]):
-            for end in (0, 1):
-                if end_of[(e, end)] == v:
-                    d = f.outgoing_derivative(e, end, m.lengths)
-                    candidates.append((e, end, d))
-                    if not g.is_loop(e):
-                        break
-        if not candidates:
-            return None
-        if incoming_deriv is None:
-            e, end, _ = candidates[0]
-            return e, end
-        for e, end, d in candidates:
-            if abs(d + incoming_deriv) <= match_tol:
-                return e, end
-        return None
-
-    def walk(start: int, as_cycle: bool) -> tuple[list[int], int]:
-        """Trace a path/cycle from start; returns edge order and final vertex."""
-        order: list[int] = []
-        v = start
-        incoming: float | None = None
-        while True:
-            choice = leave(v, incoming)
-            if choice is None:
-                break
-            e, end = choice
-            unused[end_of[(e, 0)]].discard(e)
-            unused[end_of[(e, 1)]].discard(e)
-            used_edges[e] = True
-            remaining_deg[end_of[(e, 0)]] -= 1
-            remaining_deg[end_of[(e, 1)]] -= 1
-            order.append(e)
-            other = (e, 1 - end)
-            v = end_of[other]
-            incoming = f.outgoing_derivative(e, 1 - end, m.lengths)
-            if not as_cycle and degree_parity[v] == 1:
-                break
-            if as_cycle and v == start:
-                # close when the start edge pairs with the arrival
-                d0 = f.outgoing_derivative(order[0], start_end, m.lengths)
-                if abs(d0 + incoming) <= match_tol or not unused[v]:
-                    break
-        return order, v
-
+    partner = _pair_ends(m, f)
+    interior, zero_vertices = _zero_layout(m, f)
+    ends = [a for v in range(g.vertex_count) for a in g.incident_ends(v)]
+    starts = [("path", a) for a in ends if partner[a] is None] + [("cycle", a) for a in ends]
+    used: set[int] = set()
     parts: list[PathPart] = []
-    while not all(used_edges):
-        degree_parity = [d % 2 for d in remaining_deg]
-        odd = [v for v in range(g.vertex_count) if degree_parity[v] == 1 and unused[v]]
-        if odd:
-            start = odd[0]
-            first = leave(start, None)
-            assert first is not None
-            start_end = first[1]
-            order, _ = walk(start, as_cycle=False)
-            kind = "path"
-        else:
-            start = min(v for v in range(g.vertex_count) if unused[v])
-            first = leave(start, None)
-            assert first is not None
-            start_end = first[1]
-            order, _ = walk(start, as_cycle=True)
-            kind = "cycle"
-        if not order:
-            raise PreconditionError("derivative pairing failed; point is not critical enough")
-        parts.append(_finish_part(m, f, kind, order))
-
+    for kind, start in starts:
+        if start[0] in used:
+            continue
+        order, (e, end) = [start[0]], start
+        while partner[(e, 1 - end)] not in (None, start):
+            e, end = partner[(e, 1 - end)]
+            order.append(e)
+        used.update(order)
+        # interior zeros, plus half a zero for each end at a vertex zero
+        mu = sum(len(interior[e]) + 0.5 * sum(v in zero_vertices for v in g.edges[e]) for e in order)
+        parts.append(PathPart(kind, tuple(order), float(sum(m.lengths[e] for e in order)), mu))
     return PathDecomposition(tuple(parts), k)
 
 
-def _finish_part(m: MetricGraph, f: EdgeTrig, kind: str, order: list[int]) -> PathPart:
-    g = m.graph
-    length = float(sum(m.lengths[e] for e in order))
-    interior, zero_vertices = _zero_layout(m, f)
-    part_deg: dict[int, int] = {}
-    mu = 0.0
-    for e in order:
-        mu += len(interior[e])
-        u, v = g.edges[e]
-        part_deg[u] = part_deg.get(u, 0) + 1
-        part_deg[v] = part_deg.get(v, 0) + 1
-    for v, d in part_deg.items():
-        if v in zero_vertices:
-            mu += d / 2.0
-    return PathPart(kind, tuple(order), length, mu)
+def _pair_ends(m: MetricGraph, f: EdgeTrig) -> dict[tuple[int, int], tuple[int, int] | None]:
+    """Partner of every edge end (edge, end) at its vertex, or None.
+
+    At a critical point the outgoing derivatives at a vertex come in
+    pairs d, -d.  In `incident_ends` order each end is paired with the
+    first unpaired end whose derivative is its negative within DERIV_MATCH
+    times sqrt(mean energy), which bounds |f'| on every edge when the
+    energies agree.  An end left over must have f' = 0 within that
+    tolerance.
+    """
+    match_tol = DERIV_MATCH * math.sqrt(float(f.energies().mean()))
+    partner: dict[tuple[int, int], tuple[int, int] | None] = {}
+    for v in range(m.graph.vertex_count):
+        ends = m.graph.incident_ends(v)
+        derivs = [f.outgoing_derivative(e, end, m.lengths) for e, end in ends]
+        for i, a in enumerate(ends):
+            if a in partner:
+                continue
+            partner[a] = next((b for j, b in enumerate(ends[i + 1:], i + 1)
+                               if b not in partner and abs(derivs[i] + derivs[j]) <= match_tol), None)
+            if partner[a] is not None:
+                partner[partner[a]] = a
+            elif abs(derivs[i]) > match_tol:
+                raise PreconditionError("derivative pairing failed; point is not critical enough")
+    return partner

@@ -927,31 +927,6 @@ def rayleigh_centered(m: MetricGraph, f: PiecewiseTrig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# composite vertex formed by shrinking an edge (contraction limit)
-# ---------------------------------------------------------------------------
-
-
-def composite_reflection(k: float, l_e: float, d1: int, d2: int) -> complex:
-    """Reflection amplitude at a composite vertex holding an edge of length l_e.
-
-    Trajectory sum through an edge joining Neumann vertices of degrees d1,
-    d2; converges to the merged Neumann entry as l_e -> 0.
-    """
-    denom = np.exp(-2j * k * l_e) * d1 * d2 - (2 - d1) * (2 - d2)
-    return -1.0 + (2.0 / d1) * (1.0 + (4.0 - 2.0 * d2) / denom)
-
-
-def composite_transmission(k: float, l_e: float, d1: int, d2: int) -> complex:
-    denom = np.exp(-1j * k * l_e) * d1 * d2 - np.exp(1j * k * l_e) * (2 - d1) * (2 - d2)
-    return 4.0 / denom
-
-
-def merged_neumann_entry(d1: int, d2: int, diagonal: bool) -> float:
-    d = d1 + d2 - 2
-    return 2.0 / d - (1.0 if diagonal else 0.0)
-
-
-# ---------------------------------------------------------------------------
 # negative spectrum (attractive delta couplings)
 # ---------------------------------------------------------------------------
 

@@ -29,9 +29,7 @@ from .optimize import (
 from .perturbation import gap_eigenpair, is_critical, nodal_count, path_decomposition
 from .spectral import (
     EdgeTrig,
-    composite_reflection,
-    composite_transmission,
-    merged_neumann_entry,
+    eigenvalues,
     spectral_gap,
     vertex_condition_residual,
 )
@@ -421,8 +419,6 @@ def _function_roots(fn, k_lo: float, k_hi: float, n_grid: int = 20000) -> list[f
 
 def check_a14(seed: int) -> _Check:
     c = _Check()
-    from .spectral import eigenvalues
-
     for leaf in (0.1, 0.2, 1.0 / 3.0):
         g = families.stower(1, 1)[0]
         lengths = LengthVector([1.0 - leaf, leaf])
@@ -447,6 +443,31 @@ def check_a14(seed: int) -> _Check:
     return c
 
 
+# ---------------------------------------------------------------------------
+# composite vertex formed by shrinking an edge (contraction limit)
+# ---------------------------------------------------------------------------
+
+
+def _composite_reflection(k: float, l_e: float, d1: int, d2: int) -> complex:
+    """Reflection amplitude at a composite vertex holding an edge of length l_e.
+
+    Trajectory sum through an edge joining Neumann vertices of degrees d1,
+    d2; converges to the merged Neumann entry as l_e -> 0.
+    """
+    denom = np.exp(-2j * k * l_e) * d1 * d2 - (2 - d1) * (2 - d2)
+    return -1.0 + (2.0 / d1) * (1.0 + (4.0 - 2.0 * d2) / denom)
+
+
+def _composite_transmission(k: float, l_e: float, d1: int, d2: int) -> complex:
+    denom = np.exp(-1j * k * l_e) * d1 * d2 - np.exp(1j * k * l_e) * (2 - d1) * (2 - d2)
+    return 4.0 / denom
+
+
+def _merged_neumann_entry(d1: int, d2: int, diagonal: bool) -> float:
+    d = d1 + d2 - 2
+    return 2.0 / d - (1.0 if diagonal else 0.0)
+
+
 def check_a15(seed: int) -> _Check:
     c = _Check()
     eight, _ = spectral_gap(metric(*families.flower(2)))
@@ -458,15 +479,15 @@ def check_a15(seed: int) -> _Check:
     c.expect(gaps[2] <= 0.05, f"dumbbell at eps=1e-4 differs by {gaps[2]:.4f} > 0.05")
     for d1, d2 in ((3, 3), (3, 4), (2, 5)):
         for k in (1.0, 2.7):
-            r = composite_reflection(k, 1e-8, d1, d2)
-            t = composite_transmission(k, 1e-8, d1, d2)
+            r = _composite_reflection(k, 1e-8, d1, d2)
+            t = _composite_transmission(k, 1e-8, d1, d2)
             c.expect(
-                abs(r - merged_neumann_entry(d1, d2, diagonal=True)) <= 1e-6,
-                f"reflection (d1={d1}, d2={d2}, k={k}) off by {abs(r - merged_neumann_entry(d1, d2, True)):.2e}",
+                abs(r - _merged_neumann_entry(d1, d2, diagonal=True)) <= 1e-6,
+                f"reflection (d1={d1}, d2={d2}, k={k}) off by {abs(r - _merged_neumann_entry(d1, d2, True)):.2e}",
             )
             c.expect(
-                abs(t - merged_neumann_entry(d1, d2, diagonal=False)) <= 1e-6,
-                f"transmission (d1={d1}, d2={d2}, k={k}) off by {abs(t - merged_neumann_entry(d1, d2, False)):.2e}",
+                abs(t - _merged_neumann_entry(d1, d2, diagonal=False)) <= 1e-6,
+                f"transmission (d1={d1}, d2={d2}, k={k}) off by {abs(t - _merged_neumann_entry(d1, d2, False)):.2e}",
             )
     return c
 

@@ -198,12 +198,21 @@ def test_conditions_on_a_contracted_graph_are_rejected(tmp_path):
     assert out == "n,k,multiplicity\n0,0,1\n1,3.14159265359,1\n"
 
 
+# (document, command, extra arguments): the document is written to the
+# --graph path, which is left missing when it is None; "GRAPH" among the
+# extra arguments stands for that path
 BAD_INPUT = {
     "nan-length": ('{"vertices": 2, "edges": [[0, 1], [0, 1]], "lengths": [NaN, 0.5]}', "spectrum"),
     "unknown-vertex": ('{"vertices": 2, "edges": [[0, 1]], "conditions": {"5": "dirichlet"}}', "spectrum"),
     "contracted-dirichlet": ('{"vertices": 3, "edges": [[0, 1], [1, 2]], "lengths": [1.0, 0.0], '
                              '"conditions": {"0": "dirichlet"}}', "spectrum"),
     "negative-vertex-id": ('{"vertices": 2, "edges": [[0, 1]]}', "dispersion", "--vertex", "-1"),
+    "glue-unknown-vertex2": ('{"vertices": 2, "edges": [[0, 1]]}', "glue", "--graph2", "GRAPH",
+                             "--vertex2", "5"),
+    "glue-negative-vertex": ('{"vertices": 2, "edges": [[0, 1]]}', "glue", "--graph2", "GRAPH",
+                             "--vertex", "-1"),
+    "missing-file": (None, "spectrum"),
+    "truncated-json": ('{"vertices": 2,', "spectrum"),
 }
 
 
@@ -211,7 +220,9 @@ BAD_INPUT = {
 def test_bad_input_exits_2_with_one_line(case, tmp_path):
     doc, command, *extra = BAD_INPUT[case]
     path = tmp_path / "bad.json"
-    path.write_text(doc)
+    if doc is not None:
+        path.write_text(doc)
+    extra = [str(path) if arg == "GRAPH" else arg for arg in extra]
     code, out, err = run_cli([command, "--graph", str(path), *extra])
     assert code == 2
     assert out == ""

@@ -329,6 +329,15 @@ def test_glue_rejects_bad_length():
         glue(m, 0, m, 0, 1.5)
 
 
+@pytest.mark.parametrize("v1, v2, L, bad", [(0, 5, 0.5, 5), (-1, 0, 0.5, -1), (2, 0, 1.0, 2)])
+def test_glue_rejects_unknown_vertex(v1, v2, L, bad):
+    from qgraph import InvalidInputError
+
+    m = metric(*interval())
+    with pytest.raises(InvalidInputError, match=f"no vertex {bad} in a graph with 2 vertices"):
+        glue(m, v1, m, v2, L)
+
+
 def test_glue_degenerate_ends():
     m1 = metric(*star(2))
     m2 = metric(*flower(2))

@@ -19,6 +19,7 @@ from qgraph import (
 from qgraph.families import (
     interval,
     necklace,
+    path_graph,
     random_connected_graph,
     random_lengths,
     standarin_chain,
@@ -207,6 +208,75 @@ def test_three_copy_chain_is_critical_at_three_pi():
     assert k1 == pytest.approx(2 * PI, abs=1e-8)
     assert mult == 1
     assert is_critical(m).critical
+
+
+def _corpus():
+    yield "interval", interval()
+    for n in (2, 3, 4):
+        yield f"path({n})", path_graph(n)
+    for cells in (2, 3):
+        yield f"necklace({cells})", necklace(cells)
+    for n in (2, 3, 4):
+        for M in (1, 2, 3):
+            for S in (0, 1, 2):
+                if M + S >= 2:
+                    yield f"standarin_chain({n},{M},{S})", standarin_chain(n, M, S)
+
+
+DECOMPOSITION_CORPUS = dict(_corpus())
+
+
+def _walk_ends(g, edges):
+    """(first, last) edge end of each way to walk the edges in this order."""
+    walks = []
+    for end in (0, 1):
+        v, last = g.edges[edges[0]][1 - end], (edges[0], 1 - end)
+        for e in edges[1:]:
+            a, b = g.edges[e]
+            if v not in (a, b):
+                break
+            v, last = (b, (e, 1)) if a == v else (a, (e, 0))
+        else:
+            walks.append(((edges[0], end), last))
+    return walks
+
+
+@pytest.mark.parametrize("name", sorted(DECOMPOSITION_CORPUS))
+def test_decomposition_corpus(name):
+    from qgraph.perturbation import DERIV_MATCH, gap_eigenpair
+
+    m = metric(*DECOMPOSITION_CORPUS[name])
+    pd = path_decomposition(m)
+    assert sorted(e for p in pd.parts for e in p.edges) == list(range(m.graph.edge_count))
+    for part in pd.parts:
+        assert pd.k * part.length == pytest.approx(PI * part.zero_count, abs=1e-8)
+    _, f = gap_eigenpair(m)
+    match_tol = DERIV_MATCH * math.sqrt(f.energies().mean())
+    for part in pd.parts:
+        walks = _walk_ends(m.graph, part.edges)
+        assert walks, f"{part.edges} is not a walk"
+        if part.kind == "path":
+            assert any(
+                all(abs(f.outgoing_derivative(e, end, m.lengths)) <= match_tol for e, end in ends)
+                for ends in walks
+            ), f"path {part.edges} does not end where f' = 0"
+
+
+def test_decomposition_solves_the_gap_once(monkeypatch):
+    import qgraph.perturbation as pert
+
+    calls = {"spectral_gap": 0, "eigenfunction": 0, "_zero_layout": 0}
+    for name in calls:
+        original = getattr(pert, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(pert, name, counted)
+    pd = path_decomposition(metric(*standarin_chain(2, 1, 2)))
+    assert len(pd.parts) == 2
+    assert calls == {"spectral_gap": 1, "eigenfunction": 1, "_zero_layout": 1}
 
 
 def test_decomposition_requires_critical_point():
