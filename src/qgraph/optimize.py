@@ -8,6 +8,13 @@ boundary supremizers are reached exactly, and reduces over random
 restarts.  Infimization is constructive: all length onto one bridge (unit
 interval, gap pi) or onto one cycle edge (circle, gap 2 pi).  A simplex
 grid brute force serves as ground truth on small instances.
+
+Most trial points of the ascent lose.  A gradient step, its expansion, the
+equalize probe and a contract probe must beat the held gap plus
+IMPROVE_TOL; a candidate that does not is decided by the eigenvalue count
+at that floor against the count at the search floor (`gap_reaches`), and
+only a kept move gets the full gap search.  The brute force skips its
+grid points that cannot win the same way.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from . import families
 from .spectral import (
     eigenfunction,
     eigenvalues,
+    gap_reaches,
     spectral_gap,
 )
 
@@ -291,6 +299,18 @@ def _cluster_energies(m: MetricGraph, k1: float) -> np.ndarray:
     return total / dims
 
 
+def _gap_above(m: MetricGraph, floor: float) -> float | None:
+    """spectral_gap(m)[0] when it exceeds floor, else None.
+
+    `gap_reaches` settles a candidate below floor with two counts; only one
+    that reaches floor gets the full search, whose value is compared again.
+    """
+    if not gap_reaches(m, floor):
+        return None
+    gap = spectral_gap(m)[0]
+    return gap if gap > floor else None
+
+
 def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_AscentState, float]:
     gap = spectral_gap(state.metric())[0]
     trace.append(TraceStep(gap, 0.0, "init"))
@@ -324,8 +344,8 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
                 cand = _project_simplex_lb(state.lengths + eta * direction, L_MIN)
                 if np.allclose(cand, state.lengths, atol=1e-15):
                     break
-                cand_gap = spectral_gap(MetricGraph(state.graph, cand))[0]
-                if cand_gap > gap + IMPROVE_TOL:
+                cand_gap = _gap_above(MetricGraph(state.graph, cand), gap + IMPROVE_TOL)
+                if cand_gap is not None:
                     accepted = (cand, cand_gap, eta)
                     break
                 eta *= 0.5
@@ -335,8 +355,8 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
                 cand = _project_simplex_lb(state.lengths + eta2 * direction, L_MIN)
                 if np.allclose(cand, accepted[0], atol=1e-15):
                     break
-                cand_gap = spectral_gap(MetricGraph(state.graph, cand))[0]
-                if cand_gap > accepted[1] + IMPROVE_TOL:
+                cand_gap = _gap_above(MetricGraph(state.graph, cand), accepted[1] + IMPROVE_TOL)
+                if cand_gap is not None:
                     accepted = (cand, cand_gap, eta2)
                 else:
                     break
@@ -355,8 +375,8 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
             # topologies, where no dangling/loop symmetrization applies
             cand = np.full(state.graph.edge_count, 1.0 / state.graph.edge_count)
             if not np.allclose(cand, state.lengths, atol=1e-14):
-                cand_gap = spectral_gap(MetricGraph(state.graph, cand))[0]
-                if cand_gap > gap + IMPROVE_TOL:
+                cand_gap = _gap_above(MetricGraph(state.graph, cand), gap + IMPROVE_TOL)
+                if cand_gap is not None:
                     state.lengths, gap = cand, cand_gap
                     trace.append(TraceStep(gap, 0.0, "equalize"))
                     moved = True
@@ -376,10 +396,8 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
                 if len(drop) >= state.graph.edge_count:
                     continue
                 cand_state = _settle(state, drop)
-                cand_gap = spectral_gap(cand_state.metric())[0]
-                if cand_gap > gap + IMPROVE_TOL and (
-                    best_probe is None or cand_gap > best_probe[1]
-                ):
+                cand_gap = _gap_above(cand_state.metric(), gap + IMPROVE_TOL)
+                if cand_gap is not None and (best_probe is None or cand_gap > best_probe[1]):
                     best_probe = (cand_state, cand_gap)
             if best_probe is not None:
                 state, gap = best_probe
@@ -531,6 +549,10 @@ def brute_force_gap(g: DiscreteGraph, resolution: int, mode: str = "max") -> Opt
     for comp in _compositions(resolution, E):
         lengths = LengthVector(np.array(comp, dtype=float) / resolution)
         mg, _, _ = contract_with_maps(g, lengths)
+        # a max winner reaches best + 1e-12, a min winner does not reach
+        # best - 1e-12; two counts rule out every other point
+        if best_gap is not None and gap_reaches(mg, best_gap + sign * 1e-12) != (mode == "max"):
+            continue
         gap, _ = spectral_gap(mg)
         if best_gap is None or sign * gap > sign * best_gap + 1e-12:
             best_gap = gap

@@ -162,10 +162,16 @@ class BondScattering:
         return np.array([self.log_abs_det(k) for k in ks])
 
 
+def _require_k(name: str, k: float, zero_ok: bool = False) -> None:
+    """Reject a k that is not finite and positive (or zero, where zero_ok)."""
+    if not math.isfinite(k) or k < 0 or (k == 0 and not zero_ok):
+        raise InvalidInputError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, not {k}")
+
+
 def secular_value(m: MetricGraph, k: float) -> float:
-    """Smallest singular value of I - U(k); zero exactly at eigenvalues."""
-    if k <= 0:
-        raise InvalidInputError("secular_value needs k > 0; k = 0 is handled symbolically")
+    """Smallest singular value of I - U(k), k > 0; zero exactly at eigenvalues
+    (k = 0 is handled symbolically)."""
+    _require_k("k", k)
     return float(BondScattering(m).singular_values(k)[0])
 
 
@@ -514,8 +520,8 @@ def _k_floor(m: MetricGraph) -> float:
 
 
 def _positive_search(m: MetricGraph, k_max: float, k_min: float) -> tuple[_TrigCount, _Search]:
-    if k_max <= 0:
-        raise InvalidInputError("k_max must be positive")
+    _require_k("k_max", k_max)
+    _require_k("k_min", k_min, zero_ok=True)
     count = _TrigCount(m)
     return count, _level_search(count, max(k_min, _k_floor(m)), k_max)
 
@@ -545,8 +551,7 @@ def eigenvalues_lockstep(ms: list[MetricGraph], k_max: float) -> list[Spectrum]:
 def multiplicity_at(m: MetricGraph, k: float) -> int:
     """The number of eigenvalues at k > 0, counted as N(k + d) - N(k - d) with
     d the merge width; zero when k is not an eigenvalue."""
-    if k <= 0:
-        raise InvalidInputError("multiplicities are counted for k > 0 only")
+    _require_k("k", k)
     count = _TrigCount(m)
     below, above = _run(count, _around(count, k))
     return above.count - below.count
@@ -574,6 +579,7 @@ def gap_reaches(m: MetricGraph, k: float) -> bool:
     `spectral_gap` starts its search and k: N(k) <= N(k_floor), both
     points moved below any pole window they sit in.
     """
+    _require_k("k", k)
     count = _TrigCount(m)
     floor = count.sample(count.off_pole(_k_floor(m), -1.0))
     below = count.sample(count.off_pole(k, -1.0))
@@ -713,8 +719,6 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
         if not m.is_neumann_graph():
             raise NoEigenspaceError("k = 0 is only an eigenvalue of Neumann graphs")
         return [constant_eigenfunction(m)]
-    if k < 0:
-        raise InvalidInputError("eigenfunctions are built for k > 0 only")
     mult = multiplicity_at(m, k)
     if mult <= 0:
         raise NoEigenspaceError(f"k = {k} is not an eigenvalue")

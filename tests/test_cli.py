@@ -5,11 +5,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from qgraph import save_graph, verify
+from qgraph import LengthVector, save_graph, verify
 from qgraph.cli import main
-from qgraph.families import flower, loop, mandarin, necklace, star, stower
+from qgraph.families import flower, loop, mandarin, necklace, random_lengths, star, stower
 
 PI = math.pi
 
@@ -213,6 +214,11 @@ BAD_INPUT = {
                              "--vertex", "-1"),
     "missing-file": (None, "spectrum"),
     "truncated-json": ('{"vertices": 2,', "spectrum"),
+    "spectrum-kmax-nan": ('{"vertices": 2, "edges": [[0, 1]]}', "spectrum", "--kmax", "nan"),
+    "spectrum-kmax-inf": ('{"vertices": 2, "edges": [[0, 1]]}', "spectrum", "--kmax", "inf"),
+    "dispersion-kmax-nan": ('{"vertices": 2, "edges": [[0, 1]]}', "dispersion", "--vertex", "0",
+                            "--kmax", "nan"),
+    "eigenfunction-k-nan": ('{"vertices": 2, "edges": [[0, 1]]}', "eigenfunction", "--k", "nan"),
 }
 
 
@@ -286,6 +292,172 @@ def test_sgp_output_is_pinned(case, tmp_path, capsys):
     path = tmp_path / "graph.json"
     save_graph(path, g, lv)
     assert main(["sgp", "--graph", str(path), "--vertex", str(vertex)]) == 0
+    assert capsys.readouterr().out == expected
+
+
+# stdout of `qgraph optimize --seed 1`, byte for byte: the trace prints every
+# accepted gap exactly, so a changed decision or value anywhere in the
+# ascent shows here.  stower(2, 1) from default_rng(1000) is the start that
+# stalls short of 5 pi / 2; stower(1, 2) starts on the boundary, with its
+# dangling edge contracted
+OPTIMIZE_OUTPUT = {
+    "star4-random": ((star(4)[0], random_lengths(np.random.default_rng(1), 4)), """\
+{
+  "lengths": [
+    0.25,
+    0.25,
+    0.25,
+    0.25
+  ],
+  "gap": 6.283185307179579,
+  "classification": "maximizer-candidate",
+  "trace": [
+    {
+      "gap": 3.2973822709578653,
+      "step": 0.0,
+      "move": "init"
+    },
+    {
+      "gap": 6.283185307179579,
+      "step": 0.0,
+      "move": "symmetrize"
+    }
+  ]
+}
+"""),
+    "flower3-random": ((flower(3)[0], random_lengths(np.random.default_rng(2), 3)), """\
+{
+  "lengths": [
+    0.3333333333333333,
+    0.3333333333333333,
+    0.3333333333333333
+  ],
+  "gap": 9.42477796076938,
+  "classification": "maximizer-candidate",
+  "trace": [
+    {
+      "gap": 7.062246245133261,
+      "step": 0.0,
+      "move": "init"
+    },
+    {
+      "gap": 9.42477796076938,
+      "step": 0.0,
+      "move": "symmetrize"
+    }
+  ]
+}
+"""),
+    "stower21-rng1000": ((stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)), """\
+{
+  "lengths": [
+    0.4000004214159562,
+    0.40000042141595615,
+    0.19999915716808758
+  ],
+  "gap": 7.85397335950025,
+  "classification": "maximizer-candidate",
+  "trace": [
+    {
+      "gap": 3.209254500774515,
+      "step": 0.0,
+      "move": "init"
+    },
+    {
+      "gap": 3.213405738017177,
+      "step": 0.0,
+      "move": "symmetrize"
+    },
+    {
+      "gap": 7.323665472191666,
+      "step": 0.1557135733122066,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.6895764366938275,
+      "step": 0.0004897562770996773,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.757746229690679,
+      "step": 0.000211557417040675,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.786839548327305,
+      "step": 3.434381223602829e-05,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.836399665306842,
+      "step": 5.093213033424849e-05,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.848888423615637,
+      "step": 1.2492972846485592e-05,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.850485386427911,
+      "step": 6.216716552449638e-06,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.852016835408113,
+      "step": 1.0354874699801114e-06,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.853581976683094,
+      "step": 1.552322223309751e-06,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.85397335950025,
+      "step": 3.878485802053109e-07,
+      "move": "gradient"
+    }
+  ]
+}
+"""),
+    "stower12-boundary": ((stower(1, 2)[0], LengthVector([0.5, 0.5, 0.0])), """\
+{
+  "lengths": [
+    1.0,
+    0.0,
+    0.0
+  ],
+  "gap": 6.283185307179586,
+  "classification": "supremizer-candidate",
+  "trace": [
+    {
+      "gap": 3.821266472498036,
+      "step": 0.0,
+      "move": "init"
+    },
+    {
+      "gap": 6.283185307117572,
+      "step": 0.038740064674877374,
+      "move": "gradient"
+    },
+    {
+      "gap": 6.283185307179586,
+      "step": 0.0,
+      "move": "contract"
+    }
+  ]
+}
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPTIMIZE_OUTPUT))
+def test_optimize_output_is_pinned(case, tmp_path, capsys):
+    (g, lv), expected = OPTIMIZE_OUTPUT[case]
+    path = tmp_path / "graph.json"
+    save_graph(path, g, lv)
+    assert main(["optimize", "--graph", str(path), "--seed", "1"]) == 0
     assert capsys.readouterr().out == expected
 
 

@@ -22,6 +22,7 @@ from qgraph import (
     symmetrize,
     upper_bound,
 )
+from qgraph import optimize
 from qgraph.optimize import MaximizeOptions
 from qgraph.families import (
     caterpillar,
@@ -159,6 +160,64 @@ def test_maximize_result_gap_matches_recomputation():
     mg, _, _ = contract_with_maps(g, res.lengths)
     k1, _ = spectral_gap(mg)
     assert k1 == pytest.approx(res.gap, abs=1e-8)
+
+
+# starts whose seeded runs reach every site of the count decision: the
+# backtracking halvings, the step expansions, the equalize probe and the
+# contract probes
+DECISION_RUNS = (
+    (star(4)[0], random_lengths(np.random.default_rng(1), 4)),
+    (flower(3)[0], random_lengths(np.random.default_rng(2), 3)),
+    (stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)),
+    (stower(1, 2)[0], LengthVector([0.5, 0.5, 0.0])),
+)
+
+
+def test_count_decisions_equal_the_full_gap_comparison(monkeypatch):
+    decide = optimize._gap_above
+    decisions = []
+
+    def checked(m, floor):
+        kept = decide(m, floor)
+        decisions.append((kept is not None, spectral_gap(m)[0] > floor))
+        return kept
+
+    monkeypatch.setattr(optimize, "_gap_above", checked)
+    for g, init in DECISION_RUNS:
+        maximize_gap(g, init, MaximizeOptions(seeds=2, seed=1))
+    assert {counted for counted, _ in decisions} == {True, False}
+    assert all(counted == full for counted, full in decisions)
+
+
+def test_no_full_search_is_spent_on_a_losing_candidate(monkeypatch):
+    # every ascent appends the gap it holds to its trace whenever that gap
+    # changes, so the trace's last entry is the gap a candidate must beat;
+    # a full search is wasted when its value neither beats it by IMPROVE_TOL
+    # nor becomes the next trace entry (symmetrize and contract moves)
+    traces, searches = [], []
+    ascent, full_search = optimize._single_ascent, optimize.spectral_gap
+
+    def traced_ascent(state, trace):
+        traces.append(trace)
+        return ascent(state, trace)
+
+    def recorded_search(m):
+        result = full_search(m)
+        trace = traces[-1]
+        searches.append((result[0], trace, len(trace)))
+        return result
+
+    monkeypatch.setattr(optimize, "_single_ascent", traced_ascent)
+    monkeypatch.setattr(optimize, "spectral_gap", recorded_search)
+    g, init = stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)
+    maximize_gap(g, init, MaximizeOptions(seeds=2, seed=1))
+    wasted = [
+        value for value, trace, n in searches
+        if n and value <= trace[n - 1].gap + optimize.IMPROVE_TOL
+        and not (len(trace) > n and trace[n].gap == value)
+    ]
+    assert len(traces) == 3  # the given start and two restarts
+    assert wasted == []
 
 
 def test_maximize_agrees_with_brute_force():

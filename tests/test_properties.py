@@ -1,5 +1,6 @@
 """Property tests: the counted spectrum against the bond-scattering equation,
-and delta sweeps searched in lockstep against the same rows searched alone.
+delta sweeps searched in lockstep against the same rows searched alone, and
+the two-count gap decision against the full gap search.
 
 Every level that `eigenvalues` reports is checked with quantities the
 count never uses: the smallest singular value of I - U(k), the dimension
@@ -14,17 +15,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgraph import DIRICHLET, NEUMANN, DeltaTheta, DiscreteGraph, MetricGraph, levels_theta, levels_thetas
+from qgraph.optimize import L_MIN
 from qgraph.spectral import (
     eigenfunction,
     eigenvalues,
+    gap_reaches,
     multiplicity_at,
     secular_value,
+    spectral_gap,
     vertex_condition_residual,
 )
 
 
 @st.composite
-def small_graphs(draw) -> MetricGraph:
+def small_graphs(draw, l_min: float = 0.05, neumann: bool = False) -> MetricGraph:
     V = draw(st.integers(1, 4))
     # a random spanning tree keeps the graph connected; extra edges may be
     # loops or parallel edges
@@ -32,8 +36,8 @@ def small_graphs(draw) -> MetricGraph:
     n_extra = draw(st.integers(1 if V == 1 else 0, 6 - len(edges)))
     vertex = st.integers(0, V - 1)
     edges += [(draw(vertex), draw(vertex)) for _ in range(n_extra)]
-    lengths = [draw(st.floats(0.05, 1.0)) for _ in edges]
-    condition = st.one_of(
+    lengths = [draw(st.floats(l_min, 1.0)) for _ in edges]
+    condition = st.just(NEUMANN) if neumann else st.one_of(
         st.just(NEUMANN),
         st.just(DIRICHLET),
         st.floats(-3.0, 3.0).map(DeltaTheta),
@@ -66,3 +70,13 @@ def test_lockstep_sweep_rows_equal_single_rows(m, data):
     thetas = [-2.9, -1.0, 0.0, 0.4, 2.2, math.pi]
     k_max = 2.0 * math.pi * m.graph.edge_count / m.total_length
     assert levels_thetas(m, v, thetas, k_max) == [levels_theta(m, v, t, k_max) for t in thetas]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(small_graphs(l_min=L_MIN, neumann=True))
+def test_gap_reaches_agrees_with_the_gap_search(m):
+    # the optimizer's traffic: Neumann graphs with edges down to the ascent's
+    # length floor, asked about a level a relative 1e-9 away from the gap
+    k1 = spectral_gap(m)[0]
+    for k in (k1 * (1 - 1e-9), k1 * (1 + 1e-9)):
+        assert gap_reaches(m, k) == (k1 >= k), (k1, k)

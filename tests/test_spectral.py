@@ -39,7 +39,13 @@ from qgraph.families import (
     star,
     stower,
 )
-from qgraph.spectral import _TrigCount, from_eigenfunction, gap_reaches, vertex_condition_residual
+from qgraph.spectral import (
+    _TrigCount,
+    from_eigenfunction,
+    gap_reaches,
+    multiplicity_at,
+    vertex_condition_residual,
+)
 
 PI = math.pi
 
@@ -101,6 +107,28 @@ def test_secular_mandarin_multiplicity_cluster():
 def test_secular_rejects_nonpositive_k():
     with pytest.raises(InvalidInputError):
         secular_value(metric(*interval()), 0.0)
+
+
+NAN, INF = float("nan"), float("inf")
+BAD_K_CALLS = {
+    "gap_reaches-negative": lambda m: gap_reaches(m, -1.0),
+    "gap_reaches-nan": lambda m: gap_reaches(m, NAN),
+    "eigenvalues-kmax-nan": lambda m: eigenvalues(m, NAN),
+    "eigenvalues-kmax-inf": lambda m: eigenvalues(m, INF),
+    "eigenvalues-kmin-nan": lambda m: eigenvalues(m, 10.0, k_min=NAN),
+    "eigenvalues-kmin-negative": lambda m: eigenvalues(m, 10.0, k_min=-1.0),
+    "multiplicity-nan": lambda m: multiplicity_at(m, NAN),
+    "multiplicity-inf": lambda m: multiplicity_at(m, INF),
+    "eigenfunction-nan": lambda m: eigenfunction(m, NAN),
+    "eigenfunction-negative": lambda m: eigenfunction(m, -1.0),
+    "secular-nan": lambda m: secular_value(m, NAN),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_K_CALLS))
+def test_k_that_is_not_finite_and_positive_is_rejected(case):
+    with pytest.raises(InvalidInputError, match="must be finite"):
+        BAD_K_CALLS[case](metric(*star(3)))
 
 
 def test_unitarity_on_grid():
