@@ -35,9 +35,10 @@ from .errors import InvalidInputError
 from .graph import (
     DIRICHLET,
     NEUMANN,
+    Condition,
     DeltaTheta,
-    DiscreteGraph,
     MetricGraph,
+    _quotient,
     condition_alpha,
 )
 from .spectral import (
@@ -302,51 +303,41 @@ def glue(m1: MetricGraph, v1: int, m2: MetricGraph, v2: int, L: float) -> Metric
         return m2
     if L == 1.0:
         return m1
-    g1, g2 = m1.graph, m2.graph
-    # m1 keeps its vertex ids; m2's vertices map to v1 / fresh ids
-    offset_map = {}
-    nxt = g1.vertex_count
-    for w in range(g2.vertex_count):
-        if w == v2:
-            offset_map[w] = v1
-        else:
-            offset_map[w] = nxt
-            nxt += 1
-    edges = list(g1.edges) + [(offset_map[u], offset_map[w]) for u, w in g2.edges]
-    graph = DiscreteGraph(nxt, edges)
+    # m1 keeps its vertex ids, m2's follow them; then v2 is merged into v1
+    V1 = m1.graph.vertex_count
+    edges = list(m1.graph.edges) + [(u + V1, w + V1) for u, w in m2.graph.edges]
     lengths = np.concatenate([m1.lengths * L, m2.lengths * (1.0 - L)])
-    conds = [NEUMANN] * nxt
-    for w in range(g1.vertex_count):
-        if w != v1:
-            conds[w] = m1.conditions[w]
-    for w in range(g2.vertex_count):
-        if w != v2:
-            conds[offset_map[w]] = m2.conditions[w]
-    return MetricGraph(graph, lengths, conds)
+    return _merged(edges, lengths, m1.conditions + m2.conditions, v1, V1 + v2, NEUMANN)
 
 
 def identify_vertices(m: MetricGraph, v1: int, v2: int) -> MetricGraph:
     """Merge v2 into v1; delta coefficients add, so opposite ones give Neumann."""
+    for v in (v1, v2):
+        if not 0 <= v < m.graph.vertex_count:
+            raise InvalidInputError(f"no vertex {v} in a graph with {m.graph.vertex_count} vertices")
     if v1 == v2:
         return m
-    g = m.graph
     a1 = condition_alpha(m.conditions[v1])
     a2 = condition_alpha(m.conditions[v2])
-    mapping = [w - (1 if w > v2 else 0) for w in range(g.vertex_count)]
-    mapping[v2] = mapping[v1]
-    edges = [(mapping[u], mapping[w]) for u, w in g.edges]
-    graph = DiscreteGraph(g.vertex_count - 1, edges)
-    conds = [NEUMANN] * graph.vertex_count
-    for w in range(g.vertex_count):
-        if w not in (v1, v2):
-            conds[mapping[w]] = m.conditions[w]
     if math.isinf(a1) or math.isinf(a2):
         merged = DIRICHLET
     else:
         total = a1 + a2
         merged = NEUMANN if total == 0.0 else DeltaTheta(2.0 * math.atan(total))
-    conds[mapping[v1]] = merged
-    return MetricGraph(graph, m.lengths, conds)
+    return _merged(m.graph.edges, m.lengths, m.conditions, v1, v2, merged)
+
+
+def _merged(edges, lengths, conditions, v1: int, v2: int, joint: Condition) -> MetricGraph:
+    """The metric graph on these edges with vertex v2 merged into v1, which
+    takes the condition joint; the other vertices keep theirs."""
+    vertex_map = [w - (w > v2) for w in range(len(conditions))]
+    vertex_map[v2] = vertex_map[v1]
+    graph, _ = _quotient(edges, vertex_map, [True] * len(edges))
+    conds = [NEUMANN] * graph.vertex_count
+    for w, cond in enumerate(conditions):
+        conds[vertex_map[w]] = cond
+    conds[vertex_map[v1]] = joint
+    return MetricGraph(graph, lengths, conds)
 
 
 @dataclass(frozen=True)

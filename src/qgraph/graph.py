@@ -11,6 +11,13 @@ Edges are stored once, with a fixed direction (u, v) that defines the
 coordinate x in [0, l_e] used everywhere else.  The spectral machinery
 views each edge as the pair of directed bonds (e, e_hat) with
 x_hat = l_e - x.
+
+Every incidence comes from one array, `DiscreteGraph.ends`, of length 2E:
+ends[e] is the start of edge e and ends[E + e] its end, which is also the
+origin of bond e and of its reversal E + e.  Degrees, the incident ends
+of a vertex, the adjacency, the bond-scattering matrix and both
+eigenvalue counts are read from it, and contraction and vertex
+identification (`_quotient`) rename its entries.
 """
 
 from __future__ import annotations
@@ -105,9 +112,13 @@ def condition_alpha(cond: Condition) -> float:
 
 
 class DiscreteGraph:
-    """Connected multigraph with stable edge indices 0..E-1."""
+    """Connected multigraph with stable edge indices 0..E-1.
 
-    __slots__ = ("vertex_count", "edges")
+    `ends` holds the start of every edge, then the end of every edge
+    (module docstring).
+    """
+
+    __slots__ = ("vertex_count", "edges", "ends")
 
     def __init__(self, vertex_count: int, edges) -> None:
         if vertex_count < 1:
@@ -120,6 +131,9 @@ class DiscreteGraph:
             edge_list.append((u, v))
         object.__setattr__(self, "vertex_count", int(vertex_count))
         object.__setattr__(self, "edges", tuple(edge_list))
+        ends = np.array([u for u, _ in edge_list] + [v for _, v in edge_list], dtype=int)
+        ends.setflags(write=False)
+        object.__setattr__(self, "ends", ends)
         if not self._connected():
             raise GraphStructureError("graph is not connected")
 
@@ -127,22 +141,25 @@ class DiscreteGraph:
         raise AttributeError("DiscreteGraph is immutable")
 
     def _connected(self) -> bool:
-        if self.vertex_count == 1:
-            return True
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
+        adj = self.adjacency()
         seen = [False] * self.vertex_count
         stack = [0]
         seen[0] = True
         while stack:
-            w = stack.pop()
-            for x in adj[w]:
+            for x, _ in adj[stack.pop()]:
                 if not seen[x]:
                     seen[x] = True
                     stack.append(x)
         return all(seen)
+
+    def adjacency(self) -> list[list[tuple[int, int]]]:
+        """(neighbour, edge id) pairs at each vertex in edge-id order; loops are left out."""
+        adj: list[list[tuple[int, int]]] = [[] for _ in range(self.vertex_count)]
+        for e, (u, v) in enumerate(self.edges):
+            if u != v:
+                adj[u].append((v, e))
+                adj[v].append((u, e))
+        return adj
 
     # -- basic queries ------------------------------------------------------
 
@@ -156,24 +173,15 @@ class DiscreteGraph:
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees; a loop contributes two."""
-        deg = np.zeros(self.vertex_count, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
+        return np.bincount(self.ends, minlength=self.vertex_count)
 
     def degree(self, v: int) -> int:
         return int(self.degrees()[v])
 
     def incident_ends(self, v: int) -> list[tuple[int, int]]:
         """(edge id, end) pairs at v; end 0 is x=0, end 1 is x=l_e. Loops give both."""
-        out = []
-        for e, (u, w) in enumerate(self.edges):
-            if u == v:
-                out.append((e, 0))
-            if w == v:
-                out.append((e, 1))
-        return out
+        E = self.edge_count
+        return sorted((b % E, b // E) for b in np.flatnonzero(self.ends == v).tolist())
 
     def leaf_vertices(self) -> list[int]:
         return [v for v, d in enumerate(self.degrees()) if d == 1]
@@ -215,12 +223,7 @@ def find_bridges(g: DiscreteGraph) -> set[int]:
     order = [-1] * g.vertex_count
     low = [-1] * g.vertex_count
     bridges: set[int] = set()
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-    for e, (u, v) in enumerate(g.edges):
-        if u == v:
-            continue
-        adj[u].append((v, e))
-        adj[v].append((u, e))
+    adj = g.adjacency()
     counter = 0
     # iterative DFS: (vertex, incoming edge id, iterator index)
     stack: list[list[int]] = []
@@ -415,66 +418,25 @@ def contract_with_maps(
             if ru != rv:
                 parent[max(ru, rv)] = min(ru, rv)
 
-    roots = sorted({find(v) for v in range(g.vertex_count)})
-    root_index = {r: i for i, r in enumerate(roots)}
-    vertex_map = np.array([root_index[find(v)] for v in range(g.vertex_count)], dtype=int)
+    # a class is named by its least vertex, so numbering the classes in order
+    # of first appearance numbers them in the order of their least vertices
+    labels: dict[int, int] = {}
+    vertex_map = np.array([labels.setdefault(find(v), len(labels)) for v in range(g.vertex_count)])
+    kept = values != 0.0
+    new_graph, edge_map = _quotient(g.edges, vertex_map, kept)
+    return MetricGraph(new_graph, values[kept]), vertex_map, edge_map
 
-    new_edges = []
-    new_lengths = []
+
+def _quotient(edges, vertex_map, keep) -> tuple[DiscreteGraph, list[int | None]]:
+    """The graph on the kept edges with vertex w renamed vertex_map[w], and
+    every edge's index in it (None for a dropped edge)."""
+    new_edges: list[tuple[int, int]] = []
     edge_map: list[int | None] = []
-    for e, (u, v) in enumerate(g.edges):
-        if values[e] == 0.0:
-            edge_map.append(None)
-            continue
-        edge_map.append(len(new_edges))
-        new_edges.append((int(vertex_map[u]), int(vertex_map[v])))
-        new_lengths.append(float(values[e]))
-
-    new_graph = DiscreteGraph(len(roots), new_edges)
-    return MetricGraph(new_graph, new_lengths), vertex_map, edge_map
-
-
-def smooth_degree_two(m: MetricGraph) -> MetricGraph:
-    """Optional normalization: absorb redundant Neumann vertices of degree two.
-
-    A degree-two Neumann vertex joining two distinct edges is metrically
-    invisible; the edges merge into one of combined length.  Off by
-    default everywhere -- user topology is otherwise preserved.
-    """
-    while True:
-        g = m.graph
-        deg = g.degrees()
-        target = None
-        for v in range(g.vertex_count):
-            if deg[v] != 2 or not is_neumann(m.conditions[v]):
-                continue
-            ends = g.incident_ends(v)
-            if len(ends) != 2 or ends[0][0] == ends[1][0]:
-                continue  # a loop at v is not smoothable
-            if g.vertex_count == 1:
-                continue
-            target = (v, ends)
-            break
-        if target is None:
-            return m
-        v, ((e1, end1), (e2, end2)) = target
-        # the merged edge runs from the far end of e1 to the far end of e2
-        a = g.edges[e1][1 - end1]
-        b = g.edges[e2][1 - end2]
-        new_edges = []
-        new_lengths = []
-        for e, (x, y) in enumerate(g.edges):
-            if e in (e1, e2):
-                continue
-            new_edges.append((x, y))
-            new_lengths.append(float(m.lengths[e]))
-        new_edges.append((a, b))
-        new_lengths.append(float(m.lengths[e1] + m.lengths[e2]))
-        keep = [w for w in range(g.vertex_count) if w != v]
-        remap = {w: i for i, w in enumerate(keep)}
-        edges = [(remap[x], remap[y]) for x, y in new_edges]
-        conds = [m.conditions[w] for w in keep]
-        m = MetricGraph(DiscreteGraph(len(keep), edges), new_lengths, conds)
+    for (u, v), kept in zip(edges, keep):
+        edge_map.append(len(new_edges) if kept else None)
+        if kept:
+            new_edges.append((vertex_map[u], vertex_map[v]))
+    return DiscreteGraph(int(max(vertex_map)) + 1, new_edges), edge_map
 
 
 # ---------------------------------------------------------------------------
@@ -485,11 +447,7 @@ def smooth_degree_two(m: MetricGraph) -> MetricGraph:
 def vertex_distances(m: MetricGraph, source: int) -> np.ndarray:
     """Dijkstra distances from a vertex along the metric graph."""
     g = m.graph
-    adj: list[list[tuple[int, float]]] = [[] for _ in range(g.vertex_count)]
-    for e, (u, v) in enumerate(g.edges):
-        w = float(m.lengths[e])
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+    adj = g.adjacency()
     dist = np.full(g.vertex_count, np.inf)
     dist[source] = 0.0
     queue = [(0.0, source)]
@@ -497,8 +455,8 @@ def vertex_distances(m: MetricGraph, source: int) -> np.ndarray:
         d, v = heapq.heappop(queue)
         if d > dist[v]:
             continue
-        for w, ln in adj[v]:
-            nd = d + ln
+        for w, e in adj[v]:
+            nd = d + float(m.lengths[e])
             if nd < dist[w]:
                 dist[w] = nd
                 heapq.heappush(queue, (nd, w))

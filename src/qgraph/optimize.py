@@ -488,21 +488,16 @@ def infimize_gap(g: DiscreteGraph) -> OptimizationResult:
         expected = math.pi
     else:
         # spanning tree via BFS over lowest edge ids
+        adj = g.adjacency()
         in_tree = [False] * g.edge_count
         seen = [False] * g.vertex_count
         seen[0] = True
         frontier = [0]
         while frontier:
-            v = frontier.pop(0)
-            for e, (a, b) in enumerate(g.edges):
-                if a == b:
-                    continue
-                if a == v and not seen[b]:
-                    seen[b] = in_tree[e] = True
-                    frontier.append(b)
-                elif b == v and not seen[a]:
-                    seen[a] = in_tree[e] = True
-                    frontier.append(a)
+            for w, e in adj[frontier.pop(0)]:
+                if not seen[w]:
+                    seen[w] = in_tree[e] = True
+                    frontier.append(w)
         non_tree = [e for e in range(g.edge_count) if not in_tree[e]]
         values[non_tree[0]] = 1.0
         expected = 2 * math.pi

@@ -75,7 +75,6 @@ from .graph import (
     MetricGraph,
     condition_alpha,
     is_dirichlet,
-    is_neumann,
 )
 
 _POLE_WINDOW = 1e-11   # the count is never taken this close (in k l_e / pi) to a pole
@@ -107,41 +106,22 @@ class BondScattering:
         self.n_bonds = 2 * E
         self.bond_lengths = np.concatenate([m.lengths, m.lengths])
         self.jperm = np.concatenate([np.arange(E, 2 * E), np.arange(0, E)])
-
-        origin = np.empty(2 * E, dtype=int)
-        for e, (u, v) in enumerate(g.edges):
-            origin[e] = u
-            origin[e + E] = v
-        self.bond_origin = origin
-
-        deg = g.degrees()
-        base = np.zeros((2 * E, 2 * E))
-        delta_terms: list[tuple[float, int, np.ndarray]] = []
-        for v in range(g.vertex_count):
-            bonds = np.nonzero(origin == v)[0]
-            d = len(bonds)
-            assert d == deg[v]
-            cond = m.conditions[v]
-            if is_neumann(cond):
-                base[np.ix_(bonds, bonds)] += 2.0 / d
-                base[bonds, bonds] -= 1.0
-            elif is_dirichlet(cond):
-                base[bonds, bonds] -= 1.0
-            else:
-                base[bonds, bonds] -= 1.0
-                mask = np.zeros((2 * E, 2 * E))
-                mask[np.ix_(bonds, bonds)] = 1.0
-                delta_terms.append((condition_alpha(cond), d, mask))
-        self.sigma_base = base
-        self.delta_terms = delta_terms
+        self.bond_origin = g.ends
+        self.same_origin = g.ends[:, None] == g.ends[None, :]
+        # (degree, alpha) per vertex; a Python int degree keeps 2 / (d + i alpha / k)
+        # in Python's complex division, which rounds differently from numpy's
+        self.vertex_terms = [
+            (d, condition_alpha(c)) for d, c in zip(g.degrees().tolist(), m.conditions)
+        ]
 
     def sigma(self, k: float) -> np.ndarray:
-        if not self.delta_terms:
-            return self.sigma_base
-        out = self.sigma_base.astype(complex)
-        for alpha, d, mask in self.delta_terms:
-            out = out + (2.0 / (d + 1j * alpha / k)) * mask
-        return out
+        """w_v on every pair of bonds leaving the same vertex v, minus I; real
+        unless a delta vertex makes w_v complex (module docstring)."""
+        w = np.array([
+            2.0 / d if alpha == 0.0 else 0.0 if math.isinf(alpha) else 2.0 / (d + 1j * alpha / k)
+            for d, alpha in self.vertex_terms
+        ])
+        return np.where(self.same_origin, w[self.bond_origin][:, None], 0.0) - np.eye(self.n_bonds)
 
     def U(self, k: float) -> np.ndarray:
         phases = np.exp(1j * k * self.bond_lengths)
@@ -205,16 +185,12 @@ class _Count:
     def __init__(self, m: MetricGraph) -> None:
         g = m.graph
         self.graph = g
-        keep = [v for v in range(g.vertex_count) if not is_dirichlet(m.conditions[v])]
-        row = {v: i for i, v in enumerate(keep)}
         E = g.edge_count
+        keep = [v for v, c in enumerate(m.conditions) if not is_dirichlet(c)]
+        at = (np.array(keep, dtype=int)[:, None] == g.ends).astype(float)
+        tail, head = at[:, :E], at[:, E:]
         # columns 0..E-1 hold P, columns E..2E-1 hold Q
-        coupling = np.zeros((len(keep), 2 * E))
-        for e, (u, v) in enumerate(g.edges):
-            for w, sign in ((u, 1.0), (v, -1.0)):
-                if w in row:
-                    coupling[row[w], e] += 1.0
-                    coupling[row[w], E + e] += sign
+        coupling = np.concatenate([tail + head, tail - head], axis=1)
         alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
         s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
         self.coupling = coupling * s[:, None]
@@ -497,13 +473,8 @@ class Spectrum:
 
     eigenpairs: tuple[Eigenpair, ...]
 
-    def expanded(self, n_max: int | None = None) -> list[float]:
-        out: list[float] = []
-        for p in self.eigenpairs:
-            out.extend([p.k] * p.multiplicity)
-            if n_max is not None and len(out) >= n_max:
-                return out[:n_max]
-        return out
+    def expanded(self) -> list[float]:
+        return [p.k for p in self.eigenpairs for _ in range(p.multiplicity)]
 
     @property
     def gap(self) -> float:
@@ -871,7 +842,8 @@ def harmonic_interpolant(m: MetricGraph, vertex_values, freq: float) -> Piecewis
 
     Needs freq * l_e < pi on every edge so the interpolation is well posed.
     """
-    if freq <= 0.0 or freq * float(m.lengths.max()) >= math.pi:
+    _require_k("freq", freq)
+    if freq * float(m.lengths.max()) >= math.pi:
         raise InvalidInputError("need 0 < freq < pi / max edge length")
     vals = np.asarray(vertex_values, dtype=float)
     pieces = []

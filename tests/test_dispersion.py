@@ -130,6 +130,9 @@ def test_vertex_outside_the_graph_is_rejected(v):
         dispersion_curve(m, v, grid_size=8)
     with pytest.raises(InvalidInputError, match="no vertex"):
         spectral_gap_parameter(m, v)
+    for pair in ((v, 0), (0, v)):
+        with pytest.raises(InvalidInputError, match=f"no vertex {v} in a graph with 4 vertices"):
+            identify_vertices(m, *pair)
 
 
 # ---------------------------------------------------------------------------

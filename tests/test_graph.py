@@ -276,34 +276,3 @@ def test_diameter_lower_bound_property():
 
 def test_equilateral_default():
     assert np.allclose(equilateral(4).values, 0.25)
-
-
-def test_smooth_degree_two_necklace_becomes_loop():
-    # the necklace end vertices are redundant Neumann degree-2 vertices;
-    # smoothing a one-cell necklace yields the circle with the same spectrum
-    from qgraph import spectral_gap
-    from qgraph.graph import smooth_degree_two
-    from qgraph.families import necklace
-
-    m = metric(*necklace(1))
-    smoothed = smooth_degree_two(m)
-    assert smoothed.graph.edge_count == 1
-    assert smoothed.graph.is_loop(0)
-    assert smoothed.total_length == pytest.approx(1.0, abs=1e-15)
-    k_a, mult_a = spectral_gap(m)
-    k_b, mult_b = spectral_gap(smoothed)
-    assert k_a == pytest.approx(k_b, abs=1e-10)
-    assert mult_a == mult_b
-
-
-def test_smooth_degree_two_path_becomes_interval():
-    from qgraph import spectral_gap
-    from qgraph.graph import smooth_degree_two
-    from qgraph.families import path_graph
-
-    g, lv = path_graph(3)
-    m = metric(g, lv)
-    smoothed = smooth_degree_two(m)
-    assert smoothed.graph.edge_count == 1
-    assert not smoothed.graph.is_loop(0)
-    assert spectral_gap(smoothed)[0] == pytest.approx(math.pi, abs=1e-10)

@@ -28,6 +28,7 @@ from qgraph import (
     secular_value,
     spectral_gap,
 )
+from qgraph.graph import NEUMANN, DiscreteGraph, MetricGraph, condition_alpha
 from qgraph.families import (
     flower,
     interval,
@@ -122,6 +123,8 @@ BAD_K_CALLS = {
     "eigenfunction-nan": lambda m: eigenfunction(m, NAN),
     "eigenfunction-negative": lambda m: eigenfunction(m, -1.0),
     "secular-nan": lambda m: secular_value(m, NAN),
+    "harmonic-freq-nan": lambda m: harmonic_interpolant(m, [0.0, 1.0, 1.0, 1.0], NAN),
+    "harmonic-freq-inf": lambda m: harmonic_interpolant(m, [0.0, 1.0, 1.0, 1.0], INF),
 }
 
 
@@ -140,6 +143,59 @@ def test_unitarity_on_grid():
         for k in np.linspace(0.3, 25.0, 40):
             u = bs.U(k)
             assert np.linalg.norm(u.conj().T @ u - np.eye(bs.n_bonds), 2) <= 1e-10
+
+
+def _incidence_graphs(n: int):
+    """Random metric graphs with loops, parallel edges, both edge directions
+    and Neumann, Dirichlet and delta vertices."""
+    rng = np.random.default_rng(23)
+    for _ in range(n):
+        V = int(rng.integers(1, 6))
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, V)]
+        edges += [(int(rng.integers(0, V)), int(rng.integers(0, V))) for _ in range(int(rng.integers(1, 4)))]
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        choices = [NEUMANN, DeltaTheta(0.0), DIRICHLET, DeltaTheta(PI), DeltaTheta(float(rng.uniform(-3.0, 3.0)))]
+        conds = [choices[int(rng.integers(0, len(choices)))] for _ in range(V)]
+        yield MetricGraph(DiscreteGraph(V, edges), random_lengths(rng, len(edges)).values, conds)
+
+
+def _bonds_at(m, v):
+    """Bond ids leaving v: edge e from its start, its reversal E + e from its end."""
+    E = m.graph.edge_count
+    return [e for e, (a, _) in enumerate(m.graph.edges) if a == v] + [
+        E + e for e, (_, b) in enumerate(m.graph.edges) if b == v
+    ]
+
+
+def test_bond_scattering_blocks_follow_the_vertex_formulas():
+    for m in _incidence_graphs(60):
+        bs = BondScattering(m)
+        for k in (0.7, 3.3, 11.0):
+            sigma = bs.sigma(k)
+            assert sigma.shape == (bs.n_bonds, bs.n_bonds)
+            expected = np.zeros(sigma.shape, dtype=complex)
+            for v, cond in enumerate(m.conditions):
+                bonds = _bonds_at(m, v)
+                alpha, d = condition_alpha(cond), len(bonds)
+                w = 0.0 if math.isinf(alpha) else 2.0 / (d + 1j * alpha / k)
+                expected[np.ix_(bonds, bonds)] = w - np.eye(d)
+            assert np.allclose(sigma, expected, rtol=0.0, atol=1e-15), (m, k)
+
+
+def test_count_coupling_is_the_scaled_incidence():
+    for m in _incidence_graphs(60):
+        E = m.graph.edge_count
+        keep = [v for v, cond in enumerate(m.conditions) if not math.isinf(condition_alpha(cond))]
+        P, Q = np.zeros((len(keep), E)), np.zeros((len(keep), E))
+        for i, v in enumerate(keep):
+            for e, (a, b) in enumerate(m.graph.edges):
+                P[i, e] = (a == v) + (b == v)   # a loop at v gives 2
+                Q[i, e] = (a == v) - (b == v)   # and 0
+        alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
+        s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
+        count = _TrigCount(m)
+        assert np.array_equal(count.coupling, np.hstack([P, Q]) * s[:, None]), m
+        assert np.array_equal(count.alpha, alpha * s * s), m
 
 
 # ---------------------------------------------------------------------------
