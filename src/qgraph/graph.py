@@ -15,9 +15,11 @@ x_hat = l_e - x.
 Every incidence comes from one array, `DiscreteGraph.ends`, of length 2E:
 ends[e] is the start of edge e and ends[E + e] its end, which is also the
 origin of bond e and of its reversal E + e.  Degrees, the incident ends
-of a vertex, the adjacency, the bond-scattering matrix and both
-eigenvalue counts are read from it, and contraction and vertex
-identification (`_quotient`) rename its entries.
+of a vertex, the adjacency and the bond-scattering matrix are read from
+it, and contraction and vertex identification (`_quotient`) rename its
+entries.  The graph also builds from it, once, the V x 2E incidence
+[P | Q] that both eigenvalue counts couple through: P unsigned, Q signed
+(start +1, end -1), so a loop has P = 2 and Q = 0.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,11 +117,11 @@ def condition_alpha(cond: Condition) -> float:
 class DiscreteGraph:
     """Connected multigraph with stable edge indices 0..E-1.
 
-    `ends` holds the start of every edge, then the end of every edge
-    (module docstring).
+    `ends` holds the start of every edge, then the end of every edge, and
+    `incidence` the read-only V x 2E matrix [P | Q] (module docstring).
     """
 
-    __slots__ = ("vertex_count", "edges", "ends")
+    __slots__ = ("vertex_count", "edges", "ends", "incidence")
 
     def __init__(self, vertex_count: int, edges) -> None:
         if vertex_count < 1:
@@ -134,8 +137,16 @@ class DiscreteGraph:
         ends = np.array([u for u, _ in edge_list] + [v for _, v in edge_list], dtype=int)
         ends.setflags(write=False)
         object.__setattr__(self, "ends", ends)
-        if not self._connected():
+        # a connected graph has at least V - 1 edges; checked first, so a
+        # huge vertex count is refused before anything of size V is built
+        if vertex_count > len(edge_list) + 1 or not self._connected():
             raise GraphStructureError("graph is not connected")
+        E = len(edge_list)
+        at = (np.arange(self.vertex_count)[:, None] == ends).astype(float)
+        tail, head = at[:, :E], at[:, E:]
+        incidence = np.concatenate([tail + head, tail - head], axis=1)
+        incidence.setflags(write=False)
+        object.__setattr__(self, "incidence", incidence)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("DiscreteGraph is immutable")
@@ -495,13 +506,27 @@ def _condition_to_json(cond: Condition):
     return {"delta_theta": cond.theta}
 
 
+def _json_int(value, what: str) -> int:
+    """A vertex id or count of a graph document: an integer, not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
+def _json_number(value, what: str) -> float:
+    """A length or delta parameter of a graph document: a number, not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidInputError(f"{what} must be a number, not {value!r}")
+    return float(value)
+
+
 def _condition_from_json(value) -> Condition:
     if value == "neumann":
         return NEUMANN
     if value == "dirichlet":
         return DIRICHLET
     if isinstance(value, dict) and set(value) == {"delta_theta"}:
-        return DeltaTheta(float(value["delta_theta"]))
+        return DeltaTheta(_json_number(value["delta_theta"], "delta_theta"))
     raise InvalidInputError(f"unknown vertex condition {value!r}")
 
 
@@ -520,20 +545,41 @@ def graph_to_dict(g: DiscreteGraph, lengths: LengthVector | None = None, conditi
 
 
 def graph_from_dict(doc: dict) -> tuple[DiscreteGraph, LengthVector, tuple[Condition, ...]]:
+    """The graph, lengths and conditions of a JSON graph document.
+
+    Vertex ids and the vertex count must be integers, lengths and delta
+    parameters numbers, condition keys vertex ids in decimal digits; JSON
+    true and false are none of these.  Anything else raises
+    InvalidInputError.
+    """
     try:
-        g = DiscreteGraph(doc["vertices"], [tuple(e) for e in doc["edges"]])
+        vertices, edges = doc["vertices"], doc["edges"]
     except KeyError as exc:
         raise InvalidInputError(f"graph document missing field {exc}") from exc
+    except TypeError as exc:
+        raise InvalidInputError("graph document must be a JSON object") from exc
+    try:
+        g = DiscreteGraph(
+            _json_int(vertices, "vertices"),
+            [tuple(_json_int(v, "a vertex id") for v in e) for e in edges],
+        )
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"graph document has a malformed vertex or edge: {exc}") from exc
     if "lengths" in doc:
-        lengths = LengthVector(doc["lengths"])
+        if not isinstance(doc["lengths"], list):
+            raise InvalidInputError("lengths must be a list of numbers")
+        lengths = LengthVector([_json_number(x, "a length") for x in doc["lengths"]])
         if lengths.size != g.edge_count:
             raise InvalidInputError("lengths do not match edge count")
     else:
         lengths = equilateral(g.edge_count)
+    conditions = doc.get("conditions", {})
+    if not isinstance(conditions, dict):
+        raise InvalidInputError("conditions must be an object keyed by vertex id")
     conds = [NEUMANN] * g.vertex_count
-    for key, value in doc.get("conditions", {}).items():
+    for key, value in conditions.items():
+        if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+            raise InvalidInputError(f"condition key {key!r} is not a vertex id")
         v = int(key)
         if not (0 <= v < g.vertex_count):
             raise InvalidInputError(f"condition for unknown vertex {v}")

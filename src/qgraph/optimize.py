@@ -14,7 +14,11 @@ equalize probe and a contract probe must beat the held gap plus
 IMPROVE_TOL; a candidate that does not is decided by the eigenvalue count
 at that floor against the count at the search floor (`gap_reaches`), and
 only a kept move gets the full gap search.  The brute force skips its
-grid points that cannot win the same way.
+grid points that cannot win the same way.  Every graph either builds is
+Neumann, so the count at the search floor is known to be 1 and
+`gap_reaches` costs one count; each count couples through the incidence
+its graph built once.  A trial point within NO_MOVE_RTOL (relative) of
+the lengths it would replace is no move and ends the step search.
 """
 
 from __future__ import annotations
@@ -53,6 +57,7 @@ L_MIN = 1e-4        # length floor of the ascent
 PIN_ITERS = 5       # iterations at the floor before an edge is contracted
 STEP_SCALE = 0.1    # length of the first trial gradient step
 IMPROVE_TOL = 1e-9  # least gain that counts as a move
+NO_MOVE_RTOL = 1e-5  # a trial point this close, relative, to the lengths is no move
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +316,12 @@ def _gap_above(m: MetricGraph, floor: float) -> float | None:
     return gap if gap > floor else None
 
 
+def _no_move(cand: np.ndarray, lengths: np.ndarray, atol: float) -> bool:
+    """np.allclose(cand, lengths, rtol=NO_MOVE_RTOL, atol=atol) for finite
+    lengths of one shape, without its overhead."""
+    return bool((np.abs(cand - lengths) <= atol + NO_MOVE_RTOL * np.abs(lengths)).all())
+
+
 def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_AscentState, float]:
     gap = spectral_gap(state.metric())[0]
     trace.append(TraceStep(gap, 0.0, "init"))
@@ -342,7 +353,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
             accepted = None
             for _halving in range(40):
                 cand = _project_simplex_lb(state.lengths + eta * direction, L_MIN)
-                if np.allclose(cand, state.lengths, atol=1e-15):
+                if _no_move(cand, state.lengths, 1e-15):
                     break
                 cand_gap = _gap_above(MetricGraph(state.graph, cand), gap + IMPROVE_TOL)
                 if cand_gap is not None:
@@ -353,7 +364,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
             while accepted is not None:
                 eta2 = accepted[2] * 2.0
                 cand = _project_simplex_lb(state.lengths + eta2 * direction, L_MIN)
-                if np.allclose(cand, accepted[0], atol=1e-15):
+                if _no_move(cand, accepted[0], 1e-15):
                     break
                 cand_gap = _gap_above(MetricGraph(state.graph, cand), accepted[1] + IMPROVE_TOL)
                 if cand_gap is not None:
@@ -374,7 +385,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
             # the fully equilateral point first: exact maximizer for mandarin
             # topologies, where no dangling/loop symmetrization applies
             cand = np.full(state.graph.edge_count, 1.0 / state.graph.edge_count)
-            if not np.allclose(cand, state.lengths, atol=1e-14):
+            if not _no_move(cand, state.lengths, 1e-14):
                 cand_gap = _gap_above(MetricGraph(state.graph, cand), gap + IMPROVE_TOL)
                 if cand_gap is not None:
                     state.lengths, gap = cand, cand_gap

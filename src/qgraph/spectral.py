@@ -16,7 +16,8 @@ where n_- counts the negative eigenvalues of the symmetric
 
 V' are the non-Dirichlet vertices, alpha their delta couplings, P the
 unsigned and Q the signed vertex-edge incidence matrix (a loop has P = 2,
-Q = 0).  The Schur complement of the two edge blocks is the vertex matrix
+Q = 0; each graph builds [P | Q] once, `DiscreteGraph.incidence`).  The
+Schur complement of the two edge blocks is the vertex matrix
 with diagonal sum_e k cot(k l_e) + alpha_v and off-diagonal -k csc(k l_e);
 K keeps every entry analytic in k, so no pole cancels.  The first term
 jumps at the poles k l_e / pi in Z, and the count is never taken within
@@ -177,7 +178,9 @@ class _Count:
     incidence C = diag(s) [P | Q] (module docstring) and the couplings
     alpha s^2.  The congruence diag(s), s = 1 / sqrt(max(1, |alpha|)),
     keeps the inertia and stops a near-Dirichlet coupling from swamping
-    the other entries.
+    the other entries.  [P | Q] is the graph's own `incidence`, built once
+    per graph: a count takes its non-Dirichlet rows and scales them, and
+    on a Neumann graph (every s = 1, every alpha = 0) uses it as it is.
     """
 
     offset = 0
@@ -185,16 +188,16 @@ class _Count:
     def __init__(self, m: MetricGraph) -> None:
         g = m.graph
         self.graph = g
-        E = g.edge_count
-        keep = [v for v, c in enumerate(m.conditions) if not is_dirichlet(c)]
-        at = (np.array(keep, dtype=int)[:, None] == g.ends).astype(float)
-        tail, head = at[:, :E], at[:, E:]
-        # columns 0..E-1 hold P, columns E..2E-1 hold Q
-        coupling = np.concatenate([tail + head, tail - head], axis=1)
-        alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
-        s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
-        self.coupling = coupling * s[:, None]
-        self.alpha = alpha * s * s
+        self.neumann = m.is_neumann_graph()
+        if self.neumann:
+            self.coupling = g.incidence
+            self.alpha = np.zeros(g.vertex_count)
+        else:
+            keep = [v for v, c in enumerate(m.conditions) if not is_dirichlet(c)]
+            alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
+            s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
+            self.coupling = g.incidence[keep] * s[:, None]
+            self.alpha = alpha * s * s
         self.lengths = np.asarray(m.lengths, dtype=float)
 
     def matrix(self, k: float) -> np.ndarray:
@@ -543,18 +546,32 @@ def spectral_gap(m: MetricGraph) -> tuple[float, int]:
     return levels[0]
 
 
+def _floor_count(m: MetricGraph, count: _TrigCount) -> int:
+    """N at the search floor, moved below any pole window it sits in.
+
+    On a Neumann graph it is 1 without a count: the graph is connected, so
+    k = 0 is its only level below k_1 >= pi / L (Nicaise), far above the
+    floor.  Other graphs may have levels of any size there and are counted.
+    """
+    if count.neumann:
+        return 1
+    return count.sample(count.off_pole(_k_floor(m), -1.0)).count
+
+
 def gap_reaches(m: MetricGraph, k: float) -> bool:
-    """spectral_gap(m)[0] >= k, decided by two counts.
+    """spectral_gap(m)[0] >= k, decided by at most two counts.
 
     The gap reaches k when no level lies between the point where
-    `spectral_gap` starts its search and k: N(k) <= N(k_floor), both
-    points moved below any pole window they sit in.
+    `spectral_gap` starts its search and k: N(k) <= N(k_floor), k moved
+    below any pole window it sits in.  On a Neumann graph N(k_floor) = 1
+    is known and only N(k) is counted (`_floor_count`).  `spectral_gap`
+    still takes its own floor sample: the eigenvalues of that count
+    matrix seed its first regula falsi bracket.
     """
     _require_k("k", k)
     count = _TrigCount(m)
-    floor = count.sample(count.off_pole(_k_floor(m), -1.0))
     below = count.sample(count.off_pole(k, -1.0))
-    return below.count <= floor.count
+    return below.count <= _floor_count(m, count)
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +691,24 @@ class EdgeTrig:
         return np.concatenate([fwd_in, rev_in]), np.concatenate([fwd_out, rev_out])
 
 
+def _gram(k: float, amp_cos: np.ndarray, amp_sin: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The Gram matrix of the functions EdgeTrig(k, amp_cos[i], amp_sin[i]).
+
+    It is summed one edge at a time over all pairs at once, and every
+    entry takes the operations of `EdgeTrig.inner` in the same order, so
+    the two agree bit for bit.
+    """
+    gram = np.zeros((len(amp_cos), len(amp_cos)))
+    for e, l in enumerate(lengths):
+        a, b = amp_cos[:, e], amp_sin[:, e]
+        gram += (
+            np.multiply.outer(a, a) * _int_cc(k, l)
+            + (np.multiply.outer(a, b) + np.multiply.outer(b, a)) * _int_cs(k, l)
+            + np.multiply.outer(b, b) * _int_ss(k, l)
+        )
+    return gram
+
+
 def constant_eigenfunction(m: MetricGraph) -> EdgeTrig:
     c = 1.0 / math.sqrt(m.total_length)
     E = m.graph.edge_count
@@ -709,13 +744,13 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
 
     # the real and imaginary parts span the real eigenspace: keep its mult
     # leading Gram directions
-    trigs = [EdgeTrig(k, tuple(A), tuple(B)) for A, B in candidates]
-    gram = np.array([[t1.inner(t2, m.lengths) for t2 in trigs] for t1 in trigs])
-    evals, evecs = np.linalg.eigh(gram)
+    amp_cos = np.array([A for A, _ in candidates])
+    amp_sin = np.array([B for _, B in candidates])
+    evals, evecs = np.linalg.eigh(_gram(k, amp_cos, amp_sin, m.lengths))
     basis: list[EdgeTrig] = []
     for lam, vec in zip(evals[-mult:], evecs[:, -mult:].T):
-        A = sum(c * np.asarray(t.amp_cos) for c, t in zip(vec, trigs)) / math.sqrt(lam)
-        B = sum(c * np.asarray(t.amp_sin) for c, t in zip(vec, trigs)) / math.sqrt(lam)
+        A = sum(c * a for c, a in zip(vec, amp_cos)) / math.sqrt(lam)
+        B = sum(c * b for c, b in zip(vec, amp_sin)) / math.sqrt(lam)
         coeffs = np.concatenate([A, B])
         lead = coeffs[np.argmax(np.abs(coeffs))]
         if lead < 0:

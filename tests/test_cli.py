@@ -219,6 +219,21 @@ BAD_INPUT = {
     "dispersion-kmax-nan": ('{"vertices": 2, "edges": [[0, 1]]}', "dispersion", "--vertex", "0",
                             "--kmax", "nan"),
     "eigenfunction-k-nan": ('{"vertices": 2, "edges": [[0, 1]]}', "eigenfunction", "--k", "nan"),
+    "string-length": ('{"vertices": 2, "edges": [[0, 1]], "lengths": ["a"]}', "spectrum", "--kmax", "5"),
+    "bool-length": ('{"vertices": 2, "edges": [[0, 1]], "lengths": [true]}', "spectrum", "--kmax", "5"),
+    "negative-length": ('{"vertices": 2, "edges": [[0, 1], [0, 1]], "lengths": [-0.5, 1.5]}',
+                        "spectrum", "--kmax", "5"),
+    "infinite-length": ('{"vertices": 2, "edges": [[0, 1], [0, 1]], "lengths": [Infinity, 0.5]}',
+                        "spectrum", "--kmax", "5"),
+    "string-delta-theta": ('{"vertices": 2, "edges": [[0, 1]], "conditions": {"0": {"delta_theta": "x"}}}',
+                           "spectrum", "--kmax", "5"),
+    "numeric-string-delta-theta": ('{"vertices": 2, "edges": [[0, 1]], '
+                                   '"conditions": {"0": {"delta_theta": "1.5"}}}', "spectrum", "--kmax", "5"),
+    "condition-key-not-a-vertex": ('{"vertices": 2, "edges": [[0, 1]], "conditions": {"x": "dirichlet"}}',
+                                   "spectrum", "--kmax", "5"),
+    "fractional-vertex-id": ('{"vertices": 2, "edges": [[0, 1.9], [0, 1]]}', "spectrum", "--kmax", "5"),
+    "fractional-vertex-count": ('{"vertices": 2.5, "edges": [[0, 1]]}', "spectrum", "--kmax", "5"),
+    "bool-vertex-id": ('{"vertices": 2, "edges": [[true, 0]]}', "spectrum", "--kmax", "5"),
 }
 
 

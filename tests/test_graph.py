@@ -51,6 +51,31 @@ def test_bad_vertex_id_rejected():
         DiscreteGraph(2, [(0, 2)])
 
 
+def test_incidence_is_built_from_the_edges():
+    rng = np.random.default_rng(4)
+    graphs = [stower(2, 1)[0], mandarin(3)[0], flower(2)[0]]
+    for _ in range(30):
+        V = int(rng.integers(1, 6))
+        edges = [(int(rng.integers(0, v)), v) for v in range(1, V)]
+        edges += [(int(rng.integers(0, V)), int(rng.integers(0, V))) for _ in range(int(rng.integers(1, 5)))]
+        graphs.append(DiscreteGraph(V, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]))
+    for g in graphs:
+        E = g.edge_count
+        P, Q = np.zeros((g.vertex_count, E)), np.zeros((g.vertex_count, E))
+        for e, (a, b) in enumerate(g.edges):
+            P[a, e] += 1.0
+            P[b, e] += 1.0
+            Q[a, e] += 1.0
+            Q[b, e] -= 1.0
+        assert np.array_equal(g.incidence, np.hstack([P, Q])), g
+    # the two loops of stower(2, 1) sit at vertex 0: P = 2, Q = 0
+    g = graphs[0]
+    assert g.incidence[0, :2].tolist() == [2.0, 2.0]
+    assert g.incidence[0, 3:5].tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError):
+        g.incidence[0, 0] = 1.0
+
+
 def test_degree_counts_loops_twice():
     g, _ = stower(2, 1)
     assert g.degree(0) == 5  # two loops + one dangling edge

@@ -1,12 +1,14 @@
 """Property tests: the counted spectrum against the bond-scattering equation,
-delta sweeps searched in lockstep against the same rows searched alone, and
-the two-count gap decision against the full gap search.
+delta sweeps searched in lockstep against the same rows searched alone,
+the two-count gap decision against the full gap search, and the floor
+count that decision assumes on Neumann graphs against the count itself.
 
 Every level that `eigenvalues` reports is checked with quantities the
 count never uses: the smallest singular value of I - U(k), the dimension
 of the eigenspace rebuilt from the singular vectors of I - U(k), and the
 vertex conditions of each rebuilt eigenfunction.  Graphs are small
-(E <= 6) and carry loops, parallel edges, delta and Dirichlet vertices.
+(E <= 6; up to E = 24 for the floor count) and carry loops, parallel
+edges, delta and Dirichlet vertices.
 """
 
 import math
@@ -17,6 +19,9 @@ from hypothesis import strategies as st
 from qgraph import DIRICHLET, NEUMANN, DeltaTheta, DiscreteGraph, MetricGraph, levels_theta, levels_thetas
 from qgraph.optimize import L_MIN
 from qgraph.spectral import (
+    _TrigCount,
+    _floor_count,
+    _k_floor,
     eigenfunction,
     eigenvalues,
     gap_reaches,
@@ -28,12 +33,13 @@ from qgraph.spectral import (
 
 
 @st.composite
-def small_graphs(draw, l_min: float = 0.05, neumann: bool = False) -> MetricGraph:
-    V = draw(st.integers(1, 4))
+def small_graphs(draw, l_min: float = 0.05, neumann: bool = False,
+                 max_vertices: int = 4, max_edges: int = 6) -> MetricGraph:
+    V = draw(st.integers(1, max_vertices))
     # a random spanning tree keeps the graph connected; extra edges may be
     # loops or parallel edges
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, V)]
-    n_extra = draw(st.integers(1 if V == 1 else 0, 6 - len(edges)))
+    n_extra = draw(st.integers(1 if V == 1 else 0, max_edges - len(edges)))
     vertex = st.integers(0, V - 1)
     edges += [(draw(vertex), draw(vertex)) for _ in range(n_extra)]
     lengths = [draw(st.floats(l_min, 1.0)) for _ in edges]
@@ -80,3 +86,22 @@ def test_gap_reaches_agrees_with_the_gap_search(m):
     k1 = spectral_gap(m)[0]
     for k in (k1 * (1 - 1e-9), k1 * (1 + 1e-9)):
         assert gap_reaches(m, k) == (k1 >= k), (k1, k)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(small_graphs(l_min=L_MIN))
+def test_gap_reaches_agrees_with_the_gap_search_on_any_conditions(m):
+    # with Dirichlet and delta vertices the floor count is taken, not assumed
+    k1 = spectral_gap(m)[0]
+    for k in (k1 * (1 - 1e-9), k1 * (1 + 1e-9)):
+        assert gap_reaches(m, k) == (k1 >= k), (k1, k)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(small_graphs(l_min=L_MIN, neumann=True, max_vertices=8, max_edges=24))
+def test_neumann_floor_count_is_one(m):
+    # gap_reaches takes N = 1 at the search floor of a Neumann graph without
+    # counting it: k = 0 is the only level below k_1 >= pi / L
+    count = _TrigCount(m)
+    assert count.sample(count.off_pole(_k_floor(m), -1.0)).count == 1, m
+    assert _floor_count(m, count) == 1, m

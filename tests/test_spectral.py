@@ -41,7 +41,9 @@ from qgraph.families import (
     stower,
 )
 from qgraph.spectral import (
+    EdgeTrig,
     _TrigCount,
+    _gram,
     from_eigenfunction,
     gap_reaches,
     multiplicity_at,
@@ -196,6 +198,22 @@ def test_count_coupling_is_the_scaled_incidence():
         count = _TrigCount(m)
         assert np.array_equal(count.coupling, np.hstack([P, Q]) * s[:, None]), m
         assert np.array_equal(count.alpha, alpha * s * s), m
+
+
+def test_neumann_count_uses_the_graph_incidence_as_it_is():
+    # a Neumann count skips the row selection and scaling; those would
+    # leave every bit of the coupling and of alpha as it is
+    for graph in _incidence_graphs(60):
+        for cond in (NEUMANN, DeltaTheta(0.0)):
+            m = MetricGraph(graph.graph, graph.lengths, [cond] * graph.graph.vertex_count)
+            keep = [v for v, c in enumerate(m.conditions) if not math.isinf(condition_alpha(c))]
+            alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
+            s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
+            coupling = m.graph.incidence[keep] * s[:, None]
+            count = _TrigCount(m)
+            assert count.coupling is m.graph.incidence
+            assert count.coupling.shape == coupling.shape and count.coupling.tobytes() == coupling.tobytes()
+            assert count.alpha.shape == alpha.shape and count.alpha.tobytes() == (alpha * s * s).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +410,23 @@ def test_eigenfunction_residual_by_finite_differences():
         for x in np.linspace(2 * h, float(m.lengths[e]) - 2 * h, 9):
             second = (f.value(e, x + h) - 2 * f.value(e, x) + f.value(e, x - h)) / h**2
             assert abs(-second - k**2 * f.value(e, x)) <= 1e-7 * k**2
+
+
+@pytest.mark.parametrize("family", [mandarin(4), star(5), flower(9)], ids=["mandarin4", "star5", "flower9"])
+def test_gram_matrix_equals_the_pairwise_inner_products(family):
+    # flower(9) has E >= 8, where numpy's pairwise sum would regroup a sum over edges
+    m = metric(*family)
+    E = m.graph.edge_count
+    rng = np.random.default_rng(9)
+    levels = [p for p in eigenvalues(m, 3.0 * spectral_gap(m)[0]).eigenpairs if p.k > 0]
+    assert len(levels) >= 2
+    for p in levels:
+        basis = eigenfunction(m, p.k)
+        amp_cos = np.vstack([[f.amp_cos for f in basis], rng.normal(size=(3, E))])
+        amp_sin = np.vstack([[f.amp_sin for f in basis], rng.normal(size=(3, E))])
+        trigs = [EdgeTrig(p.k, tuple(a), tuple(b)) for a, b in zip(amp_cos, amp_sin)]
+        pairwise = np.array([[t1.inner(t2, m.lengths) for t2 in trigs] for t1 in trigs])
+        assert np.array_equal(_gram(p.k, amp_cos, amp_sin, m.lengths), pairwise), p
 
 
 # ---------------------------------------------------------------------------
