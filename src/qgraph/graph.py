@@ -15,11 +15,12 @@ x_hat = l_e - x.
 Every incidence comes from one array, `DiscreteGraph.ends`, of length 2E:
 ends[e] is the start of edge e and ends[E + e] its end, which is also the
 origin of bond e and of its reversal E + e.  Degrees, the incident ends
-of a vertex, the adjacency and the bond-scattering matrix are read from
-it, and contraction and vertex identification (`_quotient`) rename its
-entries.  The graph also builds from it, once, the V x 2E incidence
-[P | Q] that both eigenvalue counts couple through: P unsigned, Q signed
-(start +1, end -1), so a loop has P = 2 and Q = 0.
+of a vertex, the adjacency, the eigenfunctions' vertex-condition system
+and the bond-scattering matrix are read from it, and contraction and
+vertex identification (`_quotient`) rename its entries.  The graph also
+builds from it, once, the V x 2E incidence [P | Q] that both eigenvalue
+counts couple through: P unsigned, Q signed (start +1, end -1), so a
+loop has P = 2 and Q = 0.
 """
 
 from __future__ import annotations
@@ -114,6 +115,13 @@ def condition_alpha(cond: Condition) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _integer(value, what: str, error: type[Exception] = GraphStructureError) -> int:
+    """A vertex count or vertex id: an integer (numpy's included), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{what} must be an integer, not {value!r}")
+    return int(value)
+
+
 class DiscreteGraph:
     """Connected multigraph with stable edge indices 0..E-1.
 
@@ -124,15 +132,16 @@ class DiscreteGraph:
     __slots__ = ("vertex_count", "edges", "ends", "incidence")
 
     def __init__(self, vertex_count: int, edges) -> None:
+        vertex_count = _integer(vertex_count, "vertex count")
         if vertex_count < 1:
             raise GraphStructureError("graph needs at least one vertex")
         edge_list = []
         for u, v in edges:
-            u, v = int(u), int(v)
+            u, v = _integer(u, "edge end"), _integer(v, "edge end")
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphStructureError(f"edge ({u}, {v}) has a vertex outside 0..{vertex_count - 1}")
             edge_list.append((u, v))
-        object.__setattr__(self, "vertex_count", int(vertex_count))
+        object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(edge_list))
         ends = np.array([u for u, _ in edge_list] + [v for _, v in edge_list], dtype=int)
         ends.setflags(write=False)
@@ -506,13 +515,6 @@ def _condition_to_json(cond: Condition):
     return {"delta_theta": cond.theta}
 
 
-def _json_int(value, what: str) -> int:
-    """A vertex id or count of a graph document: an integer, not a bool."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInputError(f"{what} must be an integer, not {value!r}")
-    return int(value)
-
-
 def _json_number(value, what: str) -> float:
     """A length or delta parameter of a graph document: a number, not a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -560,8 +562,8 @@ def graph_from_dict(doc: dict) -> tuple[DiscreteGraph, LengthVector, tuple[Condi
         raise InvalidInputError("graph document must be a JSON object") from exc
     try:
         g = DiscreteGraph(
-            _json_int(vertices, "vertices"),
-            [tuple(_json_int(v, "a vertex id") for v in e) for e in edges],
+            _integer(vertices, "vertices", InvalidInputError),
+            [tuple(_integer(v, "a vertex id", InvalidInputError) for v in e) for e in edges],
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidInputError(f"graph document has a malformed vertex or edge: {exc}") from exc

@@ -41,22 +41,28 @@ builds their matrices at once with `_TrigCount.matrices` and calls one
 stacked eigvalsh.  The stacked build forms every entry as `matrix` does,
 so each search sees the same values under either driver.
 
-Eigenfunctions come from the bond-scattering secular equation.  Every
-edge contributes two directed bonds; on bond b the solution of
--f'' = k^2 f is a^in e^{-ikx} + a^out e^{ikx}.  Collecting the incoming
-amplitudes into a vector a of size 2E, the vertex conditions force
-a = U(k) a with the unitary U(k) = e^{ikL} J Sigma(k), where L is the
-diagonal of bond lengths, J the bond-reversal permutation and Sigma the
-block-diagonal vertex scattering matrix.  At a level of multiplicity m
-the eigenspace is spanned by the m smallest singular vectors of I - U(k).
+Eigenfunctions come from the vertex conditions on the edge ends
+(Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is
+f = A_e cos kx + B_e sin kx, and each vertex of degree d imposes d real
+linear conditions on the 2E coefficients: d - 1 continuity conditions,
+and the Kirchhoff/delta condition sum f' = alpha f (f' the outgoing
+derivative) or, at a Dirichlet vertex, f = 0.  They form the real
+2E x 2E matrix M(k) of `_vertex_system`, whose null space is the
+eigenspace at k > 0, poles of the count included.  At a level of counted
+multiplicity m the last m right singular vectors of M(k) span it; one
+m x m L^2 Gram matrix (`_gram`) orthonormalizes them.  The k = 0
+eigenvalue of a Neumann graph (constant eigenfunction) is handled
+symbolically.
 
-Vertex scattering blocks:
+`BondScattering` is on no solver path.  It is the independent oracle
+behind `secular_value` and the tests: on bond b the solution of
+-f'' = k^2 f is a^in e^{-ikx} + a^out e^{ikx}, and the vertex conditions
+force a = U(k) a with the unitary U(k) = e^{ikL} J Sigma(k), where L is
+the diagonal of bond lengths, J the bond-reversal permutation and Sigma
+the block-diagonal vertex scattering matrix:
     Neumann           2/d - delta_{ee'}
     Dirichlet         -delta_{ee'}
     delta-type        -delta_{ee'} + 2/(d + i alpha/k), alpha = tan(theta/2)
-
-The k = 0 eigenvalue of a Neumann graph (constant eigenfunction) is
-handled symbolically; U(0) is degenerate and never evaluated.
 """
 
 from __future__ import annotations
@@ -89,13 +95,15 @@ _Search = Generator[float, np.ndarray, object]
 
 
 # ---------------------------------------------------------------------------
-# bond scattering matrix
+# bond scattering matrix (oracle)
 # ---------------------------------------------------------------------------
 
 
 class BondScattering:
-    """Precomputed bond structure of a metric graph.
+    """The bond-scattering matrix U(k) of a metric graph, kept as an oracle.
 
+    No solver path builds it: `secular_value` and the tests check the
+    counted levels and the eigenfunctions against it (module docstring).
     Bonds 0..E-1 run along the stored edge direction, bonds E..2E-1 are
     their reversals; J swaps the two halves.
     """
@@ -575,35 +583,35 @@ def gap_reaches(m: MetricGraph, k: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# eigenfunctions: real trigonometric form per edge
+# eigenfunctions from the vertex conditions
 # ---------------------------------------------------------------------------
 
 
-def _int_cc(k: float, l: float) -> float:
+def _trig_integrals(k: float, l):
+    """The integrals of cos^2(kx), sin^2(kx) and cos(kx) sin(kx) over [0, l],
+    elementwise in l."""
     if k == 0.0:
-        return l
-    return l / 2.0 + math.sin(2.0 * k * l) / (4.0 * k)
+        return l, 0.0 * l, 0.0 * l
+    osc = np.sin(2.0 * k * l) / (4.0 * k)
+    return l / 2.0 + osc, l / 2.0 - osc, np.sin(k * l) ** 2 / (2.0 * k)
 
 
-def _int_ss(k: float, l: float) -> float:
-    if k == 0.0:
-        return 0.0
-    return l / 2.0 - math.sin(2.0 * k * l) / (4.0 * k)
-
-
-def _int_cs(k: float, l: float) -> float:
-    if k == 0.0:
-        return 0.0
-    return math.sin(k * l) ** 2 / (2.0 * k)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeTrig:
-    """Real function A_e cos(kx) + B_e sin(kx) on each edge (x along the edge)."""
+    """Real function A_e cos(kx) + B_e sin(kx) on each edge (x along the edge).
+
+    amp_cos and amp_sin are read-only float arrays of length E.
+    """
 
     k: float
-    amp_cos: tuple[float, ...]
-    amp_sin: tuple[float, ...]
+    amp_cos: np.ndarray
+    amp_sin: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("amp_cos", "amp_sin"):
+            amps = np.array(getattr(self, name), dtype=float)
+            amps.setflags(write=False)
+            object.__setattr__(self, name, amps)
 
     def value(self, e: int, x: float) -> float:
         return self.amp_cos[e] * math.cos(self.k * x) + self.amp_sin[e] * math.sin(self.k * x)
@@ -627,48 +635,26 @@ class EdgeTrig:
         return self.end_value(*ends[0], m.lengths)
 
     def norm_sq(self, lengths: np.ndarray) -> float:
-        total = 0.0
-        for e, l in enumerate(lengths):
-            a, b = self.amp_cos[e], self.amp_sin[e]
-            total += (
-                a * a * _int_cc(self.k, l)
-                + b * b * _int_ss(self.k, l)
-                + 2.0 * a * b * _int_cs(self.k, l)
-            )
-        return total
+        return float(_gram(self.k, self.amp_cos[None], self.amp_sin[None], lengths)[0, 0])
 
     def inner(self, other: "EdgeTrig", lengths: np.ndarray) -> float:
-        total = 0.0
-        for e, l in enumerate(lengths):
-            a1, b1 = self.amp_cos[e], self.amp_sin[e]
-            a2, b2 = other.amp_cos[e], other.amp_sin[e]
-            total += (
-                a1 * a2 * _int_cc(self.k, l)
-                + (a1 * b2 + b1 * a2) * _int_cs(self.k, l)
-                + b1 * b2 * _int_ss(self.k, l)
-            )
-        return total
+        amp_cos = np.stack([self.amp_cos, other.amp_cos])
+        amp_sin = np.stack([self.amp_sin, other.amp_sin])
+        return float(_gram(self.k, amp_cos, amp_sin, lengths)[0, 1])
 
     def energies(self) -> np.ndarray:
         """Per-edge f'^2 + k^2 f^2 (constant along each edge)."""
-        a = np.asarray(self.amp_cos)
-        b = np.asarray(self.amp_sin)
-        return self.k**2 * (a * a + b * b)
+        return self.k**2 * (self.amp_cos**2 + self.amp_sin**2)
 
     def max_abs(self, lengths: np.ndarray) -> float:
-        best = 0.0
-        for e, l in enumerate(lengths):
-            l = float(l)
-            a, b = self.amp_cos[e], self.amp_sin[e]
-            best = max(best, abs(self.value(e, 0.0)), abs(self.value(e, l)))
-            if self.k > 0:
-                # interior extrema of R cos(kx - phi) sit at kx - phi = m pi
-                phi = math.atan2(b, a)
-                m_lo = math.ceil(-phi / math.pi)
-                m_hi = math.floor((self.k * l - phi) / math.pi)
-                if m_hi >= m_lo:
-                    best = max(best, math.hypot(a, b))
-        return best
+        a, b, kl = self.amp_cos, self.amp_sin, self.k * np.asarray(lengths, dtype=float)
+        ends = np.abs(np.concatenate([a, a * np.cos(kl) + b * np.sin(kl)]))
+        if self.k == 0.0:
+            return float(ends.max())
+        # interior extrema of R cos(kx - phi) sit at kx - phi = m pi
+        phi = np.arctan2(b, a)
+        peak = np.ceil(-phi / math.pi) <= np.floor((kl - phi) / math.pi)
+        return float(max(ends.max(), np.hypot(a, b)[peak].max(initial=0.0)))
 
     def sample(self, e: int, length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
         xs = np.linspace(0.0, length, n)
@@ -676,13 +662,14 @@ class EdgeTrig:
         return xs, vals
 
     def bond_amplitudes(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Complex (a_in, a_out) over the 2E directed bonds.
+        """Complex (a_in, a_out) over the 2E directed bonds, for the
+        bond-scattering oracle.
 
         Forward bonds carry a_in = (A + iB)/2 and a_out = (A - iB)/2; the
         reversed-bond amplitudes follow from a_in(rev) = e^{ikl} a_out.
         """
-        A = np.asarray(self.amp_cos, dtype=complex)
-        B = np.asarray(self.amp_sin, dtype=complex)
+        A = self.amp_cos.astype(complex)
+        B = self.amp_sin.astype(complex)
         fwd_in = (A + 1j * B) / 2.0
         fwd_out = (A - 1j * B) / 2.0
         phase = np.exp(1j * self.k * np.asarray(lengths))
@@ -692,34 +679,61 @@ class EdgeTrig:
 
 
 def _gram(k: float, amp_cos: np.ndarray, amp_sin: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The Gram matrix of the functions EdgeTrig(k, amp_cos[i], amp_sin[i]).
-
-    It is summed one edge at a time over all pairs at once, and every
-    entry takes the operations of `EdgeTrig.inner` in the same order, so
-    the two agree bit for bit.
-    """
-    gram = np.zeros((len(amp_cos), len(amp_cos)))
-    for e, l in enumerate(lengths):
-        a, b = amp_cos[:, e], amp_sin[:, e]
-        gram += (
-            np.multiply.outer(a, a) * _int_cc(k, l)
-            + (np.multiply.outer(a, b) + np.multiply.outer(b, a)) * _int_cs(k, l)
-            + np.multiply.outer(b, b) * _int_ss(k, l)
-        )
-    return gram
+    """The L^2 Gram matrix of the functions EdgeTrig(k, amp_cos[i], amp_sin[i])."""
+    cc, ss, cs = _trig_integrals(k, np.asarray(lengths, dtype=float))
+    cross = (amp_cos * cs) @ amp_sin.T
+    return (amp_cos * cc) @ amp_cos.T + cross + cross.T + (amp_sin * ss) @ amp_sin.T
 
 
 def constant_eigenfunction(m: MetricGraph) -> EdgeTrig:
-    c = 1.0 / math.sqrt(m.total_length)
     E = m.graph.edge_count
-    return EdgeTrig(0.0, (c,) * E, (0.0,) * E)
+    return EdgeTrig(0.0, np.full(E, 1.0 / math.sqrt(m.total_length)), np.zeros(E))
+
+
+def _vertex_system(m: MetricGraph, k: float) -> np.ndarray:
+    """The real 2E x 2E matrix M(k), k > 0, whose null space is the eigenspace at k.
+
+    Column e holds A_e and column E + e holds B_e of f = A_e cos kx +
+    B_e sin kx on edge e.  Row j belongs to edge end j of
+    `DiscreteGraph.ends`.  At each vertex the first end carries the
+    Kirchhoff/delta row sum f'/k - (alpha/k) f, scaled by 1/max(1, |alpha|/k),
+    or at a Dirichlet vertex the value row f; each other end carries the
+    continuity row f(end) - f(first end).  f'/k is the outgoing derivative.
+    """
+    g = m.graph
+    E = g.edge_count
+    end = np.arange(2 * E)
+    edge, out = end % E, np.where(end < E, 1.0, -1.0)   # out: the outgoing direction
+    kx = k * np.concatenate([np.zeros(E), m.lengths])    # k x at every edge end
+    cos, sin = np.cos(kx), np.sin(kx)
+    value, slope = np.zeros((2 * E, 2 * E)), np.zeros((2 * E, 2 * E))
+    value[end, edge], value[end, E + edge] = cos, sin
+    slope[end, edge], slope[end, E + edge] = -out * sin, out * cos
+    first = np.unique(g.ends, return_index=True)[1]
+    system = value - value[first[g.ends]]
+    dirichlet = np.array([is_dirichlet(cond) for cond in m.conditions])
+    alpha_k = np.array([0.0 if d else condition_alpha(c) / k for d, c in zip(dirichlet, m.conditions)])
+    at = (g.ends == np.arange(g.vertex_count)[:, None]).astype(float)
+    kirchhoff = (at @ slope - alpha_k[:, None] * value[first]) / np.maximum(1.0, np.abs(alpha_k))[:, None]
+    system[first] = np.where(dirichlet[:, None], value[first], kirchhoff)
+    return system
+
+
+def _signed(coeffs: np.ndarray) -> np.ndarray:
+    """coeffs or -coeffs, whichever makes positive the first entry whose
+    magnitude is within a relative 1e-9 of the largest (a tie-proof sign)."""
+    mag = np.abs(coeffs)
+    lead = coeffs[np.argmax(mag >= (1.0 - 1e-9) * mag.max())]
+    return -coeffs if lead < 0 else coeffs
 
 
 def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
     """Orthonormal real basis of the eigenspace at k.
 
     The dimension is the counted multiplicity at k; raises
-    NoEigenspaceError when the count finds no eigenvalue there.
+    NoEigenspaceError when the count finds no eigenvalue there.  The
+    basis is spanned by the last right singular vectors of `_vertex_system`,
+    orthonormalized in L^2 through their Gram matrix.
     """
     if abs(k) <= 1e-12:
         if not m.is_neumann_graph():
@@ -728,35 +742,11 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
     mult = multiplicity_at(m, k)
     if mult <= 0:
         raise NoEigenspaceError(f"k = {k} is not an eigenvalue")
-    bs = BondScattering(m)
-    a = np.eye(bs.n_bonds) - bs.U(k)
-    _, _, vh = np.linalg.svd(a)
-    null = [row.conj() for row in vh[-mult:]]
-
     E = m.graph.edge_count
-    sigma = bs.sigma(k)
-    candidates: list[tuple[np.ndarray, np.ndarray]] = []
-    for a_in in null:
-        a_out = sigma @ a_in
-        fwd_in, fwd_out = a_in[:E], a_out[:E]
-        candidates.append((np.real(fwd_in + fwd_out), np.imag(fwd_in - fwd_out)))
-        candidates.append((np.imag(fwd_in + fwd_out), np.real(fwd_out - fwd_in)))
-
-    # the real and imaginary parts span the real eigenspace: keep its mult
-    # leading Gram directions
-    amp_cos = np.array([A for A, _ in candidates])
-    amp_sin = np.array([B for _, B in candidates])
-    evals, evecs = np.linalg.eigh(_gram(k, amp_cos, amp_sin, m.lengths))
-    basis: list[EdgeTrig] = []
-    for lam, vec in zip(evals[-mult:], evecs[:, -mult:].T):
-        A = sum(c * a for c, a in zip(vec, amp_cos)) / math.sqrt(lam)
-        B = sum(c * b for c, b in zip(vec, amp_sin)) / math.sqrt(lam)
-        coeffs = np.concatenate([A, B])
-        lead = coeffs[np.argmax(np.abs(coeffs))]
-        if lead < 0:
-            A, B = -A, -B
-        basis.append(EdgeTrig(k, tuple(A), tuple(B)))
-    return basis
+    null = np.linalg.svd(_vertex_system(m, k))[2][-mult:]
+    evals, evecs = np.linalg.eigh(_gram(k, null[:, :E], null[:, E:], m.lengths))
+    basis = (evecs / np.sqrt(evals)).T @ null
+    return [EdgeTrig(k, coeffs[:E], coeffs[E:]) for coeffs in map(_signed, basis)]
 
 
 def vertex_condition_residual(m: MetricGraph, f: EdgeTrig) -> float:
@@ -824,22 +814,16 @@ class TrigPiece:
             return (self.amp_cos + self.offset) ** 2 * h
         a, b, c, w = self.amp_cos, self.amp_sin, self.offset, self.freq
         osc = a / w * math.sin(w * h) + b / w * (1.0 - math.cos(w * h))
-        return (
-            a * a * _int_cc(w, h)
-            + b * b * _int_ss(w, h)
-            + 2.0 * a * b * _int_cs(w, h)
-            + 2.0 * c * osc
-            + c * c * h
-        )
+        cc, ss, cs = _trig_integrals(w, h)
+        return float(a * a * cc + b * b * ss + 2.0 * a * b * cs + 2.0 * c * osc + c * c * h)
 
     def integral_deriv_sq(self) -> float:
         h = self.width
         if self.freq == 0.0:
             return 0.0
         a, b, w = self.amp_cos, self.amp_sin, self.freq
-        return w * w * (
-            a * a * _int_ss(w, h) + b * b * _int_cc(w, h) - 2.0 * a * b * _int_cs(w, h)
-        )
+        cc, ss, cs = _trig_integrals(w, h)
+        return float(w * w * (a * a * ss + b * b * cc - 2.0 * a * b * cs))
 
 
 @dataclass(frozen=True)

@@ -129,8 +129,7 @@ def check_a4(seed: int) -> _Check:
     # holds for any (a, B), and both Kirchhoff conditions reduce to
     # sum_e B_e = 0: the eigenspace has dimension 1 + (E - 1) = E, spanned by
     # the symmetric mode cos(pi E x) and the E - 1 sine differences.  The
-    # closed-form modes certify that count independently of the solver's
-    # singular-value threshold.
+    # closed-form modes certify that count independently of the solver.
     c = _Check()
     for E in (2, 3, 4):
         g, l = families.mandarin(E)

@@ -384,43 +384,43 @@ OPTIMIZE_OUTPUT = {
       "move": "symmetrize"
     },
     {
-      "gap": 7.323665472191666,
-      "step": 0.1557135733122066,
+      "gap": 7.323665472191669,
+      "step": 0.15571357331220692,
       "move": "gradient"
     },
     {
-      "gap": 7.6895764366938275,
-      "step": 0.0004897562770996773,
+      "gap": 7.689576436693829,
+      "step": 0.0004897562770996768,
       "move": "gradient"
     },
     {
-      "gap": 7.757746229690679,
-      "step": 0.000211557417040675,
+      "gap": 7.757746229690669,
+      "step": 0.00021155741704067483,
       "move": "gradient"
     },
     {
-      "gap": 7.786839548327305,
-      "step": 3.434381223602829e-05,
+      "gap": 7.786839548327306,
+      "step": 3.434381223602824e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.836399665306842,
-      "step": 5.093213033424849e-05,
+      "gap": 7.836399665306843,
+      "step": 5.093213033424847e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.848888423615637,
-      "step": 1.2492972846485592e-05,
+      "gap": 7.848888423615638,
+      "step": 1.2492972846485583e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.850485386427911,
-      "step": 6.216716552449638e-06,
+      "gap": 7.850485386427914,
+      "step": 6.2167165524496365e-06,
       "move": "gradient"
     },
     {
       "gap": 7.852016835408113,
-      "step": 1.0354874699801114e-06,
+      "step": 1.0354874699801125e-06,
       "move": "gradient"
     },
     {
@@ -430,7 +430,7 @@ OPTIMIZE_OUTPUT = {
     },
     {
       "gap": 7.85397335950025,
-      "step": 3.878485802053109e-07,
+      "step": 3.8784858020531084e-07,
       "move": "gradient"
     }
   ]
@@ -453,7 +453,7 @@ OPTIMIZE_OUTPUT = {
     },
     {
       "gap": 6.283185307117572,
-      "step": 0.038740064674877374,
+      "step": 0.038740064674877284,
       "move": "gradient"
     },
     {

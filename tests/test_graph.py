@@ -51,6 +51,30 @@ def test_bad_vertex_id_rejected():
         DiscreteGraph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("vertex_count, edges", [
+    (2.5, [(0, 1.9), (True, 0)]),
+    (2.5, [(0, 1)]),
+    (True, [(0, 0)]),
+    (np.float64(2.0), [(0, 1)]),
+    (2, [(0, 1.9)]),
+    (2, [(True, 0)]),
+    (2, [(0, np.float64(1.0))]),
+    (2, [(np.bool_(False), 1)]),
+], ids=["both", "float-count", "bool-count", "numpy-float-count", "float-end", "bool-end",
+        "numpy-float-end", "numpy-bool-end"])
+def test_non_integral_or_boolean_graph_integers_rejected(vertex_count, edges):
+    # int() would truncate 2.5 to 2 and 1.9 to 1, and read True as 1
+    with pytest.raises(GraphStructureError, match="must be an integer"):
+        DiscreteGraph(vertex_count, edges)
+
+
+def test_numpy_integers_are_graph_integers():
+    # contraction and vertex identification pass numpy integers
+    g = DiscreteGraph(np.int64(2), [(np.int64(0), np.int32(1))])
+    assert g == DiscreteGraph(2, [(0, 1)])
+    assert type(g.vertex_count) is int and all(type(x) is int for edge in g.edges for x in edge)
+
+
 def test_incidence_is_built_from_the_edges():
     rng = np.random.default_rng(4)
     graphs = [stower(2, 1)[0], mandarin(3)[0], flower(2)[0]]

@@ -4,21 +4,26 @@ the two-count gap decision against the full gap search, and the floor
 count that decision assumes on Neumann graphs against the count itself.
 
 Every level that `eigenvalues` reports is checked with quantities the
-count never uses: the smallest singular value of I - U(k), the dimension
-of the eigenspace rebuilt from the singular vectors of I - U(k), and the
-vertex conditions of each rebuilt eigenfunction.  Graphs are small
-(E <= 6; up to E = 24 for the floor count) and carry loops, parallel
-edges, delta and Dirichlet vertices.
+count never uses: the smallest singular value of I - U(k), and an
+eigenspace of the counted dimension whose every basis function meets its
+vertex conditions and, through its bond amplitudes, solves the
+bond-scattering equations a_in = U(k) a_in and a_out = Sigma(k) a_in.
+The eigenspace is solved from the vertex conditions on the edge ends, so
+the bond-scattering matrix is an oracle that shares no code with it.
+Graphs are small (E <= 6; up to E = 24 for the floor count) and carry
+loops, parallel edges, delta and Dirichlet vertices.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgraph import DIRICHLET, NEUMANN, DeltaTheta, DiscreteGraph, MetricGraph, levels_theta, levels_thetas
 from qgraph.optimize import L_MIN
 from qgraph.spectral import (
+    BondScattering,
     _TrigCount,
     _floor_count,
     _k_floor,
@@ -63,8 +68,13 @@ def test_counted_levels_solve_the_secular_equation(m):
         assert multiplicity_at(m, pair.k) == pair.multiplicity, pair
         basis = eigenfunction(m, pair.k)
         assert len(basis) == pair.multiplicity, pair
+        bonds = BondScattering(m)
+        U, sigma = bonds.U(pair.k), bonds.sigma(pair.k)
         for f in basis:
             assert vertex_condition_residual(m, f) <= 1e-8, pair
+            a_in, a_out = f.bond_amplitudes(m.lengths)
+            assert np.max(np.abs(a_in - U @ a_in)) <= 1e-8, pair
+            assert np.max(np.abs(a_out - sigma @ a_in)) <= 1e-8, pair
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)

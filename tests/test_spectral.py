@@ -1,9 +1,12 @@
 """Secular equation, eigenvalues/eigenfunctions, Rayleigh quotients.
 
 Derived expected values come from independent oracles: explicit secular
-functions of stars (sum of tangents), exact interval/loop spectra, and
-closed-form Rayleigh quotients; those oracles never touch the
-bond-scattering path they check.
+functions of stars (sum of tangents), exact interval/loop spectra,
+closed-form Rayleigh quotients, and composite quadrature of sampled
+functions for the L^2 Gram matrix.  Eigenfunctions are solved from the
+vertex conditions on the edge ends; the bond-scattering matrix U(k) is
+built only here and in the property tests, as the oracle they must solve
+(a = U(k) a), and a guard test makes sure no solver path builds it.
 """
 
 import math
@@ -44,6 +47,7 @@ from qgraph.spectral import (
     EdgeTrig,
     _TrigCount,
     _gram,
+    _signed,
     from_eigenfunction,
     gap_reaches,
     multiplicity_at,
@@ -412,9 +416,48 @@ def test_eigenfunction_residual_by_finite_differences():
             assert abs(-second - k**2 * f.value(e, x)) <= 1e-7 * k**2
 
 
+def test_simple_eigenfunction_sign_is_tie_proof():
+    # the simple k1 = 2 pi level of flower(2) is B = (b, -b) on the two
+    # loops: its two largest coefficients tie, and the first one is positive
+    m = metric(*flower(2))
+    (f,) = eigenfunction(m, 2 * PI)
+    assert f.amp_sin[0] > 0
+    assert f.amp_sin[1] == pytest.approx(-f.amp_sin[0], rel=1e-12)
+    # a tie broken by one ulp either way keeps the sign
+    for other in (np.nextafter(-0.5, -1.0), np.nextafter(-0.5, 0.0)):
+        for sign in (1.0, -1.0):
+            assert _signed(sign * np.array([0.0, 0.5, other, 0.1]))[1] > 0, (other, sign)
+
+
+@pytest.mark.parametrize("m", [
+    metric(*star(3)),
+    metric(*mandarin(4)),
+    metric(*flower(2)),
+    metric(*stower(2, 1)).with_condition(0, DIRICHLET),
+    metric(*star(4)).with_condition(0, DeltaTheta(-2.0)),
+], ids=["star3", "mandarin4", "flower2", "stower21-dirichlet", "star4-delta"])
+def test_eigenfunction_builds_no_bond_scattering_matrix(m, monkeypatch):
+    def refuse(self, graph):
+        raise AssertionError("a solver path built the bond-scattering matrix")
+
+    monkeypatch.setattr(BondScattering, "__init__", refuse)
+    for p in eigenvalues(m, 2.0 * spectral_gap(m)[0]).eigenpairs:
+        basis = eigenfunction(m, p.k)
+        assert len(basis) == p.multiplicity, p
+        if p.k > 0:
+            assert max(vertex_condition_residual(m, f) for f in basis) <= 1e-10, p
+
+
+def _simpson(values: np.ndarray, length: float) -> float:
+    """Composite Simpson rule over [0, length] on an odd number of samples."""
+    n = values.size
+    weights = np.ones(n)
+    weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+    return float(values @ weights) * length / (3.0 * (n - 1))
+
+
 @pytest.mark.parametrize("family", [mandarin(4), star(5), flower(9)], ids=["mandarin4", "star5", "flower9"])
-def test_gram_matrix_equals_the_pairwise_inner_products(family):
-    # flower(9) has E >= 8, where numpy's pairwise sum would regroup a sum over edges
+def test_gram_and_max_abs_agree_with_sampled_functions(family):
     m = metric(*family)
     E = m.graph.edge_count
     rng = np.random.default_rng(9)
@@ -424,9 +467,21 @@ def test_gram_matrix_equals_the_pairwise_inner_products(family):
         basis = eigenfunction(m, p.k)
         amp_cos = np.vstack([[f.amp_cos for f in basis], rng.normal(size=(3, E))])
         amp_sin = np.vstack([[f.amp_sin for f in basis], rng.normal(size=(3, E))])
-        trigs = [EdgeTrig(p.k, tuple(a), tuple(b)) for a, b in zip(amp_cos, amp_sin)]
-        pairwise = np.array([[t1.inner(t2, m.lengths) for t2 in trigs] for t1 in trigs])
-        assert np.array_equal(_gram(p.k, amp_cos, amp_sin, m.lengths), pairwise), p
+        trigs = [EdgeTrig(p.k, a, b) for a, b in zip(amp_cos, amp_sin)]
+        # samples[i, e] holds trigs[i] on 2001 points of edge e
+        samples = np.array([[t.sample(e, l, 2001)[1] for e, l in enumerate(m.lengths)] for t in trigs])
+        quad = np.array([[sum(_simpson(s1[e] * s2[e], l) for e, l in enumerate(m.lengths))
+                          for s2 in samples] for s1 in samples])
+        assert np.allclose(_gram(p.k, amp_cos, amp_sin, m.lengths), quad, rtol=0.0, atol=1e-8), p
+        for i, t1 in enumerate(trigs):
+            assert t1.norm_sq(m.lengths) == pytest.approx(quad[i, i], abs=1e-8), p
+            for j, t2 in enumerate(trigs):
+                assert t1.inner(t2, m.lengths) == pytest.approx(quad[i, j], abs=1e-8), p
+            # the dense maximum misses the peak by at most (k h)^2 / 2 relative
+            dense = float(np.abs(samples[i]).max())
+            assert dense * (1.0 - 1e-12) <= t1.max_abs(m.lengths) <= dense * (1.0 + 1e-4), p
+        assert np.allclose(_gram(p.k, amp_cos[:len(basis)], amp_sin[:len(basis)], m.lengths),
+                           np.eye(len(basis)), rtol=0.0, atol=1e-12), p
 
 
 # ---------------------------------------------------------------------------
