@@ -37,9 +37,7 @@ from .spectral import (
     BondScattering,
     EdgeTrig,
     Eigenpair,
-    PiecewiseTrig,
     Spectrum,
-    TrigPiece,
     eigenfunction,
     eigenvalues,
     harmonic_interpolant,

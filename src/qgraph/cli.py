@@ -57,7 +57,8 @@ def cmd_eigenfunction(args) -> int:
     f = basis[0]
     lines = ["edge,x,f"]
     for e in range(m.graph.edge_count):
-        xs, vals = f.sample(e, float(m.lengths[e]), args.grid)
+        xs = np.linspace(0.0, float(m.lengths[e]), args.grid)
+        vals = f.at(e, xs)[0]
         for x, v in zip(xs, vals):
             lines.append(f"{e},{fmt(x)},{fmt(v)}")
     _emit("\n".join(lines) + "\n", args.out)

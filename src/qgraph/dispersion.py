@@ -26,6 +26,7 @@ k1(glued) = k1(G1) + k1(G2).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -135,16 +136,17 @@ class DispersionCurve:
         return np.array(rows)
 
     def interlacing_slack(self, n_levels: int) -> float:
-        """min over grid pairs and n of both interlacing margins; >= -tol passes."""
+        """min over grid pairs of `interlacing_margin`; >= -tol passes."""
         arr = self.level_array(n_levels + 1)
-        worst = math.inf
-        n_grid = arr.shape[0]
-        for i in range(n_grid):
-            for j in range(i + 1, n_grid):
-                lo, hi = arr[i], arr[j]  # thetas[i] < thetas[j]
-                worst = min(worst, float((hi[:-1] - lo[:-1]).min()))
-                worst = min(worst, float((lo[1:] - hi[:-1]).min()))
-        return worst
+        pairs = itertools.combinations(range(arr.shape[0]), 2)  # thetas[i] < thetas[j]
+        return min((interlacing_margin(arr[i], arr[j]) for i, j in pairs), default=math.inf)
+
+
+def interlacing_margin(lo: np.ndarray, hi: np.ndarray) -> float:
+    """The smaller of the two interlacing margins min_n (hi_n - lo_n) and
+    min_n (lo_{n+1} - hi_n) of the first n + 1 levels at two couplings,
+    lo at the smaller theta; interlacing holds when it is >= -tol."""
+    return min(float((hi[:-1] - lo[:-1]).min()), float((lo[1:] - hi[:-1]).min()))
 
 
 def _detect_flat_bands(m: MetricGraph, v: int, levels: list[float], k_cut: float) -> list[FlatBand]:

@@ -203,6 +203,12 @@ class DiscreteGraph:
         E = self.edge_count
         return sorted((b % E, b // E) for b in np.flatnonzero(self.ends == v).tolist())
 
+    def end_range(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Least and greatest entry of x, an array over the edge ends in the
+        order of `ends`, at each vertex."""
+        at = self.ends == np.arange(self.vertex_count)[:, None]
+        return np.where(at, x, np.inf).min(axis=1), np.where(at, x, -np.inf).max(axis=1)
+
     def leaf_vertices(self) -> list[int]:
         return [v for v, d in enumerate(self.degrees()) if d == 1]
 

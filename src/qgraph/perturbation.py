@@ -88,18 +88,17 @@ def _criticality(m: MetricGraph, k: float, f: EdgeTrig, tol: float) -> Criticali
     energies = f.energies()
     mean = float(energies.mean())
     spread = float((energies.max() - energies.min()) / mean)
-    derivs = [[abs(f.outgoing_derivative(e, end, m.lengths)) for e, end in m.graph.incident_ends(v)]
-              for v in range(m.graph.vertex_count)]
-    bar = tol * max(max(map(max, derivs)), tol)
+    slope = np.abs(f.at_ends(m.lengths)[1])
+    low, high = m.graph.end_range(slope)
+    bar = tol * max(float(slope.max()), tol)
+    odd = m.graph.degrees() % 2 == 1
     return CriticalityReport(
         critical=spread <= tol,
         k=k,
         energies=tuple(float(x) for x in energies),
         spread=spread,
-        odd_vertex_violations=tuple(v for v, d in enumerate(derivs) if len(d) % 2 == 1 and max(d) > bar),
-        even_vertex_violations=tuple(
-            v for v, d in enumerate(derivs) if len(d) % 2 == 0 and max(d) - min(d) > bar
-        ),
+        odd_vertex_violations=tuple(np.flatnonzero(odd & (high > bar)).tolist()),
+        even_vertex_violations=tuple(np.flatnonzero(~odd & (high - low > bar)).tolist()),
     )
 
 
@@ -142,10 +141,11 @@ def _zero_layout(m: MetricGraph, f: EdgeTrig):
             else:
                 inner.append(x)
         interior.append(inner)
-    # vertex zeros are also caught directly (robust for loops)
-    for v in range(m.graph.vertex_count):
-        if abs(f.vertex_value(m, v)) <= ZERO_SCALE * scale:
-            zero_vertices.add(v)
+    # vertex zeros are also caught directly (robust for loops), from f at
+    # each vertex's first edge end
+    first = np.unique(m.graph.ends, return_index=True)[1]
+    value = f.at_ends(m.lengths)[0][first]
+    zero_vertices.update(np.flatnonzero(np.abs(value) <= ZERO_SCALE * scale).tolist())
     return interior, zero_vertices
 
 
@@ -255,10 +255,12 @@ def _pair_ends(m: MetricGraph, f: EdgeTrig) -> dict[tuple[int, int], tuple[int, 
     tolerance.
     """
     match_tol = DERIV_MATCH * math.sqrt(float(f.energies().mean()))
+    slope = f.at_ends(m.lengths)[1]
+    E = m.graph.edge_count
     partner: dict[tuple[int, int], tuple[int, int] | None] = {}
     for v in range(m.graph.vertex_count):
         ends = m.graph.incident_ends(v)
-        derivs = [f.outgoing_derivative(e, end, m.lengths) for e, end in ends]
+        derivs = [slope[e + E * end] for e, end in ends]
         for i, a in enumerate(ends):
             if a in partner:
                 continue

@@ -54,6 +54,13 @@ m x m L^2 Gram matrix (`_gram`) orthonormalizes them.  The k = 0
 eigenvalue of a Neumann graph (constant eigenfunction) is handled
 symbolically.
 
+`EdgeTrig` is the one representation of such functions.  It also serves
+the Rayleigh quotients, whose test functions have one frequency on every
+edge (`harmonic_interpolant`): the norm is `_gram`, and the Dirichlet
+energy follows from the per-edge energies f'^2 + k^2 f^2, constant along
+each edge.  The vertex conditions are read from the values and outgoing
+derivatives at the 2E edge ends, `EdgeTrig.at_ends`.
+
 `BondScattering` is on no solver path.  It is the independent oracle
 behind `secular_value` and the tests: on bond b the solution of
 -f'' = k^2 f is a^in e^{-ikx} + a^out e^{ikx}, and the vertex conditions
@@ -598,7 +605,8 @@ def _trig_integrals(k: float, l):
 
 @dataclass(frozen=True, eq=False)
 class EdgeTrig:
-    """Real function A_e cos(kx) + B_e sin(kx) on each edge (x along the edge).
+    """Real function A_e cos(kx) + B_e sin(kx) on each edge (x along the edge):
+    an eigenfunction, or a test function of the Rayleigh quotients.
 
     amp_cos and amp_sin are read-only float arrays of length E.
     """
@@ -612,27 +620,23 @@ class EdgeTrig:
             amps = np.array(getattr(self, name), dtype=float)
             amps.setflags(write=False)
             object.__setattr__(self, name, amps)
+        if self.amp_cos.ndim != 1 or self.amp_cos.shape != self.amp_sin.shape:
+            raise InvalidInputError("amp_cos and amp_sin must be arrays of one length")
 
-    def value(self, e: int, x: float) -> float:
-        return self.amp_cos[e] * math.cos(self.k * x) + self.amp_sin[e] * math.sin(self.k * x)
+    def at(self, e, x) -> tuple[np.ndarray, np.ndarray]:
+        """f and f' at the points x of the edges e (arrays that broadcast)."""
+        kx = self.k * np.asarray(x, dtype=float)
+        cos, sin = np.cos(kx), np.sin(kx)
+        a, b = self.amp_cos[e], self.amp_sin[e]
+        return a * cos + b * sin, self.k * (b * cos - a * sin)
 
-    def derivative(self, e: int, x: float) -> float:
-        return self.k * (
-            -self.amp_cos[e] * math.sin(self.k * x) + self.amp_sin[e] * math.cos(self.k * x)
-        )
-
-    def end_value(self, e: int, end: int, lengths: np.ndarray) -> float:
-        return self.value(e, 0.0 if end == 0 else float(lengths[e]))
-
-    def outgoing_derivative(self, e: int, end: int, lengths: np.ndarray) -> float:
-        """Derivative pointing from the vertex into the edge."""
-        if end == 0:
-            return self.derivative(e, 0.0)
-        return -self.derivative(e, float(lengths[e]))
-
-    def vertex_value(self, m: MetricGraph, v: int) -> float:
-        ends = m.graph.incident_ends(v)
-        return self.end_value(*ends[0], m.lengths)
+    def at_ends(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f and its outgoing derivative (pointing from the vertex into the
+        edge) at the 2E edge ends, in the order of `DiscreteGraph.ends`:
+        end e is x = 0 of edge e and end E + e is x = l_e."""
+        E = self.amp_cos.size
+        value, slope = self.at(np.tile(np.arange(E), 2), np.concatenate([np.zeros(E), lengths]))
+        return value, np.concatenate([slope[:E], -slope[E:]])
 
     def norm_sq(self, lengths: np.ndarray) -> float:
         return float(_gram(self.k, self.amp_cos[None], self.amp_sin[None], lengths)[0, 0])
@@ -648,7 +652,7 @@ class EdgeTrig:
 
     def max_abs(self, lengths: np.ndarray) -> float:
         a, b, kl = self.amp_cos, self.amp_sin, self.k * np.asarray(lengths, dtype=float)
-        ends = np.abs(np.concatenate([a, a * np.cos(kl) + b * np.sin(kl)]))
+        ends = np.abs(self.at_ends(lengths)[0])
         if self.k == 0.0:
             return float(ends.max())
         # interior extrema of R cos(kx - phi) sit at kx - phi = m pi
@@ -656,38 +660,12 @@ class EdgeTrig:
         peak = np.ceil(-phi / math.pi) <= np.floor((kl - phi) / math.pi)
         return float(max(ends.max(), np.hypot(a, b)[peak].max(initial=0.0)))
 
-    def sample(self, e: int, length: float, n: int) -> tuple[np.ndarray, np.ndarray]:
-        xs = np.linspace(0.0, length, n)
-        vals = self.amp_cos[e] * np.cos(self.k * xs) + self.amp_sin[e] * np.sin(self.k * xs)
-        return xs, vals
-
-    def bond_amplitudes(self, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Complex (a_in, a_out) over the 2E directed bonds, for the
-        bond-scattering oracle.
-
-        Forward bonds carry a_in = (A + iB)/2 and a_out = (A - iB)/2; the
-        reversed-bond amplitudes follow from a_in(rev) = e^{ikl} a_out.
-        """
-        A = self.amp_cos.astype(complex)
-        B = self.amp_sin.astype(complex)
-        fwd_in = (A + 1j * B) / 2.0
-        fwd_out = (A - 1j * B) / 2.0
-        phase = np.exp(1j * self.k * np.asarray(lengths))
-        rev_in = phase * fwd_out
-        rev_out = np.conj(phase) * fwd_in
-        return np.concatenate([fwd_in, rev_in]), np.concatenate([fwd_out, rev_out])
-
 
 def _gram(k: float, amp_cos: np.ndarray, amp_sin: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The L^2 Gram matrix of the functions EdgeTrig(k, amp_cos[i], amp_sin[i])."""
     cc, ss, cs = _trig_integrals(k, np.asarray(lengths, dtype=float))
     cross = (amp_cos * cs) @ amp_sin.T
     return (amp_cos * cc) @ amp_cos.T + cross + cross.T + (amp_sin * ss) @ amp_sin.T
-
-
-def constant_eigenfunction(m: MetricGraph) -> EdgeTrig:
-    E = m.graph.edge_count
-    return EdgeTrig(0.0, np.full(E, 1.0 / math.sqrt(m.total_length)), np.zeros(E))
 
 
 def _vertex_system(m: MetricGraph, k: float) -> np.ndarray:
@@ -735,14 +713,14 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
     basis is spanned by the last right singular vectors of `_vertex_system`,
     orthonormalized in L^2 through their Gram matrix.
     """
+    E = m.graph.edge_count
     if abs(k) <= 1e-12:
         if not m.is_neumann_graph():
             raise NoEigenspaceError("k = 0 is only an eigenvalue of Neumann graphs")
-        return [constant_eigenfunction(m)]
+        return [EdgeTrig(0.0, np.full(E, 1.0 / math.sqrt(m.total_length)), np.zeros(E))]
     mult = multiplicity_at(m, k)
     if mult <= 0:
         raise NoEigenspaceError(f"k = {k} is not an eigenvalue")
-    E = m.graph.edge_count
     null = np.linalg.svd(_vertex_system(m, k))[2][-mult:]
     evals, evecs = np.linalg.eigh(_gram(k, null[:, :E], null[:, E:], m.lengths))
     basis = (evecs / np.sqrt(evals)).T @ null
@@ -750,113 +728,30 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
 
 
 def vertex_condition_residual(m: MetricGraph, f: EdgeTrig) -> float:
-    """Worst violation of the vertex conditions, scaled for unit-norm f."""
-    worst = 0.0
-    for v in range(m.graph.vertex_count):
-        ends = m.graph.incident_ends(v)
-        values = [f.end_value(e, end, m.lengths) for e, end in ends]
-        derivs = [f.outgoing_derivative(e, end, m.lengths) for e, end in ends]
-        cond = m.conditions[v]
-        if is_dirichlet(cond):
-            worst = max(worst, max(abs(x) for x in values))
-            continue
-        worst = max(worst, max(values) - min(values))
-        alpha = condition_alpha(cond)
-        scale = max(1.0, abs(f.k))
-        worst = max(worst, abs(sum(derivs) - alpha * values[0]) / scale)
-    return worst
+    """Worst violation of the vertex conditions, scaled for unit-norm f.
+
+    At a Dirichlet vertex it is the largest |f| at its edge ends;
+    elsewhere the larger of the spread of f over its edge ends and
+    |sum f' - alpha f| / max(1, |k|), f' the outgoing derivatives and f
+    taken at the vertex's first end.
+    """
+    g = m.graph
+    value, slope = f.at_ends(m.lengths)
+    low, high = g.end_range(value)
+    dirichlet = np.array([is_dirichlet(cond) for cond in m.conditions])
+    alpha = np.array([0.0 if d else condition_alpha(c) for d, c in zip(dirichlet, m.conditions)])
+    first = np.unique(g.ends, return_index=True)[1]
+    flux = np.bincount(g.ends, weights=slope, minlength=g.vertex_count) - alpha * value[first]
+    free = np.maximum(high - low, np.abs(flux) / max(1.0, abs(f.k)))
+    return float(np.where(dirichlet, np.maximum(high, -low), free).max())
 
 
 # ---------------------------------------------------------------------------
-# piecewise trigonometric test functions and Rayleigh quotients
+# Rayleigh quotients of test functions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrigPiece:
-    """amp_cos cos(freq (x - x0)) + amp_sin sin(freq (x - x0)) + offset on [x0, x1]."""
-
-    x0: float
-    x1: float
-    amp_cos: float
-    amp_sin: float
-    freq: float
-    offset: float
-
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    def value(self, x: float) -> float:
-        u = x - self.x0
-        if self.freq == 0.0:
-            return self.amp_cos + self.offset
-        return (
-            self.amp_cos * math.cos(self.freq * u)
-            + self.amp_sin * math.sin(self.freq * u)
-            + self.offset
-        )
-
-    def integral(self) -> float:
-        h = self.width
-        if self.freq == 0.0:
-            return (self.amp_cos + self.offset) * h
-        w = self.freq
-        return (
-            self.amp_cos / w * math.sin(w * h)
-            + self.amp_sin / w * (1.0 - math.cos(w * h))
-            + self.offset * h
-        )
-
-    def integral_sq(self) -> float:
-        h = self.width
-        if self.freq == 0.0:
-            return (self.amp_cos + self.offset) ** 2 * h
-        a, b, c, w = self.amp_cos, self.amp_sin, self.offset, self.freq
-        osc = a / w * math.sin(w * h) + b / w * (1.0 - math.cos(w * h))
-        cc, ss, cs = _trig_integrals(w, h)
-        return float(a * a * cc + b * b * ss + 2.0 * a * b * cs + 2.0 * c * osc + c * c * h)
-
-    def integral_deriv_sq(self) -> float:
-        h = self.width
-        if self.freq == 0.0:
-            return 0.0
-        a, b, w = self.amp_cos, self.amp_sin, self.freq
-        cc, ss, cs = _trig_integrals(w, h)
-        return float(w * w * (a * a * ss + b * b * cc - 2.0 * a * b * cs))
-
-
-@dataclass(frozen=True)
-class PiecewiseTrig:
-    """Per-edge lists of trig pieces; continuous test functions on the graph."""
-
-    pieces: tuple[tuple[TrigPiece, ...], ...]
-
-    def edge_value(self, e: int, x: float) -> float:
-        for piece in self.pieces[e]:
-            if piece.x0 - 1e-12 <= x <= piece.x1 + 1e-12:
-                return piece.value(x)
-        raise InvalidInputError(f"x = {x} outside the pieces of edge {e}")
-
-    def integral(self) -> float:
-        return sum(p.integral() for edge in self.pieces for p in edge)
-
-    def norm_sq(self) -> float:
-        return sum(p.integral_sq() for edge in self.pieces for p in edge)
-
-    def dirichlet_energy(self) -> float:
-        return sum(p.integral_deriv_sq() for edge in self.pieces for p in edge)
-
-
-def from_eigenfunction(f: EdgeTrig, lengths: np.ndarray) -> PiecewiseTrig:
-    pieces = tuple(
-        (TrigPiece(0.0, float(l), f.amp_cos[e], f.amp_sin[e], f.k, 0.0),)
-        for e, l in enumerate(lengths)
-    )
-    return PiecewiseTrig(pieces)
-
-
-def harmonic_interpolant(m: MetricGraph, vertex_values, freq: float) -> PiecewiseTrig:
+def harmonic_interpolant(m: MetricGraph, vertex_values, freq: float) -> EdgeTrig:
     """The unique f with f'' + freq^2 f = 0 on edges matching the vertex values.
 
     Needs freq * l_e < pi on every edge so the interpolation is well posed.
@@ -865,60 +760,55 @@ def harmonic_interpolant(m: MetricGraph, vertex_values, freq: float) -> Piecewis
     if freq * float(m.lengths.max()) >= math.pi:
         raise InvalidInputError("need 0 < freq < pi / max edge length")
     vals = np.asarray(vertex_values, dtype=float)
-    pieces = []
-    for e, (u, v) in enumerate(m.graph.edges):
-        l = float(m.lengths[e])
-        a = vals[u]
-        b = (vals[v] - vals[u] * math.cos(freq * l)) / math.sin(freq * l)
-        pieces.append((TrigPiece(0.0, l, a, b, freq, 0.0),))
-    return PiecewiseTrig(tuple(pieces))
+    if vals.shape != (m.graph.vertex_count,):
+        raise InvalidInputError("need one value per vertex")
+    start, end = vals[m.graph.ends].reshape(2, m.graph.edge_count)
+    kl = freq * m.lengths
+    return EdgeTrig(freq, start, (end - start * np.cos(kl)) / np.sin(kl))
 
 
-def _check_admissible(m: MetricGraph, f: PiecewiseTrig, tol: float = 1e-8) -> None:
-    if len(f.pieces) != m.graph.edge_count:
-        raise InvalidInputError("test function must cover every edge")
-    scale = 0.0
-    for e, edge_pieces in enumerate(f.pieces):
-        if not edge_pieces:
-            raise InvalidInputError(f"edge {e} has no pieces")
-        x = 0.0
-        for piece in edge_pieces:
-            if abs(piece.x0 - x) > 1e-10:
-                raise InvalidInputError(f"pieces on edge {e} do not tile [0, l]")
-            x = piece.x1
-            scale = max(scale, abs(piece.value(piece.x0)), abs(piece.value(piece.x1)))
-        if abs(x - float(m.lengths[e])) > 1e-10:
-            raise InvalidInputError(f"pieces on edge {e} do not reach the edge length")
-        for p1, p2 in zip(edge_pieces, edge_pieces[1:]):
-            if abs(p1.value(p1.x1) - p2.value(p2.x0)) > tol * max(scale, 1.0):
-                raise InvalidInputError(f"discontinuity inside edge {e}")
-    for v in range(m.graph.vertex_count):
-        ends = m.graph.incident_ends(v)
-        vals = []
-        for e, end in ends:
-            x = 0.0 if end == 0 else float(m.lengths[e])
-            vals.append(f.edge_value(e, x))
-        if max(vals) - min(vals) > tol * max(scale, 1.0):
-            raise InvalidInputError(f"test function discontinuous at vertex {v}")
+def _energy_and_norm(m: MetricGraph, f: EdgeTrig) -> tuple[float, float]:
+    """The Dirichlet energy int f'^2 and the squared L^2 norm of a test function.
 
-
-def rayleigh(m: MetricGraph, f: PiecewiseTrig) -> float:
-    """Rayleigh quotient of a continuous piecewise-trig test function."""
-    _check_admissible(m, f)
-    denom = f.norm_sq()
-    if denom <= 1e-300:
+    f must be finite, nonzero and continuous at every vertex (its values
+    at the ends there agree within 1e-8 max(1, max |f|)).  On each edge
+    f'^2 + k^2 f^2 is the constant energy, so int f'^2 = sum_e energy_e l_e
+    - k^2 ||f||^2.
+    """
+    E = m.graph.edge_count
+    if f.amp_cos.size != E:
+        raise InvalidInputError(f"test function needs one amplitude pair on each of the {E} edges")
+    if not (math.isfinite(f.k) and np.isfinite(f.amp_cos).all() and np.isfinite(f.amp_sin).all()):
+        raise InvalidInputError("test function must be finite")
+    value = f.at_ends(m.lengths)[0]
+    low, high = m.graph.end_range(value)
+    jumps = np.flatnonzero(high - low > 1e-8 * max(float(np.abs(value).max()), 1.0))
+    if jumps.size:
+        raise InvalidInputError(f"test function discontinuous at vertex {jumps[0]}")
+    norm_sq = f.norm_sq(m.lengths)
+    if norm_sq <= 1e-300:
         raise InvalidInputError("test function is zero")
-    return f.dirichlet_energy() / denom
+    return float(f.energies() @ m.lengths) - f.k**2 * norm_sq, norm_sq
 
 
-def rayleigh_centered(m: MetricGraph, f: PiecewiseTrig) -> float:
+def rayleigh(m: MetricGraph, f: EdgeTrig) -> float:
+    """Rayleigh quotient int f'^2 / int f^2 of a continuous test function."""
+    energy, norm_sq = _energy_and_norm(m, f)
+    return energy / norm_sq
+
+
+def rayleigh_centered(m: MetricGraph, f: EdgeTrig) -> float:
     """Rayleigh quotient of f minus its best constant (zero-mean shift)."""
-    _check_admissible(m, f)
-    mean_sq = f.integral() ** 2 / m.total_length
-    denom = f.norm_sq() - mean_sq
+    energy, norm_sq = _energy_and_norm(m, f)
+    if f.k == 0.0:
+        integral = float(f.amp_cos @ m.lengths)
+    else:
+        kl = f.k * m.lengths
+        integral = float(f.amp_cos @ np.sin(kl) + f.amp_sin @ (1.0 - np.cos(kl))) / f.k
+    denom = norm_sq - integral**2 / m.total_length
     if denom <= 1e-300:
         raise InvalidInputError("test function is constant")
-    return f.dirichlet_energy() / denom
+    return energy / denom
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .dispersion import glue, levels_thetas
+from .dispersion import glue, interlacing_margin, levels_thetas
 from .errors import MultiplicityError, NotApplicableError
 from .graph import LengthVector, metric, tree_diameter
 from .optimize import (
@@ -251,7 +251,7 @@ def check_a8(seed: int) -> _Check:
             for j in range(i + 1, len(thetas)):
                 lo = np.array(rows[i][: n_levels + 1])
                 hi = np.array(rows[j][: n_levels + 1])
-                slack = min(float((hi[:-1] - lo[:-1]).min()), float((lo[1:] - hi[:-1]).min()))
+                slack = interlacing_margin(lo, hi)
                 c.expect(
                     slack >= -1e-8,
                     f"graph #{idx} v={v} thetas ({thetas[i]:.3f},{thetas[j]:.3f}): slack {slack:.2e}",

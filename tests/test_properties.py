@@ -72,7 +72,9 @@ def test_counted_levels_solve_the_secular_equation(m):
         U, sigma = bonds.U(pair.k), bonds.sigma(pair.k)
         for f in basis:
             assert vertex_condition_residual(m, f) <= 1e-8, pair
-            a_in, a_out = f.bond_amplitudes(m.lengths)
+            # bond b runs from its origin, end b: f = a_in e^{-iky} + a_out e^{iky}
+            value, slope = f.at_ends(m.lengths)
+            a_in, a_out = (value + 1j * slope / pair.k) / 2, (value - 1j * slope / pair.k) / 2
             assert np.max(np.abs(a_in - U @ a_in)) <= 1e-8, pair
             assert np.max(np.abs(a_out - sigma @ a_in)) <= 1e-8, pair
 

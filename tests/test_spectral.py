@@ -1,4 +1,4 @@
-"""Secular equation, eigenvalues/eigenfunctions, Rayleigh quotients.
+"""Secular equation, eigenvalues/eigenfunctions, vertex residuals, Rayleigh quotients.
 
 Derived expected values come from independent oracles: explicit secular
 functions of stars (sum of tangents), exact interval/loop spectra,
@@ -20,8 +20,6 @@ from qgraph import (
     DeltaTheta,
     InvalidInputError,
     NoEigenspaceError,
-    PiecewiseTrig,
-    TrigPiece,
     eigenfunction,
     eigenvalues,
     harmonic_interpolant,
@@ -48,7 +46,6 @@ from qgraph.spectral import (
     _TrigCount,
     _gram,
     _signed,
-    from_eigenfunction,
     gap_reaches,
     multiplicity_at,
     vertex_condition_residual,
@@ -347,7 +344,7 @@ def test_star_gap_basis_vanishes_at_center():
     basis = eigenfunction(m, 1.5 * PI)
     assert len(basis) == 2
     for f in basis:
-        assert abs(f.vertex_value(m, 0)) <= 1e-9
+        assert np.abs(f.at_ends(m.lengths)[0][m.graph.ends == 0]).max() <= 1e-9
         assert vertex_condition_residual(m, f) <= 1e-9
 
 
@@ -358,14 +355,14 @@ def test_two_flower_gap_eigenfunction_vanishes_at_vertex():
     m = metric(*flower(2))
     basis = eigenfunction(m, 2 * PI)
     assert len(basis) == 1
-    assert abs(basis[0].vertex_value(m, 0)) <= 1e-9
+    assert np.abs(basis[0].at_ends(m.lengths)[0]).max() <= 1e-9
 
 
 def test_loop_basis_rotates_to_vertex_maximum():
     m = metric(*loop())
     basis = eigenfunction(m, 2 * PI)
     assert len(basis) == 2
-    amp = math.hypot(*(f.vertex_value(m, 0) for f in basis))
+    amp = math.hypot(*(f.at_ends(m.lengths)[0][0] for f in basis))
     # some rotation of the basis attains its global maximum at the vertex
     assert amp == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert amp == pytest.approx(max(f.max_abs(m.lengths) for f in basis), abs=1e-6)
@@ -396,7 +393,9 @@ def test_bond_amplitude_reversal_relation():
     k1, _ = spectral_gap(m)
     E = g.edge_count
     for f in eigenfunction(m, k1):
-        a_in, a_out = f.bond_amplitudes(m.lengths)
+        # bond b runs from its origin, end b: f = a_in e^{-iky} + a_out e^{iky}
+        value, slope = f.at_ends(m.lengths)
+        a_in, a_out = (value + 1j * slope / k1) / 2, (value - 1j * slope / k1) / 2
         phase = np.exp(1j * k1 * m.lengths)
         assert np.max(np.abs(a_in[:E] - phase * a_out[E:])) <= 1e-9
         assert np.max(np.abs(a_in[E:] - phase * a_out[:E])) <= 1e-9
@@ -411,9 +410,10 @@ def test_eigenfunction_residual_by_finite_differences():
     k = 1.5 * PI
     h = 1e-4  # balances truncation against cancellation in the second difference
     for e in range(3):
-        for x in np.linspace(2 * h, float(m.lengths[e]) - 2 * h, 9):
-            second = (f.value(e, x + h) - 2 * f.value(e, x) + f.value(e, x - h)) / h**2
-            assert abs(-second - k**2 * f.value(e, x)) <= 1e-7 * k**2
+        xs = np.linspace(2 * h, float(m.lengths[e]) - 2 * h, 9)
+        below, at, above = (f.at(e, xs + d)[0] for d in (-h, 0.0, h))
+        second = (above - 2 * at + below) / h**2
+        assert np.abs(-second - k**2 * at).max() <= 1e-7 * k**2
 
 
 def test_simple_eigenfunction_sign_is_tie_proof():
@@ -448,6 +448,78 @@ def test_eigenfunction_builds_no_bond_scattering_matrix(m, monkeypatch):
             assert max(vertex_condition_residual(m, f) for f in basis) <= 1e-10, p
 
 
+def _star(centre: int, at_centre, at_leaves) -> MetricGraph:
+    """Equilateral three-edge star on vertices 0..3 with the given centre;
+    every edge runs from the centre (x = 0) to a leaf (x = 1/3)."""
+    leaves = [v for v in range(4) if v != centre]
+    conditions = [at_centre if v == centre else at_leaves for v in range(4)]
+    return MetricGraph(DiscreteGraph(4, [(centre, v) for v in leaves]), np.full(3, 1.0 / 3.0), conditions)
+
+
+# (graph, level, amplitude of edge 0 to shift).  At k l = pi/2 on the
+# stars, cos(kx) shifts only the value at the centre and sin(kx) only the
+# outgoing derivative there, so each star case violates one condition at
+# one vertex: continuity (Dirichlet leaves), Kirchhoff (Neumann leaves,
+# where f is zero at the centre) or delta.
+RESIDUAL_CASES = {
+    "continuity-centre-first": (_star(0, NEUMANN, DIRICHLET), 1.5 * PI, "amp_cos"),
+    "continuity-centre-last": (_star(3, NEUMANN, DIRICHLET), 1.5 * PI, "amp_cos"),
+    "kirchhoff-centre-first": (_star(0, NEUMANN, NEUMANN), 1.5 * PI, "amp_sin"),
+    "kirchhoff-centre-last": (_star(3, NEUMANN, NEUMANN), 1.5 * PI, "amp_sin"),
+    "delta-centre": (_star(1, DeltaTheta(1.0), NEUMANN), 1.5 * PI, "amp_sin"),
+    # the gap eigenfunction is not zero at the delta centre, so its
+    # residual is small only where alpha f enters the flux
+    "delta-centre-gap": (_star(2, DeltaTheta(1.0), NEUMANN), None, "amp_cos"),
+    "dirichlet-ends": (metric(*interval()).with_condition(0, DIRICHLET).with_condition(1, DIRICHLET),
+                       PI, "amp_cos"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RESIDUAL_CASES))
+def test_residual_catches_a_shifted_amplitude(case):
+    m, k, name = RESIDUAL_CASES[case]
+    if k is None:
+        k = spectral_gap(m)[0]
+    f = eigenfunction(m, k)[0]
+    assert vertex_condition_residual(m, f) <= 1e-10
+    amps = {"amp_cos": f.amp_cos.copy(), "amp_sin": f.amp_sin.copy()}
+    amps[name][0] += 1e-6
+    assert vertex_condition_residual(m, EdgeTrig(k, amps["amp_cos"], amps["amp_sin"])) >= 1e-7
+
+
+def _loop_residual(m: MetricGraph, f: EdgeTrig) -> float:
+    """`vertex_condition_residual` one vertex and one edge end at a time, with
+    scalar formulas: f(0), f'(0) at the start of an edge, f(l), -f'(l) at its
+    end, and f at a vertex taken at its first end in `DiscreteGraph.ends`."""
+    E = m.graph.edge_count
+    worst = 0.0
+    for v in range(m.graph.vertex_count):
+        values, derivs = [], []
+        for b in np.flatnonzero(m.graph.ends == v):
+            e, x, out = b % E, (0.0 if b < E else float(m.lengths[b % E])), (1.0 if b < E else -1.0)
+            c, s = math.cos(f.k * x), math.sin(f.k * x)
+            values.append(f.amp_cos[e] * c + f.amp_sin[e] * s)
+            derivs.append(out * f.k * (f.amp_sin[e] * c - f.amp_cos[e] * s))
+        if m.conditions[v] == DIRICHLET:
+            worst = max(worst, max(map(abs, values)))
+            continue
+        flux = abs(sum(derivs) - condition_alpha(m.conditions[v]) * values[0]) / max(1.0, abs(f.k))
+        worst = max(worst, max(values) - min(values), flux)
+    return worst
+
+
+def test_residual_equals_the_loop_over_vertices():
+    # random coefficients violate every condition, so each term is exercised
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        V = int(rng.integers(2, 5))
+        g = random_connected_graph(rng, V, V - 1 + int(rng.integers(0, 3)))
+        conditions = [[NEUMANN, DIRICHLET, DeltaTheta(float(rng.uniform(-3, 3)))][i] for i in rng.integers(0, 3, V)]
+        m = MetricGraph(g, random_lengths(rng, g.edge_count).values, conditions)
+        f = EdgeTrig(float(rng.uniform(0.5, 20.0)), rng.normal(size=g.edge_count), rng.normal(size=g.edge_count))
+        assert vertex_condition_residual(m, f) == pytest.approx(_loop_residual(m, f), rel=1e-13, abs=1e-13)
+
+
 def _simpson(values: np.ndarray, length: float) -> float:
     """Composite Simpson rule over [0, length] on an odd number of samples."""
     n = values.size
@@ -469,7 +541,8 @@ def test_gram_and_max_abs_agree_with_sampled_functions(family):
         amp_sin = np.vstack([[f.amp_sin for f in basis], rng.normal(size=(3, E))])
         trigs = [EdgeTrig(p.k, a, b) for a, b in zip(amp_cos, amp_sin)]
         # samples[i, e] holds trigs[i] on 2001 points of edge e
-        samples = np.array([[t.sample(e, l, 2001)[1] for e, l in enumerate(m.lengths)] for t in trigs])
+        samples = np.array([[t.at(e, np.linspace(0.0, l, 2001))[0] for e, l in enumerate(m.lengths)]
+                            for t in trigs])
         quad = np.array([[sum(_simpson(s1[e] * s2[e], l) for e, l in enumerate(m.lengths))
                           for s2 in samples] for s1 in samples])
         assert np.allclose(_gram(p.k, amp_cos, amp_sin, m.lengths), quad, rtol=0.0, atol=1e-8), p
@@ -491,55 +564,45 @@ def test_gram_and_max_abs_agree_with_sampled_functions(family):
 
 def test_rayleigh_cosine_on_interval():
     m = metric(*interval())
-    f = PiecewiseTrig(((TrigPiece(0.0, 1.0, 1.0, 0.0, PI, 0.0),),))
-    assert rayleigh(m, f) == pytest.approx(PI**2, abs=1e-12)
-
-
-def test_rayleigh_rejects_zero_function():
-    m = metric(*interval())
-    f = PiecewiseTrig(((TrigPiece(0.0, 1.0, 0.0, 0.0, 0.0, 0.0),),))
-    with pytest.raises(InvalidInputError):
-        rayleigh(m, f)
-
-
-def test_rayleigh_rejects_discontinuity():
-    g, lv = path_graph(2)
-    m = metric(g, lv)
-    pieces = (
-        (TrigPiece(0.0, 0.5, 1.0, 0.0, 0.0, 0.0),),
-        (TrigPiece(0.0, 0.5, 2.0, 0.0, 0.0, 0.0),),
-    )
-    with pytest.raises(InvalidInputError):
-        rayleigh(m, PiecewiseTrig(pieces))
-
-
-def test_rayleigh_extension_by_constant_formula():
-    # eigenfunction of a sub-path extended by a constant: the centered
-    # Rayleigh quotient has the closed form
-    # k1^2 * int f^2 / (int f^2 + f(v)^2 l2 (1 - l2))
-    g, _ = path_graph(2)
-    l1, l2 = 0.6, 0.4
-    m = metric(g, np.array([l1, l2]))
-    k1_sub = PI / l1
-    pieces = (
-        (TrigPiece(0.0, l1, 1.0, 0.0, k1_sub, 0.0),),       # cos(pi x / l1)
-        (TrigPiece(0.0, l2, -1.0, 0.0, 0.0, 0.0),),         # constant f(v) = -1
-    )
-    f = PiecewiseTrig(pieces)
-    int_f2 = l1 / 2.0
-    expected = k1_sub**2 * int_f2 / (int_f2 + 1.0 * l2 * (1 - l2))
-    assert rayleigh_centered(m, f) == pytest.approx(expected, abs=1e-12)
-    k1, _ = spectral_gap(m)
-    assert k1**2 <= expected + 1e-9
+    assert rayleigh(m, EdgeTrig(PI, [1.0], [0.0])) == pytest.approx(PI**2, abs=1e-12)
 
 
 def test_rayleigh_centered_denominator():
-    # R(f - <f>) divides by int f^2 - <f>^2 on unit-length graphs
+    # cos(pi x / 2) on the unit interval: int f'^2 = pi^2 / 8, int f^2 = 1/2
+    # and int f = 2 / pi, so R(f - <f>) = (pi^2 / 8) / (1/2 - 4 / pi^2)
     m = metric(*interval())
-    f = PiecewiseTrig(((TrigPiece(0.0, 1.0, 1.0, 0.0, PI, 0.5),),))  # cos(pi x) + 0.5
-    num = PI**2 * 0.5
-    denom = 0.5 + 0.25 - 0.25  # int f^2 minus mean^2
-    assert rayleigh_centered(m, f) == pytest.approx(num / denom, abs=1e-12)
+    f = EdgeTrig(PI / 2, [1.0], [0.0])
+    assert rayleigh_centered(m, f) == pytest.approx((PI**2 / 8) / (0.5 - 4 / PI**2), abs=1e-12)
+
+
+MALFORMED_TEST_FUNCTIONS = {
+    "amplitude-count": (interval(), EdgeTrig(PI, [1.0, 1.0], [0.0, 0.0])),
+    "k-nan": (interval(), EdgeTrig(NAN, [1.0], [0.0])),
+    "k-inf": (interval(), EdgeTrig(INF, [1.0], [0.0])),
+    "zero": (interval(), EdgeTrig(PI, [0.0], [0.0])),
+    # constants 1 and 2 on the two edges of a path jump at the middle vertex
+    "discontinuous": (path_graph(2), EdgeTrig(0.0, [1.0, 2.0], [0.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("quotient", [rayleigh, rayleigh_centered], ids=["plain", "centered"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_TEST_FUNCTIONS))
+def test_rayleigh_rejects_malformed_test_functions(case, quotient):
+    family, f = MALFORMED_TEST_FUNCTIONS[case]
+    with pytest.raises(InvalidInputError):
+        quotient(metric(*family), f)
+
+
+@pytest.mark.parametrize("amps", [([1.0, 2.0], [0.0]), ([[1.0]], [[0.0]])], ids=["lengths", "rank"])
+def test_edge_trig_needs_two_amplitude_arrays_of_one_length(amps):
+    with pytest.raises(InvalidInputError, match="one length"):
+        EdgeTrig(PI, *amps)
+
+
+@pytest.mark.parametrize("values", [[0.0, 1.0, 1.0], [0.0, 1.0, 1.0, 1.0, 1.0]], ids=["short", "long"])
+def test_harmonic_interpolant_needs_one_value_per_vertex(values):
+    with pytest.raises(InvalidInputError, match="one value per vertex"):
+        harmonic_interpolant(metric(*star(3)), values, 1.0)
 
 
 def test_min_max_bound_random_test_functions():
