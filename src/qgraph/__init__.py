@@ -17,11 +17,9 @@ from .graph import (
     DIRICHLET,
     NEUMANN,
     DeltaTheta,
-    Dirichlet,
     DiscreteGraph,
     LengthVector,
     MetricGraph,
-    Neumann,
     betti,
     contract_zero_edges,
     equilateral,

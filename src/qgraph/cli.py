@@ -15,7 +15,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .dispersion import dispersion_curve, glue, spectral_gap_parameter
-from .errors import QGraphError
+from .errors import InvalidInputError, QGraphError
 from .graph import graph_to_dict, load_graph, metric
 from .optimize import MaximizeOptions, full_catalog, infimize_gap, maximize_gap
 from .spectral import eigenfunction, eigenvalues, spectral_gap
@@ -48,6 +48,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_eigenfunction(args) -> int:
+    if args.grid < 1:
+        raise InvalidInputError(f"--grid must be at least 1, not {args.grid}")
     m = _load_metric(args.graph)
     if args.k is not None:
         k = args.k

@@ -33,15 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .graph import (
-    DIRICHLET,
-    NEUMANN,
-    Condition,
-    DeltaTheta,
-    MetricGraph,
-    _quotient,
-    condition_alpha,
-)
+from .graph import DIRICHLET, NEUMANN, DeltaTheta, MetricGraph, _quotient
 from .spectral import (
     Spectrum,
     _merge_width,
@@ -319,8 +311,7 @@ def identify_vertices(m: MetricGraph, v1: int, v2: int) -> MetricGraph:
             raise InvalidInputError(f"no vertex {v} in a graph with {m.graph.vertex_count} vertices")
     if v1 == v2:
         return m
-    a1 = condition_alpha(m.conditions[v1])
-    a2 = condition_alpha(m.conditions[v2])
+    a1, a2 = m.alpha[[v1, v2]].tolist()
     if math.isinf(a1) or math.isinf(a2):
         merged = DIRICHLET
     else:
@@ -329,7 +320,7 @@ def identify_vertices(m: MetricGraph, v1: int, v2: int) -> MetricGraph:
     return _merged(m.graph.edges, m.lengths, m.conditions, v1, v2, merged)
 
 
-def _merged(edges, lengths, conditions, v1: int, v2: int, joint: Condition) -> MetricGraph:
+def _merged(edges, lengths, conditions, v1: int, v2: int, joint: DeltaTheta) -> MetricGraph:
     """The metric graph on these edges with vertex v2 merged into v1, which
     takes the condition joint; the other vertices keep theirs."""
     vertex_map = [w - (w > v2) for w in range(len(conditions))]

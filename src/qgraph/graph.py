@@ -50,27 +50,11 @@ SIMPLEX_RENORM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class Neumann:
-    """Continuity plus vanishing sum of outgoing derivatives."""
-
-    def __repr__(self) -> str:
-        return "Neumann()"
-
-
-@dataclass(frozen=True)
-class Dirichlet:
-    """The function vanishes at the vertex."""
-
-    def __repr__(self) -> str:
-        return "Dirichlet()"
-
-
-@dataclass(frozen=True)
 class DeltaTheta:
     """Continuity plus cos(theta/2) * sum of derivatives = sin(theta/2) * value.
 
-    theta = 0 is Neumann, theta = pi is Dirichlet; the coupling strength is
-    alpha = tan(theta/2).
+    The one vertex condition type: theta = 0 is Neumann (Kirchhoff),
+    theta = pi is Dirichlet.
     """
 
     theta: float
@@ -81,33 +65,24 @@ class DeltaTheta:
         if not (-math.pi < self.theta <= math.pi):
             raise InvalidInputError(f"delta parameter theta={self.theta} outside (-pi, pi]")
 
-
-Condition = Neumann | Dirichlet | DeltaTheta
-
-NEUMANN = Neumann()
-DIRICHLET = Dirichlet()
-
-
-def is_neumann(cond: Condition) -> bool:
-    """Neumann, including the equivalent DeltaTheta(0)."""
-    return isinstance(cond, Neumann) or (isinstance(cond, DeltaTheta) and cond.theta == 0.0)
+    @property
+    def alpha(self) -> float:
+        """The coupling strength tan(theta/2); infinite at theta = pi (Dirichlet)."""
+        if self.theta == math.pi:
+            return math.inf
+        return math.tan(self.theta / 2.0) + 0.0   # + 0.0: theta = -0.0 gives alpha = 0.0
 
 
-def is_dirichlet(cond: Condition) -> bool:
-    """Dirichlet, including the equivalent DeltaTheta(pi)."""
-    return isinstance(cond, Dirichlet) or (
-        isinstance(cond, DeltaTheta) and cond.theta == math.pi
-    )
+NEUMANN = DeltaTheta(0.0)
+DIRICHLET = DeltaTheta(math.pi)
 
 
-def condition_alpha(cond: Condition) -> float:
-    """Delta coupling strength alpha = tan(theta/2); infinite for Dirichlet."""
-    if is_neumann(cond):
-        return 0.0
-    if is_dirichlet(cond):
-        return math.inf
-    assert isinstance(cond, DeltaTheta)
-    return math.tan(cond.theta / 2.0)
+def _alphas(conditions) -> np.ndarray:
+    """The coupling of every vertex condition; each must be a DeltaTheta."""
+    for cond in conditions:
+        if not isinstance(cond, DeltaTheta):
+            raise InvalidInputError(f"vertex condition {cond!r} is not a DeltaTheta")
+    return np.array([cond.alpha for cond in conditions], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +318,12 @@ class MetricGraph:
     """Discrete graph with strictly positive edge lengths and vertex conditions.
 
     Lengths need not sum to one here; normalized graphs come from
-    `contract_zero_edges` / `metric`.  Instances are immutable values.
+    `contract_zero_edges` / `metric`.  `alpha` is the read-only coupling
+    of every vertex, infinite at Dirichlet vertices.  Instances are
+    immutable values.
     """
 
-    __slots__ = ("graph", "lengths", "conditions")
+    __slots__ = ("graph", "lengths", "conditions", "alpha")
 
     def __init__(self, graph: DiscreteGraph, lengths, conditions=None) -> None:
         arr = np.asarray(lengths, dtype=float).copy()
@@ -359,15 +336,19 @@ class MetricGraph:
         if np.any(arr <= 0):
             raise InvalidInputError("metric graph lengths must be strictly positive")
         if conditions is None:
-            conds = tuple(NEUMANN for _ in range(graph.vertex_count))
+            conds = (NEUMANN,) * graph.vertex_count
+            alpha = np.zeros(graph.vertex_count)
         else:
             conds = tuple(conditions)
             if len(conds) != graph.vertex_count:
                 raise InvalidInputError("need one condition per vertex")
+            alpha = _alphas(conds)
         arr.flags.writeable = False
+        alpha.flags.writeable = False
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "lengths", arr)
         object.__setattr__(self, "conditions", conds)
+        object.__setattr__(self, "alpha", alpha)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("MetricGraph is immutable")
@@ -377,9 +358,9 @@ class MetricGraph:
         return float(self.lengths.sum())
 
     def is_neumann_graph(self) -> bool:
-        return all(is_neumann(c) for c in self.conditions)
+        return not np.count_nonzero(self.alpha)
 
-    def with_condition(self, v: int, cond: Condition) -> "MetricGraph":
+    def with_condition(self, v: int, cond: DeltaTheta) -> "MetricGraph":
         if not 0 <= v < self.graph.vertex_count:
             raise InvalidInputError(f"no vertex {v} in a graph with {self.graph.vertex_count} vertices")
         conds = list(self.conditions)
@@ -401,9 +382,7 @@ def metric(g: DiscreteGraph, lengths=None, conditions=None) -> MetricGraph:
     if isinstance(lengths, LengthVector):
         if lengths.is_interior():
             return MetricGraph(g, lengths.values, conditions)
-        if conditions is not None and (
-            len(conditions) != g.vertex_count or not all(is_neumann(c) for c in conditions)
-        ):
+        if conditions is not None and (len(conditions) != g.vertex_count or _alphas(conditions).any()):
             raise InvalidInputError("cannot carry vertex conditions through contraction")
         return contract_zero_edges(g, lengths)
     return MetricGraph(g, lengths, conditions)
@@ -411,14 +390,11 @@ def metric(g: DiscreteGraph, lengths=None, conditions=None) -> MetricGraph:
 
 def contract_zero_edges(g: DiscreteGraph, l: LengthVector) -> MetricGraph:
     """Identify endpoints of zero-length edges; zero loops vanish entirely."""
-    mg, _, _ = contract_with_maps(g, l)
-    return mg
+    return contract_with_maps(g, l)[0]
 
 
-def contract_with_maps(
-    g: DiscreteGraph, l
-) -> tuple[MetricGraph, np.ndarray, list[int | None]]:
-    """Contraction plus the vertex map and per-original-edge new index (None if gone)."""
+def contract_with_maps(g: DiscreteGraph, l) -> tuple[MetricGraph, list[int | None]]:
+    """Contraction plus every original edge's new index (None if gone)."""
     if not isinstance(l, LengthVector):
         arr = np.asarray(l, dtype=float)
         if arr.size and np.all(arr == 0.0):
@@ -427,8 +403,6 @@ def contract_with_maps(
     if l.size != g.edge_count:
         raise InvalidInputError("length vector does not match edge count")
     values = l.values
-    if np.all(values == 0.0):
-        raise DegenerateGraphError("all edge lengths are zero")
 
     parent = list(range(g.vertex_count))
 
@@ -450,7 +424,7 @@ def contract_with_maps(
     vertex_map = np.array([labels.setdefault(find(v), len(labels)) for v in range(g.vertex_count)])
     kept = values != 0.0
     new_graph, edge_map = _quotient(g.edges, vertex_map, kept)
-    return MetricGraph(new_graph, values[kept]), vertex_map, edge_map
+    return MetricGraph(new_graph, values[kept]), edge_map
 
 
 def _quotient(edges, vertex_map, keep) -> tuple[DiscreteGraph, list[int | None]]:
@@ -512,13 +486,8 @@ def tree_diameter(m: MetricGraph) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _condition_to_json(cond: Condition):
-    if isinstance(cond, Neumann):
-        return "neumann"
-    if isinstance(cond, Dirichlet):
-        return "dirichlet"
-    assert isinstance(cond, DeltaTheta)
-    return {"delta_theta": cond.theta}
+def _condition_to_json(cond: DeltaTheta):
+    return "dirichlet" if cond == DIRICHLET else {"delta_theta": cond.theta}
 
 
 def _json_number(value, what: str) -> float:
@@ -528,7 +497,7 @@ def _json_number(value, what: str) -> float:
     return float(value)
 
 
-def _condition_from_json(value) -> Condition:
+def _condition_from_json(value) -> DeltaTheta:
     if value == "neumann":
         return NEUMANN
     if value == "dirichlet":
@@ -543,16 +512,13 @@ def graph_to_dict(g: DiscreteGraph, lengths: LengthVector | None = None, conditi
     if lengths is not None:
         doc["lengths"] = [float(x) for x in lengths.values]
     if conditions is not None:
-        nontrivial = {
-            str(v): _condition_to_json(c)
-            for v, c in enumerate(conditions)
-            if not isinstance(c, Neumann)
+        doc["conditions"] = {
+            str(v): _condition_to_json(c) for v, c in enumerate(conditions) if c != NEUMANN
         }
-        doc["conditions"] = nontrivial
     return doc
 
 
-def graph_from_dict(doc: dict) -> tuple[DiscreteGraph, LengthVector, tuple[Condition, ...]]:
+def graph_from_dict(doc: dict) -> tuple[DiscreteGraph, LengthVector, tuple[DeltaTheta, ...]]:
     """The graph, lengths and conditions of a JSON graph document.
 
     Vertex ids and the vertex count must be integers, lengths and delta
@@ -601,7 +567,7 @@ def save_graph(path, g: DiscreteGraph, lengths: LengthVector | None = None, cond
         fh.write("\n")
 
 
-def load_graph(path) -> tuple[DiscreteGraph, LengthVector, tuple[Condition, ...]]:
+def load_graph(path) -> tuple[DiscreteGraph, LengthVector, tuple[DeltaTheta, ...]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

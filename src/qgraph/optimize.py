@@ -39,7 +39,9 @@ from .graph import (
     DiscreteGraph,
     LengthVector,
     MetricGraph,
+    _integer,
     contract_with_maps,
+    contract_zero_edges,
     find_bridges,
 )
 from . import families
@@ -228,6 +230,11 @@ class MaximizeOptions:
     seeds: int = 10
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("seeds", "seed"):
+            if _integer(getattr(self, name), name, InvalidInputError) < 0:
+                raise InvalidInputError(f"{name} must be nonnegative, not {getattr(self, name)}")
+
 
 def _project_simplex_lb(y: np.ndarray, l_min: float) -> np.ndarray:
     """Euclidean projection onto { x >= l_min, sum x = 1 }."""
@@ -274,7 +281,7 @@ def _settle(state: _AscentState, drop=()) -> _AscentState:
     g, lv, orig_map = state.graph, state.lengths.copy(), state.orig_map
     if drop:
         lv[list(drop)] = 0.0
-        mg, _, edge_map = contract_with_maps(g, LengthVector(lv / lv.sum()))
+        mg, edge_map = contract_with_maps(g, LengthVector(lv / lv.sum()))
         g, lv = mg.graph, mg.lengths.copy()
         orig_map = [None if cur is None else edge_map[cur] for cur in orig_map]
     if g.edge_count >= 3:
@@ -514,7 +521,7 @@ def infimize_gap(g: DiscreteGraph) -> OptimizationResult:
         expected = 2 * math.pi
 
     lengths = LengthVector(values)
-    mg, _, _ = contract_with_maps(g, lengths)
+    mg = contract_zero_edges(g, lengths)
     gap, _ = spectral_gap(mg)
     if abs(gap - expected) > 1e-8:
         raise InvalidInputError(
@@ -554,7 +561,7 @@ def brute_force_gap(g: DiscreteGraph, resolution: int, mode: str = "max") -> Opt
     sign = 1.0 if mode == "max" else -1.0
     for comp in _compositions(resolution, E):
         lengths = LengthVector(np.array(comp, dtype=float) / resolution)
-        mg, _, _ = contract_with_maps(g, lengths)
+        mg = contract_zero_edges(g, lengths)
         # a max winner reaches best + 1e-12, a min winner does not reach
         # best - 1e-12; two counts rule out every other point
         if best_gap is not None and gap_reaches(mg, best_gap + sign * 1e-12) != (mode == "max"):

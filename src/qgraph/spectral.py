@@ -85,11 +85,7 @@ from .errors import (
     NoEigenspaceError,
     ResourceBudgetError,
 )
-from .graph import (
-    MetricGraph,
-    condition_alpha,
-    is_dirichlet,
-)
+from .graph import MetricGraph
 
 _POLE_WINDOW = 1e-11   # the count is never taken this close (in k l_e / pi) to a pole
 _MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a multiplicity,
@@ -126,9 +122,7 @@ class BondScattering:
         self.same_origin = g.ends[:, None] == g.ends[None, :]
         # (degree, alpha) per vertex; a Python int degree keeps 2 / (d + i alpha / k)
         # in Python's complex division, which rounds differently from numpy's
-        self.vertex_terms = [
-            (d, condition_alpha(c)) for d, c in zip(g.degrees().tolist(), m.conditions)
-        ]
+        self.vertex_terms = list(zip(g.degrees().tolist(), m.alpha.tolist()))
 
     def sigma(self, k: float) -> np.ndarray:
         """w_v on every pair of bonds leaving the same vertex v, minus I; real
@@ -206,10 +200,10 @@ class _Count:
         self.neumann = m.is_neumann_graph()
         if self.neumann:
             self.coupling = g.incidence
-            self.alpha = np.zeros(g.vertex_count)
+            self.alpha = m.alpha
         else:
-            keep = [v for v, c in enumerate(m.conditions) if not is_dirichlet(c)]
-            alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
+            keep = np.isfinite(m.alpha)
+            alpha = m.alpha[keep]
             s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
             self.coupling = g.incidence[keep] * s[:, None]
             self.alpha = alpha * s * s
@@ -689,8 +683,8 @@ def _vertex_system(m: MetricGraph, k: float) -> np.ndarray:
     slope[end, edge], slope[end, E + edge] = -out * sin, out * cos
     first = np.unique(g.ends, return_index=True)[1]
     system = value - value[first[g.ends]]
-    dirichlet = np.array([is_dirichlet(cond) for cond in m.conditions])
-    alpha_k = np.array([0.0 if d else condition_alpha(c) / k for d, c in zip(dirichlet, m.conditions)])
+    dirichlet = np.isinf(m.alpha)
+    alpha_k = np.where(dirichlet, 0.0, m.alpha) / k
     at = (g.ends == np.arange(g.vertex_count)[:, None]).astype(float)
     kirchhoff = (at @ slope - alpha_k[:, None] * value[first]) / np.maximum(1.0, np.abs(alpha_k))[:, None]
     system[first] = np.where(dirichlet[:, None], value[first], kirchhoff)
@@ -738,8 +732,8 @@ def vertex_condition_residual(m: MetricGraph, f: EdgeTrig) -> float:
     g = m.graph
     value, slope = f.at_ends(m.lengths)
     low, high = g.end_range(value)
-    dirichlet = np.array([is_dirichlet(cond) for cond in m.conditions])
-    alpha = np.array([0.0 if d else condition_alpha(c) for d, c in zip(dirichlet, m.conditions)])
+    dirichlet = np.isinf(m.alpha)
+    alpha = np.where(dirichlet, 0.0, m.alpha)
     first = np.unique(g.ends, return_index=True)[1]
     flux = np.bincount(g.ends, weights=slope, minlength=g.vertex_count) - alpha * value[first]
     free = np.maximum(high - low, np.abs(flux) / max(1.0, abs(f.k)))
@@ -839,7 +833,7 @@ def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
     The levels are those of the hyperbolic count between kappa = 1e-9 and
     a kappa where the hyperbolic vertex matrix is positive definite.
     """
-    if all(condition_alpha(c) >= 0 for c in m.conditions if not is_dirichlet(c)):
+    if (m.alpha >= 0).all():
         return []
     count = _HyperbolicCount(m)
     kappa_hi = 1.0

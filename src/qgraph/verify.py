@@ -15,7 +15,7 @@ import numpy as np
 
 from . import families
 from .dispersion import glue, interlacing_margin, levels_thetas
-from .errors import MultiplicityError, NotApplicableError
+from .errors import InvalidInputError, MultiplicityError, NotApplicableError
 from .graph import LengthVector, metric, tree_diameter
 from .optimize import (
     MaximizeOptions,
@@ -553,7 +553,7 @@ SUITES: dict[str, list[str]] = {
 
 def run_criterion(name: str, seed: int = 0) -> CriterionResult:
     if name not in CRITERIA:
-        raise KeyError(f"unknown criterion {name}")
+        raise InvalidInputError(f"unknown criterion {name}")
     description, fn = CRITERIA[name]
     start = time.perf_counter()
     check = fn(seed)
@@ -569,5 +569,5 @@ def run_suite(suite: str = "all", seed: int = 0) -> list[CriterionResult]:
     elif suite in CRITERIA:
         names = [suite]
     else:
-        raise KeyError(f"unknown suite {suite}; choose from {sorted(SUITES)} or a criterion id")
+        raise InvalidInputError(f"unknown suite {suite}; choose from {sorted(SUITES)} or a criterion id")
     return [run_criterion(name, seed=seed) for name in names]

@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qgraph
 from qgraph import LengthVector, save_graph, verify
 from qgraph.cli import main
 from qgraph.families import flower, loop, mandarin, necklace, random_lengths, star, stower
@@ -15,11 +18,17 @@ from qgraph.families import flower, loop, mandarin, necklace, random_lengths, st
 PI = math.pi
 
 
+# the child process imports the qgraph this one imported
+SRC = str(Path(qgraph.__file__).resolve().parents[1])
+
+
 def run_cli(args):
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "qgraph.cli", *args],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -234,6 +243,8 @@ BAD_INPUT = {
     "fractional-vertex-id": ('{"vertices": 2, "edges": [[0, 1.9], [0, 1]]}', "spectrum", "--kmax", "5"),
     "fractional-vertex-count": ('{"vertices": 2.5, "edges": [[0, 1]]}', "spectrum", "--kmax", "5"),
     "bool-vertex-id": ('{"vertices": 2, "edges": [[true, 0]]}', "spectrum", "--kmax", "5"),
+    "optimize-negative-seed": ('{"vertices": 2, "edges": [[0, 1]]}', "optimize", "--seed", "-1"),
+    "eigenfunction-negative-grid": ('{"vertices": 2, "edges": [[0, 1]]}', "eigenfunction", "--grid", "-1"),
 }
 
 
@@ -249,6 +260,15 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("qgraph: InvalidInputError: ") and err.count("\n") == 1
+
+
+def test_verify_unknown_suite_exits_2_with_one_line():
+    # exit code 1 is a failed verification; an unknown suite is bad input
+    code, out, err = run_cli(["verify", "--suite", "nope"])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("qgraph: InvalidInputError: unknown suite nope") and err.count("\n") == 1
 
 
 # stdout of `qgraph sgp`, byte for byte: floats are printed exactly, so any

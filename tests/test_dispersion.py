@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qgraph import (
+    NEUMANN,
     DeltaTheta,
     InvalidInputError,
     all_levels,
@@ -233,7 +234,7 @@ def test_gluing_interlacing_opposite_deltas():
         2, DeltaTheta(2 * math.atan(-alpha))
     )
     merged = identify_vertices(split, 0, 2)
-    assert merged.conditions[0].__class__.__name__ == "Neumann"
+    assert merged.conditions[0] == NEUMANN
     a = np.array(all_levels(split, 9 * PI, n_max=6))
     b = np.array(all_levels(merged, 9 * PI, n_max=6))
     n = min(a.size, b.size)

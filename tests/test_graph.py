@@ -131,6 +131,29 @@ def test_non_finite_input_rejected(bad):
         DeltaTheta(bad)
 
 
+def test_conditions_must_be_delta_theta():
+    # a condition of another type used to build, and failed only later in
+    # the solver with an AssertionError (an AttributeError under python -O)
+    g, lv = star(3)
+    with pytest.raises(InvalidInputError):
+        MetricGraph(g, lv.values, ["x", NEUMANN, NEUMANN, NEUMANN])
+    with pytest.raises(InvalidInputError):
+        metric(g, lv).with_condition(0, "dirichlet")
+
+
+def test_neumann_and_dirichlet_are_delta_theta_zero_and_pi():
+    assert NEUMANN == DeltaTheta(0.0) and DIRICHLET == DeltaTheta(math.pi)
+    assert (NEUMANN.alpha, DeltaTheta(-0.0).alpha, DIRICHLET.alpha) == (0.0, 0.0, math.inf)
+    assert math.copysign(1.0, DeltaTheta(-0.0).alpha) == 1.0
+    assert DeltaTheta(1.0).alpha == math.tan(0.5)
+    g, lv = star(3)
+    m = MetricGraph(g, lv.values, [DIRICHLET, DeltaTheta(1.0), NEUMANN, DeltaTheta(0.0)])
+    assert m.alpha.tolist() == [math.inf, math.tan(0.5), 0.0, 0.0]
+    assert not m.alpha.flags.writeable and not metric(g, lv).alpha.flags.writeable
+    assert metric(g, lv).is_neumann_graph() and not m.is_neumann_graph()
+    assert m.with_condition(0, NEUMANN).with_condition(1, DeltaTheta(0.0)).is_neumann_graph()
+
+
 # ---------------------------------------------------------------------------
 # betti
 # ---------------------------------------------------------------------------

@@ -6,10 +6,10 @@ import math
 import pytest
 
 from qgraph import (
+    DIRICHLET,
+    NEUMANN,
     DeltaTheta,
-    Dirichlet,
     InvalidInputError,
-    Neumann,
     graph_from_dict,
     graph_to_dict,
     load_graph,
@@ -20,7 +20,7 @@ from qgraph.families import star, stower
 
 def test_round_trip_identity(tmp_path):
     g, lv = stower(2, 1)
-    conditions = [DeltaTheta(1.25)] + [Neumann()] * (g.vertex_count - 1)
+    conditions = [DeltaTheta(1.25)] + [NEUMANN] * (g.vertex_count - 1)
     path = tmp_path / "g.json"
     save_graph(path, g, lv, conditions)
     g2, lv2, conds2 = load_graph(path)
@@ -35,7 +35,7 @@ def test_round_trip_identity(tmp_path):
 def test_field_names_fixed(tmp_path):
     g, lv = star(3)
     path = tmp_path / "g.json"
-    save_graph(path, g, lv, [Dirichlet()] + [Neumann()] * 3)
+    save_graph(path, g, lv, [DIRICHLET] + [NEUMANN] * 3)
     doc = json.loads(path.read_text())
     assert set(doc) == {"vertices", "edges", "lengths", "conditions"}
     assert doc["vertices"] == 4
@@ -49,7 +49,7 @@ def test_lengths_default_equilateral():
     g2, lv, conds = graph_from_dict(doc)
     assert g2 == g
     assert lv.values.tolist() == [0.25] * 4
-    assert all(isinstance(c, Neumann) for c in conds)
+    assert all(c == NEUMANN for c in conds)
 
 
 def test_delta_theta_condition_parses():

@@ -117,6 +117,13 @@ def test_symmetrize_rejects_inner_edges():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("options", [{"seed": -1}, {"seeds": -1}, {"seed": 1.5}, {"seed": True}])
+def test_maximize_options_need_nonnegative_integers(options):
+    # a negative seed used to reach numpy's default_rng and fail there
+    with pytest.raises(InvalidInputError):
+        MaximizeOptions(**options)
+
+
 def test_maximize_star_topology_reaches_equilateral():
     g, _ = star(4)
     rng = np.random.default_rng(1)
@@ -157,7 +164,7 @@ def test_maximize_result_gap_matches_recomputation():
     res = maximize_gap(g, random_lengths(rng, 3), MaximizeOptions(seeds=2, seed=5))
     from qgraph.graph import contract_with_maps
 
-    mg, _, _ = contract_with_maps(g, res.lengths)
+    mg, _ = contract_with_maps(g, res.lengths)
     k1, _ = spectral_gap(mg)
     assert k1 == pytest.approx(res.gap, abs=1e-8)
 

@@ -29,7 +29,7 @@ from qgraph import (
     secular_value,
     spectral_gap,
 )
-from qgraph.graph import NEUMANN, DiscreteGraph, MetricGraph, condition_alpha
+from qgraph.graph import NEUMANN, DiscreteGraph, MetricGraph
 from qgraph.families import (
     flower,
     interval,
@@ -179,7 +179,7 @@ def test_bond_scattering_blocks_follow_the_vertex_formulas():
             expected = np.zeros(sigma.shape, dtype=complex)
             for v, cond in enumerate(m.conditions):
                 bonds = _bonds_at(m, v)
-                alpha, d = condition_alpha(cond), len(bonds)
+                alpha, d = cond.alpha, len(bonds)
                 w = 0.0 if math.isinf(alpha) else 2.0 / (d + 1j * alpha / k)
                 expected[np.ix_(bonds, bonds)] = w - np.eye(d)
             assert np.allclose(sigma, expected, rtol=0.0, atol=1e-15), (m, k)
@@ -188,13 +188,13 @@ def test_bond_scattering_blocks_follow_the_vertex_formulas():
 def test_count_coupling_is_the_scaled_incidence():
     for m in _incidence_graphs(60):
         E = m.graph.edge_count
-        keep = [v for v, cond in enumerate(m.conditions) if not math.isinf(condition_alpha(cond))]
+        keep = [v for v, cond in enumerate(m.conditions) if not math.isinf(cond.alpha)]
         P, Q = np.zeros((len(keep), E)), np.zeros((len(keep), E))
         for i, v in enumerate(keep):
             for e, (a, b) in enumerate(m.graph.edges):
                 P[i, e] = (a == v) + (b == v)   # a loop at v gives 2
                 Q[i, e] = (a == v) - (b == v)   # and 0
-        alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
+        alpha = np.array([m.conditions[v].alpha for v in keep])
         s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
         count = _TrigCount(m)
         assert np.array_equal(count.coupling, np.hstack([P, Q]) * s[:, None]), m
@@ -207,8 +207,8 @@ def test_neumann_count_uses_the_graph_incidence_as_it_is():
     for graph in _incidence_graphs(60):
         for cond in (NEUMANN, DeltaTheta(0.0)):
             m = MetricGraph(graph.graph, graph.lengths, [cond] * graph.graph.vertex_count)
-            keep = [v for v, c in enumerate(m.conditions) if not math.isinf(condition_alpha(c))]
-            alpha = np.array([condition_alpha(m.conditions[v]) for v in keep])
+            keep = [v for v, c in enumerate(m.conditions) if not math.isinf(c.alpha)]
+            alpha = np.array([m.conditions[v].alpha for v in keep])
             s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
             coupling = m.graph.incidence[keep] * s[:, None]
             count = _TrigCount(m)
@@ -503,7 +503,7 @@ def _loop_residual(m: MetricGraph, f: EdgeTrig) -> float:
         if m.conditions[v] == DIRICHLET:
             worst = max(worst, max(map(abs, values)))
             continue
-        flux = abs(sum(derivs) - condition_alpha(m.conditions[v]) * values[0]) / max(1.0, abs(f.k))
+        flux = abs(sum(derivs) - m.conditions[v].alpha * values[0]) / max(1.0, abs(f.k))
         worst = max(worst, max(values) - min(values), flux)
     return worst
 
