@@ -15,17 +15,21 @@ x_hat = l_e - x.
 Every incidence comes from one array, `DiscreteGraph.ends`, of length 2E:
 ends[e] is the start of edge e and ends[E + e] its end, which is also the
 origin of bond e and of its reversal E + e.  Degrees, the incident ends
-of a vertex, the adjacency, the eigenfunctions' vertex-condition system
-and the bond-scattering matrix are read from it, and contraction and
-vertex identification (`_quotient`) rename its entries.  The graph also
-builds from it, once, the V x 2E incidence [P | Q] that both eigenvalue
-counts couple through: P unsigned, Q signed (start +1, end -1), so a
-loop has P = 2 and Q = 0.
+of a vertex, the eigenfunctions' vertex-condition system and the
+bond-scattering matrix are read from it, and contraction and vertex
+identification (`_quotient`) rename its entries.  The graph also builds
+from it, once, the V x 2E incidence [P | Q] that both eigenvalue counts
+couple through: P unsigned, Q signed (start +1, end -1), so a loop has
+P = 2 and Q = 0.
+
+Connectivity has two primitives: `_spanning_tree`, a breadth-first search
+over `adjacency()` (read from `edges`) in edge-id order, for connectedness,
+bridges, the infimizer's cycle edge and tree distances; and `_components`,
+a union-find, for contraction and nodal domains.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 import numbers
@@ -123,7 +127,7 @@ class DiscreteGraph:
         object.__setattr__(self, "ends", ends)
         # a connected graph has at least V - 1 edges; checked first, so a
         # huge vertex count is refused before anything of size V is built
-        if vertex_count > len(edge_list) + 1 or not self._connected():
+        if vertex_count > len(edge_list) + 1 or len(_spanning_tree(self)[0]) < vertex_count:
             raise GraphStructureError("graph is not connected")
         E = len(edge_list)
         at = (np.arange(self.vertex_count)[:, None] == ends).astype(float)
@@ -134,18 +138,6 @@ class DiscreteGraph:
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("DiscreteGraph is immutable")
-
-    def _connected(self) -> bool:
-        adj = self.adjacency()
-        seen = [False] * self.vertex_count
-        stack = [0]
-        seen[0] = True
-        while stack:
-            for x, _ in adj[stack.pop()]:
-                if not seen[x]:
-                    seen[x] = True
-                    stack.append(x)
-        return all(seen)
 
     def adjacency(self) -> list[list[tuple[int, int]]]:
         """(neighbour, edge id) pairs at each vertex in edge-id order; loops are left out."""
@@ -214,47 +206,64 @@ def betti(g: DiscreteGraph) -> int:
     return g.edge_count - g.vertex_count + 1
 
 
+def _spanning_tree(g: DiscreteGraph, source: int = 0) -> tuple[list[int], list[int]]:
+    """Breadth-first spanning tree from source, neighbours in edge-id order:
+    the vertices in visit order and the edge that reached each vertex (-1
+    at the source and at any vertex not reached)."""
+    adj = g.adjacency()
+    via = [-1] * g.vertex_count
+    order = [source]
+    for v in order:   # order grows while it is read: a FIFO queue
+        for w, e in adj[v]:
+            if w != source and via[w] == -1:
+                via[w] = e
+                order.append(w)
+    return order, via
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Root of x in a union-find forest, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _components(n: int, pairs) -> list[int]:
+    """Union-find over nodes 0..n-1 joined by pairs: each node's label is
+    the least node of its component."""
+    parent = list(range(n))
+    for a, b in pairs:
+        ra, rb = _find(parent, a), _find(parent, b)
+        parent[max(ra, rb)] = min(ra, rb)
+    return [_find(parent, x) for x in range(n)]
+
+
 def find_bridges(g: DiscreteGraph) -> set[int]:
     """Edges whose removal disconnects the graph.
 
-    Lowlink DFS over the multigraph; parallel edges are distinguished by
-    edge id, so only a genuinely single connection counts as a bridge.
-    Loops are never bridges.
+    A spanning-tree edge is a bridge unless the tree path of a non-tree
+    edge runs through it; loops and parallel edges never are.  Each path
+    is walked up from its ends, deeper end first; `up` sends a vertex
+    whose tree edge is covered on to its parent, so no edge is walked twice.
     """
-    order = [-1] * g.vertex_count
-    low = [-1] * g.vertex_count
-    bridges: set[int] = set()
-    adj = g.adjacency()
-    counter = 0
-    # iterative DFS: (vertex, incoming edge id, iterator index)
-    stack: list[list[int]] = []
-
-    def push(v: int, via: int) -> None:
-        nonlocal counter
-        order[v] = low[v] = counter
-        counter += 1
-        stack.append([v, via, 0])
-
-    push(0, -1)
-    while stack:
-        v, via, idx = stack[-1]
-        if idx < len(adj[v]):
-            stack[-1][2] += 1
-            w, e = adj[v][idx]
-            if e == via:
-                continue
-            if order[w] == -1:
-                push(w, e)
-            else:
-                low[v] = min(low[v], order[w])
-        else:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-                if low[v] > order[parent]:
-                    bridges.add(via)
-    return bridges
+    order, via = _spanning_tree(g)
+    parent = list(range(g.vertex_count))
+    depth = [0] * g.vertex_count
+    for w in order[1:]:
+        u, v = g.edges[via[w]]
+        parent[w] = u + v - w
+        depth[w] = depth[parent[w]] + 1
+    up = list(range(g.vertex_count))
+    for e in set(range(g.edge_count)).difference(via):
+        u, v = g.edges[e]
+        a, b = _find(up, u), _find(up, v)
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            up[a] = parent[a]
+            a = _find(up, a)
+    return {via[w] for w in order[1:] if up[w] == w}
 
 
 # ---------------------------------------------------------------------------
@@ -404,24 +413,11 @@ def contract_with_maps(g: DiscreteGraph, l) -> tuple[MetricGraph, list[int | Non
         raise InvalidInputError("length vector does not match edge count")
     values = l.values
 
-    parent = list(range(g.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e, (u, v) in enumerate(g.edges):
-        if values[e] == 0.0:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-
     # a class is named by its least vertex, so numbering the classes in order
     # of first appearance numbers them in the order of their least vertices
     labels: dict[int, int] = {}
-    vertex_map = np.array([labels.setdefault(find(v), len(labels)) for v in range(g.vertex_count)])
+    classes = _components(g.vertex_count, (uv for uv, x in zip(g.edges, values) if x == 0.0))
+    vertex_map = np.array([labels.setdefault(c, len(labels)) for c in classes])
     kept = values != 0.0
     new_graph, edge_map = _quotient(g.edges, vertex_map, kept)
     return MetricGraph(new_graph, values[kept]), edge_map
@@ -444,25 +440,6 @@ def _quotient(edges, vertex_map, keep) -> tuple[DiscreteGraph, list[int | None]]
 # ---------------------------------------------------------------------------
 
 
-def vertex_distances(m: MetricGraph, source: int) -> np.ndarray:
-    """Dijkstra distances from a vertex along the metric graph."""
-    g = m.graph
-    adj = g.adjacency()
-    dist = np.full(g.vertex_count, np.inf)
-    dist[source] = 0.0
-    queue = [(0.0, source)]
-    while queue:
-        d, v = heapq.heappop(queue)
-        if d > dist[v]:
-            continue
-        for w, e in adj[v]:
-            nd = d + float(m.lengths[e])
-            if nd < dist[w]:
-                dist[w] = nd
-                heapq.heappush(queue, (nd, w))
-    return dist
-
-
 def tree_diameter(m: MetricGraph) -> float:
     """Largest distance between two points of a metric tree.
 
@@ -476,7 +453,13 @@ def tree_diameter(m: MetricGraph) -> float:
         raise UnsupportedTopologyError("tree diameter needs at least two leaves")
     best = 0.0
     for v in leaves:
-        dist = vertex_distances(m, v)
+        # on a tree the breadth-first tree is the tree itself: each vertex
+        # lies one edge beyond the vertex that reached it
+        order, via = _spanning_tree(m.graph, v)
+        dist = np.zeros(m.graph.vertex_count)
+        for w in order[1:]:
+            a, b = m.graph.edges[via[w]]
+            dist[w] = dist[a + b - w] + float(m.lengths[via[w]])
         best = max(best, float(dist[leaves].max()))
     return best
 
@@ -508,10 +491,17 @@ def _condition_from_json(value) -> DeltaTheta:
 
 
 def graph_to_dict(g: DiscreteGraph, lengths: LengthVector | None = None, conditions=None) -> dict:
+    """The JSON graph document of g; InvalidInputError unless the lengths
+    are one per edge and the conditions one DeltaTheta per vertex."""
     doc: dict = {"vertices": g.vertex_count, "edges": [[u, v] for u, v in g.edges]}
     if lengths is not None:
+        if lengths.size != g.edge_count:
+            raise InvalidInputError("lengths do not match edge count")
         doc["lengths"] = [float(x) for x in lengths.values]
     if conditions is not None:
+        conditions = tuple(conditions)
+        if len(_alphas(conditions)) != g.vertex_count:
+            raise InvalidInputError("need one condition per vertex")
         doc["conditions"] = {
             str(v): _condition_to_json(c) for v, c in enumerate(conditions) if c != NEUMANN
         }
@@ -562,9 +552,10 @@ def graph_from_dict(doc: dict) -> tuple[DiscreteGraph, LengthVector, tuple[Delta
 
 
 def save_graph(path, g: DiscreteGraph, lengths: LengthVector | None = None, conditions=None) -> None:
+    # the document is built before the file is opened, so bad input leaves it as it was
+    text = json.dumps(graph_to_dict(g, lengths, conditions), indent=2) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(graph_to_dict(g, lengths, conditions), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_graph(path) -> tuple[DiscreteGraph, LengthVector, tuple[DeltaTheta, ...]]:

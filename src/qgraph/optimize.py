@@ -40,6 +40,7 @@ from .graph import (
     LengthVector,
     MetricGraph,
     _integer,
+    _spanning_tree,
     contract_with_maps,
     contract_zero_edges,
     find_bridges,
@@ -495,8 +496,9 @@ def infimize_gap(g: DiscreteGraph) -> OptimizationResult:
     """Realize the infimal gap: unit interval (pi) on a bridge, else a circle (2 pi).
 
     With a bridge, all length goes onto the lowest-indexed bridge and both
-    sides contract to its endpoints.  Bridgeless graphs contract a
-    spanning set: one non-tree edge keeps length one and closes into a
+    sides contract to its endpoints.  A bridgeless graph contracts every
+    other edge, and the lowest-indexed edge off its breadth-first
+    spanning tree (`_spanning_tree`) keeps length one and closes into a
     single cycle, the shortest symmetric necklace.
     """
     bridges = find_bridges(g)
@@ -505,19 +507,8 @@ def infimize_gap(g: DiscreteGraph) -> OptimizationResult:
         values[min(bridges)] = 1.0
         expected = math.pi
     else:
-        # spanning tree via BFS over lowest edge ids
-        adj = g.adjacency()
-        in_tree = [False] * g.edge_count
-        seen = [False] * g.vertex_count
-        seen[0] = True
-        frontier = [0]
-        while frontier:
-            for w, e in adj[frontier.pop(0)]:
-                if not seen[w]:
-                    seen[w] = in_tree[e] = True
-                    frontier.append(w)
-        non_tree = [e for e in range(g.edge_count) if not in_tree[e]]
-        values[non_tree[0]] = 1.0
+        non_tree = set(range(g.edge_count)).difference(_spanning_tree(g)[1])
+        values[min(non_tree)] = 1.0
         expected = 2 * math.pi
 
     lengths = LengthVector(values)

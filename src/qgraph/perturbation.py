@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, MultiplicityError, PreconditionError
-from .graph import MetricGraph
+from .graph import MetricGraph, _components
 from .spectral import EdgeTrig, spectral_gap, eigenfunction
 
 ZERO_SCALE = 1e-8       # |f| below this * max|f| counts as a zero
@@ -154,39 +154,22 @@ def nodal_count(m: MetricGraph) -> int:
     _, f = gap_eigenpair(m)
     interior, zero_vertices = _zero_layout(m, f)
 
-    # split edges at zeros into signed pieces; pieces touching a non-zero
-    # vertex merge into that vertex's domain
-    parent: dict = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        parent.setdefault(x, x)
-        parent.setdefault(y, y)
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[rx] = ry
-
-    pieces = []
+    # split edges at zeros into signed pieces, numbered V, V + 1, ...; a
+    # piece touching a non-zero vertex merges into that vertex's domain
+    V = m.graph.vertex_count
+    pairs: list[tuple[int, int]] = []
+    n = V
     for e, (u, v) in enumerate(m.graph.edges):
-        length = float(m.lengths[e])
-        cuts = [0.0] + interior[e] + [length]
+        cuts = [0.0] + interior[e] + [float(m.lengths[e])]
         for i in range(len(cuts) - 1):
-            lo, hi = cuts[i], cuts[i + 1]
-            if hi - lo <= 2 * VERTEX_SNAP:
+            if cuts[i + 1] - cuts[i] <= 2 * VERTEX_SNAP:
                 continue
-            piece = ("piece", e, i)
-            parent.setdefault(piece, piece)
-            pieces.append(piece)
             if i == 0 and u not in zero_vertices:
-                union(piece, ("vertex", u))
+                pairs.append((n, u))
             if i == len(cuts) - 2 and v not in zero_vertices:
-                union(piece, ("vertex", v))
-    return len({find(p) for p in pieces})
+                pairs.append((n, v))
+            n += 1
+    return len(set(_components(n, pairs)[V:]))
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,22 @@ def test_bridges_stower_leafs_only():
     assert find_bridges(g) == set(_bridges_oracle(g)) == {1, 2}
 
 
+def _chorded_cycle(rng, n: int) -> DiscreteGraph:
+    """A cycle on n vertices with parallel and long chords, shuffled.
+
+    Half of them miss one cycle edge and so are a path, whose edges outside
+    every chord's span are bridges; the tree paths of long chords are long.
+    """
+    ring = [(i, (i + 1) % n) for i in range(n - int(rng.integers(0, 2)))]
+    chords = [ring[int(rng.integers(0, len(ring)))] for _ in range(int(rng.integers(0, 4)))]
+    for _ in range(int(rng.integers(0, 4))):
+        i = int(rng.integers(0, n))
+        chords.append((i, (i + int(rng.integers(n // 4, n // 2))) % n))
+    name = rng.permutation(n).tolist()
+    edges = ring + chords
+    return DiscreteGraph(n, [(name[edges[j][0]], name[edges[j][1]]) for j in rng.permutation(len(edges))])
+
+
 def test_bridges_random_vs_oracle():
     rng = np.random.default_rng(1)
     for _ in range(60):
@@ -222,6 +238,13 @@ def test_bridges_random_vs_oracle():
 
         g = random_connected_graph(rng, V, E)
         assert find_bridges(g) == _bridges_oracle(g)
+    with_bridges = 0
+    for _ in range(20):
+        g = _chorded_cycle(rng, int(rng.integers(30, 61)))
+        bridges = find_bridges(g)
+        assert bridges == _bridges_oracle(g)
+        with_bridges += bool(bridges)
+    assert 0 < with_bridges < 20
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,9 @@ from qgraph import (
     DIRICHLET,
     NEUMANN,
     DeltaTheta,
+    DiscreteGraph,
     InvalidInputError,
+    LengthVector,
     graph_from_dict,
     graph_to_dict,
     load_graph,
@@ -83,3 +85,18 @@ def test_length_count_mismatch_rejected():
 def test_non_finite_document_rejected(doc):
     with pytest.raises(InvalidInputError):
         graph_from_dict(doc)
+
+
+def test_bad_save_leaves_the_file_as_it_was(tmp_path):
+    # the document is checked and built before the file is opened
+    g = DiscreteGraph(2, [(0, 1)])
+    path = tmp_path / "keep.json"
+    save_graph(path, g)
+    before = path.read_text()
+    for bad in ({"conditions": ["x", "y"]}, {"conditions": [NEUMANN]},
+                {"lengths": LengthVector([0.5, 0.5])}):
+        with pytest.raises(InvalidInputError):
+            save_graph(path, g, **bad)
+    assert path.read_text() == before
+    with pytest.raises(InvalidInputError):
+        graph_to_dict(g, None, [])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qgraph import (
+    DiscreteGraph,
     InvalidGroupError,
     InvalidInputError,
     LengthVector,
@@ -251,6 +252,15 @@ def test_infimize_tree_gives_interval():
 def test_infimize_mandarin_gives_circle():
     res = infimize_gap(mandarin(4)[0])
     assert res.gap == pytest.approx(2 * PI, abs=1e-9)
+
+
+def test_infimize_bridgeless_puts_length_on_the_first_edge_off_the_bfs_tree():
+    # the breadth-first tree from vertex 0 takes edges 0, 3 and 4; a forest
+    # grown in edge-id order would leave edge 3 off it, not edge 1
+    res = infimize_gap(DiscreteGraph(4, [(0, 1), (2, 3), (1, 2), (0, 3), (0, 2)]))
+    assert res.lengths.values.tolist() == [0.0, 1.0, 0.0, 0.0, 0.0]
+    assert res.gap == pytest.approx(2 * PI, abs=1e-9)
+    assert infimize_gap(mandarin(4)[0]).lengths.values.tolist() == [0.0, 1.0, 0.0, 0.0]
 
 
 def test_infimize_bridged_dumbbell():

@@ -16,8 +16,11 @@ from qgraph import (
     path_decomposition,
     spectral_gap,
 )
+from qgraph import perturbation
+from qgraph.spectral import eigenfunction
 from qgraph.families import (
     interval,
+    loop,
     necklace,
     path_graph,
     random_connected_graph,
@@ -311,3 +314,25 @@ def test_random_simple_gaps_have_two_domains():
             continue
         assert n == 2
         counted += 1
+
+
+def _count_with(monkeypatch, m, k, f):
+    # nodal_count reads the eigenfunction from gap_eigenpair; hand it a higher one
+    monkeypatch.setattr(perturbation, "gap_eigenpair", lambda _m: (k, f))
+    return nodal_count(m)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_interval_higher_eigenfunctions_have_n_plus_one_domains(monkeypatch, n):
+    m = metric(*interval())
+    (f,) = eigenfunction(m, n * PI)
+    assert _count_with(monkeypatch, m, n * PI, f) == n + 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_loop_eigenfunctions_have_two_n_domains(monkeypatch, n):
+    m = metric(*loop())
+    basis = eigenfunction(m, 2 * PI * n)
+    assert len(basis) == 2
+    for f in basis:
+        assert _count_with(monkeypatch, m, 2 * PI * n, f) == 2 * n
