@@ -120,6 +120,8 @@ class DiscreteGraph:
             if not (0 <= u < vertex_count and 0 <= v < vertex_count):
                 raise GraphStructureError(f"edge ({u}, {v}) has a vertex outside 0..{vertex_count - 1}")
             edge_list.append((u, v))
+        if not edge_list:
+            raise GraphStructureError("graph needs at least one edge")
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(edge_list))
         ends = np.array([u for u, _ in edge_list] + [v for _, v in edge_list], dtype=int)
@@ -338,8 +340,6 @@ class MetricGraph:
         arr = np.asarray(lengths, dtype=float).copy()
         if arr.shape != (graph.edge_count,):
             raise InvalidInputError("need one length per edge")
-        if graph.edge_count == 0:
-            raise DegenerateGraphError("metric graph needs at least one edge")
         if not np.all(np.isfinite(arr)):
             raise InvalidInputError("metric graph lengths must be finite")
         if np.any(arr <= 0):

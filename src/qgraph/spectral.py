@@ -23,23 +23,45 @@ K keeps every entry analytic in k, so no pole cancels.  The first term
 jumps at the poles k l_e / pi in Z, and the count is never taken within
 _POLE_WINDOW of one.
 
+A count of _REDUCE_FROM rows or more eliminates one row of every edge
+first.  With s, c = sin, cos(k l_e / 2), the sin row of edge e has
+diagonal s c and coupling sqrt(k/2) s P_e, the cos row diagonal -s c and
+coupling sqrt(k/2) c Q_e, and the two rows do not touch.  Where
+|s| <= |c| the sin row goes, with pivot s c, and the vertex block gains
+-(k/2) tan(k l_e / 2) P_e P_e^T; otherwise the cos row goes, with pivot
+-s c, and the vertex block gains (k/2) cot(k l_e / 2) Q_e Q_e^T.  The
+choice is made at every k, so |tan| and |cot| never pass 1 and every
+entry of the reduced (V' + E)-square matrix stays bounded.  By
+Sylvester's law of inertia n_-(K) is the number of negative pivots plus
+n_- of the reduced matrix.  Below _REDUCE_FROM rows the elimination
+costs more than the eigvalsh it saves, and K is taken whole; the
+constant comes from a timing sweep of spectral_gap over flowers, stars
+and random graphs (CHANGES.md).
+
 One level finder serves every spectrum.  It bisects on N until a bracket
-holds levels and no pole, then runs regula falsi (Illinois) on the
-eigenvalue of K that crosses zero in it; a bracket that shrinks inside a
-pole window is reported as the pole itself.  The multiplicity of a level
-r is N(r + d) - N(r - d) with d = max(1e-10 r, 1e-9), with no threshold
-on any matrix; levels closer than d merge into one.  Negative
-eigenvalues lambda = -kappa^2 of attractive delta couplings go through
-the same finder with the hyperbolic vertex matrix, see `negative_spectrum`.
+holds levels and no pole, then runs regula falsi (Illinois) on the value
+of the count's spectrum (below) that crosses zero in it; a bracket that
+shrinks inside a pole window is reported as the pole itself.  The
+multiplicity of a level r is N(r + d) - N(r - d) with
+d = max(1e-10 r, 1e-9), with no threshold on any matrix; levels closer
+than d merge into one.  Negative eigenvalues lambda = -kappa^2 of
+attractive delta couplings go through the same finder with the
+hyperbolic vertex matrix, see `negative_spectrum`.
 
 The finder is a generator, `_level_search`: it yields each k whose count
-matrix it needs and is sent that matrix's eigenvalues.  Two drivers run
-it.  `_run` evaluates one matrix at a time and serves single spectra.
-`_run_lockstep` advances many searches of one graph that differ in their
-vertex conditions, as the rows of a delta sweep do; at each step it
-builds their matrices at once with `_TrigCount.matrices` and calls one
-stacked eigvalsh.  The stacked build forms every entry as `matrix` does,
-so each search sees the same values under either driver.
+it needs and is sent the count's spectrum there, V' + 2E ascending values
+with the inertia of K.  A whole K sends its eigenvalues.  A reduced
+count sends the reduced matrix's eigenvalues between -inf for each
+negative pivot and +inf for each positive one.  So the count, and the
+index n_- that regula falsi follows across a bracket, are those of K;
+where a bracket end's value is infinite the secant is nan and the finder
+bisects.  Two drivers run it.  `_run` evaluates one count at a time and
+serves single spectra.  `_run_lockstep` advances many searches of one
+graph that differ in their vertex conditions, as the rows of a delta
+sweep do; at each step it builds their matrices at once with
+`_TrigCount.spectra` and calls one stacked eigvalsh.  The stacked build
+forms every entry as the single one does (a single reduced count is the
+stack of one), so each search sees the same values under either driver.
 
 Eigenfunctions come from the vertex conditions on the edge ends
 (Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is
@@ -91,9 +113,10 @@ _POLE_WINDOW = 1e-11   # the count is never taken this close (in k l_e / pi) to 
 _MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a multiplicity,
 _MULT_FLOOR = 1e-9     # and its least absolute value, for levels near k = 0
 _MAX_LEVELS = 10_000   # most levels one search resolves
+_REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more eliminate one row per edge
 
-# a level search yields each k whose count matrix it needs and is sent that
-# matrix's eigenvalues, ascending; it returns its result
+# a level search yields each k whose count it needs and is sent the count's
+# spectrum there (`_Count.spectrum`); it returns its result
 _Search = Generator[float, np.ndarray, object]
 
 
@@ -181,7 +204,8 @@ class _Sample:
 
 
 class _Count:
-    """N(k) = poles(k) + offset + n_-(matrix(k)), nondecreasing in k.
+    """N(k) = poles(k) + offset + n_-(matrix(k)), nondecreasing in k, counted
+    from spectrum(k), which has the inertia of matrix(k).
 
     Both counts couple the non-Dirichlet vertices to the edges through the
     incidence C = diag(s) [P | Q] (module docstring) and the couplings
@@ -223,13 +247,17 @@ class _Count:
         """(pole, half-width of its window) when (a, b) holds one pole only."""
         return None
 
+    def spectrum(self, k: float) -> np.ndarray:
+        """Ascending values with the inertia of matrix(k); here its eigenvalues."""
+        return np.linalg.eigvalsh(self.matrix(k))
+
     def made(self, k: float, evals: np.ndarray) -> _Sample:
-        """The sample at k, from the eigenvalues of matrix(k)."""
+        """The sample at k, from spectrum(k)."""
         poles = self.poles(k)
         return _Sample(k, poles + self.offset + int(np.count_nonzero(evals < 0.0)), poles, evals)
 
     def sample(self, k: float) -> _Sample:
-        return self.made(k, np.linalg.eigvalsh(self.matrix(k)))
+        return self.made(k, self.spectrum(k))
 
     def off_pole(self, k: float, direction: float) -> float:
         """k itself, or the first point past its pole window in the given direction."""
@@ -242,7 +270,12 @@ class _Count:
 
 
 class _TrigCount(_Count):
-    """The count of the eigenvalues lambda < k^2, k > 0 (module docstring)."""
+    """The count of the eigenvalues lambda < k^2, k > 0 (module docstring).
+
+    `matrix` is the whole K.  Its spectrum is K's eigenvalues below
+    _REDUCE_FROM rows, and from there on the stand-in spectrum of the
+    reduced matrix (`spectra`).
+    """
 
     def __init__(self, m: MetricGraph) -> None:
         super().__init__(m)
@@ -278,6 +311,45 @@ class _TrigCount(_Count):
         K[:, nv:, :nv] = K[:, :nv, nv:].transpose(0, 2, 1)
         K.reshape(b, n * n)[:, :: n + 1] = np.concatenate([alpha, edge, -edge], axis=1)
         return K
+
+    def spectrum(self, k: float) -> np.ndarray:
+        if self.alpha.size + 2 * self.lengths.size < _REDUCE_FROM:
+            return super().spectrum(k)
+        return self.spectra(self.coupling[None], self.alpha[None], self.lengths, np.array([k]))[0]
+
+    @staticmethod
+    def spectra(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """counts[j].spectrum(ks[j]) for counts sharing their lengths, stacked;
+        coupling[j] and alpha[j] are those of counts[j].
+
+        Below _REDUCE_FROM rows they are the eigenvalues of `matrices`.  From
+        there on one row of every edge is eliminated (module docstring): the
+        sin row where |tan(k l_e / 2)| <= 1, the cos row otherwise.  The
+        reduced matrix's eigenvalues stand between -inf for each negative
+        pivot and +inf for each positive one.  A single count is the stack
+        of one, so the two agree bit for bit.
+        """
+        b, nv = alpha.shape
+        E = lengths.size
+        if nv + 2 * E < _REDUCE_FROM:
+            return np.linalg.eigvalsh(_TrigCount.matrices(coupling, alpha, lengths, ks))
+        half_k = 0.5 * ks
+        half = half_k[:, None] * lengths
+        s, c = np.sin(half), np.cos(half)
+        cut = np.abs(s) <= np.abs(c)   # the sin row goes; else the cos row
+        keep = np.where(cut, c, s)     # |keep| >= 1 / sqrt(2)
+        diag = np.where(cut, -s, s) * c   # of the kept row; the pivot of the row that goes is -diag
+        w = half_k[:, None] * diag / (keep * keep)   # -(k/2) tan, or (k/2) cot
+        # rows [P_e; Q_e] of the cut edges, [Q_e; P_e] of the others: the incidence that goes, that stays
+        CT = coupling.transpose(0, 2, 1).reshape(b, 2, E, nv)
+        gone_kept = np.where(cut[:, None, :, None], CT, CT[:, ::-1])
+        n = nv + E
+        R = np.zeros((b, n, n))   # eigvalsh reads the lower triangle; the upper right stays 0
+        R[:, :nv, :nv] = (gone_kept[:, 0].transpose(0, 2, 1) * w[:, None, :]) @ gone_kept[:, 0]
+        R[:, nv:, :nv] = (np.sqrt(half_k)[:, None] * keep)[:, :, None] * gone_kept[:, 1]
+        R.reshape(b, n * n)[:, :: n + 1] += np.concatenate([alpha, diag], axis=1)
+        stand_ins = np.where(diag > 0.0, -np.inf, np.inf)
+        return np.sort(np.concatenate([np.linalg.eigvalsh(R), stand_ins], axis=1), axis=1)
 
     def poles(self, k: float) -> int:
         return int(np.ceil(k * self.lengths / math.pi).sum())
@@ -329,11 +401,14 @@ def _split(count: _Count, a: float, b: float) -> tuple[float | None, float | Non
 def _illinois(lo: _Sample, hi: _Sample) -> _Search:
     """The lowest level of a pole-free bracket.
 
-    With i = n_-(matrix) at lo, the i-th eigenvalue is positive at lo,
-    negative at hi and changes sign exactly at the lowest level in between.
+    With i = n_- at lo, the i-th value of the count's spectrum is
+    nonnegative at lo, negative at hi and changes sign exactly at the
+    lowest level in between.  A reduced count's value may be infinite; the
+    secant is then nan, and the step bisects.  Python floats carry that
+    arithmetic, so it raises no numpy warning.
     """
     i = int(np.count_nonzero(lo.evals < 0.0))
-    a, fa, b, fb = lo.k, float(lo.evals[i]), hi.k, float(hi.evals[i])
+    a, fa, b, fb = float(lo.k), float(lo.evals[i]), float(hi.k), float(hi.evals[i])
     tol = 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
     side = 0
     while b - a > tol:
@@ -424,7 +499,7 @@ def _run(count: _Count, search: _Search):
     k = next(search)
     while True:
         try:
-            k = search.send(np.linalg.eigvalsh(count.matrix(k)))
+            k = search.send(count.spectrum(k))
         except StopIteration as stop:
             return stop.value
 
@@ -457,7 +532,7 @@ def _run_lockstep(jobs: list[tuple[_TrigCount, _Search]]) -> list:
             if not rows:
                 continue
             ks = np.array([pending[js[i]] for i in rows])
-            evals = np.linalg.eigvalsh(_TrigCount.matrices(coupling[rows], alpha[rows], lengths, ks))
+            evals = _TrigCount.spectra(coupling[rows], alpha[rows], lengths, ks)
             for i, ev in zip(rows, evals):
                 j = js[i]
                 try:

@@ -262,6 +262,18 @@ def test_bad_input_exits_2_with_one_line(case, tmp_path):
     assert err.startswith("qgraph: InvalidInputError: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["infimum"], ["spectrum"], ["optimize"], ["sgp", "--vertex", "0"]])
+def test_edgeless_graph_exits_2_with_one_line(command, tmp_path):
+    # an edgeless graph is refused where it is built, before any solver divides by E = 0
+    path = tmp_path / "edgeless.json"
+    path.write_text('{"vertices": 1, "edges": []}')
+    code, out, err = run_cli([command[0], "--graph", str(path), *command[1:]])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("qgraph: GraphStructureError: graph needs at least one edge") and err.count("\n") == 1
+
+
 def test_verify_unknown_suite_exits_2_with_one_line():
     # exit code 1 is a failed verification; an unknown suite is bad input
     code, out, err = run_cli(["verify", "--suite", "nope"])

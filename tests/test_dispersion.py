@@ -113,11 +113,13 @@ SWEEP = [-3.0, -PI / 2, -0.2, 0.0, 0.9, 2.5, PI]
 
 @pytest.mark.parametrize("family, v", [
     (star(3), 0), (star(3), 1), (flower(2), 0), (stower(2, 1), 1), (mandarin(3), 0),
-    (necklace(2), 0), (interval(), 0), (loop(), 0),
+    (necklace(2), 0), (interval(), 0), (loop(), 0), (flower(16), 0),
 ])
 def test_lockstep_rows_equal_single_rows(family, v):
     m = metric(*family)
-    k_max = 7 * PI
+    # flower(16) has 33 rows, so its counts are reduced; its petals are 1/16
+    # long, and its levels lie correspondingly higher
+    k_max = 7 * PI * max(1, m.graph.edge_count // 4)
     rows = levels_thetas(m, v, SWEEP, k_max, n_max=8)
     assert rows == [levels_theta(m, v, t, k_max, n_max=8) for t in SWEEP]
 

@@ -46,6 +46,13 @@ def test_disconnected_graph_rejected():
         DiscreteGraph(4, [(0, 1), (2, 3)])
 
 
+@pytest.mark.parametrize("vertex_count", [1, 2])
+def test_edgeless_graph_rejected(vertex_count):
+    # an edgeless graph has no metric graph: its equilateral lengths would divide by zero
+    with pytest.raises(GraphStructureError, match="graph needs at least one edge"):
+        DiscreteGraph(vertex_count, [])
+
+
 def test_bad_vertex_id_rejected():
     with pytest.raises(GraphStructureError):
         DiscreteGraph(2, [(0, 2)])

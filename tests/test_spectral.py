@@ -29,6 +29,7 @@ from qgraph import (
     secular_value,
     spectral_gap,
 )
+from qgraph import spectral
 from qgraph.graph import NEUMANN, DiscreteGraph, MetricGraph
 from qgraph.families import (
     flower,
@@ -42,6 +43,7 @@ from qgraph.families import (
     stower,
 )
 from qgraph.spectral import (
+    _REDUCE_FROM,
     EdgeTrig,
     _TrigCount,
     _gram,
@@ -295,6 +297,8 @@ def _stacked_graphs():
         g = random_connected_graph(rng, 3, 5)  # extra edges, loops among them
         m = metric(g, random_lengths(rng, 5, l_min=0.05))
         out.append((m.with_condition(2, DeltaTheta(float(rng.uniform(-3, 3)))), 0))
+    # 33 rows, 32 with the vertex Dirichlet: both groups take the reduced form
+    out.append((metric(*flower(16)), 0))
     return out
 
 
@@ -309,9 +313,91 @@ def test_stacked_count_matrices_equal_single_ones():
                 coupling = np.stack([count.coupling for count in group])
                 alpha = np.stack([count.alpha for count in group])
                 stack = _TrigCount.matrices(coupling, alpha, group[0].lengths, np.array(row_ks))
-                assert stack.shape[0] == len(group)
+                spectra = _TrigCount.spectra(coupling, alpha, group[0].lengths, np.array(row_ks))
+                assert stack.shape[0] == spectra.shape[0] == len(group)
                 for j, (count, k) in enumerate(zip(group, row_ks)):
                     assert np.array_equal(stack[j], count.matrix(k)), (m, v, j, k)
+                    assert np.array_equal(spectra[j], count.spectrum(k)), (m, v, j, k)
+
+
+def _full_count(count, k):
+    """N(k) from the full (V' + 2E)-square matrix K, the oracle of the reduced count."""
+    n_neg = int(np.count_nonzero(np.linalg.eigvalsh(count.matrix(k)) < 0.0))
+    return count.poles(k) + count.offset + n_neg
+
+
+def _reduced_corpus(rng, n_graphs, max_edges=30):
+    """Random graphs with 16..max_edges edges, so every count is reduced; every
+    second graph has delta and Dirichlet vertices."""
+    out = []
+    while len(out) < n_graphs:
+        E = int(rng.integers(16, max_edges + 1))
+        V = int(rng.integers(max(2, E // 4), E // 2 + 1))
+        m = metric(random_connected_graph(rng, V, E), random_lengths(rng, E))
+        if len(out) % 2:
+            for v in rng.choice(V, size=max(1, V // 3), replace=False):
+                cond = DIRICHLET if rng.random() < 0.3 else DeltaTheta(float(rng.uniform(-3.0, 3.0)))
+                m = m.with_condition(int(v), cond)
+        out.append(m)
+    return out
+
+
+def _count_probes(count, rng, n_random):
+    """Random k, and on every third edge probes at +-3e-10 and +-1e-6 relative of
+    its first two poles k l_e = pi n and at +-1e-12 relative of its first two
+    switch points |tan(k l_e / 2)| = 1, where the eliminated row changes."""
+    ks = list(rng.uniform(0.05, 60.0, n_random))
+    for l in count.lengths[::3]:
+        for n in (1, 2):
+            ks += [n * PI / l * (1.0 + d) for d in (3e-10, -3e-10, 1e-6, -1e-6)]
+            ks += [(n - 0.5) * PI / l * (1.0 + d) for d in (1e-12, -1e-12)]
+    return ks
+
+
+def reduced_count_mismatches(n_graphs, seed):
+    """(samples, the (graph, k) whose reduced and full counts differ) on a
+    seeded corpus.  For a larger corpus than the test's, run from the
+    repository root:
+    PYTHONPATH=src:tests python -c "import test_spectral as t; print(t.reduced_count_mismatches(240, 1616))"
+    """
+    rng = np.random.default_rng(seed)
+    samples, bad = 0, []
+    for m in _reduced_corpus(rng, n_graphs):
+        count = _TrigCount(m)
+        assert count.alpha.size + 2 * count.lengths.size >= _REDUCE_FROM
+        for k in _count_probes(count, rng, 40):
+            samples += 1
+            if count.sample(k).count != _full_count(count, k):
+                bad.append((m, k))
+    return samples, bad
+
+
+def test_reduced_count_equals_the_full_count():
+    samples, bad = reduced_count_mismatches(24, 1616)
+    assert samples >= 3000
+    assert bad == []
+
+
+def test_reduced_levels_equal_the_full_ones(monkeypatch):
+    rng = np.random.default_rng(1640)
+    graphs = [metric(*flower(16)), metric(*star(16)), metric(*mandarin(16))]
+    graphs += _reduced_corpus(rng, 20, max_edges=40)
+
+    def solved(reduce_from):
+        monkeypatch.setattr(spectral, "_REDUCE_FROM", reduce_from)
+        return [(spectral_gap(m), eigenvalues(m, 60.0).eigenpairs) for m in graphs]
+
+    full, reduced = solved(10**9), solved(0)
+    for m, (gap_f, spec_f), (gap_r, spec_r) in zip(graphs, full, reduced):
+        assert gap_r[1] == gap_f[1], m
+        assert gap_r[0] == pytest.approx(gap_f[0], rel=1e-12, abs=0.0), m
+        assert [p.multiplicity for p in spec_r] == [p.multiplicity for p in spec_f], m
+        assert [p.k for p in spec_r] == pytest.approx([p.k for p in spec_f], rel=1e-12, abs=0.0), m
+    # the closed forms: pi E with multiplicity E - 1, pi E / 2 with E - 1, pi E with E
+    for (k1, mult), (k_exact, mult_exact) in zip([r[0] for r in reduced[:3]],
+                                                 [(16 * PI, 15), (8 * PI, 15), (16 * PI, 16)]):
+        assert mult == mult_exact
+        assert k1 == pytest.approx(k_exact, abs=1e-10)
 
 
 @pytest.mark.parametrize("family", [star(4), mandarin(3), stower(2, 1)])
