@@ -1,10 +1,10 @@
 """Order-preserving map over optimizer restarts.
 
-It runs serially: the work is Python code around small numpy calls, and a
-thread pool measured slower on every workload.  It stays a function of its
-own because the benchmark's layer tracer (perfbench/layers.py) wraps it by
-name.  Theta grids no longer use it: their rows are searched in lockstep
-(`spectral._run_lockstep`).
+It runs serially.  `maximize_gap` calls it once, to create its ascents;
+the ascents then run in lockstep under `spectral._drive`, which does the
+work.  The function stays only because the benchmark's layer tracer
+(perfbench/layers.py) wraps it by name; it goes when the benchmark reads
+counters from inside the library instead.
 """
 
 from __future__ import annotations

@@ -380,6 +380,23 @@ class MetricGraph:
         return f"MetricGraph({self.graph!r}, {self.lengths.tolist()})"
 
 
+def _trusted_metric(graph: DiscreteGraph, lengths: np.ndarray) -> MetricGraph:
+    """MetricGraph(graph, lengths) with Neumann conditions, without the copy
+    and the checks: lengths must already be a float array of one finite,
+    positive length per edge, as the optimizer's projected candidates are.
+    The array itself becomes the graph's read-only lengths.
+    """
+    m = object.__new__(MetricGraph)
+    alpha = np.zeros(graph.vertex_count)
+    lengths.flags.writeable = False
+    alpha.flags.writeable = False
+    object.__setattr__(m, "graph", graph)
+    object.__setattr__(m, "lengths", lengths)
+    object.__setattr__(m, "conditions", (NEUMANN,) * graph.vertex_count)
+    object.__setattr__(m, "alpha", alpha)
+    return m
+
+
 def metric(g: DiscreteGraph, lengths=None, conditions=None) -> MetricGraph:
     """Metric graph on g; default lengths are equilateral, conditions Neumann.
 

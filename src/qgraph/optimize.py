@@ -19,6 +19,15 @@ Neumann, so the count at the search floor is known to be 1 and
 `gap_reaches` costs one count; each count couples through the incidence
 its graph built once.  A trial point within NO_MOVE_RTOL (relative) of
 the lengths it would replace is no move and ends the step search.
+
+The restarts run in lockstep.  An ascent is a generator that hands up
+the count requests of its level searches (`spectral._drive`), and
+`maximize_gap` drives all of them together: at each step the pending
+counts of one matrix shape cost one stacked eigvalsh.  Every ascent is
+sent the values it would get alone, so its result and trace do not
+depend on its company.  Eigenspaces are solved inside each ascent with
+the multiplicity its level search counted, and candidate metric graphs
+take the projected lengths as they are (`graph._trusted_metric`).
 """
 
 from __future__ import annotations
@@ -41,14 +50,19 @@ from .graph import (
     MetricGraph,
     _integer,
     _spanning_tree,
+    _trusted_metric,
     contract_with_maps,
     contract_zero_edges,
     find_bridges,
 )
 from . import families
 from .spectral import (
-    eigenfunction,
-    eigenvalues,
+    _Search,
+    _drive,
+    _eigenbasis,
+    _eigenvalue_search,
+    _gap_search,
+    _reaches,
     gap_reaches,
     spectral_gap,
 )
@@ -261,7 +275,7 @@ class _AscentState:
         self.pin_count = np.zeros(g.edge_count, dtype=int)
 
     def metric(self) -> MetricGraph:
-        return MetricGraph(self.graph, self.lengths)
+        return _trusted_metric(self.graph, self.lengths)
 
     def original_lengths(self, n_orig: int) -> LengthVector:
         out = np.zeros(n_orig)
@@ -294,33 +308,34 @@ def _settle(state: _AscentState, drop=()) -> _AscentState:
     return settled
 
 
-def _cluster_energies(m: MetricGraph, k1: float) -> np.ndarray:
+def _cluster_energies(m: MetricGraph, k1: float) -> _Search:
     """Edge energies averaged over the eigenspaces near the gap k1 of m.
 
     Near-degenerate gaps make single-branch gradients zigzag across the
     eigenvalue crossing; averaging the energies over every branch within
     a relative window of k1 gives a stable ascent direction (for a truly
-    multiple gap this is the basis-independent eigenspace trace).
+    multiple gap this is the basis-independent eigenspace trace).  Each
+    eigenspace takes the multiplicity the window's search counted.
     """
-    cluster = eigenvalues(m, k1 * (1.0 + CLUSTER_WINDOW), k1 - 1e-7).eigenpairs
+    cluster = (yield from _eigenvalue_search(m, k1 * (1.0 + CLUSTER_WINDOW), k1 - 1e-7)).eigenpairs
     total = np.zeros(m.graph.edge_count)
     dims = 0
     for p in cluster:
-        for f in eigenfunction(m, p.k):
+        for f in _eigenbasis(m, p.k, p.multiplicity):
             total += f.energies()
             dims += 1
     return total / dims
 
 
-def _gap_above(m: MetricGraph, floor: float) -> float | None:
+def _gap_above(m: MetricGraph, floor: float) -> _Search:
     """spectral_gap(m)[0] when it exceeds floor, else None.
 
     `gap_reaches` settles a candidate below floor with two counts; only one
     that reaches floor gets the full search, whose value is compared again.
     """
-    if not gap_reaches(m, floor):
+    if not (yield from _reaches(m, floor)):
         return None
-    gap = spectral_gap(m)[0]
+    gap = (yield from _gap_search(m))[0]
     return gap if gap > floor else None
 
 
@@ -330,8 +345,9 @@ def _no_move(cand: np.ndarray, lengths: np.ndarray, atol: float) -> bool:
     return bool((np.abs(cand - lengths) <= atol + NO_MOVE_RTOL * np.abs(lengths)).all())
 
 
-def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_AscentState, float]:
-    gap = spectral_gap(state.metric())[0]
+def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> _Search:
+    """One ascent from state, appending its moves to trace; returns (state, gap)."""
+    gap = (yield from _gap_search(state.metric()))[0]
     trace.append(TraceStep(gap, 0.0, "init"))
 
     for _ in range(MAX_ITERS):
@@ -343,7 +359,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
             for _v, _kind, group in symmetrizable_groups(state.graph)
         ):
             cand = _settle(state)
-            cand_gap = spectral_gap(cand.metric())[0]
+            cand_gap = (yield from _gap_search(cand.metric()))[0]
             if cand_gap >= gap - GAP_SLACK:
                 if cand_gap > gap + IMPROVE_TOL:
                     moved = True
@@ -353,7 +369,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
         # ascent step along the eigenspace-averaged energy gradient; gradient
         # moves must strictly improve (the slack is reserved for the provably
         # non-decreasing moves, otherwise slack-sized losses can accumulate)
-        energies = _cluster_energies(state.metric(), gap)
+        energies = yield from _cluster_energies(state.metric(), gap)
         direction = energies.mean() - energies
         norm = float(np.linalg.norm(direction))
         if norm > 1e-12 * energies.mean():
@@ -363,7 +379,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
                 cand = _project_simplex_lb(state.lengths + eta * direction, L_MIN)
                 if _no_move(cand, state.lengths, 1e-15):
                     break
-                cand_gap = _gap_above(MetricGraph(state.graph, cand), gap + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.graph, cand), gap + IMPROVE_TOL)
                 if cand_gap is not None:
                     accepted = (cand, cand_gap, eta)
                     break
@@ -374,7 +390,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
                 cand = _project_simplex_lb(state.lengths + eta2 * direction, L_MIN)
                 if _no_move(cand, accepted[0], 1e-15):
                     break
-                cand_gap = _gap_above(MetricGraph(state.graph, cand), accepted[1] + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.graph, cand), accepted[1] + IMPROVE_TOL)
                 if cand_gap is not None:
                     accepted = (cand, cand_gap, eta2)
                 else:
@@ -394,7 +410,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
             # topologies, where no dangling/loop symmetrization applies
             cand = np.full(state.graph.edge_count, 1.0 / state.graph.edge_count)
             if not _no_move(cand, state.lengths, 1e-14):
-                cand_gap = _gap_above(MetricGraph(state.graph, cand), gap + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.graph, cand), gap + IMPROVE_TOL)
                 if cand_gap is not None:
                     state.lengths, gap = cand, cand_gap
                     trace.append(TraceStep(gap, 0.0, "equalize"))
@@ -415,7 +431,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
                 if len(drop) >= state.graph.edge_count:
                     continue
                 cand_state = _settle(state, drop)
-                cand_gap = _gap_above(cand_state.metric(), gap + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(cand_state.metric(), gap + IMPROVE_TOL)
                 if cand_gap is not None and (best_probe is None or cand_gap > best_probe[1]):
                     best_probe = (cand_state, cand_gap)
             if best_probe is not None:
@@ -432,7 +448,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> tuple[_Ascent
         to_zero = [int(e) for e in np.nonzero(state.pin_count >= PIN_ITERS)[0]]
         if to_zero and len(to_zero) < state.graph.edge_count:
             cand_state = _settle(state, to_zero)
-            cand_gap = spectral_gap(cand_state.metric())[0]
+            cand_gap = (yield from _gap_search(cand_state.metric()))[0]
             if cand_gap >= gap - GAP_SLACK:
                 state, gap = cand_state, cand_gap
                 trace.append(TraceStep(gap, 0.0, "contract"))
@@ -471,13 +487,12 @@ def maximize_gap(
         lv = families.random_lengths(rng, g.edge_count, l_min=2 * L_MIN).values
         starts.append(_AscentState(g, lv, list(range(g.edge_count))))
 
-    def run(start: _AscentState) -> tuple[float, _AscentState, list[TraceStep]]:
-        trace: list[TraceStep] = []
-        state, gap = _single_ascent(start, trace)
-        return gap, state, trace
-
+    # the ascents run in lockstep: each step of the driver takes every
+    # ascent's pending count in one stacked eigvalsh per matrix shape
+    traces: list[list[TraceStep]] = [[] for _ in starts]
+    ascents = parallel_map(lambda j: _single_ascent(starts[j], traces[j]), range(len(starts)))
     best: tuple[float, _AscentState, list[TraceStep]] | None = None
-    for gap, state, trace in parallel_map(run, starts):
+    for (state, gap), trace in zip(_drive(ascents), traces):
         if best is None or gap > best[0] + 1e-12:
             best = (gap, state, trace)
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidInputError, MultiplicityError, PreconditionError
 from .graph import MetricGraph, _components
-from .spectral import EdgeTrig, spectral_gap, eigenfunction
+from .spectral import EdgeTrig, _eigenbasis, spectral_gap
 
 ZERO_SCALE = 1e-8       # |f| below this * max|f| counts as a zero
 VERTEX_SNAP = 1e-8      # zeros this close to an endpoint belong to the vertex
@@ -35,11 +35,14 @@ DERIV_MATCH = 1e-6      # pairing tolerance for f' at a vertex, relative to sqrt
 
 
 def gap_eigenpair(m: MetricGraph) -> tuple[float, EdgeTrig]:
-    """Spectral gap and its unit-norm eigenfunction; gap must be simple."""
+    """Spectral gap and its unit-norm eigenfunction; gap must be simple.
+
+    The eigenspace takes the multiplicity the gap search counted.
+    """
     k1, mult = spectral_gap(m)
     if mult != 1:
         raise MultiplicityError(f"spectral gap k1 = {k1:.9f} has multiplicity {mult}")
-    return k1, eigenfunction(m, k1)[0]
+    return k1, _eigenbasis(m, k1, 1)[0]
 
 
 def edge_energies(m: MetricGraph) -> np.ndarray:

@@ -48,20 +48,24 @@ than d merge into one.  Negative eigenvalues lambda = -kappa^2 of
 attractive delta couplings go through the same finder with the
 hyperbolic vertex matrix, see `negative_spectrum`.
 
-The finder is a generator, `_level_search`: it yields each k whose count
-it needs and is sent the count's spectrum there, V' + 2E ascending values
-with the inertia of K.  A whole K sends its eigenvalues.  A reduced
-count sends the reduced matrix's eigenvalues between -inf for each
-negative pivot and +inf for each positive one.  So the count, and the
-index n_- that regula falsi follows across a bracket, are those of K;
-where a bracket end's value is infinite the secant is nan and the finder
-bisects.  Two drivers run it.  `_run` evaluates one count at a time and
-serves single spectra.  `_run_lockstep` advances many searches of one
-graph that differ in their vertex conditions, as the rows of a delta
-sweep do; at each step it builds their matrices at once with
-`_TrigCount.spectra` and calls one stacked eigvalsh.  The stacked build
+The finder is a generator, `_level_search`: it yields a request, the
+count and a k where it needs that count, and is sent the count's spectrum
+there, V' + 2E ascending values with the inertia of K.  A whole K sends
+its eigenvalues.  A reduced count sends the reduced matrix's eigenvalues
+between -inf for each negative pivot and +inf for each positive one.  So
+the count, and the index n_- that regula falsi follows across a bracket,
+are those of K; where a bracket end's value is infinite the secant is nan
+and the finder bisects.  Every search built on it (`_gap_search`,
+`_reaches`, `_eigenvalue_search`, `_around`) is a generator of the same
+kind, and one driver, `_drive`, runs any number of them together.  At
+each step it groups the pending requests by matrix shape (V', E); a group
+of several costs one stacked build with `_TrigCount.spectra` and one
+stacked eigvalsh, and a lone request takes `spectrum`.  The stacked build
 forms every entry as the single one does (a single reduced count is the
-stack of one), so each search sees the same values under either driver.
+stack of one), so each search is sent the same values alone or in
+company.  The public functions drive one search each; the rows of a delta
+sweep (`eigenvalues_lockstep`) and the restarts of the optimizer drive
+theirs together.
 
 Eigenfunctions come from the vertex conditions on the edge ends
 (Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is
@@ -115,9 +119,9 @@ _MULT_FLOOR = 1e-9     # and its least absolute value, for levels near k = 0
 _MAX_LEVELS = 10_000   # most levels one search resolves
 _REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more eliminate one row per edge
 
-# a level search yields each k whose count it needs and is sent the count's
-# spectrum there (`_Count.spectrum`); it returns its result
-_Search = Generator[float, np.ndarray, object]
+# a level search yields a request, a count and a k where it needs that count,
+# and is sent the count's spectrum there (`_Count.spectrum`); it returns its result
+_Search = Generator[tuple["_Count", float], np.ndarray, object]
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +221,7 @@ class _Count:
     """
 
     offset = 0
+    shape = None   # `_drive` stacks the requests of counts of one shape; None: each alone
 
     def __init__(self, m: MetricGraph) -> None:
         g = m.graph
@@ -280,6 +285,7 @@ class _TrigCount(_Count):
     def __init__(self, m: MetricGraph) -> None:
         super().__init__(m)
         self.offset = -2 * self.lengths.size
+        self.shape = (self.alpha.size, self.lengths.size)
 
     def matrix(self, k: float) -> np.ndarray:
         nv = self.alpha.size
@@ -295,14 +301,15 @@ class _TrigCount(_Count):
 
     @staticmethod
     def matrices(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """counts[j].matrix(ks[j]) for counts sharing their lengths, stacked;
-        coupling[j] and alpha[j] are those of counts[j].
+        """counts[j].matrix(ks[j]) for counts of one shape, stacked; coupling[j],
+        alpha[j] and lengths[j] are those of counts[j], and lengths may be one
+        row that every count shares.
 
         Every entry is formed by the same operations, in the same order, as
         in `matrix`, so the two agree bit for bit.
         """
         b, nv = alpha.shape
-        n = nv + 2 * lengths.size
+        n = nv + 2 * lengths.shape[-1]
         half = (0.5 * ks)[:, None] * lengths
         trig = np.concatenate([np.sin(half), np.cos(half)], axis=1)
         edge = 0.5 * np.sin(2.0 * half)
@@ -319,8 +326,8 @@ class _TrigCount(_Count):
 
     @staticmethod
     def spectra(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """counts[j].spectrum(ks[j]) for counts sharing their lengths, stacked;
-        coupling[j] and alpha[j] are those of counts[j].
+        """counts[j].spectrum(ks[j]) for counts of one shape, stacked; the
+        arguments are those of `matrices`.
 
         Below _REDUCE_FROM rows they are the eigenvalues of `matrices`.  From
         there on one row of every edge is eliminated (module docstring): the
@@ -330,7 +337,7 @@ class _TrigCount(_Count):
         of one, so the two agree bit for bit.
         """
         b, nv = alpha.shape
-        E = lengths.size
+        E = lengths.shape[-1]
         if nv + 2 * E < _REDUCE_FROM:
             return np.linalg.eigvalsh(_TrigCount.matrices(coupling, alpha, lengths, ks))
         half_k = 0.5 * ks
@@ -398,7 +405,7 @@ def _split(count: _Count, a: float, b: float) -> tuple[float | None, float | Non
     return None, pole
 
 
-def _illinois(lo: _Sample, hi: _Sample) -> _Search:
+def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
     """The lowest level of a pole-free bracket.
 
     With i = n_- at lo, the i-th value of the count's spectrum is
@@ -415,7 +422,7 @@ def _illinois(lo: _Sample, hi: _Sample) -> _Search:
         c = (a * fb - b * fa) / (fb - fa)
         if not a < c < b:
             c = 0.5 * (a + b)
-        fc = float((yield c)[i])
+        fc = float((yield count, c)[i])
         if fc > 0.0:
             a, fa = c, fc
             if side == 1:
@@ -440,13 +447,13 @@ def _lowest_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample]) 
         mid, pole = _split(count, lo.k, hi.k)
         if pole is not None:
             return pole
-        s = count.made(mid, (yield mid))
+        s = count.made(mid, (yield count, mid))
         seen.append(s)
         if s.count > lo.count:
             hi = s
         else:
             lo = s
-    return (yield from _illinois(lo, hi))
+    return (yield from _illinois(count, lo, hi))
 
 
 def _merge_width(r: float) -> float:
@@ -462,18 +469,18 @@ def _around(count: _Count, r: float, lo: _Sample | None = None) -> _Search:
     """
     width = _merge_width(r)
     below_k = count.off_pole(r - width, -1.0)
-    below = lo if lo is not None and below_k <= lo.k else count.made(below_k, (yield below_k))
+    below = lo if lo is not None and below_k <= lo.k else count.made(below_k, (yield count, below_k))
     above_k = count.off_pole(r + width, 1.0)
-    return below, count.made(above_k, (yield above_k))
+    return below, count.made(above_k, (yield count, above_k))
 
 
 def _level_search(count: _Count, k_lo: float, k_hi: float, first_only: bool = False) -> _Search:
     """Levels in (k_lo, k_hi] with their multiplicities, ascending."""
     lo_k = count.off_pole(k_lo, -1.0)
-    lo = count.made(lo_k, (yield lo_k))
+    lo = count.made(lo_k, (yield count, lo_k))
     # a level sitting on k_hi belongs to the range
     hi_k = count.off_pole(k_hi + _merge_width(k_hi), 1.0)
-    hi = count.made(hi_k, (yield hi_k))
+    hi = count.made(hi_k, (yield count, hi_k))
     if hi.count - lo.count > _MAX_LEVELS:
         raise ResourceBudgetError(
             f"{hi.count - lo.count} eigenvalues in ({k_lo}, {k_hi}], more than {_MAX_LEVELS}"
@@ -494,52 +501,49 @@ def _level_search(count: _Count, k_lo: float, k_hi: float, first_only: bool = Fa
     return out
 
 
-def _run(count: _Count, search: _Search):
-    """The result of a search, evaluating its count matrices one at a time."""
-    k = next(search)
-    while True:
-        try:
-            k = search.send(count.spectrum(k))
-        except StopIteration as stop:
-            return stop.value
+def _drive(searches: list[_Search]) -> list:
+    """The results of searches advanced together, in their order.
 
-
-def _run_lockstep(jobs: list[tuple[_TrigCount, _Search]]) -> list:
-    """The results of many searches on one graph, advanced in lockstep.
-
-    The searches may differ in their vertex conditions only.  At each step
-    the points they wait for are grouped by matrix size (a Dirichlet vertex
-    drops its row), and each group costs one stacked build and one stacked
-    eigvalsh.  Every search is sent the eigenvalues `_run` would send it.
+    At each step the pending requests are grouped by matrix shape (V', E);
+    a group of several trig counts costs one stacked build and one stacked
+    eigvalsh, and any other request takes its count's `spectrum`.  Either
+    way a search is sent the values it would be sent alone.  A group of the
+    same counts as the last one of its shape reuses their stacked
+    couplings, alphas and lengths; searches take several steps per count.
     """
-    if not jobs:
-        return []
-    counts = [count for count, _ in jobs]
-    lengths, graph = counts[0].lengths, counts[0].graph
-    assert all(c.graph == graph and np.array_equal(c.lengths, lengths) for c in counts)
-    by_size: dict[int, list[int]] = {}
-    for j, c in enumerate(counts):
-        by_size.setdefault(c.alpha.size, []).append(j)
-    groups = [
-        (js, np.stack([counts[j].coupling for j in js]), np.stack([counts[j].alpha for j in js]))
-        for js in by_size.values()
-    ]
-    pending = {j: next(search) for j, (_, search) in enumerate(jobs)}
-    results: list = [None] * len(jobs)
+    results: list = [None] * len(searches)
+    pending: dict[int, tuple[_Count, float]] = {}
+    stacked: dict[tuple[int, int], tuple] = {}   # shape -> (counts, coupling, alpha, lengths)
+
+    def send(j: int, value) -> None:
+        try:
+            pending[j] = searches[j].send(value)
+        except StopIteration as stop:
+            results[j] = stop.value
+            pending.pop(j, None)
+
+    for j in range(len(searches)):
+        send(j, None)
     while pending:
-        for js, coupling, alpha in groups:
-            rows = [i for i, j in enumerate(js) if j in pending]
-            if not rows:
+        groups: dict[object, list[int]] = {}
+        for j, (count, _) in pending.items():
+            groups.setdefault(-1 - j if count.shape is None else count.shape, []).append(j)
+        for shape, js in groups.items():
+            if len(js) == 1:
+                count, k = pending[js[0]]
+                send(js[0], count.spectrum(k))
                 continue
-            ks = np.array([pending[js[i]] for i in rows])
-            evals = _TrigCount.spectra(coupling[rows], alpha[rows], lengths, ks)
-            for i, ev in zip(rows, evals):
-                j = js[i]
-                try:
-                    pending[j] = jobs[j][1].send(ev)
-                except StopIteration as stop:
-                    results[j] = stop.value
-                    del pending[j]
+            counts = [pending[j][0] for j in js]
+            if shape not in stacked or stacked[shape][0] != counts:
+                stacked[shape] = (
+                    counts,
+                    np.array([c.coupling for c in counts]),
+                    np.array([c.alpha for c in counts]),
+                    np.array([c.lengths for c in counts]),
+                )
+            values = _TrigCount.spectra(*stacked[shape][1:], np.array([pending[j][1] for j in js]))
+            for j, v in zip(js, values):
+                send(j, v)
     return results
 
 
@@ -577,14 +581,11 @@ def _k_floor(m: MetricGraph) -> float:
     return 1e-6 * math.pi / (16.0 * m.total_length * m.graph.edge_count)
 
 
-def _positive_search(m: MetricGraph, k_max: float, k_min: float) -> tuple[_TrigCount, _Search]:
+def _eigenvalue_search(m: MetricGraph, k_max: float, k_min: float) -> _Search:
+    """`eigenvalues` as a search."""
     _require_k("k_max", k_max)
     _require_k("k_min", k_min, zero_ok=True)
-    count = _TrigCount(m)
-    return count, _level_search(count, max(k_min, _k_floor(m)), k_max)
-
-
-def _spectrum(m: MetricGraph, levels: list[tuple[float, int]], k_min: float) -> Spectrum:
+    levels = yield from _level_search(_TrigCount(m), max(k_min, _k_floor(m)), k_max)
     pairs = [Eigenpair(k, mult) for k, mult in levels]
     if m.is_neumann_graph() and k_min == 0.0:
         pairs.insert(0, Eigenpair(0.0, 1))
@@ -593,25 +594,19 @@ def _spectrum(m: MetricGraph, levels: list[tuple[float, int]], k_min: float) -> 
 
 def eigenvalues(m: MetricGraph, k_max: float, k_min: float = 0.0) -> Spectrum:
     """All eigenvalues in (k_min, k_max], prepending k = 0 for Neumann graphs."""
-    return _spectrum(m, _run(*_positive_search(m, k_max, k_min)), k_min)
+    return _drive([_eigenvalue_search(m, k_max, k_min)])[0]
 
 
 def eigenvalues_lockstep(ms: list[MetricGraph], k_max: float) -> list[Spectrum]:
-    """eigenvalues(m, k_max) for every m, searched in lockstep.
-
-    The graphs share their edges and lengths and differ in vertex
-    conditions only, as the rows of a delta sweep do.
-    """
-    levels = _run_lockstep([_positive_search(m, k_max, 0.0) for m in ms])
-    return [_spectrum(m, lv, 0.0) for m, lv in zip(ms, levels)]
+    """eigenvalues(m, k_max) for every m, searched in lockstep."""
+    return _drive([_eigenvalue_search(m, k_max, 0.0) for m in ms])
 
 
 def multiplicity_at(m: MetricGraph, k: float) -> int:
     """The number of eigenvalues at k > 0, counted as N(k + d) - N(k - d) with
     d the merge width; zero when k is not an eigenvalue."""
     _require_k("k", k)
-    count = _TrigCount(m)
-    below, above = _run(count, _around(count, k))
+    below, above = _drive([_around(_TrigCount(m), k)])[0]
     return above.count - below.count
 
 
@@ -620,14 +615,18 @@ def gap_upper_bound(m: MetricGraph) -> float:
     return math.pi * (m.graph.edge_count + 2) / m.total_length
 
 
-def spectral_gap(m: MetricGraph) -> tuple[float, int]:
-    """Smallest positive eigenvalue and its multiplicity, searched below the
-    universal gap bound."""
-    count = _TrigCount(m)
-    levels = _run(count, _level_search(count, _k_floor(m), gap_upper_bound(m), first_only=True))
+def _gap_search(m: MetricGraph) -> _Search:
+    """`spectral_gap` as a search."""
+    levels = yield from _level_search(_TrigCount(m), _k_floor(m), gap_upper_bound(m), first_only=True)
     if not levels:
         raise NoEigenspaceError("no eigenvalue found below the universal bound")
     return levels[0]
+
+
+def spectral_gap(m: MetricGraph) -> tuple[float, int]:
+    """Smallest positive eigenvalue and its multiplicity, searched below the
+    universal gap bound."""
+    return _drive([_gap_search(m)])[0]
 
 
 def _floor_count(m: MetricGraph, count: _TrigCount) -> int:
@@ -642,6 +641,16 @@ def _floor_count(m: MetricGraph, count: _TrigCount) -> int:
     return count.sample(count.off_pole(_k_floor(m), -1.0)).count
 
 
+def _reaches(m: MetricGraph, k: float) -> _Search:
+    """`gap_reaches` as a search: it requests N(k), and `_floor_count` takes
+    N(k_floor) itself where it is not known."""
+    _require_k("k", k)
+    count = _TrigCount(m)
+    below_k = count.off_pole(k, -1.0)
+    below = count.made(below_k, (yield count, below_k))
+    return below.count <= _floor_count(m, count)
+
+
 def gap_reaches(m: MetricGraph, k: float) -> bool:
     """spectral_gap(m)[0] >= k, decided by at most two counts.
 
@@ -652,10 +661,7 @@ def gap_reaches(m: MetricGraph, k: float) -> bool:
     still takes its own floor sample: the eigenvalues of that count
     matrix seed its first regula falsi bracket.
     """
-    _require_k("k", k)
-    count = _TrigCount(m)
-    below = count.sample(count.off_pole(k, -1.0))
-    return below.count <= _floor_count(m, count)
+    return _drive([_reaches(m, k)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -778,9 +784,7 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
     """Orthonormal real basis of the eigenspace at k.
 
     The dimension is the counted multiplicity at k; raises
-    NoEigenspaceError when the count finds no eigenvalue there.  The
-    basis is spanned by the last right singular vectors of `_vertex_system`,
-    orthonormalized in L^2 through their Gram matrix.
+    NoEigenspaceError when the count finds no eigenvalue there.
     """
     E = m.graph.edge_count
     if abs(k) <= 1e-12:
@@ -790,6 +794,14 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
     mult = multiplicity_at(m, k)
     if mult <= 0:
         raise NoEigenspaceError(f"k = {k} is not an eigenvalue")
+    return _eigenbasis(m, k, mult)
+
+
+def _eigenbasis(m: MetricGraph, k: float, mult: int) -> list[EdgeTrig]:
+    """The eigenspace at a level k > 0 whose multiplicity mult has been
+    counted: the last mult right singular vectors of `_vertex_system`,
+    orthonormalized in L^2 through their Gram matrix."""
+    E = m.graph.edge_count
     null = np.linalg.svd(_vertex_system(m, k))[2][-mult:]
     evals, evecs = np.linalg.eigh(_gram(k, null[:, :E], null[:, E:], m.lengths))
     basis = (evecs / np.sqrt(evals)).T @ null
@@ -916,5 +928,5 @@ def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
         if count.sample(kappa_hi).count == count.alpha.size:
             break
         kappa_hi *= 2.0
-    levels = _run(count, _level_search(count, 1e-9, kappa_hi))
+    levels = _drive([_level_search(count, 1e-9, kappa_hi)])[0]
     return [Eigenpair(-kappa, mult) for kappa, mult in reversed(levels)]

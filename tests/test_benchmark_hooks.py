@@ -12,10 +12,13 @@ import numpy as np
 from layers import Tracer
 tracer = Tracer()
 tracer.install()
-from qgraph import MaximizeOptions, maximize_gap
+from qgraph import MaximizeOptions, maximize_gap, metric, spectral_gap
 from qgraph.families import random_lengths, star, stower
 g, lengths = star(3)
 maximize_gap(g, lengths, MaximizeOptions(seeds=1))
+# maximize_gap drives its searches itself and never calls spectral_gap,
+# so the wrapper is proven found by a direct call
+spectral_gap(metric(g, lengths))
 calls = tracer.totals.calls
 print(calls["optimize.maximize"], calls["parallel.map"], calls["spectral.gap"] > 0)
 # this ascent contracts edges, so graph.contract_with_maps must be wrapped

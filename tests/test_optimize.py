@@ -1,5 +1,6 @@
 """Catalog, symmetrization, gap maximization/infimization, brute force, bounds."""
 
+import json
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from qgraph import (
     symmetrize,
     upper_bound,
 )
-from qgraph import optimize
+from qgraph import optimize, spectral
 from qgraph.optimize import MaximizeOptions
 from qgraph.families import (
     caterpillar,
@@ -186,7 +187,7 @@ def test_count_decisions_equal_the_full_gap_comparison(monkeypatch):
     decisions = []
 
     def checked(m, floor):
-        kept = decide(m, floor)
+        kept = yield from decide(m, floor)
         decisions.append((kept is not None, spectral_gap(m)[0] > floor))
         return kept
 
@@ -201,22 +202,32 @@ def test_no_full_search_is_spent_on_a_losing_candidate(monkeypatch):
     # every ascent appends the gap it holds to its trace whenever that gap
     # changes, so the trace's last entry is the gap a candidate must beat;
     # a full search is wasted when its value neither beats it by IMPROVE_TOL
-    # nor becomes the next trace entry (symmetrize and contract moves)
-    traces, searches = [], []
-    ascent, full_search = optimize._single_ascent, optimize.spectral_gap
+    # nor becomes the next trace entry (symmetrize and contract moves).
+    # The ascents run in lockstep, so each one marks its trace as the
+    # current one whenever the driver resumes it.
+    traces, searches, current = [], [], []
+    ascent, full_search = optimize._single_ascent, optimize._gap_search
 
     def traced_ascent(state, trace):
         traces.append(trace)
-        return ascent(state, trace)
+        inner = ascent(state, trace)
+        value = None
+        while True:
+            current[:] = [trace]
+            try:
+                request = inner.send(value)
+            except StopIteration as stop:
+                return stop.value
+            value = yield request
 
     def recorded_search(m):
-        result = full_search(m)
-        trace = traces[-1]
+        result = yield from full_search(m)
+        trace = current[0]
         searches.append((result[0], trace, len(trace)))
         return result
 
     monkeypatch.setattr(optimize, "_single_ascent", traced_ascent)
-    monkeypatch.setattr(optimize, "spectral_gap", recorded_search)
+    monkeypatch.setattr(optimize, "_gap_search", recorded_search)
     g, init = stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)
     maximize_gap(g, init, MaximizeOptions(seeds=2, seed=1))
     wasted = [
@@ -225,7 +236,54 @@ def test_no_full_search_is_spent_on_a_losing_candidate(monkeypatch):
         and not (len(trace) > n and trace[n].gap == value)
     ]
     assert len(traces) == 3  # the given start and two restarts
+    assert searches
     assert wasted == []
+
+
+def _ascent_starts():
+    """Fresh ascent starts on several graphs; the stower(1, 2) start contracts
+    its zero edge first, so its counts have fewer rows than the others'."""
+    starts = []
+    for g, init, seed in (
+        (stower(1, 2)[0], LengthVector([0.5, 0.5, 0.0]), 1),
+        (stower(1, 2)[0], random_lengths(np.random.default_rng(7), 3), 2),
+        (star(4)[0], random_lengths(np.random.default_rng(1), 4), 3),
+        (flower(3)[0], random_lengths(np.random.default_rng(2), 3), 4),
+        (stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3), 5),
+    ):
+        start = optimize._AscentState(g, init.values.copy(), list(range(g.edge_count)))
+        if init.zero_edges():
+            start = optimize._settle(start, init.zero_edges())
+        starts.append((g, start))
+        rng = np.random.default_rng(seed)
+        lv = random_lengths(rng, g.edge_count, l_min=2 * optimize.L_MIN).values
+        starts.append((g, optimize._AscentState(g, lv, list(range(g.edge_count)))))
+    return starts
+
+
+def _ascent_documents(together):
+    starts = _ascent_starts()
+    traces = [[] for _ in starts]
+    ascents = [optimize._single_ascent(start, trace) for (_, start), trace in zip(starts, traces)]
+    if together:
+        ends = spectral._drive(ascents)
+    else:
+        ends = [spectral._drive([ascent])[0] for ascent in ascents]
+    out = []
+    for (g, _), (state, gap), trace in zip(starts, ends, traces):
+        res = optimize.OptimizationResult(
+            state.original_lengths(g.edge_count), gap, "", tuple(trace)
+        )
+        out.append(json.dumps(res.to_dict()))
+    return out
+
+
+def test_ascents_driven_together_equal_ascents_driven_alone():
+    alone = _ascent_documents(together=False)
+    assert _ascent_documents(together=True) == alone
+    # the contracting start ran on two edges; the ascents did not all agree
+    assert json.loads(alone[0])["lengths"][2] == 0.0
+    assert len(set(alone)) > 1
 
 
 def test_maximize_agrees_with_brute_force():

@@ -268,7 +268,7 @@ def test_decomposition_corpus(name):
 def test_decomposition_solves_the_gap_once(monkeypatch):
     import qgraph.perturbation as pert
 
-    calls = {"spectral_gap": 0, "eigenfunction": 0, "_zero_layout": 0}
+    calls = {"spectral_gap": 0, "_eigenbasis": 0, "_zero_layout": 0}
     for name in calls:
         original = getattr(pert, name)
 
@@ -279,7 +279,7 @@ def test_decomposition_solves_the_gap_once(monkeypatch):
         monkeypatch.setattr(pert, name, counted)
     pd = path_decomposition(metric(*standarin_chain(2, 1, 2)))
     assert len(pd.parts) == 2
-    assert calls == {"spectral_gap": 1, "eigenfunction": 1, "_zero_layout": 1}
+    assert calls == {"spectral_gap": 1, "_eigenbasis": 1, "_zero_layout": 1}
 
 
 def test_decomposition_requires_critical_point():

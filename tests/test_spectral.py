@@ -283,11 +283,16 @@ def test_short_edge_spectrum_not_masked():
     assert k1 == pytest.approx(2 * PI, abs=2e-3)
 
 
-def _swept_counts(m, v):
-    """Count objects for delta couplings at v, Dirichlet and negative theta included."""
-    return [_TrigCount(m.with_condition(v, cond))
-            for cond in (DeltaTheta(-2.5), DeltaTheta(-0.3), DeltaTheta(0.0), DeltaTheta(0.7),
-                         DeltaTheta(3.1), DIRICHLET)]
+def _swept_counts(m, v, rng=None):
+    """Count objects for delta couplings at v, Dirichlet and negative theta
+    included; with rng each count has random lengths of its own."""
+    counts = []
+    for cond in (DeltaTheta(-2.5), DeltaTheta(-0.3), DeltaTheta(0.0), DeltaTheta(0.7),
+                 DeltaTheta(3.1), DIRICHLET):
+        if rng is not None:
+            m = MetricGraph(m.graph, random_lengths(rng, m.graph.edge_count, l_min=0.05).values, m.conditions)
+        counts.append(_TrigCount(m.with_condition(v, cond)))
+    return counts
 
 
 def _stacked_graphs():
@@ -303,21 +308,26 @@ def _stacked_graphs():
 
 
 def test_stacked_count_matrices_equal_single_ones():
+    # the rows of a stack share their lengths, as the rows of a delta sweep
+    # do (passed as one row), or have lengths of their own, as the
+    # optimizer's restarts do (passed per row)
     ks = [1e-7, 0.37, 3.0, 2 * PI, 12.9, 40.1]
+    rng = np.random.default_rng(8)
     for m, v in _stacked_graphs():
-        counts = _swept_counts(m, v)
-        assert counts[-1].alpha.size == counts[0].alpha.size - 1  # Dirichlet drops v
-        for group in (counts[:-1], counts[-1:]):
-            for k_shift in range(len(ks)):
-                row_ks = [ks[(j + k_shift) % len(ks)] for j in range(len(group))]
-                coupling = np.stack([count.coupling for count in group])
-                alpha = np.stack([count.alpha for count in group])
-                stack = _TrigCount.matrices(coupling, alpha, group[0].lengths, np.array(row_ks))
-                spectra = _TrigCount.spectra(coupling, alpha, group[0].lengths, np.array(row_ks))
-                assert stack.shape[0] == spectra.shape[0] == len(group)
-                for j, (count, k) in enumerate(zip(group, row_ks)):
-                    assert np.array_equal(stack[j], count.matrix(k)), (m, v, j, k)
-                    assert np.array_equal(spectra[j], count.spectrum(k)), (m, v, j, k)
+        for counts, shared in ((_swept_counts(m, v), True), (_swept_counts(m, v, rng), False)):
+            assert counts[-1].alpha.size == counts[0].alpha.size - 1  # Dirichlet drops v
+            for group in (counts[:-1], counts[-1:]):
+                lengths = group[0].lengths if shared else np.stack([count.lengths for count in group])
+                for k_shift in range(len(ks)):
+                    row_ks = [ks[(j + k_shift) % len(ks)] for j in range(len(group))]
+                    coupling = np.stack([count.coupling for count in group])
+                    alpha = np.stack([count.alpha for count in group])
+                    stack = _TrigCount.matrices(coupling, alpha, lengths, np.array(row_ks))
+                    spectra = _TrigCount.spectra(coupling, alpha, lengths, np.array(row_ks))
+                    assert stack.shape[0] == spectra.shape[0] == len(group)
+                    for j, (count, k) in enumerate(zip(group, row_ks)):
+                        assert np.array_equal(stack[j], count.matrix(k)), (m, v, j, k)
+                        assert np.array_equal(spectra[j], count.spectrum(k)), (m, v, j, k)
 
 
 def _full_count(count, k):
