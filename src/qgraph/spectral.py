@@ -38,15 +38,28 @@ costs more than the eigvalsh it saves, and K is taken whole; the
 constant comes from a timing sweep of spectral_gap over flowers, stars
 and random graphs (CHANGES.md).
 
+The pole term and the pole-window tests (`poles`, `pole_near`,
+`lone_pole`, `off_scale`) loop over the lengths as a tuple of Python
+floats, built once per count: on a handful of edges that costs less than
+numpy's ufuncs, and each value is formed by the same operations, in the
+same order, as the array formulas, so it is the same to the bit.
+
 One level finder serves every spectrum.  It bisects on N until a bracket
-holds levels and no pole, then runs regula falsi (Illinois) on the value
-of the count's spectrum (below) that crosses zero in it; a bracket that
-shrinks inside a pole window is reported as the pole itself.  The
-multiplicity of a level r is N(r + d) - N(r - d) with
-d = max(1e-10 r, 1e-9), with no threshold on any matrix; levels closer
-than d merge into one.  Negative eigenvalues lambda = -kappa^2 of
-attractive delta couplings go through the same finder with the
-hyperbolic vertex matrix, see `negative_spectrum`.
+holds levels and no pole, then runs regula falsi on the value of the
+count's spectrum (below) that crosses zero in it; a bracket that shrinks
+inside a pole window is reported as the pole itself.  Regula falsi scales
+the value at the end it keeps by Anderson-Bjorck's m = 1 - f_c / f_old
+(1/2 where m <= 0) when two steps in a row replace the same end.  At the
+search floor, and within 4 _POLE_WINDOW of a pole, where `off_pole` and
+`_split` put their samples, the value it follows is of the size of k or
+of the window, and a secant through it creeps along that end; such an
+end enters as an infinite value, +inf below the level and -inf above, so
+the step bisects until a sample replaces it.  The multiplicity of a
+level r is N(r + d) - N(r - d) with d = max(1e-10 r, 1e-9), with no
+threshold on any matrix; levels closer than d merge into one.  Negative
+eigenvalues lambda = -kappa^2 of attractive delta couplings go through
+the same finder with the hyperbolic vertex matrix, see
+`negative_spectrum`.
 
 The finder is a generator, `_level_search`: it yields a request, the
 count and a k where it needs that count, and is sent the count's spectrum
@@ -54,18 +67,18 @@ there, V' + 2E ascending values with the inertia of K.  A whole K sends
 its eigenvalues.  A reduced count sends the reduced matrix's eigenvalues
 between -inf for each negative pivot and +inf for each positive one.  So
 the count, and the index n_- that regula falsi follows across a bracket,
-are those of K; where a bracket end's value is infinite the secant is nan
-and the finder bisects.  Every search built on it (`_gap_search`,
-`_reaches`, `_eigenvalue_search`, `_around`) is a generator of the same
-kind, and one driver, `_drive`, runs any number of them together.  At
-each step it groups the pending requests by matrix shape (V', E); a group
-of several costs one stacked build with `_TrigCount.spectra` and one
-stacked eigvalsh, and a lone request takes `spectrum`.  The stacked build
-forms every entry as the single one does (a single reduced count is the
-stack of one), so each search is sent the same values alone or in
-company.  The public functions drive one search each; the rows of a delta
-sweep (`eigenvalues_lockstep`) and the restarts of the optimizer drive
-theirs together.
+are those of K; where a bracket end's value is infinite, a stand-in or an
+off-scale end, the secant is nan and the finder bisects.  Every search
+built on it (`_gap_search`, `_reaches`, `_eigenvalue_search`, `_around`)
+is a generator of the same kind, and one driver, `_drive`, runs any
+number of them together.  At each step it groups the pending requests by
+matrix shape (V', E); a group of several costs one stacked build with
+`_TrigCount.spectra` and one stacked eigvalsh, and a lone request takes
+`spectrum`.  The stacked build forms every entry as the single one does
+(a single reduced count is the stack of one), so each search is sent the
+same values alone or in company.  The public functions drive one search
+each; the rows of a delta sweep (`eigenvalues_lockstep`) and the
+restarts of the optimizer drive theirs together.
 
 Eigenfunctions come from the vertex conditions on the edge ends
 (Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is
@@ -222,6 +235,7 @@ class _Count:
 
     offset = 0
     shape = None   # `_drive` stacks the requests of counts of one shape; None: each alone
+    floor = math.nan   # where a search of all the count's levels starts; set by each count
 
     def __init__(self, m: MetricGraph) -> None:
         g = m.graph
@@ -251,6 +265,11 @@ class _Count:
     def lone_pole(self, a: float, b: float) -> tuple[float, float] | None:
         """(pole, half-width of its window) when (a, b) holds one pole only."""
         return None
+
+    def off_scale(self, k: float) -> bool:
+        """Whether the spectrum at k is too small to steer a secant: at the
+        search floor, and within 4 _POLE_WINDOW of a pole (`_illinois`)."""
+        return k == self.floor
 
     def spectrum(self, k: float) -> np.ndarray:
         """Ascending values with the inertia of matrix(k); here its eigenvalues."""
@@ -286,6 +305,8 @@ class _TrigCount(_Count):
         super().__init__(m)
         self.offset = -2 * self.lengths.size
         self.shape = (self.alpha.size, self.lengths.size)
+        self.floor = _k_floor(m)
+        self.edge_lengths = tuple(self.lengths.tolist())   # for the pole bookkeeping
 
     def matrix(self, k: float) -> np.ndarray:
         nv = self.alpha.size
@@ -359,30 +380,45 @@ class _TrigCount(_Count):
         return np.sort(np.concatenate([np.linalg.eigvalsh(R), stand_ins], axis=1), axis=1)
 
     def poles(self, k: float) -> int:
-        return int(np.ceil(k * self.lengths / math.pi).sum())
+        return sum(math.ceil(k * l / math.pi) for l in self.edge_lengths)
+
+    def _pole_within(self, k: float, window: float) -> tuple[int, float] | None:
+        """(n, l_e) of the first edge with k l_e / pi within window of an
+        integer n > 0 (round is numpy's rint: half to even)."""
+        for l in self.edge_lengths:
+            x = k * l / math.pi
+            n = round(x)
+            if 0 < n and abs(x - n) < window:
+                return n, l
+        return None
 
     def pole_near(self, k: float) -> tuple[float, float] | None:
-        x = k * self.lengths / math.pi
-        n = np.rint(x)
-        near = (np.abs(x - n) < _POLE_WINDOW) & (n > 0)
-        if not near.any():
+        hit = self._pole_within(k, _POLE_WINDOW)
+        if hit is None:
             return None
-        e = int(np.argmax(near))
-        l = float(self.lengths[e])
-        return float(n[e]) * math.pi / l, _POLE_WINDOW * math.pi / l
+        n, l = hit
+        return n * math.pi / l, _POLE_WINDOW * math.pi / l
 
     def lone_pole(self, a: float, b: float) -> tuple[float, float] | None:
-        first = np.ceil(a * self.lengths / math.pi)
-        inside = np.ceil(b * self.lengths / math.pi) - first
-        if inside.max() != 1.0:
+        poles, shortest = [], math.inf
+        for l in self.edge_lengths:
+            first = math.ceil(a * l / math.pi)
+            inside = math.ceil(b * l / math.pi) - first
+            if inside > 1:
+                return None
+            if inside == 1:
+                poles.append(first * math.pi / l)
+                shortest = min(shortest, l)
+        if not poles:
             return None
-        at = inside == 1.0
-        poles = first[at] * math.pi / self.lengths[at]
-        half = _POLE_WINDOW * math.pi / float(self.lengths[at].min())
+        half = _POLE_WINDOW * math.pi / shortest
         # equal lengths, or lengths in integer ratios, share their poles
-        if poles.max() - poles.min() > half:
+        if max(poles) - min(poles) > half:
             return None
-        return float(poles.min()), half
+        return min(poles), half
+
+    def off_scale(self, k: float) -> bool:
+        return k == self.floor or self._pole_within(k, 4.0 * _POLE_WINDOW) is not None
 
 
 def _split(count: _Count, a: float, b: float) -> tuple[float | None, float | None]:
@@ -406,16 +442,24 @@ def _split(count: _Count, a: float, b: float) -> tuple[float | None, float | Non
 
 
 def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
-    """The lowest level of a pole-free bracket.
+    """The lowest level of a pole-free bracket, by regula falsi.
 
     With i = n_- at lo, the i-th value of the count's spectrum is
     nonnegative at lo, negative at hi and changes sign exactly at the
-    lowest level in between.  A reduced count's value may be infinite; the
-    secant is then nan, and the step bisects.  Python floats carry that
-    arithmetic, so it raises no numpy warning.
+    lowest level in between.  An end where that value is off scale
+    (`off_scale`: the search floor and the edges of a pole window, where
+    it is of the size of k or of the window) enters as +inf at lo and -inf
+    at hi, as a reduced count's stand-ins do: the secant is then nan, and
+    the step bisects until a sample replaces that end.  When a step
+    replaces the same end as the step before, the value of the end it
+    keeps is scaled by m = 1 - f_c / f_old, f_old the value it replaces,
+    or by 1/2 where m <= 0 (Anderson-Bjorck; Illinois takes 1/2 always).
+    Python floats carry that arithmetic, so it raises no numpy warning.
     """
     i = int(np.count_nonzero(lo.evals < 0.0))
-    a, fa, b, fb = float(lo.k), float(lo.evals[i]), float(hi.k), float(hi.evals[i])
+    a, b = float(lo.k), float(hi.k)
+    fa = math.inf if count.off_scale(a) else float(lo.evals[i])
+    fb = -math.inf if count.off_scale(b) else float(hi.evals[i])
     tol = 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
     side = 0
     while b - a > tol:
@@ -424,14 +468,16 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
             c = 0.5 * (a + b)
         fc = float((yield count, c)[i])
         if fc > 0.0:
-            a, fa = c, fc
             if side == 1:
-                fb *= 0.5
+                m = 1.0 - fc / fa
+                fb *= m if m > 0.0 else 0.5
+            a, fa = c, fc
             side = 1
         elif fc < 0.0:
-            b, fb = c, fc
             if side == -1:
-                fa *= 0.5
+                m = 1.0 - fc / fb
+                fa *= m if m > 0.0 else 0.5
+            b, fb = c, fc
             side = -1
         else:
             return c
@@ -585,7 +631,8 @@ def _eigenvalue_search(m: MetricGraph, k_max: float, k_min: float) -> _Search:
     """`eigenvalues` as a search."""
     _require_k("k_max", k_max)
     _require_k("k_min", k_min, zero_ok=True)
-    levels = yield from _level_search(_TrigCount(m), max(k_min, _k_floor(m)), k_max)
+    count = _TrigCount(m)
+    levels = yield from _level_search(count, max(k_min, count.floor), k_max)
     pairs = [Eigenpair(k, mult) for k, mult in levels]
     if m.is_neumann_graph() and k_min == 0.0:
         pairs.insert(0, Eigenpair(0.0, 1))
@@ -617,7 +664,8 @@ def gap_upper_bound(m: MetricGraph) -> float:
 
 def _gap_search(m: MetricGraph) -> _Search:
     """`spectral_gap` as a search."""
-    levels = yield from _level_search(_TrigCount(m), _k_floor(m), gap_upper_bound(m), first_only=True)
+    count = _TrigCount(m)
+    levels = yield from _level_search(count, count.floor, gap_upper_bound(m), first_only=True)
     if not levels:
         raise NoEigenspaceError("no eigenvalue found below the universal bound")
     return levels[0]
@@ -638,7 +686,7 @@ def _floor_count(m: MetricGraph, count: _TrigCount) -> int:
     """
     if count.neumann:
         return 1
-    return count.sample(count.off_pole(_k_floor(m), -1.0)).count
+    return count.sample(count.off_pole(count.floor, -1.0)).count
 
 
 def _reaches(m: MetricGraph, k: float) -> _Search:
@@ -908,6 +956,8 @@ class _HyperbolicCount(_Count):
     constant, the levels with kappa_j < kappa.  There are no poles.
     """
 
+    floor = 1e-9
+
     def matrix(self, kappa: float) -> np.ndarray:
         t = np.tanh(0.5 * kappa * self.lengths)
         d = 0.5 * kappa * np.concatenate([t, 1.0 / t])
@@ -917,8 +967,9 @@ class _HyperbolicCount(_Count):
 def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
     """Negative-eigenvalue branch, reported as k = -kappa (so lambda = -kappa^2).
 
-    The levels are those of the hyperbolic count between kappa = 1e-9 and
-    a kappa where the hyperbolic vertex matrix is positive definite.
+    The levels are those of the hyperbolic count between its floor,
+    kappa = 1e-9, and a kappa where the hyperbolic vertex matrix is
+    positive definite.
     """
     if (m.alpha >= 0).all():
         return []
@@ -928,5 +979,5 @@ def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
         if count.sample(kappa_hi).count == count.alpha.size:
             break
         kappa_hi *= 2.0
-    levels = _drive([_level_search(count, 1e-9, kappa_hi)])[0]
+    levels = _drive([_level_search(count, count.floor, kappa_hi)])[0]
     return [Eigenpair(-kappa, mult) for kappa, mult in reversed(levels)]

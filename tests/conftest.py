@@ -1,0 +1,35 @@
+"""Shared fixtures."""
+
+import pytest
+
+from qgraph import spectral
+
+
+class MatrixTally:
+    """The number of count matrices requested, `n`; set it to 0 to restart."""
+
+    def __init__(self) -> None:
+        self.n = 0
+
+
+@pytest.fixture
+def count_matrices(monkeypatch):
+    """Tally every count matrix the solvers request: each row of a stacked
+    `_TrigCount.spectra` call and each `_Count.spectrum` call is one.  A
+    single reduced count goes through `spectra` as a stack of one, so no
+    matrix is tallied twice.  It wraps the two private entry points until
+    the library counts its own requests."""
+    tally = MatrixTally()
+    spectra, spectrum = spectral._TrigCount.spectra, spectral._Count.spectrum
+
+    def counted_spectra(coupling, alpha, lengths, ks):
+        tally.n += len(ks)
+        return spectra(coupling, alpha, lengths, ks)
+
+    def counted_spectrum(self, k):
+        tally.n += 1
+        return spectrum(self, k)
+
+    monkeypatch.setattr(spectral._TrigCount, "spectra", staticmethod(counted_spectra))
+    monkeypatch.setattr(spectral._Count, "spectrum", counted_spectrum)
+    return tally

@@ -290,9 +290,9 @@ SGP_OUTPUT = {
   "vertex": 0,
   "theta_sg": 3.141592653589793,
   "classification": "strong",
-  "k1": 6.283185307179579,
+  "k1": 6.283185307179573,
   "k1_multiplicity": 3,
-  "dirichlet_k0": 6.283185307179583,
+  "dirichlet_k0": 6.2831853071795845,
   "dirichlet_multiplicity": 4,
   "k1_is_flat_band": true
 }
@@ -312,9 +312,9 @@ SGP_OUTPUT = {
   "vertex": 0,
   "theta_sg": 6.283185301327914,
   "classification": "violates",
-  "k1": 6.283185307179589,
+  "k1": 6.2831853071795845,
   "k1_multiplicity": 1,
-  "dirichlet_k0": 3.1415926535897896,
+  "dirichlet_k0": 3.1415926535897984,
   "dirichlet_multiplicity": 0,
   "k1_is_flat_band": false
 }
@@ -325,7 +325,7 @@ SGP_OUTPUT = {
   "classification": "violates",
   "k1": 7.853981633974483,
   "k1_multiplicity": 2,
-  "dirichlet_k0": 2.318238045004025,
+  "dirichlet_k0": 2.318238045004027,
   "dirichlet_multiplicity": 0,
   "k1_is_flat_band": true
 }
@@ -356,16 +356,16 @@ OPTIMIZE_OUTPUT = {
     0.25,
     0.25
   ],
-  "gap": 6.283185307179579,
+  "gap": 6.283185307179573,
   "classification": "maximizer-candidate",
   "trace": [
     {
-      "gap": 3.2973822709578653,
+      "gap": 3.2973822709578657,
       "step": 0.0,
       "move": "init"
     },
     {
-      "gap": 6.283185307179579,
+      "gap": 6.283185307179573,
       "step": 0.0,
       "move": "symmetrize"
     }
@@ -398,11 +398,11 @@ OPTIMIZE_OUTPUT = {
     "stower21-rng1000": ((stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)), """\
 {
   "lengths": [
-    0.4000004214159562,
+    0.40000042141595626,
     0.40000042141595615,
-    0.19999915716808758
+    0.19999915716808755
   ],
-  "gap": 7.85397335950025,
+  "gap": 7.853973359500248,
   "classification": "maximizer-candidate",
   "trace": [
     {
@@ -411,48 +411,48 @@ OPTIMIZE_OUTPUT = {
       "move": "init"
     },
     {
-      "gap": 3.213405738017177,
+      "gap": 3.213405738017179,
       "step": 0.0,
       "move": "symmetrize"
     },
     {
-      "gap": 7.323665472191669,
-      "step": 0.15571357331220692,
+      "gap": 7.3236654721916485,
+      "step": 0.1557135733122071,
       "move": "gradient"
     },
     {
-      "gap": 7.689576436693829,
-      "step": 0.0004897562770996768,
+      "gap": 7.689576436693815,
+      "step": 0.0004897562770996808,
       "move": "gradient"
     },
     {
-      "gap": 7.757746229690669,
-      "step": 0.00021155741704067483,
+      "gap": 7.757746229690676,
+      "step": 0.00021155741704067602,
       "move": "gradient"
     },
     {
-      "gap": 7.786839548327306,
-      "step": 3.434381223602824e-05,
+      "gap": 7.786839548327301,
+      "step": 3.434381223602833e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.836399665306843,
-      "step": 5.093213033424847e-05,
+      "gap": 7.83639966530684,
+      "step": 5.0932130334248574e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.848888423615638,
-      "step": 1.2492972846485583e-05,
+      "gap": 7.848888423615636,
+      "step": 1.24929728464856e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.850485386427914,
-      "step": 6.2167165524496365e-06,
+      "gap": 7.8504853864279145,
+      "step": 6.216716552449641e-06,
       "move": "gradient"
     },
     {
       "gap": 7.852016835408113,
-      "step": 1.0354874699801125e-06,
+      "step": 1.035487469980113e-06,
       "move": "gradient"
     },
     {
@@ -461,8 +461,8 @@ OPTIMIZE_OUTPUT = {
       "move": "gradient"
     },
     {
-      "gap": 7.85397335950025,
-      "step": 3.8784858020531084e-07,
+      "gap": 7.853973359500248,
+      "step": 3.878485802053109e-07,
       "move": "gradient"
     }
   ]
@@ -479,13 +479,13 @@ OPTIMIZE_OUTPUT = {
   "classification": "supremizer-candidate",
   "trace": [
     {
-      "gap": 3.821266472498036,
+      "gap": 3.8212664724980323,
       "step": 0.0,
       "move": "init"
     },
     {
       "gap": 6.283185307117572,
-      "step": 0.038740064674877284,
+      "step": 0.03874006467487756,
       "move": "gradient"
     },
     {

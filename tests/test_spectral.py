@@ -423,6 +423,122 @@ def test_gap_reaches_is_the_gap_comparison(family, theta):
 
 
 # ---------------------------------------------------------------------------
+# pole bookkeeping and the refinement budget
+# ---------------------------------------------------------------------------
+
+W = spectral._POLE_WINDOW
+
+
+def _numpy_poles(lengths, k):
+    """The array formulas the pole bookkeeping once ran; the oracle of the
+    loops over Python floats, which must agree with them bit for bit."""
+    return int(np.ceil(k * lengths / math.pi).sum())
+
+
+def _numpy_pole_near(lengths, k):
+    x = k * lengths / math.pi
+    n = np.rint(x)
+    near = (np.abs(x - n) < W) & (n > 0)
+    if not near.any():
+        return None
+    e = int(np.argmax(near))
+    l = float(lengths[e])
+    return float(n[e]) * math.pi / l, W * math.pi / l
+
+
+def _numpy_lone_pole(lengths, a, b):
+    first = np.ceil(a * lengths / math.pi)
+    inside = np.ceil(b * lengths / math.pi) - first
+    if inside.max() != 1.0:
+        return None
+    at = inside == 1.0
+    poles = first[at] * math.pi / lengths[at]
+    half = W * math.pi / float(lengths[at].min())
+    if poles.max() - poles.min() > half:
+        return None
+    return float(poles.min()), half
+
+
+def _numpy_off_scale(lengths, floor, k):
+    x = k * lengths / math.pi
+    n = np.rint(x)
+    return k == floor or bool(((np.abs(x - n) < 4.0 * W) & (n > 0)).any())
+
+
+def _pole_counts(rng, n_graphs):
+    """Counts on random graphs whose lengths are, in turn, random, all equal,
+    and integer multiples of one length (so edges share poles)."""
+    out = []
+    for j in range(n_graphs):
+        E = int(rng.integers(1, 7))
+        g = random_connected_graph(rng, int(rng.integers(2, E + 2)), E)
+        if j % 3 == 0:
+            lengths = rng.uniform(0.05, 1.0, E)
+        elif j % 3 == 1:
+            lengths = np.full(E, rng.uniform(0.05, 1.0))
+        else:
+            lengths = rng.uniform(0.05, 0.5) * rng.integers(1, 4, E)
+        out.append(_TrigCount(metric(g, lengths)))
+    return out
+
+
+def _pole_probes(count):
+    """(ks, brackets): k at 1, 2, 3 and 5 pole windows either side of the
+    first three poles of every edge, and brackets around those poles holding
+    none, one and two of the edge's poles."""
+    ks, brackets = [], []
+    for l in count.edge_lengths:
+        half = W * PI / l
+        poles = [n * PI / l for n in (1, 2, 3, 4)]
+        for pole in poles[:3]:
+            ks.append(pole)
+            ks += [pole + side * j * half for j in (1, 2, 3, 5) for side in (-1.0, 1.0)]
+        for p, q in zip(poles[:3], poles[1:]):
+            for j in (1, 5):
+                brackets += [(p - j * half, p + j * half), (p + j * half, q - j * half),
+                             (p - j * half, q + j * half)]
+    return ks, brackets
+
+
+def test_pole_bookkeeping_equals_the_array_formulas():
+    rng = np.random.default_rng(1811)
+    compared = 0
+    for count in _pole_counts(rng, 120):
+        lengths = count.lengths
+        ks, brackets = _pole_probes(count)
+        ks += [count.floor] + list(rng.uniform(0.01, 40.0, 8))
+        for k in ks:
+            assert count.poles(k) == _numpy_poles(lengths, k), (lengths, k)
+        # below the first pole k l / pi is within a window of 0, which is no
+        # pole; past 2^52 every float is an integer, half of them odd
+        far = [W * PI / l * f for l in count.edge_lengths for f in (0.5, 1.0, 3.0)]
+        far += [(2.0**52 + 2 * j + 1) * PI / l for l in count.edge_lengths for j in range(3)]
+        for k in ks + far:
+            assert repr(count.pole_near(k)) == repr(_numpy_pole_near(lengths, k)), (lengths, k)
+            assert count.off_scale(k) == _numpy_off_scale(lengths, count.floor, k), (lengths, k)
+            compared += 1
+        for a, b in brackets + [tuple(sorted(rng.uniform(0.01, 40.0, 2))) for _ in range(4)]:
+            assert repr(count.lone_pole(a, b)) == repr(_numpy_lone_pole(lengths, a, b)), (lengths, a, b)
+    assert compared > 10_000
+
+
+def test_regula_falsi_stays_within_its_count_budget(count_matrices):
+    # the search floor's and the pole-window edges' values are off scale,
+    # O(1e-11), and a secant through them creeps: taken as values, they
+    # cost 5,516, 20 and 16 count matrices here
+    m = metric(*star(3))
+    thetas = [-PI + 2 * PI * (j + 1) / 32 for j in range(31)] + [PI]
+    spectral.eigenvalues_lockstep([m.with_condition(1, DeltaTheta(t)) for t in thetas], 9 * PI)
+    assert count_matrices.n <= 4000
+    for E, budget in ((5, 14), (16, 13)):
+        count_matrices.n = 0
+        k1, mult = spectral_gap(metric(*star(E)))
+        assert count_matrices.n <= budget, E
+        assert mult == E - 1
+        assert k1 == pytest.approx(PI * E / 2, rel=1e-13, abs=0.0)
+
+
+# ---------------------------------------------------------------------------
 # eigenfunctions
 # ---------------------------------------------------------------------------
 
