@@ -18,9 +18,10 @@ origin of bond e and of its reversal E + e.  Degrees, the incident ends
 of a vertex, the eigenfunctions' vertex-condition system and the
 bond-scattering matrix are read from it, and contraction and vertex
 identification (`_quotient`) rename its entries.  The graph also builds
-from it, once, the V x 2E incidence [P | Q] that both eigenvalue counts
-couple through: P unsigned, Q signed (start +1, end -1), so a loop has
-P = 2 and Q = 0.
+from it, once, the V x 2E end-vertex matrix `end_at` (1 where end j lies
+at vertex v), each vertex's first end `first_end`, and the V x 2E
+incidence [P | Q] that both eigenvalue counts couple through: P unsigned,
+Q signed (start +1, end -1), so a loop has P = 2 and Q = 0.
 
 Connectivity has two primitives: `_spanning_tree`, a breadth-first search
 over `adjacency()` (read from `edges`) in edge-id order, for connectedness,
@@ -104,11 +105,12 @@ def _integer(value, what: str, error: type[Exception] = GraphStructureError) -> 
 class DiscreteGraph:
     """Connected multigraph with stable edge indices 0..E-1.
 
-    `ends` holds the start of every edge, then the end of every edge, and
-    `incidence` the read-only V x 2E matrix [P | Q] (module docstring).
+    `ends` holds the start of every edge, then the end of every edge;
+    `end_at`, `first_end` and `incidence` are read-only arrays built from
+    it (module docstring).
     """
 
-    __slots__ = ("vertex_count", "edges", "ends", "incidence")
+    __slots__ = ("vertex_count", "edges", "ends", "end_at", "first_end", "incidence")
 
     def __init__(self, vertex_count: int, edges) -> None:
         vertex_count = _integer(vertex_count, "vertex count")
@@ -133,10 +135,12 @@ class DiscreteGraph:
             raise GraphStructureError("graph is not connected")
         E = len(edge_list)
         at = (np.arange(self.vertex_count)[:, None] == ends).astype(float)
+        first = at.argmax(axis=1)   # every vertex has an end: the graph is connected
         tail, head = at[:, :E], at[:, E:]
         incidence = np.concatenate([tail + head, tail - head], axis=1)
-        incidence.setflags(write=False)
-        object.__setattr__(self, "incidence", incidence)
+        for name, arr in (("end_at", at), ("first_end", first), ("incidence", incidence)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError("DiscreteGraph is immutable")
@@ -175,7 +179,7 @@ class DiscreteGraph:
     def end_range(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Least and greatest entry of x, an array over the edge ends in the
         order of `ends`, at each vertex."""
-        at = self.ends == np.arange(self.vertex_count)[:, None]
+        at = self.end_at != 0.0
         return np.where(at, x, np.inf).min(axis=1), np.where(at, x, -np.inf).max(axis=1)
 
     def leaf_vertices(self) -> list[int]:

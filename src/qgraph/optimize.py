@@ -28,12 +28,21 @@ sent the values it would get alone, so its result and trace do not
 depend on its company.  Eigenspaces are solved inside each ascent with
 the multiplicity its level search counted, and candidate metric graphs
 take the projected lengths as they are (`graph._trusted_metric`).
+
+The restarts also share the topologies they reach.  `maximize_gap` builds
+one `_Topology` for its graph, holding its symmetrizable groups and its
+contract probes, and every start begins there.  A contraction is asked of
+the topology it leaves, by the edges it drops; the first request builds
+the quotient (`contract_with_maps`) and its own `_Topology`, and every
+later one, from any start, takes them as they are.  The tree lives for
+one call, so its size is bounded by the faces that call probes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -59,7 +68,7 @@ from . import families
 from .spectral import (
     _Search,
     _drive,
-    _eigenbasis,
+    _eigenbasis_coeffs,
     _eigenvalue_search,
     _gap_search,
     _reaches,
@@ -252,30 +261,70 @@ class MaximizeOptions:
 
 
 def _project_simplex_lb(y: np.ndarray, l_min: float) -> np.ndarray:
-    """Euclidean projection onto { x >= l_min, sum x = 1 }."""
+    """Euclidean projection onto { x >= l_min, sum x = 1 }.
+
+    The sort, the running sums and the clamp run on Python floats, by the
+    same IEEE operations in the same order as the array formula
+    z = y - l_min, u = sort(z) descending, css = cumsum(u) - budget,
+    rho = the last i with u_i (i + 1) > css_i, tau = css_rho / (rho + 1),
+    max(z - tau, 0) + l_min; on a handful of entries that is the cheaper way.
+    """
     n = y.size
     budget = 1.0 - n * l_min
     if budget < 0:
         raise InvalidInputError("lower bound infeasible")
-    z = y - l_min
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - budget
-    rho = np.nonzero(u * np.arange(1, n + 1) > css)[0][-1]
+    z = [x - l_min for x in y.tolist()]
+    u = sorted(z, reverse=True)
+    css = [s - budget for s in accumulate(u)]
+    rho = max(i for i in range(n) if u[i] * (i + 1) > css[i])
     tau = css[rho] / (rho + 1.0)
-    return np.maximum(z - tau, 0.0) + l_min
+    return np.array([max(x - tau, 0.0) + l_min for x in z])
+
+
+class _Topology:
+    """A graph the ascent reaches and what the ascent reads of it.
+
+    `groups` are the edge lists of its `symmetrizable_groups` (none below
+    three edges, where `symmetrize` does not apply) and `probes` the edge
+    sets its contract probes drop: each edge alone, and every internal edge
+    at once when there are at least two and the graph has other edges.
+    `children` holds the contractions asked for so far, keyed by the edges
+    they drop, so every face is built once per `maximize_gap` call.
+    """
+
+    __slots__ = ("graph", "groups", "probes", "children")
+
+    def __init__(self, g: DiscreteGraph):
+        E = g.edge_count
+        self.graph = g
+        groups = symmetrizable_groups(g) if E >= 3 else []
+        self.groups = [list(edges) for _v, _kind, edges in groups]
+        leaf_edges = set(g.leaf_edges())
+        internal = [e for e in range(E) if e not in leaf_edges and not g.is_loop(e)]
+        self.probes = [[e] for e in range(E)] + ([internal] if 1 < len(internal) < E else [])
+        self.children: dict[tuple[int, ...], tuple[_Topology, list[int | None]]] = {}
+
+    def child(self, lengths: LengthVector) -> tuple[_Topology, list[int | None]]:
+        """The quotient by the zero edges of lengths and every edge's index
+        in it (None if contracted), as `contract_with_maps` gives them."""
+        key = tuple(lengths.zero_edges())
+        if key not in self.children:
+            mg, edge_map = contract_with_maps(self.graph, lengths)
+            self.children[key] = (_Topology(mg.graph), edge_map)
+        return self.children[key]
 
 
 class _AscentState:
     """Lengths on a (possibly contracted) topology plus the original indexing."""
 
-    def __init__(self, g: DiscreteGraph, lengths: np.ndarray, orig_map: list[int | None]):
-        self.graph = g
+    def __init__(self, topo: _Topology, lengths: np.ndarray, orig_map: list[int | None]):
+        self.topo = topo
         self.lengths = lengths
         self.orig_map = orig_map          # original edge -> current index or None
-        self.pin_count = np.zeros(g.edge_count, dtype=int)
+        self.pin_count = np.zeros(topo.graph.edge_count, dtype=int)
 
     def metric(self) -> MetricGraph:
-        return _trusted_metric(self.graph, self.lengths)
+        return _trusted_metric(self.topo.graph, self.lengths)
 
     def original_lengths(self, n_orig: int) -> LengthVector:
         out = np.zeros(n_orig)
@@ -293,16 +342,16 @@ def _settle(state: _AscentState, drop=()) -> _AscentState:
     keeps their sum, so all of them are set in one move.  Without drop the
     topology and the pin counts carry over.
     """
-    g, lv, orig_map = state.graph, state.lengths.copy(), state.orig_map
+    topo, lv, orig_map = state.topo, state.lengths.copy(), state.orig_map
     if drop:
         lv[list(drop)] = 0.0
-        mg, edge_map = contract_with_maps(g, LengthVector(lv / lv.sum()))
-        g, lv = mg.graph, mg.lengths.copy()
+        lengths = LengthVector(lv / lv.sum())
+        topo, edge_map = topo.child(lengths)
+        lv = lengths.values[lengths.values != 0.0]
         orig_map = [None if cur is None else edge_map[cur] for cur in orig_map]
-    if g.edge_count >= 3:
-        for _v, _kind, group in symmetrizable_groups(g):
-            lv[list(group)] = lv[list(group)].mean()
-    settled = _AscentState(g, lv / lv.sum(), orig_map)
+    for group in topo.groups:
+        lv[group] = lv[group].mean()
+    settled = _AscentState(topo, lv / lv.sum(), orig_map)
     if not drop:
         settled.pin_count = state.pin_count
     return settled
@@ -315,14 +364,18 @@ def _cluster_energies(m: MetricGraph, k1: float) -> _Search:
     eigenvalue crossing; averaging the energies over every branch within
     a relative window of k1 gives a stable ascent direction (for a truly
     multiple gap this is the basis-independent eigenspace trace).  Each
-    eigenspace takes the multiplicity the window's search counted.
+    eigenspace takes the multiplicity the window's search counted.  The
+    energies k^2 (A_e^2 + B_e^2) of `EdgeTrig.energies` are read from the
+    coefficient rows as they are: a square does not see a row's sign.
     """
     cluster = (yield from _eigenvalue_search(m, k1 * (1.0 + CLUSTER_WINDOW), k1 - 1e-7)).eigenpairs
-    total = np.zeros(m.graph.edge_count)
+    E = m.graph.edge_count
+    total = np.zeros(E)
     dims = 0
     for p in cluster:
-        for f in _eigenbasis(m, p.k, p.multiplicity):
-            total += f.energies()
+        basis = _eigenbasis_coeffs(m, p.k, p.multiplicity)
+        for energies in p.k**2 * (basis[:, :E] ** 2 + basis[:, E:] ** 2):
+            total += energies
             dims += 1
     return total / dims
 
@@ -354,10 +407,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> _Search:
         moved = False
 
         # symmetrization moves are non-decreasing whenever they apply
-        if state.graph.edge_count >= 3 and any(
-            np.ptp(state.lengths[list(group)]) > 1e-13
-            for _v, _kind, group in symmetrizable_groups(state.graph)
-        ):
+        if any(np.ptp(state.lengths[group]) > 1e-13 for group in state.topo.groups):
             cand = _settle(state)
             cand_gap = (yield from _gap_search(cand.metric()))[0]
             if cand_gap >= gap - GAP_SLACK:
@@ -379,7 +429,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> _Search:
                 cand = _project_simplex_lb(state.lengths + eta * direction, L_MIN)
                 if _no_move(cand, state.lengths, 1e-15):
                     break
-                cand_gap = yield from _gap_above(_trusted_metric(state.graph, cand), gap + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), gap + IMPROVE_TOL)
                 if cand_gap is not None:
                     accepted = (cand, cand_gap, eta)
                     break
@@ -390,7 +440,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> _Search:
                 cand = _project_simplex_lb(state.lengths + eta2 * direction, L_MIN)
                 if _no_move(cand, accepted[0], 1e-15):
                     break
-                cand_gap = yield from _gap_above(_trusted_metric(state.graph, cand), accepted[1] + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), accepted[1] + IMPROVE_TOL)
                 if cand_gap is not None:
                     accepted = (cand, cand_gap, eta2)
                 else:
@@ -405,31 +455,20 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> _Search:
         # one.  Candidates: drop one edge at a time, or contract every
         # internal edge at once (the stower realization, which is how the
         # closed-form supremizers of trees and of non-tree graphs arise).
-        if not moved and state.graph.edge_count >= 2:
+        if not moved and state.topo.graph.edge_count >= 2:
             # the fully equilateral point first: exact maximizer for mandarin
             # topologies, where no dangling/loop symmetrization applies
-            cand = np.full(state.graph.edge_count, 1.0 / state.graph.edge_count)
+            cand = np.full(state.topo.graph.edge_count, 1.0 / state.topo.graph.edge_count)
             if not _no_move(cand, state.lengths, 1e-14):
-                cand_gap = yield from _gap_above(_trusted_metric(state.graph, cand), gap + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), gap + IMPROVE_TOL)
                 if cand_gap is not None:
                     state.lengths, gap = cand, cand_gap
                     trace.append(TraceStep(gap, 0.0, "equalize"))
                     moved = True
 
-        if not moved and state.graph.edge_count >= 2:
-            probes: list[list[int]] = [[e] for e in range(state.graph.edge_count)]
-            leaf_edges = set(state.graph.leaf_edges())
-            loops = {e for e in range(state.graph.edge_count) if state.graph.is_loop(e)}
-            internal = [
-                e for e in range(state.graph.edge_count)
-                if e not in leaf_edges and e not in loops
-            ]
-            if 1 < len(internal) < state.graph.edge_count:
-                probes.append(internal)
+        if not moved and state.topo.graph.edge_count >= 2:
             best_probe = None
-            for drop in probes:
-                if len(drop) >= state.graph.edge_count:
-                    continue
+            for drop in state.topo.probes:
                 cand_state = _settle(state, drop)
                 cand_gap = yield from _gap_above(cand_state.metric(), gap + IMPROVE_TOL)
                 if cand_gap is not None and (best_probe is None or cand_gap > best_probe[1]):
@@ -446,7 +485,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> _Search:
         state.pin_count[at_floor] += 1
         state.pin_count[~at_floor] = 0
         to_zero = [int(e) for e in np.nonzero(state.pin_count >= PIN_ITERS)[0]]
-        if to_zero and len(to_zero) < state.graph.edge_count:
+        if to_zero and len(to_zero) < state.topo.graph.edge_count:
             cand_state = _settle(state, to_zero)
             cand_gap = (yield from _gap_search(cand_state.metric()))[0]
             if cand_gap >= gap - GAP_SLACK:
@@ -472,20 +511,25 @@ def maximize_gap(
 
     Runs the ascent from the given lengths and from random restarts,
     reducing by best gap; the result's lengths live on the original edge
-    index set with zeros for contracted edges.
+    index set with zeros for contracted edges.  init is a LengthVector or
+    anything `LengthVector` accepts.
     """
     opts = options or MaximizeOptions()
+    if not isinstance(init, LengthVector):
+        init = LengthVector(init)
     if init.size != g.edge_count:
         raise InvalidInputError("init lengths do not match the graph")
     rng = np.random.default_rng(opts.seed)
 
-    starts = [_AscentState(g, init.values.copy(), list(range(g.edge_count)))]
+    # every start shares one topology tree, so each face is contracted once
+    root = _Topology(g)
+    starts = [_AscentState(root, init.values.copy(), list(range(g.edge_count)))]
     if init.zero_edges():
         # honor a boundary start by contracting it first
         starts[0] = _settle(starts[0], init.zero_edges())
     for _ in range(opts.seeds):
         lv = families.random_lengths(rng, g.edge_count, l_min=2 * L_MIN).values
-        starts.append(_AscentState(g, lv, list(range(g.edge_count))))
+        starts.append(_AscentState(root, lv, list(range(g.edge_count))))
 
     # the ascents run in lockstep: each step of the driver takes every
     # ascent's pending count in one stacked eigvalsh per matrix shape
@@ -555,6 +599,8 @@ def brute_force_gap(g: DiscreteGraph, resolution: int, mode: str = "max") -> Opt
     """Exhaustive scan of the simplex grid { c / resolution }; small instances only."""
     if mode not in ("max", "min"):
         raise InvalidInputError("mode must be 'max' or 'min'")
+    if _integer(resolution, "resolution", InvalidInputError) < 1:
+        raise InvalidInputError(f"resolution must be positive, not {resolution}")
     E = g.edge_count
     if E > 5 or resolution > 40:
         raise ResourceBudgetError("brute force supports E <= 5 and resolution <= 40")

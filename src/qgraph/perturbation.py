@@ -146,8 +146,7 @@ def _zero_layout(m: MetricGraph, f: EdgeTrig):
         interior.append(inner)
     # vertex zeros are also caught directly (robust for loops), from f at
     # each vertex's first edge end
-    first = np.unique(m.graph.ends, return_index=True)[1]
-    value = f.at_ends(m.lengths)[0][first]
+    value = f.at_ends(m.lengths)[0][m.graph.first_end]
     zero_vertices.update(np.flatnonzero(np.abs(value) <= ZERO_SCALE * scale).tolist())
     return interior, zero_vertices
 

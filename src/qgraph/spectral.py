@@ -89,9 +89,11 @@ derivative) or, at a Dirichlet vertex, f = 0.  They form the real
 2E x 2E matrix M(k) of `_vertex_system`, whose null space is the
 eigenspace at k > 0, poles of the count included.  At a level of counted
 multiplicity m the last m right singular vectors of M(k) span it; one
-m x m L^2 Gram matrix (`_gram`) orthonormalizes them.  The k = 0
-eigenvalue of a Neumann graph (constant eigenfunction) is handled
-symbolically.
+m x m L^2 Gram matrix (`_gram`) orthonormalizes them
+(`_eigenbasis_coeffs`).  The optimizer's edge energies read these rows
+as they are, since the energies do not depend on a basis function's
+sign.  The k = 0 eigenvalue of a Neumann graph (constant eigenfunction)
+is handled symbolically.
 
 `EdgeTrig` is the one representation of such functions.  It also serves
 the Rayleigh quotients, whose test functions have one frequency on every
@@ -810,12 +812,11 @@ def _vertex_system(m: MetricGraph, k: float) -> np.ndarray:
     value, slope = np.zeros((2 * E, 2 * E)), np.zeros((2 * E, 2 * E))
     value[end, edge], value[end, E + edge] = cos, sin
     slope[end, edge], slope[end, E + edge] = -out * sin, out * cos
-    first = np.unique(g.ends, return_index=True)[1]
+    first = g.first_end
     system = value - value[first[g.ends]]
     dirichlet = np.isinf(m.alpha)
     alpha_k = np.where(dirichlet, 0.0, m.alpha) / k
-    at = (g.ends == np.arange(g.vertex_count)[:, None]).astype(float)
-    kirchhoff = (at @ slope - alpha_k[:, None] * value[first]) / np.maximum(1.0, np.abs(alpha_k))[:, None]
+    kirchhoff = (g.end_at @ slope - alpha_k[:, None] * value[first]) / np.maximum(1.0, np.abs(alpha_k))[:, None]
     system[first] = np.where(dirichlet[:, None], value[first], kirchhoff)
     return system
 
@@ -845,15 +846,22 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
     return _eigenbasis(m, k, mult)
 
 
-def _eigenbasis(m: MetricGraph, k: float, mult: int) -> list[EdgeTrig]:
+def _eigenbasis_coeffs(m: MetricGraph, k: float, mult: int) -> np.ndarray:
     """The eigenspace at a level k > 0 whose multiplicity mult has been
-    counted: the last mult right singular vectors of `_vertex_system`,
-    orthonormalized in L^2 through their Gram matrix."""
+    counted, as mult rows [A | B] of coefficients: the last mult right
+    singular vectors of `_vertex_system`, orthonormalized in L^2 through
+    their Gram matrix.  Each row's sign is left as the SVD gives it."""
     E = m.graph.edge_count
     null = np.linalg.svd(_vertex_system(m, k))[2][-mult:]
     evals, evecs = np.linalg.eigh(_gram(k, null[:, :E], null[:, E:], m.lengths))
-    basis = (evecs / np.sqrt(evals)).T @ null
-    return [EdgeTrig(k, coeffs[:E], coeffs[E:]) for coeffs in map(_signed, basis)]
+    return (evecs / np.sqrt(evals)).T @ null
+
+
+def _eigenbasis(m: MetricGraph, k: float, mult: int) -> list[EdgeTrig]:
+    """`_eigenbasis_coeffs` as functions, each with its tie-proof sign (`_signed`)."""
+    E = m.graph.edge_count
+    basis = map(_signed, _eigenbasis_coeffs(m, k, mult))
+    return [EdgeTrig(k, coeffs[:E], coeffs[E:]) for coeffs in basis]
 
 
 def vertex_condition_residual(m: MetricGraph, f: EdgeTrig) -> float:
@@ -869,8 +877,7 @@ def vertex_condition_residual(m: MetricGraph, f: EdgeTrig) -> float:
     low, high = g.end_range(value)
     dirichlet = np.isinf(m.alpha)
     alpha = np.where(dirichlet, 0.0, m.alpha)
-    first = np.unique(g.ends, return_index=True)[1]
-    flux = np.bincount(g.ends, weights=slope, minlength=g.vertex_count) - alpha * value[first]
+    flux = np.bincount(g.ends, weights=slope, minlength=g.vertex_count) - alpha * value[g.first_end]
     free = np.maximum(high - low, np.abs(flux) / max(1.0, abs(f.k)))
     return float(np.where(dirichlet, np.maximum(high, -low), free).max())
 

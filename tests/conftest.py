@@ -2,11 +2,11 @@
 
 import pytest
 
-from qgraph import spectral
+from qgraph import optimize, spectral
 
 
-class MatrixTally:
-    """The number of count matrices requested, `n`; set it to 0 to restart."""
+class Tally:
+    """The number of calls counted, `n`; set it to 0 to restart."""
 
     def __init__(self) -> None:
         self.n = 0
@@ -19,7 +19,7 @@ def count_matrices(monkeypatch):
     single reduced count goes through `spectra` as a stack of one, so no
     matrix is tallied twice.  It wraps the two private entry points until
     the library counts its own requests."""
-    tally = MatrixTally()
+    tally = Tally()
     spectra, spectrum = spectral._TrigCount.spectra, spectral._Count.spectrum
 
     def counted_spectra(coupling, alpha, lengths, ks):
@@ -32,4 +32,19 @@ def count_matrices(monkeypatch):
 
     monkeypatch.setattr(spectral._TrigCount, "spectra", staticmethod(counted_spectra))
     monkeypatch.setattr(spectral._Count, "spectrum", counted_spectrum)
+    return tally
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """Tally every `contract_with_maps` call the optimizer makes, through
+    the name `optimize` binds."""
+    tally = Tally()
+    contract = optimize.contract_with_maps
+
+    def counted(g, lengths):
+        tally.n += 1
+        return contract(g, lengths)
+
+    monkeypatch.setattr(optimize, "contract_with_maps", counted)
     return tally

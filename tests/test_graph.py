@@ -99,12 +99,17 @@ def test_incidence_is_built_from_the_edges():
             Q[a, e] += 1.0
             Q[b, e] -= 1.0
         assert np.array_equal(g.incidence, np.hstack([P, Q])), g
+        at = np.zeros((g.vertex_count, 2 * E))
+        at[g.ends, np.arange(2 * E)] = 1.0
+        assert np.array_equal(g.end_at, at), g
+        assert g.first_end.tolist() == [g.ends.tolist().index(v) for v in range(g.vertex_count)], g
     # the two loops of stower(2, 1) sit at vertex 0: P = 2, Q = 0
     g = graphs[0]
     assert g.incidence[0, :2].tolist() == [2.0, 2.0]
     assert g.incidence[0, 3:5].tolist() == [0.0, 0.0]
-    with pytest.raises(ValueError):
-        g.incidence[0, 0] = 1.0
+    for arr in (g.incidence, g.end_at, g.first_end):
+        with pytest.raises(ValueError):
+            arr[0] = 1
 
 
 def test_degree_counts_loops_twice():

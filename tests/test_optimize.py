@@ -251,13 +251,14 @@ def _ascent_starts():
         (flower(3)[0], random_lengths(np.random.default_rng(2), 3), 4),
         (stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3), 5),
     ):
-        start = optimize._AscentState(g, init.values.copy(), list(range(g.edge_count)))
+        root = optimize._Topology(g)
+        start = optimize._AscentState(root, init.values.copy(), list(range(g.edge_count)))
         if init.zero_edges():
             start = optimize._settle(start, init.zero_edges())
         starts.append((g, start))
         rng = np.random.default_rng(seed)
         lv = random_lengths(rng, g.edge_count, l_min=2 * optimize.L_MIN).values
-        starts.append((g, optimize._AscentState(g, lv, list(range(g.edge_count)))))
+        starts.append((g, optimize._AscentState(root, lv, list(range(g.edge_count)))))
     return starts
 
 
@@ -284,6 +285,93 @@ def test_ascents_driven_together_equal_ascents_driven_alone():
     # the contracting start ran on two edges; the ascents did not all agree
     assert json.loads(alone[0])["lengths"][2] == 0.0
     assert len(set(alone)) > 1
+
+
+def test_each_face_is_contracted_once_per_call(contractions):
+    # the 11 starts of star(5) probe the same five faces, one leaf edge
+    # dropped in each; the starts share one topology tree, which builds
+    # every face on its first request
+    g, lengths = star(5)
+    maximize_gap(g, lengths, MaximizeOptions(seeds=10))
+    assert contractions.n == 5
+
+
+def _rebuilt_child(topo, lengths):
+    mg, edge_map = optimize.contract_with_maps(topo.graph, lengths)
+    return optimize._Topology(mg.graph), edge_map
+
+
+def test_shared_topologies_equal_rebuilt_ones(monkeypatch):
+    catalog = full_catalog()
+    runs = [
+        (catalog[i].graph, random_lengths(np.random.default_rng(500 + i), catalog[i].graph.edge_count), i)
+        for i in (2, 5, 9, 17, 18, 19, 20)   # star 4, flower 3, stower (1, 2), necklaces, standarins
+    ]
+    runs.append((stower(1, 2)[0], LengthVector([0.5, 0.5, 0.0]), 0))
+
+    def documents():
+        return [
+            json.dumps(maximize_gap(g, init, MaximizeOptions(seeds=2, seed=s)).to_dict())
+            for g, init, s in runs
+        ]
+
+    shared = documents()
+    monkeypatch.setattr(optimize._Topology, "child", _rebuilt_child)
+    assert documents() == shared
+
+
+def test_cluster_energies_equal_the_eigenfunction_energies():
+    for g, _ in (star(4), flower(3), mandarin(3)):
+        m = metric(g)
+        k1, mult = spectral_gap(m)
+        assert mult > 1
+        window = spectral._eigenvalue_search(m, k1 * (1.0 + optimize.CLUSTER_WINDOW), k1 - 1e-7)
+        total, dims = np.zeros(g.edge_count), 0
+        for p in spectral._drive([window])[0].eigenpairs:
+            for f in spectral._eigenbasis(m, p.k, p.multiplicity):
+                total += f.energies()
+                dims += 1
+        energies = spectral._drive([optimize._cluster_energies(m, k1)])[0]
+        assert repr(energies.tolist()) == repr((total / dims).tolist())
+
+
+def _projection_formula(y, l_min):
+    """The array formula of the simplex projection, kept as the oracle."""
+    n = y.size
+    budget = 1.0 - n * l_min
+    z = y - l_min
+    u = np.sort(z)[::-1]
+    css = np.cumsum(u) - budget
+    rho = np.nonzero(u * np.arange(1, n + 1) > css)[0][-1]
+    tau = css[rho] / (rho + 1.0)
+    return np.maximum(z - tau, 0.0) + l_min
+
+
+def test_float_projection_equals_the_array_formula():
+    rng = np.random.default_rng(19)
+    l_min = optimize.L_MIN
+    for n in range(1, 7):
+        for trial in range(300):
+            y = random_lengths(rng, n, l_min=l_min).values + rng.normal(0.0, 0.3, n)
+            if trial % 3 == 0:   # ties
+                y[rng.integers(n, size=2)] = y[0]
+            if trial % 3 == 1:   # entries on a coarse grid, some at the floor
+                y = rng.integers(0, 5, n) / 8.0
+                y[rng.random(n) < 0.5] = l_min
+            projected = optimize._project_simplex_lb(y, l_min)
+            assert repr(projected.tolist()) == repr(_projection_formula(y, l_min).tolist()), y
+
+
+def test_maximize_takes_plain_sequences_through_length_vector():
+    g, _ = star(3)
+    init = [0.2, 0.3, 0.5]
+    opts = MaximizeOptions(seeds=0)
+    expected = maximize_gap(g, LengthVector(init), opts).to_dict()
+    assert maximize_gap(g, init, opts).to_dict() == expected
+    assert maximize_gap(g, np.array(init), opts).to_dict() == expected
+    for bad in ([0.2, 0.3, 0.6], [0.5, float("nan"), 0.5], [[0.5, 0.5]]):
+        with pytest.raises(InvalidInputError):
+            maximize_gap(g, bad, opts)
 
 
 def test_maximize_agrees_with_brute_force():
@@ -366,6 +454,12 @@ def test_brute_force_two_mandarin_min():
     # every grid point of a two-mandarin is the same circle
     mid, _ = spectral_gap(metric(mandarin(2)[0], np.array([0.5, 0.5])))
     assert mid == pytest.approx(2 * PI, abs=1e-8)
+
+
+@pytest.mark.parametrize("resolution", [0, -1, 2.5, True])
+def test_brute_force_needs_a_positive_integer_resolution(resolution):
+    with pytest.raises(InvalidInputError, match="resolution"):
+        brute_force_gap(star(3)[0], resolution, "max")
 
 
 def test_brute_force_budget():
