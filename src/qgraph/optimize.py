@@ -36,6 +36,16 @@ the topology it leaves, by the edges it drops; the first request builds
 the quotient (`contract_with_maps`) and its own `_Topology`, and every
 later one, from any start, takes them as they are.  The tree lives for
 one call, so its size is bounded by the faces that call probes.
+
+Restarts that reach the same state merge.  Symmetrizing never lowers the
+gap and is applied first, so on stars and flowers every restart lands on
+the same few length vectors, to the bit, in its first iteration.  After
+the symmetrization of each iteration an ascent's future is a function of
+its iteration, topology, lengths, pin counts, edge map and gap; `_ascend`
+holds that key, matched exactly, for every state one call reaches.  The
+first ascent to reach a state goes on; a later one stops there, and once
+the first has finished it takes that end and the rest of its trace, so
+every result and trace is the one it would be alone.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,13 +112,24 @@ class CatalogEntry:
     multiplicity: int | None
 
 
+_FAMILY_ARITY = {"star": 1, "flower": 1, "stower": 2, "mandarin": 1, "necklace": 1, "standarin": 3}
+
+
 def catalog_entry(family: str, *params: int) -> CatalogEntry:
     """Canonical lengths and closed-form gap for a named family.
 
     Families: star E, flower E, stower (Ep, El), mandarin E, necklace B,
     standarin (n, M, S).  The stower (1, 1) has no equilateral maximizer
-    (its supremizer is a single loop) and is rejected.
+    (its supremizer is a single loop) and is rejected, as are a wrong
+    number of parameters and parameters that are not integers.
     """
+    if not isinstance(family, str) or family not in _FAMILY_ARITY:
+        raise InvalidInputError(f"unknown catalog family {family!r}")
+    if len(params) != _FAMILY_ARITY[family]:
+        raise InvalidInputError(
+            f"{family} family takes {_FAMILY_ARITY[family]} parameter(s), not {len(params)}"
+        )
+    params = tuple(_integer(p, f"{family} parameter", InvalidInputError) for p in params)
     if family == "star":
         (E,) = params
         if E < 2:
@@ -145,7 +167,6 @@ def catalog_entry(family: str, *params: int) -> CatalogEntry:
         n, M, S = params
         g, l = families.standarin_chain(n, M, S)
         return CatalogEntry(family, params, g, l, math.pi * n, 1)
-    raise InvalidInputError(f"unknown catalog family {family!r}")
 
 
 def full_catalog() -> list[CatalogEntry]:
@@ -304,12 +325,13 @@ class _Topology:
         self.probes = [[e] for e in range(E)] + ([internal] if 1 < len(internal) < E else [])
         self.children: dict[tuple[int, ...], tuple[_Topology, list[int | None]]] = {}
 
-    def child(self, lengths: LengthVector) -> tuple[_Topology, list[int | None]]:
-        """The quotient by the zero edges of lengths and every edge's index
-        in it (None if contracted), as `contract_with_maps` gives them."""
-        key = tuple(lengths.zero_edges())
+    def child(self, lengths: np.ndarray) -> tuple[_Topology, list[int | None]]:
+        """The quotient by the zero edges of lengths, which sum to one, and
+        every edge's index in it (None if contracted), as
+        `contract_with_maps` gives them."""
+        key = tuple(np.flatnonzero(lengths == 0.0).tolist())
         if key not in self.children:
-            mg, edge_map = contract_with_maps(self.graph, lengths)
+            mg, edge_map = contract_with_maps(self.graph, LengthVector(lengths))
             self.children[key] = (_Topology(mg.graph), edge_map)
         return self.children[key]
 
@@ -340,14 +362,16 @@ def _settle(state: _AscentState, drop=()) -> _AscentState:
 
     Symmetrizing never lowers the gap.  Groups share no edges and a mean
     keeps their sum, so all of them are set in one move.  Without drop the
-    topology and the pin counts carry over.
+    topology and the pin counts carry over.  The ascent's lengths are
+    positive, so the contracted lengths need none of `LengthVector`'s
+    checks; `_Topology.child` builds one only for a new face.
     """
     topo, lv, orig_map = state.topo, state.lengths.copy(), state.orig_map
     if drop:
         lv[list(drop)] = 0.0
-        lengths = LengthVector(lv / lv.sum())
-        topo, edge_map = topo.child(lengths)
-        lv = lengths.values[lengths.values != 0.0]
+        lv = lv / lv.sum()
+        topo, edge_map = topo.child(lv)
+        lv = lv[lv != 0.0]
         orig_map = [None if cur is None else edge_map[cur] for cur in orig_map]
     for group in topo.groups:
         lv[group] = lv[group].mean()
@@ -398,12 +422,27 @@ def _no_move(cand: np.ndarray, lengths: np.ndarray, atol: float) -> bool:
     return bool((np.abs(cand - lengths) <= atol + NO_MOVE_RTOL * np.abs(lengths)).all())
 
 
-def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> _Search:
-    """One ascent from state, appending its moves to trace; returns (state, gap)."""
+class _Follow(NamedTuple):
+    """What an ascent returns when it reaches a state another one reached
+    first: that ascent's index and its trace length there."""
+
+    leader: int
+    at: int
+
+
+def _single_ascent(
+    state: _AscentState, trace: list[TraceStep], held: dict | None = None, index: int = 0
+) -> _Search:
+    """One ascent from state, appending its moves to trace; returns (state, gap).
+
+    With held, the states the ascents of one call have reached, keyed
+    after the symmetrization of each iteration, the ascent numbered index
+    returns a `_Follow` of the first ascent that held the state it reaches.
+    """
     gap = (yield from _gap_search(state.metric()))[0]
     trace.append(TraceStep(gap, 0.0, "init"))
 
-    for _ in range(MAX_ITERS):
+    for it in range(MAX_ITERS):
         moved = False
 
         # symmetrization moves are non-decreasing whenever they apply
@@ -415,6 +454,14 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> _Search:
                     moved = True
                 state, gap = cand, cand_gap
                 trace.append(TraceStep(gap, 0.0, "symmetrize"))
+
+        # from here on the ascent is a function of this key, to the bit
+        if held is not None:
+            key = (it, moved, state.topo, state.lengths.tobytes(), state.pin_count.tobytes(),
+                   tuple(state.orig_map), gap)
+            first = held.setdefault(key, _Follow(index, len(trace)))
+            if first.leader != index:
+                return first
 
         # ascent step along the eigenspace-averaged energy gradient; gradient
         # moves must strictly improve (the slack is reserved for the provably
@@ -504,6 +551,32 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep]) -> _Search:
     return state, gap
 
 
+def _ascend(starts: list[_AscentState]) -> list[tuple[_AscentState, float, list[TraceStep]]]:
+    """The end state, gap and trace of the ascent from every start.
+
+    The ascents run in lockstep: each step of the driver takes every
+    ascent's pending count in one stacked eigvalsh per matrix shape.  An
+    ascent that reaches a state another one held first stops there, and
+    takes that ascent's end and the rest of its trace, once that ascent
+    has its own: a leader may itself have stopped on a third ascent.
+    """
+    traces: list[list[TraceStep]] = [[] for _ in starts]
+    held: dict = {}
+    ascents = parallel_map(
+        lambda j: _single_ascent(starts[j], traces[j], held, j), range(len(starts))
+    )
+    ends = _drive(ascents)
+
+    def resolve(j: int) -> tuple[_AscentState, float]:
+        if isinstance(ends[j], _Follow):
+            leader, at = ends[j]
+            ends[j] = resolve(leader)
+            traces[j].extend(traces[leader][at:])
+        return ends[j]
+
+    return [(*resolve(j), traces[j]) for j in range(len(starts))]
+
+
 def maximize_gap(
     g: DiscreteGraph, init: LengthVector, options: MaximizeOptions | None = None
 ) -> OptimizationResult:
@@ -531,12 +604,8 @@ def maximize_gap(
         lv = families.random_lengths(rng, g.edge_count, l_min=2 * L_MIN).values
         starts.append(_AscentState(root, lv, list(range(g.edge_count))))
 
-    # the ascents run in lockstep: each step of the driver takes every
-    # ascent's pending count in one stacked eigvalsh per matrix shape
-    traces: list[list[TraceStep]] = [[] for _ in starts]
-    ascents = parallel_map(lambda j: _single_ascent(starts[j], traces[j]), range(len(starts)))
     best: tuple[float, _AscentState, list[TraceStep]] | None = None
-    for (state, gap), trace in zip(_drive(ascents), traces):
+    for state, gap, trace in _ascend(starts):
         if best is None or gap > best[0] + 1e-12:
             best = (gap, state, trace)
 

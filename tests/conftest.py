@@ -48,3 +48,18 @@ def contractions(monkeypatch):
 
     monkeypatch.setattr(optimize, "contract_with_maps", counted)
     return tally
+
+
+@pytest.fixture
+def eigenbases(monkeypatch):
+    """Tally every eigenspace the optimizer solves: each `_eigenbasis_coeffs`
+    call through the name `optimize` binds is one."""
+    tally = Tally()
+    solve = optimize._eigenbasis_coeffs
+
+    def counted(m, k, multiplicity):
+        tally.n += 1
+        return solve(m, k, multiplicity)
+
+    monkeypatch.setattr(optimize, "_eigenbasis_coeffs", counted)
+    return tally

@@ -61,6 +61,18 @@ def test_catalog_rejects_lasso_stower():
         catalog_entry("stower", 1, 1)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [("star",), ("star", 3, 4), ("star", 2.5), ("flower", 2.0), ("stower", 1.0, 2),
+     ("necklace", True), (["star"], 3)],
+)
+def test_catalog_needs_its_number_of_integer_parameters(args):
+    # these raised ValueError or TypeError, and necklace True was read as necklace 1;
+    # a family that is not a string is unknown
+    with pytest.raises(InvalidInputError):
+        catalog_entry(*args)
+
+
 def test_catalog_entries_match_solver():
     for entry in full_catalog():
         k1, mult = spectral_gap(metric(entry.graph, entry.lengths))
@@ -208,9 +220,9 @@ def test_no_full_search_is_spent_on_a_losing_candidate(monkeypatch):
     traces, searches, current = [], [], []
     ascent, full_search = optimize._single_ascent, optimize._gap_search
 
-    def traced_ascent(state, trace):
+    def traced_ascent(state, trace, *merge):
         traces.append(trace)
-        inner = ascent(state, trace)
+        inner = ascent(state, trace, *merge)
         value = None
         while True:
             current[:] = [trace]
@@ -270,13 +282,12 @@ def _ascent_documents(together):
         ends = spectral._drive(ascents)
     else:
         ends = [spectral._drive([ascent])[0] for ascent in ascents]
-    out = []
-    for (g, _), (state, gap), trace in zip(starts, ends, traces):
-        res = optimize.OptimizationResult(
-            state.original_lengths(g.edge_count), gap, "", tuple(trace)
-        )
-        out.append(json.dumps(res.to_dict()))
-    return out
+    return [_ascent_document(g, *end, trace) for (g, _), end, trace in zip(starts, ends, traces)]
+
+
+def _ascent_document(g, state, gap, trace):
+    res = optimize.OptimizationResult(state.original_lengths(g.edge_count), gap, "", tuple(trace))
+    return json.dumps(res.to_dict())
 
 
 def test_ascents_driven_together_equal_ascents_driven_alone():
@@ -294,6 +305,95 @@ def test_each_face_is_contracted_once_per_call(contractions):
     g, lengths = star(5)
     maximize_gap(g, lengths, MaximizeOptions(seeds=10))
     assert contractions.n == 5
+
+
+def _settle_through_length_vector(state, drop):
+    """`_settle` as it formed the contracted lengths through `LengthVector`,
+    kept as the oracle."""
+    lv = state.lengths.copy()
+    lv[list(drop)] = 0.0
+    lengths = LengthVector(lv / lv.sum())
+    mg, edge_map = optimize.contract_with_maps(state.topo.graph, lengths)
+    lv = lengths.values[lengths.values != 0.0]
+    for _v, _kind, group in optimize.symmetrizable_groups(mg.graph) if mg.graph.edge_count >= 3 else []:
+        lv[list(group)] = lv[list(group)].mean()
+    orig_map = [None if cur is None else edge_map[cur] for cur in state.orig_map]
+    return mg.graph.edges, (lv / lv.sum()).tolist(), orig_map
+
+
+def test_settle_equals_the_length_vector_path():
+    rng = np.random.default_rng(45)
+    cases = 0
+    for g, _ in (star(5), flower(4), stower(1, 2), stower(2, 2), caterpillar(2, {0: 1, 1: 1, 2: 1})):
+        root = optimize._Topology(g)
+        for _ in range(20):
+            lv = random_lengths(rng, g.edge_count, l_min=optimize.L_MIN).values
+            for drop in root.probes:
+                state = optimize._AscentState(root, lv.copy(), list(range(g.edge_count)))
+                settled = optimize._settle(state, drop)
+                got = (settled.topo.graph.edges, settled.lengths.tolist(), settled.orig_map)
+                assert repr(got) == repr(_settle_through_length_vector(state, drop)), (g.edges, drop)
+                cases += 1
+    assert cases == 20 * (5 + 4 + 3 + 4 + 6)   # the caterpillar probes its two spine edges at once too
+
+
+# restarts of these graphs meet (stars and flowers in their first
+# symmetrization), save stower (1, 2)'s, which never do
+MERGE_GRAPHS = (star(4)[0], star(5)[0], flower(4)[0], stower(1, 2)[0])
+
+
+def test_merged_restarts_equal_unmerged_ones(monkeypatch):
+    def documents():
+        return [
+            json.dumps(maximize_gap(g, random_lengths(np.random.default_rng(s), g.edge_count),
+                                    MaximizeOptions(seeds=10, seed=s)).to_dict())
+            for s, g in enumerate(MERGE_GRAPHS)
+        ]
+
+    merged = documents()
+    ascent = optimize._single_ascent
+    monkeypatch.setattr(optimize, "_single_ascent", lambda state, trace, *merge: ascent(state, trace))
+    assert documents() == merged
+
+
+def test_a_follower_of_a_follower_resolves_to_its_own_trace(monkeypatch):
+    # on the dumbbell, the ascent from b meets the one from a in its second
+    # iteration, and the second start from b meets the first one at once:
+    # ascent 2 follows ascent 1, which later follows ascent 0
+    g = dumbbell(0.5)[0]
+    rng = np.random.default_rng(0)
+    lvs = [random_lengths(rng, 3, l_min=2 * optimize.L_MIN).values for _ in range(3)]
+    a, b = lvs[1], lvs[2]
+
+    def starts():
+        root = optimize._Topology(g)
+        return [optimize._AscentState(root, lv.copy(), [0, 1, 2]) for lv in (a, b, b)]
+
+    drive, ends = optimize._drive, []   # the ends as the driver returns them
+    monkeypatch.setattr(optimize, "_drive", lambda searches: ends.extend(drive(searches)) or list(ends))
+    merged = [_ascent_document(g, *end) for end in optimize._ascend(starts())]
+    assert [e.leader for e in ends[1:]] == [0, 1]
+    alone = []
+    for start in starts():
+        trace = []
+        alone.append(_ascent_document(g, *spectral._drive([optimize._single_ascent(start, trace)])[0], trace))
+    assert merged == alone
+    assert ends[1].at < len(json.loads(alone[0])["trace"])   # ascent 0 adds to the tail
+
+
+def test_restarts_that_meet_solve_each_eigenspace_once(eigenbases, count_matrices):
+    # every restart of star(5) symmetrizes to the equilateral star in its
+    # first iteration; from there one ascent goes on for all eleven
+    g, lengths = star(5)
+    maximize_gap(g, lengths, MaximizeOptions(seeds=10))
+    assert eigenbases.n <= 5
+    assert count_matrices.n <= 392
+
+
+def test_restarts_that_never_meet_keep_their_solves(eigenbases):
+    g, lengths = stower(1, 2)
+    maximize_gap(g, lengths, MaximizeOptions(seeds=10))
+    assert eigenbases.n == 21
 
 
 def _rebuilt_child(topo, lengths):
