@@ -39,6 +39,7 @@ from .spectral import (
     eigenfunction,
     eigenvalues,
     harmonic_interpolant,
+    levels,
     negative_spectrum,
     rayleigh,
     rayleigh_centered,
@@ -60,15 +61,11 @@ from .dispersion import (
     DispersionCurve,
     GluingReport,
     SgpReport,
-    all_levels,
     dispersion_curve,
     glue,
     gluing_bound_check,
     identify_vertices,
-    levels_theta,
-    levels_thetas,
     spectral_gap_parameter,
-    spectrum_theta,
 )
 from .optimize import (
     CatalogEntry,

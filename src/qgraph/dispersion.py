@@ -13,9 +13,9 @@ tolerance.  The flat multiplicity at k is the least counted multiplicity
 at k under the couplings theta = 1.2 and -0.7, and k is a flat band when
 it is positive.  A dispersion curve takes its flat bands from the levels
 of its first grid row and removes them from every row within the
-count's merge width.  The rows of a theta grid are searched in lockstep
-(`spectral.eigenvalues_lockstep`), each with the values a search of that
-row alone would see.
+count's merge width.  The rows of a theta grid, negative branch
+included, are searched in lockstep (`spectral.levels`), each with the
+values a search of that row alone would see.
 
 The spectral gap parameter theta_SG solves K(theta_SG) = k1(Neumann); it
 lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
@@ -34,16 +34,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .graph import DIRICHLET, NEUMANN, DeltaTheta, MetricGraph, _quotient
-from .spectral import (
-    Spectrum,
-    _merge_width,
-    eigenvalues,
-    eigenvalues_lockstep,
-    gap_reaches,
-    multiplicity_at,
-    negative_spectrum,
-    spectral_gap,
-)
+from .spectral import _merge_width, gap_reaches, levels, multiplicity_at, spectral_gap
 
 SGP_THETA_TOL = 1e-8
 STRONG_TOL = 1e-6
@@ -52,36 +43,6 @@ GLUE_K_TOL = 1e-8  # the glued gap meets the bound k1(G1) + k1(G2) within this
 
 def _with_theta(m: MetricGraph, v: int, theta: float) -> MetricGraph:
     return m.with_condition(v, DeltaTheta(theta))
-
-
-def spectrum_theta(m: MetricGraph, v: int, theta: float, k_max: float) -> Spectrum:
-    """Nonnegative spectrum with the delta condition at v, Neumann elsewhere."""
-    return eigenvalues(_with_theta(m, v, theta), k_max)
-
-
-def _with_negative(m: MetricGraph, spectrum: Spectrum, n_max: int | None) -> list[float]:
-    """The negative branch of m followed by its nonnegative spectrum, cut at n_max."""
-    out: list[float] = []
-    for p in negative_spectrum(m):
-        out.extend([p.k] * p.multiplicity)
-    out.extend(spectrum.expanded())
-    return out if n_max is None else out[:n_max]
-
-
-def all_levels(m: MetricGraph, k_max: float, n_max: int | None = None) -> list[float]:
-    """Sorted eigenvalue list of any metric graph, negative branch included."""
-    return _with_negative(m, eigenvalues(m, k_max), n_max)
-
-
-def levels_theta(m: MetricGraph, v: int, theta: float, k_max: float, n_max: int | None = None) -> list[float]:
-    """Eigenvalue list including the negative branch for attractive coupling."""
-    return all_levels(_with_theta(m, v, theta), k_max, n_max)
-
-
-def levels_thetas(m: MetricGraph, v: int, thetas, k_max: float, n_max: int | None = None) -> list[list[float]]:
-    """levels_theta at every theta; the nonnegative spectra are searched in lockstep."""
-    ms = [_with_theta(m, v, float(t)) for t in thetas]
-    return [_with_negative(mt, spec, n_max) for mt, spec in zip(ms, eigenvalues_lockstep(ms, k_max))]
 
 
 def flat_multiplicity(m: MetricGraph, v: int, k: float) -> int:
@@ -186,7 +147,7 @@ def dispersion_curve(
         k_max = math.pi * (n_levels + 3) / m.total_length
     thetas = np.array([-math.pi + 2 * math.pi * (j + 1) / grid_size for j in range(grid_size)])
     thetas[-1] = math.pi
-    level_lists = levels_thetas(m, v, thetas, k_max)
+    level_lists = levels([_with_theta(m, v, float(t)) for t in thetas], k_max)
     flats = _detect_flat_bands(m, v, level_lists[0], k_cut=k_max - math.pi / m.total_length)
     nonflat = [_remove_flats(lv, flats) for lv in level_lists]
 

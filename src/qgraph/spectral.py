@@ -56,10 +56,11 @@ of the window, and a secant through it creeps along that end; such an
 end enters as an infinite value, +inf below the level and -inf above, so
 the step bisects until a sample replaces it.  The multiplicity of a
 level r is N(r + d) - N(r - d) with d = max(1e-10 r, 1e-9), with no
-threshold on any matrix; levels closer than d merge into one.  Negative
-eigenvalues lambda = -kappa^2 of attractive delta couplings go through
-the same finder with the hyperbolic vertex matrix, see
-`negative_spectrum`.
+threshold on any matrix; levels closer than d merge into one, and a
+point where N flips by noise alone, with difference 0, is no level.
+Negative eigenvalues lambda = -kappa^2 of attractive delta couplings go
+through the same finder with the hyperbolic vertex matrix
+(`_negative_search`).
 
 The finder is a generator, `_level_search`: it yields a request, the
 count and a k where it needs that count, and is sent the count's spectrum
@@ -69,15 +70,16 @@ between -inf for each negative pivot and +inf for each positive one.  So
 the count, and the index n_- that regula falsi follows across a bracket,
 are those of K; where a bracket end's value is infinite, a stand-in or an
 off-scale end, the secant is nan and the finder bisects.  Every search
-built on it (`_gap_search`, `_reaches`, `_eigenvalue_search`, `_around`)
-is a generator of the same kind, and one driver, `_drive`, runs any
-number of them together.  At each step it groups the pending requests by
+built on it (`_gap_search`, `_reaches`, `_eigenvalue_search`,
+`_negative_search`, `_around`) is a generator of the same kind, and one
+driver, `_drive`, runs any number of them together and takes every count
+any of them needs.  At each step it groups the pending requests by
 matrix shape (V', E); a group of several costs one stacked build with
 `_TrigCount.spectra` and one stacked eigvalsh, and a lone request takes
 `spectrum`.  The stacked build forms every entry as the single one does
 (a single reduced count is the stack of one), so each search is sent the
 same values alone or in company.  The public functions drive one search
-each; the rows of a delta sweep (`eigenvalues_lockstep`) and the
+each; the graphs of `levels` (the rows of a delta sweep) and the
 restarts of the optimizer drive theirs together.
 
 Eigenfunctions come from the vertex conditions on the edge ends
@@ -281,9 +283,6 @@ class _Count:
         """The sample at k, from spectrum(k)."""
         poles = self.poles(k)
         return _Sample(k, poles + self.offset + int(np.count_nonzero(evals < 0.0)), poles, evals)
-
-    def sample(self, k: float) -> _Sample:
-        return self.made(k, self.spectrum(k))
 
     def off_pole(self, k: float, direction: float) -> float:
         """k itself, or the first point past its pole window in the given direction."""
@@ -541,9 +540,11 @@ def _level_search(count: _Count, k_lo: float, k_hi: float, first_only: bool = Fa
         upper = min((s for s in seen if s.count > lo.count), key=lambda s: s.k)
         r = yield from _lowest_level(count, lo, upper, seen)
         below, above = yield from _around(count, r, lo)
-        out.append((r, above.count - below.count))
-        if first_only:
-            break
+        # count noise can flip N at a point no level sits on
+        if above.count > below.count:
+            out.append((r, above.count - below.count))
+            if first_only:
+                break
         seen.append(above)
         lo = above
     return out
@@ -646,11 +647,6 @@ def eigenvalues(m: MetricGraph, k_max: float, k_min: float = 0.0) -> Spectrum:
     return _drive([_eigenvalue_search(m, k_max, k_min)])[0]
 
 
-def eigenvalues_lockstep(ms: list[MetricGraph], k_max: float) -> list[Spectrum]:
-    """eigenvalues(m, k_max) for every m, searched in lockstep."""
-    return _drive([_eigenvalue_search(m, k_max, 0.0) for m in ms])
-
-
 def multiplicity_at(m: MetricGraph, k: float) -> int:
     """The number of eigenvalues at k > 0, counted as N(k + d) - N(k - d) with
     d the merge width; zero when k is not an eigenvalue."""
@@ -679,7 +675,7 @@ def spectral_gap(m: MetricGraph) -> tuple[float, int]:
     return _drive([_gap_search(m)])[0]
 
 
-def _floor_count(m: MetricGraph, count: _TrigCount) -> int:
+def _floor_count(count: _TrigCount) -> _Search:
     """N at the search floor, moved below any pole window it sits in.
 
     On a Neumann graph it is 1 without a count: the graph is connected, so
@@ -688,17 +684,18 @@ def _floor_count(m: MetricGraph, count: _TrigCount) -> int:
     """
     if count.neumann:
         return 1
-    return count.sample(count.off_pole(count.floor, -1.0)).count
+    floor_k = count.off_pole(count.floor, -1.0)
+    return count.made(floor_k, (yield count, floor_k)).count
 
 
 def _reaches(m: MetricGraph, k: float) -> _Search:
-    """`gap_reaches` as a search: it requests N(k), and `_floor_count` takes
-    N(k_floor) itself where it is not known."""
+    """`gap_reaches` as a search: it requests N(k), then N(k_floor) where
+    that is not known (`_floor_count`)."""
     _require_k("k", k)
     count = _TrigCount(m)
     below_k = count.off_pole(k, -1.0)
     below = count.made(below_k, (yield count, below_k))
-    return below.count <= _floor_count(m, count)
+    return below.count <= (yield from _floor_count(count))
 
 
 def gap_reaches(m: MetricGraph, k: float) -> bool:
@@ -948,7 +945,7 @@ def rayleigh_centered(m: MetricGraph, f: EdgeTrig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# negative spectrum (attractive delta couplings)
+# negative spectrum (attractive delta couplings) and signed levels
 # ---------------------------------------------------------------------------
 
 
@@ -971,20 +968,38 @@ class _HyperbolicCount(_Count):
         return -(np.diag(self.alpha) + (self.coupling * d) @ self.coupling.T)
 
 
-def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
-    """Negative-eigenvalue branch, reported as k = -kappa (so lambda = -kappa^2).
-
-    The levels are those of the hyperbolic count between its floor,
-    kappa = 1e-9, and a kappa where the hyperbolic vertex matrix is
-    positive definite.
-    """
+def _negative_search(m: MetricGraph) -> _Search:
+    """`negative_spectrum` as a search: the levels of the hyperbolic count
+    between its floor, kappa = 1e-9, and the first kappa = 2^j, j >= 0,
+    where the hyperbolic vertex matrix is positive definite."""
     if (m.alpha >= 0).all():
         return []
     count = _HyperbolicCount(m)
     kappa_hi = 1.0
     for _ in range(80):
-        if count.sample(kappa_hi).count == count.alpha.size:
+        if count.made(kappa_hi, (yield count, kappa_hi)).count == count.alpha.size:
             break
         kappa_hi *= 2.0
-    levels = _drive([_level_search(count, count.floor, kappa_hi)])[0]
-    return [Eigenpair(-kappa, mult) for kappa, mult in reversed(levels)]
+    found = yield from _level_search(count, count.floor, kappa_hi)
+    return [Eigenpair(-kappa, mult) for kappa, mult in reversed(found)]
+
+
+def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
+    """Negative-eigenvalue branch, reported as k = -kappa (so lambda = -kappa^2)."""
+    return _drive([_negative_search(m)])[0]
+
+
+def _levels_search(m: MetricGraph, k_max: float, n_max: int | None) -> _Search:
+    """One graph's `levels` as a search.  The nonnegative spectrum goes
+    first, so the trig counts of a sweep's rows stack from the first step."""
+    spectrum = yield from _eigenvalue_search(m, k_max, 0.0)
+    negative = yield from _negative_search(m)
+    return ([p.k for p in negative for _ in range(p.multiplicity)] + spectrum.expanded())[:n_max]
+
+
+def levels(ms: list[MetricGraph], k_max: float, n_max: int | None = None) -> list[list[float]]:
+    """Every eigenvalue of each graph up to k_max, with multiplicity, ascending:
+    the negative branch as k = -kappa first, then the nonnegative spectrum
+    (k = 0 on Neumann graphs), cut at n_max.  All graphs are searched in
+    lockstep, each with the values a search of it alone would see."""
+    return _drive([_levels_search(m, k_max, n_max) for m in ms])

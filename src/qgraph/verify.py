@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import families
-from .dispersion import glue, interlacing_margin, levels_thetas
+from .dispersion import glue, interlacing_margin
 from .errors import InvalidInputError, MultiplicityError, NotApplicableError
-from .graph import LengthVector, metric, tree_diameter
+from .graph import DeltaTheta, LengthVector, metric, tree_diameter
 from .optimize import (
     MaximizeOptions,
     full_catalog,
@@ -30,6 +30,7 @@ from .perturbation import gap_eigenpair, is_critical, nodal_count, path_decompos
 from .spectral import (
     EdgeTrig,
     eigenvalues,
+    levels,
     spectral_gap,
     vertex_condition_residual,
 )
@@ -246,7 +247,7 @@ def check_a8(seed: int) -> _Check:
         m = metric(g, lengths)
         v = int(rng.integers(0, g.vertex_count))
         k_max = PI * (n_levels + 3)
-        rows = levels_thetas(m, v, thetas, k_max, n_max=n_levels + 1)
+        rows = levels([m.with_condition(v, DeltaTheta(t)) for t in thetas], k_max, n_max=n_levels + 1)
         for i in range(len(thetas)):
             for j in range(i + 1, len(thetas)):
                 lo = np.array(rows[i][: n_levels + 1])

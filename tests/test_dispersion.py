@@ -1,6 +1,8 @@
 """Delta sweeps, dispersion curves, SGP classification, gluing."""
 
+import importlib.util
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,18 +11,16 @@ from qgraph import (
     NEUMANN,
     DeltaTheta,
     InvalidInputError,
-    all_levels,
     dispersion_curve,
+    eigenvalues,
     glue,
     gluing_bound_check,
     identify_vertices,
-    levels_theta,
-    levels_thetas,
+    levels,
     metric,
     negative_spectrum,
     spectral_gap,
     spectral_gap_parameter,
-    spectrum_theta,
 )
 from qgraph import spectral
 from qgraph.dispersion import multiplicity_at, _with_theta
@@ -40,43 +40,48 @@ from qgraph.families import (
 PI = math.pi
 
 
+def _row(m, v, theta, k_max, n_max=None):
+    """The levels of m with the coupling theta at v, searched alone."""
+    return levels([_with_theta(m, v, theta)], k_max, n_max)[0]
+
+
 # ---------------------------------------------------------------------------
 # spectra under the delta condition
 # ---------------------------------------------------------------------------
 
 
 def test_interval_dirichlet_end():
-    spec = spectrum_theta(metric(*interval()), 0, PI, 12.0)
+    spec = eigenvalues(_with_theta(metric(*interval()), 0, PI), 12.0)
     ks = [p.k for p in spec.eigenpairs]
     assert ks[:3] == pytest.approx([PI / 2, 3 * PI / 2, 5 * PI / 2], abs=1e-9)
 
 
 def test_interval_theta_zero_is_neumann():
-    spec = spectrum_theta(metric(*interval()), 0, 0.0, 10.0)
+    spec = eigenvalues(_with_theta(metric(*interval()), 0, 0.0), 10.0)
     assert [p.k for p in spec.eigenpairs] == pytest.approx([0.0, PI, 2 * PI, 3 * PI], abs=1e-9)
 
 
 def test_delta_limits_match_neumann_and_dirichlet():
     # DeltaTheta(0) == Neumann and DeltaTheta(pi) == Dirichlet, exactly
     m = metric(*star(3))
-    near_zero = levels_theta(m, 0, 1e-9, 8.0, n_max=3)
-    neumann = all_levels(m, 8.0, n_max=3)
+    near_zero = _row(m, 0, 1e-9, 8.0, n_max=3)
+    neumann = levels([m], 8.0, n_max=3)[0]
     assert near_zero == pytest.approx(neumann, abs=1e-3)
-    exact_pi = [p.k for p in spectrum_theta(m, 0, PI, 8.0).eigenpairs]
+    exact_pi = [p.k for p in eigenvalues(_with_theta(m, 0, PI), 8.0).eigenpairs]
     cond = m.with_condition(0, DeltaTheta(PI))
-    delta_pi = [p.k for p in spectrum_theta(cond, 0, PI, 8.0).eigenpairs]
+    delta_pi = [p.k for p in eigenvalues(_with_theta(cond, 0, PI), 8.0).eigenpairs]
     assert delta_pi == pytest.approx(exact_pi, abs=1e-12)
 
 
 def test_loop_dirichlet_lowest_is_pi():
-    ks = [p.k for p in spectrum_theta(metric(*loop()), 0, PI, 10.0).eigenpairs]
+    ks = [p.k for p in eigenvalues(_with_theta(metric(*loop()), 0, PI), 10.0).eigenpairs]
     assert ks[0] == pytest.approx(PI, abs=1e-9)
     # cross-check: interval of length one with Dirichlet at both ends
     assert ks[:3] == pytest.approx([PI, 2 * PI, 3 * PI], abs=1e-9)
 
 
 def test_attractive_coupling_has_one_negative_level():
-    lv = levels_theta(metric(*interval()), 0, -2.0, 10.0, n_max=3)
+    lv = _row(metric(*interval()), 0, -2.0, 10.0, n_max=3)
     assert lv[0] < 0
     assert lv[1] > 0
     # oracle: lambda0 = -kappa^2 with kappa tanh(kappa) = -alpha = -tan(-1)
@@ -103,7 +108,7 @@ def test_deep_attractive_level_beyond_sinh_overflow():
 def test_close_delta_level_not_missed():
     # 12.8230972 lies 0.26 above the double level 4 pi; a log|det| scan
     # stepped over it
-    lv = levels_theta(metric(*flower(2)), 0, 2.552544031041707, 6 * PI)
+    lv = _row(metric(*flower(2)), 0, 2.552544031041707, 6 * PI)
     assert len(lv) == 6
     assert any(abs(k - 12.8230972395) <= 1e-9 for k in lv)
 
@@ -120,8 +125,35 @@ def test_lockstep_rows_equal_single_rows(family, v):
     # flower(16) has 33 rows, so its counts are reduced; its petals are 1/16
     # long, and its levels lie correspondingly higher
     k_max = 7 * PI * max(1, m.graph.edge_count // 4)
-    rows = levels_thetas(m, v, SWEEP, k_max, n_max=8)
-    assert rows == [levels_theta(m, v, t, k_max, n_max=8) for t in SWEEP]
+    rows = levels([_with_theta(m, v, t) for t in SWEEP], k_max, n_max=8)
+    assert rows == [_row(m, v, t, k_max, n_max=8) for t in SWEEP]
+
+
+def _independent_checks():
+    """perfbench/checks.py: an eigenvalue count that imports nothing from qgraph."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("independent_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_levels_agree_with_an_independent_count():
+    # every positive level against the number of levels listed below it,
+    # negative ones included, so the negative branch is checked too
+    checks = _independent_checks()
+    rng = np.random.default_rng(2021)
+    thetas = [-3.0, -1.2, -0.3, 0.0, 0.5, 1.7, PI]
+    for _ in range(20):
+        V = int(rng.integers(2, 5))
+        E = int(rng.integers(V - 1, 7))
+        g = random_connected_graph(rng, V, E)
+        lengths = random_lengths(rng, E, l_min=0.05).values
+        v = int(rng.integers(0, V))
+        rows = levels([_with_theta(metric(g, lengths), v, t) for t in thetas], 4 * PI * E)
+        assert all(row[0] < 0.0 for row in rows[:3])
+        problems = checks.levels_problems(checks.Graph(V, g.edges, lengths), v, thetas, rows)
+        assert problems == [], (g.edges, lengths, v)
 
 
 @pytest.mark.parametrize("v", [-1, 4])
@@ -184,8 +216,8 @@ def test_curve_interlacing_and_wrap_continuity():
     curve = dispersion_curve(m, 0, grid_size=16, n_levels=4)
     assert curve.interlacing_slack(3) >= -1e-8
     # k_n(pi) = lim k_{n+1}(theta -> -pi): approach the limit explicitly
-    at_pi = levels_theta(m, 0, PI, 8 * PI, n_max=4)
-    near = levels_theta(m, 0, -PI + 1e-4, 9 * PI, n_max=5)
+    at_pi = _row(m, 0, PI, 8 * PI, n_max=4)
+    near = _row(m, 0, -PI + 1e-4, 9 * PI, n_max=5)
     for n in range(3):
         assert near[n + 1] >= at_pi[n] - 1e-8
         assert near[n + 1] - at_pi[n] <= 1e-2
@@ -216,7 +248,7 @@ def test_interlacing_random_graph_with_negative_branch():
     g = random_connected_graph(rng, 3, 4)
     m = metric(g, random_lengths(rng, 4, l_min=0.1))
     thetas = [-2.8, -1.4, 0.0, 1.4, 2.8, PI]
-    rows = [levels_theta(m, 1, t, 7 * PI, n_max=6) for t in thetas]
+    rows = [_row(m, 1, t, 7 * PI, n_max=6) for t in thetas]
     for i in range(len(thetas)):
         for j in range(i + 1, len(thetas)):
             lo, hi = np.array(rows[i]), np.array(rows[j])
@@ -237,8 +269,8 @@ def test_gluing_interlacing_opposite_deltas():
     )
     merged = identify_vertices(split, 0, 2)
     assert merged.conditions[0] == NEUMANN
-    a = np.array(all_levels(split, 9 * PI, n_max=6))
-    b = np.array(all_levels(merged, 9 * PI, n_max=6))
+    a = np.array(levels([split], 9 * PI, n_max=6)[0])
+    b = np.array(levels([merged], 9 * PI, n_max=6)[0])
     n = min(a.size, b.size)
     assert n >= 5
     a, b = a[:n], b[:n]
@@ -298,7 +330,7 @@ def test_sgp_value_meets_branch():
     # K(theta_sg) = k1 within 1e-8: check via the saturated branch value
     m = metric(*star(3))
     rep = spectral_gap_parameter(m, 0)
-    branch = spectrum_theta(m, 0, rep.theta_sg, 6.0).eigenpairs[0].k
+    branch = eigenvalues(_with_theta(m, 0, rep.theta_sg), 6.0).eigenpairs[0].k
     assert branch == pytest.approx(rep.k1, abs=1e-8)
 
 
@@ -324,7 +356,7 @@ def test_spectrum_theta_domain():
     from qgraph import InvalidInputError
 
     with pytest.raises(InvalidInputError):
-        spectrum_theta(metric(*interval()), 0, 4.0, 5.0)
+        eigenvalues(_with_theta(metric(*interval()), 0, 4.0), 5.0)
 
 
 def test_glue_rejects_bad_length():

@@ -1,7 +1,8 @@
 """Property tests: the counted spectrum against the bond-scattering equation,
-delta sweeps searched in lockstep against the same rows searched alone,
-the two-count gap decision against the full gap search, and the floor
-count that decision assumes on Neumann graphs against the count itself.
+delta sweeps searched in lockstep (`levels`) against the same rows
+searched alone, the two-count gap decision against the full gap search,
+and the floor count that decision assumes on Neumann graphs against the
+count itself.
 
 Every level that `eigenvalues` reports is checked with quantities the
 count never uses: the smallest singular value of I - U(k), and an
@@ -20,17 +21,20 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgraph import DIRICHLET, NEUMANN, DeltaTheta, DiscreteGraph, MetricGraph, levels_theta, levels_thetas
+from qgraph import DIRICHLET, NEUMANN, DeltaTheta, DiscreteGraph, MetricGraph
 from qgraph.optimize import L_MIN
 from qgraph.spectral import (
     BondScattering,
     _TrigCount,
+    _drive,
     _floor_count,
     _k_floor,
     eigenfunction,
     eigenvalues,
     gap_reaches,
+    levels,
     multiplicity_at,
+    negative_spectrum,
     secular_value,
     spectral_gap,
     vertex_condition_residual,
@@ -61,7 +65,10 @@ def small_graphs(draw, l_min: float = 0.05, neumann: bool = False,
 @given(small_graphs())
 def test_counted_levels_solve_the_secular_equation(m):
     k_max = 3.0 * math.pi * m.graph.edge_count / m.total_length
+    # a pair of multiplicity 0 is count noise reported as a level
+    assert all(pair.multiplicity >= 1 for pair in negative_spectrum(m)), m
     for pair in eigenvalues(m, k_max).eigenpairs:
+        assert pair.multiplicity >= 1, pair
         if pair.k == 0.0:
             continue
         assert secular_value(m, pair.k) <= 1e-8, pair
@@ -87,7 +94,8 @@ def test_lockstep_sweep_rows_equal_single_rows(m, data):
     v = data.draw(st.integers(0, m.graph.vertex_count - 1))
     thetas = [-2.9, -1.0, 0.0, 0.4, 2.2, math.pi]
     k_max = 2.0 * math.pi * m.graph.edge_count / m.total_length
-    assert levels_thetas(m, v, thetas, k_max) == [levels_theta(m, v, t, k_max) for t in thetas]
+    rows = [m.with_condition(v, DeltaTheta(t)) for t in thetas]
+    assert levels(rows, k_max) == [levels([row], k_max)[0] for row in rows]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -115,5 +123,6 @@ def test_neumann_floor_count_is_one(m):
     # gap_reaches takes N = 1 at the search floor of a Neumann graph without
     # counting it: k = 0 is the only level below k_1 >= pi / L
     count = _TrigCount(m)
-    assert count.sample(count.off_pole(_k_floor(m), -1.0)).count == 1, m
-    assert _floor_count(m, count) == 1, m
+    floor_k = count.off_pole(_k_floor(m), -1.0)
+    assert count.made(floor_k, count.spectrum(floor_k)).count == 1, m
+    assert _drive([_floor_count(count)])[0] == 1, m

@@ -10,6 +10,7 @@ built only here and in the property tests, as the oracle they must solve
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,17 +20,21 @@ from qgraph import (
     BondScattering,
     DeltaTheta,
     InvalidInputError,
+    MaximizeOptions,
     NoEigenspaceError,
+    dispersion_curve,
     eigenfunction,
     eigenvalues,
     harmonic_interpolant,
+    maximize_gap,
     metric,
     rayleigh,
     rayleigh_centered,
     secular_value,
     spectral_gap,
+    spectral_gap_parameter,
 )
-from qgraph import spectral
+from qgraph import optimize, spectral
 from qgraph.graph import NEUMANN, DiscreteGraph, MetricGraph
 from qgraph.families import (
     flower,
@@ -283,6 +288,66 @@ def test_short_edge_spectrum_not_masked():
     assert k1 == pytest.approx(2 * PI, abs=2e-3)
 
 
+def test_count_noise_is_no_level():
+    # couplings alpha = 1 and -1/2 at the ends of the unit interval make
+    # lambda = 0 a level, f = 1 + x, right at the search floor; the count
+    # flips there by noise, and such a flip was reported as the gap, of
+    # multiplicity 0, at k = 3.19e-6
+    m = metric(*interval()).with_condition(0, DeltaTheta(PI / 2))
+    m = m.with_condition(1, DeltaTheta(-0.9272952180016122))
+    k1, mult = spectral_gap(m)
+    assert mult == 1
+    assert k1 == pytest.approx(3.286006599508176, rel=1e-12, abs=0.0)
+    # oracle: f = cos kx + sin(kx) / k meets the coupling -1/2 at x = 1
+    assert k1 * math.sin(k1) - 0.5 * math.cos(k1) + 0.5 * math.sin(k1) / k1 == pytest.approx(0.0, abs=1e-12)
+    assert secular_value(m, k1) <= 1e-12
+    assert all(p.multiplicity >= 1 for p in eigenvalues(m, 10.0).eigenpairs)
+    assert all(p.multiplicity >= 1 for p in spectral.negative_spectrum(m))
+
+
+def test_every_count_is_taken_by_the_driver(monkeypatch):
+    # the searches only yield requests, and `_drive` takes every count; a
+    # count inside a drive but taken by a search itself has a search's
+    # frame, not the driver's, as its caller
+    depth = 0
+    drive = spectral._drive
+
+    def counted_drive(searches):
+        nonlocal depth
+        depth += 1
+        try:
+            return drive(searches)
+        finally:
+            depth -= 1
+
+    def taken_by_the_driver():
+        frame = sys._getframe(2)
+        while frame.f_code.co_name == "spectrum":   # `_TrigCount.spectrum` on to `_Count`'s or `spectra`
+            frame = frame.f_back
+        return depth > 0 and frame.f_code.co_name == "_drive"
+
+    spectrum, spectra = spectral._Count.spectrum, spectral._TrigCount.spectra
+
+    def checked_spectrum(self, k):
+        assert taken_by_the_driver()
+        return spectrum(self, k)
+
+    def checked_spectra(coupling, alpha, lengths, ks):
+        assert taken_by_the_driver()
+        return spectra(coupling, alpha, lengths, ks)
+
+    for module in (spectral, optimize):
+        monkeypatch.setattr(module, "_drive", counted_drive)
+    monkeypatch.setattr(spectral._Count, "spectrum", checked_spectrum)
+    monkeypatch.setattr(spectral._TrigCount, "spectra", staticmethod(checked_spectra))
+    dispersion_curve(metric(*star(3)), 1, grid_size=8)
+    # theta_SG past pi bisects on attractive rows, below pi on Dirichlet ones
+    assert spectral_gap_parameter(metric(*interval()), 0).theta_sg > PI
+    assert spectral_gap_parameter(metric(*star(3)), 0).theta_sg <= PI
+    maximize_gap(*star(3), MaximizeOptions(seeds=1))
+    assert depth == 0
+
+
 def _swept_counts(m, v, rng=None):
     """Count objects for delta couplings at v, Dirichlet and negative theta
     included; with rng each count has random lengths of its own."""
@@ -377,7 +442,7 @@ def reduced_count_mismatches(n_graphs, seed):
         assert count.alpha.size + 2 * count.lengths.size >= _REDUCE_FROM
         for k in _count_probes(count, rng, 40):
             samples += 1
-            if count.sample(k).count != _full_count(count, k):
+            if count.made(k, count.spectrum(k)).count != _full_count(count, k):
                 bad.append((m, k))
     return samples, bad
 
@@ -528,7 +593,8 @@ def test_regula_falsi_stays_within_its_count_budget(count_matrices):
     # cost 5,516, 20 and 16 count matrices here
     m = metric(*star(3))
     thetas = [-PI + 2 * PI * (j + 1) / 32 for j in range(31)] + [PI]
-    spectral.eigenvalues_lockstep([m.with_condition(1, DeltaTheta(t)) for t in thetas], 9 * PI)
+    rows = [m.with_condition(1, DeltaTheta(t)) for t in thetas]
+    spectral._drive([spectral._eigenvalue_search(row, 9 * PI, 0.0) for row in rows])
     assert count_matrices.n <= 4000
     for E, budget in ((5, 14), (16, 13)):
         count_matrices.n = 0
