@@ -54,13 +54,17 @@ search floor, and within 4 _POLE_WINDOW of a pole, where `off_pole` and
 `_split` put their samples, the value it follows is of the size of k or
 of the window, and a secant through it creeps along that end; such an
 end enters as an infinite value, +inf below the level and -inf above, so
-the step bisects until a sample replaces it.  The multiplicity of a
-level r is N(r + d) - N(r - d) with d = max(1e-10 r, 1e-9), with no
-threshold on any matrix; levels closer than d merge into one, and a
-point where N flips by noise alone, with difference 0, is no level.
-Negative eigenvalues lambda = -kappa^2 of attractive delta couplings go
-through the same finder with the hyperbolic vertex matrix
-(`_negative_search`).
+the step bisects until a sample replaces it.  Regula falsi stops once the
+secant correction through its last two samples of finite value is within
+half the bracket tolerance 4 eps k: past that point the value it follows
+is eigvalsh's noise, and a further step only drags the far end in.  A
+search of a Neumann graph knows N = 1 at its floor and takes no count
+there (`_below`).  The multiplicity of a level r is N(r + d) - N(r - d)
+with d = max(1e-10 r, 1e-9), with no threshold on any matrix; levels
+closer than d merge into one, and a point where N flips by noise alone,
+with difference 0, is no level.  Negative eigenvalues lambda = -kappa^2
+of attractive delta couplings go through the same finder with the
+hyperbolic vertex matrix (`_negative_search`).
 
 The finder is a generator, `_level_search`: it yields a request, the
 count and a k where it needs that count, and is sent the count's spectrum
@@ -74,13 +78,14 @@ built on it (`_gap_search`, `_reaches`, `_eigenvalue_search`,
 `_negative_search`, `_around`) is a generator of the same kind, and one
 driver, `_drive`, runs any number of them together and takes every count
 any of them needs.  At each step it groups the pending requests by
-matrix shape (V', E); a group of several costs one stacked build with
-`_TrigCount.spectra` and one stacked eigvalsh, and a lone request takes
-`spectrum`.  The stacked build forms every entry as the single one does
-(a single reduced count is the stack of one), so each search is sent the
-same values alone or in company.  The public functions drive one search
-each; the graphs of `levels` (the rows of a delta sweep) and the
-restarts of the optimizer drive theirs together.
+count class and matrix shape (V', E); a group of several costs one
+stacked build and one stacked eigvalsh with its class's `spectra`, trig
+or hyperbolic, and a lone request takes `spectrum`, the stack of one.
+A stacked build forms each row as the build of that count alone does,
+so each search is sent the same values alone or in company.  The
+public functions drive one search each; the graphs of `levels` (the
+rows of a delta sweep) and the restarts of the optimizer drive theirs
+together.
 
 Eigenfunctions come from the vertex conditions on the edge ends
 (Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is
@@ -221,7 +226,7 @@ class _Sample:
     k: float
     count: int
     poles: int
-    evals: np.ndarray
+    evals: np.ndarray | None   # None where the count is known without a matrix (`_below`)
 
 
 class _Count:
@@ -235,10 +240,11 @@ class _Count:
     the other entries.  [P | Q] is the graph's own `incidence`, built once
     per graph: a count takes its non-Dirichlet rows and scales them, and
     on a Neumann graph (every s = 1, every alpha = 0) uses it as it is.
+    Each count defines `matrix`, kept as the oracle, and the stacked
+    `spectra` that every count request goes through.
     """
 
     offset = 0
-    shape = None   # `_drive` stacks the requests of counts of one shape; None: each alone
     floor = math.nan   # where a search of all the count's levels starts; set by each count
 
     def __init__(self, m: MetricGraph) -> None:
@@ -255,9 +261,6 @@ class _Count:
             self.coupling = g.incidence[keep] * s[:, None]
             self.alpha = alpha * s * s
         self.lengths = np.asarray(m.lengths, dtype=float)
-
-    def matrix(self, k: float) -> np.ndarray:
-        raise NotImplementedError
 
     def poles(self, k: float) -> int:
         return 0
@@ -276,8 +279,9 @@ class _Count:
         return k == self.floor
 
     def spectrum(self, k: float) -> np.ndarray:
-        """Ascending values with the inertia of matrix(k); here its eigenvalues."""
-        return np.linalg.eigvalsh(self.matrix(k))
+        """Ascending values with the inertia of matrix(k): `spectra` of the
+        stack of this count alone."""
+        return self.spectra(self.coupling[None], self.alpha[None], self.lengths, np.array([k]))[0]
 
     def made(self, k: float, evals: np.ndarray) -> _Sample:
         """The sample at k, from spectrum(k)."""
@@ -305,7 +309,6 @@ class _TrigCount(_Count):
     def __init__(self, m: MetricGraph) -> None:
         super().__init__(m)
         self.offset = -2 * self.lengths.size
-        self.shape = (self.alpha.size, self.lengths.size)
         self.floor = _k_floor(m)
         self.edge_lengths = tuple(self.lengths.tolist())   # for the pole bookkeeping
 
@@ -340,11 +343,6 @@ class _TrigCount(_Count):
         K[:, nv:, :nv] = K[:, :nv, nv:].transpose(0, 2, 1)
         K.reshape(b, n * n)[:, :: n + 1] = np.concatenate([alpha, edge, -edge], axis=1)
         return K
-
-    def spectrum(self, k: float) -> np.ndarray:
-        if self.alpha.size + 2 * self.lengths.size < _REDUCE_FROM:
-            return super().spectrum(k)
-        return self.spectra(self.coupling[None], self.alpha[None], self.lengths, np.array([k]))[0]
 
     @staticmethod
     def spectra(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -455,14 +453,22 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
     replaces the same end as the step before, the value of the end it
     keeps is scaled by m = 1 - f_c / f_old, f_old the value it replaces,
     or by 1/2 where m <= 0 (Anderson-Bjorck; Illinois takes 1/2 always).
-    Python floats carry that arithmetic, so it raises no numpy warning.
+
+    It stops when the bracket is narrower than tol = 4 eps max(|a|, |b|),
+    or sooner, once the secant correction through the last two samples of
+    finite value, step = f_c (c - c_prev) / (f_c - f_prev), unscaled, is
+    at most tol / 2: the followed value has then reached eigvalsh's noise
+    floor, and further steps would only drag the far end of the bracket
+    in.  It returns c - step, clamped to the bracket.  Python floats carry
+    that arithmetic, so it raises no numpy warning.
     """
-    i = int(np.count_nonzero(lo.evals < 0.0))
+    i = lo.count - lo.poles - count.offset   # n_- at lo
     a, b = float(lo.k), float(hi.k)
     fa = math.inf if count.off_scale(a) else float(lo.evals[i])
     fb = -math.inf if count.off_scale(b) else float(hi.evals[i])
     tol = 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
     side = 0
+    last = None   # (c, f_c) of the last sample whose value is finite
     while b - a > tol:
         c = (a * fb - b * fa) / (fb - fa)
         if not a < c < b:
@@ -482,6 +488,12 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
             side = -1
         else:
             return c
+        if math.isfinite(fc):
+            if last is not None and fc != last[1]:
+                step = fc * (c - last[0]) / (fc - last[1])
+                if abs(step) <= 0.5 * tol:
+                    return min(max(c - step, a), b)
+            last = c, fc
     return 0.5 * (a + b)
 
 
@@ -521,10 +533,24 @@ def _around(count: _Count, r: float, lo: _Sample | None = None) -> _Search:
     return below, count.made(above_k, (yield count, above_k))
 
 
+def _below(count: _Count, k: float) -> _Search:
+    """The sample at k, moved below any pole window it sits in.
+
+    At the search floor of a Neumann graph N is 1 without a count: the
+    graph is connected, so k = 0 is its only level below k_1 >= pi / L
+    (Nicaise), far above the floor.  That sample carries no spectrum;
+    regula falsi takes the floor's value as off scale and never reads it.
+    """
+    if count.neumann and k == count.floor:
+        return _Sample(k, 1, count.poles(k), None)
+    k = count.off_pole(k, -1.0)
+    return count.made(k, (yield count, k))
+
+
 def _level_search(count: _Count, k_lo: float, k_hi: float, first_only: bool = False) -> _Search:
-    """Levels in (k_lo, k_hi] with their multiplicities, ascending."""
-    lo_k = count.off_pole(k_lo, -1.0)
-    lo = count.made(lo_k, (yield count, lo_k))
+    """Levels in (k_lo, k_hi] with their multiplicities, ascending; the
+    count at k_lo is known, not taken, at a Neumann graph's floor (`_below`)."""
+    lo = yield from _below(count, k_lo)
     # a level sitting on k_hi belongs to the range
     hi_k = count.off_pole(k_hi + _merge_width(k_hi), 1.0)
     hi = count.made(hi_k, (yield count, hi_k))
@@ -553,16 +579,17 @@ def _level_search(count: _Count, k_lo: float, k_hi: float, first_only: bool = Fa
 def _drive(searches: list[_Search]) -> list:
     """The results of searches advanced together, in their order.
 
-    At each step the pending requests are grouped by matrix shape (V', E);
-    a group of several trig counts costs one stacked build and one stacked
-    eigvalsh, and any other request takes its count's `spectrum`.  Either
-    way a search is sent the values it would be sent alone.  A group of the
-    same counts as the last one of its shape reuses their stacked
-    couplings, alphas and lengths; searches take several steps per count.
+    At each step the pending requests are grouped by count class and
+    matrix shape (V', E); a group of several costs one stacked build and
+    one stacked eigvalsh with the class's `spectra`, and a lone request
+    takes its count's `spectrum`, the stack of one.  Either way a search is
+    sent the values it would be sent alone.  A group of the same counts as
+    the last one of its key reuses their stacked couplings, alphas and
+    lengths; searches take several steps per count.
     """
     results: list = [None] * len(searches)
     pending: dict[int, tuple[_Count, float]] = {}
-    stacked: dict[tuple[int, int], tuple] = {}   # shape -> (counts, coupling, alpha, lengths)
+    stacked: dict[tuple, tuple] = {}   # (class, V', E) -> (counts, coupling, alpha, lengths)
 
     def send(j: int, value) -> None:
         try:
@@ -574,23 +601,23 @@ def _drive(searches: list[_Search]) -> list:
     for j in range(len(searches)):
         send(j, None)
     while pending:
-        groups: dict[object, list[int]] = {}
+        groups: dict[tuple, list[int]] = {}
         for j, (count, _) in pending.items():
-            groups.setdefault(-1 - j if count.shape is None else count.shape, []).append(j)
-        for shape, js in groups.items():
+            groups.setdefault((type(count), count.alpha.size, count.lengths.size), []).append(j)
+        for key, js in groups.items():
             if len(js) == 1:
                 count, k = pending[js[0]]
                 send(js[0], count.spectrum(k))
                 continue
             counts = [pending[j][0] for j in js]
-            if shape not in stacked or stacked[shape][0] != counts:
-                stacked[shape] = (
+            if key not in stacked or stacked[key][0] != counts:
+                stacked[key] = (
                     counts,
                     np.array([c.coupling for c in counts]),
                     np.array([c.alpha for c in counts]),
                     np.array([c.lengths for c in counts]),
                 )
-            values = _TrigCount.spectra(*stacked[shape][1:], np.array([pending[j][1] for j in js]))
+            values = key[0].spectra(*stacked[key][1:], np.array([pending[j][1] for j in js]))
             for j, v in zip(js, values):
                 send(j, v)
     return results
@@ -675,27 +702,13 @@ def spectral_gap(m: MetricGraph) -> tuple[float, int]:
     return _drive([_gap_search(m)])[0]
 
 
-def _floor_count(count: _TrigCount) -> _Search:
-    """N at the search floor, moved below any pole window it sits in.
-
-    On a Neumann graph it is 1 without a count: the graph is connected, so
-    k = 0 is its only level below k_1 >= pi / L (Nicaise), far above the
-    floor.  Other graphs may have levels of any size there and are counted.
-    """
-    if count.neumann:
-        return 1
-    floor_k = count.off_pole(count.floor, -1.0)
-    return count.made(floor_k, (yield count, floor_k)).count
-
-
 def _reaches(m: MetricGraph, k: float) -> _Search:
     """`gap_reaches` as a search: it requests N(k), then N(k_floor) where
-    that is not known (`_floor_count`)."""
+    that is not known (`_below`)."""
     _require_k("k", k)
     count = _TrigCount(m)
-    below_k = count.off_pole(k, -1.0)
-    below = count.made(below_k, (yield count, below_k))
-    return below.count <= (yield from _floor_count(count))
+    below = yield from _below(count, k)
+    return below.count <= (yield from _below(count, count.floor)).count
 
 
 def gap_reaches(m: MetricGraph, k: float) -> bool:
@@ -704,9 +717,8 @@ def gap_reaches(m: MetricGraph, k: float) -> bool:
     The gap reaches k when no level lies between the point where
     `spectral_gap` starts its search and k: N(k) <= N(k_floor), k moved
     below any pole window it sits in.  On a Neumann graph N(k_floor) = 1
-    is known and only N(k) is counted (`_floor_count`).  `spectral_gap`
-    still takes its own floor sample: the eigenvalues of that count
-    matrix seed its first regula falsi bracket.
+    is known and only N(k) is counted (`_below`), as it is at the start
+    of `spectral_gap`'s search.
     """
     return _drive([_reaches(m, k)])[0]
 
@@ -966,6 +978,21 @@ class _HyperbolicCount(_Count):
         t = np.tanh(0.5 * kappa * self.lengths)
         d = 0.5 * kappa * np.concatenate([t, 1.0 / t])
         return -(np.diag(self.alpha) + (self.coupling * d) @ self.coupling.T)
+
+    @staticmethod
+    def spectra(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, kappas: np.ndarray) -> np.ndarray:
+        """counts[j].spectrum(kappas[j]) for counts of one shape, stacked: the
+        eigenvalues of each count's `matrix`; the arguments are those of
+        `_TrigCount.matrices`.  Every entry is formed by the same operations,
+        in the same order, as in `matrix`, so the two agree bit for bit.
+        """
+        b, nv = alpha.shape
+        half = (0.5 * kappas)[:, None]
+        t = np.tanh(half * lengths)
+        d = half * np.concatenate([t, 1.0 / t], axis=1)
+        H = np.zeros((b, nv, nv))
+        H.reshape(b, nv * nv)[:, :: nv + 1] = alpha
+        return np.linalg.eigvalsh(-(H + (coupling * d[:, None, :]) @ coupling.transpose(0, 2, 1)))
 
 
 def _negative_search(m: MetricGraph) -> _Search:

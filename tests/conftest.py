@@ -1,5 +1,8 @@
 """Shared fixtures."""
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from qgraph import optimize, spectral
@@ -14,24 +17,18 @@ class Tally:
 
 @pytest.fixture
 def count_matrices(monkeypatch):
-    """Tally every count matrix the solvers request: each row of a stacked
-    `_TrigCount.spectra` call and each `_Count.spectrum` call is one.  A
-    single reduced count goes through `spectra` as a stack of one, so no
-    matrix is tallied twice.  It wraps the two private entry points until
-    the library counts its own requests."""
+    """Tally every count matrix the solvers request: each row of a
+    `_TrigCount.spectra` or `_HyperbolicCount.spectra` call is one.  A lone
+    request's `spectrum` is the stack of one, so it is tallied there too,
+    and no matrix twice.  It wraps the two private entry points until the
+    library counts its own requests."""
     tally = Tally()
-    spectra, spectrum = spectral._TrigCount.spectra, spectral._Count.spectrum
+    for cls in (spectral._TrigCount, spectral._HyperbolicCount):
+        def counted(coupling, alpha, lengths, ks, spectra=cls.spectra):
+            tally.n += len(ks)
+            return spectra(coupling, alpha, lengths, ks)
 
-    def counted_spectra(coupling, alpha, lengths, ks):
-        tally.n += len(ks)
-        return spectra(coupling, alpha, lengths, ks)
-
-    def counted_spectrum(self, k):
-        tally.n += 1
-        return spectrum(self, k)
-
-    monkeypatch.setattr(spectral._TrigCount, "spectra", staticmethod(counted_spectra))
-    monkeypatch.setattr(spectral._Count, "spectrum", counted_spectrum)
+        monkeypatch.setattr(cls, "spectra", staticmethod(counted))
     return tally
 
 
@@ -63,3 +60,13 @@ def eigenbases(monkeypatch):
 
     monkeypatch.setattr(optimize, "_eigenbasis_coeffs", counted)
     return tally
+
+
+@pytest.fixture(scope="session")
+def independent_checks():
+    """perfbench/checks.py: an eigenvalue count that imports nothing from qgraph."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("independent_checks", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

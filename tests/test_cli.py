@@ -290,9 +290,9 @@ SGP_OUTPUT = {
   "vertex": 0,
   "theta_sg": 3.141592653589793,
   "classification": "strong",
-  "k1": 6.283185307179573,
+  "k1": 6.2831853071795765,
   "k1_multiplicity": 3,
-  "dirichlet_k0": 6.2831853071795845,
+  "dirichlet_k0": 6.283185307179583,
   "dirichlet_multiplicity": 4,
   "k1_is_flat_band": true
 }
@@ -303,7 +303,7 @@ SGP_OUTPUT = {
   "classification": "violates",
   "k1": 6.283185307179586,
   "k1_multiplicity": 2,
-  "dirichlet_k0": 3.141592653589793,
+  "dirichlet_k0": 3.1415926535897936,
   "dirichlet_multiplicity": 0,
   "k1_is_flat_band": true
 }
@@ -312,9 +312,9 @@ SGP_OUTPUT = {
   "vertex": 0,
   "theta_sg": 6.283185301327914,
   "classification": "violates",
-  "k1": 6.2831853071795845,
+  "k1": 6.28318530717959,
   "k1_multiplicity": 1,
-  "dirichlet_k0": 3.1415926535897984,
+  "dirichlet_k0": 3.1415926535897998,
   "dirichlet_multiplicity": 0,
   "k1_is_flat_band": false
 }
@@ -356,16 +356,16 @@ OPTIMIZE_OUTPUT = {
     0.25,
     0.25
   ],
-  "gap": 6.283185307179573,
+  "gap": 6.2831853071795765,
   "classification": "maximizer-candidate",
   "trace": [
     {
-      "gap": 3.2973822709578657,
+      "gap": 3.2973822709578644,
       "step": 0.0,
       "move": "init"
     },
     {
-      "gap": 6.283185307179573,
+      "gap": 6.2831853071795765,
       "step": 0.0,
       "move": "symmetrize"
     }
@@ -399,14 +399,14 @@ OPTIMIZE_OUTPUT = {
 {
   "lengths": [
     0.40000042141595626,
-    0.40000042141595615,
-    0.19999915716808755
+    0.40000042141595626,
+    0.1999991571680875
   ],
   "gap": 7.853973359500248,
   "classification": "maximizer-candidate",
   "trace": [
     {
-      "gap": 3.209254500774515,
+      "gap": 3.209254500774514,
       "step": 0.0,
       "move": "init"
     },
@@ -416,23 +416,23 @@ OPTIMIZE_OUTPUT = {
       "move": "symmetrize"
     },
     {
-      "gap": 7.3236654721916485,
-      "step": 0.1557135733122071,
+      "gap": 7.323665472191656,
+      "step": 0.155713573312207,
       "move": "gradient"
     },
     {
-      "gap": 7.689576436693815,
-      "step": 0.0004897562770996808,
+      "gap": 7.6895764366938195,
+      "step": 0.0004897562770996794,
       "move": "gradient"
     },
     {
-      "gap": 7.757746229690676,
-      "step": 0.00021155741704067602,
+      "gap": 7.757746229690673,
+      "step": 0.00021155741704067564,
       "move": "gradient"
     },
     {
       "gap": 7.786839548327301,
-      "step": 3.434381223602833e-05,
+      "step": 3.4343812236028354e-05,
       "move": "gradient"
     },
     {
@@ -446,23 +446,23 @@ OPTIMIZE_OUTPUT = {
       "move": "gradient"
     },
     {
-      "gap": 7.8504853864279145,
+      "gap": 7.850485386427922,
       "step": 6.216716552449641e-06,
       "move": "gradient"
     },
     {
       "gap": 7.852016835408113,
-      "step": 1.035487469980113e-06,
+      "step": 1.0354874699801086e-06,
       "move": "gradient"
     },
     {
       "gap": 7.853581976683094,
-      "step": 1.552322223309751e-06,
+      "step": 1.5523222233097504e-06,
       "move": "gradient"
     },
     {
       "gap": 7.853973359500248,
-      "step": 3.878485802053109e-07,
+      "step": 3.8784858020531095e-07,
       "move": "gradient"
     }
   ]
@@ -479,13 +479,13 @@ OPTIMIZE_OUTPUT = {
   "classification": "supremizer-candidate",
   "trace": [
     {
-      "gap": 3.8212664724980323,
+      "gap": 3.8212664724980314,
       "step": 0.0,
       "move": "init"
     },
     {
       "gap": 6.283185307117572,
-      "step": 0.03874006467487756,
+      "step": 0.03874006467487741,
       "move": "gradient"
     },
     {

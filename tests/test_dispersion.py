@@ -1,8 +1,6 @@
 """Delta sweeps, dispersion curves, SGP classification, gluing."""
 
-import importlib.util
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -129,19 +127,10 @@ def test_lockstep_rows_equal_single_rows(family, v):
     assert rows == [_row(m, v, t, k_max, n_max=8) for t in SWEEP]
 
 
-def _independent_checks():
-    """perfbench/checks.py: an eigenvalue count that imports nothing from qgraph."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "checks.py"
-    spec = importlib.util.spec_from_file_location("independent_checks", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_levels_agree_with_an_independent_count():
+def test_levels_agree_with_an_independent_count(independent_checks):
     # every positive level against the number of levels listed below it,
     # negative ones included, so the negative branch is checked too
-    checks = _independent_checks()
+    checks = independent_checks
     rng = np.random.default_rng(2021)
     thetas = [-3.0, -1.2, -0.3, 0.0, 0.5, 1.7, PI]
     for _ in range(20):

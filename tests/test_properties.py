@@ -26,8 +26,8 @@ from qgraph.optimize import L_MIN
 from qgraph.spectral import (
     BondScattering,
     _TrigCount,
+    _below,
     _drive,
-    _floor_count,
     _k_floor,
     eigenfunction,
     eigenvalues,
@@ -120,9 +120,10 @@ def test_gap_reaches_agrees_with_the_gap_search_on_any_conditions(m):
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(small_graphs(l_min=L_MIN, neumann=True, max_vertices=8, max_edges=24))
 def test_neumann_floor_count_is_one(m):
-    # gap_reaches takes N = 1 at the search floor of a Neumann graph without
-    # counting it: k = 0 is the only level below k_1 >= pi / L
+    # gap_reaches and every level search take N = 1 at the search floor of a
+    # Neumann graph without counting it: k = 0 is the only level below
+    # k_1 >= pi / L
     count = _TrigCount(m)
     floor_k = count.off_pole(_k_floor(m), -1.0)
     assert count.made(floor_k, count.spectrum(floor_k)).count == 1, m
-    assert _drive([_floor_count(count)])[0] == 1, m
+    assert _drive([_below(count, count.floor)])[0].count == 1, m

@@ -50,6 +50,7 @@ from qgraph.families import (
 from qgraph.spectral import (
     _REDUCE_FROM,
     EdgeTrig,
+    _HyperbolicCount,
     _TrigCount,
     _gram,
     _signed,
@@ -322,33 +323,32 @@ def test_every_count_is_taken_by_the_driver(monkeypatch):
 
     def taken_by_the_driver():
         frame = sys._getframe(2)
-        while frame.f_code.co_name == "spectrum":   # `_TrigCount.spectrum` on to `_Count`'s or `spectra`
+        if frame.f_code.co_name == "spectrum":   # `_Count.spectrum`, the stack of one
             frame = frame.f_back
         return depth > 0 and frame.f_code.co_name == "_drive"
 
-    spectrum, spectra = spectral._Count.spectrum, spectral._TrigCount.spectra
+    # every count matrix of either sign is built and solved by a `spectra`
+    classes = (spectral._TrigCount, spectral._HyperbolicCount)
+    checked = set()
+    for cls in classes:
+        def checked_spectra(coupling, alpha, lengths, ks, cls=cls, spectra=cls.spectra):
+            assert taken_by_the_driver()
+            checked.add(cls)
+            return spectra(coupling, alpha, lengths, ks)
 
-    def checked_spectrum(self, k):
-        assert taken_by_the_driver()
-        return spectrum(self, k)
-
-    def checked_spectra(coupling, alpha, lengths, ks):
-        assert taken_by_the_driver()
-        return spectra(coupling, alpha, lengths, ks)
-
+        monkeypatch.setattr(cls, "spectra", staticmethod(checked_spectra))
     for module in (spectral, optimize):
         monkeypatch.setattr(module, "_drive", counted_drive)
-    monkeypatch.setattr(spectral._Count, "spectrum", checked_spectrum)
-    monkeypatch.setattr(spectral._TrigCount, "spectra", staticmethod(checked_spectra))
     dispersion_curve(metric(*star(3)), 1, grid_size=8)
     # theta_SG past pi bisects on attractive rows, below pi on Dirichlet ones
     assert spectral_gap_parameter(metric(*interval()), 0).theta_sg > PI
     assert spectral_gap_parameter(metric(*star(3)), 0).theta_sg <= PI
     maximize_gap(*star(3), MaximizeOptions(seeds=1))
     assert depth == 0
+    assert checked == set(classes)
 
 
-def _swept_counts(m, v, rng=None):
+def _swept_counts(m, v, rng=None, cls=_TrigCount):
     """Count objects for delta couplings at v, Dirichlet and negative theta
     included; with rng each count has random lengths of its own."""
     counts = []
@@ -356,7 +356,7 @@ def _swept_counts(m, v, rng=None):
                  DeltaTheta(3.1), DIRICHLET):
         if rng is not None:
             m = MetricGraph(m.graph, random_lengths(rng, m.graph.edge_count, l_min=0.05).values, m.conditions)
-        counts.append(_TrigCount(m.with_condition(v, cond)))
+        counts.append(cls(m.with_condition(v, cond)))
     return counts
 
 
@@ -375,24 +375,33 @@ def _stacked_graphs():
 def test_stacked_count_matrices_equal_single_ones():
     # the rows of a stack share their lengths, as the rows of a delta sweep
     # do (passed as one row), or have lengths of their own, as the
-    # optimizer's restarts do (passed per row)
+    # optimizer's restarts do (passed per row); trig counts and the
+    # hyperbolic ones of the negative branch (k is kappa there) alike
     ks = [1e-7, 0.37, 3.0, 2 * PI, 12.9, 40.1]
     rng = np.random.default_rng(8)
-    for m, v in _stacked_graphs():
-        for counts, shared in ((_swept_counts(m, v), True), (_swept_counts(m, v, rng), False)):
-            assert counts[-1].alpha.size == counts[0].alpha.size - 1  # Dirichlet drops v
-            for group in (counts[:-1], counts[-1:]):
-                lengths = group[0].lengths if shared else np.stack([count.lengths for count in group])
-                for k_shift in range(len(ks)):
-                    row_ks = [ks[(j + k_shift) % len(ks)] for j in range(len(group))]
-                    coupling = np.stack([count.coupling for count in group])
-                    alpha = np.stack([count.alpha for count in group])
-                    stack = _TrigCount.matrices(coupling, alpha, lengths, np.array(row_ks))
-                    spectra = _TrigCount.spectra(coupling, alpha, lengths, np.array(row_ks))
-                    assert stack.shape[0] == spectra.shape[0] == len(group)
-                    for j, (count, k) in enumerate(zip(group, row_ks)):
-                        assert np.array_equal(stack[j], count.matrix(k)), (m, v, j, k)
-                        assert np.array_equal(spectra[j], count.spectrum(k)), (m, v, j, k)
+    for cls in (_TrigCount, _HyperbolicCount):
+        for m, v in _stacked_graphs():
+            for counts, shared in ((_swept_counts(m, v, cls=cls), True),
+                                   (_swept_counts(m, v, rng, cls), False)):
+                assert counts[-1].alpha.size == counts[0].alpha.size - 1  # Dirichlet drops v
+                for group in (counts[:-1], counts[-1:]):
+                    lengths = group[0].lengths if shared else np.stack([count.lengths for count in group])
+                    for k_shift in range(len(ks)):
+                        row_ks = [ks[(j + k_shift) % len(ks)] for j in range(len(group))]
+                        coupling = np.stack([count.coupling for count in group])
+                        alpha = np.stack([count.alpha for count in group])
+                        spectra = cls.spectra(coupling, alpha, lengths, np.array(row_ks))
+                        assert spectra.shape[0] == len(group)
+                        if cls is _TrigCount:
+                            stack = _TrigCount.matrices(coupling, alpha, lengths, np.array(row_ks))
+                        for j, (count, k) in enumerate(zip(group, row_ks)):
+                            assert np.array_equal(spectra[j], count.spectrum(k)), (cls, m, v, j, k)
+                            if cls is _TrigCount:
+                                assert np.array_equal(stack[j], count.matrix(k)), (m, v, j, k)
+                            # below the reduced form the spectrum is the matrix's eigenvalues
+                            if cls is _HyperbolicCount or spectra.shape[1] < _REDUCE_FROM:
+                                oracle = np.linalg.eigvalsh(count.matrix(k))
+                                assert np.array_equal(spectra[j], oracle), (cls, m, v, j, k)
 
 
 def _full_count(count, k):
@@ -602,6 +611,60 @@ def test_regula_falsi_stays_within_its_count_budget(count_matrices):
         assert count_matrices.n <= budget, E
         assert mult == E - 1
         assert k1 == pytest.approx(PI * E / 2, rel=1e-13, abs=0.0)
+
+
+def test_regula_falsi_stop_keeps_the_closed_forms(independent_checks):
+    # regula falsi stops once its next secant correction is within half the
+    # bracket tolerance 4 eps k; a rule that stops at 1e-8 k ends searches
+    # a whole level off, and without the early stop the worst gap here is
+    # 1.13e-14 relative off its closed form
+    checks = independent_checks
+    for family in (star, flower, mandarin):
+        for E in range(2, 25):
+            g, lengths = family(E)
+            m = metric(g, lengths)
+            k1, mult = spectral_gap(m)
+            exact, exact_mult = checks.closed_form(family.__name__, (E,))
+            assert mult == exact_mult, (family, E)
+            assert k1 == pytest.approx(exact, rel=2e-14, abs=0.0), (family, E)
+            plain = checks.Graph(g.vertex_count, g.edges, lengths.values)
+            assert checks.gap_problems(plain, k1, mult) == [], (family, E)
+            # every level below 2.5 times the gap, by the independent count
+            row = eigenvalues(m, 2.5 * exact).expanded()
+            assert checks.levels_problems(plain, 0, [0.0], [row]) == [], (family, E)
+
+
+def test_known_neumann_floor_saves_one_count(count_matrices, monkeypatch):
+    # a Neumann graph's search takes N = 1 at its floor without a count;
+    # counting it, as for any other graph, changes the tally and nothing else
+    for m, tally in ((metric(*star(16)), 10), (metric(*flower(3)), 5)):
+        count_matrices.n = 0
+        known = spectral_gap(m)
+        assert count_matrices.n == tally, m
+        with monkeypatch.context() as patch:
+            patch.setattr(MetricGraph, "is_neumann_graph", lambda self: False)
+            count_matrices.n = 0
+            assert spectral_gap(m) == known
+        assert count_matrices.n == tally + 1, m
+
+
+def test_neumann_floor_count_is_one_on_catalog_and_random_graphs():
+    # the premise of the known floor count, by the count itself, whole K and
+    # reduced: k = 0 is the only level of a connected Neumann graph below its
+    # search floor
+    graphs = [metric(entry.graph, entry.lengths) for entry in optimize.full_catalog()]
+    rng = np.random.default_rng(2230)
+    for _ in range(50):
+        E = int(rng.integers(2, 31))
+        V = int(rng.integers(2, E // 2 + 3))
+        graphs.append(metric(random_connected_graph(rng, V, E), random_lengths(rng, E)))
+    reduced = 0
+    for m in graphs:
+        count = _TrigCount(m)
+        assert count.neumann and count.off_pole(count.floor, -1.0) == count.floor
+        assert count.made(count.floor, count.spectrum(count.floor)).count == 1, m
+        reduced += count.alpha.size + 2 * count.lengths.size >= _REDUCE_FROM
+    assert len(graphs) == 74 and reduced >= 10
 
 
 # ---------------------------------------------------------------------------
