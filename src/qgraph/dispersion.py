@@ -12,10 +12,11 @@ Multiplicities here are differences of the eigenvalue count, as in
 tolerance.  The flat multiplicity at k is the least counted multiplicity
 at k under the couplings theta = 1.2 and -0.7, and k is a flat band when
 it is positive.  A dispersion curve takes its flat bands from the levels
-of its first grid row and removes them from every row within the
-count's merge width.  The rows of a theta grid, negative branch
-included, are searched in lockstep (`spectral.levels`), each with the
-values a search of that row alone would see.
+of its first grid row, testing all of them under both couplings in one
+drive, and removes them from every row within the count's merge width.
+The rows of a theta grid, negative branch included, are searched in
+lockstep (`spectral.levels`), each with the values a search of that row
+alone would see.
 
 The spectral gap parameter theta_SG solves K(theta_SG) = k1(Neumann); it
 lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
@@ -34,7 +35,17 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .graph import DIRICHLET, NEUMANN, DeltaTheta, MetricGraph, _quotient
-from .spectral import _merge_width, gap_reaches, levels, multiplicity_at, spectral_gap
+from .spectral import (
+    _TrigCount,
+    _around,
+    _drive,
+    _merge_width,
+    _require_k,
+    gap_reaches,
+    levels,
+    multiplicity_at,
+    spectral_gap,
+)
 
 SGP_THETA_TOL = 1e-8
 STRONG_TOL = 1e-6
@@ -52,7 +63,18 @@ def flat_multiplicity(m: MetricGraph, v: int, k: float) -> int:
     -0.7.  Off the flat bands every level moves strictly with theta, so the
     moving branch meets k under one of them at most.
     """
-    return min(multiplicity_at(_with_theta(m, v, theta), k) for theta in (1.2, -0.7))
+    _require_k("k", k)
+    return _flat_multiplicities(m, v, [k])[0]
+
+
+def _flat_multiplicities(m: MetricGraph, v: int, ks: list[float]) -> list[int]:
+    """`flat_multiplicity` at each k > 0 of ks.  The counts around every k
+    under both couplings are taken in one drive, so each step's counts
+    stack."""
+    counts = [_TrigCount(_with_theta(m, v, theta)) for theta in (1.2, -0.7)]
+    found = _drive([_around(count, k) for k in ks for count in counts])
+    mults = [above.count - below.count for below, above in found]
+    return [min(mults[i : i + 2]) for i in range(0, len(mults), 2)]
 
 
 def is_flat_band(m: MetricGraph, v: int, k: float) -> bool:
@@ -104,13 +126,8 @@ def interlacing_margin(lo: np.ndarray, hi: np.ndarray) -> float:
 
 def _detect_flat_bands(m: MetricGraph, v: int, levels: list[float], k_cut: float) -> list[FlatBand]:
     """The flat bands among the positive levels up to k_cut of one spectrum."""
-    flats = []
-    for k in sorted(set(levels)):
-        if 1e-9 < k <= k_cut:
-            mult = flat_multiplicity(m, v, k)
-            if mult > 0:
-                flats.append(FlatBand(k, mult))
-    return flats
+    ks = [k for k in sorted(set(levels)) if 1e-9 < k <= k_cut]
+    return [FlatBand(k, mult) for k, mult in zip(ks, _flat_multiplicities(m, v, ks)) if mult > 0]
 
 
 def _remove_flats(levels: list[float], flats: list[FlatBand]) -> list[float]:

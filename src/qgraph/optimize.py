@@ -27,7 +27,11 @@ counts of one matrix shape cost one stacked eigvalsh.  Every ascent is
 sent the values it would get alone, so its result and trace do not
 depend on its company.  Eigenspaces are solved inside each ascent with
 the multiplicity its level search counted, and candidate metric graphs
-take the projected lengths as they are (`graph._trusted_metric`).
+take the projected lengths as they are (`graph._trusted_metric`).  An
+ascent holds its gap as the `_Level` of its gap search, with the count
+just above the gap: the window of branches that steer the step
+(`_cluster_energies`) is searched up from that count, so one count at the
+window's top shows when the gap is alone in it.
 
 The restarts also share the topologies they reach.  `maximize_gap` builds
 one `_Topology` for its graph, holding its symmetrizable groups and its
@@ -45,7 +49,12 @@ its iteration, topology, lengths, pin counts, edge map and gap; `_ascend`
 holds that key, matched exactly, for every state one call reaches.  The
 first ascent to reach a state goes on; a later one stops there, and once
 the first has finished it takes that end and the rest of its trace, so
-every result and trace is the one it would be alone.
+every result and trace is the one it would be alone.  Before they merge
+the restarts share the gap searches of their starts and symmetrized
+states, keyed by topology and lengths: the first ascent to ask searches,
+and a later one takes its result, or waits in the driver while it is
+being taken.  On stars and flowers the eleven first symmetrizations cost
+one search.
 """
 
 from __future__ import annotations
@@ -77,11 +86,13 @@ from .graph import (
 )
 from . import families
 from .spectral import (
+    _Level,
     _Search,
+    _TrigCount,
     _drive,
     _eigenbasis_coeffs,
-    _eigenvalue_search,
     _gap_search,
+    _level_search,
     _reaches,
     gap_reaches,
     spectral_gap,
@@ -381,18 +392,23 @@ def _settle(state: _AscentState, drop=()) -> _AscentState:
     return settled
 
 
-def _cluster_energies(m: MetricGraph, k1: float) -> _Search:
+def _cluster_energies(m: MetricGraph, gap: _Level) -> _Search:
     """Edge energies averaged over the eigenspaces near the gap k1 of m.
 
     Near-degenerate gaps make single-branch gradients zigzag across the
     eigenvalue crossing; averaging the energies over every branch within
     a relative window of k1 gives a stable ascent direction (for a truly
-    multiple gap this is the basis-independent eigenspace trace).  Each
-    eigenspace takes the multiplicity the window's search counted.  The
-    energies k^2 (A_e^2 + B_e^2) of `EdgeTrig.energies` are read from the
-    coefficient rows as they are: a square does not see a row's sign.
+    multiple gap this is the basis-independent eigenspace trace).  gap is
+    the `_Level` of m's gap search, and the window's search starts from
+    the count just above k1 that that search took: one count at the top
+    of the window shows whether any other level lies in it, and only then
+    is (k1, top] searched.  Each eigenspace takes the multiplicity its
+    search counted.  The energies k^2 (A_e^2 + B_e^2) of
+    `EdgeTrig.energies` are read from the coefficient rows as they are: a
+    square does not see a row's sign.
     """
-    cluster = (yield from _eigenvalue_search(m, k1 * (1.0 + CLUSTER_WINDOW), k1 - 1e-7)).eigenpairs
+    others = yield from _level_search(_TrigCount(m), gap.above, gap.k * (1.0 + CLUSTER_WINDOW))
+    cluster = [gap, *others]
     E = m.graph.edge_count
     total = np.zeros(E)
     dims = 0
@@ -405,15 +421,31 @@ def _cluster_energies(m: MetricGraph, k1: float) -> _Search:
 
 
 def _gap_above(m: MetricGraph, floor: float) -> _Search:
-    """spectral_gap(m)[0] when it exceeds floor, else None.
+    """The `_Level` of m's gap when the gap exceeds floor, else None.
 
     `gap_reaches` settles a candidate below floor with two counts; only one
     that reaches floor gets the full search, whose value is compared again.
     """
     if not (yield from _reaches(m, floor)):
         return None
-    gap = (yield from _gap_search(m))[0]
-    return gap if gap > floor else None
+    gap = yield from _gap_search(m)
+    return gap if gap.k > floor else None
+
+
+def _held_gap(state: _AscentState, searched: dict) -> _Search:
+    """The gap search of a start or a symmetrized state, taken once per call.
+
+    searched maps (topology, lengths) to the `_Level` found there, or to
+    None while the ascent that asked first is still searching; a later
+    ascent waits for it (`_drive`).
+    """
+    key = (state.topo, state.lengths.tobytes())
+    if key not in searched:
+        searched[key] = None
+        searched[key] = yield from _gap_search(state.metric())
+    while searched[key] is None:
+        yield None
+    return searched[key]
 
 
 def _no_move(cand: np.ndarray, lengths: np.ndarray, atol: float) -> bool:
@@ -431,16 +463,25 @@ class _Follow(NamedTuple):
 
 
 def _single_ascent(
-    state: _AscentState, trace: list[TraceStep], held: dict | None = None, index: int = 0
+    state: _AscentState,
+    trace: list[TraceStep],
+    held: dict | None = None,
+    index: int = 0,
+    searched: dict | None = None,
 ) -> _Search:
     """One ascent from state, appending its moves to trace; returns (state, gap).
 
     With held, the states the ascents of one call have reached, keyed
     after the symmetrization of each iteration, the ascent numbered index
     returns a `_Follow` of the first ascent that held the state it reaches.
+    With searched, the ascents of one call share the gap searches of their
+    starts and symmetrized states (`_held_gap`); without it the ascent
+    keeps its own.  The ascent holds its gap as the `_Level` of its
+    search, whose count above k1 `_cluster_energies` starts from.
     """
-    gap = (yield from _gap_search(state.metric()))[0]
-    trace.append(TraceStep(gap, 0.0, "init"))
+    searched = {} if searched is None else searched
+    gap = yield from _held_gap(state, searched)
+    trace.append(TraceStep(gap.k, 0.0, "init"))
 
     for it in range(MAX_ITERS):
         moved = False
@@ -448,17 +489,17 @@ def _single_ascent(
         # symmetrization moves are non-decreasing whenever they apply
         if any(np.ptp(state.lengths[group]) > 1e-13 for group in state.topo.groups):
             cand = _settle(state)
-            cand_gap = (yield from _gap_search(cand.metric()))[0]
-            if cand_gap >= gap - GAP_SLACK:
-                if cand_gap > gap + IMPROVE_TOL:
+            cand_gap = yield from _held_gap(cand, searched)
+            if cand_gap.k >= gap.k - GAP_SLACK:
+                if cand_gap.k > gap.k + IMPROVE_TOL:
                     moved = True
                 state, gap = cand, cand_gap
-                trace.append(TraceStep(gap, 0.0, "symmetrize"))
+                trace.append(TraceStep(gap.k, 0.0, "symmetrize"))
 
         # from here on the ascent is a function of this key, to the bit
         if held is not None:
             key = (it, moved, state.topo, state.lengths.tobytes(), state.pin_count.tobytes(),
-                   tuple(state.orig_map), gap)
+                   tuple(state.orig_map), gap.k)
             first = held.setdefault(key, _Follow(index, len(trace)))
             if first.leader != index:
                 return first
@@ -476,7 +517,7 @@ def _single_ascent(
                 cand = _project_simplex_lb(state.lengths + eta * direction, L_MIN)
                 if _no_move(cand, state.lengths, 1e-15):
                     break
-                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), gap + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), gap.k + IMPROVE_TOL)
                 if cand_gap is not None:
                     accepted = (cand, cand_gap, eta)
                     break
@@ -487,14 +528,14 @@ def _single_ascent(
                 cand = _project_simplex_lb(state.lengths + eta2 * direction, L_MIN)
                 if _no_move(cand, accepted[0], 1e-15):
                     break
-                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), accepted[1] + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), accepted[1].k + IMPROVE_TOL)
                 if cand_gap is not None:
                     accepted = (cand, cand_gap, eta2)
                 else:
                     break
             if accepted is not None:
                 state.lengths, gap = accepted[0], accepted[1]
-                trace.append(TraceStep(gap, accepted[2], "gradient"))
+                trace.append(TraceStep(gap.k, accepted[2], "gradient"))
                 moved = True
 
         # nonsmooth stalls (gap maximum at an eigenvalue crossing): probe
@@ -507,22 +548,22 @@ def _single_ascent(
             # topologies, where no dangling/loop symmetrization applies
             cand = np.full(state.topo.graph.edge_count, 1.0 / state.topo.graph.edge_count)
             if not _no_move(cand, state.lengths, 1e-14):
-                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), gap + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), gap.k + IMPROVE_TOL)
                 if cand_gap is not None:
                     state.lengths, gap = cand, cand_gap
-                    trace.append(TraceStep(gap, 0.0, "equalize"))
+                    trace.append(TraceStep(gap.k, 0.0, "equalize"))
                     moved = True
 
         if not moved and state.topo.graph.edge_count >= 2:
             best_probe = None
             for drop in state.topo.probes:
                 cand_state = _settle(state, drop)
-                cand_gap = yield from _gap_above(cand_state.metric(), gap + IMPROVE_TOL)
-                if cand_gap is not None and (best_probe is None or cand_gap > best_probe[1]):
+                cand_gap = yield from _gap_above(cand_state.metric(), gap.k + IMPROVE_TOL)
+                if cand_gap is not None and (best_probe is None or cand_gap.k > best_probe[1].k):
                     best_probe = (cand_state, cand_gap)
             if best_probe is not None:
                 state, gap = best_probe
-                trace.append(TraceStep(gap, 0.0, "contract-probe"))
+                trace.append(TraceStep(gap.k, 0.0, "contract-probe"))
                 moved = True
 
         # pin bookkeeping and boundary contraction; contraction is evaluated
@@ -534,10 +575,10 @@ def _single_ascent(
         to_zero = [int(e) for e in np.nonzero(state.pin_count >= PIN_ITERS)[0]]
         if to_zero and len(to_zero) < state.topo.graph.edge_count:
             cand_state = _settle(state, to_zero)
-            cand_gap = (yield from _gap_search(cand_state.metric()))[0]
-            if cand_gap >= gap - GAP_SLACK:
+            cand_gap = yield from _gap_search(cand_state.metric())
+            if cand_gap.k >= gap.k - GAP_SLACK:
                 state, gap = cand_state, cand_gap
-                trace.append(TraceStep(gap, 0.0, "contract"))
+                trace.append(TraceStep(gap.k, 0.0, "contract"))
                 moved = True
             else:
                 state.pin_count[to_zero] = -10 * PIN_ITERS  # back off
@@ -548,7 +589,7 @@ def _single_ascent(
         if not moved and not pin_pending:
             break
 
-    return state, gap
+    return state, gap.k
 
 
 def _ascend(starts: list[_AscentState]) -> list[tuple[_AscentState, float, list[TraceStep]]]:
@@ -562,8 +603,9 @@ def _ascend(starts: list[_AscentState]) -> list[tuple[_AscentState, float, list[
     """
     traces: list[list[TraceStep]] = [[] for _ in starts]
     held: dict = {}
+    searched: dict = {}
     ascents = parallel_map(
-        lambda j: _single_ascent(starts[j], traces[j], held, j), range(len(starts))
+        lambda j: _single_ascent(starts[j], traces[j], held, j, searched), range(len(starts))
     )
     ends = _drive(ascents)
 

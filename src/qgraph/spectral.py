@@ -62,9 +62,15 @@ search of a Neumann graph knows N = 1 at its floor and takes no count
 there (`_below`).  The multiplicity of a level r is N(r + d) - N(r - d)
 with d = max(1e-10 r, 1e-9), with no threshold on any matrix; levels
 closer than d merge into one, and a point where N flips by noise alone,
-with difference 0, is no level.  Negative eigenvalues lambda = -kappa^2
-of attractive delta couplings go through the same finder with the
-hyperbolic vertex matrix (`_negative_search`).
+with difference 0, is no level.  r is the lowest level of its bracket,
+so the count at the bracket's lower end is N(r - d) and is not taken
+again (`_around`); only at the floor of a count taken there, a delta
+graph's, where N flips by noise at a level lambda = 0, is N(r - d)
+counted.  The count N(r + d) starts the search of the next level, and a
+search's `_Level`s carry it, so a later search of the levels above r
+starts there.  Negative eigenvalues lambda = -kappa^2 of attractive
+delta couplings go through the same finder with the hyperbolic vertex
+matrix (`_negative_search`).
 
 The finder is a generator, `_level_search`: it yields a request, the
 count and a k where it needs that count, and is sent the count's spectrum
@@ -82,10 +88,12 @@ count class and matrix shape (V', E); a group of several costs one
 stacked build and one stacked eigvalsh with its class's `spectra`, trig
 or hyperbolic, and a lone request takes `spectrum`, the stack of one.
 A stacked build forms each row as the build of that count alone does,
-so each search is sent the same values alone or in company.  The
-public functions drive one search each; the graphs of `levels` (the
-rows of a delta sweep) and the restarts of the optimizer drive theirs
-together.
+so each search is sent the same values alone or in company.  A search
+may also yield None, to wait for another search of its drive; the
+optimizer's restarts wait so for a gap search another restart is taking.
+The public functions drive one search each; the graphs of `levels` (the
+rows of a delta sweep), the flat-band tests of a dispersion curve and
+the restarts of the optimizer drive theirs together.
 
 Eigenfunctions come from the vertex conditions on the edge ends
 (Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is
@@ -125,6 +133,7 @@ from __future__ import annotations
 import math
 from collections.abc import Generator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,8 +151,9 @@ _MAX_LEVELS = 10_000   # most levels one search resolves
 _REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more eliminate one row per edge
 
 # a level search yields a request, a count and a k where it needs that count,
-# and is sent the count's spectrum there (`_Count.spectrum`); it returns its result
-_Search = Generator[tuple["_Count", float], np.ndarray, object]
+# and is sent the count's spectrum there (`_Count.spectrum`); it returns its
+# result.  A search may yield None instead, to wait for another (`_drive`)
+_Search = Generator[tuple["_Count", float] | None, np.ndarray | None, object]
 
 
 # ---------------------------------------------------------------------------
@@ -523,12 +533,20 @@ def _merge_width(r: float) -> float:
 def _around(count: _Count, r: float, lo: _Sample | None = None) -> _Search:
     """The counts just below and just above r; their difference is r's multiplicity.
 
-    lo, the lower end of the search, stands in for the lower count when
-    it lies above it.
+    lo, the lower end of the bracket r is the lowest level of, stands in
+    for the lower count: no level lies between it and r - d.  That holds
+    where lo was counted above the count's floor, and at a Neumann graph's
+    floor, where N = 1 is known (`_below`).  At the floor of any other
+    count N(r - d) is taken: a level at lambda = 0 of a delta graph sits
+    between the floors of the trig and hyperbolic searches, where N flips
+    by noise, so r may be such a flip and no level.
     """
     width = _merge_width(r)
     below_k = count.off_pole(r - width, -1.0)
-    below = lo if lo is not None and below_k <= lo.k else count.made(below_k, (yield count, below_k))
+    if lo is not None and (lo.k > count.floor or lo.evals is None or below_k <= lo.k):
+        below = lo
+    else:
+        below = count.made(below_k, (yield count, below_k))
     above_k = count.off_pole(r + width, 1.0)
     return below, count.made(above_k, (yield count, above_k))
 
@@ -547,19 +565,27 @@ def _below(count: _Count, k: float) -> _Search:
     return count.made(k, (yield count, k))
 
 
-def _level_search(count: _Count, k_lo: float, k_hi: float, first_only: bool = False) -> _Search:
-    """Levels in (k_lo, k_hi] with their multiplicities, ascending; the
-    count at k_lo is known, not taken, at a Neumann graph's floor (`_below`)."""
-    lo = yield from _below(count, k_lo)
+class _Level(NamedTuple):
+    """A level, its multiplicity and the count just above it, at r + d
+    (`_around`), where a search of the levels above it can start."""
+
+    k: float
+    multiplicity: int
+    above: _Sample
+
+
+def _level_search(count: _Count, lo: _Sample, k_hi: float, first_only: bool = False) -> _Search:
+    """The levels in (lo.k, k_hi] as `_Level`s, ascending, searched up from
+    the sample lo."""
     # a level sitting on k_hi belongs to the range
     hi_k = count.off_pole(k_hi + _merge_width(k_hi), 1.0)
     hi = count.made(hi_k, (yield count, hi_k))
     if hi.count - lo.count > _MAX_LEVELS:
         raise ResourceBudgetError(
-            f"{hi.count - lo.count} eigenvalues in ({k_lo}, {k_hi}], more than {_MAX_LEVELS}"
+            f"{hi.count - lo.count} eigenvalues in ({lo.k}, {k_hi}], more than {_MAX_LEVELS}"
         )
     seen = [lo, hi]
-    out: list[tuple[float, int]] = []
+    out: list[_Level] = []
     while lo.count < hi.count:
         # the tightest bracket above lo among the counts taken so far
         lo = max((s for s in seen if s.count == lo.count), key=lambda s: s.k)
@@ -568,7 +594,7 @@ def _level_search(count: _Count, k_lo: float, k_hi: float, first_only: bool = Fa
         below, above = yield from _around(count, r, lo)
         # count noise can flip N at a point no level sits on
         if above.count > below.count:
-            out.append((r, above.count - below.count))
+            out.append(_Level(r, above.count - below.count, above))
             if first_only:
                 break
         seen.append(above)
@@ -585,10 +611,13 @@ def _drive(searches: list[_Search]) -> list:
     takes its count's `spectrum`, the stack of one.  Either way a search is
     sent the values it would be sent alone.  A group of the same counts as
     the last one of its key reuses their stacked couplings, alphas and
-    lengths; searches take several steps per count.
+    lengths; searches take several steps per count.  A search that yields
+    None waits for another one: it is sent None after the step's counts,
+    and no count is taken for it.  When every pending search waits, none
+    can go on, and the drive raises RuntimeError.
     """
     results: list = [None] * len(searches)
-    pending: dict[int, tuple[_Count, float]] = {}
+    pending: dict[int, tuple[_Count, float] | None] = {}
     stacked: dict[tuple, tuple] = {}   # (class, V', E) -> (counts, coupling, alpha, lengths)
 
     def send(j: int, value) -> None:
@@ -602,8 +631,13 @@ def _drive(searches: list[_Search]) -> list:
         send(j, None)
     while pending:
         groups: dict[tuple, list[int]] = {}
-        for j, (count, _) in pending.items():
-            groups.setdefault((type(count), count.alpha.size, count.lengths.size), []).append(j)
+        waiting = [j for j, request in pending.items() if request is None]
+        if len(waiting) == len(pending):
+            raise RuntimeError(f"all {len(waiting)} pending searches wait for another")
+        for j, request in pending.items():
+            if request is not None:
+                count = request[0]
+                groups.setdefault((type(count), count.alpha.size, count.lengths.size), []).append(j)
         for key, js in groups.items():
             if len(js) == 1:
                 count, k = pending[js[0]]
@@ -620,6 +654,8 @@ def _drive(searches: list[_Search]) -> list:
             values = key[0].spectra(*stacked[key][1:], np.array([pending[j][1] for j in js]))
             for j, v in zip(js, values):
                 send(j, v)
+        for j in waiting:
+            send(j, None)
     return results
 
 
@@ -662,8 +698,9 @@ def _eigenvalue_search(m: MetricGraph, k_max: float, k_min: float) -> _Search:
     _require_k("k_max", k_max)
     _require_k("k_min", k_min, zero_ok=True)
     count = _TrigCount(m)
-    levels = yield from _level_search(count, max(k_min, count.floor), k_max)
-    pairs = [Eigenpair(k, mult) for k, mult in levels]
+    lo = yield from _below(count, max(k_min, count.floor))
+    levels = yield from _level_search(count, lo, k_max)
+    pairs = [Eigenpair(k, mult) for k, mult, _ in levels]
     if m.is_neumann_graph() and k_min == 0.0:
         pairs.insert(0, Eigenpair(0.0, 1))
     return Spectrum(tuple(pairs))
@@ -688,9 +725,11 @@ def gap_upper_bound(m: MetricGraph) -> float:
 
 
 def _gap_search(m: MetricGraph) -> _Search:
-    """`spectral_gap` as a search."""
+    """`spectral_gap` as a search; it returns the gap's `_Level`, whose
+    count above the gap a search of the levels above can start from."""
     count = _TrigCount(m)
-    levels = yield from _level_search(count, count.floor, gap_upper_bound(m), first_only=True)
+    floor = yield from _below(count, count.floor)
+    levels = yield from _level_search(count, floor, gap_upper_bound(m), first_only=True)
     if not levels:
         raise NoEigenspaceError("no eigenvalue found below the universal bound")
     return levels[0]
@@ -699,7 +738,8 @@ def _gap_search(m: MetricGraph) -> _Search:
 def spectral_gap(m: MetricGraph) -> tuple[float, int]:
     """Smallest positive eigenvalue and its multiplicity, searched below the
     universal gap bound."""
-    return _drive([_gap_search(m)])[0]
+    k, mult, _ = _drive([_gap_search(m)])[0]
+    return k, mult
 
 
 def _reaches(m: MetricGraph, k: float) -> _Search:
@@ -1007,8 +1047,9 @@ def _negative_search(m: MetricGraph) -> _Search:
         if count.made(kappa_hi, (yield count, kappa_hi)).count == count.alpha.size:
             break
         kappa_hi *= 2.0
-    found = yield from _level_search(count, count.floor, kappa_hi)
-    return [Eigenpair(-kappa, mult) for kappa, mult in reversed(found)]
+    floor = yield from _below(count, count.floor)
+    found = yield from _level_search(count, floor, kappa_hi)
+    return [Eigenpair(-kappa, mult) for kappa, mult, _ in reversed(found)]
 
 
 def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:

@@ -398,11 +398,11 @@ OPTIMIZE_OUTPUT = {
     "stower21-rng1000": ((stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)), """\
 {
   "lengths": [
-    0.40000042141595626,
-    0.40000042141595626,
-    0.1999991571680875
+    0.4000004214159562,
+    0.40000042141595615,
+    0.1999991571680877
   ],
-  "gap": 7.853973359500248,
+  "gap": 7.85397335950025,
   "classification": "maximizer-candidate",
   "trace": [
     {
@@ -416,53 +416,53 @@ OPTIMIZE_OUTPUT = {
       "move": "symmetrize"
     },
     {
-      "gap": 7.323665472191656,
-      "step": 0.155713573312207,
+      "gap": 7.3236654721916565,
+      "step": 0.1557135733122069,
       "move": "gradient"
     },
     {
-      "gap": 7.6895764366938195,
-      "step": 0.0004897562770996794,
+      "gap": 7.68957643669382,
+      "step": 0.0004897562770996792,
       "move": "gradient"
     },
     {
-      "gap": 7.757746229690673,
-      "step": 0.00021155741704067564,
+      "gap": 7.757746229690668,
+      "step": 0.00021155741704067556,
       "move": "gradient"
     },
     {
-      "gap": 7.786839548327301,
-      "step": 3.4343812236028354e-05,
+      "gap": 7.786839548327302,
+      "step": 3.434381223602836e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.83639966530684,
-      "step": 5.0932130334248574e-05,
+      "gap": 7.836399665306842,
+      "step": 5.093213033424855e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.848888423615636,
-      "step": 1.24929728464856e-05,
+      "gap": 7.848888423615637,
+      "step": 1.249297284648559e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.850485386427922,
-      "step": 6.216716552449641e-06,
+      "gap": 7.850485386427916,
+      "step": 6.216716552449637e-06,
       "move": "gradient"
     },
     {
-      "gap": 7.852016835408113,
-      "step": 1.0354874699801086e-06,
+      "gap": 7.852016835408114,
+      "step": 1.035487469980112e-06,
       "move": "gradient"
     },
     {
-      "gap": 7.853581976683094,
-      "step": 1.5523222233097504e-06,
+      "gap": 7.8535819766830945,
+      "step": 1.5523222233097506e-06,
       "move": "gradient"
     },
     {
-      "gap": 7.853973359500248,
-      "step": 3.8784858020531095e-07,
+      "gap": 7.85397335950025,
+      "step": 3.878485802053108e-07,
       "move": "gradient"
     }
   ]
@@ -485,7 +485,7 @@ OPTIMIZE_OUTPUT = {
     },
     {
       "gap": 6.283185307117572,
-      "step": 0.03874006467487741,
+      "step": 0.03874006467487756,
       "move": "gradient"
     },
     {

@@ -390,6 +390,64 @@ def test_restarts_that_meet_solve_each_eigenspace_once(eigenbases, count_matrice
     assert count_matrices.n <= 392
 
 
+def test_each_held_state_is_searched_once_per_call(count_matrices, monkeypatch):
+    # the restarts of one call share the gap searches of their starts and
+    # symmetrized states: every restart of a star or a flower symmetrizes to
+    # the canonical lengths, which the given start holds from the first
+    search = optimize._gap_search
+    searched = []
+
+    def recorded(m):
+        searched.append((m.graph, m.lengths.tobytes()))
+        return (yield from search(m))
+
+    monkeypatch.setattr(optimize, "_gap_search", recorded)
+    # 337 and 236 count matrices when each restart searched for itself
+    for (g, lengths), tally in ((star(5), 198), (flower(4), 160)):
+        searched.clear()
+        count_matrices.n = 0
+        maximize_gap(g, lengths, MaximizeOptions(seeds=10))
+        assert len(searched) == len(set(searched)), g
+        assert count_matrices.n == tally, g
+
+
+def test_a_two_level_cluster_window_matches_the_full_scan(monkeypatch):
+    # the window search starts from the count just above the gap; where it
+    # finds a second level, e.g. 7.8542510558292 above k1 = 7.8531734793047
+    # at lengths (0.39998628, 0.39998628, 0.20002744), the window's levels
+    # are those of a scan of the whole window from below k1, and both
+    # levels' eigenspaces steer the step
+    cluster, level_search = optimize._cluster_energies, optimize._level_search
+    windows = []
+
+    def recorded_cluster(m, gap):
+        windows.append((m, gap, []))
+        energies = yield from cluster(m, gap)
+        windows[-1] += (energies,)
+        return energies
+
+    def recorded_levels(count, lo, k_hi, first_only=False):
+        found = yield from level_search(count, lo, k_hi, first_only)
+        windows[-1][2].extend(found)
+        return found
+
+    monkeypatch.setattr(optimize, "_cluster_energies", recorded_cluster)
+    monkeypatch.setattr(optimize, "_level_search", recorded_levels)
+    g = stower(2, 1)[0]
+    maximize_gap(g, random_lengths(np.random.default_rng(1000), 3), MaximizeOptions(seed=0, seeds=0))
+    two = [(m, [gap, *others], energies) for m, gap, others, energies in windows if others]
+    assert len(two) >= 1
+    for m, levels, energies in two:
+        k1 = levels[0].k
+        scan = spectral._eigenvalue_search(m, k1 * (1.0 + optimize.CLUSTER_WINDOW), k1 - 1e-7)
+        pairs = spectral._drive([scan])[0].eigenpairs
+        assert [p.multiplicity for p in pairs] == [level.multiplicity for level in levels]
+        for p, level in zip(pairs, levels):
+            assert level.k == pytest.approx(p.k, rel=1e-12, abs=0.0)
+        total = sum(f.energies() for level in levels for f in spectral._eigenbasis(m, level.k, level.multiplicity))
+        assert repr(energies.tolist()) == repr((total / sum(level.multiplicity for level in levels)).tolist())
+
+
 def test_restarts_that_never_meet_keep_their_solves(eigenbases):
     g, lengths = stower(1, 2)
     maximize_gap(g, lengths, MaximizeOptions(seeds=10))
@@ -423,15 +481,16 @@ def test_shared_topologies_equal_rebuilt_ones(monkeypatch):
 def test_cluster_energies_equal_the_eigenfunction_energies():
     for g, _ in (star(4), flower(3), mandarin(3)):
         m = metric(g)
-        k1, mult = spectral_gap(m)
-        assert mult > 1
-        window = spectral._eigenvalue_search(m, k1 * (1.0 + optimize.CLUSTER_WINDOW), k1 - 1e-7)
+        gap = spectral._drive([spectral._gap_search(m)])[0]
+        assert gap.multiplicity > 1
+        # the window holds the gap alone, by the full scan of the window too
+        window = spectral._eigenvalue_search(m, gap.k * (1.0 + optimize.CLUSTER_WINDOW), gap.k - 1e-7)
+        assert [p.multiplicity for p in spectral._drive([window])[0].eigenpairs] == [gap.multiplicity]
         total, dims = np.zeros(g.edge_count), 0
-        for p in spectral._drive([window])[0].eigenpairs:
-            for f in spectral._eigenbasis(m, p.k, p.multiplicity):
-                total += f.energies()
-                dims += 1
-        energies = spectral._drive([optimize._cluster_energies(m, k1)])[0]
+        for f in spectral._eigenbasis(m, gap.k, gap.multiplicity):
+            total += f.energies()
+            dims += 1
+        energies = spectral._drive([optimize._cluster_energies(m, gap)])[0]
         assert repr(energies.tolist()) == repr((total / dims).tolist())
 
 

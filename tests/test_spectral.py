@@ -34,7 +34,7 @@ from qgraph import (
     spectral_gap,
     spectral_gap_parameter,
 )
-from qgraph import optimize, spectral
+from qgraph import dispersion, optimize, spectral
 from qgraph.graph import NEUMANN, DiscreteGraph, MetricGraph
 from qgraph.families import (
     flower,
@@ -337,7 +337,7 @@ def test_every_count_is_taken_by_the_driver(monkeypatch):
             return spectra(coupling, alpha, lengths, ks)
 
         monkeypatch.setattr(cls, "spectra", staticmethod(checked_spectra))
-    for module in (spectral, optimize):
+    for module in (spectral, optimize, dispersion):
         monkeypatch.setattr(module, "_drive", counted_drive)
     dispersion_curve(metric(*star(3)), 1, grid_size=8)
     # theta_SG past pi bisects on attractive rows, below pi on Dirichlet ones
@@ -346,6 +346,31 @@ def test_every_count_is_taken_by_the_driver(monkeypatch):
     maximize_gap(*star(3), MaximizeOptions(seeds=1))
     assert depth == 0
     assert checked == set(classes)
+
+
+def test_a_waiting_search_takes_no_count(count_matrices):
+    # a search that yields None waits for another one of its drive: it is
+    # sent None after each step's counts and costs no count of its own
+    m = metric(*star(3))
+    found = []
+
+    def searcher():
+        found.append((yield from spectral._gap_search(m)))
+        return "searched"
+
+    def waiter():
+        while not found:
+            yield None
+        return found[0].k
+
+    alone = spectral_gap(m)
+    tally = count_matrices.n
+    assert spectral._drive([waiter(), searcher(), waiter()]) == [alone[0], "searched", alone[0]]
+    assert count_matrices.n == 2 * tally
+    # with nothing to wait for, no search of the drive can go on
+    found.clear()
+    with pytest.raises(RuntimeError, match="wait"):
+        spectral._drive([waiter(), waiter()])
 
 
 def _swept_counts(m, v, rng=None, cls=_TrigCount):
@@ -635,9 +660,10 @@ def test_regula_falsi_stop_keeps_the_closed_forms(independent_checks):
 
 
 def test_known_neumann_floor_saves_one_count(count_matrices, monkeypatch):
-    # a Neumann graph's search takes N = 1 at its floor without a count;
-    # counting it, as for any other graph, changes the tally and nothing else
-    for m, tally in ((metric(*star(16)), 10), (metric(*flower(3)), 5)):
+    # a Neumann graph's search takes N = 1 at its floor without a count, and
+    # that sample stands in for the count just below the gap; counting the
+    # floor, as for any other graph, costs both counts and changes nothing else
+    for m, tally in ((metric(*star(16)), 9), (metric(*flower(3)), 4)):
         count_matrices.n = 0
         known = spectral_gap(m)
         assert count_matrices.n == tally, m
@@ -645,7 +671,7 @@ def test_known_neumann_floor_saves_one_count(count_matrices, monkeypatch):
             patch.setattr(MetricGraph, "is_neumann_graph", lambda self: False)
             count_matrices.n = 0
             assert spectral_gap(m) == known
-        assert count_matrices.n == tally + 1, m
+        assert count_matrices.n == tally + 2, m
 
 
 def test_neumann_floor_count_is_one_on_catalog_and_random_graphs():
@@ -665,6 +691,40 @@ def test_neumann_floor_count_is_one_on_catalog_and_random_graphs():
         assert count.made(count.floor, count.spectrum(count.floor)).count == 1, m
         reduced += count.alpha.size + 2 * count.lengths.size >= _REDUCE_FROM
     assert len(graphs) == 74 and reduced >= 10
+
+
+def test_bracket_end_is_the_count_below_every_level(monkeypatch):
+    # a level search takes the lower end of a level's bracket for N(r - d),
+    # save at the floor of a count taken there; wrapped to count N(r - d)
+    # as well, `_around` finds the two equal on every level of the catalog
+    # and of seeded graphs with delta and Dirichlet vertices
+    around = spectral._around
+    compared, stood_in = [], []
+
+    def counted(count, r, lo=None):
+        below, above = yield from around(count, r, lo)
+        k = count.off_pole(r - spectral._merge_width(r), -1.0)
+        exact = count.made(k, (yield count, k))
+        assert below.count == exact.count, (r, below.k, exact.k)
+        compared.append(r)
+        stood_in.append(below is lo)
+        return below, above
+
+    monkeypatch.setattr(spectral, "_around", counted)
+    for entry in optimize.full_catalog():
+        m = metric(entry.graph, entry.lengths)
+        eigenvalues(m, 40.0)
+        spectral_gap(m)
+    rng = np.random.default_rng(2323)
+    for _ in range(40):
+        V = int(rng.integers(2, 7))
+        g = random_connected_graph(rng, V, V - 1 + int(rng.integers(0, 4)))
+        conditions = [[NEUMANN, DIRICHLET, DeltaTheta(float(rng.uniform(-3, 3)))][i] for i in rng.integers(0, 3, V)]
+        conditions[int(rng.integers(V))] = DeltaTheta(float(rng.uniform(-3.0, 3.0)))
+        m = MetricGraph(g, random_lengths(rng, g.edge_count).values, conditions)
+        eigenvalues(m, 40.0)
+        spectral.negative_spectrum(m)
+    assert len(compared) > 600 and sum(stood_in) > 0.9 * len(compared)
 
 
 # ---------------------------------------------------------------------------
