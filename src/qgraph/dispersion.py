@@ -14,9 +14,41 @@ at k under the couplings theta = 1.2 and -0.7, and k is a flat band when
 it is positive.  A dispersion curve takes its flat bands from the levels
 of its first grid row, testing all of them under both couplings in one
 drive, and removes them from every row within the count's merge width.
-The rows of a theta grid, negative branch included, are searched in
-lockstep (`spectral.levels`), each with the values a search of that row
-alone would see.
+
+The positive levels of all rows of a sweep come from one vertex
+function.  A row differs from the coupling theta = 0 at v only in the
+diagonal entry alpha = tan(theta/2) of v in the count matrix K0(k) of
+`spectral`, a rank-one change (Berkolaiko-Kuchment, Introduction to
+Quantum Graphs, 2013, ch. 3).  Bordering K0 by e_v and -1/alpha and
+taking the inertia of both Schur complements (Haynsworth's inertia
+additivity: E. V. Haynsworth, Linear Algebra Appl. 1, 1968) counts the
+row from one factorization of K0:
+
+    N_alpha(k) = N_0(k) + [1/alpha + g(k) > 0] - [alpha > 0],   g(k) = (K0(k)^-1)_vv,
+
+with 1/alpha = 0 at theta = pi, where v's row of K goes.  g is the vv
+entry of the inverse vertex Dirichlet-to-Neumann matrix.  It rises with
+k between its poles, which are the theta = 0 levels with an
+eigenfunction that does not vanish at v; g falls across a theta = 0
+level only where it has a pole there, and that is how a pole is told
+from a flat band.  So on each branch between two poles atan g rises
+from -pi/2 to pi/2, and every row has exactly one level on it, where
+phi = atan g + atan(1/alpha) = 0; the first branch starts at the search
+floor and the last ends at the k_max + d of `_level_search`, each with g
+taken there.  The rest of a theta = 0 level, its eigenfunctions that
+vanish at v, is a flat band of every row: the level's multiplicity, less
+one at a pole.
+
+`dispersion_curve` searches the theta = 0 row with the count, and the
+negative branch of every row with its own search, all in one drive.  It
+then finds the roots of all rows on all branches in lockstep by Newton's
+method on phi (`_branch_roots`), each step one stacked solve of
+K0(k) x = e_v.  Every row confirms its levels with its own counts: each
+level's multiplicity is the row's count difference around it (`_around`),
+and the count at k_max + d must equal the levels found.  A row whose
+counts disagree raises RuntimeError, an internal error, instead of being
+searched again.  The rows equal `spectral.levels` of each row within
+1e-12 relative (absolute below k = 1), with equal multiplicities.
 
 The spectral gap parameter theta_SG solves K(theta_SG) = k1(Neumann); it
 lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
@@ -34,18 +66,25 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .graph import DIRICHLET, NEUMANN, DeltaTheta, MetricGraph, _quotient
+from .graph import DIRICHLET, NEUMANN, DeltaTheta, MetricGraph, _integer, _quotient
 from .spectral import (
+    _below,
+    _level_search,
+    _negative_search,
+    _Search,
     _TrigCount,
     _around,
     _drive,
+    _MULT_PROBE,
     _merge_width,
     _require_k,
     gap_reaches,
-    levels,
     multiplicity_at,
     spectral_gap,
 )
+
+_CLEAR = 1e-12   # atan g this far from a root's target puts a sample on one side of it
+_MAX_STEPS = 128  # a root still open after this many steps is left to its row's counts
 
 SGP_THETA_TOL = 1e-8
 STRONG_TOL = 1e-6
@@ -144,6 +183,211 @@ def _remove_flats(levels: list[float], flats: list[FlatBand]) -> list[float]:
     return out
 
 
+def _zero_search(count: _TrigCount, k_max: float) -> _Search:
+    """The theta = 0 levels up to k_max as `_Level`s, after the count at the floor."""
+    floor = yield from _below(count, count.floor)
+    return floor, (yield from _level_search(count, floor, k_max))
+
+
+def _vertex_function(count: _TrigCount, row: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """g(k) = (K(k)^-1)_vv and g'(k) = -x^T K'(k) x, x = K(k)^-1 e_v, at every
+    k of ks, with K the count's whole matrix (`_TrigCount.matrices`) and v
+    its row `row`: one stacked solve."""
+    b, nv = ks.size, count.alpha.size
+    E = count.lengths.size
+    K = _TrigCount.matrices(count.coupling[None], np.broadcast_to(count.alpha, (b, nv)), count.lengths, ks)
+    unit = np.zeros((b, nv + 2 * E, 1))
+    unit[:, row] = 1.0
+    try:
+        x = np.linalg.solve(K, unit)[:, :, 0]
+    except np.linalg.LinAlgError:   # singular to working precision, within ulps of a pole of g
+        return _vertex_function(count, row, np.nextafter(ks, np.inf))
+    # K' has the vertex-edge block C d/dk [sqrt(k/2) (sin, cos)(k l/2)] and the
+    # edge diagonal +-(l/2) cos(k l)
+    root = np.sqrt(0.5 * ks)[:, None]
+    half = (0.5 * ks)[:, None] * count.lengths
+    s, c = np.sin(half), np.cos(half)
+    dl = 0.5 * count.lengths * root
+    dtrig = np.concatenate([s / (4.0 * root) + dl * c, c / (4.0 * root) - dl * s], axis=1)
+    xe = x[:, nv:]
+    edge = 0.5 * count.lengths * np.cos(2.0 * half) * (xe[:, :E] ** 2 - xe[:, E:] ** 2)
+    return x[:, row], -2.0 * ((x[:, :nv] @ count.coupling) * dtrig * xe).sum(axis=1) - edge.sum(axis=1)
+
+
+def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+                  w: np.ndarray) -> np.ndarray:
+    """The root of phi(k) = arg((1 + i g(k)) w) in every bracket (a, b), where
+    phi rises from fa <= 0 to fb >= 0 and (a, b) lies on the given branch of g.
+
+    phi is atan g + arg w, taken as one argument so that it keeps its
+    relative accuracy near the root where the two terms cancel.  The roots
+    are found in lockstep, each step one call g(ks), which gives g and g'
+    at the current point of every root still open.  Every root starts at
+    the secant point of its bracket.  A step's samples narrow the bracket
+    of every root on their branch, where they lie clearly on one side of
+    it: atan g is the same function for all of them.  Then each point
+    takes its Newton step on phi, phi' = g' / (1 + g^2), where that stays
+    in the narrowed bracket and at least halves the move before (as in
+    Numerical Recipes' rtsafe); else the secant point of the bracket, or
+    its midpoint after a secant point.  Near a pole of g too weak for
+    `_sweep_levels` to see, Newton's steps would shrink without end.  A
+    root is found when its Newton step is within half the tolerance
+    4 eps k of `spectral._illinois`, or has stopped shrinking within 64
+    times it, at the noise of g; or when its bracket is narrower than the
+    tolerance.  A root still open after _MAX_STEPS steps keeps its point,
+    and its row's counts judge it.
+    """
+    ends = a.copy(), b.copy()
+    a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
+    target = -np.angle(w)   # where atan g meets each root
+    k = (a * fb - b * fa) / (fb - fa)
+    last = np.full(k.size, np.inf)   # the size of the move that led to k
+    bisect = np.zeros(k.size, dtype=bool)   # whether the next fallback bisects
+    tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b))
+    # a start on an end, where fa or fb is 0, is the root: g is not taken there
+    i = np.flatnonzero((a < k) & (k < b))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_MAX_STEPS):
+            if not i.size:
+                break
+            ki, bi = k[i], branch[i]
+            gk, dg = g(ki)
+            f = np.angle((1.0 + 1j * gk) * w[i])
+            a[i], fa[i] = np.where(f < 0.0, ki, a[i]), np.where(f < 0.0, f, fa[i])
+            b[i], fb[i] = np.where(f > 0.0, ki, b[i]), np.where(f > 0.0, f, fb[i])
+            # the samples clear of their branch's ends, ascending by (branch, atan g),
+            # so by k too; |atan g| and |target| are below 2
+            clear = np.flatnonzero((ki - ends[0][i] > _MULT_PROBE * ki) & (ends[1][i] - ki > _MULT_PROBE * ki))
+            if clear.size:
+                phi = np.arctan(gk[clear])
+                order = np.lexsort((phi, bi[clear]))
+                sk, sb, sphi = ki[clear][order], bi[clear][order], phi[order]
+                above = np.searchsorted(4.0 * sb + sphi, 4.0 * bi + target[i])
+                below = np.maximum(above - 1, 0)
+                above = np.minimum(above, sk.size - 1)
+                gap = sphi[below] - target[i]
+                up = (sb[below] == bi) & (gap < -_CLEAR) & (sk[below] > a[i])
+                a[i], fa[i] = np.where(up, sk[below], a[i]), np.where(up, gap, fa[i])
+                gap = sphi[above] - target[i]
+                down = (sb[above] == bi) & (gap > _CLEAR) & (sk[above] < b[i])
+                b[i], fb[i] = np.where(down, sk[above], b[i]), np.where(down, gap, fb[i])
+
+            step = f * (1.0 + gk * gk) / dg
+            new = ki - step
+            size = np.abs(step)
+            found = (size <= 0.5 * tol[i]) | ((size >= 0.5 * last[i]) & (size <= 64.0 * tol[i]))
+            narrow = b[i] - a[i] <= tol[i]
+            # Newton where it stays in the bracket and at least halves the move
+            # before (Numerical Recipes' rtsafe); else the secant point of the
+            # bracket, or its midpoint after a secant point
+            newton = (a[i] < new) & (new < b[i]) & (size <= 0.5 * last[i])
+            secant = (a[i] * fb[i] - b[i] * fa[i]) / (fb[i] - fa[i])
+            fallback = np.where(bisect[i], 0.5 * (a[i] + b[i]), secant)
+            k[i] = np.where(f == 0.0, ki, np.where(found, np.clip(new, a[i], b[i]),
+                            np.where(narrow, 0.5 * (a[i] + b[i]), np.where(newton, new, fallback))))
+            bisect[i] = ~newton & ~bisect[i]
+            last[i] = np.abs(k[i] - ki)
+            i = i[~(found | narrow | (f == 0.0))]
+    return k
+
+
+def _row_search(count: _TrigCount, theta: float, candidates: list[tuple[float, int]],
+                floor_count: int, hi_k: float) -> _Search:
+    """The positive levels of one sweep row, with multiplicity, from its
+    candidates (k, multiplicity) ascending, and the counts that confirm them.
+
+    Candidates closer than the merge width are one level, as in
+    `_level_search`.  Each level's multiplicity is the row's own count
+    difference (`_around`), each level's lower count the upper count of the
+    level before, and the count at hi_k must equal the last upper count: a
+    level the candidates miss breaks one of these, and the row raises
+    RuntimeError instead of being searched again.
+    """
+    found: list[float] = []
+    lo, expected, i = None, floor_count, 0
+    while i < len(candidates):
+        r = candidates[i][0]
+        top = count.off_pole(r + _merge_width(r), 1.0)   # where `_around` takes its upper count
+        j, mult = i, 0
+        while j < len(candidates) and candidates[j][0] < top:
+            mult += candidates[j][1]
+            j += 1
+        below, lo = yield from _around(count, r, lo)
+        if (below.count, lo.count) != (expected, expected + mult):
+            raise RuntimeError(f"theta = {theta}: counts {below.count}, {lo.count} around the level "
+                               f"{r} of the vertex function, expected {expected}, {expected + mult}")
+        found += [r] * mult
+        expected, i = lo.count, j
+    hi = count.made(hi_k, (yield count, hi_k))
+    if hi.count != expected:
+        raise RuntimeError(f"theta = {theta}: count {hi.count} at k = {hi_k}, but {expected} levels found")
+    return found
+
+
+def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray, k_max: float) -> list[list[float]]:
+    """Every row's levels up to k_max, as `levels` gives them (module docstring)."""
+    rows = [_with_theta(m, v, float(t)) for t in thetas]
+    m0 = _with_theta(m, v, 0.0)
+    count = _TrigCount(m0)
+    (floor, zero), *negative = _drive([_zero_search(count, k_max)] + [_negative_search(r) for r in rows])
+    hi_k = count.off_pole(k_max + _merge_width(k_max), 1.0)
+
+    v_row = _row_of(m0, v)
+
+    def g(ks):
+        return _vertex_function(count, v_row, ks)
+
+    # g increases between its poles, so it falls across a theta = 0 level only where it has a pole
+    width = np.array([_merge_width(lvl.k) for lvl in zero])
+    ks = np.array([lvl.k for lvl in zero])
+    values = g(np.concatenate([[count.floor, hi_k], ks - width, ks + width]))[0]
+    at_floor, at_hi = values[:2]
+    pole = values[2 : 2 + ks.size] > values[2 + ks.size :]
+    flats = [(lvl.k, lvl.multiplicity - int(p)) for lvl, p in zip(zero, pole) if lvl.multiplicity > p]
+    poles = ks[pole]
+
+    # branch n runs from ends[n] to ends[n + 1]: between two poles atan g rises
+    # from -pi/2 to pi/2, and every row has one root there; w carries the
+    # coupling, phi = arg((1 + i g) w) = atan g + atan(1 / alpha)
+    moving = [j for j, t in enumerate(thetas) if t != 0.0]
+    w = np.array([complex(abs(math.sin(0.5 * t)), math.copysign(math.cos(0.5 * t), t)) for t in thetas[moving]])
+    ends = np.concatenate([[count.floor], poles, [hi_k]])
+    branch = np.arange(poles.size + 1)
+    fa = np.repeat(np.angle(w)[:, None] - 0.5 * math.pi, branch.size, axis=1)
+    fb = fa + math.pi
+    fa[:, 0] = np.angle((1.0 + 1j * at_floor) * w)
+    fb[:, -1] = np.angle((1.0 + 1j * at_hi) * w)
+    # a root on a branch between two poles is there for every row; rounding
+    # may put it on a pole, where fa or fb is 0
+    live = ((fa < 0.0) | (branch > 0)) & ((fb > 0.0) | (branch < poles.size))
+    roots = _branch_roots(g, np.broadcast_to(branch, fa.shape)[live], np.broadcast_to(ends[:-1], fa.shape)[live],
+                          np.broadcast_to(ends[1:], fa.shape)[live], fa[live], fb[live],
+                          np.broadcast_to(w[:, None], fa.shape)[live])
+    per_row = np.split(roots, np.cumsum(live.sum(axis=1))[:-1])
+
+    searches = []
+    for n, (j, r) in enumerate(zip(moving, per_row)):
+        theta = float(thetas[j])
+        floor_count = floor.count + int(fa[n, 0] > 0.0) - int(theta > 0.0)
+        candidates = sorted([(float(k), 1) for k in r] + flats)
+        searches.append(_row_search(_TrigCount(rows[j]), theta, candidates, floor_count, hi_k))
+    positive = dict(zip(moving, _drive(searches)))
+    zero_levels = [lvl.k for lvl in zero for _ in range(lvl.multiplicity)]
+    out = []
+    for j, row in enumerate(rows):
+        below = [p.k for p in negative[j] for _ in range(p.multiplicity)]
+        if j in positive:
+            out.append(below + positive[j])
+        else:
+            out.append(below + [0.0] * row.is_neumann_graph() + zero_levels)
+    return out
+
+
+def _row_of(m: MetricGraph, v: int) -> int:
+    """v's row among the non-Dirichlet vertices of a count of m."""
+    return int(np.count_nonzero(np.isfinite(m.alpha[:v])))
+
+
 def dispersion_curve(
     m: MetricGraph,
     v: int,
@@ -156,15 +400,18 @@ def dispersion_curve(
     The branch glues the lowest non-flat level on (-pi, pi] with the
     second non-flat level shifted to (pi, 3pi]; flat bands are removed at
     their generic multiplicity so the branch stays strictly increasing
-    through crossings.
+    through crossings.  The rows come from one vertex function (module
+    docstring); RuntimeError, an internal error, means a row's own counts
+    disagree with the levels found.
     """
-    if grid_size < 4:
+    if _integer(grid_size, "grid_size", InvalidInputError) < 4:
         raise InvalidInputError("grid_size too small")
     if k_max is None:
         k_max = math.pi * (n_levels + 3) / m.total_length
+    _require_k("k_max", k_max)
     thetas = np.array([-math.pi + 2 * math.pi * (j + 1) / grid_size for j in range(grid_size)])
     thetas[-1] = math.pi
-    level_lists = levels([_with_theta(m, v, float(t)) for t in thetas], k_max)
+    level_lists = _sweep_levels(m, v, thetas, k_max)
     flats = _detect_flat_bands(m, v, level_lists[0], k_cut=k_max - math.pi / m.total_length)
     nonflat = [_remove_flats(lv, flats) for lv in level_lists]
 
@@ -266,6 +513,7 @@ def glue(m1: MetricGraph, v1: int, m2: MetricGraph, v2: int, L: float) -> Metric
     """
     if not 0.0 <= L <= 1.0:
         raise InvalidInputError("gluing parameter L must lie in [0, 1]")
+    v1, v2 = (_integer(v, "a vertex id", InvalidInputError) for v in (v1, v2))
     for m, v in ((m1, v1), (m2, v2)):
         if abs(m.total_length - 1.0) > 1e-9:
             raise InvalidInputError("gluing expects total length one on both graphs")
@@ -284,6 +532,7 @@ def glue(m1: MetricGraph, v1: int, m2: MetricGraph, v2: int, L: float) -> Metric
 
 def identify_vertices(m: MetricGraph, v1: int, v2: int) -> MetricGraph:
     """Merge v2 into v1; delta coefficients add, so opposite ones give Neumann."""
+    v1, v2 = (_integer(v, "a vertex id", InvalidInputError) for v in (v1, v2))
     for v in (v1, v2):
         if not 0 <= v < m.graph.vertex_count:
             raise InvalidInputError(f"no vertex {v} in a graph with {m.graph.vertex_count} vertices")

@@ -374,6 +374,7 @@ class MetricGraph:
         return not np.count_nonzero(self.alpha)
 
     def with_condition(self, v: int, cond: DeltaTheta) -> "MetricGraph":
+        v = _integer(v, "a vertex id", InvalidInputError)
         if not 0 <= v < self.graph.vertex_count:
             raise InvalidInputError(f"no vertex {v} in a graph with {self.graph.vertex_count} vertices")
         conds = list(self.conditions)

@@ -91,9 +91,9 @@ A stacked build forms each row as the build of that count alone does,
 so each search is sent the same values alone or in company.  A search
 may also yield None, to wait for another search of its drive; the
 optimizer's restarts wait so for a gap search another restart is taking.
-The public functions drive one search each; the graphs of `levels` (the
-rows of a delta sweep), the flat-band tests of a dispersion curve and
-the restarts of the optimizer drive theirs together.
+The public functions drive one search each; the graphs of `levels`, the
+rows of a dispersion curve, their flat-band tests and the restarts of
+the optimizer drive theirs together.
 
 Eigenfunctions come from the vertex conditions on the edge ends
 (Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is

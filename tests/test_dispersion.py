@@ -1,5 +1,6 @@
 """Delta sweeps, dispersion curves, SGP classification, gluing."""
 
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,8 @@ from qgraph import (
     spectral_gap,
     spectral_gap_parameter,
 )
-from qgraph import spectral
+from qgraph import dispersion, families, spectral
+from qgraph.graph import DiscreteGraph, MetricGraph
 from qgraph.dispersion import multiplicity_at, _with_theta
 from qgraph.families import (
     flower,
@@ -28,6 +30,7 @@ from qgraph.families import (
     loop,
     mandarin,
     necklace,
+    path_graph,
     random_connected_graph,
     random_lengths,
     standarin_chain,
@@ -162,6 +165,179 @@ def test_vertex_outside_the_graph_is_rejected(v):
 # ---------------------------------------------------------------------------
 # dispersion curves
 # ---------------------------------------------------------------------------
+
+
+# the delta sweeps of perfbench's theta_sweep workload: (family, parameters, vertex)
+THETA_SWEEPS = (
+    ("star", (3,), 0), ("star", (4,), 0), ("star", (5,), 0),
+    ("star", (3,), 1), ("star", (4,), 1), ("star", (5,), 1),
+    ("flower", (2,), 0), ("flower", (3,), 0), ("flower", (4,), 0),
+    ("stower", (1, 2), 0), ("stower", (1, 2), 1), ("stower", (2, 1), 0), ("stower", (2, 1), 1),
+    ("stower", (2, 2), 0), ("stower", (2, 2), 1),
+    ("mandarin", (2,), 0), ("mandarin", (3,), 0), ("mandarin", (4,), 0),
+    ("path_graph", (1,), 0), ("path_graph", (2,), 1), ("path_graph", (2,), 0),
+    ("path_graph", (3,), 1), ("necklace", (2,), 0), ("necklace", (2,), 1),
+    ("dumbbell", (0.2,), 0), ("dumbbell", (0.5,), 0),
+)
+
+
+def _sweep_graph(name, params):
+    return metric(*getattr(families, name)(*params))
+
+
+def _random_sweep(rng, deltas):
+    """A random graph with E = 3-6, a vertex v, and (where deltas) delta and
+    Dirichlet conditions at some other vertices."""
+    E = int(rng.integers(3, 7))
+    V = int(rng.integers(2, E + 2))
+    g = random_connected_graph(rng, V, E)
+    m = metric(g, random_lengths(rng, E, l_min=0.05))
+    v = int(rng.integers(0, V))
+    for w in range(V):
+        if deltas and w != v and rng.random() < 0.4:
+            m = m.with_condition(w, DeltaTheta(PI if rng.random() < 0.3 else float(rng.uniform(-3.0, 3.0))))
+    return m, v
+
+
+def _counts(m, ks):
+    """N(k) of m's count at every k of ks, in one stacked eigvalsh."""
+    count = spectral._TrigCount(m)
+    b = len(ks)
+    values = count.spectra(np.broadcast_to(count.coupling, (b, *count.coupling.shape)),
+                           np.broadcast_to(count.alpha, (b, count.alpha.size)), count.lengths, np.array(ks))
+    return [count.made(k, ev).count for k, ev in zip(ks, values)]
+
+
+def _identity_mismatches(m, v, thetas, ks):
+    """The (theta, k) where N0(k) + [1/alpha + g(k) > 0] - [alpha > 0], alpha the
+    coupling of the row at v, differs from the row's own count (theta = 0 is
+    the count N0 itself)."""
+    m0 = _with_theta(m, v, 0.0)
+    g = dispersion._vertex_function(spectral._TrigCount(m0), dispersion._row_of(m0, v), np.array(ks))[0]
+    base = _counts(m0, ks)
+    bad = []
+    for theta in (t for t in thetas if t != 0.0):
+        alpha = DeltaTheta(theta).alpha
+        inverse = 0.0 if math.isinf(alpha) else 1.0 / alpha
+        expected = [n + int(inverse + gk > 0.0) - int(alpha > 0.0) for n, gk in zip(base, g)]
+        bad += [(theta, k) for k, n, e in zip(ks, _counts(_with_theta(m, v, theta), ks), expected) if n != e]
+    return bad
+
+
+def _probes(m, v, rng, k_max):
+    """Random k up to k_max, and k 1e-10 relative off every edge pole n pi / l_e
+    and every theta = 0 level below k_max."""
+    poles = [n * PI / l for l in m.lengths for n in range(1, int(k_max * l / PI) + 1)]
+    zero = [k for k in levels([_with_theta(m, v, 0.0)], k_max)[0] if k > 0.0]
+    near = [k * (1.0 + s * 1e-10) for k in poles + zero for s in (-1.0, 1.0)]
+    return sorted(list(rng.uniform(0.05, k_max, 8)) + near)
+
+
+@pytest.mark.parametrize("name, params, v", THETA_SWEEPS)
+def test_count_identity_on_sweep_rows(name, params, v):
+    # one solve of the theta = 0 count matrix counts every row: by Haynsworth's
+    # inertia additivity, N_alpha(k) = N0(k) + [1/alpha + g(k) > 0] - [alpha > 0]
+    m = _sweep_graph(name, params)
+    k_max = 9 * PI / m.total_length
+    curve_thetas = dispersion_curve(m, v, grid_size=32).thetas
+    ks = _probes(m, v, np.random.default_rng(24), k_max)
+    assert _identity_mismatches(m, v, [float(t) for t in curve_thetas], ks) == []
+
+
+def test_count_identity_with_delta_and_dirichlet_vertices():
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        m, v = _random_sweep(rng, deltas=True)
+        ks = _probes(m, v, rng, 6 * PI / m.total_length)
+        thetas = [-3.0, -1.2, -0.2, 0.4, 2.1, PI]
+        assert _identity_mismatches(m, v, thetas, ks) == [], (m, v)
+
+
+def _grouped(row):
+    """A row's levels as (k, multiplicity), equal values grouped."""
+    return [(k, len(list(same))) for k, same in itertools.groupby(row)]
+
+
+def _assert_rows_match_levels(m, v, grid):
+    curve = dispersion_curve(m, v, grid_size=grid)
+    oracle = levels([_with_theta(m, v, float(t)) for t in curve.thetas], 9 * PI / m.total_length)
+    for theta, row, expected in zip(curve.thetas, curve.levels, oracle):
+        got, want = _grouped(row), _grouped(expected)
+        assert [mult for _, mult in got] == [mult for _, mult in want], (m, v, theta)
+        # relative above k = 1; near k = 0 a count-based level is only as good
+        # as 1e-12 absolute (tested against mpmath on a level at k = 0.017)
+        for (k, _), (k_want, _) in zip(got, want):
+            assert abs(k - k_want) <= 1e-12 * max(1.0, abs(k_want)), (m, v, theta, k, k_want)
+
+
+@pytest.mark.parametrize("name, params, v", THETA_SWEEPS)
+def test_dispersion_rows_equal_per_row_levels(name, params, v):
+    _assert_rows_match_levels(_sweep_graph(name, params), v, 32)
+
+
+def test_dispersion_rows_equal_per_row_levels_on_random_graphs():
+    rng = np.random.default_rng(1608)
+    for n in range(100):
+        m, v = _random_sweep(rng, deltas=n % 2 == 1)
+        _assert_rows_match_levels(m, v, 16)
+
+
+@pytest.mark.parametrize("grid", [22, 26])
+def test_rows_of_a_grid_with_a_rounded_zero_theta(grid):
+    # these grids place a row at theta = +-4.4e-16 instead of 0: its roots sit
+    # within ulps of the poles of the vertex function, and its ground state
+    # near k = 0
+    assert min(abs(-PI + 2 * PI * (j + 1) / grid) for j in range(grid)) == pytest.approx(4.4e-16, rel=0.01)
+    for graph, v in ((flower(16), 0), (loop(), 0), (path_graph(3), 1), (star(4), 1)):
+        _assert_rows_match_levels(metric(*graph), v, grid)
+
+
+def test_a_pole_too_weak_to_see_does_not_stall_the_roots():
+    # g has a pole of residue about 1e-15 at the theta = 0 level 15.7156130579:
+    # g(r -+ d) at the merge width d do not show it, and Newton's steps toward
+    # it shrank without end; the rows' levels lie within 1e-11 of it
+    g = DiscreteGraph(10, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (3, 6), (0, 7), (1, 8), (3, 9), (0, 3)])
+    thetas = [0.0, 0.0, 0.0, 2.6551718317258866, -0.8168072920787282, 0.0, 0.0, 1.3428942879566907,
+              -0.04039496747566895, 0.048073642687490814]
+    m = MetricGraph(g, [0.1] * 10, [DeltaTheta(t) for t in thetas])
+    _assert_rows_match_levels(m, 1, 32)
+
+
+def test_a_vertex_function_that_skips_a_branch_raises(monkeypatch):
+    # g shifted far up between its first two poles has no root there for any
+    # row: the rows' own counts must refuse the levels found, not return short rows
+    m = metric(*star(3))
+    first, second = sorted({k for k in _row(m, 1, 0.0, 9 * PI) if k > 0.0})[:2]
+    solve = dispersion._vertex_function
+
+    def skipping(count, row, ks):
+        g, dg = solve(count, row, ks)
+        return np.where((first < ks) & (ks < second), g + 1e9, g), dg
+
+    monkeypatch.setattr(dispersion, "_vertex_function", skipping)
+    with pytest.raises(RuntimeError, match="theta = .*: count"):
+        dispersion_curve(m, 1, grid_size=16)
+
+
+def test_dispersion_count_budget(count_matrices):
+    # one theta = 0 search, one solve per step for all roots, then each row's
+    # counts around its levels: the 32 per-row searches took 2,542
+    dispersion_curve(metric(*star(4)), 1, grid_size=32)
+    assert count_matrices.n == 533
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: dispersion_curve(m, 1.0, grid_size=8),
+    lambda m: spectral_gap_parameter(m, 1.0),
+    lambda m: dispersion_curve(m, True, grid_size=8),
+    lambda m: dispersion_curve(m, 0, grid_size=4.5),
+    lambda m: glue(m, 1.0, m, 0, 0.5),
+    lambda m: identify_vertices(m, 0, np.float64(1.0)),
+])
+def test_vertex_ids_and_grid_size_must_be_integers(call):
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        call(metric(*star(3)))
+
 
 
 def test_loop_curve_flat_band_at_two_pi():
