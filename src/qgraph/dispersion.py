@@ -7,13 +7,9 @@ a negative k.  The union of all sweeps organizes into a strictly
 increasing dispersion branch K(theta) on (-pi, 3pi] plus theta-independent
 flat bands whose eigenfunctions vanish at the marked vertex.
 
-Multiplicities here are differences of the eigenvalue count, as in
-`spectral.multiplicity_at`; no level is matched to another by a
-tolerance.  The flat multiplicity at k is the least counted multiplicity
-at k under the couplings theta = 1.2 and -0.7, and k is a flat band when
-it is positive.  A dispersion curve takes its flat bands from the levels
-of its first grid row, testing all of them under both couplings in one
-drive, and removes them from every row within the count's merge width.
+Multiplicities here are differences of the eigenvalue count around a
+level (`spectral._around`), or follow from them by the count identity
+below; no level is matched to another by a tolerance.
 
 The positive levels of all rows of a sweep come from one vertex
 function.  A row differs from the coupling theta = 0 at v only in the
@@ -37,7 +33,8 @@ phi = atan g + atan(1/alpha) = 0; the first branch starts at the search
 floor and the last ends at the k_max + d of `_level_search`, each with g
 taken there.  The rest of a theta = 0 level, its eigenfunctions that
 vanish at v, is a flat band of every row: the level's multiplicity, less
-one at a pole.
+one at a pole.  A dispersion curve removes its flat bands from every row
+within the count's merge width.
 
 `dispersion_curve` searches the theta = 0 row with the count, and the
 negative branch of every row with its own search, all in one drive.  It
@@ -54,7 +51,8 @@ The spectral gap parameter theta_SG solves K(theta_SG) = k1(Neumann); it
 lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
 the vertex keeps the gap (Dirichlet criterion), and controls when gluing
 two graphs at marked vertices achieves the subadditive bound
-k1(glued) = k1(G1) + k1(G2).
+k1(glued) = k1(G1) + k1(G2).  The count identity gives it in closed form
+from g at k1 (`spectral_gap_parameter`).
 """
 
 from __future__ import annotations
@@ -78,47 +76,18 @@ from .spectral import (
     _MULT_PROBE,
     _merge_width,
     _require_k,
-    gap_reaches,
-    multiplicity_at,
     spectral_gap,
 )
 
 _CLEAR = 1e-12   # atan g this far from a root's target puts a sample on one side of it
 _MAX_STEPS = 128  # a root still open after this many steps is left to its row's counts
 
-SGP_THETA_TOL = 1e-8
 STRONG_TOL = 1e-6
 GLUE_K_TOL = 1e-8  # the glued gap meets the bound k1(G1) + k1(G2) within this
 
 
 def _with_theta(m: MetricGraph, v: int, theta: float) -> MetricGraph:
     return m.with_condition(v, DeltaTheta(theta))
-
-
-def flat_multiplicity(m: MetricGraph, v: int, k: float) -> int:
-    """Multiplicity of the flat band at k > 0 for couplings at v; 0 off flat bands.
-
-    The least counted multiplicity at k under the couplings theta = 1.2 and
-    -0.7.  Off the flat bands every level moves strictly with theta, so the
-    moving branch meets k under one of them at most.
-    """
-    _require_k("k", k)
-    return _flat_multiplicities(m, v, [k])[0]
-
-
-def _flat_multiplicities(m: MetricGraph, v: int, ks: list[float]) -> list[int]:
-    """`flat_multiplicity` at each k > 0 of ks.  The counts around every k
-    under both couplings are taken in one drive, so each step's counts
-    stack."""
-    counts = [_TrigCount(_with_theta(m, v, theta)) for theta in (1.2, -0.7)]
-    found = _drive([_around(count, k) for k in ks for count in counts])
-    mults = [above.count - below.count for below, above in found]
-    return [min(mults[i : i + 2]) for i in range(0, len(mults), 2)]
-
-
-def is_flat_band(m: MetricGraph, v: int, k: float) -> bool:
-    """k > 0 stays an eigenvalue under every delta coupling at v."""
-    return flat_multiplicity(m, v, k) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -161,12 +130,6 @@ def interlacing_margin(lo: np.ndarray, hi: np.ndarray) -> float:
     min_n (lo_{n+1} - hi_n) of the first n + 1 levels at two couplings,
     lo at the smaller theta; interlacing holds when it is >= -tol."""
     return min(float((hi[:-1] - lo[:-1]).min()), float((lo[1:] - hi[:-1]).min()))
-
-
-def _detect_flat_bands(m: MetricGraph, v: int, levels: list[float], k_cut: float) -> list[FlatBand]:
-    """The flat bands among the positive levels up to k_cut of one spectrum."""
-    ks = [k for k in sorted(set(levels)) if 1e-9 < k <= k_cut]
-    return [FlatBand(k, mult) for k, mult in zip(ks, _flat_multiplicities(m, v, ks)) if mult > 0]
 
 
 def _remove_flats(levels: list[float], flats: list[FlatBand]) -> list[float]:
@@ -212,6 +175,19 @@ def _vertex_function(count: _TrigCount, row: int, ks: np.ndarray) -> tuple[np.nd
     xe = x[:, nv:]
     edge = 0.5 * count.lengths * np.cos(2.0 * half) * (xe[:, :E] ** 2 - xe[:, E:] ** 2)
     return x[:, row], -2.0 * ((x[:, :nv] @ count.coupling) * dtrig * xe).sum(axis=1) - edge.sum(axis=1)
+
+
+def _vertex_samples(count: _TrigCount, row: int, at: list[float],
+                    ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """g of `_vertex_function` at the points of at, at k -+ d around every
+    theta = 0 level k of ks (d the merge width), and whether g has a pole at
+    k, from one stacked solve: g rises between its poles, so it falls across
+    a level, g(k - d) > g(k + d), only at a pole."""
+    width = np.array([_merge_width(k) for k in ks])
+    values = _vertex_function(count, row, np.concatenate([at, ks - width, ks + width]))[0]
+    n = len(at)
+    below, above = values[n : n + ks.size], values[n + ks.size :]
+    return values[:n], below, above, below > above
 
 
 def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
@@ -324,8 +300,10 @@ def _row_search(count: _TrigCount, theta: float, candidates: list[tuple[float, i
     return found
 
 
-def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray, k_max: float) -> list[list[float]]:
-    """Every row's levels up to k_max, as `levels` gives them (module docstring)."""
+def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
+                  k_max: float) -> tuple[list[list[float]], list[tuple[float, int]]]:
+    """Every row's levels up to k_max, as `levels` gives them, and the flat
+    bands up to k_max as (k, multiplicity) pairs (module docstring)."""
     rows = [_with_theta(m, v, float(t)) for t in thetas]
     m0 = _with_theta(m, v, 0.0)
     count = _TrigCount(m0)
@@ -337,12 +315,8 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray, k_max: float) -> l
     def g(ks):
         return _vertex_function(count, v_row, ks)
 
-    # g increases between its poles, so it falls across a theta = 0 level only where it has a pole
-    width = np.array([_merge_width(lvl.k) for lvl in zero])
     ks = np.array([lvl.k for lvl in zero])
-    values = g(np.concatenate([[count.floor, hi_k], ks - width, ks + width]))[0]
-    at_floor, at_hi = values[:2]
-    pole = values[2 : 2 + ks.size] > values[2 + ks.size :]
+    (at_floor, at_hi), _, _, pole = _vertex_samples(count, v_row, [count.floor, hi_k], ks)
     flats = [(lvl.k, lvl.multiplicity - int(p)) for lvl, p in zip(zero, pole) if lvl.multiplicity > p]
     poles = ks[pole]
 
@@ -380,7 +354,7 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray, k_max: float) -> l
             out.append(below + positive[j])
         else:
             out.append(below + [0.0] * row.is_neumann_graph() + zero_levels)
-    return out
+    return out, flats
 
 
 def _row_of(m: MetricGraph, v: int) -> int:
@@ -411,8 +385,8 @@ def dispersion_curve(
     _require_k("k_max", k_max)
     thetas = np.array([-math.pi + 2 * math.pi * (j + 1) / grid_size for j in range(grid_size)])
     thetas[-1] = math.pi
-    level_lists = _sweep_levels(m, v, thetas, k_max)
-    flats = _detect_flat_bands(m, v, level_lists[0], k_cut=k_max - math.pi / m.total_length)
+    level_lists, flat_pairs = _sweep_levels(m, v, thetas, k_max)
+    flats = [FlatBand(k, mult) for k, mult in flat_pairs if 1e-9 < k <= k_max - math.pi / m.total_length]
     nonflat = [_remove_flats(lv, flats) for lv in level_lists]
 
     branch_th = [float(t) for t, lv in zip(thetas, nonflat) if len(lv) >= 1]
@@ -448,40 +422,35 @@ class SgpReport:
 
 
 def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
-    """Locate theta_SG in [0, 2pi] by monotone bisection on the K branch.
+    """theta_SG at v in closed form from the vertex function g of m.
 
-    On [0, pi] the branch is the lowest delta eigenvalue; past pi it is
-    the second eigenvalue at theta - 2pi.  In both regimes the branch is
-    nondecreasing and saturates at k1 exactly from theta_SG on, so the
-    smallest theta reaching k1 is the parameter.  Each step only asks
-    whether the gap at the trial coupling reaches k1, which two counts
-    answer (`spectral.gap_reaches`).
+    Just below the gap k1 the count of m is 1, so the count identity (module
+    docstring) puts the branch K, the lowest level on (0, pi] and the second
+    at theta - 2pi past pi, below k1 exactly when cot(theta/2) + g(k1-) > 0.
+    cot(theta/2) falls with theta on both, so theta_SG = 2 atan2(1, -g(k1-)):
+    in (0, pi] where g(k1-) <= 0, the Dirichlet criterion, and in (pi, 2pi)
+    otherwise.  g(k1-) is taken 1e-10 max(1, k1) below k1, clear of the
+    solver noise (~1e-14 relative) yet within the strong-classification
+    window for flat dispersion slopes.  k1 is a flat band when its
+    multiplicity exceeds the one level a pole of g at k1 moves; with
+    Dirichlet at v (1/alpha = 0) k1's multiplicity gains
+    [g(k1 + d) > 0] - [g(k1 - d) > 0], d the merge width.
+    RuntimeError, an internal error, means that the Dirichlet gap's own
+    search disagrees with the sign of g(k1-).
     """
     if not m.is_neumann_graph():
         raise InvalidInputError("spectral gap parameter is defined for Neumann graphs")
-    k1, k1_mult = spectral_gap(m)
-    # small enough that theta_sg lands within the strong-classification
-    # window even for flat dispersion slopes, large enough to sit clear of
-    # the eigenvalue solver noise (~1e-14 relative)
-    tol_k = 1e-10 * max(1.0, k1)
-
     m_dir = _with_theta(m, v, math.pi)
+    k1, k1_mult = spectral_gap(m)
     dirichlet_k0 = spectral_gap(m_dir)[0]
-    # the Dirichlet criterion puts theta_SG in (0, pi]; otherwise it lies in
-    # (pi, 2pi], where the k1 branch is followed at theta - 2pi
+    tol_k = 1e-10 * max(1.0, k1)
+    (g_gap,), below, above, pole = _vertex_samples(_TrigCount(m), _row_of(m, v), [k1 - tol_k], np.array([k1]))
     dirichlet_holds = dirichlet_k0 >= k1 - tol_k
-    shift = 0.0 if dirichlet_holds else math.pi
-    lo, hi = shift, shift + math.pi
-    while hi - lo > SGP_THETA_TOL:
-        mid = 0.5 * (lo + hi)
-        if gap_reaches(_with_theta(m, v, mid - 2 * shift), k1 - tol_k):
-            hi = mid
-        else:
-            lo = mid
-    # hi is the smallest theta known to reach k1
-    theta_sg = hi
-
-    dir_mult = multiplicity_at(m_dir, k1) if dirichlet_holds else 0
+    if dirichlet_holds != (g_gap <= 0.0):
+        raise RuntimeError(f"Dirichlet gap {dirichlet_k0} at vertex {v} against k1 = {k1}, "
+                           f"but the vertex function is {g_gap} there")
+    theta_sg = 2.0 * math.atan2(1.0, -g_gap)
+    dir_mult = k1_mult + int(above[0] > 0.0) - int(below[0] > 0.0) if dirichlet_holds else 0
     if theta_sg > math.pi + STRONG_TOL:
         classification = "violates"
     elif abs(theta_sg - math.pi) <= STRONG_TOL and dir_mult > k1_mult:
@@ -497,7 +466,7 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
         k1_multiplicity=k1_mult,
         dirichlet_k0=dirichlet_k0,
         dirichlet_multiplicity=dir_mult,
-        k1_is_flat_band=is_flat_band(m, v, k1),
+        k1_is_flat_band=k1_mult > int(pole[0]),
     )
 
 

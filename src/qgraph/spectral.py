@@ -92,8 +92,8 @@ so each search is sent the same values alone or in company.  A search
 may also yield None, to wait for another search of its drive; the
 optimizer's restarts wait so for a gap search another restart is taking.
 The public functions drive one search each; the graphs of `levels`, the
-rows of a dispersion curve, their flat-band tests and the restarts of
-the optimizer drive theirs together.
+rows of a dispersion curve and the restarts of the optimizer drive
+theirs together.
 
 Eigenfunctions come from the vertex conditions on the edge ends
 (Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is

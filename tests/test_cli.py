@@ -288,7 +288,7 @@ def test_verify_unknown_suite_exits_2_with_one_line():
 SGP_OUTPUT = {
     "star4-v0": (star(4), 0, """{
   "vertex": 0,
-  "theta_sg": 3.141592653589793,
+  "theta_sg": 3.141592653577293,
   "classification": "strong",
   "k1": 6.2831853071795765,
   "k1_multiplicity": 3,
@@ -299,7 +299,7 @@ SGP_OUTPUT = {
 """),
     "mandarin2-v0": (mandarin(2), 0, """{
   "vertex": 0,
-  "theta_sg": 6.283185301327914,
+  "theta_sg": 6.283185299283898,
   "classification": "violates",
   "k1": 6.283185307179586,
   "k1_multiplicity": 2,
@@ -310,7 +310,7 @@ SGP_OUTPUT = {
 """),
     "necklace2-v0": (necklace(2), 0, """{
   "vertex": 0,
-  "theta_sg": 6.283185301327914,
+  "theta_sg": 6.283185299283944,
   "classification": "violates",
   "k1": 6.28318530717959,
   "k1_multiplicity": 1,
@@ -321,7 +321,7 @@ SGP_OUTPUT = {
 """),
     "stower21-v1": (stower(2, 1), 1, """{
   "vertex": 1,
-  "theta_sg": 6.283185307179586,
+  "theta_sg": 6.283185304095334,
   "classification": "violates",
   "k1": 7.853981633974483,
   "k1_multiplicity": 2,

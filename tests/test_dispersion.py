@@ -23,7 +23,8 @@ from qgraph import (
 )
 from qgraph import dispersion, families, spectral
 from qgraph.graph import DiscreteGraph, MetricGraph
-from qgraph.dispersion import multiplicity_at, _with_theta
+from qgraph.dispersion import _with_theta
+from qgraph.spectral import multiplicity_at
 from qgraph.families import (
     flower,
     interval,
@@ -321,9 +322,11 @@ def test_a_vertex_function_that_skips_a_branch_raises(monkeypatch):
 
 def test_dispersion_count_budget(count_matrices):
     # one theta = 0 search, one solve per step for all roots, then each row's
-    # counts around its levels: the 32 per-row searches took 2,542
+    # counts around its levels; the flat bands are the theta = 0 levels
+    # without a pole of the vertex function, and take no count: the 32
+    # per-row searches took 2,542
     dispersion_curve(metric(*star(4)), 1, grid_size=32)
-    assert count_matrices.n == 533
+    assert count_matrices.n == 509
 
 
 @pytest.mark.parametrize("call", [
@@ -404,8 +407,6 @@ def test_multiplicity_at_crossing():
     for theta in (0.5, -1.0, 2.0):
         assert multiplicity_at(_with_theta(m, 0, theta), 1.5 * PI) == 2
     assert multiplicity_at(_with_theta(m, 0, PI), 1.5 * PI) == 3
-    # one count decides multiplicities everywhere
-    assert multiplicity_at is spectral.multiplicity_at
 
 
 def test_interlacing_random_graph_with_negative_branch():
@@ -489,6 +490,57 @@ def test_circle_vertex_gap_is_flat_band():
     assert rep.classification == "violates"
     assert rep.theta_sg == pytest.approx(2 * PI, abs=1e-6)
     assert rep.k1_is_flat_band
+
+
+def test_sgp_of_random_graphs_agrees_with_an_independent_count(independent_checks):
+    checks = independent_checks
+    rng = np.random.default_rng(1608)
+    for _ in range(40):
+        E = int(rng.integers(2, 7))
+        V = int(rng.integers(2, E + 2))
+        g = random_connected_graph(rng, V, E)
+        lengths = random_lengths(rng, E, l_min=0.05).values
+        v = int(rng.integers(0, V))
+        rep = spectral_gap_parameter(metric(g, lengths), v)
+        problems = checks.sgp_problems(checks.Graph(V, g.edges, lengths), v, rep.theta_sg, rep.classification,
+                                       rep.k1, rep.k1_multiplicity, rep.dirichlet_k0)
+        assert problems == [], (g.edges, lengths, v)
+
+
+def test_a_gap_that_barely_moves_is_no_flat_band():
+    # k1 moves by 3.6e-9 between theta = -2.5 and 2.0: its eigenfunction
+    # nearly vanishes at v, and the least multiplicity under two couplings
+    # called it flat, with theta_SG 3.0e-6 off.  The reference is
+    # 2 atan2(1, -g) with g = (K0^-1)_vv at k1 - 1e-10 k1, where
+    # spectral_gap_parameter takes it, in mpmath at 60 digits
+    g = DiscreteGraph(5, [(0, 1), (0, 2), (1, 3), (0, 4), (4, 0), (3, 0)])
+    lengths = [0.27897272518906796, 0.09363122950234717, 0.10444261575365064, 0.25756361418192236,
+               0.1956411131132068, 0.06974870225980508]
+    rep = spectral_gap_parameter(metric(g, lengths), 0)
+    assert not rep.k1_is_flat_band
+    assert abs(rep.theta_sg - 4.84424127026206) <= 1e-6
+
+
+def test_a_vertex_function_that_disagrees_with_the_dirichlet_gap_raises(monkeypatch):
+    # g flipped in sign puts theta_SG past pi at the star's centre, where
+    # Dirichlet keeps the gap: the Dirichlet gap's own search must refuse it
+    solve = dispersion._vertex_function
+
+    def flipped(count, row, ks):
+        g, dg = solve(count, row, ks)
+        return -g, -dg
+
+    monkeypatch.setattr(dispersion, "_vertex_function", flipped)
+    with pytest.raises(RuntimeError, match="Dirichlet gap"):
+        spectral_gap_parameter(metric(*star(4)), 0)
+
+
+def test_sgp_count_budget(count_matrices):
+    # the gap searches with Neumann and with Dirichlet at v; theta_SG, the
+    # flat band and the Dirichlet multiplicity come from one solve of the
+    # vertex function: the bisection on theta took 80
+    spectral_gap_parameter(metric(*star(4)), 0)
+    assert count_matrices.n == 16
 
 
 def test_sgp_value_meets_branch():
