@@ -41,11 +41,16 @@ negative branch of every row with its own search, all in one drive.  It
 then finds the roots of all rows on all branches in lockstep by Newton's
 method on phi (`_branch_roots`), each step one stacked solve of
 K0(k) x = e_v.  Every row confirms its levels with its own counts: each
-level's multiplicity is the row's count difference around it (`_around`),
-and the count at k_max + d must equal the levels found.  A row whose
-counts disagree raises RuntimeError, an internal error, instead of being
-searched again.  The rows equal `spectral.levels` of each row within
-1e-12 relative (absolute below k = 1), with equal multiplicities.
+level's multiplicity is the row's count difference around it, at the
+points of `spectral._around`, and the count at k_max + d must equal the
+levels found.  The levels fix every point of those counts in advance,
+so each row takes them as one batch, and the driver stacks the batches
+of all rows of one matrix shape into one eigvalsh.  A row whose counts
+disagree raises RuntimeError, an internal error, instead of being
+searched again.  A row's counts, trig and hyperbolic, are the theta = 0
+counts with v's coupling changed (`_Count.with_vertex`); no row builds a
+graph.  The rows equal `spectral.levels` of each row within 1e-12
+relative (absolute below k = 1), with equal multiplicities.
 
 The spectral gap parameter theta_SG solves K(theta_SG) = k1(Neumann); it
 lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
@@ -69,9 +74,9 @@ from .spectral import (
     _below,
     _level_search,
     _negative_search,
+    _HyperbolicCount,
     _Search,
     _TrigCount,
-    _around,
     _drive,
     _MULT_PROBE,
     _merge_width,
@@ -274,13 +279,15 @@ def _row_search(count: _TrigCount, theta: float, candidates: list[tuple[float, i
 
     Candidates closer than the merge width are one level, as in
     `_level_search`.  Each level's multiplicity is the row's own count
-    difference (`_around`), each level's lower count the upper count of the
-    level before, and the count at hi_k must equal the last upper count: a
-    level the candidates miss breaks one of these, and the row raises
-    RuntimeError instead of being searched again.
+    difference around it, as `_around` takes it: the count just below the
+    first level, then the count just above each level, which is the count
+    below the next.  The count at hi_k must equal the last one.  These
+    points are fixed before any count, and the row takes them as one
+    batch.  A level the candidates miss breaks one of the counts, and the
+    row raises RuntimeError instead of being searched again.
     """
-    found: list[float] = []
-    lo, expected, i = None, floor_count, 0
+    rs, mults, ks = [], [], []
+    i = 0
     while i < len(candidates):
         r = candidates[i][0]
         top = count.off_pole(r + _merge_width(r), 1.0)   # where `_around` takes its upper count
@@ -288,29 +295,39 @@ def _row_search(count: _TrigCount, theta: float, candidates: list[tuple[float, i
         while j < len(candidates) and candidates[j][0] < top:
             mult += candidates[j][1]
             j += 1
-        below, lo = yield from _around(count, r, lo)
-        if (below.count, lo.count) != (expected, expected + mult):
-            raise RuntimeError(f"theta = {theta}: counts {below.count}, {lo.count} around the level "
-                               f"{r} of the vertex function, expected {expected}, {expected + mult}")
-        found += [r] * mult
-        expected, i = lo.count, j
-    hi = count.made(hi_k, (yield count, hi_k))
-    if hi.count != expected:
-        raise RuntimeError(f"theta = {theta}: count {hi.count} at k = {hi_k}, but {expected} levels found")
-    return found
+        rs.append(r)
+        mults.append(mult)
+        ks.append(top)
+        i = j
+    if rs:
+        ks.insert(0, count.off_pole(rs[0] - _merge_width(rs[0]), -1.0))
+    ks.append(hi_k)
+    ks = np.array(ks)
+    counts = count.counts(ks, (yield count, ks))
+    expected = np.cumsum([floor_count] + mults)   # below each level, and above the last
+    wrong = np.flatnonzero(counts[:-1] != expected) if rs else []
+    if len(wrong):
+        n = max(int(wrong[0]) - 1, 0)   # the first level with a wrong count around it
+        raise RuntimeError(f"theta = {theta}: counts {counts[n]}, {counts[n + 1]} around the level "
+                           f"{rs[n]} of the vertex function, expected {expected[n]}, {expected[n + 1]}")
+    if counts[-1] != expected[-1]:
+        raise RuntimeError(f"theta = {theta}: count {counts[-1]} at k = {hi_k}, but {expected[-1]} levels found")
+    return [r for r, mult in zip(rs, mults) for _ in range(mult)]
 
 
 def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
                   k_max: float) -> tuple[list[list[float]], list[tuple[float, int]]]:
     """Every row's levels up to k_max, as `levels` gives them, and the flat
     bands up to k_max as (k, multiplicity) pairs (module docstring)."""
-    rows = [_with_theta(m, v, float(t)) for t in thetas]
     m0 = _with_theta(m, v, 0.0)
     count = _TrigCount(m0)
-    (floor, zero), *negative = _drive([_zero_search(count, k_max)] + [_negative_search(r) for r in rows])
-    hi_k = count.off_pole(k_max + _merge_width(k_max), 1.0)
-
     v_row = _row_of(m0, v)
+    # a row's counts are the theta = 0 ones with the coupling at v changed
+    alphas = [DeltaTheta(float(t)).alpha for t in thetas]
+    hyperbolic = _HyperbolicCount(m0)
+    negative_searches = [_negative_search(hyperbolic.with_vertex(v_row, alpha)) for alpha in alphas]
+    (floor, zero), *negative = _drive([_zero_search(count, k_max)] + negative_searches)
+    hi_k = count.off_pole(k_max + _merge_width(k_max), 1.0)
 
     def g(ks):
         return _vertex_function(count, v_row, ks)
@@ -344,16 +361,16 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
         theta = float(thetas[j])
         floor_count = floor.count + int(fa[n, 0] > 0.0) - int(theta > 0.0)
         candidates = sorted([(float(k), 1) for k in r] + flats)
-        searches.append(_row_search(_TrigCount(rows[j]), theta, candidates, floor_count, hi_k))
+        searches.append(_row_search(count.with_vertex(v_row, alphas[j]), theta, candidates, floor_count, hi_k))
     positive = dict(zip(moving, _drive(searches)))
     zero_levels = [lvl.k for lvl in zero for _ in range(lvl.multiplicity)]
     out = []
-    for j, row in enumerate(rows):
-        below = [p.k for p in negative[j] for _ in range(p.multiplicity)]
+    for j, found in enumerate(negative):
+        below = [p.k for p in found for _ in range(p.multiplicity)]
         if j in positive:
             out.append(below + positive[j])
         else:
-            out.append(below + [0.0] * row.is_neumann_graph() + zero_levels)
+            out.append(below + [0.0] * count.neumann + zero_levels)
     return out, flats
 
 
@@ -380,6 +397,8 @@ def dispersion_curve(
     """
     if _integer(grid_size, "grid_size", InvalidInputError) < 4:
         raise InvalidInputError("grid_size too small")
+    if _integer(n_levels, "n_levels", InvalidInputError) < 1:
+        raise InvalidInputError(f"n_levels must be at least 1, not {n_levels}")
     if k_max is None:
         k_max = math.pi * (n_levels + 3) / m.total_length
     _require_k("k_max", k_max)

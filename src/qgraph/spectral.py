@@ -83,17 +83,21 @@ off-scale end, the secant is nan and the finder bisects.  Every search
 built on it (`_gap_search`, `_reaches`, `_eigenvalue_search`,
 `_negative_search`, `_around`) is a generator of the same kind, and one
 driver, `_drive`, runs any number of them together and takes every count
-any of them needs.  At each step it groups the pending requests by
-count class and matrix shape (V', E); a group of several costs one
+any of them needs.  A search that knows all its points in advance may
+yield a batch instead, a count and a 1-D array of k, and is sent that
+count's spectra there, one row per k, which `_Count.counts` turns into N
+in arrays; a dispersion row confirms its levels so.  At each step the
+driver groups the pending requests, single or batch, by count class and
+matrix shape (V', E); a group of several requests, or a batch, costs one
 stacked build and one stacked eigvalsh with its class's `spectra`, trig
-or hyperbolic, and a lone request takes `spectrum`, the stack of one.
-A stacked build forms each row as the build of that count alone does,
-so each search is sent the same values alone or in company.  A search
-may also yield None, to wait for another search of its drive; the
-optimizer's restarts wait so for a gap search another restart is taking.
-The public functions drive one search each; the graphs of `levels`, the
-rows of a dispersion curve and the restarts of the optimizer drive
-theirs together.
+or hyperbolic, a batch taking one row per k, and a lone single request
+takes `spectrum`, the stack of one.  A stacked build forms each row as
+the build of that count alone does, so each search is sent the same
+values alone or in company.  A search may also yield None, to wait for
+another search of its drive; the optimizer's restarts wait so for a gap
+search another restart is taking.  The public functions drive one
+search each; the graphs of `levels`, the rows of a dispersion curve and
+the restarts of the optimizer drive theirs together.
 
 Eigenfunctions come from the vertex conditions on the edge ends
 (Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is
@@ -152,8 +156,9 @@ _REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more eliminate o
 
 # a level search yields a request, a count and a k where it needs that count,
 # and is sent the count's spectrum there (`_Count.spectrum`); it returns its
-# result.  A search may yield None instead, to wait for another (`_drive`)
-_Search = Generator[tuple["_Count", float] | None, np.ndarray | None, object]
+# result.  A batch, a count and a 1-D array of k, is sent the spectra there,
+# one row per k.  A search may yield None instead, to wait for another (`_drive`)
+_Search = Generator[tuple["_Count", float | np.ndarray] | None, np.ndarray | None, object]
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +244,13 @@ class _Sample:
     evals: np.ndarray | None   # None where the count is known without a matrix (`_below`)
 
 
+def _scaled(incidence: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The coupling and alpha of non-Dirichlet vertices with these incidence
+    rows and couplings, a row or a stack of rows (`_Count`)."""
+    s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
+    return incidence * s[..., None], alpha * s * s
+
+
 class _Count:
     """N(k) = poles(k) + offset + n_-(matrix(k)), nondecreasing in k, counted
     from spectrum(k), which has the inertia of matrix(k).
@@ -251,7 +263,8 @@ class _Count:
     per graph: a count takes its non-Dirichlet rows and scales them, and
     on a Neumann graph (every s = 1, every alpha = 0) uses it as it is.
     Each count defines `matrix`, kept as the oracle, and the stacked
-    `spectra` that every count request goes through.
+    `spectra` that every count request goes through.  `with_vertex` is the
+    count with one vertex's coupling changed, as a delta sweep's rows are.
     """
 
     offset = 0
@@ -260,17 +273,34 @@ class _Count:
     def __init__(self, m: MetricGraph) -> None:
         g = m.graph
         self.graph = g
+        self.vertex_alpha = m.alpha   # of every vertex, inf at the Dirichlet ones, which have no row
         self.neumann = m.is_neumann_graph()
         if self.neumann:
-            self.coupling = g.incidence
-            self.alpha = m.alpha
+            self.coupling, self.alpha = g.incidence, m.alpha
         else:
             keep = np.isfinite(m.alpha)
-            alpha = m.alpha[keep]
-            s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
-            self.coupling = g.incidence[keep] * s[:, None]
-            self.alpha = alpha * s * s
+            self.coupling, self.alpha = _scaled(g.incidence[keep], m.alpha[keep])
         self.lengths = np.asarray(m.lengths, dtype=float)
+
+    def with_vertex(self, row: int, alpha: float) -> _Count:
+        """This count with the coupling alpha at the vertex of its row `row`:
+        the count of the graph with that vertex's condition changed, built
+        without the graph.  Only that row changes, or goes where alpha is
+        inf, so every other entry keeps its bits."""
+        v = row   # without a Dirichlet vertex the rows are the vertices
+        if self.alpha.size < self.vertex_alpha.size:
+            v = np.flatnonzero(np.isfinite(self.vertex_alpha))[row]
+        out = object.__new__(type(self))   # a shallow copy, at a fifth of copy.copy's cost
+        out.__dict__.update(self.__dict__)
+        out.vertex_alpha = self.vertex_alpha.copy()
+        out.vertex_alpha[v] = alpha
+        out.neumann = not np.count_nonzero(out.vertex_alpha)
+        if math.isinf(alpha):
+            out.coupling, out.alpha = np.delete(self.coupling, row, axis=0), np.delete(self.alpha, row)
+        else:
+            out.coupling, out.alpha = self.coupling.copy(), self.alpha.copy()
+            out.coupling[row], out.alpha[row] = _scaled(self.graph.incidence[v], out.vertex_alpha[v])
+        return out
 
     def poles(self, k: float) -> int:
         return 0
@@ -297,6 +327,11 @@ class _Count:
         """The sample at k, from spectrum(k)."""
         poles = self.poles(k)
         return _Sample(k, poles + self.offset + int(np.count_nonzero(evals < 0.0)), poles, evals)
+
+    def counts(self, ks: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+        """N at every k of ks, from the spectra there stacked: `made(k,
+        spectra[j]).count` in arrays."""
+        return self.offset + np.count_nonzero(spectra < 0.0, axis=1)
 
     def off_pole(self, k: float, direction: float) -> float:
         """k itself, or the first point past its pole window in the given direction."""
@@ -390,6 +425,10 @@ class _TrigCount(_Count):
 
     def poles(self, k: float) -> int:
         return sum(math.ceil(k * l / math.pi) for l in self.edge_lengths)
+
+    def counts(self, ks: np.ndarray, spectra: np.ndarray) -> np.ndarray:
+        poles = np.ceil(ks[:, None] * self.lengths / math.pi).sum(axis=1).astype(int)
+        return poles + super().counts(ks, spectra)
 
     def _pole_within(self, k: float, window: float) -> tuple[int, float] | None:
         """(n, l_e) of the first edge with k l_e / pi within window of an
@@ -605,9 +644,11 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float, first_only: bool = Fa
 def _drive(searches: list[_Search]) -> list:
     """The results of searches advanced together, in their order.
 
-    At each step the pending requests are grouped by count class and
-    matrix shape (V', E); a group of several costs one stacked build and
-    one stacked eigvalsh with the class's `spectra`, and a lone request
+    At each step the pending requests, single or batch, are grouped by
+    count class and matrix shape (V', E).  A group of several requests, or
+    a batch, costs one stacked build and one stacked eigvalsh with the
+    class's `spectra`: a batch takes one row per k and is sent its rows, a
+    single request one row and is sent that row.  A lone single request
     takes its count's `spectrum`, the stack of one.  Either way a search is
     sent the values it would be sent alone.  A group of the same counts as
     the last one of its key reuses their stacked couplings, alphas and
@@ -639,7 +680,7 @@ def _drive(searches: list[_Search]) -> list:
                 count = request[0]
                 groups.setdefault((type(count), count.alpha.size, count.lengths.size), []).append(j)
         for key, js in groups.items():
-            if len(js) == 1:
+            if len(js) == 1 and not isinstance(pending[js[0]][1], np.ndarray):
                 count, k = pending[js[0]]
                 send(js[0], count.spectrum(k))
                 continue
@@ -651,8 +692,17 @@ def _drive(searches: list[_Search]) -> list:
                     np.array([c.alpha for c in counts]),
                     np.array([c.lengths for c in counts]),
                 )
-            values = key[0].spectra(*stacked[key][1:], np.array([pending[j][1] for j in js]))
-            for j, v in zip(js, values):
+            arrays = stacked[key][1:]
+            ks = [pending[j][1] for j in js]
+            if any(isinstance(k, np.ndarray) for k in ks):
+                # a batch takes one row per k, and is sent its rows
+                rows = [np.size(k) for k in ks]
+                values = key[0].spectra(*(np.repeat(a, rows, axis=0) for a in arrays), np.hstack(ks))
+                parts = np.split(values, np.cumsum(rows)[:-1])
+                replies = [part if isinstance(k, np.ndarray) else part[0] for k, part in zip(ks, parts)]
+            else:
+                replies = key[0].spectra(*arrays, np.array(ks))
+            for j, v in zip(js, replies):
                 send(j, v)
         for j in waiting:
             send(j, None)
@@ -1035,13 +1085,13 @@ class _HyperbolicCount(_Count):
         return np.linalg.eigvalsh(-(H + (coupling * d[:, None, :]) @ coupling.transpose(0, 2, 1)))
 
 
-def _negative_search(m: MetricGraph) -> _Search:
+def _negative_search(count: _HyperbolicCount) -> _Search:
     """`negative_spectrum` as a search: the levels of the hyperbolic count
     between its floor, kappa = 1e-9, and the first kappa = 2^j, j >= 0,
-    where the hyperbolic vertex matrix is positive definite."""
-    if (m.alpha >= 0).all():
+    where the hyperbolic vertex matrix is positive definite.  A count
+    without an attractive coupling has none."""
+    if (count.alpha >= 0).all():
         return []
-    count = _HyperbolicCount(m)
     kappa_hi = 1.0
     for _ in range(80):
         if count.made(kappa_hi, (yield count, kappa_hi)).count == count.alpha.size:
@@ -1054,14 +1104,14 @@ def _negative_search(m: MetricGraph) -> _Search:
 
 def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
     """Negative-eigenvalue branch, reported as k = -kappa (so lambda = -kappa^2)."""
-    return _drive([_negative_search(m)])[0]
+    return _drive([_negative_search(_HyperbolicCount(m))])[0]
 
 
 def _levels_search(m: MetricGraph, k_max: float, n_max: int | None) -> _Search:
     """One graph's `levels` as a search.  The nonnegative spectrum goes
     first, so the trig counts of a sweep's rows stack from the first step."""
     spectrum = yield from _eigenvalue_search(m, k_max, 0.0)
-    negative = yield from _negative_search(m)
+    negative = yield from _negative_search(_HyperbolicCount(m))
     return ([p.k for p in negative for _ in range(p.multiplicity)] + spectrum.expanded())[:n_max]
 
 

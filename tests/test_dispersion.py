@@ -320,13 +320,31 @@ def test_a_vertex_function_that_skips_a_branch_raises(monkeypatch):
         dispersion_curve(m, 1, grid_size=16)
 
 
-def test_dispersion_count_budget(count_matrices):
+def test_dispersion_count_budget(count_matrices, monkeypatch):
     # one theta = 0 search, one solve per step for all roots, then each row's
     # counts around its levels; the flat bands are the theta = 0 levels
     # without a pole of the vertex function, and take no count: the 32
     # per-row searches took 2,542
+    calls = [0]   # the `spectra` calls of each drive
+    for cls in (spectral._TrigCount, spectral._HyperbolicCount):
+        def counted(coupling, alpha, lengths, ks, spectra=cls.spectra):
+            calls[-1] += 1
+            return spectra(coupling, alpha, lengths, ks)
+
+        monkeypatch.setattr(cls, "spectra", staticmethod(counted))
+    drive = dispersion._drive
+
+    def tallied(searches):
+        calls.append(0)
+        return drive(searches)
+
+    monkeypatch.setattr(dispersion, "_drive", tallied)
     dispersion_curve(metric(*star(4)), 1, grid_size=32)
     assert count_matrices.n == 509
+    # the rows confirm their levels last, each with one batch of counts: one
+    # stacked call for the rows that keep v and one for the theta = pi row,
+    # which drops it; level by level they took 18
+    assert calls[-1] == 2
 
 
 @pytest.mark.parametrize("call", [
@@ -340,6 +358,14 @@ def test_dispersion_count_budget(count_matrices):
 def test_vertex_ids_and_grid_size_must_be_integers(call):
     with pytest.raises(InvalidInputError, match="must be an integer"):
         call(metric(*star(3)))
+
+
+@pytest.mark.parametrize("n_levels", [2.5, "3", -3])
+def test_n_levels_must_be_a_positive_integer(n_levels):
+    # 2.5 was taken as it is, "3" raised a TypeError, and -3 was rejected
+    # for the k_max it gave
+    with pytest.raises(InvalidInputError, match="n_levels"):
+        dispersion_curve(metric(*star(3)), 0, grid_size=8, n_levels=n_levels)
 
 
 

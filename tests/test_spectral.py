@@ -429,6 +429,77 @@ def test_stacked_count_matrices_equal_single_ones():
                                 assert np.array_equal(spectra[j], oracle), (cls, m, v, j, k)
 
 
+def test_a_batch_is_sent_what_single_requests_get(monkeypatch):
+    # a search may yield a batch, a count and a 1-D array of k, and is sent
+    # one spectrum per k; the driver stacks it with the single requests and
+    # the other batches of its shape, and a batch of one k still gets a row
+    ks = np.array([1e-7, 0.37, 3.0, 2 * PI, 12.9, 40.1])
+    stacked = []   # the rows of each `spectra` call
+    for cls in (_TrigCount, _HyperbolicCount):
+        def counted(coupling, alpha, lengths, ks, spectra=cls.spectra):
+            stacked.append(len(ks))
+            return spectra(coupling, alpha, lengths, ks)
+
+        monkeypatch.setattr(cls, "spectra", staticmethod(counted))
+    for cls in (_TrigCount, _HyperbolicCount):
+        for m, v in _stacked_graphs():
+            counts = _swept_counts(m, v, cls=cls)   # the last, Dirichlet at v, has one row less
+            sent = {}
+
+            def batch(name, count, ks):
+                sent[name] = yield count, ks
+
+            def singles(name, count, ks):
+                sent[name] = []
+                for k in ks:
+                    sent[name].append((yield count, k))
+
+            def waiting():
+                while "batch" not in sent:
+                    yield None
+                return "waited"
+
+            requests = {"batch": (counts[0], ks), "same shape": (counts[1], ks),
+                        "other shape": (counts[-1], ks[::-1]), "one k": (counts[2], ks[2:3])}
+            searches = [waiting()] + [(batch if name in ("batch", "one k") else singles)(name, *request)
+                                      for name, request in requests.items()]
+            stacked.clear()
+            assert spectral._drive(searches) == ["waited", None, None, None, None]
+            # the first step stacks the batches with the single request of their shape
+            assert stacked[0] == ks.size + 2, (cls, m, v)
+            for name, (count, request_ks) in requests.items():
+                got = np.array(sent[name])
+                alone = np.array([count.spectrum(k) for k in request_ks])
+                assert got.shape == alone.shape and got.tobytes() == alone.tobytes(), (cls, m, v, name)
+
+
+@pytest.mark.parametrize("cls", [_TrigCount, _HyperbolicCount])
+def test_a_count_with_one_coupling_changed_is_that_graph_s_count(cls):
+    # a sweep row's count is the theta = 0 count with v's coupling changed,
+    # built without the row's graph: it is that graph's count to the bit, and
+    # its counts in arrays are those of `made`
+    thetas = [0.0, 0.3, -0.3, 2.9, -2.9, -PI + 2 * PI / 32, PI]
+    rng = np.random.default_rng(26)
+    for m, v in _stacked_graphs():
+        # with Dirichlet at a vertex below v, v's row is not its vertex id
+        w = 0 if v else m.graph.vertex_count - 1
+        for base in (m, m.with_condition(w, DIRICHLET)):
+            m0 = base.with_condition(v, NEUMANN)
+            count0 = cls(m0)
+            row = dispersion._row_of(m0, v)
+            for theta in thetas:
+                got = count0.with_vertex(row, DeltaTheta(theta).alpha)
+                want = cls(base.with_condition(v, DeltaTheta(theta)))
+                assert type(got) is cls
+                for name in ("coupling", "alpha", "lengths"):
+                    a, b = getattr(got, name), getattr(want, name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (m, v, theta, name)
+                assert (got.neumann, got.offset, repr(got.floor)) == (want.neumann, want.offset, repr(want.floor))
+                ks = np.array(_count_probes(got, rng, 10))
+                spectra = np.array([got.spectrum(k) for k in ks])
+                assert got.counts(ks, spectra).tolist() == [got.made(k, s).count for k, s in zip(ks, spectra)]
+
+
 def _full_count(count, k):
     """N(k) from the full (V' + 2E)-square matrix K, the oracle of the reduced count."""
     n_neg = int(np.count_nonzero(np.linalg.eigvalsh(count.matrix(k)) < 0.0))
