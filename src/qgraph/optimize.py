@@ -50,11 +50,20 @@ holds that key, matched exactly, for every state one call reaches.  The
 first ascent to reach a state goes on; a later one stops there, and once
 the first has finished it takes that end and the rest of its trace, so
 every result and trace is the one it would be alone.  Before they merge
-the restarts share the gap searches of their starts and symmetrized
-states, keyed by topology and lengths: the first ascent to ask searches,
-and a later one takes its result, or waits in the driver while it is
-being taken.  On stars and flowers the eleven first symmetrizations cost
-one search.
+the restarts share the gap searches of their symmetrized states, and of
+the starts they search, keyed by topology and lengths: the first ascent
+to ask searches, and a later one takes its result, or waits in the
+driver while it is being taken.  On stars and flowers the eleven first
+symmetrizations cost one search.
+
+A start that symmetrizes is not searched.  Its symmetrization is kept
+unless the start's gap exceeds the symmetrized one by GAP_SLACK, and is
+a move unless the start's gap comes within IMPROVE_TOL of it; counts of
+the start at those two points decide both (`_start_moves`), and only
+a start that could refuse, which the non-decrease rules out, is searched.
+Its trace opens with an init step of unknown gap, nan, and
+`maximize_gap` searches the one start whose trace it returns, so every
+result and trace is the one a search of every start gave.
 """
 
 from __future__ import annotations
@@ -89,6 +98,7 @@ from .spectral import (
     _Level,
     _Search,
     _TrigCount,
+    _below,
     _drive,
     _eigenbasis_coeffs,
     _gap_search,
@@ -237,11 +247,15 @@ def symmetrize(m: MetricGraph, v: int, group) -> LengthVector:
     """Replace the group's lengths by their mean; the gap cannot decrease.
 
     The group must lie within one of the `symmetrizable_groups` at v:
-    all dangling edges at v or all loops at v.  The graph must have at
-    least three edges.
+    all dangling edges at v or all loops at v, each edge once.  The graph
+    must have at least three edges.  v and the edge ids must be integers
+    (numpy's included), not bools, floats or strings.
     """
     g = m.graph
-    group = tuple(sorted(int(e) for e in group))
+    v = _integer(v, "symmetrization vertex", InvalidGroupError)
+    group = tuple(sorted(_integer(e, "symmetrization edge id", InvalidGroupError) for e in group))
+    if len(set(group)) < len(group):
+        raise InvalidGroupError(f"edges {group} repeat an edge")
     if len(group) < 2:
         raise InvalidGroupError("symmetrization needs at least two edges")
     if g.edge_count < 3:
@@ -432,8 +446,32 @@ def _gap_above(m: MetricGraph, floor: float) -> _Search:
     return gap if gap.k > floor else None
 
 
+def _start_moves(m: MetricGraph, k: float) -> _Search:
+    """Whether symmetrizing the start m to a state of gap k is a move, where
+    counts show that the ascent keeps that state; None where they do not.
+
+    The ascent keeps the symmetrized state unless m's gap exceeds k +
+    GAP_SLACK, and counts it as a move unless m's gap reaches k -
+    IMPROVE_TOL.  Each is decided as `gap_reaches` decides, by N at that
+    point against N at the search floor, both taken from one `_TrigCount`
+    of m.  The lower point is counted first: a gap below it is below the
+    other too.  None leaves the decision to m's full gap, which the
+    non-decrease of symmetrization says is never needed.
+    """
+    count = _TrigCount(m)
+    floor = (yield from _below(count, count.floor)).count
+    moved = (yield from _below(count, k - IMPROVE_TOL)).count > floor
+    if moved and k - IMPROVE_TOL <= k + GAP_SLACK:
+        return True
+    if (yield from _below(count, k + GAP_SLACK)).count <= floor:
+        return None
+    return moved
+
+
 def _held_gap(state: _AscentState, searched: dict) -> _Search:
-    """The gap search of a start or a symmetrized state, taken once per call.
+    """The gap search of a symmetrized state, or of a start that is already
+    symmetric or whose symmetrization counts leave open
+    (`_start_moves`), taken once per call.
 
     searched maps (topology, lengths) to the `_Level` found there, or to
     None while the ascent that asked first is still searching; a later
@@ -477,11 +515,16 @@ def _single_ascent(
     With searched, the ascents of one call share the gap searches of their
     starts and symmetrized states (`_held_gap`); without it the ascent
     keeps its own.  The ascent holds its gap as the `_Level` of its
-    search, whose count above k1 `_cluster_energies` starts from.
+    search, whose count above k1 `_cluster_energies` starts from.  A
+    start that symmetrizes is held without one: counts decide its
+    symmetrization (`_start_moves`), and its init step's gap stays
+    nan unless they leave the decision to a search of the start.
     """
     searched = {} if searched is None else searched
-    gap = yield from _held_gap(state, searched)
-    trace.append(TraceStep(gap.k, 0.0, "init"))
+    gap = None   # the start's, searched only where counts do not decide its symmetrization
+    if not any(np.ptp(state.lengths[group]) > 1e-13 for group in state.topo.groups):
+        gap = yield from _held_gap(state, searched)
+    trace.append(TraceStep(math.nan if gap is None else gap.k, 0.0, "init"))
 
     for it in range(MAX_ITERS):
         moved = False
@@ -490,9 +533,16 @@ def _single_ascent(
         if any(np.ptp(state.lengths[group]) > 1e-13 for group in state.topo.groups):
             cand = _settle(state)
             cand_gap = yield from _held_gap(cand, searched)
-            if cand_gap.k >= gap.k - GAP_SLACK:
-                if cand_gap.k > gap.k + IMPROVE_TOL:
-                    moved = True
+            # whether keeping cand is a move; None where cand is refused
+            gain = None if gap is not None else (yield from _start_moves(state.metric(), cand_gap.k))
+            if gain is None:
+                if gap is None:
+                    gap = yield from _held_gap(state, searched)
+                    trace[0] = TraceStep(gap.k, 0.0, "init")
+                if cand_gap.k >= gap.k - GAP_SLACK:
+                    gain = cand_gap.k > gap.k + IMPROVE_TOL
+            if gain is not None:
+                moved = gain
                 state, gap = cand, cand_gap
                 trace.append(TraceStep(gap.k, 0.0, "symmetrize"))
 
@@ -627,7 +677,9 @@ def maximize_gap(
     Runs the ascent from the given lengths and from random restarts,
     reducing by best gap; the result's lengths live on the original edge
     index set with zeros for contracted edges.  init is a LengthVector or
-    anything `LengthVector` accepts.
+    anything `LengthVector` accepts.  The winning trace opens with the gap
+    of its start, searched after the ascents where counts decided that
+    start's symmetrization.
     """
     opts = options or MaximizeOptions()
     if not isinstance(init, LengthVector):
@@ -646,12 +698,17 @@ def maximize_gap(
         lv = families.random_lengths(rng, g.edge_count, l_min=2 * L_MIN).values
         starts.append(_AscentState(root, lv, list(range(g.edge_count))))
 
-    best: tuple[float, _AscentState, list[TraceStep]] | None = None
-    for state, gap, trace in _ascend(starts):
+    # an ascent rebinds its state's lengths, so these stay the starts'
+    firsts = [(s.topo.graph, s.lengths) for s in starts]
+    best: tuple[float, _AscentState, list[TraceStep], int] | None = None
+    for j, (state, gap, trace) in enumerate(_ascend(starts)):
         if best is None or gap > best[0] + 1e-12:
-            best = (gap, state, trace)
+            best = (gap, state, trace, j)
 
-    gap, state, trace = best
+    gap, state, trace, j = best
+    if math.isnan(trace[0].gap):
+        # the winner's start was decided by counts; its trace opens with its gap
+        trace[0] = TraceStep(spectral_gap(_trusted_metric(*firsts[j]))[0], 0.0, "init")
     lengths = state.original_lengths(g.edge_count)
     classification = "maximizer-candidate" if lengths.is_interior() else "supremizer-candidate"
     return OptimizationResult(lengths, gap, classification, tuple(trace))

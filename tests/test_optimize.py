@@ -126,6 +126,26 @@ def test_symmetrize_rejects_inner_edges():
         symmetrize(m, 1, (0, 1))  # spine edges are neither loops nor dangling
 
 
+@pytest.mark.parametrize(
+    "v, group, match",
+    [(0, [1.7, 2.2], "integer"), (0, ["1", "2"], "integer"), (0.0, [1, 2], "integer"),
+     (True, [1, 2], "integer"), (0, [0, 0, 1], "repeat")],
+)
+def test_symmetrize_needs_integer_ids_each_edge_once(v, group, match):
+    # floats were truncated to edges (1, 2), strings and v = 0.0 accepted,
+    # v = True blamed the group, and a repeated edge weighted the mean twice
+    m = metric(*star(4))
+    with pytest.raises(InvalidGroupError, match=match):
+        symmetrize(m, v, group)
+
+
+def test_symmetrize_takes_numpy_integers():
+    g, _ = star(4)
+    m = metric(g, np.array([0.4, 0.2, 0.3, 0.1]))
+    lv = symmetrize(m, np.int64(0), np.array([1, 2]))
+    assert lv.values.tolist() == [0.4, 0.25, 0.25, 0.1]
+
+
 # ---------------------------------------------------------------------------
 # maximize
 # ---------------------------------------------------------------------------
@@ -208,6 +228,90 @@ def test_count_decisions_equal_the_full_gap_comparison(monkeypatch):
         maximize_gap(g, init, MaximizeOptions(seeds=2, seed=1))
     assert {counted for counted, _ in decisions} == {True, False}
     assert all(counted == full for counted, full in decisions)
+
+
+# star(4) lengths 1e-11 from equilateral: the start's gap is within
+# IMPROVE_TOL of its symmetrization's, so symmetrizing it is no move
+NEAR_EQUILATERAL = LengthVector([0.25 + 5e-12, 0.25 - 5e-12, 0.25, 0.25])
+
+
+def test_start_decisions_equal_the_full_gap_comparison(monkeypatch):
+    # every start the counts decide keeps its symmetrization, and is moved
+    # exactly when its full gap says so
+    decide = optimize._start_moves
+    decisions = []
+
+    def checked(m, k):
+        moved = yield from decide(m, k)
+        start = spectral_gap(m)[0]
+        decisions.append((moved, (k >= start - optimize.GAP_SLACK, k > start + optimize.IMPROVE_TOL)))
+        return moved
+
+    monkeypatch.setattr(optimize, "_start_moves", checked)
+    for g, init in DECISION_RUNS:
+        maximize_gap(g, init, MaximizeOptions(seeds=2, seed=1))
+    maximize_gap(*flower(4), MaximizeOptions(seeds=10, seed=1))
+    maximize_gap(star(4)[0], NEAR_EQUILATERAL, MaximizeOptions(seeds=0))
+    # every start of the DECISION_RUNS calls save stower(1, 2)'s contracted
+    # given start, the ten flower(4) restarts and the near-equilateral start
+    assert len(decisions) == 11 + 10 + 1
+    assert all(full == (True, moved) for moved, full in decisions)
+    assert {moved for moved, _ in decisions} == {True, False}
+
+
+@pytest.mark.parametrize("init", [NEAR_EQUILATERAL, LengthVector([0.26, 0.24, 0.25, 0.25])])
+def test_a_refused_symmetrization_searches_the_start(monkeypatch, init):
+    # with a slack of -1 both star(4) starts, whose gaps lie within 1 below
+    # their symmetrizations' (the second more than IMPROVE_TOL below),
+    # refuse to symmetrize; the counts cannot rule that out, so the ascent
+    # searches the start and compares the two gaps in full
+    search = optimize._gap_search
+    searched = []
+
+    def recorded(m):
+        searched.append(m.lengths.tobytes())
+        return (yield from search(m))
+
+    monkeypatch.setattr(optimize, "_gap_search", recorded)
+    monkeypatch.setattr(optimize, "GAP_SLACK", -1.0)
+    g = star(4)[0]
+    res = maximize_gap(g, init, MaximizeOptions(seeds=0))
+    assert init.values.tobytes() in searched
+    assert "symmetrize" not in [step.move for step in res.trace]
+    assert res.trace[0] == optimize.TraceStep(spectral_gap(metric(g, init))[0], 0.0, "init")
+
+
+def _restart_lengths(g, seed, j):
+    """The lengths of restart j (from 1) of a `maximize_gap` call with this seed."""
+    rng = np.random.default_rng(seed)
+    for _ in range(j):
+        lv = random_lengths(rng, g.edge_count, l_min=2 * optimize.L_MIN)
+    return lv
+
+
+def test_the_trace_opens_with_the_winning_start_gap(monkeypatch):
+    # the given start wins on star(4), restart 1 on stower(2, 1), and on the
+    # dumbbell the given start wins as a follower of restart 2 (the setup of
+    # test_a_follower_of_a_follower_resolves_to_its_own_trace)
+    g = star(4)[0]
+    init = random_lengths(np.random.default_rng(1), 4)
+    res = maximize_gap(g, init, MaximizeOptions(seed=1))
+    assert res.trace[0].gap == spectral_gap(metric(g, init))[0]
+
+    g = stower(2, 1)[0]
+    init = random_lengths(np.random.default_rng(1000), 3)
+    res = maximize_gap(g, init, MaximizeOptions(seed=1))
+    assert res.trace[0].gap == spectral_gap(metric(g, _restart_lengths(g, 1, 1)))[0]
+    assert res.trace[0].gap != spectral_gap(metric(g, init))[0]
+
+    drive, ends = optimize._drive, []   # the ends as the driver returns them
+    monkeypatch.setattr(optimize, "_drive", lambda searches: ends.extend(drive(searches)) or list(ends))
+    g = dumbbell(0.5)[0]
+    init = _restart_lengths(g, 0, 3)
+    res = maximize_gap(g, init, MaximizeOptions(seeds=2, seed=0))
+    assert ends[0] == optimize._Follow(2, 2)
+    assert res.trace[0].gap == spectral_gap(metric(g, init))[0]
+    assert res.trace[0].gap != spectral_gap(metric(g, _restart_lengths(g, 0, 2)))[0]
 
 
 def test_no_full_search_is_spent_on_a_losing_candidate(monkeypatch):
@@ -387,13 +491,15 @@ def test_restarts_that_meet_solve_each_eigenspace_once(eigenbases, count_matrice
     g, lengths = star(5)
     maximize_gap(g, lengths, MaximizeOptions(seeds=10))
     assert eigenbases.n <= 5
-    assert count_matrices.n <= 392
+    assert count_matrices.n <= 46
 
 
 def test_each_held_state_is_searched_once_per_call(count_matrices, monkeypatch):
     # the restarts of one call share the gap searches of their starts and
     # symmetrized states: every restart of a star or a flower symmetrizes to
-    # the canonical lengths, which the given start holds from the first
+    # the canonical lengths, which the given start holds from the first.
+    # A restart's start is not searched: one count decides its
+    # symmetrization, and the given start wins
     search = optimize._gap_search
     searched = []
 
@@ -402,8 +508,9 @@ def test_each_held_state_is_searched_once_per_call(count_matrices, monkeypatch):
         return (yield from search(m))
 
     monkeypatch.setattr(optimize, "_gap_search", recorded)
-    # 337 and 236 count matrices when each restart searched for itself
-    for (g, lengths), tally in ((star(5), 198), (flower(4), 160)):
+    # 337 and 236 count matrices when each restart searched for itself, 198
+    # and 160 when each start was searched
+    for (g, lengths), tally in ((star(5), 46), (flower(4), 25)):
         searched.clear()
         count_matrices.n = 0
         maximize_gap(g, lengths, MaximizeOptions(seeds=10))
