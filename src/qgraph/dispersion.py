@@ -71,7 +71,6 @@ import numpy as np
 from .errors import InvalidInputError
 from .graph import DIRICHLET, NEUMANN, DeltaTheta, MetricGraph, _integer, _quotient
 from .spectral import (
-    _below,
     _level_search,
     _negative_search,
     _HyperbolicCount,
@@ -149,12 +148,6 @@ def _remove_flats(levels: list[float], flats: list[FlatBand]) -> list[float]:
             else:
                 i += 1
     return out
-
-
-def _zero_search(count: _TrigCount, k_max: float) -> _Search:
-    """The theta = 0 levels up to k_max as `_Level`s, after the count at the floor."""
-    floor = yield from _below(count, count.floor)
-    return floor, (yield from _level_search(count, floor, k_max))
 
 
 def _vertex_function(count: _TrigCount, row: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -325,8 +318,9 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     # a row's counts are the theta = 0 ones with the coupling at v changed
     alphas = [DeltaTheta(float(t)).alpha for t in thetas]
     hyperbolic = _HyperbolicCount(m0)
-    negative_searches = [_negative_search(hyperbolic.with_vertex(v_row, alpha)) for alpha in alphas]
-    (floor, zero), *negative = _drive([_zero_search(count, k_max)] + negative_searches)
+    rows = [hyperbolic.with_vertex(v_row, alpha) for alpha in alphas]
+    floor = count.floor_sample()
+    zero, *negative = _drive([_level_search(count, floor, k_max)] + [_negative_search(row) for row in rows])
     hi_k = count.off_pole(k_max + _merge_width(k_max), 1.0)
 
     def g(ks):
@@ -356,21 +350,20 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
                           np.broadcast_to(w[:, None], fa.shape)[live])
     per_row = np.split(roots, np.cumsum(live.sum(axis=1))[:-1])
 
-    searches = []
+    searches, unresolved = [], []
     for n, (j, r) in enumerate(zip(moving, per_row)):
         theta = float(thetas[j])
         floor_count = floor.count + int(fa[n, 0] > 0.0) - int(theta > 0.0)
+        # levels below the row's floor beyond its n_- + n_0 lie in (0, floor]: `levels` reports them there
+        unresolved.append([count.floor] * (floor_count - sum(rows[j].zero_modes)))
         candidates = sorted([(float(k), 1) for k in r] + flats)
         searches.append(_row_search(count.with_vertex(v_row, alphas[j]), theta, candidates, floor_count, hi_k))
-    positive = dict(zip(moving, _drive(searches)))
+    positive = {j: low + found for j, low, found in zip(moving, unresolved, _drive(searches))}
     zero_levels = [lvl.k for lvl in zero for _ in range(lvl.multiplicity)]
     out = []
     for j, found in enumerate(negative):
         below = [p.k for p in found for _ in range(p.multiplicity)]
-        if j in positive:
-            out.append(below + positive[j])
-        else:
-            out.append(below + [0.0] * count.neumann + zero_levels)
+        out.append(below + [0.0] * rows[j].zero_modes[1] + positive.get(j, zero_levels))
     return out, flats
 
 

@@ -14,11 +14,11 @@ equalize probe and a contract probe must beat the held gap plus
 IMPROVE_TOL; a candidate that does not is decided by the eigenvalue count
 at that floor against the count at the search floor (`gap_reaches`), and
 only a kept move gets the full gap search.  The brute force skips its
-grid points that cannot win the same way.  Every graph either builds is
-Neumann, so the count at the search floor is known to be 1 and
-`gap_reaches` costs one count; each count couples through the incidence
-its graph built once.  A trial point within NO_MOVE_RTOL (relative) of
-the lengths it would replace is no move and ends the step search.
+grid points that cannot win the same way.  The count at the search floor
+is known, so `gap_reaches` costs one count; each count couples through
+the incidence its graph built once.  A trial point within NO_MOVE_RTOL
+(relative) of the lengths it would replace is no move and ends the step
+search.
 
 The restarts run in lockstep.  An ascent is a generator that hands up
 the count requests of its level searches (`spectral._drive`), and
@@ -437,7 +437,7 @@ def _cluster_energies(m: MetricGraph, gap: _Level) -> _Search:
 def _gap_above(m: MetricGraph, floor: float) -> _Search:
     """The `_Level` of m's gap when the gap exceeds floor, else None.
 
-    `gap_reaches` settles a candidate below floor with two counts; only one
+    `gap_reaches` settles a candidate below floor with one count; only one
     that reaches floor gets the full search, whose value is compared again.
     """
     if not (yield from _reaches(m, floor)):
@@ -459,7 +459,7 @@ def _start_moves(m: MetricGraph, k: float) -> _Search:
     non-decrease of symmetrization says is never needed.
     """
     count = _TrigCount(m)
-    floor = (yield from _below(count, count.floor)).count
+    floor = count.floor_sample().count
     moved = (yield from _below(count, k - IMPROVE_TOL)).count > floor
     if moved and k - IMPROVE_TOL <= k + GAP_SLACK:
         return True

@@ -58,19 +58,24 @@ the step bisects until a sample replaces it.  Regula falsi stops once the
 secant correction through its last two samples of finite value is within
 half the bracket tolerance 4 eps k: past that point the value it follows
 is eigvalsh's noise, and a further step only drags the far end in.  A
-search of a Neumann graph knows N = 1 at its floor and takes no count
-there (`_below`).  The multiplicity of a level r is N(r + d) - N(r - d)
-with d = max(1e-10 r, 1e-9), with no threshold on any matrix; levels
-closer than d merge into one, and a point where N flips by noise alone,
-with difference 0, is no level.  r is the lowest level of its bracket,
-so the count at the bracket's lower end is N(r - d) and is not taken
-again (`_around`); only at the floor of a count taken there, a delta
-graph's, where N flips by noise at a level lambda = 0, is N(r - d)
-counted.  The count N(r + d) starts the search of the next level, and a
-search's `_Level`s carry it, so a later search of the levels above r
-starts there.  Negative eigenvalues lambda = -kappa^2 of attractive
-delta couplings go through the same finder with the hyperbolic vertex
-matrix (`_negative_search`).
+search knows N at its floor without a count (`_below`).  The form
+sum int f'^2 + sum alpha_v f(v)^2 splits orthogonally into the
+edgewise-linear interpolant of the vertex values, of energy x^T M0 x with
+M0 = diag alpha + Q diag(1/l) Q^T, and a remainder of positive energy
+vanishing at every vertex (Berkolaiko-Kuchment, ch. 1): n_-(M0) levels
+are negative and lambda = 0 has multiplicity n_0(M0) (`_Count.zero_modes`).
+M0 is both vertex matrices' limit at k -> 0, so N = n_- + n_0 at the trig
+floor and V' - n_- at the hyperbolic one; a level with 0 < |lambda|
+below the floors' scale (k_floor^2 ~ 1e-14) is reported at its floor.  The
+multiplicity of a level r is N(r + d) - N(r - d) with d = max(1e-10 r,
+1e-9), with no threshold on any matrix; levels closer than d merge into
+one.  r is the lowest level of its bracket, so the count at the
+bracket's lower end is N(r - d) and is not taken again (`_around`).  The
+count N(r + d) starts the search of the next level, and a search's
+`_Level`s carry it, so a later search of the levels above r starts
+there.  Negative eigenvalues lambda = -kappa^2 of attractive delta
+couplings go through the same finder with the hyperbolic vertex matrix
+(`_negative_search`).
 
 The finder is a generator, `_level_search`: it yields a request, the
 count and a k where it needs that count, and is sent the count's spectrum
@@ -111,8 +116,8 @@ multiplicity m the last m right singular vectors of M(k) span it; one
 m x m L^2 Gram matrix (`_gram`) orthonormalizes them
 (`_eigenbasis_coeffs`).  The optimizer's edge energies read these rows
 as they are, since the energies do not depend on a basis function's
-sign.  The k = 0 eigenvalue of a Neumann graph (constant eigenfunction)
-is handled symbolically.
+sign.  At k = 0 a Neumann graph's eigenspace, the constants, is given
+symbolically; any other graph's zero modes are not constant on some edge.
 
 `EdgeTrig` is the one representation of such functions.  It also serves
 the Rayleigh quotients, whose test functions have one frequency on every
@@ -137,6 +142,7 @@ from __future__ import annotations
 import math
 from collections.abc import Generator
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -144,9 +150,10 @@ import numpy as np
 from .errors import (
     InvalidInputError,
     NoEigenspaceError,
+    NotApplicableError,
     ResourceBudgetError,
 )
-from .graph import MetricGraph
+from .graph import MetricGraph, _integer
 
 _POLE_WINDOW = 1e-11   # the count is never taken this close (in k l_e / pi) to a pole
 _MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a multiplicity,
@@ -241,7 +248,14 @@ class _Sample:
     k: float
     count: int
     poles: int
-    evals: np.ndarray | None   # None where the count is known without a matrix (`_below`)
+    evals: np.ndarray | None   # None where the count is known without a matrix (`floor_sample`)
+
+
+def _zero_inertia(q: np.ndarray, alpha: np.ndarray, lengths: np.ndarray) -> tuple[int, int]:
+    """(n_-, n_0) of M0 = diag alpha + q diag(1/l) q^T, zero within eigvalsh's backward error."""
+    mu = np.linalg.eigvalsh(np.diag(alpha) + (q / lengths) @ q.T)
+    noise = mu.size * np.finfo(float).eps * np.abs(mu).max(initial=0.0)
+    return int(np.count_nonzero(mu < -noise)), int(np.count_nonzero(np.abs(mu) <= noise))
 
 
 def _scaled(incidence: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,12 +309,19 @@ class _Count:
         out.vertex_alpha = self.vertex_alpha.copy()
         out.vertex_alpha[v] = alpha
         out.neumann = not np.count_nonzero(out.vertex_alpha)
+        out.__dict__.pop("zero_modes", None)
         if math.isinf(alpha):
             out.coupling, out.alpha = np.delete(self.coupling, row, axis=0), np.delete(self.alpha, row)
         else:
             out.coupling, out.alpha = self.coupling.copy(), self.alpha.copy()
             out.coupling[row], out.alpha[row] = _scaled(self.graph.incidence[v], out.vertex_alpha[v])
         return out
+
+    @cached_property
+    def zero_modes(self) -> tuple[int, int]:
+        """(n_-, n_0) of M0 (module docstring), scaled as the count is; a Neumann graph's is (0, 1)."""
+        q = self.coupling[:, self.lengths.size :]
+        return (0, 1) if self.neumann else _zero_inertia(q, self.alpha, self.lengths)
 
     def poles(self, k: float) -> int:
         return 0
@@ -423,6 +444,9 @@ class _TrigCount(_Count):
         stand_ins = np.where(diag > 0.0, -np.inf, np.inf)
         return np.sort(np.concatenate([np.linalg.eigvalsh(R), stand_ins], axis=1), axis=1)
 
+    def floor_sample(self) -> _Sample:
+        return _Sample(self.floor, sum(self.zero_modes), self.poles(self.floor), None)   # lambda <= 0
+
     def poles(self, k: float) -> int:
         return sum(math.ceil(k * l / math.pi) for l in self.edge_lengths)
 
@@ -543,7 +567,7 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
                 if abs(step) <= 0.5 * tol:
                     return min(max(c - step, a), b)
             last = c, fc
-    return 0.5 * (a + b)
+    return a if a == count.floor else 0.5 * (a + b)   # a level never lifted off the floor lies below it
 
 
 def _lowest_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample]) -> _Search:
@@ -571,35 +595,21 @@ def _merge_width(r: float) -> float:
 
 def _around(count: _Count, r: float, lo: _Sample | None = None) -> _Search:
     """The counts just below and just above r; their difference is r's multiplicity.
-
-    lo, the lower end of the bracket r is the lowest level of, stands in
-    for the lower count: no level lies between it and r - d.  That holds
-    where lo was counted above the count's floor, and at a Neumann graph's
-    floor, where N = 1 is known (`_below`).  At the floor of any other
-    count N(r - d) is taken: a level at lambda = 0 of a delta graph sits
-    between the floors of the trig and hyperbolic searches, where N flips
-    by noise, so r may be such a flip and no level.
-    """
+    lo, the lower end of the bracket r is the lowest level of, stands in for
+    the lower count: no level lies between it and r - d."""
     width = _merge_width(r)
-    below_k = count.off_pole(r - width, -1.0)
-    if lo is not None and (lo.k > count.floor or lo.evals is None or below_k <= lo.k):
-        below = lo
-    else:
-        below = count.made(below_k, (yield count, below_k))
+    if lo is None:
+        below_k = count.off_pole(r - width, -1.0)
+        lo = count.made(below_k, (yield count, below_k))
     above_k = count.off_pole(r + width, 1.0)
-    return below, count.made(above_k, (yield count, above_k))
+    return lo, count.made(above_k, (yield count, above_k))
 
 
 def _below(count: _Count, k: float) -> _Search:
-    """The sample at k, moved below any pole window it sits in.
-
-    At the search floor of a Neumann graph N is 1 without a count: the
-    graph is connected, so k = 0 is its only level below k_1 >= pi / L
-    (Nicaise), far above the floor.  That sample carries no spectrum;
-    regula falsi takes the floor's value as off scale and never reads it.
-    """
-    if count.neumann and k == count.floor:
-        return _Sample(k, 1, count.poles(k), None)
+    """The sample at k, moved below any pole window it sits in; at the floor
+    `floor_sample`, whose spectrum regula falsi never reads (off scale)."""
+    if k == count.floor:
+        return count.floor_sample()
     k = count.off_pole(k, -1.0)
     return count.made(k, (yield count, k))
 
@@ -631,11 +641,9 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float, first_only: bool = Fa
         upper = min((s for s in seen if s.count > lo.count), key=lambda s: s.k)
         r = yield from _lowest_level(count, lo, upper, seen)
         below, above = yield from _around(count, r, lo)
-        # count noise can flip N at a point no level sits on
-        if above.count > below.count:
-            out.append(_Level(r, above.count - below.count, above))
-            if first_only:
-                break
+        out.append(_Level(r, above.count - below.count, above))
+        if first_only:
+            break
         seen.append(above)
         lo = above
     return out
@@ -732,7 +740,7 @@ class Spectrum:
     @property
     def gap(self) -> float:
         for p in self.eigenpairs:
-            if p.k > 1e-12:
+            if p.k > 0.0:
                 return p.k
         raise NoEigenspaceError("no positive eigenvalue in the computed range")
 
@@ -751,13 +759,13 @@ def _eigenvalue_search(m: MetricGraph, k_max: float, k_min: float) -> _Search:
     lo = yield from _below(count, max(k_min, count.floor))
     levels = yield from _level_search(count, lo, k_max)
     pairs = [Eigenpair(k, mult) for k, mult, _ in levels]
-    if m.is_neumann_graph() and k_min == 0.0:
-        pairs.insert(0, Eigenpair(0.0, 1))
+    if k_min == 0.0 and (zeros := count.zero_modes[1]):
+        pairs.insert(0, Eigenpair(0.0, zeros))
     return Spectrum(tuple(pairs))
 
 
 def eigenvalues(m: MetricGraph, k_max: float, k_min: float = 0.0) -> Spectrum:
-    """All eigenvalues in (k_min, k_max], prepending k = 0 for Neumann graphs."""
+    """All eigenvalues in (k_min, k_max], k = 0 included where k_min = 0."""
     return _drive([_eigenvalue_search(m, k_max, k_min)])[0]
 
 
@@ -778,8 +786,7 @@ def _gap_search(m: MetricGraph) -> _Search:
     """`spectral_gap` as a search; it returns the gap's `_Level`, whose
     count above the gap a search of the levels above can start from."""
     count = _TrigCount(m)
-    floor = yield from _below(count, count.floor)
-    levels = yield from _level_search(count, floor, gap_upper_bound(m), first_only=True)
+    levels = yield from _level_search(count, count.floor_sample(), gap_upper_bound(m), first_only=True)
     if not levels:
         raise NoEigenspaceError("no eigenvalue found below the universal bound")
     return levels[0]
@@ -793,23 +800,17 @@ def spectral_gap(m: MetricGraph) -> tuple[float, int]:
 
 
 def _reaches(m: MetricGraph, k: float) -> _Search:
-    """`gap_reaches` as a search: it requests N(k), then N(k_floor) where
-    that is not known (`_below`)."""
+    """`gap_reaches` as a search: N(k), k at least the floor, against the known N(k_floor)."""
     _require_k("k", k)
     count = _TrigCount(m)
-    below = yield from _below(count, k)
-    return below.count <= (yield from _below(count, count.floor)).count
+    below = yield from _below(count, max(k, count.floor))
+    return below.count <= count.floor_sample().count
 
 
 def gap_reaches(m: MetricGraph, k: float) -> bool:
-    """spectral_gap(m)[0] >= k, decided by at most two counts.
-
-    The gap reaches k when no level lies between the point where
-    `spectral_gap` starts its search and k: N(k) <= N(k_floor), k moved
-    below any pole window it sits in.  On a Neumann graph N(k_floor) = 1
-    is known and only N(k) is counted (`_below`), as it is at the start
-    of `spectral_gap`'s search.
-    """
+    """spectral_gap(m)[0] >= k, decided by one count: N(k) <= N(k_floor), so no
+    level lies between the floor where `spectral_gap` starts and k, k moved
+    below any pole window it sits in."""
     return _drive([_reaches(m, k)])[0]
 
 
@@ -931,13 +932,15 @@ def _signed(coeffs: np.ndarray) -> np.ndarray:
 def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
     """Orthonormal real basis of the eigenspace at k.
 
-    The dimension is the counted multiplicity at k; raises
-    NoEigenspaceError when the count finds no eigenvalue there.
-    """
+    The dimension is the counted multiplicity at k; raises NoEigenspaceError
+    when the count finds no eigenvalue there, NotApplicableError at a k = 0
+    whose eigenfunctions are not constant."""
     E = m.graph.edge_count
     if abs(k) <= 1e-12:
+        if not _Count(m).zero_modes[1]:
+            raise NoEigenspaceError("k = 0 is not an eigenvalue")
         if not m.is_neumann_graph():
-            raise NoEigenspaceError("k = 0 is only an eigenvalue of Neumann graphs")
+            raise NotApplicableError("the eigenfunctions at k = 0 are not constant: EdgeTrig cannot carry a + b x")
         return [EdgeTrig(0.0, np.full(E, 1.0 / math.sqrt(m.total_length)), np.zeros(E))]
     mult = multiplicity_at(m, k)
     if mult <= 0:
@@ -1064,6 +1067,9 @@ class _HyperbolicCount(_Count):
 
     floor = 1e-9
 
+    def floor_sample(self) -> _Sample:
+        return _Sample(self.floor, self.alpha.size - self.zero_modes[0], 0, None)   # n_+ of -M0
+
     def matrix(self, kappa: float) -> np.ndarray:
         t = np.tanh(0.5 * kappa * self.lengths)
         d = 0.5 * kappa * np.concatenate([t, 1.0 / t])
@@ -1086,19 +1092,17 @@ class _HyperbolicCount(_Count):
 
 
 def _negative_search(count: _HyperbolicCount) -> _Search:
-    """`negative_spectrum` as a search: the levels of the hyperbolic count
-    between its floor, kappa = 1e-9, and the first kappa = 2^j, j >= 0,
-    where the hyperbolic vertex matrix is positive definite.  A count
-    without an attractive coupling has none."""
-    if (count.alpha >= 0).all():
+    """`negative_spectrum` as a search: the n_-(M0) levels of the hyperbolic
+    count between its floor, kappa = 1e-9, and the first kappa = 2^j, j >= 0,
+    where the hyperbolic vertex matrix is positive definite."""
+    if not count.zero_modes[0]:
         return []
     kappa_hi = 1.0
     for _ in range(80):
         if count.made(kappa_hi, (yield count, kappa_hi)).count == count.alpha.size:
             break
         kappa_hi *= 2.0
-    floor = yield from _below(count, count.floor)
-    found = yield from _level_search(count, floor, kappa_hi)
+    found = yield from _level_search(count, count.floor_sample(), kappa_hi)
     return [Eigenpair(-kappa, mult) for kappa, mult, _ in reversed(found)]
 
 
@@ -1117,7 +1121,9 @@ def _levels_search(m: MetricGraph, k_max: float, n_max: int | None) -> _Search:
 
 def levels(ms: list[MetricGraph], k_max: float, n_max: int | None = None) -> list[list[float]]:
     """Every eigenvalue of each graph up to k_max, with multiplicity, ascending:
-    the negative branch as k = -kappa first, then the nonnegative spectrum
-    (k = 0 on Neumann graphs), cut at n_max.  All graphs are searched in
-    lockstep, each with the values a search of it alone would see."""
+    the negative branch as k = -kappa first, then the nonnegative spectrum,
+    cut at the first n_max >= 0.  All graphs are searched in lockstep, each
+    with the values a search of it alone would see."""
+    if n_max is not None and _integer(n_max, "n_max", InvalidInputError) < 0:
+        raise InvalidInputError(f"n_max must be at least 0, not {n_max}")
     return _drive([_levels_search(m, k_max, n_max) for m in ms])

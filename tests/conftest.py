@@ -20,15 +20,24 @@ def count_matrices(monkeypatch):
     """Tally every count matrix the solvers request: each row of a
     `_TrigCount.spectra` or `_HyperbolicCount.spectra` call is one.  A lone
     request's `spectrum` is the stack of one, so it is tallied there too,
-    and no matrix twice.  It wraps the two private entry points until the
-    library counts its own requests."""
+    and no matrix twice.  Apart from them, `m0.n` tallies the matrices M0
+    whose inertia a count takes for its floor (`_zero_inertia`).  It wraps
+    the private entry points until the library counts its own requests."""
     tally = Tally()
+    tally.m0 = Tally()
     for cls in (spectral._TrigCount, spectral._HyperbolicCount):
         def counted(coupling, alpha, lengths, ks, spectra=cls.spectra):
             tally.n += len(ks)
             return spectra(coupling, alpha, lengths, ks)
 
         monkeypatch.setattr(cls, "spectra", staticmethod(counted))
+    zero_inertia = spectral._zero_inertia
+
+    def solved(q, alpha, lengths):
+        tally.m0.n += 1
+        return zero_inertia(q, alpha, lengths)
+
+    monkeypatch.setattr(spectral, "_zero_inertia", solved)
     return tally
 
 

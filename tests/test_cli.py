@@ -177,6 +177,18 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert out.strip().endswith("verification FAILED")
 
 
+def test_spectrum_lists_a_level_at_zero_of_a_delta_graph(tmp_path):
+    # f = 1 + x / 2 on the unit interval meets the couplings 1/2 and -1/3 at
+    # its ends: lambda = 0 is a level, which the floors' count noise listed
+    # as k = 1.56e-6 before the count at lambda = 0 came from M0
+    path = tmp_path / "zero_mode.json"
+    path.write_text('{"vertices": 2, "edges": [[0, 1]], "lengths": [1.0], "conditions": '
+                    '{"0": {"delta_theta": 0.9272952180016122}, "1": {"delta_theta": -0.6435011087932844}}}')
+    code, out, err = run_cli(["spectrum", "--graph", str(path), "--kmax", "5"])
+    assert (code, err) == (0, "")
+    assert out == "n,k,multiplicity\n0,0,1\n1,3.19290695727,1\n"
+
+
 def test_parse_error_exit_code():
     code, _, err = run_cli(["spectrum"])  # missing --graph
     assert code == 2

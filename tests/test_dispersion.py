@@ -324,7 +324,9 @@ def test_dispersion_count_budget(count_matrices, monkeypatch):
     # one theta = 0 search, one solve per step for all roots, then each row's
     # counts around its levels; the flat bands are the theta = 0 levels
     # without a pole of the vertex function, and take no count: the 32
-    # per-row searches took 2,542
+    # per-row searches took 2,542.  No row counts at its floor: each takes
+    # the inertia of its M0 instead, save the theta = 0 row, a Neumann graph
+    # whose floor count is known
     calls = [0]   # the `spectra` calls of each drive
     for cls in (spectral._TrigCount, spectral._HyperbolicCount):
         def counted(coupling, alpha, lengths, ks, spectra=cls.spectra):
@@ -340,7 +342,8 @@ def test_dispersion_count_budget(count_matrices, monkeypatch):
 
     monkeypatch.setattr(dispersion, "_drive", tallied)
     dispersion_curve(metric(*star(4)), 1, grid_size=32)
-    assert count_matrices.n == 509
+    assert count_matrices.n == 479
+    assert count_matrices.m0.n == 31
     # the rows confirm their levels last, each with one batch of counts: one
     # stacked call for the rows that keep v and one for the theta = pi row,
     # which drops it; level by level they took 18
@@ -564,9 +567,11 @@ def test_a_vertex_function_that_disagrees_with_the_dirichlet_gap_raises(monkeypa
 def test_sgp_count_budget(count_matrices):
     # the gap searches with Neumann and with Dirichlet at v; theta_SG, the
     # flat band and the Dirichlet multiplicity come from one solve of the
-    # vertex function: the bisection on theta took 80
+    # vertex function: the bisection on theta took 80.  The Dirichlet
+    # search knows its floor count from one M0
     spectral_gap_parameter(metric(*star(4)), 0)
-    assert count_matrices.n == 16
+    assert count_matrices.n == 14
+    assert count_matrices.m0.n == 1
 
 
 def test_sgp_value_meets_branch():

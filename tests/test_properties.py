@@ -111,7 +111,7 @@ def test_gap_reaches_agrees_with_the_gap_search(m):
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(small_graphs(l_min=L_MIN))
 def test_gap_reaches_agrees_with_the_gap_search_on_any_conditions(m):
-    # with Dirichlet and delta vertices the floor count is taken, not assumed
+    # with Dirichlet and delta vertices the floor count is the inertia of M0
     k1 = spectral_gap(m)[0]
     for k in (k1 * (1 - 1e-9), k1 * (1 + 1e-9)):
         assert gap_reaches(m, k) == (k1 >= k), (k1, k)

@@ -22,10 +22,12 @@ from qgraph import (
     InvalidInputError,
     MaximizeOptions,
     NoEigenspaceError,
+    NotApplicableError,
     dispersion_curve,
     eigenfunction,
     eigenvalues,
     harmonic_interpolant,
+    levels,
     maximize_gap,
     metric,
     rayleigh,
@@ -289,11 +291,18 @@ def test_short_edge_spectrum_not_masked():
     assert k1 == pytest.approx(2 * PI, abs=2e-3)
 
 
-def test_count_noise_is_no_level():
+def _zero_mode_interval(c):
+    """The unit interval with couplings c at x = 0 and -c / (1 + c) at x = 1:
+    f = 1 + c x solves -f'' = 0 and both conditions, so lambda = 0 is a level."""
+    m = metric(*interval()).with_condition(0, DeltaTheta(2.0 * math.atan(c)))
+    return m.with_condition(1, DeltaTheta(2.0 * math.atan(-c / (1.0 + c))))
+
+
+def test_count_noise_is_no_level(independent_checks):
     # couplings alpha = 1 and -1/2 at the ends of the unit interval make
-    # lambda = 0 a level, f = 1 + x, right at the search floor; the count
-    # flips there by noise, and such a flip was reported as the gap, of
-    # multiplicity 0, at k = 3.19e-6
+    # lambda = 0 a level, f = 1 + x, between the floors of the trig and the
+    # hyperbolic searches, where their counts flip by noise; such a flip was
+    # reported as the gap, of multiplicity 0, at k = 3.19e-6
     m = metric(*interval()).with_condition(0, DeltaTheta(PI / 2))
     m = m.with_condition(1, DeltaTheta(-0.9272952180016122))
     k1, mult = spectral_gap(m)
@@ -304,6 +313,28 @@ def test_count_noise_is_no_level():
     assert secular_value(m, k1) <= 1e-12
     assert all(p.multiplicity >= 1 for p in eigenvalues(m, 10.0).eigenpairs)
     assert all(p.multiplicity >= 1 for p in spectral.negative_spectrum(m))
+    # alpha = 1/2 and -1/3, f = 1 + x / 2: the floors' noise made levels
+    # [-1.47e-9, 1.56e-6, 3.19291] and the gap 1.56e-6; the count at lambda =
+    # 0, the inertia of M0, knows the zero level and no negative one
+    m = metric(*interval()).with_condition(0, DeltaTheta(0.9272952180016122))
+    m = m.with_condition(1, DeltaTheta(-0.6435011087932844))
+    assert levels([m], 5.0) == [[0.0, pytest.approx(3.1929069572704862, rel=1e-13, abs=0.0)]]
+    assert spectral.negative_spectrum(m) == []
+    assert spectral_gap(m) == (pytest.approx(3.1929069572704862, rel=1e-13, abs=0.0), 1)
+    # the family f = 1 + c x, where the noise made levels from -1.9e-8 to
+    # 1.6e-6; the independent count, with both couplings, finds the zero
+    # level below k1 and k1 simple
+    checks = independent_checks
+    plain = checks.Graph(2, [(0, 1)], [1.0])
+    for c in np.arange(1, 31) / 10:
+        m = _zero_mode_interval(c)
+        zero, k1 = levels([m], 5.0)[0]
+        assert zero == 0.0 and spectral.negative_spectrum(m) == [], c
+        assert spectral_gap(m) == (pytest.approx(k1, rel=1e-13, abs=0.0), 1), c
+        # oracle: f = cos kx + (c / k) sin kx meets the coupling a1 at x = 1
+        a1 = m.alpha[1]
+        assert k1 * math.sin(k1) - (c + a1) * math.cos(k1) - a1 * c * math.sin(k1) / k1 == pytest.approx(0.0, abs=1e-12)
+        assert checks.count_around(plain, k1, {0: m.alpha[0], 1: a1}) == (1, 2), c
 
 
 def test_every_count_is_taken_by_the_driver(monkeypatch):
@@ -731,18 +762,20 @@ def test_regula_falsi_stop_keeps_the_closed_forms(independent_checks):
 
 
 def test_known_neumann_floor_saves_one_count(count_matrices, monkeypatch):
-    # a Neumann graph's search takes N = 1 at its floor without a count, and
-    # that sample stands in for the count just below the gap; counting the
-    # floor, as for any other graph, costs both counts and changes nothing else
+    # every search knows N at its floor without a count, and that sample
+    # stands in for the count just below the gap: a Neumann graph's from the
+    # inertia (0, 1) of its weighted Laplacian, with no matrix solved, any
+    # other graph's from the inertia of its M0.  Taken for a graph of any
+    # conditions, a Neumann graph solves its M0 once and counts the same
     for m, tally in ((metric(*star(16)), 9), (metric(*flower(3)), 4)):
-        count_matrices.n = 0
+        count_matrices.n = count_matrices.m0.n = 0
         known = spectral_gap(m)
-        assert count_matrices.n == tally, m
+        assert (count_matrices.n, count_matrices.m0.n) == (tally, 0), m
         with monkeypatch.context() as patch:
             patch.setattr(MetricGraph, "is_neumann_graph", lambda self: False)
             count_matrices.n = 0
             assert spectral_gap(m) == known
-        assert count_matrices.n == tally + 2, m
+        assert (count_matrices.n, count_matrices.m0.n) == (tally, 1), m
 
 
 def test_neumann_floor_count_is_one_on_catalog_and_random_graphs():
@@ -759,16 +792,33 @@ def test_neumann_floor_count_is_one_on_catalog_and_random_graphs():
     for m in graphs:
         count = _TrigCount(m)
         assert count.neumann and count.off_pole(count.floor, -1.0) == count.floor
-        assert count.made(count.floor, count.spectrum(count.floor)).count == 1, m
+        assert count.made(count.floor, count.spectrum(count.floor)).count == 1 == count.floor_sample().count, m
         reduced += count.alpha.size + 2 * count.lengths.size >= _REDUCE_FROM
     assert len(graphs) == 74 and reduced >= 10
+    # with delta and Dirichlet vertices and no level at lambda = 0, the floor
+    # counts of both signs, taken, equal the inertia of M0: N = n_- below the
+    # trig floor and N = V' - n_- at the hyperbolic one
+    rng = np.random.default_rng(2231)
+    compared = attractive = 0
+    while compared < 200:
+        V = int(rng.integers(2, 7))
+        g = random_connected_graph(rng, V, V - 1 + int(rng.integers(0, 4)))
+        conditions = [[NEUMANN, DIRICHLET, DeltaTheta(float(rng.uniform(-3, 3)))][i] for i in rng.integers(0, 3, V)]
+        m = MetricGraph(g, random_lengths(rng, g.edge_count).values, conditions)
+        if m.is_neumann_graph() or spectral._Count(m).zero_modes[1]:
+            continue
+        for count in (_TrigCount(m), _HyperbolicCount(m)):
+            assert count.made(count.floor, count.spectrum(count.floor)).count == count.floor_sample().count, m
+        compared += 1
+        attractive += spectral._Count(m).zero_modes[0] > 0
+    assert attractive >= 20
 
 
 def test_bracket_end_is_the_count_below_every_level(monkeypatch):
     # a level search takes the lower end of a level's bracket for N(r - d),
-    # save at the floor of a count taken there; wrapped to count N(r - d)
-    # as well, `_around` finds the two equal on every level of the catalog
-    # and of seeded graphs with delta and Dirichlet vertices
+    # the search floor's known count included; wrapped to count N(r - d) as
+    # well, `_around` finds the two equal on every level of the catalog and
+    # of seeded graphs with delta and Dirichlet vertices
     around = spectral._around
     compared, stood_in = [], []
 
@@ -795,7 +845,43 @@ def test_bracket_end_is_the_count_below_every_level(monkeypatch):
         m = MetricGraph(g, random_lengths(rng, g.edge_count).values, conditions)
         eigenvalues(m, 40.0)
         spectral.negative_spectrum(m)
-    assert len(compared) > 600 and sum(stood_in) > 0.9 * len(compared)
+    assert len(compared) > 600 and all(stood_in)
+
+
+def test_the_count_at_zero_is_the_levels_at_and_below_zero(independent_checks):
+    # on seeded delta and Dirichlet graphs, and on the intervals with a level
+    # at lambda = 0 (f = 1 + c x), the inertia of M0 is what the searches
+    # find: n_- negative levels, and no level within 1e-6 of k = 0 but the
+    # n_0 zeros.  The independent count agrees at k = 1e-3.  An eigenvalue
+    # of M0 decided zero lies well inside eigvalsh's backward error n eps
+    # max |mu|, and every other one far outside it
+    checks = independent_checks
+    rng = np.random.default_rng(5)
+    graphs = [_zero_mode_interval(c) for c in np.arange(1, 31) / 10]
+    while len(graphs) < 330:
+        V = int(rng.integers(2, 6))
+        g = random_connected_graph(rng, V, V - 1 + int(rng.integers(0, 3)))
+        conditions = [[NEUMANN, DIRICHLET, DeltaTheta(float(rng.uniform(-3, 3)))][i] for i in rng.integers(0, 3, V)]
+        m = MetricGraph(g, random_lengths(rng, g.edge_count).values, conditions)
+        if not m.is_neumann_graph():
+            graphs.append(m)
+    zero, other, attractive = [], [], 0
+    for m, row in zip(graphs, levels(graphs, 10.0)):
+        count = spectral._Count(m)
+        n_minus, n_zero = count.zero_modes
+        assert sum(k < 0.0 for k in row) == n_minus, m
+        assert [k for k in row if abs(k) < 1e-6] == [0.0] * n_zero, m
+        plain = checks.Graph(m.graph.vertex_count, m.graph.edges, m.lengths)
+        couplings = {v: a for v, a in enumerate(m.alpha.tolist()) if a != 0.0}
+        assert checks.count(plain, 1e-3, couplings) == n_minus + n_zero + sum(0.0 < k < 1e-3 for k in row), m
+        q = count.coupling[:, count.lengths.size :]
+        mu = np.sort(np.abs(np.linalg.eigvalsh(np.diag(count.alpha) + (q / count.lengths) @ q.T)))
+        bound = mu.size * np.finfo(float).eps * mu.max(initial=0.0)
+        zero += list(mu[:n_zero] / bound)
+        other += list(mu[n_zero:] / bound)
+        attractive += n_minus > 0
+    assert len(zero) == 30 and max(zero) <= 0.45 and min(other) >= 1e10
+    assert attractive >= 50
 
 
 # ---------------------------------------------------------------------------
@@ -843,6 +929,35 @@ def test_loop_basis_rotates_to_vertex_maximum():
 def test_eigenfunction_requires_eigenvalue():
     with pytest.raises(NoEigenspaceError):
         eigenfunction(metric(*interval()), 2.0)
+
+
+def test_eigenfunction_at_zero_reads_the_count_at_zero():
+    # k = 0 is a level where M0 is singular: a Neumann graph's eigenspace
+    # there is the constants, any other graph's zero modes are not constant
+    # and have no EdgeTrig form, and without a zero mode k = 0 is no level
+    m = metric(*star(3))
+    (f,) = eigenfunction(m, 0.0)
+    assert f.k == 0.0 and np.all(f.amp_sin == 0.0)
+    assert f.amp_cos == pytest.approx(np.full(3, 1.0)) and f.norm_sq(m.lengths) == pytest.approx(1.0)
+    with pytest.raises(NotApplicableError, match="not constant"):
+        eigenfunction(_zero_mode_interval(0.5), 0.0)
+    for m in (metric(*interval()).with_condition(0, DIRICHLET), metric(*star(3)).with_condition(1, DeltaTheta(0.4)),
+              _zero_mode_interval(0.5).with_condition(1, DeltaTheta(-0.6))):
+        with pytest.raises(NoEigenspaceError, match="k = 0"):
+            eigenfunction(m, 0.0)
+
+
+@pytest.mark.parametrize("n_max", [-1, 2.5, True, "3"])
+def test_levels_cut_must_be_a_count(n_max):
+    # -1 dropped the last level, 2.5 raised a bare TypeError, True cut at 1
+    with pytest.raises(InvalidInputError, match="n_max"):
+        levels([metric(*star(3))], 10.0, n_max)
+
+
+def test_levels_cut_at_n_max():
+    m = metric(*star(3))
+    row = levels([m], 10.0)[0]
+    assert [levels([m], 10.0, n)[0] for n in (0, 2, np.int64(3))] == [[], row[:2], row[:3]]
 
 
 def test_amplitude_relation_and_conditions_random():
