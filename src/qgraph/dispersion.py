@@ -11,46 +11,63 @@ Multiplicities here are differences of the eigenvalue count around a
 level (`spectral._around`), or follow from them by the count identity
 below; no level is matched to another by a tolerance.
 
-The positive levels of all rows of a sweep come from one vertex
-function.  A row differs from the coupling theta = 0 at v only in the
-diagonal entry alpha = tan(theta/2) of v in the count matrix K0(k) of
-`spectral`, a rank-one change (Berkolaiko-Kuchment, Introduction to
-Quantum Graphs, 2013, ch. 3).  Bordering K0 by e_v and -1/alpha and
-taking the inertia of both Schur complements (Haynsworth's inertia
-additivity: E. V. Haynsworth, Linear Algebra Appl. 1, 1968) counts the
-row from one factorization of K0:
+The levels of all rows of a sweep come from one vertex function.  A row
+differs from the coupling theta = 0 at v only in the diagonal entry
+alpha = tan(theta/2) of v in the count matrix K0(k) of `spectral`, a
+rank-one change (Berkolaiko-Kuchment, Introduction to Quantum Graphs,
+2013, ch. 3).  Bordering K0 by e_v and -1/alpha and taking the inertia
+of both Schur complements (Haynsworth's inertia additivity: E. V.
+Haynsworth, Linear Algebra Appl. 1, 1968) counts the row from one
+factorization of K0:
 
     N_alpha(k) = N_0(k) + [1/alpha + g(k) > 0] - [alpha > 0],   g(k) = (K0(k)^-1)_vv,
 
-with 1/alpha = 0 at theta = pi, where v's row of K goes.  g is the vv
-entry of the inverse vertex Dirichlet-to-Neumann matrix.  It rises with
-k between its poles, which are the theta = 0 levels with an
-eigenfunction that does not vanish at v; g falls across a theta = 0
-level only where it has a pole there, and that is how a pole is told
-from a flat band.  So on each branch between two poles atan g rises
-from -pi/2 to pi/2, and every row has exactly one level on it, where
-phi = atan g + atan(1/alpha) = 0; the first branch starts at the search
-floor and the last ends at the k_max + d of `_level_search`, each with g
-taken there.  The rest of a theta = 0 level, its eigenfunctions that
-vanish at v, is a flat band of every row: the level's multiplicity, less
-one at a pole.  A dispersion curve removes its flat bands from every row
-within the count's merge width.
+with 1/alpha = 0 at theta = pi, where v's row of K goes.  Below zero the
+same holds for the hyperbolic vertex matrix H0(kappa) of
+`spectral._HyperbolicCount`, whose n_- is the number of levels below
+-kappa^2, with h(kappa) = (H0(kappa)^-1)_vv in place of g.  So one
+vertex function G of the signed variable s, k = s for lambda = s^2 and
+kappa = -s for lambda = -s^2, counts every row on both sides: G(s) is
+g(s) for s > 0 and h(-s) for s < 0, and both sides meet M0 of
+`spectral` at s = 0.  G is the vv entry of the inverse vertex
+Dirichlet-to-Neumann matrix.  It rises with s between its poles, which
+are the theta = 0 levels with an eigenfunction that does not vanish at
+v; G falls across a theta = 0 level only where it has a pole there, and
+that is how a pole is told from a flat band.  So on each branch between
+two poles atan G rises from -pi/2 to pi/2, and every row has exactly one
+level on it, where phi = atan G + atan(1/alpha) = 0.  The branches end
+at four points, with G taken there: the negative ones run from
+-kappa_top, where G lies below the -1/alpha of every attractive row
+(`_kappa_top`), to the hyperbolic floor, and the positive ones from the
+trig floor to the k_max + d of `_level_search`.  The rest of a theta = 0
+level, its eigenfunctions that vanish at v, is a flat band of every
+row: the level's multiplicity, less one at a pole.  A dispersion curve
+removes its positive flat bands from every row within the count's merge
+width.
 
-`dispersion_curve` searches the theta = 0 row with the count, and the
-negative branch of every row with its own search, all in one drive.  It
-then finds the roots of all rows on all branches in lockstep by Newton's
-method on phi (`_branch_roots`), each step one stacked solve of
-K0(k) x = e_v.  Every row confirms its levels with its own counts: each
-level's multiplicity is the row's count difference around it, at the
-points of `spectral._around`, and the count at k_max + d must equal the
-levels found.  The levels fix every point of those counts in advance,
-so each row takes them as one batch, and the driver stacks the batches
-of all rows of one matrix shape into one eigvalsh.  A row whose counts
-disagree raises RuntimeError, an internal error, instead of being
-searched again.  A row's counts, trig and hyperbolic, are the theta = 0
-counts with v's coupling changed (`_Count.with_vertex`); no row builds a
-graph.  The rows equal `spectral.levels` of each row within 1e-12
-relative (absolute below k = 1), with equal multiplicities.
+`dispersion_curve` searches the theta = 0 row with the count, and its
+negative levels with the hyperbolic count, in one drive.  It then finds
+the roots of all rows on all branches of both signs in lockstep by
+Newton's method on phi (`_branch_roots`), each step one stacked solve
+of K0(k) x = e_v above zero and one of a bordered form of H0 below.
+Every row confirms its levels with its own counts, trig above zero and
+hyperbolic below: each level's multiplicity is the row's count
+difference around it, at the points of `spectral._around`; the trig
+count at k_max + d must equal the levels found, and the hyperbolic one
+at kappa_top must be V', every level found.  The levels fix every point
+of those counts in advance, so each row takes them as one batch of each
+kind, and `_drive` stacks the batches of all rows of one kind and
+matrix shape into one eigvalsh.  A row whose counts disagree raises
+RuntimeError, an internal error, instead of being searched again.  As
+`levels` does, a row takes the number of its levels below and at zero
+from the inertia of its M0, the M0 of all rows in one stacked eigvalsh
+(`spectral._take_zero_modes`): its negative levels are the n_- lowest of
+its vertex function's, any further one lies within M0's noise of
+lambda = 0, and the levels between a floor and zero are reported at that
+floor.  A row's counts, trig and hyperbolic, are the theta = 0 counts
+with v's coupling changed (`_Count.with_vertex`); no row builds a graph.
+The rows equal `spectral.levels` of each row within 1e-12 relative
+(absolute below k = 1), with equal multiplicities.
 
 The spectral gap parameter theta_SG solves K(theta_SG) = k1(Neumann); it
 lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
@@ -65,6 +82,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,10 +91,13 @@ from .graph import DIRICHLET, NEUMANN, DeltaTheta, MetricGraph, _integer, _quoti
 from .spectral import (
     _level_search,
     _negative_search,
+    _take_zero_modes,
+    _Count,
     _HyperbolicCount,
     _Search,
     _TrigCount,
     _drive,
+    _MULT_FLOOR,
     _MULT_PROBE,
     _merge_width,
     _require_k,
@@ -175,14 +196,70 @@ def _vertex_function(count: _TrigCount, row: int, ks: np.ndarray) -> tuple[np.nd
     return x[:, row], -2.0 * ((x[:, :nv] @ count.coupling) * dtrig * xe).sum(axis=1) - edge.sum(axis=1)
 
 
-def _vertex_samples(count: _TrigCount, row: int, at: list[float],
-                    ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """g of `_vertex_function` at the points of at, at k -+ d around every
-    theta = 0 level k of ks (d the merge width), and whether g has a pole at
-    k, from one stacked solve: g rises between its poles, so it falls across
-    a level, g(k - d) > g(k + d), only at a pole."""
-    width = np.array([_merge_width(k) for k in ks])
-    values = _vertex_function(count, row, np.concatenate([at, ks - width, ks + width]))[0]
+def _hyperbolic_vertex_function(count: _HyperbolicCount, row: int,
+                                kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G(-kappa) = h(kappa) = (H(kappa)^-1)_vv and dG/ds = -h'(kappa) at every
+    kappa of kappas, with H the count's hyperbolic vertex matrix and v its
+    row `row`: one stacked solve.
+
+    H = diag alpha + (kappa/2) C diag(t, 1/t) C^T, t = tanh(kappa l/2), is
+    the Schur complement of the edge block -diag(t, t) of
+
+        B = [[diag alpha, sqrt(kappa/2) C diag(t, 1)], [., -diag(t, t)]],
+
+    so h is (B^-1)_vv.  Near kappa = 0 the kappa^2 part of H, which sets
+    h near a pole at lambda = 0, is below the rounding of H's entries, but
+    B keeps it in entries of its own, as the count matrix K of `spectral`
+    does for g.  With y = B^-1 e_v, dG/ds = y^T B' y = sum_e y_e^2 times
+    (t + z sech^2 z) / kappa on the P half and (t - z sech^2 z) / kappa on
+    the Q half, z = kappa l/2.
+    """
+    b, nv = kappas.size, count.alpha.size
+    E = count.lengths.size
+    n = nv + 2 * E
+    z = (0.5 * kappas)[:, None] * count.lengths
+    t = np.tanh(z)
+    scale = np.sqrt(0.5 * kappas)[:, None] * np.concatenate([t, np.ones_like(t)], axis=1)
+    B = np.zeros((b, n, n))
+    B[:, :nv, nv:] = count.coupling * scale[:, None, :]
+    B[:, nv:, :nv] = B[:, :nv, nv:].transpose(0, 2, 1)
+    B.reshape(b, n * n)[:, :: n + 1] = np.concatenate([np.broadcast_to(count.alpha, (b, nv)), -t, -t], axis=1)
+    unit = np.zeros((b, n, 1))
+    unit[:, row] = 1.0
+    try:
+        y = np.linalg.solve(B, unit)[:, :, 0]
+    except np.linalg.LinAlgError:   # singular to working precision, within ulps of a pole of h
+        return _hyperbolic_vertex_function(count, row, np.nextafter(kappas, np.inf))
+    zs = z * (1.0 - t * t)
+    ye = y[:, nv:]
+    return y[:, row], (ye[:, :E] ** 2 * (t + zs) + ye[:, E:] ** 2 * (t - zs)).sum(axis=1) / kappas
+
+
+def _signed_vertex_function(count: _TrigCount, hyperbolic: _HyperbolicCount, row: int,
+                            s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """G(s) and dG/ds in the signed variable s, k = s for lambda = s^2 > 0 and
+    kappa = -s for lambda = -s^2 < 0: g of `_vertex_function` for s > 0 and
+    h of `_hyperbolic_vertex_function` for s < 0, one stacked solve each."""
+    up = s > 0.0
+    if up.all():
+        return _vertex_function(count, row, s)
+    if not up.any():
+        return _hyperbolic_vertex_function(hyperbolic, row, -s)
+    g, dg = np.empty(s.size), np.empty(s.size)
+    g[up], dg[up] = _vertex_function(count, row, s[up])
+    down = ~up
+    g[down], dg[down] = _hyperbolic_vertex_function(hyperbolic, row, -s[down])
+    return g, dg
+
+
+def _vertex_samples(G, at: list[float], ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex function G (`_vertex_function` or `_signed_vertex_function`)
+    at the points of at, at s -+ d around every theta = 0 level s of ks (d
+    the merge width of |s|), and whether G has a pole at s, from one call of
+    G: G rises between its poles, so it falls across a level,
+    G(s - d) > G(s + d), only at a pole."""
+    width = np.array([_merge_width(abs(k)) for k in ks])
+    values = G(np.concatenate([at, ks - width, ks + width]))[0]
     n = len(at)
     below, above = values[n : n + ks.size], values[n + ks.size :]
     return values[:n], below, above, below > above
@@ -190,12 +267,12 @@ def _vertex_samples(count: _TrigCount, row: int, at: list[float],
 
 def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
                   w: np.ndarray) -> np.ndarray:
-    """The root of phi(k) = arg((1 + i g(k)) w) in every bracket (a, b), where
+    """The root of phi(s) = arg((1 + i g(s)) w) in every bracket (a, b), where
     phi rises from fa <= 0 to fb >= 0 and (a, b) lies on the given branch of g.
 
     phi is atan g + arg w, taken as one argument so that it keeps its
     relative accuracy near the root where the two terms cancel.  The roots
-    are found in lockstep, each step one call g(ks), which gives g and g'
+    are found in lockstep, each step one call g(ss), which gives g and g'
     at the current point of every root still open.  Every root starts at
     the secant point of its bracket.  A step's samples narrow the bracket
     of every root on their branch, where they lie clearly on one side of
@@ -206,7 +283,7 @@ def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.nd
     its midpoint after a secant point.  Near a pole of g too weak for
     `_sweep_levels` to see, Newton's steps would shrink without end.  A
     root is found when its Newton step is within half the tolerance
-    4 eps k of `spectral._illinois`, or has stopped shrinking within 64
+    4 eps |s| of `spectral._illinois`, or has stopped shrinking within 64
     times it, at the noise of g; or when its bracket is narrower than the
     tolerance.  A root still open after _MAX_STEPS steps keeps its point,
     and its row's counts judge it.
@@ -230,8 +307,9 @@ def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.nd
             a[i], fa[i] = np.where(f < 0.0, ki, a[i]), np.where(f < 0.0, f, fa[i])
             b[i], fb[i] = np.where(f > 0.0, ki, b[i]), np.where(f > 0.0, f, fb[i])
             # the samples clear of their branch's ends, ascending by (branch, atan g),
-            # so by k too; |atan g| and |target| are below 2
-            clear = np.flatnonzero((ki - ends[0][i] > _MULT_PROBE * ki) & (ends[1][i] - ki > _MULT_PROBE * ki))
+            # so by s too; |atan g| and |target| are below 2
+            probe = _MULT_PROBE * np.abs(ki)
+            clear = np.flatnonzero((ki - ends[0][i] > probe) & (ends[1][i] - ki > probe))
             if clear.size:
                 phi = np.arctan(gk[clear])
                 order = np.lexsort((phi, bi[clear]))
@@ -265,106 +343,220 @@ def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.nd
     return k
 
 
-def _row_search(count: _TrigCount, theta: float, candidates: list[tuple[float, int]],
-                floor_count: int, hi_k: float) -> _Search:
-    """The positive levels of one sweep row, with multiplicity, from its
-    candidates (k, multiplicity) ascending, and the counts that confirm them.
+class _Check(NamedTuple):
+    """One row's levels of one sign and the points of the row's own counts
+    that confirm them (`_row_check`, `_confirmed`)."""
+
+    theta: float
+    count: _Count
+    levels: list[float]    # ascending, each once
+    mults: list[int]
+    points: np.ndarray     # just below the first level, just above each level, and at the top
+    floor_count: int       # the count expected just below the first level
+    total: int | None      # the count expected at the top, where it is known
+
+
+def _row_check(count: _Count, theta: float, ks: list[float], mults: list[int], below: list[float],
+               above: list[float], floor_count: int, hi_k: float, total: int | None = None) -> _Check:
+    """The levels of one sweep row, from its candidates ks ascending with
+    their multiplicities mults, and the points of the counts that confirm
+    them: the positive levels with the row's trig count, or the negative
+    ones, in kappa, with its hyperbolic count.
 
     Candidates closer than the merge width are one level, as in
     `_level_search`.  Each level's multiplicity is the row's own count
     difference around it, as `_around` takes it: the count just below the
     first level, then the count just above each level, which is the count
-    below the next.  The count at hi_k must equal the last one.  These
-    points are fixed before any count, and the row takes them as one
-    batch.  A level the candidates miss breaks one of the counts, and the
-    row raises RuntimeError instead of being searched again.
+    below the next.  below and above hold those points for every
+    candidate k, k -+ d moved out of any pole window (`_Count.off_poles`).
+    The count at hi_k must equal the last one, and total where it is
+    given.
     """
-    rs, mults, ks = [], [], []
+    levels, counted, points = [], [], []
     i = 0
-    while i < len(candidates):
-        r = candidates[i][0]
-        top = count.off_pole(r + _merge_width(r), 1.0)   # where `_around` takes its upper count
+    while i < len(ks):
+        top = above[i]   # where `_around` takes its upper count
         j, mult = i, 0
-        while j < len(candidates) and candidates[j][0] < top:
-            mult += candidates[j][1]
+        while j < len(ks) and ks[j] < top:
+            mult += mults[j]
             j += 1
-        rs.append(r)
-        mults.append(mult)
-        ks.append(top)
+        levels.append(ks[i])
+        counted.append(mult)
+        points.append(top)
         i = j
-    if rs:
-        ks.insert(0, count.off_pole(rs[0] - _merge_width(rs[0]), -1.0))
-    ks.append(hi_k)
-    ks = np.array(ks)
-    counts = count.counts(ks, (yield count, ks))
-    expected = np.cumsum([floor_count] + mults)   # below each level, and above the last
-    wrong = np.flatnonzero(counts[:-1] != expected) if rs else []
-    if len(wrong):
-        n = max(int(wrong[0]) - 1, 0)   # the first level with a wrong count around it
-        raise RuntimeError(f"theta = {theta}: counts {counts[n]}, {counts[n + 1]} around the level "
-                           f"{rs[n]} of the vertex function, expected {expected[n]}, {expected[n + 1]}")
-    if counts[-1] != expected[-1]:
-        raise RuntimeError(f"theta = {theta}: count {counts[-1]} at k = {hi_k}, but {expected[-1]} levels found")
-    return [r for r, mult in zip(rs, mults) for _ in range(mult)]
+    if levels:
+        points.insert(0, below[0])
+    points.append(hi_k)
+    return _Check(theta, count, levels, counted, np.array(points), floor_count, total)
+
+
+def _batch(count: _Count, ks: np.ndarray) -> _Search:
+    """The count's spectra at every k of ks, taken as one batch."""
+    return (yield count, ks)
+
+
+def _confirmed(checks: list[_Check]) -> list[list[float]]:
+    """The levels of every check with multiplicity, each confirmed by its
+    row's own counts.
+
+    Every check's points are fixed before any count, so each takes them as
+    one batch, and one drive stacks the batches of all rows of one kind
+    and matrix shape into one eigvalsh.  The rows of a sweep share their
+    lengths, so the count of any one turns all their spectra of one shape
+    into N at once.  A level the candidates miss breaks one of a row's
+    counts, and the row raises RuntimeError, an internal error, instead of
+    being searched again.
+    """
+    spectra = _drive([_batch(check.count, check.points) for check in checks])
+    groups: dict[tuple, list[int]] = {}
+    for i, (check, values) in enumerate(zip(checks, spectra)):
+        groups.setdefault((type(check.count), values.shape[1]), []).append(i)
+    counts: list = [None] * len(checks)
+    for group in groups.values():
+        n = checks[group[0]].count.counts(np.concatenate([checks[i].points for i in group]),
+                                          np.concatenate([spectra[i] for i in group])).tolist()
+        at = 0
+        for i in group:
+            counts[i], at = n[at : at + checks[i].points.size], at + checks[i].points.size
+    out = []
+    for check, n in zip(checks, counts):
+        theta, levels = check.theta, check.levels
+        # the counts expected below each level, and above the last
+        expected = list(itertools.accumulate([check.floor_count] + check.mults))
+        if levels and n[:-1] != expected:
+            j = max(next(j for j, (got, want) in enumerate(zip(n, expected)) if got != want) - 1, 0)
+            raise RuntimeError(f"theta = {theta}: counts {n[j]}, {n[j + 1]} around the level {levels[j]} "
+                               f"of the vertex function, expected {expected[j]}, {expected[j + 1]}")
+        top = check.points[-1]
+        if n[-1] != expected[-1]:
+            raise RuntimeError(f"theta = {theta}: count {n[-1]} at k = {top}, but {expected[-1]} levels found")
+        if check.total is not None and n[-1] != check.total:
+            raise RuntimeError(f"theta = {theta}: count {n[-1]} at k = {top}, expected {check.total}")
+        out.append([r for r, mult in zip(levels, check.mults) for _ in range(mult)])
+    return out
+
+
+def _kappa_top(count: _HyperbolicCount, v: int, alpha: float) -> float:
+    """The first kappa = 2^j, j >= 0, where the hyperbolic vertex matrix H with
+    the coupling alpha at vertex v, and so with any weaker one, is positive
+    definite.  Each edge adds (kappa/2)(tanh p p^T + coth q q^T) to H, p and
+    q its unsigned and signed incidence, and as coth >= tanh that is at
+    least kappa tanh(kappa l/2) on the diagonal at each of its ends; so H
+    is positive definite where every alpha_u + kappa sum tanh(kappa l/2)
+    over the edge ends at u is positive."""
+    alphas = count.vertex_alpha.copy()   # inf at the Dirichlet vertices, which have no row
+    alphas[v] = alpha
+    ends = count.graph.incidence[:, : count.lengths.size]
+    kappa = 1.0
+    while np.any(kappa * (ends @ np.tanh(0.5 * kappa * count.lengths)) <= -alphas):
+        kappa *= 2.0
+    return kappa
 
 
 def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
                   k_max: float) -> tuple[list[list[float]], list[tuple[float, int]]]:
     """Every row's levels up to k_max, as `levels` gives them, and the flat
-    bands up to k_max as (k, multiplicity) pairs (module docstring)."""
+    bands in (0, k_max] as (k, multiplicity) pairs (module docstring)."""
     m0 = _with_theta(m, v, 0.0)
     count = _TrigCount(m0)
+    hyperbolic = _HyperbolicCount(m0, count.zero_modes)
     v_row = _row_of(m0, v)
-    # a row's counts are the theta = 0 ones with the coupling at v changed
     alphas = [DeltaTheta(float(t)).alpha for t in thetas]
-    hyperbolic = _HyperbolicCount(m0)
-    rows = [hyperbolic.with_vertex(v_row, alpha) for alpha in alphas]
     floor = count.floor_sample()
-    zero, *negative = _drive([_level_search(count, floor, k_max)] + [_negative_search(row) for row in rows])
+    zero, negative = _drive([_level_search(count, floor, k_max), _negative_search(hyperbolic)])
     hi_k = count.off_pole(k_max + _merge_width(k_max), 1.0)
+    kappa_top = _kappa_top(hyperbolic, v, min(alphas + [0.0]))
 
-    def g(ks):
-        return _vertex_function(count, v_row, ks)
+    def G(ss):
+        return _signed_vertex_function(count, hyperbolic, v_row, ss)
 
-    ks = np.array([lvl.k for lvl in zero])
-    (at_floor, at_hi), _, _, pole = _vertex_samples(count, v_row, [count.floor, hi_k], ks)
-    flats = [(lvl.k, lvl.multiplicity - int(p)) for lvl, p in zip(zero, pole) if lvl.multiplicity > p]
+    # the theta = 0 levels in s, ascending: k = -kappa below 0 (`negative_spectrum`), then the count's
+    ks = np.array([p.k for p in negative] + [lvl.k for lvl in zero])
+    mults = [p.multiplicity for p in negative] + [lvl.multiplicity for lvl in zero]
+    at = [-kappa_top, -hyperbolic.floor, count.floor, hi_k]
+    sampled, _, _, pole = _vertex_samples(G, at, ks)
+    flats = [(float(k), mult - int(p)) for k, mult, p in zip(ks, mults, pole) if mult > p]
+    up_flats = [(k, mult) for k, mult in flats if k > 0.0]
+    down_flats = [(-k, mult) for k, mult in flats if k < 0.0]   # in kappa
     poles = ks[pole]
 
-    # branch n runs from ends[n] to ends[n + 1]: between two poles atan g rises
-    # from -pi/2 to pi/2, and every row has one root there; w carries the
-    # coupling, phi = arg((1 + i g) w) = atan g + atan(1 / alpha)
+    # a branch runs from an end or a pole to the next: between two poles atan G
+    # rises from -pi/2 to pi/2, and every row has one root there.  The
+    # negative branches run from -kappa_top to the hyperbolic floor, the
+    # positive ones from the trig floor to hi_k, each with G taken at those
+    # ends.  w carries the coupling, phi = arg((1 + i G) w) = atan G + atan(1 / alpha)
+    n_neg = int(np.count_nonzero(poles < 0.0))
+    lo = np.concatenate([[-kappa_top], poles[:n_neg], [count.floor], poles[n_neg:]])
+    hi = np.concatenate([poles[:n_neg], [-hyperbolic.floor], poles[n_neg:], [hi_k]])
+    branch = np.arange(lo.size)
+    opens, closes = np.zeros(branch.size, dtype=bool), np.zeros(branch.size, dtype=bool)
+    opens[[0, n_neg + 1]] = closes[[n_neg, -1]] = True   # the branches that start, end at an end
     moving = [j for j, t in enumerate(thetas) if t != 0.0]
     w = np.array([complex(abs(math.sin(0.5 * t)), math.copysign(math.cos(0.5 * t), t)) for t in thetas[moving]])
-    ends = np.concatenate([[count.floor], poles, [hi_k]])
-    branch = np.arange(poles.size + 1)
     fa = np.repeat(np.angle(w)[:, None] - 0.5 * math.pi, branch.size, axis=1)
     fb = fa + math.pi
-    fa[:, 0] = np.angle((1.0 + 1j * at_floor) * w)
-    fb[:, -1] = np.angle((1.0 + 1j * at_hi) * w)
+    fa[:, opens] = np.angle((1.0 + 1j * sampled[[0, 2]]) * w[:, None])
+    fb[:, closes] = np.angle((1.0 + 1j * sampled[[1, 3]]) * w[:, None])
     # a root on a branch between two poles is there for every row; rounding
     # may put it on a pole, where fa or fb is 0
-    live = ((fa < 0.0) | (branch > 0)) & ((fb > 0.0) | (branch < poles.size))
-    roots = _branch_roots(g, np.broadcast_to(branch, fa.shape)[live], np.broadcast_to(ends[:-1], fa.shape)[live],
-                          np.broadcast_to(ends[1:], fa.shape)[live], fa[live], fb[live],
+    live = ((fa < 0.0) | ~opens) & ((fb > 0.0) | ~closes)
+    roots = _branch_roots(G, np.broadcast_to(branch, fa.shape)[live], np.broadcast_to(lo, fa.shape)[live],
+                          np.broadcast_to(hi, fa.shape)[live], fa[live], fb[live],
                           np.broadcast_to(w[:, None], fa.shape)[live])
     per_row = np.split(roots, np.cumsum(live.sum(axis=1))[:-1])
+    below_zero = live[:, : n_neg + 1].sum(axis=1)
 
-    searches, unresolved = [], []
-    for n, (j, r) in enumerate(zip(moving, per_row)):
+    # every row's counts at the floors by the count identity (module
+    # docstring), and its candidates, positive ones in k and negative ones in
+    # kappa, both ascending
+    rows = [count.with_vertex(v_row, alphas[j]) for j in moving]
+    _take_zero_modes(rows)
+    sides, floors = ([], []), []
+    for n, j in enumerate(moving):
+        repels = int(thetas[j] > 0.0)
+        r, n_minus = per_row[n], rows[n].zero_modes[0]
+        floor_count = floor.count + int(fa[n, n_neg + 1] > 0.0) - repels
+        below_count = count.zero_modes[0] + int(fb[n, n_neg] > 0.0) - repels   # below the hyperbolic floor
+        sides[0].append(sorted([(float(k), 1) for k in r[below_zero[n]:]] + up_flats))
+        down = sorted([(-float(k), 1) for k in r[: below_zero[n]]] + down_flats)
+        # M0 counts the levels below 0, as in `levels`: they are the n_- lowest
+        # of the vertex function's, and any more lie within M0's noise of
+        # lambda = 0, where they count as zero
+        dropped = 0
+        while dropped < below_count - n_minus and down:
+            dropped += down.pop(0)[1]
+        sides[1].append(down if n_minus else [])
+        floors.append((floor_count, below_count - dropped))
+    # the points of the counts around each candidate, in arrays
+    points = []
+    for side, counter in zip(sides, (count, hyperbolic)):
+        cands = np.array([k for c in side for k, _ in c])
+        width = np.maximum(_MULT_PROBE * cands, _MULT_FLOOR)
+        below = counter.off_poles(cands - width, -1.0).tolist()
+        above = counter.off_poles(cands + width, 1.0).tolist()
+        at = np.cumsum([0] + [len(c) for c in side]).tolist()
+        points.append([([k for k, _ in c], [mult for _, mult in c], below[i:j], above[i:j])
+                       for c, i, j in zip(side, at, at[1:])])
+
+    checks, low = {}, {}
+    for n, (j, (floor_count, below_count)) in enumerate(zip(moving, floors)):
         theta = float(thetas[j])
-        floor_count = floor.count + int(fa[n, 0] > 0.0) - int(theta > 0.0)
-        # levels below the row's floor beyond its n_- + n_0 lie in (0, floor]: `levels` reports them there
-        unresolved.append([count.floor] * (floor_count - sum(rows[j].zero_modes)))
-        candidates = sorted([(float(k), 1) for k in r] + flats)
-        searches.append(_row_search(count.with_vertex(v_row, alphas[j]), theta, candidates, floor_count, hi_k))
-    positive = {j: low + found for j, low, found in zip(moving, unresolved, _drive(searches))}
-    zero_levels = [lvl.k for lvl in zero for _ in range(lvl.multiplicity)]
-    out = []
-    for j, found in enumerate(negative):
-        below = [p.k for p in found for _ in range(p.multiplicity)]
-        out.append(below + [0.0] * rows[j].zero_modes[1] + positive.get(j, zero_levels))
-    return out, flats
+        n_minus, n_zero = rows[n].zero_modes
+        # the levels between a floor and lambda = 0 beyond M0's count there,
+        # n_- below zero and n_- + n_0 up to it: `levels` reports them at
+        # that floor
+        low[j] = ([-hyperbolic.floor] * (n_minus - below_count) + [0.0] * n_zero
+                  + [count.floor] * (floor_count - n_minus - n_zero))
+        checks[j, 1] = _row_check(rows[n], theta, *points[0][n], floor_count, hi_k)
+        if n_minus:
+            V = rows[n].alpha.size
+            checks[j, -1] = _row_check(hyperbolic.with_vertex(v_row, alphas[j]), theta, *points[1][n],
+                                       V - below_count, kappa_top, total=V)
+    found = dict(zip(checks, _confirmed(list(checks.values()))))
+    base = [p.k for p in negative for _ in range(p.multiplicity)] + [0.0] * count.zero_modes[1]
+    base += [lvl.k for lvl in zero for _ in range(lvl.multiplicity)]
+    return [[-k for k in reversed(found.get((j, -1), []))] + low[j] + found[j, 1] if j in low else base
+            for j in range(len(thetas))], up_flats
 
 
 def _row_of(m: MetricGraph, v: int) -> int:
@@ -456,7 +648,9 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     k1, k1_mult = spectral_gap(m)
     dirichlet_k0 = spectral_gap(m_dir)[0]
     tol_k = 1e-10 * max(1.0, k1)
-    (g_gap,), below, above, pole = _vertex_samples(_TrigCount(m), _row_of(m, v), [k1 - tol_k], np.array([k1]))
+    count, row = _TrigCount(m), _row_of(m, v)
+    (g_gap,), below, above, pole = _vertex_samples(lambda ks: _vertex_function(count, row, ks), [k1 - tol_k],
+                                                   np.array([k1]))
     dirichlet_holds = dirichlet_k0 >= k1 - tol_k
     if dirichlet_holds != (g_gap <= 0.0):
         raise RuntimeError(f"Dirichlet gap {dirichlet_k0} at vertex {v} against k1 = {k1}, "

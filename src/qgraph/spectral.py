@@ -75,7 +75,11 @@ count N(r + d) starts the search of the next level, and a search's
 `_Level`s carry it, so a later search of the levels above r starts
 there.  Negative eigenvalues lambda = -kappa^2 of attractive delta
 couplings go through the same finder with the hyperbolic vertex matrix
-(`_negative_search`).
+(`_negative_search`).  A delta sweep's rows take theirs from one vertex
+function of the theta = 0 hyperbolic matrix instead, in one Newton
+lockstep with their positive levels, and confirm them with their own
+hyperbolic counts (`dispersion`); the theta = 0 row still searches its
+negative levels here.
 
 The finder is a generator, `_level_search`: it yields a request, the
 count and a k where it needs that count, and is sent the count's spectrum
@@ -251,11 +255,36 @@ class _Sample:
     evals: np.ndarray | None   # None where the count is known without a matrix (`floor_sample`)
 
 
-def _zero_inertia(q: np.ndarray, alpha: np.ndarray, lengths: np.ndarray) -> tuple[int, int]:
-    """(n_-, n_0) of M0 = diag alpha + q diag(1/l) q^T, zero within eigvalsh's backward error."""
-    mu = np.linalg.eigvalsh(np.diag(alpha) + (q / lengths) @ q.T)
-    noise = mu.size * np.finfo(float).eps * np.abs(mu).max(initial=0.0)
-    return int(np.count_nonzero(mu < -noise)), int(np.count_nonzero(np.abs(mu) <= noise))
+def _zero_inertia(q: np.ndarray, alpha: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n_-, n_0) of every M0 = diag alpha[j] + q[j] diag(1/l) q[j]^T of a stack,
+    in one eigvalsh.  An eigenvalue counts as zero within n eps times the
+    larger of max |mu| and the largest |alpha_v| + sum_e q_ve^2 / l_e: within
+    eigvalsh's backward error, or within the rounding of M0's own entries
+    where their terms cancel, as in a 1 x 1 M0 = 1/l + alpha with alpha one
+    ulp from -1/l."""
+    b, nv = alpha.shape
+    M = (q / lengths) @ q.transpose(0, 2, 1)
+    terms = np.abs(alpha) + M.reshape(b, nv * nv)[:, :: nv + 1]
+    M.reshape(b, nv * nv)[:, :: nv + 1] += alpha
+    mu = np.linalg.eigvalsh(M)
+    scale = np.maximum(np.abs(mu).max(axis=1, initial=0.0), terms.max(axis=1, initial=0.0))
+    noise = (nv * np.finfo(float).eps * scale)[:, None]
+    return np.count_nonzero(mu < -noise, axis=1), np.count_nonzero(np.abs(mu) <= noise, axis=1)
+
+
+def _take_zero_modes(counts: list[_Count]) -> None:
+    """Set the `zero_modes` of counts that share their lengths, as a sweep's
+    rows do, from one stacked `_zero_inertia` per shape."""
+    groups: dict[int, list[_Count]] = {}
+    for count in counts:
+        if not count.neumann and "zero_modes" not in vars(count):
+            groups.setdefault(count.alpha.size, []).append(count)
+    for group in groups.values():
+        E = group[0].lengths.size
+        n_minus, n_zero = _zero_inertia(np.array([count.coupling[:, E:] for count in group]),
+                                        np.array([count.alpha for count in group]), group[0].lengths)
+        for count, minus, zero in zip(group, n_minus.tolist(), n_zero.tolist()):
+            count.zero_modes = minus, zero
 
 
 def _scaled(incidence: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,8 +313,10 @@ class _Count:
     offset = 0
     floor = math.nan   # where a search of all the count's levels starts; set by each count
 
-    def __init__(self, m: MetricGraph) -> None:
+    def __init__(self, m: MetricGraph, zero_modes: tuple[int, int] | None = None) -> None:
         g = m.graph
+        if zero_modes is not None:   # taken by another count of m
+            self.zero_modes = zero_modes
         self.graph = g
         self.vertex_alpha = m.alpha   # of every vertex, inf at the Dirichlet ones, which have no row
         self.neumann = m.is_neumann_graph()
@@ -320,8 +351,10 @@ class _Count:
     @cached_property
     def zero_modes(self) -> tuple[int, int]:
         """(n_-, n_0) of M0 (module docstring), scaled as the count is; a Neumann graph's is (0, 1)."""
-        q = self.coupling[:, self.lengths.size :]
-        return (0, 1) if self.neumann else _zero_inertia(q, self.alpha, self.lengths)
+        if self.neumann:
+            return 0, 1
+        n_minus, n_zero = _zero_inertia(self.coupling[None, :, self.lengths.size :], self.alpha[None], self.lengths)
+        return int(n_minus[0]), int(n_zero[0])
 
     def poles(self, k: float) -> int:
         return 0
@@ -362,6 +395,10 @@ class _Count:
             k = pole + direction * 2.0 * half
             hit = self.pole_near(k)
         return k
+
+    def off_poles(self, ks: np.ndarray, direction: float) -> np.ndarray:
+        """`off_pole` at every k of ks."""
+        return ks
 
 
 class _TrigCount(_Count):
@@ -491,6 +528,21 @@ class _TrigCount(_Count):
 
     def off_scale(self, k: float) -> bool:
         return k == self.floor or self._pole_within(k, 4.0 * _POLE_WINDOW) is not None
+
+    def off_poles(self, ks: np.ndarray, direction: float) -> np.ndarray:
+        """`off_pole` in arrays, to the bit: each k moves past the window of the
+        first edge whose pole it lies in, until it lies in none."""
+        ks = np.array(ks, dtype=float)
+        while True:
+            x = ks[:, None] * self.lengths / math.pi
+            n = np.rint(x)
+            inside = (n > 0.0) & (np.abs(x - n) < _POLE_WINDOW)
+            hit = np.flatnonzero(inside.any(axis=1))
+            if not hit.size:
+                return ks
+            first = inside[hit].argmax(axis=1)
+            l = self.lengths[first]
+            ks[hit] = n[hit, first] * math.pi / l + direction * 2.0 * (_POLE_WINDOW * math.pi / l)
 
 
 def _split(count: _Count, a: float, b: float) -> tuple[float | None, float | None]:
@@ -751,11 +803,11 @@ def _k_floor(m: MetricGraph) -> float:
     return 1e-6 * math.pi / (16.0 * m.total_length * m.graph.edge_count)
 
 
-def _eigenvalue_search(m: MetricGraph, k_max: float, k_min: float) -> _Search:
-    """`eigenvalues` as a search."""
+def _eigenvalue_search(m: MetricGraph, k_max: float, k_min: float, count: _TrigCount | None = None) -> _Search:
+    """`eigenvalues` as a search, with m's count where the caller has built it."""
     _require_k("k_max", k_max)
     _require_k("k_min", k_min, zero_ok=True)
-    count = _TrigCount(m)
+    count = count if count is not None else _TrigCount(m)
     lo = yield from _below(count, max(k_min, count.floor))
     levels = yield from _level_search(count, lo, k_max)
     pairs = [Eigenpair(k, mult) for k, mult, _ in levels]
@@ -1114,8 +1166,9 @@ def negative_spectrum(m: MetricGraph) -> list[Eigenpair]:
 def _levels_search(m: MetricGraph, k_max: float, n_max: int | None) -> _Search:
     """One graph's `levels` as a search.  The nonnegative spectrum goes
     first, so the trig counts of a sweep's rows stack from the first step."""
-    spectrum = yield from _eigenvalue_search(m, k_max, 0.0)
-    negative = yield from _negative_search(_HyperbolicCount(m))
+    count = _TrigCount(m)
+    spectrum = yield from _eigenvalue_search(m, k_max, 0.0, count)
+    negative = yield from _negative_search(_HyperbolicCount(m, count.zero_modes))
     return ([p.k for p in negative for _ in range(p.multiplicity)] + spectrum.expanded())[:n_max]
 
 

@@ -21,10 +21,12 @@ def count_matrices(monkeypatch):
     `_TrigCount.spectra` or `_HyperbolicCount.spectra` call is one.  A lone
     request's `spectrum` is the stack of one, so it is tallied there too,
     and no matrix twice.  Apart from them, `m0.n` tallies the matrices M0
-    whose inertia a count takes for its floor (`_zero_inertia`).  It wraps
-    the private entry points until the library counts its own requests."""
+    whose inertia a count takes for its floor, each matrix of a stacked
+    `_zero_inertia` call, and `m0.calls` those calls.  It wraps the private
+    entry points until the library counts its own requests."""
     tally = Tally()
     tally.m0 = Tally()
+    tally.m0.calls = 0
     for cls in (spectral._TrigCount, spectral._HyperbolicCount):
         def counted(coupling, alpha, lengths, ks, spectra=cls.spectra):
             tally.n += len(ks)
@@ -34,7 +36,8 @@ def count_matrices(monkeypatch):
     zero_inertia = spectral._zero_inertia
 
     def solved(q, alpha, lengths):
-        tally.m0.n += 1
+        tally.m0.n += len(alpha)
+        tally.m0.calls += 1
         return zero_inertia(q, alpha, lengths)
 
     monkeypatch.setattr(spectral, "_zero_inertia", solved)

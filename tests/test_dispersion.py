@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qgraph import (
+    DIRICHLET,
     NEUMANN,
     DeltaTheta,
     InvalidInputError,
@@ -259,10 +260,12 @@ def _grouped(row):
     return [(k, len(list(same))) for k, same in itertools.groupby(row)]
 
 
-def _assert_rows_match_levels(m, v, grid):
+def _assert_rows_match_levels(m, v, grid, every=1):
+    """Every row of the curve (every `every`-th one) against `levels` of that row alone."""
     curve = dispersion_curve(m, v, grid_size=grid)
-    oracle = levels([_with_theta(m, v, float(t)) for t in curve.thetas], 9 * PI / m.total_length)
-    for theta, row, expected in zip(curve.thetas, curve.levels, oracle):
+    thetas, rows = curve.thetas[::every], curve.levels[::every]
+    oracle = levels([_with_theta(m, v, float(t)) for t in thetas], 9 * PI / m.total_length)
+    for theta, row, expected in zip(thetas, rows, oracle):
         got, want = _grouped(row), _grouped(expected)
         assert [mult for _, mult in got] == [mult for _, mult in want], (m, v, theta)
         # relative above k = 1; near k = 0 a count-based level is only as good
@@ -320,13 +323,182 @@ def test_a_vertex_function_that_skips_a_branch_raises(monkeypatch):
         dispersion_curve(m, 1, grid_size=16)
 
 
+def _attractive_elsewhere():
+    """star(3) with an attractive coupling at leaf 2, swept at leaf 1: the
+    theta = 0 graph has one negative level, a pole of the vertex function on
+    s < 0, so the negative branch has two pieces."""
+    return metric(*star(3)).with_condition(2, DeltaTheta(-2.5)), 1
+
+
+def test_negative_levels_on_both_sides_of_a_pole():
+    # the strongly attractive rows have a level on either side of the pole,
+    # the weakly attractive ones below it only and the repulsive ones above it
+    m, v = _attractive_elsewhere()
+    (pole,) = negative_spectrum(_with_theta(m, v, 0.0))
+    assert pole.multiplicity == 1
+    curve = dispersion_curve(m, v, grid_size=32)
+    below = [[k for k in row if k < 0.0] for row in curve.levels]
+    assert len(below[0]) == 2 and {len(b) for b in below} == {1, 2}
+    for theta, b in zip(curve.thetas, below):
+        assert b == sorted(b) and len(b) in (1, 2)
+        if len(b) == 2:
+            assert b[0] < pole.k < b[1]
+        else:
+            assert b[0] < pole.k if theta < 0.0 else b[0] >= pole.k
+    _assert_rows_match_levels(m, v, 32)
+    # two attractive couplings put two poles on s < 0
+    g = DiscreteGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    m2 = MetricGraph(g, [0.15, 0.2, 0.25, 0.3, 0.1], [NEUMANN, DeltaTheta(-3.0), DeltaTheta(0.5), DeltaTheta(-3.0)])
+    assert len(negative_spectrum(m2)) == 2
+    for w in (0, 2):
+        _assert_rows_match_levels(m2, w, 32)
+
+
+def test_the_hyperbolic_vertex_function_at_a_star_centre():
+    # at the centre of a star with Neumann leaves h(kappa) = 1 / sum_e kappa
+    # tanh(kappa l_e), the inverse of the centre's Dirichlet-to-Neumann map,
+    # and dG/ds = -h'(kappa): the bordered solve keeps both to 1e-14 from
+    # kappa = 1e-7, where h ~ 1e14 nears the pole at lambda = 0, to kappa = 300
+    lengths = np.array([0.2, 0.3, 0.5])
+    m = metric(star(3)[0], lengths)
+    kappas = np.array([1e-7, 1e-5, 1e-3, 0.02, 0.1, 1.0, 10.0, 300.0])
+    G, dG = dispersion._hyperbolic_vertex_function(spectral._HyperbolicCount(m), 0, kappas)
+    dtn = np.array([np.sum(k * np.tanh(k * lengths)) for k in kappas])
+    slope = np.array([np.sum(np.tanh(k * lengths) + k * lengths / np.cosh(k * lengths) ** 2) for k in kappas])
+    assert G == pytest.approx(1.0 / dtn, rel=1e-14, abs=0.0)
+    assert dG == pytest.approx(slope / dtn**2, rel=1e-14, abs=0.0)
+    # on random graphs, loops, delta and Dirichlet vertices included, dG/ds
+    # is the slope of G
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        m, v = _random_sweep(rng, deltas=True)
+        m0 = _with_theta(m, v, 0.0)
+        count = spectral._HyperbolicCount(m0)
+        kappas = rng.uniform(0.05, 20.0, 6)
+        step = 1e-6 * kappas
+        G, dG = dispersion._hyperbolic_vertex_function(count, dispersion._row_of(m0, v), kappas)
+        up = dispersion._hyperbolic_vertex_function(count, dispersion._row_of(m0, v), kappas - step)[0]
+        down = dispersion._hyperbolic_vertex_function(count, dispersion._row_of(m0, v), kappas + step)[0]
+        assert dG == pytest.approx((up - down) / (2.0 * step), rel=1e-5, abs=1e-8 * np.abs(G).max()), m
+
+
+def test_a_nonsingular_m0_makes_the_vertex_function_continuous_at_zero():
+    # with Dirichlet at one end of a path, M0 is positive definite: the
+    # vertex function at v meets (M0^-1)_vv from both sides of s = 0, and
+    # the row where 1/alpha + G(0) = 0 has its level cross lambda = 0
+    m = metric(*path_graph(2)).with_condition(2, DIRICHLET)
+    v = 0
+    m0 = _with_theta(m, v, 0.0)
+    count = spectral._TrigCount(m0)
+    hyperbolic = spectral._HyperbolicCount(m0)
+    q = count.coupling[:, count.lengths.size :]
+    g0 = np.linalg.inv(np.diag(count.alpha) + (q / count.lengths) @ q.T)[v, v]
+    s = np.array([-1e-3, -1e-9, 1e-9, 1e-3])
+    G, dG = dispersion._signed_vertex_function(count, hyperbolic, dispersion._row_of(m0, v), s)
+    assert G == pytest.approx(g0, rel=1e-5)
+    assert dG[0] > 0.0 and dG[-1] > 0.0
+    assert abs(G[2] - G[1]) <= 1e-12 * abs(g0)
+    curve = dispersion_curve(m, v, grid_size=32)
+    signs = [np.sign(row[0]) for row in curve.levels]
+    assert signs[0] == -1.0 and signs[-1] == 1.0
+    _assert_rows_match_levels(m, v, 32)
+
+
+def test_a_row_with_a_level_at_zero_on_the_found_49_family():
+    # f = 1 + c x on the unit interval, with the coupling c at x = 0 and
+    # -c / (1 + c) at x = 1: the row at theta = 2 atan(c) at vertex 0 has the
+    # level lambda = 0, and the theta = 0 graph has a negative level (a pole
+    # of G on s < 0) and a nonsingular M0.  For c > 0 the row has no negative
+    # level; for c < -1 both couplings attract, and it has one.  There the
+    # vertex function may put the zero level just below the hyperbolic
+    # floor, by noise, and M0, which counts it as zero, decides
+    grid = 16
+    for j in (1, 2, 8, 10, 12):   # theta = -3 pi/4, -5 pi/8, pi/4, pi/2, 3 pi/4 on the grid
+        theta = -PI + 2 * PI * (j + 1) / grid
+        c = DeltaTheta(theta).alpha
+        m = metric(*interval()).with_condition(1, DeltaTheta(2.0 * math.atan(-c / (1.0 + c))))
+        curve = dispersion_curve(m, 0, grid_size=grid)
+        row = curve.levels[j]
+        assert curve.thetas[j] == theta
+        assert row.count(0.0) == 1 and sum(k < 0.0 for k in row) == int(c < -1.0), c
+        assert len(negative_spectrum(_with_theta(m, 0, 0.0))) == 1
+        _assert_rows_match_levels(m, 0, grid)
+
+
+def test_a_level_within_the_rounding_of_m0_counts_as_zero():
+    # the unit interval with Dirichlet at 0, swept at 1: on a grid of 44 the
+    # row at theta = -pi/2 - 2.2e-16 has alpha = -1 - 2.2e-16, and M0 = 1 + alpha
+    # = -2.2e-16 is the rounding of its two terms.  The level sits at
+    # lambda ~ -7e-16, where the hyperbolic count and the vertex function each
+    # place it by rounding (kappa 2.8e-8 and 8.4e-9, mpmath 2.58e-8), and the
+    # row's counts refused the vertex function's.  M0 counts it as zero, in
+    # the sweep as in `levels`
+    m = metric(*interval()).with_condition(0, DIRICHLET)
+    theta = -PI + 2 * PI * 11 / 44
+    assert DeltaTheta(theta).alpha == -1.0000000000000002
+    assert spectral._Count(_with_theta(m, 1, theta)).zero_modes == (0, 1)
+    curve = dispersion_curve(m, 1, grid_size=44)
+    assert curve.thetas[10] == theta and curve.levels[10][0] == 0.0
+    _assert_rows_match_levels(m, 1, 44)
+
+
+def test_a_deep_negative_level_of_a_fine_grid(recwarn):
+    # star(3) at its centre on a grid of 2048: the first row, alpha = -652,
+    # binds kappa = 217 with 3 kappa tanh(kappa / 3) = -alpha; no step of the
+    # vertex function overflows or warns
+    m = metric(*star(3))
+    curve = dispersion_curve(m, 0, grid_size=2048)
+    alpha = DeltaTheta(float(curve.thetas[0])).alpha
+    kappa = -curve.levels[0][0]
+    assert alpha == pytest.approx(-652.0, abs=1.0) and kappa == pytest.approx(217.0, abs=1.0)
+    assert 3 * kappa * math.tanh(kappa / 3) == pytest.approx(-alpha, rel=1e-13)
+    assert [w for w in recwarn if issubclass(w.category, RuntimeWarning)] == []
+    _assert_rows_match_levels(m, 0, 2048, every=61)
+
+
+def test_a_hyperbolic_vertex_function_that_skips_a_branch_raises(monkeypatch):
+    # h shifted far up beyond the pole of the theta = 0 graph's negative level
+    # has no root there for any attractive row: each row's own hyperbolic
+    # counts must refuse the levels found, not return short rows
+    m, v = _attractive_elsewhere()
+    (pole,) = negative_spectrum(_with_theta(m, v, 0.0))
+    solve = dispersion._hyperbolic_vertex_function
+
+    def skipping(count, row, kappas):
+        h, dh = solve(count, row, kappas)
+        return np.where(kappas > -pole.k, h + 1e9, h), dh
+
+    monkeypatch.setattr(dispersion, "_hyperbolic_vertex_function", skipping)
+    thetas = [-PI + 2 * PI * (j + 1) / 16 for j in range(16)]
+    for theta in thetas[:7]:
+        with pytest.raises(RuntimeError, match="theta = .*: count"):
+            dispersion._sweep_levels(m, v, np.array([theta]), 9 * PI)
+    # the repulsive rows have no level on that branch
+    for theta in thetas[8:]:
+        dispersion._sweep_levels(m, v, np.array([theta]), 9 * PI)
+    with pytest.raises(RuntimeError, match="theta = .*: count"):
+        dispersion_curve(m, v, grid_size=16)
+
+
+def test_a_kappa_top_below_a_negative_level_raises(monkeypatch):
+    # the negative branches end at kappa_top, where every row's hyperbolic
+    # count must be V'; one below the level of an attractive row leaves that
+    # level to no branch, and the row's count there must refuse it
+    m = metric(*star(3))
+    monkeypatch.setattr(dispersion, "_kappa_top", lambda count, v, alpha: 1.0)
+    with pytest.raises(RuntimeError, match="theta = .*: count 3 at k = 1.0, expected 4"):
+        dispersion_curve(m, 0, grid_size=16)
+
+
 def test_dispersion_count_budget(count_matrices, monkeypatch):
-    # one theta = 0 search, one solve per step for all roots, then each row's
-    # counts around its levels; the flat bands are the theta = 0 levels
-    # without a pole of the vertex function, and take no count: the 32
-    # per-row searches took 2,542.  No row counts at its floor: each takes
-    # the inertia of its M0 instead, save the theta = 0 row, a Neumann graph
-    # whose floor count is known
+    # one theta = 0 search, one solve per step for all roots of both signs,
+    # then each row's counts around its levels; the flat bands are the
+    # theta = 0 levels without a pole of the vertex function, and take no
+    # count: the 32 per-row searches took 2,542, and a search of each row's
+    # negative branch 479.  No row counts at its floor: each takes the
+    # inertia of its M0, all rows of one shape in one stacked solve (31
+    # solves before), save the theta = 0 row, a Neumann graph whose floor
+    # count is known
     calls = [0]   # the `spectra` calls of each drive
     for cls in (spectral._TrigCount, spectral._HyperbolicCount):
         def counted(coupling, alpha, lengths, ks, spectra=cls.spectra):
@@ -342,12 +514,13 @@ def test_dispersion_count_budget(count_matrices, monkeypatch):
 
     monkeypatch.setattr(dispersion, "_drive", tallied)
     dispersion_curve(metric(*star(4)), 1, grid_size=32)
-    assert count_matrices.n == 479
-    assert count_matrices.m0.n == 31
-    # the rows confirm their levels last, each with one batch of counts: one
-    # stacked call for the rows that keep v and one for the theta = pi row,
-    # which drops it; level by level they took 18
-    assert calls[-1] == 2
+    assert count_matrices.n == 330
+    assert (count_matrices.m0.n, count_matrices.m0.calls) == (31, 2)
+    # the rows confirm their levels last, each with one batch of counts of
+    # each sign: one stacked call for the trig counts of the rows that keep
+    # v, one for the theta = pi row, which drops it, and one for the
+    # hyperbolic counts of the attractive rows; level by level they took 18
+    assert calls[-1] == 3
 
 
 @pytest.mark.parametrize("call", [

@@ -723,6 +723,30 @@ def test_pole_bookkeeping_equals_the_array_formulas():
     assert compared > 10_000
 
 
+def test_pole_moves_in_arrays_equal_the_single_ones():
+    # a sweep row's confirming counts move their points out of the pole
+    # windows in arrays (`off_poles`): every point equals `off_pole`'s to the
+    # bit, moved past the window of the same first edge, with n pi / l formed
+    # the same way, on lengths that share poles too
+    rng = np.random.default_rng(2911)
+    compared = moved = 0
+    for count in _pole_counts(rng, 120):
+        ks, _ = _pole_probes(count)
+        ks = np.array(ks + [count.floor] + list(rng.uniform(0.01, 40.0, 8)))
+        width = np.maximum(1e-10 * ks, 1e-9)   # the merge width a row's counts step by
+        for probe in (ks, ks - width, ks + width):
+            for direction in (-1.0, 1.0):
+                got = count.off_poles(probe, direction)
+                single = np.array([count.off_pole(k, direction) for k in probe.tolist()])
+                assert got.tobytes() == single.tobytes(), (count.lengths, direction)
+                compared += probe.size
+                moved += int(np.count_nonzero(got != probe))
+    assert compared > 70_000 and moved > 3_000
+    # the hyperbolic count has no poles, and moves no point
+    hyperbolic = _HyperbolicCount(metric(*star(3)))
+    assert hyperbolic.off_poles(ks, 1.0) is ks
+
+
 def test_regula_falsi_stays_within_its_count_budget(count_matrices):
     # the search floor's and the pole-window edges' values are off scale,
     # O(1e-11), and a secant through them creeps: taken as values, they
@@ -776,6 +800,15 @@ def test_known_neumann_floor_saves_one_count(count_matrices, monkeypatch):
             count_matrices.n = 0
             assert spectral_gap(m) == known
         assert (count_matrices.n, count_matrices.m0.n) == (tally, 1), m
+
+
+def test_levels_takes_each_m0_once(count_matrices):
+    # the trig and the hyperbolic search of one graph share the inertia of
+    # its M0, which `levels` solved once for each
+    m = metric(*star(3)).with_condition(1, DeltaTheta(-2.0)).with_condition(2, DIRICHLET)
+    row = levels([m], 10.0)[0]
+    assert row[0] < 0.0 < row[1]
+    assert (count_matrices.m0.n, count_matrices.m0.calls) == (1, 1)
 
 
 def test_neumann_floor_count_is_one_on_catalog_and_random_graphs():
