@@ -21,17 +21,19 @@ the incidence its graph built once.  A trial point within NO_MOVE_RTOL
 search.
 
 The restarts run in lockstep.  An ascent is a generator that hands up
-the count requests of its level searches (`spectral._drive`), and
+the count requests of its level searches (`_lockstep._drive`), and
 `maximize_gap` drives all of them together: at each step the pending
-counts of one matrix shape cost one stacked eigvalsh.  Every ascent is
-sent the values it would get alone, so its result and trace do not
-depend on its company.  Eigenspaces are solved inside each ascent with
-the multiplicity its level search counted, and candidate metric graphs
-take the projected lengths as they are (`graph._trusted_metric`).  An
-ascent holds its gap as the `_Level` of its gap search, with the count
-just above the gap: the window of branches that steer the step
-(`_cluster_energies`) is searched up from that count, so one count at the
-window's top shows when the gap is alone in it.
+counts of one matrix shape cost one stacked eigvalsh.  An ascent runs
+its contract probes in lockstep too (`_lockstep._together`), so a step
+takes a count of every probe that needs one.  Every ascent is sent the
+values it would get alone, so its result and trace do not depend on its
+company.  Eigenspaces are solved inside each ascent with the
+multiplicity its level search counted, and candidate metric graphs take
+the projected lengths as they are (`graph._trusted_metric`).  An ascent
+holds its gap as the `_Level` of its gap search, with the count just
+above the gap: the window of branches that steer the step
+(`_cluster_energies`) is searched up from that count, so one count at
+the window's top shows when the gap is alone in it.
 
 The restarts also share the topologies they reach.  `maximize_gap` builds
 one `_Topology` for its graph, holding its symmetrizable groups and its
@@ -56,14 +58,15 @@ to ask searches, and a later one takes its result, or waits in the
 driver while it is being taken.  On stars and flowers the eleven first
 symmetrizations cost one search.
 
-A start that symmetrizes is not searched.  Its symmetrization is kept
-unless the start's gap exceeds the symmetrized one by GAP_SLACK, and is
-a move unless the start's gap comes within IMPROVE_TOL of it; counts of
-the start at those two points decide both (`_start_moves`), and only
-a start that could refuse, which the non-decrease rules out, is searched.
-Its trace opens with an init step of unknown gap, nan, and
-`maximize_gap` searches the one start whose trace it returns, so every
-result and trace is the one a search of every start gave.
+A start that symmetrizes is not searched by its ascent.  Its
+symmetrization is kept unless the start's gap exceeds the symmetrized
+one by GAP_SLACK, and is a move unless the start's gap comes within
+IMPROVE_TOL of it; counts of the start at those two points decide both
+(`_start_moves`), and only a start that could refuse, which the
+non-decrease rules out, is searched.  Its trace opens with an init step
+of unknown gap, nan.  The given start, which wins wherever the restarts
+merge, is searched in the ascents' drive, a winning restart's start
+after it, so every result and trace is as if every start were searched.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from .errors import (
     NotApplicableError,
     ResourceBudgetError,
 )
+from ._lockstep import _together
 from ._parallel import parallel_map
 from .graph import (
     DiscreteGraph,
@@ -373,6 +377,11 @@ class _AscentState:
     def metric(self) -> MetricGraph:
         return _trusted_metric(self.topo.graph, self.lengths)
 
+    def asymmetric(self) -> bool:
+        """Whether symmetrizing moves the lengths: a group's np.ptp, on Python floats, exceeds 1e-13."""
+        lv = self.lengths.tolist()
+        return any(max(x) - min(x) > 1e-13 for x in ([lv[e] for e in group] for group in self.topo.groups))
+
     def original_lengths(self, n_orig: int) -> LengthVector:
         out = np.zeros(n_orig)
         for orig, cur in enumerate(self.orig_map):
@@ -437,12 +446,13 @@ def _cluster_energies(m: MetricGraph, gap: _Level) -> _Search:
 def _gap_above(m: MetricGraph, floor: float) -> _Search:
     """The `_Level` of m's gap when the gap exceeds floor, else None.
 
-    `gap_reaches` settles a candidate below floor with one count; only one
-    that reaches floor gets the full search, whose value is compared again.
+    `gap_reaches` settles a candidate below floor with one count of m's one
+    `_TrigCount`; only one that reaches floor gets the full search.
     """
-    if not (yield from _reaches(m, floor)):
+    count = _TrigCount(m)
+    if not (yield from _reaches(m, floor, count)):
         return None
-    gap = yield from _gap_search(m)
+    gap = yield from _gap_search(m, count)
     return gap if gap.k > floor else None
 
 
@@ -470,12 +480,12 @@ def _start_moves(m: MetricGraph, k: float) -> _Search:
 
 def _held_gap(state: _AscentState, searched: dict) -> _Search:
     """The gap search of a symmetrized state, or of a start that is already
-    symmetric or whose symmetrization counts leave open
-    (`_start_moves`), taken once per call.
+    symmetric, whose symmetrization counts leave open (`_start_moves`) or
+    that is the first (`_ascend`), taken once per call.
 
     searched maps (topology, lengths) to the `_Level` found there, or to
-    None while the ascent that asked first is still searching; a later
-    ascent waits for it (`_drive`).
+    None while the search that asked first is still going; a later one
+    waits for it (`_drive`).
     """
     key = (state.topo, state.lengths.tobytes())
     if key not in searched:
@@ -522,7 +532,7 @@ def _single_ascent(
     """
     searched = {} if searched is None else searched
     gap = None   # the start's, searched only where counts do not decide its symmetrization
-    if not any(np.ptp(state.lengths[group]) > 1e-13 for group in state.topo.groups):
+    if not state.asymmetric():
         gap = yield from _held_gap(state, searched)
     trace.append(TraceStep(math.nan if gap is None else gap.k, 0.0, "init"))
 
@@ -530,7 +540,7 @@ def _single_ascent(
         moved = False
 
         # symmetrization moves are non-decreasing whenever they apply
-        if any(np.ptp(state.lengths[group]) > 1e-13 for group in state.topo.groups):
+        if state.asymmetric():
             cand = _settle(state)
             cand_gap = yield from _held_gap(cand, searched)
             # whether keeping cand is a move; None where cand is refused
@@ -563,7 +573,7 @@ def _single_ascent(
         if norm > 1e-12 * energies.mean():
             eta = STEP_SCALE / norm
             accepted = None
-            for _halving in range(40):
+            for halving in range(40):
                 cand = _project_simplex_lb(state.lengths + eta * direction, L_MIN)
                 if _no_move(cand, state.lengths, 1e-15):
                     break
@@ -572,8 +582,9 @@ def _single_ascent(
                     accepted = (cand, cand_gap, eta)
                     break
                 eta *= 0.5
-            # expand the step while it keeps improving
-            while accepted is not None:
+            # expand the step while it keeps improving; after a halving, the
+            # first expansion, 2 eta to the bit, is the trial just refused
+            while accepted is not None and halving == 0:
                 eta2 = accepted[2] * 2.0
                 cand = _project_simplex_lb(state.lengths + eta2 * direction, L_MIN)
                 if _no_move(cand, accepted[0], 1e-15):
@@ -605,14 +616,11 @@ def _single_ascent(
                     moved = True
 
         if not moved and state.topo.graph.edge_count >= 2:
-            best_probe = None
-            for drop in state.topo.probes:
-                cand_state = _settle(state, drop)
-                cand_gap = yield from _gap_above(cand_state.metric(), gap.k + IMPROVE_TOL)
-                if cand_gap is not None and (best_probe is None or cand_gap.k > best_probe[1].k):
-                    best_probe = (cand_state, cand_gap)
-            if best_probe is not None:
-                state, gap = best_probe
+            probes = [_settle(state, drop) for drop in state.topo.probes]
+            gaps = yield from _together([_gap_above(p.metric(), gap.k + IMPROVE_TOL) for p in probes])
+            found = [(p, cand_gap) for p, cand_gap in zip(probes, gaps) if cand_gap is not None]
+            if found:
+                state, gap = max(found, key=lambda probe: probe[1].k)
                 trace.append(TraceStep(gap.k, 0.0, "contract-probe"))
                 moved = True
 
@@ -645,11 +653,11 @@ def _single_ascent(
 def _ascend(starts: list[_AscentState]) -> list[tuple[_AscentState, float, list[TraceStep]]]:
     """The end state, gap and trace of the ascent from every start.
 
-    The ascents run in lockstep: each step of the driver takes every
-    ascent's pending count in one stacked eigvalsh per matrix shape.  An
-    ascent that reaches a state another one held first stops there, and
-    takes that ascent's end and the rest of its trace, once that ascent
-    has its own: a leader may itself have stopped on a third ascent.
+    The ascents, and the first start's gap search where counts decide its
+    symmetrization, run in lockstep, every pending count of a matrix shape
+    in one stacked eigvalsh.  An ascent that reaches a state another held
+    first stops there and takes that ascent's end and the rest of its trace
+    once it has its own; a leader may itself have stopped on a third.
     """
     traces: list[list[TraceStep]] = [[] for _ in starts]
     held: dict = {}
@@ -657,7 +665,10 @@ def _ascend(starts: list[_AscentState]) -> list[tuple[_AscentState, float, list[
     ascents = parallel_map(
         lambda j: _single_ascent(starts[j], traces[j], held, j, searched), range(len(starts))
     )
-    ends = _drive(ascents)
+    first = [_held_gap(starts[0], searched)] if starts[0].asymmetric() else []
+    ends = _drive(ascents + first)
+    if first:
+        traces[0][0] = TraceStep(ends.pop().k, 0.0, "init")
 
     def resolve(j: int) -> tuple[_AscentState, float]:
         if isinstance(ends[j], _Follow):
@@ -678,8 +689,8 @@ def maximize_gap(
     reducing by best gap; the result's lengths live on the original edge
     index set with zeros for contracted edges.  init is a LengthVector or
     anything `LengthVector` accepts.  The winning trace opens with the gap
-    of its start, searched after the ascents where counts decided that
-    start's symmetrization.
+    of its start; a restart's is searched after the ascents where counts
+    decided that start's symmetrization.
     """
     opts = options or MaximizeOptions()
     if not isinstance(init, LengthVector):
@@ -707,7 +718,7 @@ def maximize_gap(
 
     gap, state, trace, j = best
     if math.isnan(trace[0].gap):
-        # the winner's start was decided by counts; its trace opens with its gap
+        # the winning restart's start was decided by counts; its trace opens with its gap
         trace[0] = TraceStep(spectral_gap(_trusted_metric(*firsts[j]))[0], 0.0, "init")
     lengths = state.original_lengths(g.edge_count)
     classification = "maximizer-candidate" if lengths.is_interior() else "supremizer-candidate"

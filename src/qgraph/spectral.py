@@ -70,7 +70,8 @@ below the floors' scale (k_floor^2 ~ 1e-14) is reported at its floor.  The
 multiplicity of a level r is N(r + d) - N(r - d) with d = max(1e-10 r,
 1e-9), with no threshold on any matrix; levels closer than d merge into
 one.  r is the lowest level of its bracket, so the count at the
-bracket's lower end is N(r - d) and is not taken again (`_around`).  The
+bracket's lower end is N(r - d) and is not taken again (`_around`),
+save a search's start within d of r, which may hold copies of r.  The
 count N(r + d) starts the search of the next level, and a search's
 `_Level`s carry it, so a later search of the levels above r starts
 there.  Negative eigenvalues lambda = -kappa^2 of attractive delta
@@ -82,31 +83,23 @@ hyperbolic counts (`dispersion`); the theta = 0 row still searches its
 negative levels here.
 
 The finder is a generator, `_level_search`: it yields a request, the
-count and a k where it needs that count, and is sent the count's spectrum
-there, V' + 2E ascending values with the inertia of K.  A whole K sends
-its eigenvalues.  A reduced count sends the reduced matrix's eigenvalues
-between -inf for each negative pivot and +inf for each positive one.  So
-the count, and the index n_- that regula falsi follows across a bracket,
-are those of K; where a bracket end's value is infinite, a stand-in or an
-off-scale end, the secant is nan and the finder bisects.  Every search
-built on it (`_gap_search`, `_reaches`, `_eigenvalue_search`,
-`_negative_search`, `_around`) is a generator of the same kind, and one
-driver, `_drive`, runs any number of them together and takes every count
-any of them needs.  A search that knows all its points in advance may
-yield a batch instead, a count and a 1-D array of k, and is sent that
-count's spectra there, one row per k, which `_Count.counts` turns into N
-in arrays; a dispersion row confirms its levels so.  At each step the
-driver groups the pending requests, single or batch, by count class and
-matrix shape (V', E); a group of several requests, or a batch, costs one
-stacked build and one stacked eigvalsh with its class's `spectra`, trig
-or hyperbolic, a batch taking one row per k, and a lone single request
-takes `spectrum`, the stack of one.  A stacked build forms each row as
-the build of that count alone does, so each search is sent the same
-values alone or in company.  A search may also yield None, to wait for
-another search of its drive; the optimizer's restarts wait so for a gap
-search another restart is taking.  The public functions drive one
-search each; the graphs of `levels`, the rows of a dispersion curve and
-the restarts of the optimizer drive theirs together.
+count and a k where it needs that count, and is sent the count's
+spectrum there, V' + 2E ascending values with the inertia of K.  A whole
+K sends its eigenvalues.  A reduced count sends the reduced matrix's
+eigenvalues between -inf for each negative pivot and +inf for each
+positive one.  So the count, and the index n_- that regula falsi follows
+across a bracket, are those of K; where a bracket end's value is
+infinite, a stand-in or an off-scale end, the secant is nan and the
+finder bisects.  Every search built on it (`_gap_search`, `_reaches`,
+`_eigenvalue_search`, `_negative_search`, `_around`) is a generator of
+the same kind, and one driver runs any number of them together and takes
+every count any of them needs, a group of one matrix shape in one
+stacked `spectra` (`_lockstep`).  A search that knows all its points in
+advance asks for them as one batch, which `_Count.counts` turns into N
+in arrays; a dispersion row confirms its levels so.  The public
+functions drive one search each; the graphs of `levels`, the rows of a
+dispersion curve, the restarts of the optimizer and each ascent's
+contract probes drive theirs together.
 
 Eigenfunctions come from the vertex conditions on the edge ends
 (Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is
@@ -144,7 +137,6 @@ the block-diagonal vertex scattering matrix:
 from __future__ import annotations
 
 import math
-from collections.abc import Generator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -157,6 +149,7 @@ from .errors import (
     NotApplicableError,
     ResourceBudgetError,
 )
+from ._lockstep import _drive, _Search
 from .graph import MetricGraph, _integer
 
 _POLE_WINDOW = 1e-11   # the count is never taken this close (in k l_e / pi) to a pole
@@ -164,12 +157,6 @@ _MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a
 _MULT_FLOOR = 1e-9     # and its least absolute value, for levels near k = 0
 _MAX_LEVELS = 10_000   # most levels one search resolves
 _REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more eliminate one row per edge
-
-# a level search yields a request, a count and a k where it needs that count,
-# and is sent the count's spectrum there (`_Count.spectrum`); it returns its
-# result.  A batch, a count and a 1-D array of k, is sent the spectra there,
-# one row per k.  A search may yield None instead, to wait for another (`_drive`)
-_Search = Generator[tuple["_Count", float | np.ndarray] | None, np.ndarray | None, object]
 
 
 # ---------------------------------------------------------------------------
@@ -692,6 +679,8 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float, first_only: bool = Fa
         lo = max((s for s in seen if s.count == lo.count), key=lambda s: s.k)
         upper = min((s for s in seen if s.count > lo.count), key=lambda s: s.k)
         r = yield from _lowest_level(count, lo, upper, seen)
+        if lo is seen[0] and lo.k > max(r - _merge_width(r), count.floor):   # the start
+            lo = yield from _below(count, max(r - _merge_width(r), count.floor))
         below, above = yield from _around(count, r, lo)
         out.append(_Level(r, above.count - below.count, above))
         if first_only:
@@ -699,74 +688,6 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float, first_only: bool = Fa
         seen.append(above)
         lo = above
     return out
-
-
-def _drive(searches: list[_Search]) -> list:
-    """The results of searches advanced together, in their order.
-
-    At each step the pending requests, single or batch, are grouped by
-    count class and matrix shape (V', E).  A group of several requests, or
-    a batch, costs one stacked build and one stacked eigvalsh with the
-    class's `spectra`: a batch takes one row per k and is sent its rows, a
-    single request one row and is sent that row.  A lone single request
-    takes its count's `spectrum`, the stack of one.  Either way a search is
-    sent the values it would be sent alone.  A group of the same counts as
-    the last one of its key reuses their stacked couplings, alphas and
-    lengths; searches take several steps per count.  A search that yields
-    None waits for another one: it is sent None after the step's counts,
-    and no count is taken for it.  When every pending search waits, none
-    can go on, and the drive raises RuntimeError.
-    """
-    results: list = [None] * len(searches)
-    pending: dict[int, tuple[_Count, float] | None] = {}
-    stacked: dict[tuple, tuple] = {}   # (class, V', E) -> (counts, coupling, alpha, lengths)
-
-    def send(j: int, value) -> None:
-        try:
-            pending[j] = searches[j].send(value)
-        except StopIteration as stop:
-            results[j] = stop.value
-            pending.pop(j, None)
-
-    for j in range(len(searches)):
-        send(j, None)
-    while pending:
-        groups: dict[tuple, list[int]] = {}
-        waiting = [j for j, request in pending.items() if request is None]
-        if len(waiting) == len(pending):
-            raise RuntimeError(f"all {len(waiting)} pending searches wait for another")
-        for j, request in pending.items():
-            if request is not None:
-                count = request[0]
-                groups.setdefault((type(count), count.alpha.size, count.lengths.size), []).append(j)
-        for key, js in groups.items():
-            if len(js) == 1 and not isinstance(pending[js[0]][1], np.ndarray):
-                count, k = pending[js[0]]
-                send(js[0], count.spectrum(k))
-                continue
-            counts = [pending[j][0] for j in js]
-            if key not in stacked or stacked[key][0] != counts:
-                stacked[key] = (
-                    counts,
-                    np.array([c.coupling for c in counts]),
-                    np.array([c.alpha for c in counts]),
-                    np.array([c.lengths for c in counts]),
-                )
-            arrays = stacked[key][1:]
-            ks = [pending[j][1] for j in js]
-            if any(isinstance(k, np.ndarray) for k in ks):
-                # a batch takes one row per k, and is sent its rows
-                rows = [np.size(k) for k in ks]
-                values = key[0].spectra(*(np.repeat(a, rows, axis=0) for a in arrays), np.hstack(ks))
-                parts = np.split(values, np.cumsum(rows)[:-1])
-                replies = [part if isinstance(k, np.ndarray) else part[0] for k, part in zip(ks, parts)]
-            else:
-                replies = key[0].spectra(*arrays, np.array(ks))
-            for j, v in zip(js, replies):
-                send(j, v)
-        for j in waiting:
-            send(j, None)
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -834,10 +755,10 @@ def gap_upper_bound(m: MetricGraph) -> float:
     return math.pi * (m.graph.edge_count + 2) / m.total_length
 
 
-def _gap_search(m: MetricGraph) -> _Search:
-    """`spectral_gap` as a search; it returns the gap's `_Level`, whose
-    count above the gap a search of the levels above can start from."""
-    count = _TrigCount(m)
+def _gap_search(m: MetricGraph, count: _TrigCount | None = None) -> _Search:
+    """`spectral_gap` as a search, on m's count where the caller built one;
+    it returns the gap's `_Level`, from whose count above it a search can go on."""
+    count = count if count is not None else _TrigCount(m)
     levels = yield from _level_search(count, count.floor_sample(), gap_upper_bound(m), first_only=True)
     if not levels:
         raise NoEigenspaceError("no eigenvalue found below the universal bound")
@@ -851,10 +772,11 @@ def spectral_gap(m: MetricGraph) -> tuple[float, int]:
     return k, mult
 
 
-def _reaches(m: MetricGraph, k: float) -> _Search:
-    """`gap_reaches` as a search: N(k), k at least the floor, against the known N(k_floor)."""
+def _reaches(m: MetricGraph, k: float, count: _TrigCount | None = None) -> _Search:
+    """`gap_reaches` as a search: N(k), k at least the floor, against the
+    known N(k_floor), with m's count where the caller has built it."""
     _require_k("k", k)
-    count = _TrigCount(m)
+    count = count if count is not None else _TrigCount(m)
     below = yield from _below(count, max(k, count.floor))
     return below.count <= count.floor_sample().count
 

@@ -20,16 +20,19 @@ def count_matrices(monkeypatch):
     """Tally every count matrix the solvers request: each row of a
     `_TrigCount.spectra` or `_HyperbolicCount.spectra` call is one.  A lone
     request's `spectrum` is the stack of one, so it is tallied there too,
-    and no matrix twice.  Apart from them, `m0.n` tallies the matrices M0
+    and no matrix twice.  `calls` tallies those stacked calls, one per
+    group of a drive step.  Apart from them, `m0.n` tallies the matrices M0
     whose inertia a count takes for its floor, each matrix of a stacked
     `_zero_inertia` call, and `m0.calls` those calls.  It wraps the private
     entry points until the library counts its own requests."""
     tally = Tally()
+    tally.calls = 0
     tally.m0 = Tally()
     tally.m0.calls = 0
     for cls in (spectral._TrigCount, spectral._HyperbolicCount):
         def counted(coupling, alpha, lengths, ks, spectra=cls.spectra):
             tally.n += len(ks)
+            tally.calls += 1
             return spectra(coupling, alpha, lengths, ks)
 
         monkeypatch.setattr(cls, "spectra", staticmethod(counted))

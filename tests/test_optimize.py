@@ -268,9 +268,9 @@ def test_a_refused_symmetrization_searches_the_start(monkeypatch, init):
     search = optimize._gap_search
     searched = []
 
-    def recorded(m):
+    def recorded(m, *count):
         searched.append(m.lengths.tobytes())
-        return (yield from search(m))
+        return (yield from search(m, *count))
 
     monkeypatch.setattr(optimize, "_gap_search", recorded)
     monkeypatch.setattr(optimize, "GAP_SLACK", -1.0)
@@ -336,8 +336,8 @@ def test_no_full_search_is_spent_on_a_losing_candidate(monkeypatch):
                 return stop.value
             value = yield request
 
-    def recorded_search(m):
-        result = yield from full_search(m)
+    def recorded_search(m, *count):
+        result = yield from full_search(m, *count)
         trace = current[0]
         searches.append((result[0], trace, len(trace)))
         return result
@@ -400,6 +400,33 @@ def test_ascents_driven_together_equal_ascents_driven_alone():
     # the contracting start ran on two edges; the ascents did not all agree
     assert json.loads(alone[0])["lengths"][2] == 0.0
     assert len(set(alone)) > 1
+
+
+def test_probes_in_lockstep_equal_probes_one_at_a_time(monkeypatch):
+    # an ascent's contract probes take their counts together (`_together`);
+    # run one after another instead, each to its end, they give every result
+    # and trace the same, on a star, on stower(1, 2) and on the stower(2, 1)
+    # stall, whose restarts never merge
+    runs = []
+
+    def one_at_a_time(searches):
+        runs.append(len(searches))
+        results = []
+        for search in searches:
+            results.append((yield from search))
+        return results
+
+    cases = ((star(4)[0], random_lengths(np.random.default_rng(4), 4), 4),
+             (stower(1, 2)[0], random_lengths(np.random.default_rng(12), 3), 12),
+             (stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3), 0))
+
+    def documents():
+        return [json.dumps(maximize_gap(g, init, MaximizeOptions(seed=seed)).to_dict()) for g, init, seed in cases]
+
+    together = documents()
+    monkeypatch.setattr(optimize, "_together", one_at_a_time)
+    assert documents() == together
+    assert len(runs) > len(cases) and set(runs) == {3, 4}   # each probe of stowers, or of star(4)
 
 
 def test_each_face_is_contracted_once_per_call(contractions):
@@ -499,23 +526,25 @@ def test_each_held_state_is_searched_once_per_call(count_matrices, monkeypatch):
     # symmetrized states: every restart of a star or a flower symmetrizes to
     # the canonical lengths, which the given start holds from the first.
     # A restart's start is not searched: one count decides its
-    # symmetrization, and the given start wins
+    # symmetrization, and the given start wins.  An ascent's contract
+    # probes take their counts together, one stacked call per step
     search = optimize._gap_search
     searched = []
 
-    def recorded(m):
+    def recorded(m, *count):
         searched.append((m.graph, m.lengths.tobytes()))
-        return (yield from search(m))
+        return (yield from search(m, *count))
 
     monkeypatch.setattr(optimize, "_gap_search", recorded)
     # 337 and 236 count matrices when each restart searched for itself, 198
-    # and 160 when each start was searched
-    for (g, lengths), tally in ((star(5), 46), (flower(4), 25)):
+    # and 160 when each start was searched; 19 and 13 stacked calls when
+    # the probes took their counts one after another
+    for (g, lengths), tally, calls in ((star(5), 46, 14), (flower(4), 25, 9)):
         searched.clear()
-        count_matrices.n = 0
+        count_matrices.n = count_matrices.calls = 0
         maximize_gap(g, lengths, MaximizeOptions(seeds=10))
         assert len(searched) == len(set(searched)), g
-        assert count_matrices.n == tally, g
+        assert (count_matrices.n, count_matrices.calls) == (tally, calls), g
 
 
 def test_a_two_level_cluster_window_matches_the_full_scan(monkeypatch):

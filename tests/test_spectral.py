@@ -36,7 +36,7 @@ from qgraph import (
     spectral_gap,
     spectral_gap_parameter,
 )
-from qgraph import dispersion, optimize, spectral
+from qgraph import _lockstep, dispersion, optimize, spectral
 from qgraph.graph import NEUMANN, DiscreteGraph, MetricGraph
 from qgraph.families import (
     flower,
@@ -246,6 +246,21 @@ def test_equilateral_star_gap_and_multiplicity():
     assert spec.eigenpairs[1].multiplicity == 2
 
 
+@pytest.mark.parametrize("graph, level, multiplicity",
+                         [(star(3), 1.5 * PI, 2), (mandarin(3), 3 * PI, 3), (interval(), PI, 1)])
+def test_a_level_just_above_k_min_keeps_its_multiplicity(graph, level, multiplicity):
+    # with k_min at the level, or an ulp or a relative 1e-12 below it, the
+    # count at k_min may hold copies of the level, split off by noise: the
+    # double level 3 pi / 2 of star(3) was reported simple.  Its lower
+    # count is taken at r - d, as a search from lower down takes it
+    m = metric(*graph)
+    (whole,) = eigenvalues(m, level + 0.5, level - 0.5).eigenpairs
+    for k_min in (level, math.nextafter(level, 0.0), level * (1.0 - 1e-12)):
+        (pair,) = eigenvalues(m, level + 0.5, k_min).eigenpairs
+        assert pair.k == pytest.approx(level, rel=1e-13), k_min
+        assert pair.multiplicity == whole.multiplicity == multiplicity, k_min
+
+
 def test_loop_spectrum():
     spec = eigenvalues(metric(*loop()), 14.0)
     assert [p.k for p in spec.eigenpairs] == pytest.approx([0.0, 2 * PI, 4 * PI], abs=1e-9)
@@ -402,6 +417,78 @@ def test_a_waiting_search_takes_no_count(count_matrices):
     found.clear()
     with pytest.raises(RuntimeError, match="wait"):
         spectral._drive([waiter(), waiter()])
+
+
+def test_a_together_of_waiting_searches_waits():
+    # a `_together` whose searches all wait yields None itself, and goes on
+    # once one of them can; it may run beside a search its own ones wait
+    # for, but a drive in which every search waits still cannot go on
+    m = metric(*star(3))
+    found = []
+
+    def searcher():
+        found.append((yield from spectral._gap_search(m)))
+        return "searched"
+
+    def waiter():
+        while not found:
+            yield None
+        return found[0].k
+
+    together = _lockstep._together([waiter(), waiter()])
+    assert next(together) is None
+    found.append(spectral._drive([spectral._gap_search(m)])[0])
+    with pytest.raises(StopIteration) as stop:
+        together.send(None)
+    assert stop.value.value == [found[0].k, found[0].k]
+    found.clear()
+    assert spectral._drive([_lockstep._together([waiter(), waiter()]), searcher()]) == [
+        [spectral_gap(m)[0]] * 2, "searched"]
+    found.clear()
+    with pytest.raises(RuntimeError, match="wait"):
+        spectral._drive([_lockstep._together([waiter(), waiter()]), waiter()])
+
+
+def test_a_compound_request_is_sent_what_its_requests_get_alone(monkeypatch):
+    # a search running sub-searches (`_together`) yields the dict of their
+    # requests, single and batch, of several matrix shapes, a sub-search's
+    # own dict among them and None for one that waits; it is sent the dict
+    # of replies to the others.  The driver stacks its requests with the
+    # batch and the single request of other searches, one stacked call per
+    # shape, and every request is sent the values its count gives it alone
+    counts = _swept_counts(metric(*star(4)), 2)   # the last, Dirichlet at 2, has one row less
+    ks = np.array([0.37, 3.0, 12.9])
+    requests = {
+        "compound": {0: (counts[0], 3.0), 1: (counts[-1], ks), 2: None, 3: (counts[1], 12.9),
+                     4: {0: (counts[2], 0.37), 1: None, 2: (counts[-1], 40.1)}},
+        "batch": (counts[3], ks),
+        "single": (counts[4], 2 * PI),
+    }
+    sent = {}
+
+    def asks(name):
+        sent[name] = yield requests[name]
+        return name
+
+    def alone(request):
+        if type(request) is dict:
+            return {j: alone(r) for j, r in request.items() if r is not None}
+        count, k = request
+        return np.array([count.spectrum(x) for x in k]) if isinstance(k, np.ndarray) else count.spectrum(k)
+
+    def same(got, expected):
+        if type(expected) is dict:
+            return type(got) is dict and got.keys() == expected.keys() and all(same(got[j], expected[j]) for j in got)
+        return np.shape(got) == expected.shape and np.asarray(got).tobytes() == expected.tobytes()
+
+    stacked = []
+    spectra = _TrigCount.spectra
+    monkeypatch.setattr(_TrigCount, "spectra", staticmethod(
+        lambda *args: stacked.append(len(args[-1])) or spectra(*args)))
+    assert spectral._drive([asks(name) for name in requests]) == list(requests)
+    assert sorted(stacked) == [1 + 3, 1 + 3 + 1 + 1 + 1]
+    for name, request in requests.items():
+        assert same(sent[name], alone(request)), name
 
 
 def _swept_counts(m, v, rng=None, cls=_TrigCount):
