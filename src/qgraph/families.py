@@ -159,11 +159,15 @@ def caterpillar(spine_edges: int, legs_at) -> tuple[DiscreteGraph, LengthVector]
 
 def random_lengths(rng: np.random.Generator, n_edges: int, l_min: float = 0.02) -> LengthVector:
     """Uniform-ish simplex sample with every entry at least l_min."""
+    return LengthVector(_simplex_samples(rng, n_edges, l_min, 1)[0])
+
+
+def _simplex_samples(rng: np.random.Generator, n_edges: int, l_min: float, count: int) -> np.ndarray:
+    """count successive `random_lengths` draws, as rows, in one generator call."""
     if n_edges * l_min >= 1.0:
         raise InvalidInputError("l_min too large for this many edges")
-    raw = rng.dirichlet(np.ones(n_edges))
-    scaled = l_min + (1.0 - n_edges * l_min) * raw
-    return LengthVector(scaled)
+    raw = rng.dirichlet(np.ones(n_edges), size=count)
+    return l_min + (1.0 - n_edges * l_min) * raw
 
 
 def random_tree(rng: np.random.Generator, n_vertices: int) -> DiscreteGraph:

@@ -110,7 +110,7 @@ class DiscreteGraph:
     it (module docstring).
     """
 
-    __slots__ = ("vertex_count", "edges", "ends", "end_at", "first_end", "incidence")
+    __slots__ = ("vertex_count", "edges", "ends", "end_at", "first_end", "incidence", "_template")
 
     def __init__(self, vertex_count: int, edges) -> None:
         vertex_count = _integer(vertex_count, "vertex count")
@@ -153,6 +153,24 @@ class DiscreteGraph:
                 adj[u].append((v, e))
                 adj[v].append((u, e))
         return adj
+
+    def _vertex_template(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Index arrays p, q (2E x 2E) and r (V x 2E) into x = [sin 0, sin kl,
+        cos 0, cos kl], built once: x[p] - x[q], one subtraction an entry as
+        in an entrywise build, is the vertex system M(k) of
+        `spectral._vertex_matrices` with Neumann conditions, and x[r] holds
+        the value rows f at each vertex's first end."""
+        if not hasattr(self, "_template"):
+            E, first = self.edge_count, self.first_end
+            e, at = np.arange(E), self.end_at.astype(int)
+            value = np.zeros((2 * E, 2 * E), dtype=int)   # f at every end: cos 0, cos kl, sin kl
+            value[e, e], value[E + e, e], value[E + e, E + e] = E + 1, E + 2 + e, 1 + e
+            plus, minus = value.copy(), value[first[self.ends]]
+            # the outgoing f'/k: cos 0 at x = 0 (sin 0 is 0), sin kl and -cos kl at x = l
+            plus[first] = np.concatenate([at[:, E:] * (1 + e), at[:, :E] * (E + 1)], axis=1)
+            minus[first] = np.concatenate([0 * at[:, E:], at[:, E:] * (E + 2 + e)], axis=1)
+            object.__setattr__(self, "_template", (plus, minus, value[first]))
+        return self._template
 
     # -- basic queries ------------------------------------------------------
 
@@ -433,16 +451,19 @@ def contract_with_maps(g: DiscreteGraph, l) -> tuple[MetricGraph, list[int | Non
         l = LengthVector(arr)
     if l.size != g.edge_count:
         raise InvalidInputError("length vector does not match edge count")
-    values = l.values
+    new_graph, edge_map = _contract(g, l.values == 0.0)
+    return MetricGraph(new_graph, l.values[l.values != 0.0]), edge_map
 
+
+def _contract(g: DiscreteGraph, zero: np.ndarray) -> tuple[DiscreteGraph, list[int | None]]:
+    """The quotient of g by the edges where zero is true, and every edge's
+    index in it (None if contracted), from the incidence alone."""
     # a class is named by its least vertex, so numbering the classes in order
     # of first appearance numbers them in the order of their least vertices
     labels: dict[int, int] = {}
-    classes = _components(g.vertex_count, (uv for uv, x in zip(g.edges, values) if x == 0.0))
+    classes = _components(g.vertex_count, (uv for uv, z in zip(g.edges, zero) if z))
     vertex_map = np.array([labels.setdefault(c, len(labels)) for c in classes])
-    kept = values != 0.0
-    new_graph, edge_map = _quotient(g.edges, vertex_map, kept)
-    return MetricGraph(new_graph, values[kept]), edge_map
+    return _quotient(g.edges, vertex_map, ~zero)
 
 
 def _quotient(edges, vertex_map, keep) -> tuple[DiscreteGraph, list[int | None]]:

@@ -39,9 +39,9 @@ The restarts also share the topologies they reach.  `maximize_gap` builds
 one `_Topology` for its graph, holding its symmetrizable groups and its
 contract probes, and every start begins there.  A contraction is asked of
 the topology it leaves, by the edges it drops; the first request builds
-the quotient (`contract_with_maps`) and its own `_Topology`, and every
-later one, from any start, takes them as they are.  The tree lives for
-one call, so its size is bounded by the faces that call probes.
+the quotient from the incidence (`graph._contract`) and its `_Topology`,
+and every later one, from any start, takes them as they are.  The tree
+lives for one call, so its size is bounded by the faces that call probes.
 
 Restarts that reach the same state merge.  Symmetrizing never lowers the
 gap and is applied first, so on stars and flowers every restart lands on
@@ -90,10 +90,10 @@ from .graph import (
     DiscreteGraph,
     LengthVector,
     MetricGraph,
+    _contract,
     _integer,
     _spanning_tree,
     _trusted_metric,
-    contract_with_maps,
     contract_zero_edges,
     find_bridges,
 )
@@ -355,13 +355,14 @@ class _Topology:
         self.children: dict[tuple[int, ...], tuple[_Topology, list[int | None]]] = {}
 
     def child(self, lengths: np.ndarray) -> tuple[_Topology, list[int | None]]:
-        """The quotient by the zero edges of lengths, which sum to one, and
-        every edge's index in it (None if contracted), as
-        `contract_with_maps` gives them."""
-        key = tuple(np.flatnonzero(lengths == 0.0).tolist())
+        """The quotient by the zero edges of lengths, and every edge's index
+        in it (None if contracted), from the incidence alone: a face reads
+        no lengths, so no `LengthVector` or `MetricGraph` is built."""
+        zero = lengths == 0.0
+        key = tuple(np.flatnonzero(zero).tolist())
         if key not in self.children:
-            mg, edge_map = contract_with_maps(self.graph, LengthVector(lengths))
-            self.children[key] = (_Topology(mg.graph), edge_map)
+            graph, edge_map = _contract(self.graph, zero)
+            self.children[key] = (_Topology(graph), edge_map)
         return self.children[key]
 
 
@@ -398,7 +399,7 @@ def _settle(state: _AscentState, drop=()) -> _AscentState:
     keeps their sum, so all of them are set in one move.  Without drop the
     topology and the pin counts carry over.  The ascent's lengths are
     positive, so the contracted lengths need none of `LengthVector`'s
-    checks; `_Topology.child` builds one only for a new face.
+    checks; `_Topology.child` builds a new face's graph from the incidence.
     """
     topo, lv, orig_map = state.topo, state.lengths.copy(), state.orig_map
     if drop:
@@ -426,17 +427,17 @@ def _cluster_energies(m: MetricGraph, gap: _Level) -> _Search:
     the count just above k1 that that search took: one count at the top
     of the window shows whether any other level lies in it, and only then
     is (k1, top] searched.  Each eigenspace takes the multiplicity its
-    search counted.  The energies k^2 (A_e^2 + B_e^2) of
-    `EdgeTrig.energies` are read from the coefficient rows as they are: a
-    square does not see a row's sign.
+    search counted, all of them in one stacked svd.  The energies
+    k^2 (A_e^2 + B_e^2) of `EdgeTrig.energies` are read from the
+    coefficient rows as they are: a square does not see a row's sign.
     """
     others = yield from _level_search(_TrigCount(m), gap.above, gap.k * (1.0 + CLUSTER_WINDOW))
     cluster = [gap, *others]
     E = m.graph.edge_count
     total = np.zeros(E)
     dims = 0
-    for p in cluster:
-        basis = _eigenbasis_coeffs(m, p.k, p.multiplicity)
+    bases = _eigenbasis_coeffs(m, [p.k for p in cluster], [p.multiplicity for p in cluster])
+    for p, basis in zip(cluster, bases):
         for energies in p.k**2 * (basis[:, :E] ** 2 + basis[:, E:] ** 2):
             total += energies
             dims += 1
@@ -705,8 +706,8 @@ def maximize_gap(
     if init.zero_edges():
         # honor a boundary start by contracting it first
         starts[0] = _settle(starts[0], init.zero_edges())
-    for _ in range(opts.seeds):
-        lv = families.random_lengths(rng, g.edge_count, l_min=2 * L_MIN).values
+    # the restarts draw random_lengths' stream, whose checks cannot fail on it
+    for lv in families._simplex_samples(rng, g.edge_count, 2 * L_MIN, opts.seeds):
         starts.append(_AscentState(root, lv, list(range(g.edge_count))))
 
     # an ascent rebinds its state's lengths, so these stay the starts'

@@ -107,14 +107,15 @@ f = A_e cos kx + B_e sin kx, and each vertex of degree d imposes d real
 linear conditions on the 2E coefficients: d - 1 continuity conditions,
 and the Kirchhoff/delta condition sum f' = alpha f (f' the outgoing
 derivative) or, at a Dirichlet vertex, f = 0.  They form the real
-2E x 2E matrix M(k) of `_vertex_system`, whose null space is the
-eigenspace at k > 0, poles of the count included.  At a level of counted
-multiplicity m the last m right singular vectors of M(k) span it; one
-m x m L^2 Gram matrix (`_gram`) orthonormalizes them
-(`_eigenbasis_coeffs`).  The optimizer's edge energies read these rows
-as they are, since the energies do not depend on a basis function's
-sign.  At k = 0 a Neumann graph's eigenspace, the constants, is given
-symbolically; any other graph's zero modes are not constant on some edge.
+2E x 2E matrix M(k) of `_vertex_matrices`, read from the graph's
+template, whose null space is the eigenspace at k > 0, poles of the count
+included.  At a level of counted multiplicity m the last m right singular
+vectors of M(k) span it; one m x m L^2 Gram matrix (`_gram`)
+orthonormalizes them (`_eigenbasis_coeffs`).  The optimizer's edge
+energies read these rows as they are, since the energies do not depend
+on a basis function's sign.  At k = 0 a Neumann graph's eigenspace, the
+constants, is given symbolically; any other graph's zero modes are not
+constant on some edge.
 
 `EdgeTrig` is the one representation of such functions.  It also serves
 the Rayleigh quotients, whose test functions have one frequency on every
@@ -282,8 +283,8 @@ def _scaled(incidence: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 class _Count:
-    """N(k) = poles(k) + offset + n_-(matrix(k)), nondecreasing in k, counted
-    from spectrum(k), which has the inertia of matrix(k).
+    """N(k) = poles(k) + offset + n_-(K(k)), nondecreasing in k, counted
+    from spectrum(k), which has the inertia of the count matrix K(k).
 
     Both counts couple the non-Dirichlet vertices to the edges through the
     incidence C = diag(s) [P | Q] (module docstring) and the couplings
@@ -292,9 +293,9 @@ class _Count:
     the other entries.  [P | Q] is the graph's own `incidence`, built once
     per graph: a count takes its non-Dirichlet rows and scales them, and
     on a Neumann graph (every s = 1, every alpha = 0) uses it as it is.
-    Each count defines `matrix`, kept as the oracle, and the stacked
-    `spectra` that every count request goes through.  `with_vertex` is the
-    count with one vertex's coupling changed, as a delta sweep's rows are.
+    Each count defines the stacked `spectra` that every count request goes
+    through.  `with_vertex` is the count with one vertex's coupling
+    changed, as a delta sweep's rows are.
     """
 
     offset = 0
@@ -360,8 +361,8 @@ class _Count:
         return k == self.floor
 
     def spectrum(self, k: float) -> np.ndarray:
-        """Ascending values with the inertia of matrix(k): `spectra` of the
-        stack of this count alone."""
+        """Ascending values with the inertia of K(k): `spectra` of the stack
+        of this count alone."""
         return self.spectra(self.coupling[None], self.alpha[None], self.lengths, np.array([k]))[0]
 
     def made(self, k: float, evals: np.ndarray) -> _Sample:
@@ -391,9 +392,8 @@ class _Count:
 class _TrigCount(_Count):
     """The count of the eigenvalues lambda < k^2, k > 0 (module docstring).
 
-    `matrix` is the whole K.  Its spectrum is K's eigenvalues below
-    _REDUCE_FROM rows, and from there on the stand-in spectrum of the
-    reduced matrix (`spectra`).
+    Its spectrum is the whole K's eigenvalues below _REDUCE_FROM rows, and
+    from there on the stand-in spectrum of the reduced matrix (`spectra`).
     """
 
     def __init__(self, m: MetricGraph) -> None:
@@ -402,27 +402,11 @@ class _TrigCount(_Count):
         self.floor = _k_floor(m)
         self.edge_lengths = tuple(self.lengths.tolist())   # for the pole bookkeeping
 
-    def matrix(self, k: float) -> np.ndarray:
-        nv = self.alpha.size
-        n = nv + 2 * self.lengths.size
-        half = 0.5 * k * self.lengths
-        trig = np.concatenate([np.sin(half), np.cos(half)])
-        edge = 0.5 * np.sin(2.0 * half)
-        K = np.zeros((n, n))
-        K[:nv, nv:] = math.sqrt(0.5 * k) * self.coupling * trig
-        K[nv:, :nv] = K[:nv, nv:].T
-        K.flat[:: n + 1] = np.concatenate([self.alpha, edge, -edge])
-        return K
-
     @staticmethod
     def matrices(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, ks: np.ndarray) -> np.ndarray:
-        """counts[j].matrix(ks[j]) for counts of one shape, stacked; coupling[j],
-        alpha[j] and lengths[j] are those of counts[j], and lengths may be one
-        row that every count shares.
-
-        Every entry is formed by the same operations, in the same order, as
-        in `matrix`, so the two agree bit for bit.
-        """
+        """The whole K of counts[j] at ks[j] for counts of one shape, stacked;
+        coupling[j], alpha[j] and lengths[j] are those of counts[j], and
+        lengths may be one row that every count shares."""
         b, nv = alpha.shape
         n = nv + 2 * lengths.shape[-1]
         half = (0.5 * ks)[:, None] * lengths
@@ -867,8 +851,8 @@ def _gram(k: float, amp_cos: np.ndarray, amp_sin: np.ndarray, lengths: np.ndarra
     return (amp_cos * cc) @ amp_cos.T + cross + cross.T + (amp_sin * ss) @ amp_sin.T
 
 
-def _vertex_system(m: MetricGraph, k: float) -> np.ndarray:
-    """The real 2E x 2E matrix M(k), k > 0, whose null space is the eigenspace at k.
+def _vertex_matrices(m: MetricGraph, ks) -> np.ndarray:
+    """The real 2E x 2E matrices M(k), k > 0 in ks, whose null spaces are the eigenspaces.
 
     Column e holds A_e and column E + e holds B_e of f = A_e cos kx +
     B_e sin kx on edge e.  Row j belongs to edge end j of
@@ -876,22 +860,19 @@ def _vertex_system(m: MetricGraph, k: float) -> np.ndarray:
     Kirchhoff/delta row sum f'/k - (alpha/k) f, scaled by 1/max(1, |alpha|/k),
     or at a Dirichlet vertex the value row f; each other end carries the
     continuity row f(end) - f(first end).  f'/k is the outgoing derivative.
+    The rows are read from the graph's `_vertex_template`, alpha on top.
     """
     g = m.graph
-    E = g.edge_count
-    end = np.arange(2 * E)
-    edge, out = end % E, np.where(end < E, 1.0, -1.0)   # out: the outgoing direction
-    kx = k * np.concatenate([np.zeros(E), m.lengths])    # k x at every edge end
-    cos, sin = np.cos(kx), np.sin(kx)
-    value, slope = np.zeros((2 * E, 2 * E)), np.zeros((2 * E, 2 * E))
-    value[end, edge], value[end, E + edge] = cos, sin
-    slope[end, edge], slope[end, E + edge] = -out * sin, out * cos
-    first = g.first_end
-    system = value - value[first[g.ends]]
-    dirichlet = np.isinf(m.alpha)
-    alpha_k = np.where(dirichlet, 0.0, m.alpha) / k
-    kirchhoff = (g.end_at @ slope - alpha_k[:, None] * value[first]) / np.maximum(1.0, np.abs(alpha_k))[:, None]
-    system[first] = np.where(dirichlet[:, None], value[first], kirchhoff)
+    plus, minus, at_first = g._vertex_template()
+    kl = np.multiply.outer(ks, np.concatenate([[0.0], m.lengths]))   # at x = 0, then at each x = l_e
+    x = np.concatenate([np.sin(kl), np.cos(kl)], axis=1)
+    system = x[:, plus] - x[:, minus]
+    if m.alpha.any():   # with every alpha = 0 the template's rows are M(k) as they are
+        first, value = g.first_end, x[:, at_first]
+        dirichlet = np.isinf(m.alpha)
+        alpha_k = np.where(dirichlet, 0.0, m.alpha)[:, None] / np.asarray(ks)[:, None, None]
+        kirchhoff = (system[:, first] - alpha_k * value) / np.maximum(1.0, np.abs(alpha_k))
+        system[:, first] = np.where(dirichlet[:, None], value, kirchhoff)
     return system
 
 
@@ -922,21 +903,21 @@ def eigenfunction(m: MetricGraph, k: float) -> list[EdgeTrig]:
     return _eigenbasis(m, k, mult)
 
 
-def _eigenbasis_coeffs(m: MetricGraph, k: float, mult: int) -> np.ndarray:
-    """The eigenspace at a level k > 0 whose multiplicity mult has been
-    counted, as mult rows [A | B] of coefficients: the last mult right
-    singular vectors of `_vertex_system`, orthonormalized in L^2 through
-    their Gram matrix.  Each row's sign is left as the SVD gives it."""
+def _eigenbasis_coeffs(m: MetricGraph, ks: list[float], mults: list[int]) -> list[np.ndarray]:
+    """The eigenspaces at levels ks > 0 of counted multiplicities mults, each
+    as mult rows [A | B] of coefficients: the last mult right singular
+    vectors of its `_vertex_matrices` (one stacked svd), orthonormalized in
+    L^2 through their Gram matrix.  Each row's sign is as the SVD gives it."""
     E = m.graph.edge_count
-    null = np.linalg.svd(_vertex_system(m, k))[2][-mult:]
-    evals, evecs = np.linalg.eigh(_gram(k, null[:, :E], null[:, E:], m.lengths))
-    return (evecs / np.sqrt(evals)).T @ null
+    nulls = [vt[-mult:] for mult, vt in zip(mults, np.linalg.svd(_vertex_matrices(m, ks))[2])]
+    grams = [np.linalg.eigh(_gram(k, null[:, :E], null[:, E:], m.lengths)) for k, null in zip(ks, nulls)]
+    return [(evecs / np.sqrt(evals)).T @ null for (evals, evecs), null in zip(grams, nulls)]
 
 
 def _eigenbasis(m: MetricGraph, k: float, mult: int) -> list[EdgeTrig]:
     """`_eigenbasis_coeffs` as functions, each with its tie-proof sign (`_signed`)."""
     E = m.graph.edge_count
-    basis = map(_signed, _eigenbasis_coeffs(m, k, mult))
+    basis = map(_signed, _eigenbasis_coeffs(m, [k], [mult])[0])
     return [EdgeTrig(k, coeffs[:E], coeffs[E:]) for coeffs in basis]
 
 
@@ -1044,18 +1025,11 @@ class _HyperbolicCount(_Count):
     def floor_sample(self) -> _Sample:
         return _Sample(self.floor, self.alpha.size - self.zero_modes[0], 0, None)   # n_+ of -M0
 
-    def matrix(self, kappa: float) -> np.ndarray:
-        t = np.tanh(0.5 * kappa * self.lengths)
-        d = 0.5 * kappa * np.concatenate([t, 1.0 / t])
-        return -(np.diag(self.alpha) + (self.coupling * d) @ self.coupling.T)
-
     @staticmethod
     def spectra(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, kappas: np.ndarray) -> np.ndarray:
         """counts[j].spectrum(kappas[j]) for counts of one shape, stacked: the
-        eigenvalues of each count's `matrix`; the arguments are those of
-        `_TrigCount.matrices`.  Every entry is formed by the same operations,
-        in the same order, as in `matrix`, so the two agree bit for bit.
-        """
+        eigenvalues of each count's H; the arguments are those of
+        `_TrigCount.matrices`."""
         b, nv = alpha.shape
         half = (0.5 * kappas)[:, None]
         t = np.tanh(half * lengths)

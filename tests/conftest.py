@@ -49,29 +49,29 @@ def count_matrices(monkeypatch):
 
 @pytest.fixture
 def contractions(monkeypatch):
-    """Tally every `contract_with_maps` call the optimizer makes, through
-    the name `optimize` binds."""
+    """Tally every face the optimizer contracts to: each `graph._contract`
+    call through the name `optimize` binds."""
     tally = Tally()
-    contract = optimize.contract_with_maps
+    contract = optimize._contract
 
-    def counted(g, lengths):
+    def counted(g, zero):
         tally.n += 1
-        return contract(g, lengths)
+        return contract(g, zero)
 
-    monkeypatch.setattr(optimize, "contract_with_maps", counted)
+    monkeypatch.setattr(optimize, "_contract", counted)
     return tally
 
 
 @pytest.fixture
 def eigenbases(monkeypatch):
-    """Tally every eigenspace the optimizer solves: each `_eigenbasis_coeffs`
-    call through the name `optimize` binds is one."""
+    """Tally every eigenspace the optimizer solves: each level of an
+    `_eigenbasis_coeffs` call through the name `optimize` binds is one."""
     tally = Tally()
     solve = optimize._eigenbasis_coeffs
 
-    def counted(m, k, multiplicity):
-        tally.n += 1
-        return solve(m, k, multiplicity)
+    def counted(m, ks, multiplicities):
+        tally.n += len(ks)
+        return solve(m, ks, multiplicities)
 
     monkeypatch.setattr(optimize, "_eigenbasis_coeffs", counted)
     return tally

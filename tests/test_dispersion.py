@@ -867,3 +867,13 @@ def test_gluing_stowers_adds_petals_and_leaves():
     assert sorted(np.round(glued.lengths, 12)) == pytest.approx(
         sorted(np.round(target.lengths, 12)), abs=1e-12
     )
+
+
+@pytest.mark.xfail(strict=True, raises=RuntimeError,
+                   reason="CHANGES.md FOUND 75: a sweep row's negative level near lambda = 0 fails its counts")
+def test_a_sweep_row_with_a_negative_level_near_zero_returns():
+    # at theta = -pi/2 the row's negative level has kappa about 3e-7, where
+    # its confirming hyperbolic counts are noise
+    m = MetricGraph(DiscreteGraph(2, [(0, 1)]), [1.0000000000000318], [DIRICHLET, NEUMANN])
+    curve = dispersion_curve(m, 1, grid_size=64)
+    assert len(curve.thetas) == 64

@@ -24,7 +24,8 @@ from qgraph import (
     symmetrize,
     upper_bound,
 )
-from qgraph import optimize, spectral
+from qgraph import families, optimize, spectral
+from qgraph.graph import contract_with_maps
 from qgraph.optimize import MaximizeOptions
 from qgraph.families import (
     caterpillar,
@@ -196,7 +197,6 @@ def test_maximize_result_gap_matches_recomputation():
     g, _ = stower(1, 2)
     rng = np.random.default_rng(5)
     res = maximize_gap(g, random_lengths(rng, 3), MaximizeOptions(seeds=2, seed=5))
-    from qgraph.graph import contract_with_maps
 
     mg, _ = contract_with_maps(g, res.lengths)
     k1, _ = spectral_gap(mg)
@@ -438,13 +438,58 @@ def test_each_face_is_contracted_once_per_call(contractions):
     assert contractions.n == 5
 
 
+def test_new_faces_build_no_length_vector_or_metric_graph(monkeypatch):
+    # a face reads no lengths: `_Topology.child` contracts the incidence
+    # alone, so no LengthVector or MetricGraph is constructed for it
+    built = {"LengthVector": 0, "MetricGraph": 0}
+    for cls in (LengthVector, optimize.MetricGraph):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__, **kwargs):
+            built[name] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    faces = []
+    child = optimize._Topology.child
+
+    def watched(topo, lengths):
+        before, new = dict(built), len(topo.children)
+        out = child(topo, lengths)
+        faces.append((len(topo.children) - new, before == built))
+        return out
+
+    monkeypatch.setattr(optimize._Topology, "child", watched)
+    for g, init in ((star(4)[0], random_lengths(np.random.default_rng(1), 4)),
+                    (stower(1, 2)[0], random_lengths(np.random.default_rng(7), 3))):
+        maximize_gap(g, init, MaximizeOptions(seeds=3, seed=1))
+    assert sum(new for new, _ in faces) >= 4
+    assert all(untouched for _, untouched in faces)
+
+
+def test_restart_sampler_draws_the_public_stream_unvalidated():
+    # maximize_gap's restarts take successive families.random_lengths draws,
+    # in one call of the generator, without the LengthVector whose checks
+    # cannot fail on them: the rows are the same bits, the generator ends
+    # in the same state, and LengthVector keeps every row as it is
+    # (finite, positive, not renormalized)
+    l_min = 2 * optimize.L_MIN
+    for seed in range(200):
+        public, private = np.random.default_rng(seed), np.random.default_rng(seed)
+        for E in range(1, 25):
+            rows = families._simplex_samples(private, E, l_min, 1 + (seed + E) % 10)
+            for x in rows:
+                assert x.tobytes() == random_lengths(public, E, l_min).values.tobytes(), (seed, E)
+                assert np.isfinite(x).all() and (x > 0.0).all(), (seed, E)
+                assert LengthVector(x).values.tobytes() == x.tobytes(), (seed, E)
+        assert private.random() == public.random(), seed
+
+
 def _settle_through_length_vector(state, drop):
     """`_settle` as it formed the contracted lengths through `LengthVector`,
     kept as the oracle."""
     lv = state.lengths.copy()
     lv[list(drop)] = 0.0
     lengths = LengthVector(lv / lv.sum())
-    mg, edge_map = optimize.contract_with_maps(state.topo.graph, lengths)
+    mg, edge_map = contract_with_maps(state.topo.graph, lengths)
     lv = lengths.values[lengths.values != 0.0]
     for _v, _kind, group in optimize.symmetrizable_groups(mg.graph) if mg.graph.edge_count >= 3 else []:
         lv[list(group)] = lv[list(group)].mean()
@@ -591,7 +636,7 @@ def test_restarts_that_never_meet_keep_their_solves(eigenbases):
 
 
 def _rebuilt_child(topo, lengths):
-    mg, edge_map = optimize.contract_with_maps(topo.graph, lengths)
+    mg, edge_map = contract_with_maps(topo.graph, lengths)
     return optimize._Topology(mg.graph), edge_map
 
 
