@@ -23,20 +23,23 @@ K keeps every entry analytic in k, so no pole cancels.  The first term
 jumps at the poles k l_e / pi in Z, and the count is never taken within
 _POLE_WINDOW of one.
 
-A count of _REDUCE_FROM rows or more eliminates one row of every edge
-first.  With s, c = sin, cos(k l_e / 2), the sin row of edge e has
-diagonal s c and coupling sqrt(k/2) s P_e, the cos row diagonal -s c and
-coupling sqrt(k/2) c Q_e, and the two rows do not touch.  Where
-|s| <= |c| the sin row goes, with pivot s c, and the vertex block gains
--(k/2) tan(k l_e / 2) P_e P_e^T; otherwise the cos row goes, with pivot
--s c, and the vertex block gains (k/2) cot(k l_e / 2) Q_e Q_e^T.  The
-choice is made at every k, so |tan| and |cot| never pass 1 and every
-entry of the reduced (V' + E)-square matrix stays bounded.  By
-Sylvester's law of inertia n_-(K) is the number of negative pivots plus
-n_- of the reduced matrix.  Below _REDUCE_FROM rows the elimination
-costs more than the eigvalsh it saves, and K is taken whole; the
-constant comes from a timing sweep of spectral_gap over flowers, stars
-and random graphs (CHANGES.md).
+A count of _REDUCE_FROM rows or more takes the vertex form, which
+eliminates edge rows first.  With s, c = sin, cos(k l_e / 2), the sin row
+of edge e has diagonal s c and coupling sqrt(k/2) s P_e, the cos row
+diagonal -s c and coupling sqrt(k/2) c Q_e, and the two rows do not
+touch.  The sin row goes with pivot s c and adds -(k/2) tan(k l_e / 2)
+P_e P_e^T to the vertex block, the cos row with pivot -s c and adds
+(k/2) cot(k l_e / 2) Q_e Q_e^T.  A row stays only where its s^2 or c^2
+passes cos^2(pi / 12): one row of each edge near a pole, |sin k l_e| <
+1/2, where the other row's |tan| or |cot| is below 2 - sqrt 3.  Both rows
+of every other edge go; their |tan| and |cot| are at most 2 + sqrt 3,
+and their pivots +-(1/2) sin k l_e are one of each sign.  The choice is
+made at every k, so every entry stays bounded, and V' + (edges near a
+pole) rows are left.  By Sylvester's law of inertia n_-(K) is the number
+of negative pivots plus n_- of what is left.  Below _REDUCE_FROM rows the
+elimination costs more than the eigvalsh it saves, and K is taken whole;
+the constant comes from a timing sweep of spectral_gap over flowers,
+stars and random graphs (CHANGES.md).
 
 The pole term and the pole-window tests (`poles`, `pole_near`,
 `lone_pole`, `off_scale`) loop over the lengths as a tuple of Python
@@ -85,12 +88,14 @@ negative levels here.
 The finder is a generator, `_level_search`: it yields a request, the
 count and a k where it needs that count, and is sent the count's
 spectrum there, V' + 2E ascending values with the inertia of K.  A whole
-K sends its eigenvalues.  A reduced count sends the reduced matrix's
+K sends its eigenvalues.  The vertex form sends its matrix's
 eigenvalues between -inf for each negative pivot and +inf for each
-positive one.  So the count, and the index n_- that regula falsi follows
-across a bracket, are those of K; where a bracket end's value is
-infinite, a stand-in or an off-scale end, the secant is nan and the
-finder bisects.  Every search built on it (`_gap_search`, `_reaches`,
+positive one, one of each for an edge whose rows both go.  So the count,
+and the index n_- that regula falsi follows across a bracket, are those
+of K; the value at that index jumps where an edge's rows start or stop
+going, but its sign does not.  Where a bracket end's value is infinite,
+a stand-in or an off-scale end, the secant is nan and the finder
+bisects.  Every search built on it (`_gap_search`, `_reaches`,
 `_eigenvalue_search`, `_negative_search`, `_around`) is a generator of
 the same kind, and one driver runs any number of them together and takes
 every count any of them needs, a group of one matrix shape in one
@@ -157,7 +162,7 @@ _POLE_WINDOW = 1e-11   # the count is never taken this close (in k l_e / pi) to 
 _MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a multiplicity,
 _MULT_FLOOR = 1e-9     # and its least absolute value, for levels near k = 0
 _MAX_LEVELS = 10_000   # most levels one search resolves
-_REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more eliminate one row per edge
+_REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more take the vertex form
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +398,7 @@ class _TrigCount(_Count):
     """The count of the eigenvalues lambda < k^2, k > 0 (module docstring).
 
     Its spectrum is the whole K's eigenvalues below _REDUCE_FROM rows, and
-    from there on the stand-in spectrum of the reduced matrix (`spectra`).
+    from there on the stand-in spectrum of the vertex form (`spectra`).
     """
 
     def __init__(self, m: MetricGraph) -> None:
@@ -424,33 +429,46 @@ class _TrigCount(_Count):
         arguments are those of `matrices`.
 
         Below _REDUCE_FROM rows they are the eigenvalues of `matrices`.  From
-        there on one row of every edge is eliminated (module docstring): the
-        sin row where |tan(k l_e / 2)| <= 1, the cos row otherwise.  The
-        reduced matrix's eigenvalues stand between -inf for each negative
-        pivot and +inf for each positive one.  A single count is the stack
-        of one, so the two agree bit for bit.
+        there on they are those of the vertex form (module docstring), which
+        keeps V' rows and one of each edge with |sin k l_e| < 1/2, between
+        -inf for each negative pivot and +inf for each positive one.  The
+        rows of a stack are grouped by their kept-row count, one eigvalsh
+        per group, and each is built as it is built alone: a single count is
+        the stack of one, so the two agree bit for bit.
         """
         b, nv = alpha.shape
         E = lengths.shape[-1]
         if nv + 2 * E < _REDUCE_FROM:
             return np.linalg.eigvalsh(_TrigCount.matrices(coupling, alpha, lengths, ks))
-        half_k = 0.5 * ks
-        half = half_k[:, None] * lengths
-        s, c = np.sin(half), np.cos(half)
-        cut = np.abs(s) <= np.abs(c)   # the sin row goes; else the cos row
-        keep = np.where(cut, c, s)     # |keep| >= 1 / sqrt(2)
-        diag = np.where(cut, -s, s) * c   # of the kept row; the pivot of the row that goes is -diag
-        w = half_k[:, None] * diag / (keep * keep)   # -(k/2) tan, or (k/2) cot
-        # rows [P_e; Q_e] of the cut edges, [Q_e; P_e] of the others: the incidence that goes, that stays
-        CT = coupling.transpose(0, 2, 1).reshape(b, 2, E, nv)
-        gone_kept = np.where(cut[:, None, :, None], CT, CT[:, ::-1])
-        n = nv + E
-        R = np.zeros((b, n, n))   # eigvalsh reads the lower triangle; the upper right stays 0
-        R[:, :nv, :nv] = (gone_kept[:, 0].transpose(0, 2, 1) * w[:, None, :]) @ gone_kept[:, 0]
-        R[:, nv:, :nv] = (np.sqrt(half_k)[:, None] * keep)[:, :, None] * gone_kept[:, 1]
-        R.reshape(b, n * n)[:, :: n + 1] += np.concatenate([alpha, diag], axis=1)
-        stand_ins = np.where(diag > 0.0, -np.inf, np.inf)
-        return np.sort(np.concatenate([np.linalg.eigvalsh(R), stand_ins], axis=1), axis=1)
+        half_k = 0.5 * ks[:, None]
+        half = half_k * lengths
+        trig = np.concatenate([np.sin(half), np.cos(half)], axis=1)   # s of the sin rows, c of the cos rows
+        sc = trig[:, :E] * trig[:, E:]
+        pivot = np.concatenate([sc, -sc], axis=1)   # their diagonal
+        square = trig * trig
+        kept = square > 0.9330127018922193   # cos^2(pi / 12) = (2 + sqrt 3) / 4
+        w = -half_k * square / pivot   # a row r that goes adds w_r C_r C_r^T: -(k/2) tan, (k/2) cot
+        w[kept] = 0.0
+        block = (coupling * w[:, None]) @ coupling.transpose(0, 2, 1)
+        block.reshape(b, nv * nv)[:, :: nv + 1] += alpha
+        edges = (coupling * (np.sqrt(half_k) * trig)[:, None]).transpose(0, 2, 1)
+        # a row holds its matrix's eigenvalues, then nan, then the stand-ins +-inf of its pivots, nan
+        # where the row stays; the sort puts every nan after its V' + 2E values
+        values = np.full((b, nv + 3 * E), np.nan)
+        values[:, nv + E :] = np.where(kept, np.nan, pivot * np.inf)   # no pivot is 0
+        groups = [slice(None)]   # rows of one kept-row count, each group taking one eigvalsh
+        if b > 1:
+            sizes = kept.sum(axis=1)
+            groups = [sizes == size for size in set(sizes.tolist())]
+        for j in groups:
+            mask = kept[j]
+            g, n = len(mask), nv + int(np.count_nonzero(mask[0]))
+            R = np.zeros((g, n, n))   # eigvalsh reads the lower triangle; the upper right stays 0
+            R[:, :nv, :nv] = block[j]
+            R[:, nv:, :nv] = edges[j][mask].reshape(g, n - nv, nv)
+            R.reshape(g, n * n)[:, nv * (n + 1) :: n + 1] = pivot[j][mask].reshape(g, -1)
+            values[j, :n] = np.linalg.eigvalsh(R)
+        return np.sort(values, axis=1)[:, : nv + 2 * E]
 
     def floor_sample(self) -> _Sample:
         return _Sample(self.floor, sum(self.zero_modes), self.poles(self.floor), None)   # lambda <= 0
@@ -544,7 +562,7 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
     lowest level in between.  An end where that value is off scale
     (`off_scale`: the search floor and the edges of a pole window, where
     it is of the size of k or of the window) enters as +inf at lo and -inf
-    at hi, as a reduced count's stand-ins do: the secant is then nan, and
+    at hi, as the vertex form's stand-ins do: the secant is then nan, and
     the step bisects until a sample replaces that end.  When a step
     replaces the same end as the step before, the value of the end it
     keeps is scaled by m = 1 - f_c / f_old, f_old the value it replaces,

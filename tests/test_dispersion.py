@@ -125,7 +125,7 @@ SWEEP = [-3.0, -PI / 2, -0.2, 0.0, 0.9, 2.5, PI]
 ])
 def test_lockstep_rows_equal_single_rows(family, v):
     m = metric(*family)
-    # flower(16) has 33 rows, so its counts are reduced; its petals are 1/16
+    # flower(16) has 33 rows, so its counts take the vertex form; its petals are 1/16
     # long, and its levels lie correspondingly higher
     k_max = 7 * PI * max(1, m.graph.edge_count // 4)
     rows = levels([_with_theta(m, v, t) for t in SWEEP], k_max, n_max=8)
