@@ -1,24 +1,38 @@
 """Spectral-gap optimization over the length simplex.
 
-Maximization runs simplex-projected ascent on the exact gradient of k1^2
-(minus the edge energies) while the gap is simple, symmetrizes dangling
-edges and loops (provably non-decreasing) when it is not, pins edges that
-hit the lower length bound and contracts them after a few iterations so
-boundary supremizers are reached exactly, and reduces over random
-restarts.  Infimization is constructive: all length onto one bridge (unit
-interval, gap pi) or onto one cycle edge (circle, gap 2 pi).  A simplex
-grid brute force serves as ground truth on small instances.
+Maximization runs a simplex-projected ascent on the exact derivatives of
+k1^2 (minus the edge energies), symmetrizes dangling edges and loops
+(provably non-decreasing), pins edges that hit the lower length bound and
+contracts them after a few iterations so boundary supremizers are reached
+exactly, and reduces over random restarts.  Infimization is constructive:
+all length onto one bridge (unit interval, gap pi) or onto one cycle edge
+(circle, gap 2 pi).  A simplex grid brute force serves as ground truth on
+small instances.
 
-Most trial points of the ascent lose.  A gradient step, its expansion, the
-equalize probe and a contract probe must beat the held gap plus
-IMPROVE_TOL; a candidate that does not is decided by the eigenvalue count
-at that floor against the count at the search floor (`gap_reaches`), and
-only a kept move gets the full gap search.  The brute force skips its
-grid points that cannot win the same way.  The count at the search floor
-is known, so `gap_reaches` costs one count; each count couples through
-the incidence its graph built once.  A trial point within NO_MOVE_RTOL
-(relative) of the lengths it would replace is no move and ends the step
-search.
+The maximizers sit where the gap is multiple: its lowest branches cross.
+Each step of the ascent takes the gap and, where its linear model can meet
+the next level's within the step, that level as a second branch, and
+steps by the bundle of their linear models (`_bundle_step`): a gradient
+step while the other branch stays above, else onto the hyperplane where
+the models meet, so the ascent lands on the crossing instead of halving
+across it.  Where the branches have merged into one multiple level, the
+density matrix of `perturbation.density_certificate` gives the steepest
+ascent direction, and certifies the point critical where it levels the
+edge energies (M. Overton, SIAM J. Optim. 2, 1992; A. Lewis and M.
+Overton, Acta Numerica, 1996).  A certified ascent takes no step; its
+contract probes then keep a face whose gap ties it within GAP_SLACK, so
+on a plateau of maximizers the supremizer on the face is reported.
+
+Most trial points of the ascent lose.  A gradient step, its expansion and
+a contract probe must beat the held gap plus IMPROVE_TOL; a candidate
+that does not is decided by the eigenvalue count at that floor against
+the count at the search floor (`gap_reaches`), and only a kept move gets
+the full gap search.  The brute force skips its grid points that cannot
+win the same way.  The count at the search floor is known, so
+`gap_reaches` costs one count; each count couples through the incidence
+its graph built once.  A trial whose linear models do not expect it to
+beat the held gap by IMPROVE_TOL is not counted: it ends the step
+search, as does one the length floor clips to the lengths.
 
 The restarts run in lockstep.  An ascent is a generator that hands up
 the count requests of its level searches (`_lockstep._drive`), and
@@ -31,9 +45,9 @@ company.  Eigenspaces are solved inside each ascent with the
 multiplicity its level search counted, and candidate metric graphs take
 the projected lengths as they are (`graph._trusted_metric`).  An ascent
 holds its gap as the `_Level` of its gap search, with the count just
-above the gap: the window of branches that steer the step
-(`_cluster_energies`) is searched up from that count, so one count at
-the window's top shows when the gap is alone in it.
+above the gap: the window of the second branch (`_cluster_energies`) is
+searched up from that count, so one count at the window's top shows when
+the gap is alone in it.
 
 The restarts also share the topologies they reach.  `maximize_gap` builds
 one `_Topology` for its graph, holding its symmetrizable groups and its
@@ -73,7 +87,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -111,15 +124,14 @@ from .spectral import (
     gap_reaches,
     spectral_gap,
 )
+from .perturbation import _project_simplex_lb, density_certificate, energy_matrices
 
 GAP_SLACK = 1e-10   # moves must not lose more than this
-CLUSTER_WINDOW = 2e-4   # branches within k1 * (1 + this) steer the ascent together
 MAX_ITERS = 120     # ascent iterations per start
 L_MIN = 1e-4        # length floor of the ascent
 PIN_ITERS = 5       # iterations at the floor before an edge is contracted
 STEP_SCALE = 0.1    # length of the first trial gradient step
 IMPROVE_TOL = 1e-9  # least gain that counts as a move
-NO_MOVE_RTOL = 1e-5  # a trial point this close, relative, to the lengths is no move
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +242,24 @@ def upper_bound(g: DiscreteGraph) -> float:
 
 
 def symmetrizable_groups(g: DiscreteGraph) -> list[tuple[int, str, tuple[int, ...]]]:
-    """(vertex, kind, edge ids) for every group of >= 2 dangling edges or loops."""
-    deg = g.degrees()
+    """(vertex, kind, edge ids) for every group of >= 2 dangling edges or loops,
+    by vertex, a vertex's loops before its dangling edges, edge ids ascending."""
+    deg = g.degrees().tolist()
+    loops: dict[int, list[int]] = {}
+    dangling: dict[int, list[int]] = {}
+    for e, (a, b) in enumerate(g.edges):
+        if a == b:
+            loops.setdefault(a, []).append(e)
+            continue
+        if deg[b] == 1:
+            dangling.setdefault(a, []).append(e)
+        if deg[a] == 1:
+            dangling.setdefault(b, []).append(e)
     groups = []
-    for v in range(g.vertex_count):
-        loops = tuple(e for e, (a, b) in enumerate(g.edges) if a == v and b == v)
-        dangling = tuple(
-            e
-            for e, (a, b) in enumerate(g.edges)
-            if a != b and ((a == v and deg[b] == 1) or (b == v and deg[a] == 1))
-        )
-        if len(loops) >= 2:
-            groups.append((v, "loops", loops))
-        if len(dangling) >= 2:
-            groups.append((v, "dangling", dangling))
+    for v in sorted(loops.keys() | dangling.keys()):
+        for kind, edges in (("loops", loops.get(v, ())), ("dangling", dangling.get(v, ()))):
+            if len(edges) >= 2:
+                groups.append((v, kind, tuple(edges)))
     return groups
 
 
@@ -308,27 +324,6 @@ class MaximizeOptions:
         for name in ("seeds", "seed"):
             if _integer(getattr(self, name), name, InvalidInputError) < 0:
                 raise InvalidInputError(f"{name} must be nonnegative, not {getattr(self, name)}")
-
-
-def _project_simplex_lb(y: np.ndarray, l_min: float) -> np.ndarray:
-    """Euclidean projection onto { x >= l_min, sum x = 1 }.
-
-    The sort, the running sums and the clamp run on Python floats, by the
-    same IEEE operations in the same order as the array formula
-    z = y - l_min, u = sort(z) descending, css = cumsum(u) - budget,
-    rho = the last i with u_i (i + 1) > css_i, tau = css_rho / (rho + 1),
-    max(z - tau, 0) + l_min; on a handful of entries that is the cheaper way.
-    """
-    n = y.size
-    budget = 1.0 - n * l_min
-    if budget < 0:
-        raise InvalidInputError("lower bound infeasible")
-    z = [x - l_min for x in y.tolist()]
-    u = sorted(z, reverse=True)
-    css = [s - budget for s in accumulate(u)]
-    rho = max(i for i in range(n) if u[i] * (i + 1) > css[i])
-    tau = css[rho] / (rho + 1.0)
-    return np.array([max(x - tau, 0.0) + l_min for x in z])
 
 
 class _Topology:
@@ -416,32 +411,107 @@ def _settle(state: _AscentState, drop=()) -> _AscentState:
     return settled
 
 
-def _cluster_energies(m: MetricGraph, gap: _Level) -> _Search:
-    """Edge energies averaged over the eigenspaces near the gap k1 of m.
+class _Branch(NamedTuple):
+    """A level that steers the ascent: k^2, its edge energies h, and the
+    ascent direction g = mean(h) - h of its linear model k^2 + g . dl on
+    the simplex, with |g|."""
 
-    Near-degenerate gaps make single-branch gradients zigzag across the
-    eigenvalue crossing; averaging the energies over every branch within
-    a relative window of k1 gives a stable ascent direction (for a truly
-    multiple gap this is the basis-independent eigenspace trace).  gap is
-    the `_Level` of m's gap search, and the window's search starts from
-    the count just above k1 that that search took: one count at the top
-    of the window shows whether any other level lies in it, and only then
-    is (k1, top] searched.  Each eigenspace takes the multiplicity its
-    search counted, all of them in one stacked svd.  The energies
-    k^2 (A_e^2 + B_e^2) of `EdgeTrig.energies` are read from the
-    coefficient rows as they are: a square does not see a row's sign.
+    lam: float
+    h: np.ndarray
+    g: np.ndarray
+    norm: float
+
+
+def _branch(k: float, h: np.ndarray, groups: list[list[int]]) -> _Branch:
+    """The branch of energies h at level k, h set to its mean on each group
+    of edges of equal length that a symmetry of the graph permutes: there
+    the energies of an eigenspace trace, or of an invariant density
+    matrix, are equal, and the mean drops the eigenbasis's rounding, which
+    a step would otherwise carry off the symmetric lengths."""
+    for group in groups:
+        h[group] = h[group].sum() / len(group)
+    g = h.sum() / h.size - h
+    return _Branch(k * k, h, g, math.sqrt(g @ g))
+
+
+def _trace_energies(k: float, basis: np.ndarray) -> np.ndarray:
+    """The edge energies k^2 (A_e^2 + B_e^2) averaged over the rows of an
+    eigenspace basis (`_eigenbasis_coeffs`), summed row by row: the trace
+    of the energy matrices over the multiplicity.  A square does not see a
+    row's sign."""
+    E = basis.shape[1] // 2
+    return sum(k**2 * (basis[:, :E] ** 2 + basis[:, E:] ** 2)) / len(basis)
+
+
+def _is_level(b: _Branch) -> bool:
+    """Whether a branch's energies are level: no ascent direction is left."""
+    return b.norm <= 1e-12 * (b.h.sum() / b.h.size)
+
+
+def _cluster_energies(m: MetricGraph, gap: _Level, groups: list[list[int]]) -> _Search:
+    """The `_Branch`es that steer the ascent from m: the gap, and the next
+    level where its model can reach the gap's within a step of STEP_SCALE;
+    None where the gap is certified critical.
+
+    The gap's energies are the trace of its eigenspace (`_trace_energies`);
+    where they are level, a simple gap is critical and a multiple one too,
+    with rho = I/m, and nothing else is solved.  A multiple gap whose trace
+    is not level takes the density matrix of `density_certificate`, which
+    certifies it where it levels the energies and otherwise gives the
+    steepest ascent direction of the multiple level.  The next level joins
+    as a second branch where it lies below k^2 = k1^2 + 2 STEP_SCALE |g|,
+    |g| the gap's slope: where its model, had it a slope no steeper, could
+    meet the gap's within the step.  That window is searched up from the
+    count just above k1 that the gap search took, so one count at its top
+    shows when the gap is alone in it.
     """
-    others = yield from _level_search(_TrigCount(m), gap.above, gap.k * (1.0 + CLUSTER_WINDOW))
-    cluster = [gap, *others]
-    E = m.graph.edge_count
-    total = np.zeros(E)
-    dims = 0
-    bases = _eigenbasis_coeffs(m, [p.k for p in cluster], [p.multiplicity for p in cluster])
-    for p, basis in zip(cluster, bases):
-        for energies in p.k**2 * (basis[:, :E] ** 2 + basis[:, E:] ** 2):
-            total += energies
-            dims += 1
-    return total / dims
+    (basis,) = _eigenbasis_coeffs(m, [gap.k], [gap.multiplicity])
+    first = _branch(gap.k, _trace_energies(gap.k, basis), groups)
+    if not _is_level(first) and gap.multiplicity > 1:
+        first = _branch(gap.k, density_certificate(energy_matrices(gap.k, basis))[1], groups)
+    if _is_level(first):
+        return None
+    top = math.sqrt(first.lam + 2.0 * STEP_SCALE * first.norm)
+    branches = [first]
+    for p in (yield from _level_search(_TrigCount(m), gap.above, top, first_only=True)):
+        (basis,) = _eigenbasis_coeffs(m, [p.k], [p.multiplicity])
+        branches.append(_branch(p.k, _trace_energies(p.k, basis), groups))
+    return branches
+
+
+def _bundle_step(branches: list[_Branch], radius: float) -> tuple[np.ndarray, float]:
+    """A step dl tangent to the simplex that maximizes the least of the
+    branches' linear models k_i^2 + g_i . dl, and its length, or radius
+    where a ball of that radius bounds it.
+
+    With one branch it is the gradient step (radius / |g_1|) g_1.  With two
+    the dual is min over w in [0, 1] of the models' w-mix plus radius times
+    the mix's gradient norm, and the step is solved in closed form: one
+    branch's gradient step where the other's model stays above it there
+    (w = 0 or 1), else the point nearest the lengths of the hyperplane
+    where the models meet, plus (radius / |g_1|) times the gradient the two
+    share along it.  That ridge part scales as a gradient step does, so an
+    eigenbasis's rounding along a ridge of zero slope moves nothing.
+    """
+    one, *rest = branches
+    step = (radius / one.norm) * one.g
+    if not rest:
+        return step, radius
+    two = rest[0]
+    if two.lam + two.g @ step >= one.lam + one.g @ step:
+        return step, radius
+    step2 = (radius / two.norm) * two.g if two.norm else step
+    if one.lam + one.g @ step2 >= two.lam + two.g @ step2:
+        return step2, radius
+    c = one.g - two.g
+    cc = float(c @ c)
+    step = ((two.lam - one.lam) / cc) * c + (radius / one.norm) * (one.g - ((one.g @ c) / cc) * c)
+    return step, math.sqrt(step @ step)
+
+
+def _model_gap(branches: list[_Branch], step: np.ndarray) -> float:
+    """The gap the branches' linear models k_i^2 - h_i . step predict."""
+    return math.sqrt(max(min(b.lam - b.h @ step for b in branches), 0.0))
 
 
 def _gap_above(m: MetricGraph, floor: float) -> _Search:
@@ -498,9 +568,8 @@ def _held_gap(state: _AscentState, searched: dict) -> _Search:
 
 
 def _no_move(cand: np.ndarray, lengths: np.ndarray, atol: float) -> bool:
-    """np.allclose(cand, lengths, rtol=NO_MOVE_RTOL, atol=atol) for finite
-    lengths of one shape, without its overhead."""
-    return bool((np.abs(cand - lengths) <= atol + NO_MOVE_RTOL * np.abs(lengths)).all())
+    """Whether every length of cand lies within atol of lengths."""
+    return bool((np.abs(cand - lengths) <= atol).all())
 
 
 class _Follow(NamedTuple):
@@ -530,6 +599,13 @@ def _single_ascent(
     start that symmetrizes is held without one: counts decide its
     symmetrization (`_start_moves`), and its init step's gap stays
     nan unless they leave the decision to a search of the start.
+
+    Each iteration steps by the bundle of `_cluster_energies`' branches
+    (`_bundle_step`) within a trust radius of STEP_SCALE, halved after a
+    refused trial, and doubled while a step the ball bounds keeps
+    improving.  A gradient step's trace entry records its length over
+    the gap's slope |g|, the step size of a plain gradient step.  An
+    iteration whose gap is certified critical takes no step.
     """
     searched = {} if searched is None else searched
     gap = None   # the start's, searched only where counts do not decide its symmetrization
@@ -565,60 +641,52 @@ def _single_ascent(
             if first.leader != index:
                 return first
 
-        # ascent step along the eigenspace-averaged energy gradient; gradient
-        # moves must strictly improve (the slack is reserved for the provably
-        # non-decreasing moves, otherwise slack-sized losses can accumulate)
-        energies = yield from _cluster_energies(state.metric(), gap)
-        direction = energies.mean() - energies
-        norm = float(np.linalg.norm(direction))
-        if norm > 1e-12 * energies.mean():
-            eta = STEP_SCALE / norm
-            accepted = None
+        # ascent step of the branches' bundle (`_bundle_step`), unless the gap
+        # is certified critical; gradient moves must strictly improve (the
+        # slack is reserved for the provably non-decreasing moves, otherwise
+        # slack-sized losses can accumulate).  A trial the linear models do
+        # not expect to beat the held gap by IMPROVE_TOL ends the search
+        branches = yield from _cluster_energies(
+            state.metric(), gap, [] if state.asymmetric() else state.topo.groups)
+        if branches is not None:
+            radius, accepted = STEP_SCALE, None
             for halving in range(40):
-                cand = _project_simplex_lb(state.lengths + eta * direction, L_MIN)
-                if _no_move(cand, state.lengths, 1e-15):
+                step, length = _bundle_step(branches, radius)
+                cand = _project_simplex_lb(state.lengths + step, L_MIN)
+                if _model_gap(branches, cand - state.lengths) <= gap.k + IMPROVE_TOL:
                     break
                 cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), gap.k + IMPROVE_TOL)
                 if cand_gap is not None:
-                    accepted = (cand, cand_gap, eta)
+                    accepted = (cand, cand_gap, length)
                     break
-                eta *= 0.5
-            # expand the step while it keeps improving; after a halving, the
-            # first expansion, 2 eta to the bit, is the trial just refused
-            while accepted is not None and halving == 0:
-                eta2 = accepted[2] * 2.0
-                cand = _project_simplex_lb(state.lengths + eta2 * direction, L_MIN)
+                radius = 0.5 * min(radius, length)
+            # expand a step the ball bounds while it keeps improving and the
+            # floor does not clip it away; after a halving, the first
+            # expansion is the trial just refused
+            while accepted is not None and halving == 0 and accepted[2] == radius:
+                radius *= 2.0
+                step, length = _bundle_step(branches, radius)
+                cand = _project_simplex_lb(state.lengths + step, L_MIN)
                 if _no_move(cand, accepted[0], 1e-15):
                     break
                 cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), accepted[1].k + IMPROVE_TOL)
-                if cand_gap is not None:
-                    accepted = (cand, cand_gap, eta2)
-                else:
+                if cand_gap is None:
                     break
+                accepted = (cand, cand_gap, length)
             if accepted is not None:
                 state.lengths, gap = accepted[0], accepted[1]
-                trace.append(TraceStep(gap.k, accepted[2], "gradient"))
+                trace.append(TraceStep(gap.k, accepted[2] / branches[0].norm, "gradient"))
                 moved = True
 
-        # nonsmooth stalls (gap maximum at an eigenvalue crossing): probe
-        # boundary moves, symmetrized, keeping the best strictly improving
-        # one.  Candidates: drop one edge at a time, or contract every
+        # no step: probe boundary moves, symmetrized, keeping the best
+        # strictly improving one, or at a certified point the best that
+        # ties it.  Candidates: drop one edge at a time, or contract every
         # internal edge at once (the stower realization, which is how the
         # closed-form supremizers of trees and of non-tree graphs arise).
         if not moved and state.topo.graph.edge_count >= 2:
-            # the fully equilateral point first: exact maximizer for mandarin
-            # topologies, where no dangling/loop symmetrization applies
-            cand = np.full(state.topo.graph.edge_count, 1.0 / state.topo.graph.edge_count)
-            if not _no_move(cand, state.lengths, 1e-14):
-                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), gap.k + IMPROVE_TOL)
-                if cand_gap is not None:
-                    state.lengths, gap = cand, cand_gap
-                    trace.append(TraceStep(gap.k, 0.0, "equalize"))
-                    moved = True
-
-        if not moved and state.topo.graph.edge_count >= 2:
             probes = [_settle(state, drop) for drop in state.topo.probes]
-            gaps = yield from _together([_gap_above(p.metric(), gap.k + IMPROVE_TOL) for p in probes])
+            floor = gap.k - GAP_SLACK if branches is None else gap.k + IMPROVE_TOL
+            gaps = yield from _together([_gap_above(p.metric(), floor) for p in probes])
             found = [(p, cand_gap) for p, cand_gap in zip(probes, gaps) if cand_gap is not None]
             if found:
                 state, gap = max(found, key=lambda probe: probe[1].k)

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .errors import InvalidInputError, MultiplicityError, PreconditionError
 from .graph import MetricGraph, _components
-from .spectral import EdgeTrig, _eigenbasis, spectral_gap
+from .spectral import EdgeTrig, _eigenbasis, _eigenbasis_coeffs, spectral_gap
 
 ZERO_SCALE = 1e-8       # |f| below this * max|f| counts as a zero
 VERTEX_SNAP = 1e-8      # zeros this close to an endpoint belong to the vertex
@@ -60,10 +61,12 @@ def gap_gradient(m: MetricGraph) -> np.ndarray:
 class CriticalityReport:
     critical: bool
     k: float
-    energies: tuple[float, ...]
+    energies: tuple[float, ...]         # h_e = <G_e, rho>; f's energies for a simple gap
     spread: float                       # (max - min) / mean energy
     odd_vertex_violations: tuple[int, ...]
     even_vertex_violations: tuple[int, ...]
+    multiplicity: int = 1
+    weights: tuple[float, ...] = (1.0,)   # the eigenvalues of rho, ascending
 
     def to_dict(self) -> dict:
         return {
@@ -73,17 +76,37 @@ class CriticalityReport:
             "spread": self.spread,
             "odd_vertex_violations": list(self.odd_vertex_violations),
             "even_vertex_violations": list(self.even_vertex_violations),
+            "multiplicity": self.multiplicity,
+            "weights": list(self.weights),
         }
 
 
 def is_critical(m: MetricGraph, tol: float = 1e-6) -> CriticalityReport:
     """Critical point of the gap on the length simplex: equal edge energies.
 
-    Equivalently the eigenfunction derivative vanishes at odd-degree
-    vertices and has equal magnitude on all edges at even-degree ones;
-    both characterizations are reported.
+    For a simple gap the energies are its eigenfunction's, and equivalently
+    the eigenfunction derivative vanishes at odd-degree vertices and has
+    equal magnitude on all edges at even-degree ones; both
+    characterizations are reported.  A multiple gap is critical when a
+    density matrix rho on its eigenspace makes the energies <G_e, rho>
+    equal (`density_certificate`); its report carries rho's eigenvalues
+    and no vertex violations, which speak of one eigenfunction.
     """
-    return _criticality(m, *gap_eigenpair(m), tol)
+    k, mult = spectral_gap(m)
+    if mult == 1:
+        return _criticality(m, k, _eigenbasis(m, k, 1)[0], tol)
+    coeffs = _eigenbasis_coeffs(m, [k], [mult])[0]
+    rho, energies, spread = density_certificate(energy_matrices(k, coeffs))
+    return CriticalityReport(
+        critical=spread <= tol,
+        k=k,
+        energies=tuple(energies.tolist()),
+        spread=spread,
+        odd_vertex_violations=(),
+        even_vertex_violations=(),
+        multiplicity=mult,
+        weights=tuple(np.linalg.eigvalsh(rho).tolist()),
+    )
 
 
 def _criticality(m: MetricGraph, k: float, f: EdgeTrig, tol: float) -> CriticalityReport:
@@ -103,6 +126,70 @@ def _criticality(m: MetricGraph, k: float, f: EdgeTrig, tol: float) -> Criticali
         odd_vertex_violations=tuple(np.flatnonzero(odd & (high > bar)).tolist()),
         even_vertex_violations=tuple(np.flatnonzero(~odd & (high - low > bar)).tolist()),
     )
+
+
+def _project_simplex_lb(y: np.ndarray, l_min: float) -> np.ndarray:
+    """Euclidean projection onto { x >= l_min, sum x = 1 }.
+
+    The sort, the running sums and the clamp run on Python floats, by the
+    same IEEE operations in the same order as the array formula
+    z = y - l_min, u = sort(z) descending, css = cumsum(u) - budget,
+    rho = the last i with u_i (i + 1) > css_i, tau = css_rho / (rho + 1),
+    max(z - tau, 0) + l_min; on a handful of entries that is the cheaper way.
+    """
+    n = y.size
+    budget = 1.0 - n * l_min
+    if budget < 0:
+        raise InvalidInputError("lower bound infeasible")
+    z = [x - l_min for x in y.tolist()]
+    u = sorted(z, reverse=True)
+    css = [s - budget for s in accumulate(u)]
+    rho = max(i for i in range(n) if u[i] * (i + 1) > css[i])
+    tau = css[rho] / (rho + 1.0)
+    return np.array([max(x - tau, 0.0) + l_min for x in z])
+
+
+def energy_matrices(k: float, coeffs: np.ndarray) -> np.ndarray:
+    """The per-edge energy matrices G_e[i, j] = k^2 (A_ie A_je + B_ie B_je),
+    shape (E, m, m), of an eigenspace at k given as m orthonormal rows
+    [A | B] (`_eigenbasis_coeffs`).  For eigenfunctions f_i' f_j' + k^2
+    f_i f_j is constant along each edge, and G_e[i, i] is f_i's energy."""
+    E = coeffs.shape[1] // 2
+    a, b = coeffs[:, :E].T, coeffs[:, E:].T
+    return k * k * (a[:, :, None] * a[:, None, :] + b[:, :, None] * b[:, None, :])
+
+
+def density_certificate(G: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The density matrix rho (symmetric, PSD, trace 1) that levels the
+    energies h_e = <G_e, rho> best, those energies and their spread
+    (max - min) / mean.
+
+    The gap is critical on the simplex exactly when some rho makes every
+    h_e equal (M. Overton, SIAM J. Optim. 2, 1992; A. Lewis and M. Overton,
+    Acta Numerica, 1996), and mean(h) - h is then the steepest ascent
+    direction of the multiple level.  rho is I/m plus the least-norm
+    trace-0 correction that minimizes the squared deviation of h from its
+    mean (a least-squares solve in Frobenius coordinates, so a symmetry
+    of the eigenspace carries over to rho), projected onto the
+    spectraplex where it is not PSD.
+    """
+    E, m, _ = G.shape
+    iu = np.triu_indices(m)
+    trace = (iu[0] == iu[1]).astype(float)
+    scale = np.where(trace == 1.0, 1.0, math.sqrt(2.0))   # Frobenius coordinates
+    cols = G[:, iu[0], iu[1]] * scale
+    cols = cols - cols.mean(axis=0)
+    basis = np.linalg.svd(trace[None, :])[2][1:].T   # orthonormal, of trace 0
+    v = trace / m
+    v = v - basis @ np.linalg.lstsq(cols @ basis, cols @ v, rcond=None)[0]
+    rho = np.zeros((m, m))
+    rho[iu] = v / scale
+    rho = rho + np.triu(rho, 1).T
+    weights, vectors = np.linalg.eigh(rho)
+    if weights[0] < 0.0:
+        rho = (vectors * _project_simplex_lb(weights, 0.0)) @ vectors.T
+    h = np.einsum("eij,ij->e", G, rho)
+    return rho, h, float((h.max() - h.min()) / h.mean())
 
 
 # ---------------------------------------------------------------------------

@@ -356,9 +356,10 @@ def test_sgp_output_is_pinned(case, tmp_path, capsys):
 
 # stdout of `qgraph optimize --seed 1`, byte for byte: the trace prints every
 # accepted gap exactly, so a changed decision or value anywhere in the
-# ascent shows here.  stower(2, 1) from default_rng(1000) is the start that
-# stalls short of 5 pi / 2; stower(1, 2) starts on the boundary, with its
-# dangling edge contracted
+# ascent shows here.  stower(2, 1) from default_rng(1000) is the start whose
+# ascent stalled 8.3e-6 short of 5 pi / 2 until the bundle step landed it
+# on the crossing, 4e-14 from it; stower(1, 2) starts on the boundary, with
+# its dangling edge contracted
 OPTIMIZE_OUTPUT = {
     "star4-random": ((star(4)[0], random_lengths(np.random.default_rng(1), 4)), """\
 {
@@ -410,71 +411,41 @@ OPTIMIZE_OUTPUT = {
     "stower21-rng1000": ((stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)), """\
 {
   "lengths": [
-    0.4000004214159562,
-    0.40000042141595615,
-    0.1999991571680877
+    0.400000000000002,
+    0.400000000000002,
+    0.19999999999999596
   ],
-  "gap": 7.85397335950025,
+  "gap": 7.853981633974443,
   "classification": "maximizer-candidate",
   "trace": [
     {
-      "gap": 3.209254500774514,
+      "gap": 7.0223459076574395,
       "step": 0.0,
       "move": "init"
     },
     {
-      "gap": 3.213405738017179,
+      "gap": 7.086730235460832,
       "step": 0.0,
       "move": "symmetrize"
     },
     {
-      "gap": 7.3236654721916565,
-      "step": 0.1557135733122069,
+      "gap": 7.805557116078667,
+      "step": 0.0010810799148279686,
       "move": "gradient"
     },
     {
-      "gap": 7.68957643669382,
-      "step": 0.0004897562770996792,
+      "gap": 7.853066534462061,
+      "step": 4.8255388120156895e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.757746229690668,
-      "step": 0.00021155741704067556,
+      "gap": 7.853981313971177,
+      "step": 9.067560384427996e-07,
       "move": "gradient"
     },
     {
-      "gap": 7.786839548327302,
-      "step": 3.434381223602836e-05,
-      "move": "gradient"
-    },
-    {
-      "gap": 7.836399665306842,
-      "step": 5.093213033424855e-05,
-      "move": "gradient"
-    },
-    {
-      "gap": 7.848888423615637,
-      "step": 1.249297284648559e-05,
-      "move": "gradient"
-    },
-    {
-      "gap": 7.850485386427916,
-      "step": 6.216716552449637e-06,
-      "move": "gradient"
-    },
-    {
-      "gap": 7.852016835408114,
-      "step": 1.035487469980112e-06,
-      "move": "gradient"
-    },
-    {
-      "gap": 7.8535819766830945,
-      "step": 1.5523222233097506e-06,
-      "move": "gradient"
-    },
-    {
-      "gap": 7.85397335950025,
-      "step": 3.878485802053108e-07,
+      "gap": 7.853981633974443,
+      "step": 3.1704877144671103e-10,
       "move": "gradient"
     }
   ]

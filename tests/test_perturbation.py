@@ -16,7 +16,7 @@ from qgraph import (
     path_decomposition,
     spectral_gap,
 )
-from qgraph import perturbation
+from qgraph import full_catalog, perturbation, spectral
 from qgraph.spectral import eigenfunction
 from qgraph.families import (
     interval,
@@ -148,6 +148,45 @@ def test_criticality_agrees_with_energy_spread():
         energies = np.array(rep.energies)
         spread = (energies.max() - energies.min()) / energies.mean()
         assert rep.critical == (spread <= 1e-6)
+
+
+def test_is_critical_certifies_every_catalog_maximizer():
+    # 15 of the 24 closed-form maximizers have a multiple gap, which the
+    # criticality test raised MultiplicityError on; a density matrix on the
+    # eigenspace now levels their energies, so all 24 are certified
+    reports = [(entry, is_critical(metric(entry.graph, entry.lengths))) for entry in full_catalog()]
+    assert sum(rep.multiplicity > 1 for _, rep in reports) == 15
+    assert [entry.family + str(entry.params) for entry, rep in reports if not rep.critical] == []
+    for entry, rep in reports:
+        assert rep.k == pytest.approx(entry.gap, abs=1e-9)
+        assert rep.spread <= 1e-12
+        assert len(rep.weights) == rep.multiplicity
+        assert min(rep.weights) >= 0.0 and sum(rep.weights) == pytest.approx(1.0, abs=1e-12)
+    # stower(2, 1) needs rho of rank 2: no single eigenfunction levels it
+    (rep,) = [rep for entry, rep in reports if (entry.family, entry.params) == ("stower", (2, 1))]
+    assert rep.weights == pytest.approx((0.25, 0.75), abs=1e-9)
+
+
+def test_a_multiple_gap_off_the_maximizer_is_not_critical():
+    # star(4) with three leaves of 0.3: the gap 5 pi / 3 is double, and no
+    # density matrix gives the short leaf the others' energy
+    rep = is_critical(metric(star(4)[0], np.array([0.3, 0.3, 0.3, 0.1])))
+    assert (rep.critical, rep.multiplicity) == (False, 2)
+    assert rep.k == pytest.approx(5 * PI / 3, abs=1e-9)
+    assert rep.spread > 1.0
+    assert rep.odd_vertex_violations == rep.even_vertex_violations == ()
+
+
+def test_density_certificate_keeps_a_level_trace():
+    # where the equal-weight trace is level, rho = I/m as it is
+    g, l = star(5)
+    m = metric(g, l)
+    k, mult = spectral_gap(m)
+    (coeffs,) = spectral._eigenbasis_coeffs(m, [k], [mult])
+    rho, energies, spread = perturbation.density_certificate(perturbation.energy_matrices(k, coeffs))
+    assert rho == pytest.approx(np.eye(mult) / mult, abs=1e-12)
+    assert spread <= 1e-12
+    assert energies == pytest.approx(np.full(5, energies.mean()), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
