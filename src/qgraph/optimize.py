@@ -23,12 +23,20 @@ Overton, Acta Numerica, 1996).  A certified ascent takes no step; its
 contract probes then keep a face whose gap ties it within GAP_SLACK, so
 on a plateau of maximizers the supremizer on the face is reported.
 
+Every contraction the ascent tries, a contract probe or a pinned edge, is
+first held against the global bound k1 <= pi (E' - E'_l/2) of the face
+it lands on (`_face_bound`), read off the incidence; a face whose bound
+lies below the floor its gap must reach is neither built, settled nor
+counted (BOUND_MARGIN).  The star, flower and mandarin maximizers attain
+the bound, so a certified star or flower ends without building a face.
+
 Most trial points of the ascent lose.  A gradient step, its expansion and
 a contract probe must beat the held gap plus IMPROVE_TOL; a candidate
 that does not is decided by the eigenvalue count at that floor against
 the count at the search floor (`gap_reaches`), and only a kept move gets
 the full gap search.  The brute force skips its grid points that cannot
-win the same way.  The count at the search floor is known, so
+win the same way, and first, unbuilt, every point whose face's bound
+lies below the best gap found.  The count at the search floor is known, so
 `gap_reaches` costs one count; each count couples through the incidence
 its graph built once.  A trial whose linear models do not expect it to
 beat the held gap by IMPROVE_TOL is not counted: it ends the step
@@ -50,9 +58,10 @@ searched up from that count, so one count at the window's top shows when
 the gap is alone in it.
 
 The restarts also share the topologies they reach.  `maximize_gap` builds
-one `_Topology` for its graph, holding its symmetrizable groups and its
-contract probes, and every start begins there.  A contraction is asked of
-the topology it leaves, by the edges it drops; the first request builds
+one `_Topology` for its graph, holding its symmetrizable groups, its
+contract probes and their faces' bounds, and every start begins there.  A
+contraction that passes its bound is asked of the topology it leaves, by
+the edges it drops; the first request builds
 the quotient from the incidence (`graph._contract`) and its `_Topology`,
 and every later one, from any start, takes them as they are.  The tree
 lives for one call, so its size is bounded by the faces that call probes.
@@ -103,12 +112,14 @@ from .graph import (
     DiscreteGraph,
     LengthVector,
     MetricGraph,
+    _components,
     _contract,
     _integer,
     _spanning_tree,
     _trusted_metric,
     contract_zero_edges,
     find_bridges,
+    tree_diameter,
 )
 from . import families
 from .spectral import (
@@ -132,6 +143,12 @@ L_MIN = 1e-4        # length floor of the ascent
 PIN_ITERS = 5       # iterations at the floor before an edge is contracted
 STEP_SCALE = 0.1    # length of the first trial gradient step
 IMPROVE_TOL = 1e-9  # least gain that counts as a move
+# A face's gap is at most its proven bound (`_face_bound`), and a count
+# decides a floor at most 2e-11 (relative) below it, where `off_pole` moves
+# it out of a pole window; so a face whose bound lies this far below a floor
+# cannot reach it, whatever its lengths.  The margin keeps skipping such
+# faces exact; it is not tuned to any graph.
+BOUND_MARGIN = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -227,12 +244,33 @@ def upper_bound(g: DiscreteGraph) -> float:
     """Global bound k1 <= pi (E - El/2), El counting leaf edges.
 
     Not applicable for (E, El) in {(1,1), (1,0), (2,1)} (single interval,
-    single loop, lasso), where the bound fails or degenerates.
+    single loop, lasso), where the bound fails or degenerates.  The bound
+    is attained by the star, flower and mandarin maximizers; the ascent
+    skips every contraction whose face's bound (`_face_bound`) lies below
+    the gap it must reach.
     """
-    E = g.edge_count
-    El = len(g.leaf_edges())
+    bound = _face_bound(g, ())
+    if bound == math.inf:
+        raise NotApplicableError(f"bound excluded for (E, El) = ({g.edge_count}, {len(g.leaf_edges())})")
+    return bound
+
+
+def _face_bound(g: DiscreteGraph, drop) -> float:
+    """The bound pi (E' - E'_l/2) of the quotient of g by the edges in drop,
+    infinite for the pairs `upper_bound` excludes, from the incidence
+    alone: the dropped edges' components are the quotient's vertices, a
+    loop counts twice in a degree, and a leaf edge has an end of degree
+    one."""
+    dropped = set(drop)
+    classes = _components(g.vertex_count, (g.edges[e] for e in dropped))
+    kept = [(classes[u], classes[v]) for e, (u, v) in enumerate(g.edges) if e not in dropped]
+    degree = [0] * g.vertex_count
+    for u, v in kept:
+        degree[u] += 1
+        degree[v] += 1
+    E, El = len(kept), sum(degree[u] == 1 or degree[v] == 1 for u, v in kept)
     if (E, El) in ((1, 1), (1, 0), (2, 1)):
-        raise NotApplicableError(f"bound excluded for (E, El) = ({E}, {El})")
+        return math.inf
     return math.pi * (E - El / 2.0)
 
 
@@ -333,11 +371,14 @@ class _Topology:
     three edges, where `symmetrize` does not apply) and `probes` the edge
     sets its contract probes drop: each edge alone, and every internal edge
     at once when there are at least two and the graph has other edges.
-    `children` holds the contractions asked for so far, keyed by the edges
-    they drop, so every face is built once per `maximize_gap` call.
+    `bounds` holds each probe's `_face_bound`, read off the incidence, so a
+    probe whose face cannot reach the floor is skipped before its face is
+    built.  `children` holds the contractions asked for so far, keyed by
+    the edges they drop, so a face is built once per `maximize_gap` call,
+    and only for a probe or a pin that passes its bound.
     """
 
-    __slots__ = ("graph", "groups", "probes", "children")
+    __slots__ = ("graph", "groups", "probes", "bounds", "children")
 
     def __init__(self, g: DiscreteGraph):
         E = g.edge_count
@@ -347,6 +388,7 @@ class _Topology:
         leaf_edges = set(g.leaf_edges())
         internal = [e for e in range(E) if e not in leaf_edges and not g.is_loop(e)]
         self.probes = [[e] for e in range(E)] + ([internal] if 1 < len(internal) < E else [])
+        self.bounds = [_face_bound(g, drop) for drop in self.probes]
         self.children: dict[tuple[int, ...], tuple[_Topology, list[int | None]]] = {}
 
     def child(self, lengths: np.ndarray) -> tuple[_Topology, list[int | None]]:
@@ -605,13 +647,17 @@ def _single_ascent(
     refused trial, and doubled while a step the ball bounds keeps
     improving.  A gradient step's trace entry records its length over
     the gap's slope |g|, the step size of a plain gradient step.  An
-    iteration whose gap is certified critical takes no step.
+    iteration whose gap is certified critical takes no step.  An
+    iteration that holds the topology, lengths and `_Level` of the last
+    one takes that one's branches: after a symmetrization onto a
+    certified point, and while an edge waits at the floor to be pinned.
     """
     searched = {} if searched is None else searched
     gap = None   # the start's, searched only where counts do not decide its symmetrization
     if not state.asymmetric():
         gap = yield from _held_gap(state, searched)
     trace.append(TraceStep(math.nan if gap is None else gap.k, 0.0, "init"))
+    last = None   # the last `_cluster_energies` call's topology, lengths and gap, and its branches
 
     for it in range(MAX_ITERS):
         moved = False
@@ -646,8 +692,12 @@ def _single_ascent(
         # slack is reserved for the provably non-decreasing moves, otherwise
         # slack-sized losses can accumulate).  A trial the linear models do
         # not expect to beat the held gap by IMPROVE_TOL ends the search
-        branches = yield from _cluster_energies(
-            state.metric(), gap, [] if state.asymmetric() else state.topo.groups)
+        lengths = state.lengths.tobytes()
+        if last is None or last[0] is not state.topo or last[1] != lengths or last[2] is not gap:
+            branches = yield from _cluster_energies(
+                state.metric(), gap, [] if state.asymmetric() else state.topo.groups)
+            last = (state.topo, lengths, gap, branches)
+        branches = last[3]
         if branches is not None:
             radius, accepted = STEP_SCALE, None
             for halving in range(40):
@@ -683,27 +733,35 @@ def _single_ascent(
         # ties it.  Candidates: drop one edge at a time, or contract every
         # internal edge at once (the stower realization, which is how the
         # closed-form supremizers of trees and of non-tree graphs arise).
+        # A probe whose face's bound lies below the floor is skipped unbuilt:
+        # its gap could not reach the floor (BOUND_MARGIN)
         if not moved and state.topo.graph.edge_count >= 2:
-            probes = [_settle(state, drop) for drop in state.topo.probes]
             floor = gap.k - GAP_SLACK if branches is None else gap.k + IMPROVE_TOL
-            gaps = yield from _together([_gap_above(p.metric(), floor) for p in probes])
-            found = [(p, cand_gap) for p, cand_gap in zip(probes, gaps) if cand_gap is not None]
-            if found:
-                state, gap = max(found, key=lambda probe: probe[1].k)
-                trace.append(TraceStep(gap.k, 0.0, "contract-probe"))
-                moved = True
+            probes = [_settle(state, drop) for drop, bound in zip(state.topo.probes, state.topo.bounds)
+                      if bound >= floor * (1.0 - BOUND_MARGIN)]
+            if probes:
+                gaps = yield from _together([_gap_above(p.metric(), floor) for p in probes])
+                found = [(p, cand_gap) for p, cand_gap in zip(probes, gaps) if cand_gap is not None]
+                if found:
+                    state, gap = max(found, key=lambda probe: probe[1].k)
+                    trace.append(TraceStep(gap.k, 0.0, "contract-probe"))
+                    moved = True
 
         # pin bookkeeping and boundary contraction; contraction is evaluated
         # together with the symmetrization of any groups it creates, which
-        # often lands exactly on the closed-form supremizer
+        # often lands exactly on the closed-form supremizer.  A face whose
+        # bound lies below the floor is refused unbuilt
         at_floor = state.lengths <= L_MIN * (1 + 1e-9)
         state.pin_count[at_floor] += 1
         state.pin_count[~at_floor] = 0
         to_zero = [int(e) for e in np.nonzero(state.pin_count >= PIN_ITERS)[0]]
         if to_zero and len(to_zero) < state.topo.graph.edge_count:
-            cand_state = _settle(state, to_zero)
-            cand_gap = yield from _gap_search(cand_state.metric())
-            if cand_gap.k >= gap.k - GAP_SLACK:
+            floor = gap.k - GAP_SLACK
+            cand_gap = None
+            if _face_bound(state.topo.graph, to_zero) >= floor * (1.0 - BOUND_MARGIN):
+                cand_state = _settle(state, to_zero)
+                cand_gap = yield from _gap_search(cand_state.metric())
+            if cand_gap is not None and cand_gap.k >= floor:
                 state, gap = cand_state, cand_gap
                 trace.append(TraceStep(gap.k, 0.0, "contract"))
                 moved = True
@@ -759,7 +817,10 @@ def maximize_gap(
     index set with zeros for contracted edges.  init is a LengthVector or
     anything `LengthVector` accepts.  The winning trace opens with the gap
     of its start; a restart's is searched after the ascents where counts
-    decided that start's symmetrization.
+    decided that start's symmetrization.  A result above the bound
+    pi (E - El/2) where it applies, or on a tree above pi / diameter at
+    the returned lengths, by more than 1e-8 is an internal error
+    (RuntimeError).
     """
     opts = options or MaximizeOptions()
     if not isinstance(init, LengthVector):
@@ -786,6 +847,14 @@ def maximize_gap(
             best = (gap, state, trace, j)
 
     gap, state, trace, j = best
+    # a reported gap never exceeds a proven bound, within A10's tolerance
+    bound = _face_bound(g, ())
+    if gap > bound + 1e-8:
+        raise RuntimeError(f"maximize_gap: gap {gap!r} above the bound pi (E - El/2) = {bound!r}")
+    if g.is_tree():
+        bound = math.pi / tree_diameter(state.metric())
+        if gap > bound + 1e-8:
+            raise RuntimeError(f"maximize_gap: gap {gap!r} above the bound pi / tree_diameter = {bound!r}")
     if math.isnan(trace[0].gap):
         # the winning restart's start was decided by counts; its trace opens with its gap
         trace[0] = TraceStep(spectral_gap(_trusted_metric(*firsts[j]))[0], 0.0, "init")
@@ -859,7 +928,15 @@ def brute_force_gap(g: DiscreteGraph, resolution: int, mode: str = "max") -> Opt
     best_gap = None
     best_lengths = None
     sign = 1.0 if mode == "max" else -1.0
+    bounds: dict[tuple[int, ...], float] = {}   # `_face_bound` of each zero pattern met
     for comp in _compositions(resolution, E):
+        if mode == "max" and best_gap is not None:
+            # a point whose face's bound lies below the best gap cannot win
+            zero = tuple(e for e, c in enumerate(comp) if c == 0)
+            if zero not in bounds:
+                bounds[zero] = _face_bound(g, zero)
+            if bounds[zero] * (1.0 + BOUND_MARGIN) <= best_gap:
+                continue
         lengths = LengthVector(np.array(comp, dtype=float) / resolution)
         mg = contract_zero_edges(g, lengths)
         # a max winner reaches best + 1e-12, a min winner does not reach

@@ -34,6 +34,7 @@ from qgraph.families import (
     dumbbell,
     flower,
     mandarin,
+    necklace,
     random_connected_graph,
     random_lengths,
     star,
@@ -469,12 +470,13 @@ def test_ascents_driven_together_equal_ascents_driven_alone():
 def test_probes_in_lockstep_equal_probes_one_at_a_time(monkeypatch):
     # an ascent's contract probes take their counts together (`_together`);
     # run one after another instead, each to its end, they give every result
-    # and trace the same, on a star, on stower(1, 2) and on the stower(2, 1)
-    # stall, whose restarts never merge
+    # and trace the same, on a star, on stower(1, 2), on the stower(2, 1)
+    # stall, whose restarts never merge, and on necklace(3), whose faces
+    # keep their probes
     runs = []
 
     def one_at_a_time(searches):
-        runs.append(len(searches))
+        runs[-1].append(len(searches))
         results = []
         for search in searches:
             results.append((yield from search))
@@ -482,24 +484,48 @@ def test_probes_in_lockstep_equal_probes_one_at_a_time(monkeypatch):
 
     cases = ((star(4)[0], random_lengths(np.random.default_rng(4), 4), 4),
              (stower(1, 2)[0], random_lengths(np.random.default_rng(12), 3), 12),
-             (stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3), 0))
+             (stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3), 0),
+             (necklace(3)[0], random_lengths(np.random.default_rng(0), 6), 0))
 
     def documents():
-        return [json.dumps(maximize_gap(g, init, MaximizeOptions(seed=seed)).to_dict()) for g, init, seed in cases]
+        docs = []
+        for g, init, seed in cases:
+            runs.append([])
+            docs.append(json.dumps(maximize_gap(g, init, MaximizeOptions(seed=seed)).to_dict()))
+        return docs
 
     together = documents()
+    runs.clear()
     monkeypatch.setattr(optimize, "_together", one_at_a_time)
     assert documents() == together
-    assert len(runs) > len(cases) and set(runs) == {3, 4}   # each probe of stowers, or of star(4)
+    # the faces of star(4), stars of three edges, have bound 3 pi / 2,
+    # below the 2 pi its certified ascents hold, so none is probed (four
+    # each before faces were bounded); each stower keeps two of its three
+    # probes; necklace(3) and its five-edge faces keep all six, its
+    # four-edge faces four of five, and its flower(3) face runs no batch
+    # (three before)
+    assert [sorted(set(r)) for r in runs] == [[], [2], [2], [4, 6]]
+    assert len(runs[3]) == 25
 
 
-def test_each_face_is_contracted_once_per_call(contractions):
-    # the 11 starts of star(5) probe the same five faces, one leaf edge
-    # dropped in each; the starts share one topology tree, which builds
-    # every face on its first request
+def test_each_face_is_contracted_once_per_call(contractions, monkeypatch):
+    # the five faces of star(5), one leaf edge dropped in each, are stars of
+    # bound 2 pi, below its gap 5 pi / 2: none is built
     g, lengths = star(5)
     maximize_gap(g, lengths, MaximizeOptions(seeds=10))
-    assert contractions.n == 5
+    assert contractions.n == 0
+    # the 11 starts of necklace(3) probe the same faces; the starts share one
+    # topology tree, which builds every face on its first request
+    child, asked = optimize._Topology.child, []
+
+    def watched(topo, lengths):
+        asked.append((topo, tuple(np.flatnonzero(lengths == 0.0).tolist())))
+        return child(topo, lengths)
+
+    monkeypatch.setattr(optimize._Topology, "child", watched)
+    g = necklace(3)[0]
+    maximize_gap(g, random_lengths(np.random.default_rng(0), 6), MaximizeOptions(seeds=10))
+    assert 0 < contractions.n == len(set(asked)) < len(asked)
 
 
 def test_new_faces_build_no_length_vector_or_metric_graph(monkeypatch):
@@ -523,7 +549,8 @@ def test_new_faces_build_no_length_vector_or_metric_graph(monkeypatch):
 
     monkeypatch.setattr(optimize._Topology, "child", watched)
     for g, init in ((star(4)[0], random_lengths(np.random.default_rng(1), 4)),
-                    (stower(1, 2)[0], random_lengths(np.random.default_rng(7), 3))):
+                    (stower(1, 2)[0], random_lengths(np.random.default_rng(7), 3)),
+                    (necklace(3)[0], random_lengths(np.random.default_rng(0), 6))):
         maximize_gap(g, init, MaximizeOptions(seeds=3, seed=1))
     assert sum(new for new, _ in faces) >= 4
     assert all(untouched for _, untouched in faces)
@@ -649,8 +676,9 @@ def test_each_held_state_is_searched_once_per_call(count_matrices, monkeypatch):
     # and 160 when each start was searched; 19 and 13 stacked calls when
     # the probes took their counts one after another; 46 and 25 matrices in
     # 14 and 9 calls when the certified gap still took a count at the top
-    # of a fixed window above it
-    for (g, lengths), tally, calls in ((star(5), 41, 13), (flower(4), 22, 7)):
+    # of a fixed window above it; 41 and 22 in 13 and 7 calls when every
+    # face was probed, though its bound lies below the gap
+    for (g, lengths), tally, calls in ((star(5), 26, 10), (flower(4), 14, 5)):
         searched.clear()
         count_matrices.n = count_matrices.calls = 0
         maximize_gap(g, lengths, MaximizeOptions(seeds=10))
@@ -700,10 +728,12 @@ def test_a_two_level_cluster_window_matches_the_full_scan(monkeypatch):
 
 def test_restarts_that_never_meet_keep_their_solves(eigenbases):
     # the gap's eigenspace in every iteration, and a second level's where
-    # it lies in the window (21 when one stacked solve took both)
+    # it lies in the window (21 when one stacked solve took both); restarts
+    # 4, 5 and 9 symmetrize onto a certified point in their first iteration
+    # and keep its solve for the second (23 when they solved it again)
     g, lengths = stower(1, 2)
     maximize_gap(g, lengths, MaximizeOptions(seeds=10))
-    assert eigenbases.n == 23
+    assert eigenbases.n == 20
 
 
 def _rebuilt_child(topo, lengths):
@@ -746,6 +776,118 @@ def test_cluster_energies_equal_the_eigenfunction_energies():
         with pytest.raises(StopIteration) as stop:
             next(optimize._cluster_energies(m, gap, []))
         assert stop.value.value is None
+
+
+def _bound_graphs():
+    """The catalog, two caterpillars and 200 seeded random graphs."""
+    rng = np.random.default_rng(34)
+    graphs = [entry.graph for entry in full_catalog()]
+    graphs += [caterpillar(1, {0: 2, 1: 1})[0], caterpillar(2, {0: 1, 1: 1, 2: 1})[0]]
+    for _ in range(200):
+        V = int(rng.integers(2, 7))
+        graphs.append(random_connected_graph(rng, V, V - 1 + int(rng.integers(0, 4))))
+    return graphs, rng
+
+
+def _contracted_bound(g, drop):
+    """`upper_bound` of the face `graph._contract` builds, infinite where it does not apply."""
+    face, _ = optimize._contract(g, np.isin(np.arange(g.edge_count), drop))
+    try:
+        return upper_bound(face)
+    except NotApplicableError:
+        return math.inf
+
+
+def test_face_bounds_equal_the_bounds_of_the_built_faces():
+    # every probe's bound, and that of a random set of edges as a pin drops
+    # them, read off the incidence, equals the bound of the face it names
+    graphs, rng = _bound_graphs()
+    probes = 0
+    for g in graphs:
+        assert optimize._face_bound(g, ()) == _contracted_bound(g, [])
+        if g.edge_count < 2:   # the ascent probes no face of a single edge
+            continue
+        topo = optimize._Topology(g)
+        for drop, bound in zip(topo.probes, topo.bounds):
+            assert bound == _contracted_bound(g, drop), (g, drop)
+            probes += 1
+        drop = sorted(rng.choice(g.edge_count, int(rng.integers(1, g.edge_count)), replace=False).tolist())
+        assert optimize._face_bound(g, drop) == _contracted_bound(g, drop), (g, drop)
+    assert probes > 1000
+
+
+def _catalog_runs():
+    """A random and a boundary start of every catalog graph."""
+    runs = []
+    for i, entry in enumerate(full_catalog()):
+        g, rng = entry.graph, np.random.default_rng(700 + i)
+        boundary = random_lengths(rng, g.edge_count).values.copy()
+        boundary[int(rng.integers(g.edge_count))] = 0.0
+        runs.append((g, random_lengths(rng, g.edge_count), i))
+        runs.append((g, LengthVector(boundary / boundary.sum()), i))
+    return runs
+
+
+def test_skipping_faces_by_their_bound_changes_no_result(monkeypatch):
+    # with every face's bound infinite, every probe and pin is built and
+    # searched: each result and trace is the same, and every probe whose
+    # bound lies below its floor, run through `_gap_above`, is refused
+    def documents():
+        return [json.dumps(maximize_gap(g, init, MaximizeOptions(seeds=2, seed=s)).to_dict())
+                for g, init, s in _catalog_runs()]
+
+    bounded = documents()
+    face_bound, decide, below = optimize._face_bound, optimize._gap_above, []
+
+    def recorded(m, floor):
+        found = yield from decide(m, floor)
+        if face_bound(m.graph, ()) < floor * (1.0 - optimize.BOUND_MARGIN):
+            below.append(found)
+        return found
+
+    monkeypatch.setattr(optimize, "_face_bound", lambda g, drop: math.inf)
+    monkeypatch.setattr(optimize, "_gap_above", recorded)
+    assert documents() == bounded
+    assert len(below) > 50 and all(found is None for found in below)
+
+
+def test_a_tie_at_a_certified_point_keeps_its_probe(monkeypatch):
+    # the caterpillar's ascent is certified 9e-11 below 3 pi / 2; the face
+    # that contracts its spine is star(3), whose bound 3 pi / 2 is its gap:
+    # it lies within 2 GAP_SLACK above the floor, so the probe runs and wins
+    decide, probed = optimize._gap_above, []
+
+    def recorded(m, floor):
+        found = yield from decide(m, floor)
+        probed.append((m.graph, floor, found))
+        return found
+
+    monkeypatch.setattr(optimize, "_gap_above", recorded)
+    g, init = caterpillar(1, {0: 2, 1: 1})
+    res = maximize_gap(g, init, MaximizeOptions(seeds=2, seed=3))
+    face = star(3)[0]
+    ties = [(floor, found) for graph, floor, found in probed if graph == face]
+    assert ties
+    for floor, found in ties:
+        assert 0.0 < upper_bound(face) - floor <= 2 * optimize.GAP_SLACK
+        assert found is not None and found.k == pytest.approx(1.5 * PI, abs=1e-12)
+    assert res.trace[-1].move == "contract-probe"
+
+
+@pytest.mark.parametrize("g, init, bound", [
+    (star(4)[0], random_lengths(np.random.default_rng(1), 4), "pi \\(E - El/2\\)"),
+    (*caterpillar(1, {0: 2, 1: 1}), "pi / tree_diameter"),
+])
+def test_a_gap_above_a_proven_bound_raises(monkeypatch, g, init, bound):
+    # star(4) ends on its bound 2 pi; the caterpillar ends on star(3), whose
+    # pi / diameter, 3 pi / 2, lies below the caterpillar's pi (E - El/2).
+    # Both results pass their checks; 1e-7 above them, they raise
+    ascend = optimize._ascend
+    maximize_gap(g, init, MaximizeOptions(seeds=2, seed=3))
+    monkeypatch.setattr(optimize, "_ascend",
+                        lambda starts: [(state, gap + 1e-7, trace) for state, gap, trace in ascend(starts)])
+    with pytest.raises(RuntimeError, match=bound):
+        maximize_gap(g, init, MaximizeOptions(seeds=2, seed=3))
 
 
 def _projection_formula(y, l_min):
@@ -859,6 +1001,32 @@ def test_brute_force_stower12_plateau():
     # the plateau: another symmetric point attains the same gap
     other, _ = spectral_gap(metric(stower(1, 2)[0], np.array([0.7, 0.15, 0.15])))
     assert other == pytest.approx(2 * PI, abs=1e-8)
+
+
+# the brute-force scans of the tests, and the points each builds of its
+# grid: stower(1, 2)'s faces that drop the loop are paths, of gap pi, which
+# the scan meets first, so their bound pi ties the best gap and none is
+# skipped
+BRUTE_FORCE_RUNS = ((stower(2, 1)[0], 30, 467), (stower(1, 2)[0], 30, 496), (stower(1, 2)[0], 20, 231),
+                    (mandarin(3)[0], 20, 194), (star(3)[0], 20, 194))
+
+
+@pytest.mark.parametrize("g, resolution, kept", BRUTE_FORCE_RUNS)
+def test_brute_force_skips_only_points_that_cannot_win(monkeypatch, g, resolution, kept):
+    # a point whose face's bound lies below the best gap is skipped unbuilt;
+    # with every bound infinite the scan builds every point, and ends alike
+    contract, built = optimize.contract_zero_edges, []
+
+    def counted(graph, lengths):
+        built.append(lengths)
+        return contract(graph, lengths)
+
+    monkeypatch.setattr(optimize, "contract_zero_edges", counted)
+    bounded = brute_force_gap(g, resolution, "max").to_dict()
+    assert len(built) == kept
+    monkeypatch.setattr(optimize, "_face_bound", lambda g, drop: math.inf)
+    assert brute_force_gap(g, resolution, "max").to_dict() == bounded
+    assert len(built) - kept == math.comb(resolution + g.edge_count - 1, g.edge_count - 1)
 
 
 def test_brute_force_two_mandarin_min():
