@@ -49,7 +49,7 @@ width.
 negative levels with the hyperbolic count, in one drive.  It then finds
 the roots of all rows on all branches of both signs in lockstep by
 Newton's method on phi (`_branch_roots`), each step one stacked solve
-of K0(k) x = e_v above zero and one of a bordered form of H0 below.
+of each count's vertex function (`spectral._Count.vertex_function`).
 Every row confirms its levels with its own counts, trig above zero and
 hyperbolic below: each level's multiplicity is the row's count
 difference around it, at the points of `spectral._around`; the trig
@@ -171,93 +171,12 @@ def _remove_flats(levels: list[float], flats: list[FlatBand]) -> list[float]:
     return out
 
 
-def _vertex_function(count: _TrigCount, row: int, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """g(k) = (K(k)^-1)_vv and g'(k) = -x^T K'(k) x, x = K(k)^-1 e_v, at every
-    k of ks, with K the count's whole matrix (`_TrigCount.matrices`) and v
-    its row `row`: one stacked solve."""
-    b, nv = ks.size, count.alpha.size
-    E = count.lengths.size
-    K = _TrigCount.matrices(count.coupling[None], np.broadcast_to(count.alpha, (b, nv)), count.lengths, ks)
-    unit = np.zeros((b, nv + 2 * E, 1))
-    unit[:, row] = 1.0
-    try:
-        x = np.linalg.solve(K, unit)[:, :, 0]
-    except np.linalg.LinAlgError:   # singular to working precision, within ulps of a pole of g
-        return _vertex_function(count, row, np.nextafter(ks, np.inf))
-    # K' has the vertex-edge block C d/dk [sqrt(k/2) (sin, cos)(k l/2)] and the
-    # edge diagonal +-(l/2) cos(k l)
-    root = np.sqrt(0.5 * ks)[:, None]
-    half = (0.5 * ks)[:, None] * count.lengths
-    s, c = np.sin(half), np.cos(half)
-    dl = 0.5 * count.lengths * root
-    dtrig = np.concatenate([s / (4.0 * root) + dl * c, c / (4.0 * root) - dl * s], axis=1)
-    xe = x[:, nv:]
-    edge = 0.5 * count.lengths * np.cos(2.0 * half) * (xe[:, :E] ** 2 - xe[:, E:] ** 2)
-    return x[:, row], -2.0 * ((x[:, :nv] @ count.coupling) * dtrig * xe).sum(axis=1) - edge.sum(axis=1)
-
-
-def _hyperbolic_vertex_function(count: _HyperbolicCount, row: int,
-                                kappas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G(-kappa) = h(kappa) = (H(kappa)^-1)_vv and dG/ds = -h'(kappa) at every
-    kappa of kappas, with H the count's hyperbolic vertex matrix and v its
-    row `row`: one stacked solve.
-
-    H = diag alpha + (kappa/2) C diag(t, 1/t) C^T, t = tanh(kappa l/2), is
-    the Schur complement of the edge block -diag(t, t) of
-
-        B = [[diag alpha, sqrt(kappa/2) C diag(t, 1)], [., -diag(t, t)]],
-
-    so h is (B^-1)_vv.  Near kappa = 0 the kappa^2 part of H, which sets
-    h near a pole at lambda = 0, is below the rounding of H's entries, but
-    B keeps it in entries of its own, as the count matrix K of `spectral`
-    does for g.  With y = B^-1 e_v, dG/ds = y^T B' y = sum_e y_e^2 times
-    (t + z sech^2 z) / kappa on the P half and (t - z sech^2 z) / kappa on
-    the Q half, z = kappa l/2.
-    """
-    b, nv = kappas.size, count.alpha.size
-    E = count.lengths.size
-    n = nv + 2 * E
-    z = (0.5 * kappas)[:, None] * count.lengths
-    t = np.tanh(z)
-    scale = np.sqrt(0.5 * kappas)[:, None] * np.concatenate([t, np.ones_like(t)], axis=1)
-    B = np.zeros((b, n, n))
-    B[:, :nv, nv:] = count.coupling * scale[:, None, :]
-    B[:, nv:, :nv] = B[:, :nv, nv:].transpose(0, 2, 1)
-    B.reshape(b, n * n)[:, :: n + 1] = np.concatenate([np.broadcast_to(count.alpha, (b, nv)), -t, -t], axis=1)
-    unit = np.zeros((b, n, 1))
-    unit[:, row] = 1.0
-    try:
-        y = np.linalg.solve(B, unit)[:, :, 0]
-    except np.linalg.LinAlgError:   # singular to working precision, within ulps of a pole of h
-        return _hyperbolic_vertex_function(count, row, np.nextafter(kappas, np.inf))
-    zs = z * (1.0 - t * t)
-    ye = y[:, nv:]
-    return y[:, row], (ye[:, :E] ** 2 * (t + zs) + ye[:, E:] ** 2 * (t - zs)).sum(axis=1) / kappas
-
-
-def _signed_vertex_function(count: _TrigCount, hyperbolic: _HyperbolicCount, row: int,
-                            s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """G(s) and dG/ds in the signed variable s, k = s for lambda = s^2 > 0 and
-    kappa = -s for lambda = -s^2 < 0: g of `_vertex_function` for s > 0 and
-    h of `_hyperbolic_vertex_function` for s < 0, one stacked solve each."""
-    up = s > 0.0
-    if up.all():
-        return _vertex_function(count, row, s)
-    if not up.any():
-        return _hyperbolic_vertex_function(hyperbolic, row, -s)
-    g, dg = np.empty(s.size), np.empty(s.size)
-    g[up], dg[up] = _vertex_function(count, row, s[up])
-    down = ~up
-    g[down], dg[down] = _hyperbolic_vertex_function(hyperbolic, row, -s[down])
-    return g, dg
-
-
 def _vertex_samples(G, at: list[float], ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The vertex function G (`_vertex_function` or `_signed_vertex_function`)
-    at the points of at, at s -+ d around every theta = 0 level s of ks (d
-    the merge width of |s|), and whether G has a pole at s, from one call of
-    G: G rises between its poles, so it falls across a level,
-    G(s - d) > G(s + d), only at a pole."""
+    """The vertex function G (`spectral._Count.vertex_function`, or the signed
+    one of `_sweep_levels`) at the points of at, at s -+ d around every
+    theta = 0 level s of ks (d the merge width of |s|), and whether G has a
+    pole at s, from one call of G: G rises between its poles, so it falls
+    across a level, G(s - d) > G(s + d), only at a pole."""
     width = np.array([_merge_width(abs(k)) for k in ks])
     values = G(np.concatenate([at, ks - width, ks + width]))[0]
     n = len(at)
@@ -468,7 +387,14 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     kappa_top = _kappa_top(hyperbolic, v, min(alphas + [0.0]))
 
     def G(ss):
-        return _signed_vertex_function(count, hyperbolic, v_row, ss)
+        """G(s) and dG/ds: g(s) of the count for s > 0, else h(-s) of the hyperbolic one."""
+        up = ss > 0.0
+        g, dg = np.empty(ss.size), np.empty(ss.size)
+        for side, counter, sign in ((up, count, 1.0), (~up, hyperbolic, -1.0)):
+            if side.any():
+                g[side], d = counter.vertex_function(v_row, sign * ss[side])
+                dg[side] = sign * d
+        return g, dg
 
     # the theta = 0 levels in s, ascending: k = -kappa below 0 (`negative_spectrum`), then the count's
     ks = np.array([p.k for p in negative] + [lvl.k for lvl in zero])
@@ -649,7 +575,7 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     dirichlet_k0 = spectral_gap(m_dir)[0]
     tol_k = 1e-10 * max(1.0, k1)
     count, row = _TrigCount(m), _row_of(m, v)
-    (g_gap,), below, above, pole = _vertex_samples(lambda ks: _vertex_function(count, row, ks), [k1 - tol_k],
+    (g_gap,), below, above, pole = _vertex_samples(lambda ks: count.vertex_function(row, ks), [k1 - tol_k],
                                                    np.array([k1]))
     dirichlet_holds = dirichlet_k0 >= k1 - tol_k
     if dirichlet_holds != (g_gap <= 0.0):

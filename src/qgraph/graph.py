@@ -494,17 +494,17 @@ def tree_diameter(m: MetricGraph) -> float:
     leaves = m.graph.leaf_vertices()
     if len(leaves) < 2:
         raise UnsupportedTopologyError("tree diameter needs at least two leaves")
-    best = 0.0
-    for v in leaves:
+    far = leaves[0]
+    for _ in range(2):   # two sweeps: the leaf farthest from any vertex ends a longest path
         # on a tree the breadth-first tree is the tree itself: each vertex
         # lies one edge beyond the vertex that reached it
-        order, via = _spanning_tree(m.graph, v)
+        order, via = _spanning_tree(m.graph, far)
         dist = np.zeros(m.graph.vertex_count)
         for w in order[1:]:
             a, b = m.graph.edges[via[w]]
             dist[w] = dist[a + b - w] + float(m.lengths[via[w]])
-        best = max(best, float(dist[leaves].max()))
-    return best
+        far = leaves[int(dist[leaves].argmax())]
+    return float(dist[far])
 
 
 # ---------------------------------------------------------------------------

@@ -79,8 +79,8 @@ count N(r + d) starts the search of the next level, and a search's
 `_Level`s carry it, so a later search of the levels above r starts
 there.  Negative eigenvalues lambda = -kappa^2 of attractive delta
 couplings go through the same finder with the hyperbolic vertex matrix
-(`_negative_search`).  A delta sweep's rows take theirs from one vertex
-function of the theta = 0 hyperbolic matrix instead, in one Newton
+(`_negative_search`).  A delta sweep's rows take theirs from the vertex
+function of the theta = 0 hyperbolic count (below) instead, in one Newton
 lockstep with their positive levels, and confirm them with their own
 hyperbolic counts (`dispersion`); the theta = 0 row still searches its
 negative levels here.
@@ -105,6 +105,24 @@ in arrays; a dispersion row confirms its levels so.  The public
 functions drive one search each; the graphs of `levels`, the rows of a
 dispersion curve, the restarts of the optimizer and each ascent's
 contract probes drive theirs together.
+
+Each count also gives the vertex function G = (M^-1)_vv of a vertex v
+and its derivative dG = -x^T M' x, x = M^-1 e_v, in the count's own
+variable, from one stacked solve with its bordered matrix M
+(`_Count.vertex_function`, `bordered`).  The trig count's M is K, and
+K' has the vertex-edge block C d/dk [sqrt(k/2) (sin, cos)(k l/2)] and
+the edge diagonal +-(l/2) cos(k l).  The hyperbolic count's vertex
+matrix H (`_HyperbolicCount`) is the Schur complement of the edge block
+-diag(t, t), t = tanh(kappa l/2), of
+
+    B = [[diag alpha, sqrt(kappa/2) C diag(t, 1)], [., -diag(t, t)]],
+
+so h = (H^-1)_vv is (B^-1)_vv.  Near kappa = 0 the kappa^2 part of H,
+which sets h near a pole at lambda = 0, is below the rounding of H's
+entries, but B keeps it in entries of its own, as K does for g.  For a y
+whose edge rows of B y vanish, as y = B^-1 e_v, y^T B' y = sum_e y_e^2
+times (t + z sech^2 z) / kappa on the P half and (t - z sech^2 z) /
+kappa on the Q half, z = kappa l/2.
 
 Eigenfunctions come from the vertex conditions on the edge ends
 (Berkolaiko-Kuchment, cited above).  On edge e an eigenfunction is
@@ -145,7 +163,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -299,8 +317,9 @@ class _Count:
     per graph: a count takes its non-Dirichlet rows and scales them, and
     on a Neumann graph (every s = 1, every alpha = 0) uses it as it is.
     Each count defines the stacked `spectra` that every count request goes
-    through.  `with_vertex` is the count with one vertex's coupling
-    changed, as a delta sweep's rows are.
+    through, and `bordered`, the matrix of its `vertex_function`.
+    `with_vertex` is the count with one vertex's coupling changed, as a
+    delta sweep's rows are.
     """
 
     offset = 0
@@ -340,6 +359,19 @@ class _Count:
             out.coupling, out.alpha = self.coupling.copy(), self.alpha.copy()
             out.coupling[row], out.alpha[row] = _scaled(self.graph.incidence[v], out.vertex_alpha[v])
         return out
+
+    def vertex_function(self, row: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """G = (M^-1)_vv and dG/ds = -x^T M' x, x = M^-1 e_v, at every s of s,
+        the count's own variable (k or kappa), with M its `bordered` matrix
+        and v its row `row` (module docstring): one stacked solve."""
+        M, form = self.bordered(s)
+        unit = np.zeros((s.size, M.shape[1], 1))
+        unit[:, row] = 1.0
+        try:
+            x = np.linalg.solve(M, unit)[:, :, 0]
+        except np.linalg.LinAlgError:   # singular to working precision, within ulps of a pole of G
+            return self.vertex_function(row, np.nextafter(s, np.inf))
+        return x[:, row], -form(x)
 
     @cached_property
     def zero_modes(self) -> tuple[int, int]:
@@ -422,6 +454,24 @@ class _TrigCount(_Count):
         K[:, nv:, :nv] = K[:, :nv, nv:].transpose(0, 2, 1)
         K.reshape(b, n * n)[:, :: n + 1] = np.concatenate([alpha, edge, -edge], axis=1)
         return K
+
+    def bordered(self, ks: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """This count's K at every k of ks, stacked, and x -> x^T K'(k) x for a
+        stack x of one vector at each k (module docstring)."""
+        b, nv = ks.size, self.alpha.size
+        E = self.lengths.size
+
+        def form(x: np.ndarray) -> np.ndarray:
+            root = np.sqrt(0.5 * ks)[:, None]
+            half = (0.5 * ks)[:, None] * self.lengths
+            s, c = np.sin(half), np.cos(half)
+            dl = 0.5 * self.lengths * root
+            dtrig = np.concatenate([s / (4.0 * root) + dl * c, c / (4.0 * root) - dl * s], axis=1)
+            xe = x[:, nv:]
+            edge = 0.5 * self.lengths * np.cos(2.0 * half) * (xe[:, :E] ** 2 - xe[:, E:] ** 2)
+            return 2.0 * ((x[:, :nv] @ self.coupling) * dtrig * xe).sum(axis=1) + edge.sum(axis=1)
+
+        return self.matrices(self.coupling[None], np.broadcast_to(self.alpha, (b, nv)), self.lengths, ks), form
 
     @staticmethod
     def spectra(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -1055,6 +1105,28 @@ class _HyperbolicCount(_Count):
         H = np.zeros((b, nv, nv))
         H.reshape(b, nv * nv)[:, :: nv + 1] = alpha
         return np.linalg.eigvalsh(-(H + (coupling * d[:, None, :]) @ coupling.transpose(0, 2, 1)))
+
+    def bordered(self, kappas: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """This count's bordered form B of H at every kappa of kappas, stacked,
+        and y -> y^T B'(kappa) y for a stack y of one vector at each kappa
+        whose edge rows of B y vanish, as y = B^-1 e_v (module docstring)."""
+        b, nv = kappas.size, self.alpha.size
+        E = self.lengths.size
+        n = nv + 2 * E
+        z = (0.5 * kappas)[:, None] * self.lengths
+        t = np.tanh(z)
+        scale = np.sqrt(0.5 * kappas)[:, None] * np.concatenate([t, np.ones_like(t)], axis=1)
+        B = np.zeros((b, n, n))
+        B[:, :nv, nv:] = self.coupling * scale[:, None, :]
+        B[:, nv:, :nv] = B[:, :nv, nv:].transpose(0, 2, 1)
+        B.reshape(b, n * n)[:, :: n + 1] = np.concatenate([np.broadcast_to(self.alpha, (b, nv)), -t, -t], axis=1)
+
+        def form(y: np.ndarray) -> np.ndarray:
+            zs = z * (1.0 - t * t)
+            ye = y[:, nv:]
+            return (ye[:, :E] ** 2 * (t + zs) + ye[:, E:] ** 2 * (t - zs)).sum(axis=1) / kappas
+
+        return B, form
 
 
 def _negative_search(count: _HyperbolicCount) -> _Search:

@@ -1,5 +1,6 @@
 """The library is numpy-only: src/qgraph imports the standard library, numpy
-and its own modules, and nothing else."""
+and its own modules, and nothing else.  And one module owns each matrix
+layout: dispersion leaves the count matrices and their solves to spectral."""
 
 import ast
 import pathlib
@@ -32,3 +33,24 @@ def test_library_imports_only_stdlib_and_numpy():
         if name not in ALLOWED and name not in sys.stdlib_module_names
     )
     assert not foreign, foreign
+
+
+def _dotted(node: ast.AST) -> str:
+    """The dotted name of an attribute chain such as np.linalg.solve, or ''."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else ""
+
+
+def test_dispersion_leaves_matrix_layout_to_the_counts():
+    # the count matrices and their solves live in spectral's count classes
+    # (`_Count.vertex_function`); dispersion keeps only the sweep logic
+    tree = ast.parse((SRC / "dispersion.py").read_text(encoding="utf-8"))
+    names = {_dotted(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {getattr(node, "module", None) or "", *(alias.name for alias in node.names)}
+    assert not {name for name in names if "linalg" in name.split(".")}
+    assert "_TrigCount.matrices" not in names

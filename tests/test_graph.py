@@ -34,6 +34,7 @@ from qgraph.families import (
     star,
     stower,
 )
+from qgraph.graph import _spanning_tree
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +346,30 @@ def _diameter_oracle(m) -> float:
         for b in leaves:
             best = max(best, dist[b])
     return best
+
+
+def _diameter_every_leaf(m) -> float:
+    """The largest leaf-to-leaf distance, one breadth-first sweep from every leaf."""
+    leaves = m.graph.leaf_vertices()
+    best = 0.0
+    for v in leaves:
+        order, via = _spanning_tree(m.graph, v)
+        dist = np.zeros(m.graph.vertex_count)
+        for w in order[1:]:
+            a, b = m.graph.edges[via[w]]
+            dist[w] = dist[a + b - w] + float(m.lengths[via[w]])
+        best = max(best, float(dist[leaves].max()))
+    return best
+
+
+def test_two_sweeps_give_the_diameter_of_a_sweep_from_every_leaf():
+    # each sums a path's lengths from one of its ends, so the two may differ
+    # in the last bit
+    rng = np.random.default_rng(85)
+    for _ in range(2000):
+        g = random_tree(rng, int(rng.integers(2, 12)))
+        m = metric(g, random_lengths(rng, g.edge_count, l_min=0.01))
+        assert tree_diameter(m) == pytest.approx(_diameter_every_leaf(m), rel=1e-15, abs=0.0), m
 
 
 def test_diameter_equilateral_four_star():
