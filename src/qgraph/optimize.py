@@ -48,10 +48,11 @@ the count requests of its level searches (`_lockstep._drive`), and
 counts of one matrix shape cost one stacked eigvalsh.  An ascent runs
 its contract probes in lockstep too (`_lockstep._together`), so a step
 takes a count of every probe that needs one.  Every ascent is sent the
-values it would get alone, so its result and trace do not depend on its
-company.  Eigenspaces are solved inside each ascent with the
-multiplicity its level search counted, and candidate metric graphs take
-the projected lengths as they are (`graph._trusted_metric`).  An ascent
+values it would get alone, so unless a stop at the bound (below) cuts
+it short, an ascent's result and trace do not depend on its company.
+Eigenspaces are solved inside each ascent with the multiplicity its
+level search counted, and candidate metric graphs take the projected
+lengths as they are (`graph._trusted_metric`).  An ascent
 holds its gap as the `_Level` of its gap search, with the count just
 above the gap: the window of the second branch (`_cluster_energies`) is
 searched up from that count, so one count at the window's top shows when
@@ -66,6 +67,16 @@ the quotient from the incidence (`graph._contract`) and its `_Topology`,
 and every later one, from any start, takes them as they are.  The tree
 lives for one call, so its size is bounded by the faces that call probes.
 
+The restarts stop at a proven optimum.  An ascent whose gap comes
+within GAP_SLACK of the bound pi (E - El/2) of the call's graph holds
+the global maximum, which every other restart can at best tie: it runs
+on to its own end, and once one has reached the bound every ascent
+still below it ends at the top of its next iteration, where it waits on
+no shared search (`_Proof`).  A stopped ascent ends below the bound, so
+it never wins, and its trace is the head of the one it takes alone.
+Where the bound is infinite or not attained (necklaces, standarins, the
+dumbbell) no ascent stops.
+
 Restarts that reach the same state merge.  Symmetrizing never lowers the
 gap and is applied first, so on stars and flowers every restart lands on
 the same few length vectors, to the bit, in its first iteration.  After
@@ -74,12 +85,12 @@ its iteration, topology, lengths, pin counts, edge map and gap; `_ascend`
 holds that key, matched exactly, for every state one call reaches.  The
 first ascent to reach a state goes on; a later one stops there, and once
 the first has finished it takes that end and the rest of its trace, so
-every result and trace is the one it would be alone.  Before they merge
-the restarts share the gap searches of their symmetrized states, and of
-the starts they search, keyed by topology and lengths: the first ascent
-to ask searches, and a later one takes its result, or waits in the
-driver while it is being taken.  On stars and flowers the eleven first
-symmetrizations cost one search.
+every result and trace is the one it would be alone, up to a stop at
+the bound.  Before they merge the restarts share the gap searches of
+their symmetrized states, and of the starts they search, keyed by
+topology and lengths: the first ascent to ask searches, and a later one
+takes its result, or waits in the driver while it is being taken.  On
+stars and flowers the eleven first symmetrizations cost one search.
 
 A start that symmetrizes is not searched by its ascent.  Its
 symmetrization is kept unless the start's gap exceeds the symmetrized
@@ -247,7 +258,8 @@ def upper_bound(g: DiscreteGraph) -> float:
     single loop, lasso), where the bound fails or degenerates.  The bound
     is attained by the star, flower and mandarin maximizers; the ascent
     skips every contraction whose face's bound (`_face_bound`) lies below
-    the gap it must reach.
+    the gap it must reach, and `maximize_gap` stops its restarts once one
+    reaches the bound.
     """
     bound = _face_bound(g, ())
     if bound == math.inf:
@@ -614,6 +626,20 @@ def _no_move(cand: np.ndarray, lengths: np.ndarray, atol: float) -> bool:
     return bool((np.abs(cand - lengths) <= atol).all())
 
 
+class _Proof:
+    """Whether the ascents of one call have proven their optimum: `at` is
+    the bound pi (E - El/2) of the call's graph less GAP_SLACK, infinite
+    where the bound does not apply, and `reached` is set once an ascent
+    holds a gap at or above it.  Stopping the others then gives up at
+    most GAP_SLACK of the maximum, the loss a move may take."""
+
+    __slots__ = ("at", "reached")
+
+    def __init__(self, bound: float):
+        self.at = bound - GAP_SLACK
+        self.reached = False
+
+
 class _Follow(NamedTuple):
     """What an ascent returns when it reaches a state another one reached
     first: that ascent's index and its trace length there."""
@@ -628,6 +654,7 @@ def _single_ascent(
     held: dict | None = None,
     index: int = 0,
     searched: dict | None = None,
+    proof: _Proof | None = None,
 ) -> _Search:
     """One ascent from state, appending its moves to trace; returns (state, gap).
 
@@ -640,7 +667,11 @@ def _single_ascent(
     search, whose count above k1 `_cluster_energies` starts from.  A
     start that symmetrizes is held without one: counts decide its
     symmetrization (`_start_moves`), and its init step's gap stays
-    nan unless they leave the decision to a search of the start.
+    nan unless they leave the decision to a search of the start.  With
+    proof, the ascents of one call share the stop at their bound: at the
+    top of each iteration, after its symmetrization, an ascent whose gap
+    has reached `proof.at` sets `proof.reached` and goes on, and one
+    below it returns (state, gap) once it is set.
 
     Each iteration steps by the bundle of `_cluster_energies`' branches
     (`_bundle_step`) within a trust radius of STEP_SCALE, halved after a
@@ -678,6 +709,14 @@ def _single_ascent(
                 moved = gain
                 state, gap = cand, cand_gap
                 trace.append(TraceStep(gap.k, 0.0, "symmetrize"))
+
+        # a gap at the proven bound is the call's optimum: that ascent runs on
+        # to its end, and once one has, every ascent below it ends here
+        if proof is not None:
+            if gap.k >= proof.at:
+                proof.reached = True
+            elif proof.reached:
+                return state, gap.k
 
         # from here on the ascent is a function of this key, to the bit
         if held is not None:
@@ -777,7 +816,7 @@ def _single_ascent(
     return state, gap.k
 
 
-def _ascend(starts: list[_AscentState]) -> list[tuple[_AscentState, float, list[TraceStep]]]:
+def _ascend(starts: list[_AscentState], bound: float) -> list[tuple[_AscentState, float, list[TraceStep]]]:
     """The end state, gap and trace of the ascent from every start.
 
     The ascents, and the first start's gap search where counts decide its
@@ -785,12 +824,17 @@ def _ascend(starts: list[_AscentState]) -> list[tuple[_AscentState, float, list[
     in one stacked eigvalsh.  An ascent that reaches a state another held
     first stops there and takes that ascent's end and the rest of its trace
     once it has its own; a leader may itself have stopped on a third.
+    bound is the proven bound of the graph the starts come from, infinite
+    where none applies: once an ascent's gap comes within GAP_SLACK of it,
+    every ascent still below ends at its next iteration (`_Proof`), so its
+    end is not the one it reaches alone; every other ascent's is.
     """
     traces: list[list[TraceStep]] = [[] for _ in starts]
     held: dict = {}
     searched: dict = {}
+    proof = _Proof(bound)
     ascents = parallel_map(
-        lambda j: _single_ascent(starts[j], traces[j], held, j, searched), range(len(starts))
+        lambda j: _single_ascent(starts[j], traces[j], held, j, searched, proof), range(len(starts))
     )
     first = [_held_gap(starts[0], searched)] if starts[0].asymmetric() else []
     ends = _drive(ascents + first)
@@ -813,14 +857,17 @@ def maximize_gap(
     """Search for the maximal spectral gap over the closed length simplex.
 
     Runs the ascent from the given lengths and from random restarts,
-    reducing by best gap; the result's lengths live on the original edge
-    index set with zeros for contracted edges.  init is a LengthVector or
-    anything `LengthVector` accepts.  The winning trace opens with the gap
-    of its start; a restart's is searched after the ascents where counts
-    decided that start's symmetrization.  A result above the bound
-    pi (E - El/2) where it applies, or on a tree above pi / diameter at
-    the returned lengths, by more than 1e-8 is an internal error
-    (RuntimeError).
+    reducing by best gap, a tie within 1e-12 going to the earlier start;
+    the result's lengths live on the original edge index set with zeros
+    for contracted edges.  init is a LengthVector or anything
+    `LengthVector` accepts.  Once one ascent's gap comes within GAP_SLACK
+    of the bound pi (E - El/2), that ascent runs on to its end and every
+    one still below stops at its next iteration, so it cannot win.  The
+    winning trace opens with the gap of its start; a restart's is searched
+    after the ascents where counts decided that start's symmetrization.
+    A result above the bound pi (E - El/2) where it applies, or on a tree
+    above pi / diameter at the returned lengths, by more than 1e-8 is an
+    internal error (RuntimeError).
     """
     opts = options or MaximizeOptions()
     if not isinstance(init, LengthVector):
@@ -841,14 +888,15 @@ def maximize_gap(
 
     # an ascent rebinds its state's lengths, so these stay the starts'
     firsts = [(s.topo.graph, s.lengths) for s in starts]
+    # the root's bound: a boundary start is settled onto a face of lower bound
+    bound = _face_bound(g, ())
     best: tuple[float, _AscentState, list[TraceStep], int] | None = None
-    for j, (state, gap, trace) in enumerate(_ascend(starts)):
+    for j, (state, gap, trace) in enumerate(_ascend(starts, bound)):
         if best is None or gap > best[0] + 1e-12:
             best = (gap, state, trace, j)
 
     gap, state, trace, j = best
     # a reported gap never exceeds a proven bound, within A10's tolerance
-    bound = _face_bound(g, ())
     if gap > bound + 1e-8:
         raise RuntimeError(f"maximize_gap: gap {gap!r} above the bound pi (E - El/2) = {bound!r}")
     if g.is_tree():

@@ -354,9 +354,10 @@ def _restart_lengths(g, seed, j):
 
 
 def test_the_trace_opens_with_the_winning_start_gap(monkeypatch):
-    # the given start wins on star(4), restart 1 on stower(2, 1) with option
-    # seed 0, and on the dumbbell the given start wins as a follower of
-    # restart 2 (the setup of
+    # the given start wins on star(4), restart 4 on stower(2, 1) with option
+    # seed 0 (restart 1 before the ascents below the bound stopped once one
+    # reached it), and on the dumbbell the given start wins as a follower
+    # of restart 2 (the setup of
     # test_a_follower_of_a_follower_resolves_to_its_own_trace)
     g = star(4)[0]
     init = random_lengths(np.random.default_rng(1), 4)
@@ -366,7 +367,7 @@ def test_the_trace_opens_with_the_winning_start_gap(monkeypatch):
     g = stower(2, 1)[0]
     init = random_lengths(np.random.default_rng(1000), 3)
     res = maximize_gap(g, init, MaximizeOptions(seed=0))
-    assert res.trace[0].gap == spectral_gap(metric(g, _restart_lengths(g, 0, 1)))[0]
+    assert res.trace[0].gap == spectral_gap(metric(g, _restart_lengths(g, 0, 4)))[0]
     assert res.trace[0].gap != spectral_gap(metric(g, init))[0]
 
     drive, ends = optimize._drive, []   # the ends as the driver returns them
@@ -638,7 +639,7 @@ def test_a_follower_of_a_follower_resolves_to_its_own_trace(monkeypatch):
 
     drive, ends = optimize._drive, []   # the ends as the driver returns them
     monkeypatch.setattr(optimize, "_drive", lambda searches: ends.extend(drive(searches)) or list(ends))
-    merged = [_ascent_document(g, *end) for end in optimize._ascend(starts())]
+    merged = [_ascent_document(g, *end) for end in optimize._ascend(starts(), math.inf)]
     assert [e.leader for e in ends[1:]] == [0, 1]
     alone = []
     for start in starts():
@@ -726,12 +727,18 @@ def test_a_two_level_cluster_window_matches_the_full_scan(monkeypatch):
         assert branches[1].h == pytest.approx(trace, rel=1e-12)
 
 
-def test_restarts_that_never_meet_keep_their_solves(eigenbases):
-    # the gap's eigenspace in every iteration, and a second level's where
-    # it lies in the window (21 when one stacked solve took both); restarts
-    # 4, 5 and 9 symmetrize onto a certified point in their first iteration
-    # and keep its solve for the second (23 when they solved it again)
+def test_restarts_that_never_meet_keep_their_solves(eigenbases, monkeypatch):
+    # with no stop at the bound: the gap's eigenspace in every iteration,
+    # and a second level's where it lies in the window (21 when one stacked
+    # solve took both); restarts 4, 5 and 9 symmetrize onto a certified
+    # point in their first iteration and keep its solve for the second (23
+    # when they solved it again)
     g, lengths = stower(1, 2)
+    maximize_gap(g, lengths, MaximizeOptions(seeds=10))
+    assert eigenbases.n == 4   # the given start holds the bound 2 pi; the restarts stop
+    ascend = optimize._ascend
+    monkeypatch.setattr(optimize, "_ascend", lambda starts, bound: ascend(starts, math.inf))
+    eigenbases.n = 0
     maximize_gap(g, lengths, MaximizeOptions(seeds=10))
     assert eigenbases.n == 20
 
@@ -831,7 +838,8 @@ def _catalog_runs():
 def test_skipping_faces_by_their_bound_changes_no_result(monkeypatch):
     # with every face's bound infinite, every probe and pin is built and
     # searched: each result and trace is the same, and every probe whose
-    # bound lies below its floor, run through `_gap_above`, is refused
+    # bound lies below its floor, run through `_gap_above`, is refused.
+    # The root's bound stays, so the restarts stop at it in both runs
     def documents():
         return [json.dumps(maximize_gap(g, init, MaximizeOptions(seeds=2, seed=s)).to_dict())
                 for g, init, s in _catalog_runs()]
@@ -845,7 +853,7 @@ def test_skipping_faces_by_their_bound_changes_no_result(monkeypatch):
             below.append(found)
         return found
 
-    monkeypatch.setattr(optimize, "_face_bound", lambda g, drop: math.inf)
+    monkeypatch.setattr(optimize, "_face_bound", lambda g, drop: math.inf if len(drop) else face_bound(g, drop))
     monkeypatch.setattr(optimize, "_gap_above", recorded)
     assert documents() == bounded
     assert len(below) > 50 and all(found is None for found in below)
@@ -885,9 +893,92 @@ def test_a_gap_above_a_proven_bound_raises(monkeypatch, g, init, bound):
     ascend = optimize._ascend
     maximize_gap(g, init, MaximizeOptions(seeds=2, seed=3))
     monkeypatch.setattr(optimize, "_ascend",
-                        lambda starts: [(state, gap + 1e-7, trace) for state, gap, trace in ascend(starts)])
+                        lambda starts, bound: [(state, gap + 1e-7, trace)
+                                               for state, gap, trace in ascend(starts, bound)])
     with pytest.raises(RuntimeError, match=bound):
         maximize_gap(g, init, MaximizeOptions(seeds=2, seed=3))
+
+
+def _ascents(monkeypatch, g, init, options, stop=True):
+    """The bound `maximize_gap` hands `_ascend`, and the gap, original
+    lengths and trace of every ascent it runs; with stop False every
+    ascent runs to its own end, as with an infinite bound."""
+    ascend, got = optimize._ascend, []
+
+    def recorded(starts, bound):
+        ends = ascend(starts, bound if stop else math.inf)
+        got.append((bound, [(gap, state.original_lengths(g.edge_count).values.tolist(), [repr(t) for t in trace])
+                            for state, gap, trace in ends]))
+        return ends
+
+    monkeypatch.setattr(optimize, "_ascend", recorded)
+    maximize_gap(g, init, options)
+    monkeypatch.setattr(optimize, "_ascend", ascend)
+    return got[0]
+
+
+# the stower(2, 1) and stower(2, 2) inputs of perfbench's `maximize`, and
+# the stower(1, 2) boundary start of the CLI pins, whose face is a lasso
+STOP_RUNS = (
+    (stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3), MaximizeOptions(seed=0)),
+    (stower(2, 2)[0], random_lengths(np.random.default_rng(3), 4, l_min=0.02), MaximizeOptions(seed=0)),
+    (stower(1, 2)[0], LengthVector([0.5, 0.5, 0.0]), MaximizeOptions(seed=1)),
+)
+
+
+def test_an_ascent_at_the_bound_ends_as_it_would_alone(monkeypatch):
+    # the bound is the graph's, not that of a boundary start's face.  Once
+    # an ascent holds a gap within GAP_SLACK of it, every ascent below ends
+    # at its next iteration, on a prefix of the trace it takes alone; one
+    # at the bound runs on to its own end, as stower(1, 2)'s boundary start
+    # does to tie its face's supremizer [1, 0, 0]
+    stopped = 0
+    for g, init, options in STOP_RUNS:
+        bound, ends = _ascents(monkeypatch, g, init, options)
+        assert bound == upper_bound(g)
+        _, alone = _ascents(monkeypatch, g, init, options, stop=False)
+        for end, own in zip(ends, alone):
+            if end[0] >= bound - optimize.GAP_SLACK:
+                assert end == own
+            else:
+                assert end[2] == own[2][:len(end[2])]
+                stopped += end != own
+    assert stopped == 11   # 6 of stower(2, 1)'s 11 ascents and 5 of stower(2, 2)'s
+
+
+def test_the_stop_saves_counts_on_the_stowers(count_matrices, monkeypatch):
+    # count matrices and stacked calls of perfbench's stower(2, 1) and
+    # stower(2, 2) operations, with the stop and with every ascent run to
+    # its own end
+    ascend = optimize._ascend
+    for (g, init, options), stopping, running in zip(STOP_RUNS, ((963, 122), (830, 100)), ((1198, 176), (976, 131))):
+        count_matrices.n = count_matrices.calls = 0
+        maximize_gap(g, init, options)
+        assert (count_matrices.n, count_matrices.calls) == stopping, g
+        monkeypatch.setattr(optimize, "_ascend", lambda starts, bound: ascend(starts, math.inf))
+        count_matrices.n = count_matrices.calls = 0
+        maximize_gap(g, init, options)
+        assert (count_matrices.n, count_matrices.calls) == running, g
+        monkeypatch.setattr(optimize, "_ascend", ascend)
+
+
+def test_the_stop_changes_nothing_where_no_ascent_reaches_the_bound(monkeypatch):
+    # pi (E - El/2) is infinite on the lasso and not attained on necklace(3),
+    # the dumbbell, a standarin chain, the leaf-digon-leaf graph and the
+    # caterpillar, whose maximum 3 pi / 2 is the bound of its face star(3):
+    # no ascent stops, and every result is the same to the bit
+    graphs = (stower(1, 1)[0], necklace(3)[0], dumbbell(0.5)[0], families.standarin_chain(2, 1, 2)[0],
+              DiscreteGraph(4, [(0, 1), (1, 2), (2, 3), (1, 2)]), caterpillar(1, {0: 2, 1: 1})[0])
+
+    def documents():
+        return [json.dumps(maximize_gap(g, random_lengths(np.random.default_rng(100 + s), g.edge_count),
+                                        MaximizeOptions(seeds=4, seed=s)).to_dict())
+                for g in graphs for s in (0, 1)]
+
+    stopping = documents()
+    ascend = optimize._ascend
+    monkeypatch.setattr(optimize, "_ascend", lambda starts, bound: ascend(starts, math.inf))
+    assert documents() == stopping
 
 
 def _projection_formula(y, l_min):

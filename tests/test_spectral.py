@@ -1470,3 +1470,19 @@ def test_a_level_near_zero_is_one_level_of_one_value():
     k1 = 3.4431803929375870e-4
     for got in (pairs[0].k, levels([m], 1.0)[0][0], spectral_gap(m)[0]):
         assert got == pytest.approx(k1, rel=1e-7, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="CHANGES.md FOUND 88: a pole of the count reported as the gap, above the proven bound")
+def test_a_gap_near_three_poles_stays_below_the_bound():
+    # three lengths within 2.5e-12 of 1/3 put three poles pi / l_e within
+    # 1.3e-10 of 3 pi; the levels, roots of sum tan(k l_e / 2) = 0 and
+    # sum cot(k l_e / 2) = 0 (mpmath, 50 digits), lie 3.6e-11 apart, the
+    # lowest 3.6e-11 below the bound pi (E - El/2) = 3 pi.  spectral_gap
+    # reports pi / min(l_e), 6.83e-11 above the bound
+    g = mandarin(3)[0]
+    m = MetricGraph(g, [0.3333333333309177, 0.33333333333532683, 0.33333333333375537])
+    levels_near = (3 * PI - 3.6478088e-11, 3 * PI + 1.05e-15, 3 * PI + 3.648018e-11)
+    gap, _ = spectral_gap(m)
+    assert gap <= optimize.upper_bound(g)
+    assert gap == pytest.approx(levels_near[0], rel=0.0, abs=1e-11)
