@@ -50,6 +50,8 @@ negative levels with the hyperbolic count, in one drive.  It then finds
 the roots of all rows on all branches of both signs in lockstep by
 Newton's method on phi (`_branch_roots`), each step one stacked solve
 of each count's vertex function (`spectral._Count.vertex_function`).
+A root stops one solve before its step falls within the tolerance once
+two Newton steps in a row show quadratic convergence (`_branch_roots`).
 Every row confirms its levels with its own counts, trig above zero and
 hyperbolic below: each level's multiplicity is the row's count
 difference around it, at the points of `spectral._around`; the trig
@@ -57,7 +59,10 @@ count at k_max + d must equal the levels found, and the hyperbolic one
 at kappa_top must be V', every level found.  The levels fix every point
 of those counts in advance, so each row takes them as one batch of each
 kind, and `_drive` stacks the batches of all rows of one kind and
-matrix shape into one eigvalsh.  A row whose counts disagree raises
+matrix shape into one `spectra` call.  Those counts are read for N
+alone, so the trig ones take the vertex form at every size
+(`spectral._TrigInertia`), which on such stacks costs less than the
+whole K's eigvalsh.  A row whose counts disagree raises
 RuntimeError, an internal error, instead of being searched again.  As
 `levels` does, a row takes the number of its levels below and at zero
 from the inertia of its M0, the M0 of all rows in one stacked eigvalsh
@@ -96,6 +101,7 @@ from .spectral import (
     _HyperbolicCount,
     _Search,
     _TrigCount,
+    _TrigInertia,
     _drive,
     _MULT_FLOOR,
     _MULT_PROBE,
@@ -204,14 +210,19 @@ def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.nd
     root is found when its Newton step is within half the tolerance
     4 eps |s| of `spectral._illinois`, or has stopped shrinking within 64
     times it, at the noise of g; or when its bracket is narrower than the
-    tolerance.  A root still open after _MAX_STEPS steps keeps its point,
-    and its row's counts judge it.
+    tolerance.  It is also found when its step d_n follows a Newton step
+    d_{n-1} and shows quadratic convergence, |d_n| <= 0.01 |d_{n-1}|, with
+    the move after it, about |d_n|^3 / d_{n-1}^2, within half the
+    tolerance.  A found root takes k - d_n, clamped to its bracket.  A root
+    still open after _MAX_STEPS steps keeps its point, and its row's
+    counts judge it.
     """
     ends = a.copy(), b.copy()
     a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
     target = -np.angle(w)   # where atan g meets each root
     k = (a * fb - b * fa) / (fb - fa)
     last = np.full(k.size, np.inf)   # the size of the move that led to k
+    led = np.zeros(k.size, dtype=bool)   # whether that move was a Newton step
     bisect = np.zeros(k.size, dtype=bool)   # whether the next fallback bisects
     tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b))
     # a start on an end, where fa or fb is 0, is the root: g is not taken there
@@ -246,7 +257,10 @@ def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.nd
             step = f * (1.0 + gk * gk) / dg
             new = ki - step
             size = np.abs(step)
-            found = (size <= 0.5 * tol[i]) | ((size >= 0.5 * last[i]) & (size <= 64.0 * tol[i]))
+            # past this step a quadratic convergence, shown by the two Newton steps,
+            # moves by about size^3 / last^2
+            quadratic = led[i] & (size <= 0.01 * last[i]) & (size**3 <= 0.5 * tol[i] * last[i] ** 2)
+            found = (size <= 0.5 * tol[i]) | ((size >= 0.5 * last[i]) & (size <= 64.0 * tol[i])) | quadratic
             narrow = b[i] - a[i] <= tol[i]
             # Newton where it stays in the bracket and at least halves the move
             # before (Numerical Recipes' rtsafe); else the secant point of the
@@ -257,7 +271,7 @@ def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.nd
             k[i] = np.where(f == 0.0, ki, np.where(found, np.clip(new, a[i], b[i]),
                             np.where(narrow, 0.5 * (a[i] + b[i]), np.where(newton, new, fallback))))
             bisect[i] = ~newton & ~bisect[i]
-            last[i] = np.abs(k[i] - ki)
+            last[i], led[i] = np.abs(k[i] - ki), newton
             i = i[~(found | narrow | (f == 0.0))]
     return k
 
@@ -320,7 +334,8 @@ def _confirmed(checks: list[_Check]) -> list[list[float]]:
 
     Every check's points are fixed before any count, so each takes them as
     one batch, and one drive stacks the batches of all rows of one kind
-    and matrix shape into one eigvalsh.  The rows of a sweep share their
+    and matrix shape into one `spectra` call, the vertex form's for the
+    trig counts (`spectral._TrigInertia`).  The rows of a sweep share their
     lengths, so the count of any one turns all their spectra of one shape
     into N at once.  A level the candidates miss breaks one of a row's
     counts, and the row raises RuntimeError, an internal error, instead of
@@ -435,7 +450,8 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     # every row's counts at the floors by the count identity (module
     # docstring), and its candidates, positive ones in k and negative ones in
     # kappa, both ascending
-    rows = [count.with_vertex(v_row, alphas[j]) for j in moving]
+    reader = _TrigInertia(m0)   # the rows' counts read N alone
+    rows = [reader.with_vertex(v_row, alphas[j]) for j in moving]
     _take_zero_modes(rows)
     sides, floors = ([], []), []
     for n, j in enumerate(moving):

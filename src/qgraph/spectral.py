@@ -37,9 +37,15 @@ and their pivots +-(1/2) sin k l_e are one of each sign.  The choice is
 made at every k, so every entry stays bounded, and V' + (edges near a
 pole) rows are left.  By Sylvester's law of inertia n_-(K) is the number
 of negative pivots plus n_- of what is left.  Below _REDUCE_FROM rows the
-elimination costs more than the eigvalsh it saves, and K is taken whole;
-the constant comes from a timing sweep of spectral_gap over flowers,
-stars and random graphs (CHANGES.md).
+elimination costs more than the eigvalsh it saves on the single counts
+and small stacks a search steers by, and K is taken whole; the constant
+comes from a timing sweep of spectral_gap over flowers, stars and random
+graphs (CHANGES.md).  A large stack read for n_- alone, as a sweep's
+confirming counts are, takes the vertex form at every size
+(`_TrigInertia`): on six catalog graphs with 9-16 rows it costs
+0.35-0.6 of the eigvalsh of the whole K on stacks of 128 points, 0.3-0.45
+on 512, and 0.55-1.55 times it on 16 (timeit, 2-core machine).  Its
+values are unsorted and steer no secant.
 
 The pole term and the pole-window tests (`poles`, `pole_near`,
 `lone_pole`, `off_scale`) loop over the lengths as a tuple of Python
@@ -47,9 +53,15 @@ floats, built once per count: on a handful of edges that costs less than
 numpy's ufuncs, and each value is formed by the same operations, in the
 same order, as the array formulas, so it is the same to the bit.
 
-One level finder serves every spectrum.  It bisects on N until a bracket
-holds levels and no pole, then runs regula falsi on the value of the
-count's spectrum (below) that crosses zero in it; a bracket that shrinks
+One level finder serves every spectrum.  A search of the whole range,
+as `eigenvalues`, `levels` and a sweep's theta = 0 row take it, first
+takes one batch of counts: the top of the range and both window edges
+of every pole below it, the points where `_split` would take them.  Each
+bracket between two of them where N rises is then searched on its own,
+all of them in lockstep; a search of the first level alone, as the gap
+searches take it, takes the top only.  A search bisects on N until a
+bracket holds levels and no pole, then runs regula falsi on the value of
+the count's spectrum (below) that crosses zero in it; a bracket that shrinks
 inside a pole window is reported as the pole itself.  Regula falsi scales
 the value at the end it keeps by Anderson-Bjorck's m = 1 - f_c / f_old
 (1/2 where m <= 0) when two steps in a row replace the same end.  At the
@@ -77,13 +89,16 @@ bracket's lower end is N(r - d) and is not taken again (`_around`),
 save a search's start within d of r, which may hold copies of r.  The
 count N(r + d) starts the search of the next level, and a search's
 `_Level`s carry it, so a later search of the levels above r starts
-there.  Negative eigenvalues lambda = -kappa^2 of attractive delta
-couplings go through the same finder with the hyperbolic vertex matrix
-(`_negative_search`).  A delta sweep's rows take theirs from the vertex
-function of the theta = 0 hyperbolic count (below) instead, in one Newton
-lockstep with their positive levels, and confirm them with their own
-hyperbolic counts (`dispersion`); the theta = 0 row still searches its
-negative levels here.
+there.  In a search of the whole range it may take in levels of the
+brackets above r's: they are not reported again, and a bracket it
+reaches into is searched again from it (`_level_search`).  Negative
+eigenvalues lambda = -kappa^2 of attractive delta couplings go through
+the same finder with the hyperbolic vertex matrix (`_negative_search`).
+A delta sweep's rows take theirs from the vertex function of the theta
+= 0 hyperbolic count (below) instead, in one Newton lockstep with their
+positive levels, and confirm them with their own hyperbolic counts
+(`dispersion`); the theta = 0 row still searches its negative levels
+here.
 
 The finder is a generator, `_level_search`: it yields a request, the
 count and a k where it needs that count, and is sent the count's
@@ -99,9 +114,10 @@ bisects.  Every search built on it (`_gap_search`, `_reaches`,
 `_eigenvalue_search`, `_negative_search`, `_around`) is a generator of
 the same kind, and one driver runs any number of them together and takes
 every count any of them needs, a group of one matrix shape in one
-stacked `spectra` (`_lockstep`).  A search that knows all its points in
-advance asks for them as one batch, which `_Count.counts` turns into N
-in arrays; a dispersion row confirms its levels so.  The public
+stacked `spectra` (`_lockstep`).  A search that knows points in advance
+asks for them as one batch: a search of the whole range its first
+points, and a dispersion row the counts that confirm its levels, which
+`_Count.counts` turns into N in arrays.  The public
 functions drive one search each; the graphs of `levels`, the rows of a
 dispersion curve, the restarts of the optimizer and each ascent's
 contract probes drive theirs together.
@@ -173,7 +189,7 @@ from .errors import (
     NotApplicableError,
     ResourceBudgetError,
 )
-from ._lockstep import _drive, _Search
+from ._lockstep import _drive, _Search, _together
 from .graph import MetricGraph, _integer
 
 _POLE_WINDOW = 1e-11   # the count is never taken this close (in k l_e / pi) to a pole
@@ -181,6 +197,7 @@ _MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a
 _MULT_FLOOR = 1e-9     # and its least absolute value, for levels near k = 0
 _MAX_LEVELS = 10_000   # most levels one search resolves
 _REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more take the vertex form
+_BATCH_POLES = 256     # most poles whose window edges a level search takes in its first batch
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +442,11 @@ class _Count:
         """`off_pole` at every k of ks."""
         return ks
 
+    def window_edges(self, a: float, b: float) -> np.ndarray:
+        """Both window edges of each of the lowest _BATCH_POLES poles in
+        (a, b), where `_split` takes them, those inside (a, b), ascending."""
+        return np.empty(0)
+
 
 class _TrigCount(_Count):
     """The count of the eigenvalues lambda < k^2, k > 0 (module docstring).
@@ -478,18 +500,32 @@ class _TrigCount(_Count):
         """counts[j].spectrum(ks[j]) for counts of one shape, stacked; the
         arguments are those of `matrices`.
 
-        Below _REDUCE_FROM rows they are the eigenvalues of `matrices`.  From
-        there on they are those of the vertex form (module docstring), which
-        keeps V' rows and one of each edge with |sin k l_e| < 1/2, between
-        -inf for each negative pivot and +inf for each positive one.  The
-        rows of a stack are grouped by their kept-row count, one eigvalsh
-        per group, and each is built as it is built alone: a single count is
-        the stack of one, so the two agree bit for bit.
+        Below _REDUCE_FROM rows they are the eigenvalues of `matrices`, from
+        there on the `vertex_form`'s values, sorted.  Each row is built as it
+        is built alone: a single count is the stack of one, so the two agree
+        bit for bit.
         """
         b, nv = alpha.shape
         E = lengths.shape[-1]
         if nv + 2 * E < _REDUCE_FROM:
             return np.linalg.eigvalsh(_TrigCount.matrices(coupling, alpha, lengths, ks))
+        return np.sort(_TrigCount.vertex_form(coupling, alpha, lengths, ks), axis=1)[:, : nv + 2 * E]
+
+    @staticmethod
+    def vertex_form(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, ks: np.ndarray) -> np.ndarray:
+        """Values with the inertia of K at every k, unsorted, from the vertex
+        form (module docstring) at any size; the arguments are those of
+        `matrices`.
+
+        It keeps V' rows and one of each edge with |sin k l_e| < 1/2.  A row
+        holds its matrix's eigenvalues, then nan, then -inf for each negative
+        pivot and +inf for each positive one, nan where an edge row stays:
+        sorted, the V' + 2E values before the nans.  The rows of a stack are
+        grouped by their kept-row count, one eigvalsh per group, and each is
+        built as it is built alone.
+        """
+        b, nv = alpha.shape
+        E = lengths.shape[-1]
         half_k = 0.5 * ks[:, None]
         half = half_k * lengths
         trig = np.concatenate([np.sin(half), np.cos(half)], axis=1)   # s of the sin rows, c of the cos rows
@@ -502,8 +538,6 @@ class _TrigCount(_Count):
         block = (coupling * w[:, None]) @ coupling.transpose(0, 2, 1)
         block.reshape(b, nv * nv)[:, :: nv + 1] += alpha
         edges = (coupling * (np.sqrt(half_k) * trig)[:, None]).transpose(0, 2, 1)
-        # a row holds its matrix's eigenvalues, then nan, then the stand-ins +-inf of its pivots, nan
-        # where the row stays; the sort puts every nan after its V' + 2E values
         values = np.full((b, nv + 3 * E), np.nan)
         values[:, nv + E :] = np.where(kept, np.nan, pivot * np.inf)   # no pivot is 0
         groups = [slice(None)]   # rows of one kept-row count, each group taking one eigvalsh
@@ -518,7 +552,7 @@ class _TrigCount(_Count):
             R[:, nv:, :nv] = edges[j][mask].reshape(g, n - nv, nv)
             R.reshape(g, n * n)[:, nv * (n + 1) :: n + 1] = pivot[j][mask].reshape(g, -1)
             values[j, :n] = np.linalg.eigvalsh(R)
-        return np.sort(values, axis=1)[:, : nv + 2 * E]
+        return values
 
     def floor_sample(self) -> _Sample:
         return _Sample(self.floor, sum(self.zero_modes), self.poles(self.floor), None)   # lambda <= 0
@@ -582,6 +616,29 @@ class _TrigCount(_Count):
             first = inside[hit].argmax(axis=1)
             l = self.lengths[first]
             ks[hit] = n[hit, first] * math.pi / l + direction * 2.0 * (_POLE_WINDOW * math.pi / l)
+
+    def window_edges(self, a: float, b: float) -> np.ndarray:
+        # each edge's poles n pi / l_e above a, n > a l_e / pi, as many as fit in (a, b)
+        span = min(_BATCH_POLES, math.ceil((b - a) * max(self.edge_lengths) / math.pi) + 1)
+        n = np.floor(a * self.lengths / math.pi)[:, None] + np.arange(1.0, span + 1.0)
+        poles = (n * math.pi / self.lengths[:, None]).ravel()
+        order = np.argsort(poles)
+        order = order[poles[order] < b][:_BATCH_POLES]
+        half = _POLE_WINDOW * math.pi / self.lengths[order // span]
+        edges = np.sort(np.concatenate([self.off_poles(poles[order] - 2.0 * half, -1.0),
+                                        self.off_poles(poles[order] + 2.0 * half, 1.0)]))
+        edges = edges[np.diff(edges, prepend=-np.inf) > 0.0]   # poles of equal lengths share their edges
+        return edges[(a < edges) & (edges < b)]
+
+
+class _TrigInertia(_TrigCount):
+    """The trig count read for N alone, as the counts that confirm a delta
+    sweep's rows are (`dispersion`): its spectra are the `vertex_form`'s
+    values at every size, unsorted, so they steer no secant.  On the large
+    stacks those counts take, the elimination costs less than the eigvalsh
+    of the whole K it saves, below _REDUCE_FROM rows too (module docstring)."""
+
+    spectra = staticmethod(_TrigCount.vertex_form)
 
 
 def _split(count: _Count, a: float, b: float) -> tuple[float | None, float | None]:
@@ -714,16 +771,10 @@ class _Level(NamedTuple):
     above: _Sample
 
 
-def _level_search(count: _Count, lo: _Sample, k_hi: float, first_only: bool = False) -> _Search:
-    """The levels in (lo.k, k_hi] as `_Level`s, ascending, searched up from
-    the sample lo."""
-    # a level sitting on k_hi belongs to the range
-    hi_k = count.off_pole(k_hi + _merge_width(k_hi), 1.0)
-    hi = count.made(hi_k, (yield count, hi_k))
-    if hi.count - lo.count > _MAX_LEVELS:
-        raise ResourceBudgetError(
-            f"{hi.count - lo.count} eigenvalues in ({lo.k}, {k_hi}], more than {_MAX_LEVELS}"
-        )
+def _levels_in(count: _Count, lo: _Sample, hi: _Sample, first_only: bool = False, start: bool = False) -> _Search:
+    """The levels in (lo.k, hi.k] as `_Level`s, ascending, searched up from
+    the sample lo; with start, lo is the start of the search, which may lie
+    within the merge width of a level (`_around`)."""
     seen = [lo, hi]
     out: list[_Level] = []
     while lo.count < hi.count:
@@ -731,7 +782,7 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float, first_only: bool = Fa
         lo = max((s for s in seen if s.count == lo.count), key=lambda s: s.k)
         upper = min((s for s in seen if s.count > lo.count), key=lambda s: s.k)
         r = yield from _lowest_level(count, lo, upper, seen)
-        if lo is seen[0] and lo.k > max(r - _merge_width(r), count.floor):   # the start
+        if start and lo is seen[0] and lo.k > max(r - _merge_width(r), count.floor):
             lo = yield from _below(count, max(r - _merge_width(r), count.floor))
         below, above = yield from _around(count, r, lo)
         out.append(_Level(r, above.count - below.count, above))
@@ -739,6 +790,50 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float, first_only: bool = Fa
             break
         seen.append(above)
         lo = above
+    return out
+
+
+def _level_search(count: _Count, lo: _Sample, k_hi: float, first_only: bool = False) -> _Search:
+    """The levels in (lo.k, k_hi] as `_Level`s, ascending, searched up from
+    the sample lo.
+
+    A search of the first level takes the count at the top of the range
+    and searches up from lo (`_levels_in`).  A search of the whole range
+    takes, in one batch, the top and both window edges of every pole in
+    between, the points where `_split` would take them (`window_edges`,
+    those of the lowest _BATCH_POLES poles).  Every bracket between
+    neighbouring points where the count rises is then searched on its own,
+    all of them in lockstep.  A level's multiplicity is counted up to d
+    past it (`_around`), and may take in levels of the brackets above:
+    those go, and a bracket of which it took some but not all is searched
+    again from the count above the level, as a search of the range one
+    level after another would go on from there.
+    """
+    # a level sitting on k_hi belongs to the range
+    hi_k = count.off_pole(k_hi + _merge_width(k_hi), 1.0)
+    if first_only:
+        samples = [lo, count.made(hi_k, (yield count, hi_k))]
+    else:
+        ks = np.append(count.window_edges(lo.k, hi_k), hi_k)
+        samples = [lo] + [count.made(k, evals) for k, evals in zip(ks.tolist(), (yield count, ks))]
+    hi = samples[-1]
+    if hi.count - lo.count > _MAX_LEVELS:
+        raise ResourceBudgetError(
+            f"{hi.count - lo.count} eigenvalues in ({lo.k}, {k_hi}], more than {_MAX_LEVELS}"
+        )
+    if first_only:
+        return (yield from _levels_in(count, lo, hi, first_only=True, start=True))
+    brackets = [(a, b) for a, b in zip(samples, samples[1:]) if b.count > a.count]
+    found = yield from _together([_levels_in(count, a, b, start=a is lo) for a, b in brackets])
+    out: list[_Level] = []
+    below = lo   # the count above the last level kept
+    for (a, b), levels in zip(brackets, found):
+        if below.count >= b.count:   # every level of the bracket counted with the level below
+            continue
+        if below.count > a.count:   # some of them
+            levels = yield from _levels_in(count, below, b)
+        out += levels
+        below = levels[-1].above
     return out
 
 

@@ -307,6 +307,65 @@ def test_a_pole_too_weak_to_see_does_not_stall_the_roots():
     _assert_rows_match_levels(m, 1, 32)
 
 
+def test_the_vertex_form_reads_the_inertia_of_whole_k(monkeypatch):
+    # a row's confirming counts read N alone, from the vertex form at every
+    # size (`spectral._TrigInertia`): its n_- is that of the whole K at every
+    # point the rows of the theta_sweep graphs take, the theta = pi row,
+    # which drops v, and the points next to a pole window included; and at
+    # random points and every window edge of seeded random rows
+    stacks = []
+    vertex_form = spectral._TrigInertia.spectra
+
+    def recorded(coupling, alpha, lengths, ks):
+        stacks.append((coupling, alpha, lengths, ks))
+        return vertex_form(coupling, alpha, lengths, ks)
+
+    monkeypatch.setattr(spectral._TrigInertia, "spectra", staticmethod(recorded))
+    shapes = set()
+    for name, params, v in THETA_SWEEPS:
+        m, taken = _sweep_graph(name, params), len(stacks)
+        dispersion_curve(m, v, grid_size=32)
+        shapes |= {(m.graph.vertex_count, stack[1].shape[1]) for stack in stacks[taken:]}
+    assert any(nv < V for V, nv in shapes)   # the theta = pi rows
+    swept = len(stacks)
+    rng = np.random.default_rng(3701)
+    for _ in range(40):
+        m, v = _random_sweep(rng, deltas=True)
+        for theta in (float(rng.uniform(-3.0, 3.0)), PI):
+            count = spectral._TrigCount(_with_theta(m, v, theta))
+            ks = np.concatenate([rng.uniform(0.1, 30.0, 16), count.window_edges(0.1, 30.0)])
+            stacks.append((np.repeat(count.coupling[None], ks.size, axis=0),
+                           np.repeat(count.alpha[None], ks.size, axis=0), count.lengths, ks))
+    # the points of the sweeps within twice the merge width of a pole, and those
+    # of the random rows within 4 windows of one
+    near = []
+    for n, (coupling, alpha, lengths, ks) in enumerate(stacks):
+        whole = np.linalg.eigvalsh(spectral._TrigCount.matrices(coupling, alpha, lengths, ks))
+        n_minus = np.count_nonzero(spectral._TrigCount.vertex_form(coupling, alpha, lengths, ks) < 0.0, axis=1)
+        assert n_minus.tolist() == np.count_nonzero(whole < 0.0, axis=1).tolist()
+        x = ks[:, None] * lengths / PI
+        width = 4.0 * spectral._POLE_WINDOW if n >= swept else 2.0 * spectral._MULT_PROBE * x
+        near.append(np.count_nonzero((np.abs(x - np.rint(x)) < width).any(axis=-1)))
+    assert sum(near[:swept]) > 100 and sum(near[swept:]) > 100
+
+
+def test_the_newton_stop_keeps_the_rows_near_weak_poles():
+    # a root stops once two Newton steps in a row show quadratic convergence,
+    # one solve before its step falls within the tolerance.  The rows still
+    # equal per-row `levels` next to a pole too weak to see
+    # (`test_a_pole_too_weak_to_see_does_not_stall_the_roots`), and at vertex
+    # 0 of the graph whose k1 moves by 3.6e-9 with theta there
+    # (`test_a_gap_that_barely_moves_is_no_flat_band`)
+    g = DiscreteGraph(10, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5), (3, 6), (0, 7), (1, 8), (3, 9), (0, 3)])
+    thetas = [0.0, 0.0, 0.0, 2.6551718317258866, -0.8168072920787282, 0.0, 0.0, 1.3428942879566907,
+              -0.04039496747566895, 0.048073642687490814]
+    _assert_rows_match_levels(MetricGraph(g, [0.1] * 10, [DeltaTheta(t) for t in thetas]), 1, 64)
+    g = DiscreteGraph(5, [(0, 1), (0, 2), (1, 3), (0, 4), (4, 0), (3, 0)])
+    lengths = [0.27897272518906796, 0.09363122950234717, 0.10444261575365064, 0.25756361418192236,
+               0.1956411131132068, 0.06974870225980508]
+    _assert_rows_match_levels(metric(g, lengths), 0, 64)
+
+
 def test_a_vertex_function_that_skips_a_branch_raises(monkeypatch):
     # g shifted far up between its first two poles has no root there for any
     # row: the rows' own counts must refuse the levels found, not return short rows
@@ -526,7 +585,7 @@ def test_dispersion_count_budget(count_matrices, monkeypatch):
     # solves before), save the theta = 0 row, a Neumann graph whose floor
     # count is known
     calls = [0]   # the `spectra` calls of each drive
-    for cls in (spectral._TrigCount, spectral._HyperbolicCount):
+    for cls in (spectral._TrigCount, spectral._TrigInertia, spectral._HyperbolicCount):
         def counted(coupling, alpha, lengths, ks, spectra=cls.spectra):
             calls[-1] += 1
             return spectra(coupling, alpha, lengths, ks)
@@ -538,15 +597,35 @@ def test_dispersion_count_budget(count_matrices, monkeypatch):
         calls.append(0)
         return drive(searches)
 
+    rounds = []   # the solves of each Newton lockstep
+    roots = dispersion._branch_roots
+
+    def solved(g, *args):
+        rounds.append(0)
+
+        def counted_g(ss):
+            rounds[-1] += 1
+            return g(ss)
+
+        return roots(counted_g, *args)
+
     monkeypatch.setattr(dispersion, "_drive", tallied)
+    monkeypatch.setattr(dispersion, "_branch_roots", solved)
     dispersion_curve(metric(*star(4)), 1, grid_size=32)
-    assert count_matrices.n == 330
+    # 330 when the theta = 0 search took its counts one after another
+    assert count_matrices.n == 325
     assert (count_matrices.m0.n, count_matrices.m0.calls) == (31, 2)
+    # the theta = 0 search brackets its range in one batch, then searches
+    # the brackets in lockstep: 6 stacked calls, 21 one after another before
+    assert calls[1] == 6
+    # the roots stop once two Newton steps show quadratic convergence: 6
+    # solves, 7 when each root waited for a step within the tolerance
+    assert rounds == [6]
     # the rows confirm their levels last, each with one batch of counts of
     # each sign: one stacked call for the trig counts of the rows that keep
     # v, one for the theta = pi row, which drops it, and one for the
     # hyperbolic counts of the attractive rows; level by level they took 18
-    assert calls[-1] == 3
+    assert len(calls) == 3 and calls[-1] == 3
 
 
 @pytest.mark.parametrize("call", [

@@ -9,7 +9,10 @@ built only here and in the property tests, as the oracle they must solve
 (a = U(k) a), and a guard test makes sure no solver path builds it.
 """
 
+import itertools
+import json
 import math
+import pathlib
 import sys
 
 import numpy as np
@@ -36,7 +39,7 @@ from qgraph import (
     spectral_gap,
     spectral_gap_parameter,
 )
-from qgraph import _lockstep, dispersion, optimize, spectral
+from qgraph import _lockstep, dispersion, families, optimize, spectral
 from qgraph.graph import NEUMANN, DiscreteGraph, MetricGraph
 from qgraph.families import (
     flower,
@@ -50,6 +53,7 @@ from qgraph.families import (
     stower,
 )
 from qgraph.spectral import (
+    _POLE_WINDOW,
     _REDUCE_FROM,
     EdgeTrig,
     _HyperbolicCount,
@@ -295,6 +299,20 @@ def test_scan_budget_error():
 
     with pytest.raises(ResourceBudgetError):
         eigenvalues(metric(*interval()), 1e6)
+
+
+def test_levels_above_the_first_batch_are_found():
+    # the first batch of a search of the whole range takes the window edges
+    # of the lowest _BATCH_POLES poles only; the levels above them are
+    # searched up from the last of those edges.  The unit interval's levels
+    # n pi sit on its poles, and the path of two half edges, whose edges
+    # share their poles, has every other level on one
+    n = spectral._BATCH_POLES + 40
+    for graph in (interval(), path_graph(2)):
+        k_max = n * PI
+        spec = eigenvalues(metric(*graph), k_max + 0.5)
+        assert [p.multiplicity for p in spec.eigenpairs] == [1] * (int(k_max / PI) + 1)
+        assert np.allclose([p.k for p in spec.eigenpairs], PI * np.arange(int(k_max / PI) + 1), rtol=1e-13, atol=0)
 
 
 def test_short_edge_spectrum_not_masked():
@@ -920,6 +938,142 @@ def test_regula_falsi_stop_keeps_the_closed_forms(independent_checks):
             # every level below 2.5 times the gap, by the independent count
             row = eigenvalues(m, 2.5 * exact).expanded()
             assert checks.levels_problems(plain, 0, [0.0], [row]) == [], (family, E)
+
+
+# catalog graphs whose levels sit on poles of the count at their canonical
+# lengths, swept at vertex 0
+POLE_CATALOG = (("path_graph", (2,)), ("path_graph", (3,)), ("mandarin", (3,)), ("flower", (3,)),
+                ("dumbbell", (0.2,)), ("dumbbell", (0.5,)), ("necklace", (2,)))
+POLE_THETAS = (-2.0, 0.0, 1.0, PI)
+
+
+def _full_range_cases():
+    """(graph, v, thetas, k_max) of the full-range searches whose levels are
+    pinned: the catalog graphs above up to 13 pi, and 50 seeded random
+    graphs, E = 3-6, swept at a random vertex to a random coupling and to
+    Dirichlet, up to 4 pi E."""
+    cases = [(metric(*getattr(families, name)(*params)), 0, POLE_THETAS, 13 * PI) for name, params in POLE_CATALOG]
+    rng = np.random.default_rng(3737)
+    for _ in range(50):
+        E = int(rng.integers(3, 7))
+        V = int(rng.integers(2, E + 2))
+        g = random_connected_graph(rng, V, E)
+        m = metric(g, random_lengths(rng, E, l_min=0.05))
+        cases.append((m, int(rng.integers(0, V)), (float(rng.uniform(-3.0, 3.0)), PI), 4 * PI * E))
+    return cases
+
+
+def _same_levels(got, want):
+    """Whether two level lists hold the same levels with the same
+    multiplicities, within 1e-12 relative (absolute below k = 1)."""
+    if len(got) != len(want):
+        return False
+    runs = [[(k, len(list(run))) for k, run in itertools.groupby(row)] for row in (got, want)]
+    return ([mult for _, mult in runs[0]] == [mult for _, mult in runs[1]]
+            and all(abs(k - k_want) <= 1e-12 * max(1.0, abs(k_want)) for (k, _), (k_want, _) in zip(*runs)))
+
+
+def test_full_range_levels_keep_their_values(independent_checks):
+    # the levels of `levels` and `eigenvalues` that the search of the whole
+    # range gave when it took its counts one after another, before it
+    # bracketed the range in one batch (tests/data): the brackets differ, so
+    # regula falsi ends elsewhere within its tolerance, 7.9e-15 relative at
+    # most, but every level and multiplicity stays
+    checks = independent_checks
+    pinned = json.loads((pathlib.Path(__file__).parent / "data" / "full_range_levels.json").read_text())
+    cases = _full_range_cases()
+    assert len(pinned["levels"]) == len(cases) == 57
+    for n, (m, v, thetas, k_max) in enumerate(cases):
+        rows = levels([m.with_condition(v, DeltaTheta(t)) for t in thetas], k_max)
+        for row, want in zip(rows, pinned["levels"][n]):
+            assert _same_levels(row, want), (n, row, want)
+        plain = checks.Graph(m.graph.vertex_count, m.graph.edges, m.lengths)
+        assert checks.levels_problems(plain, v, thetas, rows) == [], n
+        if n < len(POLE_CATALOG):
+            got = [[p.k, p.multiplicity] for p in eigenvalues(m, k_max).eigenpairs]
+            want = pinned["eigenvalues"][n]
+            assert [mult for _, mult in got] == [mult for _, mult in want], POLE_CATALOG[n]
+            assert all(abs(k - k_want) <= 1e-12 * max(1.0, k_want) for (k, _), (k_want, _) in zip(got, want))
+
+
+def _window_edges_by_hand(count, a, b):
+    """Both window edges of every pole n pi / l_e in (a, b), each moved out
+    of every window it lies in, one pole at a time, in Python floats."""
+    edges = set()
+    for l in count.lengths.tolist():
+        n = math.floor(a * l / PI) + 1
+        while n * PI / l < b:
+            pole, half = n * PI / l, _POLE_WINDOW * PI / l
+            edges |= {count.off_pole(pole - 2.0 * half, -1.0), count.off_pole(pole + 2.0 * half, 1.0)}
+            n += 1
+    return sorted(k for k in edges if a < k < b)
+
+
+@pytest.mark.parametrize("name, params", POLE_CATALOG + (("star", (4,)), ("stower", (2, 1))))
+def test_a_full_range_search_first_takes_every_window_edge(name, params):
+    # the search of the whole range asks first for one batch: both window
+    # edges of every pole in range, the points where `_split` takes them,
+    # and the top; a first-level search asks for the top alone
+    m = metric(*getattr(families, name)(*params))
+    for m_row in (m, m.with_condition(0, DeltaTheta(1.0))):
+        count = _TrigCount(m_row)
+        for k_min, k_max in ((0.0, 13 * PI), (2.9, 7 * PI), (3 * PI, 6 * PI)):
+            lo = count.floor_sample() if k_min == 0.0 else count.made(k_min, count.spectrum(k_min))
+            hi_k = count.off_pole(k_max + spectral._merge_width(k_max), 1.0)
+            search = spectral._level_search(count, lo, k_max)
+            asked, ks = search.send(None)
+            assert asked is count and isinstance(ks, np.ndarray)
+            assert ks.tolist() == _window_edges_by_hand(count, lo.k, hi_k) + [hi_k], (name, k_min)
+            first = spectral._level_search(count, lo, k_max, first_only=True)
+            assert first.send(None) == (count, hi_k)
+
+
+class _StandInCount(_TrigCount):
+    """star(3)'s trig count, poles and windows included, with a stand-in
+    spectrum whose levels near the pole 3 pi of every edge are those of
+    `levels`: a level at the pole where `at_pole`, and each other level L
+    where the value L - k crosses zero.  Ten values, n_- of them negative,
+    so that N is 2 plus the number of levels below k."""
+
+    pole = 3 * PI
+    levels: tuple = ()
+    at_pole = True
+
+    def __init__(self) -> None:
+        super().__init__(metric(*star(3)))
+
+    @classmethod
+    def stand_in(cls, k):
+        below = 2 + sum(level < k for level in cls.levels) + int(cls.at_pole and k > cls.pole)
+        n_minus = below - 3 * math.ceil(k / (3.0 * PI)) + 6   # N = poles - 2E + n_-, each l_e = 1/3
+        moving = [level - k for level in cls.levels if (level < cls.pole) == (k < cls.pole)]
+        fixed = n_minus - sum(x < 0.0 for x in moving)
+        return np.sort([-1.0] * fixed + moving + [1.0] * (10 - fixed - len(moving)))
+
+    @classmethod
+    def spectra(cls, coupling, alpha, lengths, ks):
+        return np.array([cls.stand_in(k) for k in ks.tolist()])
+
+
+@pytest.mark.parametrize("levels, at_pole, found", [
+    # a level 5e-11 relative past the pole's window, within the merge width
+    # d = 1e-10 k of the level on the pole: the count above the pole takes it
+    # in, and the bracket above the window, searched again from that count,
+    # holds only the level after it
+    ((3 * PI * (1 + 5e-11), 3 * PI + 0.05), True, [(3 * PI, 2), (3 * PI + 0.05, 1)]),
+    # a level 5e-11 relative below the pole's window, whose count above takes
+    # in the level on the pole: the window's bracket keeps no level of its own
+    ((3 * PI * (1 - 5e-11), 3 * PI + 0.05), True, [(3 * PI * (1 - 5e-11), 2), (3 * PI + 0.05, 1)]),
+    ((3 * PI - 0.05, 3 * PI + 0.05), False, [(3 * PI - 0.05, 1), (3 * PI + 0.05, 1)]),
+])
+def test_a_level_counted_with_the_one_below_is_not_found_again(levels, at_pole, found):
+    # the brackets of the batch are searched apart, but a level's
+    # multiplicity counts up to d past it, as a search of one level after
+    # another does, whatever bracket those levels lie in
+    count = type("StandIn", (_StandInCount,), {"levels": levels, "at_pole": at_pole})()
+    lo = count.made(3 * PI - 0.1, count.spectrum(3 * PI - 0.1))
+    got = spectral._drive([spectral._level_search(count, lo, 3 * PI + 0.1)])[0]
+    assert [(level.k, level.multiplicity) for level in got] == pytest.approx(found, rel=1e-15)
 
 
 def test_known_neumann_floor_saves_one_count(count_matrices, monkeypatch):
