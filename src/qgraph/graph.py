@@ -124,16 +124,32 @@ class DiscreteGraph:
             edge_list.append((u, v))
         if not edge_list:
             raise GraphStructureError("graph needs at least one edge")
+        self._set_ends(vertex_count, edge_list)
+        # a connected graph has at least V - 1 edges; checked first, so a
+        # huge vertex count is refused before anything of size V is built
+        if vertex_count > len(edge_list) + 1 or len(_spanning_tree(self)[0]) < vertex_count:
+            raise GraphStructureError("graph is not connected")
+        self._set_incidence()
+
+    @classmethod
+    def _trusted(cls, vertex_count: int, edges: list[tuple[int, int]]) -> DiscreteGraph:
+        """The graph on edges, plain ints in 0..vertex_count-1 that connect
+        every vertex, built without the checks of `__init__`: a quotient of
+        a connected graph (`_quotient`) cannot fail them."""
+        g = object.__new__(cls)
+        g._set_ends(vertex_count, edges)
+        g._set_incidence()
+        return g
+
+    def _set_ends(self, vertex_count: int, edge_list: list[tuple[int, int]]) -> None:
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "edges", tuple(edge_list))
         ends = np.array([u for u, _ in edge_list] + [v for _, v in edge_list], dtype=int)
         ends.setflags(write=False)
         object.__setattr__(self, "ends", ends)
-        # a connected graph has at least V - 1 edges; checked first, so a
-        # huge vertex count is refused before anything of size V is built
-        if vertex_count > len(edge_list) + 1 or len(_spanning_tree(self)[0]) < vertex_count:
-            raise GraphStructureError("graph is not connected")
-        E = len(edge_list)
+
+    def _set_incidence(self) -> None:
+        E, ends = len(self.edges), self.ends
         at = (np.arange(self.vertex_count)[:, None] == ends).astype(float)
         first = at.argmax(axis=1)   # every vertex has an end: the graph is connected
         tail, head = at[:, :E], at[:, E:]
@@ -462,20 +478,25 @@ def _contract(g: DiscreteGraph, zero: np.ndarray) -> tuple[DiscreteGraph, list[i
     # of first appearance numbers them in the order of their least vertices
     labels: dict[int, int] = {}
     classes = _components(g.vertex_count, (uv for uv, z in zip(g.edges, zero) if z))
-    vertex_map = np.array([labels.setdefault(c, len(labels)) for c in classes])
-    return _quotient(g.edges, vertex_map, ~zero)
+    vertex_map = [labels.setdefault(c, len(labels)) for c in classes]
+    return _quotient(g.edges, vertex_map, (~zero).tolist())
 
 
-def _quotient(edges, vertex_map, keep) -> tuple[DiscreteGraph, list[int | None]]:
+def _quotient(edges, vertex_map: list[int], keep) -> tuple[DiscreteGraph, list[int | None]]:
     """The graph on the kept edges with vertex w renamed vertex_map[w], and
-    every edge's index in it (None for a dropped edge)."""
+    every edge's index in it (None for a dropped edge).
+
+    vertex_map takes the vertices of a connected graph onto 0..n-1, each
+    one reached, and keep holds at least one edge: the quotient is
+    connected and its ends are in range, so it is built unchecked
+    (`DiscreteGraph._trusted`)."""
     new_edges: list[tuple[int, int]] = []
     edge_map: list[int | None] = []
     for (u, v), kept in zip(edges, keep):
         edge_map.append(len(new_edges) if kept else None)
         if kept:
             new_edges.append((vertex_map[u], vertex_map[v]))
-    return DiscreteGraph(int(max(vertex_map)) + 1, new_edges), edge_map
+    return DiscreteGraph._trusted(max(vertex_map) + 1, new_edges), edge_map
 
 
 # ---------------------------------------------------------------------------

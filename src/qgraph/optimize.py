@@ -44,13 +44,14 @@ search, as does one the length floor clips to the lengths.
 
 The restarts run in lockstep.  An ascent is a generator that hands up
 the count requests of its level searches (`_lockstep._drive`), and
-`maximize_gap` drives all of them together: at each step the pending
-counts of one matrix shape cost one stacked eigvalsh.  An ascent runs
-its contract probes in lockstep too (`_lockstep._together`), so a step
-takes a count of every probe that needs one.  Every ascent is sent the
-values it would get alone, so unless a stop at the bound (below) cuts
-it short, an ascent's result and trace do not depend on its company.
-Eigenspaces are solved inside each ascent with the multiplicity its
+`_ascend` drives the restarts together, after the given start where the
+bound applies (below): at each step the pending counts of one matrix
+shape cost one stacked eigvalsh.  An ascent runs its contract probes in
+lockstep too (`_lockstep._together`), so a step takes a count of every
+probe that needs one.  Every ascent is sent the values it would get
+alone, so unless a stop at the bound (below) cuts it short, an ascent's
+result and trace do not depend on its company.  Eigenspaces are solved
+inside each ascent with the multiplicity its
 level search counted, and candidate metric graphs take the projected
 lengths as they are (`graph._trusted_metric`).  An ascent
 holds its gap as the `_Level` of its gap search, with the count just
@@ -69,13 +70,17 @@ lives for one call, so its size is bounded by the faces that call probes.
 
 The restarts stop at a proven optimum.  An ascent whose gap comes
 within GAP_SLACK of the bound pi (E - El/2) of the call's graph holds
-the global maximum, which every other restart can at best tie: it runs
-on to its own end, and once one has reached the bound every ascent
-still below it ends at the top of its next iteration, where it waits on
-no shared search (`_Proof`).  A stopped ascent ends below the bound, so
-it never wins, and its trace is the head of the one it takes alone.
-Where the bound is infinite or not attained (necklaces, standarins, the
-dumbbell) no ascent stops.
+the global maximum, which every other restart can at best tie.  So the
+given start runs first, alone with its gap search, and where it reaches
+the bound the restarts never start, as from every interior start of a
+star or a flower, in its first symmetrization.  Otherwise the restarts
+run after it; the first to reach the bound runs on to its own end, and
+every ascent still below it then ends at the top of its next iteration,
+where it waits on no shared search (`_Proof`).  A stopped ascent ends
+below the bound, so it never wins, and its trace is the head of the one
+it takes alone.  Where the bound is infinite (the lasso) no proof can
+end the call, and all the ascents run in one lockstep; where it is not
+attained (necklaces, standarins, the dumbbell) no ascent stops.
 
 Restarts that reach the same state merge.  Symmetrizing never lowers the
 gap and is applied first, so on stars and flowers every restart lands on
@@ -86,11 +91,13 @@ holds that key, matched exactly, for every state one call reaches.  The
 first ascent to reach a state goes on; a later one stops there, and once
 the first has finished it takes that end and the rest of its trace, so
 every result and trace is the one it would be alone, up to a stop at
-the bound.  Before they merge the restarts share the gap searches of
-their symmetrized states, and of the starts they search, keyed by
-topology and lengths: the first ascent to ask searches, and a later one
-takes its result, or waits in the driver while it is being taken.  On
-stars and flowers the eleven first symmetrizations cost one search.
+the bound; a restart that reaches a state of the given start, which ran
+first, follows it.  Before they merge the restarts share the gap
+searches of their symmetrized states, and of the starts they search,
+keyed by topology and lengths: the first ascent to ask searches, and a
+later one takes its result, or waits in the driver while it is being
+taken.  On stars and flowers the restarts' first symmetrizations cost
+one search, or none where the given start holds that state.
 
 A start that symmetrizes is not searched by its ascent.  Its
 symmetrization is kept unless the start's gap exceeds the symmetrized
@@ -98,9 +105,9 @@ one by GAP_SLACK, and is a move unless the start's gap comes within
 IMPROVE_TOL of it; counts of the start at those two points decide both
 (`_start_moves`), and only a start that could refuse, which the
 non-decrease rules out, is searched.  Its trace opens with an init step
-of unknown gap, nan.  The given start, which wins wherever the restarts
-merge, is searched in the ascents' drive, a winning restart's start
-after it, so every result and trace is as if every start were searched.
+of unknown gap, nan.  The given start is searched in the drive of its
+own ascent, a winning restart's start after the ascents, so every
+result and trace is as if every start were searched.
 """
 
 from __future__ import annotations
@@ -258,8 +265,8 @@ def upper_bound(g: DiscreteGraph) -> float:
     single loop, lasso), where the bound fails or degenerates.  The bound
     is attained by the star, flower and mandarin maximizers; the ascent
     skips every contraction whose face's bound (`_face_bound`) lies below
-    the gap it must reach, and `maximize_gap` stops its restarts once one
-    reaches the bound.
+    the gap it must reach, and `maximize_gap` starts no restart where its
+    given start reaches the bound, and stops its restarts once one does.
     """
     bound = _face_bound(g, ())
     if bound == math.inf:
@@ -630,8 +637,9 @@ class _Proof:
     """Whether the ascents of one call have proven their optimum: `at` is
     the bound pi (E - El/2) of the call's graph less GAP_SLACK, infinite
     where the bound does not apply, and `reached` is set once an ascent
-    holds a gap at or above it.  Stopping the others then gives up at
-    most GAP_SLACK of the maximum, the loss a move may take."""
+    holds a gap at or above it.  Stopping the others, or not starting the
+    restarts once the given start has set it (`_ascend`), then gives up
+    at most GAP_SLACK of the maximum, the loss a move may take."""
 
     __slots__ = ("at", "reached")
 
@@ -817,17 +825,23 @@ def _single_ascent(
 
 
 def _ascend(starts: list[_AscentState], bound: float) -> list[tuple[_AscentState, float, list[TraceStep]]]:
-    """The end state, gap and trace of the ascent from every start.
+    """The end state, gap and trace of the ascent from every start that
+    runs, in the order of the starts.
 
-    The ascents, and the first start's gap search where counts decide its
-    symmetrization, run in lockstep, every pending count of a matrix shape
-    in one stacked eigvalsh.  An ascent that reaches a state another held
-    first stops there and takes that ascent's end and the rest of its trace
-    once it has its own; a leader may itself have stopped on a third.
     bound is the proven bound of the graph the starts come from, infinite
-    where none applies: once an ascent's gap comes within GAP_SLACK of it,
-    every ascent still below ends at its next iteration (`_Proof`), so its
-    end is not the one it reaches alone; every other ascent's is.
+    where none applies.  Where it is finite, the first start's ascent runs
+    first, with that start's gap search where counts decide its
+    symmetrization; if its gap comes within GAP_SLACK of the bound
+    (`_Proof`), it is the only ascent that runs.  Otherwise the restarts
+    run after it, and once one of them reaches the bound, every one still
+    below ends at its next iteration, so its end is not the one it
+    reaches alone; every other ascent's is.  Where the bound is infinite
+    no proof can end the call, and every ascent runs at once.  The
+    ascents of a drive run in lockstep, every pending count of a matrix
+    shape in one stacked eigvalsh.  An ascent that reaches a state
+    another held first stops there and takes that ascent's end and the
+    rest of its trace once it has its own; a leader may itself have
+    stopped on a third.
     """
     traces: list[list[TraceStep]] = [[] for _ in starts]
     held: dict = {}
@@ -837,9 +851,13 @@ def _ascend(starts: list[_AscentState], bound: float) -> list[tuple[_AscentState
         lambda j: _single_ascent(starts[j], traces[j], held, j, searched, proof), range(len(starts))
     )
     first = [_held_gap(starts[0], searched)] if starts[0].asymmetric() else []
-    ends = _drive(ascents + first)
+    # the given start goes first where its end can prove the optimum
+    lead, rest = (ascents, []) if bound == math.inf else (ascents[:1], ascents[1:])
+    ends = _drive(lead + first)
     if first:
         traces[0][0] = TraceStep(ends.pop().k, 0.0, "init")
+    if rest and not proof.reached:
+        ends += _drive(rest)
 
     def resolve(j: int) -> tuple[_AscentState, float]:
         if isinstance(ends[j], _Follow):
@@ -848,7 +866,7 @@ def _ascend(starts: list[_AscentState], bound: float) -> list[tuple[_AscentState
             traces[j].extend(traces[leader][at:])
         return ends[j]
 
-    return [(*resolve(j), traces[j]) for j in range(len(starts))]
+    return [(*resolve(j), traces[j]) for j in range(len(ends))]
 
 
 def maximize_gap(
@@ -860,9 +878,11 @@ def maximize_gap(
     reducing by best gap, a tie within 1e-12 going to the earlier start;
     the result's lengths live on the original edge index set with zeros
     for contracted edges.  init is a LengthVector or anything
-    `LengthVector` accepts.  Once one ascent's gap comes within GAP_SLACK
-    of the bound pi (E - El/2), that ascent runs on to its end and every
-    one still below stops at its next iteration, so it cannot win.  The
+    `LengthVector` accepts.  The ascent from init runs first where the
+    bound pi (E - El/2) applies, and where its gap comes within GAP_SLACK
+    of the bound no restart runs.  Otherwise, once one ascent reaches the
+    bound, it runs on to its end and every one still below stops at its
+    next iteration, so it cannot win.  The
     winning trace opens with the gap of its start; a restart's is searched
     after the ascents where counts decided that start's symmetrization.
     A result above the bound pi (E - El/2) where it applies, or on a tree

@@ -309,6 +309,35 @@ def test_contract_all_zero_rejected():
         contract_zero_edges(g, [0.0, 0.0])
 
 
+def _fields(g):
+    """Every field of a DiscreteGraph, with the types of its ends and the
+    dtype, shape and write flag of each array."""
+    out = [g.vertex_count, g.edges, [type(x) for uv in g.edges for x in uv]]
+    for arr in (g.ends, g.end_at, g.first_end, g.incidence):
+        out.append((arr.dtype, arr.shape, arr.flags.writeable, arr.tolist()))
+    return out
+
+
+def test_every_catalog_contraction_equals_the_validated_graph():
+    # `_contract` builds its quotient unchecked; every proper subset of the
+    # edges of every catalog graph, contracted, gives the graph the
+    # validating constructor builds from the same vertex count and edges
+    from itertools import combinations
+
+    from qgraph.graph import _contract
+    from qgraph.optimize import full_catalog
+
+    faces = 0
+    for entry in full_catalog():
+        g = entry.graph
+        for r in range(g.edge_count):
+            for drop in combinations(range(g.edge_count), r):
+                face, _ = _contract(g, np.isin(np.arange(g.edge_count), drop))
+                assert _fields(face) == _fields(DiscreteGraph(face.vertex_count, face.edges)), (g, drop)
+                faces += 1
+    assert faces == sum(2 ** e.graph.edge_count - 1 for e in full_catalog())
+
+
 def test_contract_preserves_length_and_betti_relation():
     rng = np.random.default_rng(2)
     from qgraph.families import random_connected_graph

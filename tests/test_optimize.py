@@ -1,5 +1,6 @@
 """Catalog, symmetrization, gap maximization/infimization, brute force, bounds."""
 
+import hashlib
 import json
 import math
 import time
@@ -297,6 +298,8 @@ def test_count_decisions_equal_the_full_gap_comparison(monkeypatch):
 # star(4) lengths 1e-11 from equilateral: the start's gap is within
 # IMPROVE_TOL of its symmetrization's, so symmetrizing it is no move
 NEAR_EQUILATERAL = LengthVector([0.25 + 5e-12, 0.25 - 5e-12, 0.25, 0.25])
+# a flower(4) start on the face flower(3), whose bound 3 pi lies below 4 pi
+FLOWER4_BOUNDARY = LengthVector([0.25, 0.25, 0.5, 0.0])
 
 
 def test_start_decisions_equal_the_full_gap_comparison(monkeypatch):
@@ -314,11 +317,15 @@ def test_start_decisions_equal_the_full_gap_comparison(monkeypatch):
     monkeypatch.setattr(optimize, "_start_moves", checked)
     for g, init in DECISION_RUNS:
         maximize_gap(g, init, MaximizeOptions(seeds=2, seed=1))
-    maximize_gap(*flower(4), MaximizeOptions(seeds=10, seed=1))
+    # flower(4)'s given start contracts onto flower(3), of bound 3 pi, below
+    # the 4 pi its restarts reach: they run
+    maximize_gap(flower(4)[0], FLOWER4_BOUNDARY, MaximizeOptions(seeds=10, seed=1))
     maximize_gap(star(4)[0], NEAR_EQUILATERAL, MaximizeOptions(seeds=0))
-    # every start of the DECISION_RUNS calls save stower(1, 2)'s contracted
-    # given start, the ten flower(4) restarts and the near-equilateral start
-    assert len(decisions) == 11 + 10 + 1
+    # the given starts of the DECISION_RUNS calls save stower(1, 2)'s
+    # contracted one, and the restarts of stower(2, 1), whose given start
+    # ends below the bound (the others reach it, so their restarts never
+    # start); the ten flower(4) restarts; the near-equilateral start
+    assert len(decisions) == 5 + 10 + 1
     assert all(full == (True, moved) for moved, full in decisions)
     assert {moved for moved, _ in decisions} == {True, False}
 
@@ -356,9 +363,11 @@ def _restart_lengths(g, seed, j):
 def test_the_trace_opens_with_the_winning_start_gap(monkeypatch):
     # the given start wins on star(4), restart 4 on stower(2, 1) with option
     # seed 0 (restart 1 before the ascents below the bound stopped once one
-    # reached it), and on the dumbbell the given start wins as a follower
-    # of restart 2 (the setup of
-    # test_a_follower_of_a_follower_resolves_to_its_own_trace)
+    # reached it), and on the lasso, whose bound is infinite so that every
+    # ascent runs in one lockstep, the given start wins as a follower of
+    # restart 2 (the setup of
+    # test_a_follower_of_a_follower_resolves_to_its_own_trace on the
+    # dumbbell, where the given start now runs first and leads)
     g = star(4)[0]
     init = random_lengths(np.random.default_rng(1), 4)
     res = maximize_gap(g, init, MaximizeOptions(seed=1))
@@ -372,7 +381,7 @@ def test_the_trace_opens_with_the_winning_start_gap(monkeypatch):
 
     drive, ends = optimize._drive, []   # the ends as the driver returns them
     monkeypatch.setattr(optimize, "_drive", lambda searches: ends.extend(drive(searches)) or list(ends))
-    g = dumbbell(0.5)[0]
+    g = stower(1, 1)[0]
     init = _restart_lengths(g, 0, 3)
     res = maximize_gap(g, init, MaximizeOptions(seeds=2, seed=0))
     assert ends[0] == optimize._Follow(2, 2)
@@ -386,7 +395,8 @@ def test_no_full_search_is_spent_on_a_losing_candidate(monkeypatch):
     # a full search is wasted when its value neither beats it by IMPROVE_TOL
     # nor becomes the next trace entry (symmetrize and contract moves).
     # The ascents run in lockstep, so each one marks its trace as the
-    # current one whenever the driver resumes it.
+    # current one whenever the driver resumes it; the search of the given
+    # start that `_ascend` drives beside its ascent opens that trace.
     traces, searches, current = [], [], []
     ascent, full_search = optimize._single_ascent, optimize._gap_search
 
@@ -404,14 +414,19 @@ def test_no_full_search_is_spent_on_a_losing_candidate(monkeypatch):
 
     def recorded_search(m, *count):
         result = yield from full_search(m, *count)
-        trace = current[0]
-        searches.append((result[0], trace, len(trace)))
+        if m.lengths.tobytes() == init.values.tobytes():
+            starts.append(result[0])
+        else:
+            trace = current[0]
+            searches.append((result[0], trace, len(trace)))
         return result
 
     monkeypatch.setattr(optimize, "_single_ascent", traced_ascent)
     monkeypatch.setattr(optimize, "_gap_search", recorded_search)
+    starts = []
     g, init = stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)
     maximize_gap(g, init, MaximizeOptions(seeds=2, seed=1))
+    assert starts == [traces[0][0].gap]
     wasted = [
         value for value, trace, n in searches
         if n and value <= trace[n - 1].gap + optimize.IMPROVE_TOL
@@ -661,10 +676,12 @@ def test_restarts_that_meet_solve_each_eigenspace_once(eigenbases, count_matrice
 def test_each_held_state_is_searched_once_per_call(count_matrices, monkeypatch):
     # the restarts of one call share the gap searches of their starts and
     # symmetrized states: every restart of a star or a flower symmetrizes to
-    # the canonical lengths, which the given start holds from the first.
-    # A restart's start is not searched: one count decides its
-    # symmetrization, and the given start wins.  An ascent's contract
-    # probes take their counts together, one stacked call per step
+    # the canonical lengths.  From there the given start holds the bound
+    # alone, and its restarts never start; from the boundary of flower(4)
+    # it ends on flower(3), and the ten restarts share one search of the
+    # canonical lengths.  A restart's start is not searched: one count
+    # decides its symmetrization.  An ascent's contract probes take their
+    # counts together, one stacked call per step
     search = optimize._gap_search
     searched = []
 
@@ -678,8 +695,10 @@ def test_each_held_state_is_searched_once_per_call(count_matrices, monkeypatch):
     # the probes took their counts one after another; 46 and 25 matrices in
     # 14 and 9 calls when the certified gap still took a count at the top
     # of a fixed window above it; 41 and 22 in 13 and 7 calls when every
-    # face was probed, though its bound lies below the gap
-    for (g, lengths), tally, calls in ((star(5), 26, 10), (flower(4), 14, 5)):
+    # face was probed, though its bound lies below the gap; 26 and 14 in 10
+    # and 5 calls when the restarts ran beside the given start
+    for (g, lengths), tally, calls in ((star(5), 9, 9), (flower(4), 4, 4),
+                                       ((flower(4)[0], FLOWER4_BOUNDARY), 37, 28)):
         searched.clear()
         count_matrices.n = count_matrices.calls = 0
         maximize_gap(g, lengths, MaximizeOptions(seeds=10))
@@ -728,19 +747,24 @@ def test_a_two_level_cluster_window_matches_the_full_scan(monkeypatch):
 
 
 def test_restarts_that_never_meet_keep_their_solves(eigenbases, monkeypatch):
-    # with no stop at the bound: the gap's eigenspace in every iteration,
-    # and a second level's where it lies in the window (21 when one stacked
-    # solve took both); restarts 4, 5 and 9 symmetrize onto a certified
-    # point in their first iteration and keep its solve for the second (23
-    # when they solved it again)
-    g, lengths = stower(1, 2)
-    maximize_gap(g, lengths, MaximizeOptions(seeds=10))
-    assert eigenbases.n == 4   # the given start holds the bound 2 pi; the restarts stop
+    # the given start contracts the loop of stower(1, 2) onto a path of
+    # bound pi, below the 2 pi the restarts reach, so they run.  With no
+    # stop at the bound: the gap's eigenspace in every iteration, and a
+    # second level's where it lies in the window; restarts 4, 5 and 9
+    # symmetrize onto a certified point in their first iteration and keep
+    # its solve for the second.  From the canonical start, which now holds
+    # the bound alone in one solve: 20 with no stop (21 when one stacked
+    # solve took both levels, 23 when restarts 4, 5 and 9 solved their
+    # point again), 4 with the restarts beside the given start
+    g = stower(1, 2)[0]
+    init = LengthVector([0.0, 0.5, 0.5])
+    maximize_gap(g, init, MaximizeOptions(seeds=10))
+    assert eigenbases.n == 18   # once a restart holds the bound 2 pi, the others stop
     ascend = optimize._ascend
     monkeypatch.setattr(optimize, "_ascend", lambda starts, bound: ascend(starts, math.inf))
     eigenbases.n = 0
-    maximize_gap(g, lengths, MaximizeOptions(seeds=10))
-    assert eigenbases.n == 20
+    maximize_gap(g, init, MaximizeOptions(seeds=10))
+    assert eigenbases.n == 21
 
 
 def _rebuilt_child(topo, lengths):
@@ -931,7 +955,9 @@ def test_an_ascent_at_the_bound_ends_as_it_would_alone(monkeypatch):
     # an ascent holds a gap within GAP_SLACK of it, every ascent below ends
     # at its next iteration, on a prefix of the trace it takes alone; one
     # at the bound runs on to its own end, as stower(1, 2)'s boundary start
-    # does to tie its face's supremizer [1, 0, 0]
+    # does to tie its face's supremizer [1, 0, 0].  The given starts of
+    # stower(2, 2) and stower(1, 2) reach the bound alone, so their restarts
+    # never start; stower(2, 1)'s ends below it, and its restarts run
     stopped = 0
     for g, init, options in STOP_RUNS:
         bound, ends = _ascents(monkeypatch, g, init, options)
@@ -943,15 +969,21 @@ def test_an_ascent_at_the_bound_ends_as_it_would_alone(monkeypatch):
             else:
                 assert end[2] == own[2][:len(end[2])]
                 stopped += end != own
-    assert stopped == 11   # 6 of stower(2, 1)'s 11 ascents and 5 of stower(2, 2)'s
+    # stower(2, 1)'s given start runs to its own end before its restarts
+    # start; 6 of its 11 ascents stopped, and 5 of stower(2, 2)'s, when
+    # every ascent ran beside the given start
+    assert stopped == 5   # restarts of stower(2, 1)
 
 
 def test_the_stop_saves_counts_on_the_stowers(count_matrices, monkeypatch):
     # count matrices and stacked calls of perfbench's stower(2, 1) and
     # stower(2, 2) operations, with the stop and with every ascent run to
-    # its own end
+    # its own end.  The given start of stower(2, 2) reaches the bound alone
+    # (830 and 100 when the restarts ran beside it); that of stower(2, 1)
+    # ends below it, and its restarts run after it, in fewer rows a call
+    # (963 and 122 beside it)
     ascend = optimize._ascend
-    for (g, init, options), stopping, running in zip(STOP_RUNS, ((963, 122), (830, 100)), ((1198, 176), (976, 131))):
+    for (g, init, options), stopping, running in zip(STOP_RUNS, ((1009, 244), (143, 131)), ((1198, 176), (976, 131))):
         count_matrices.n = count_matrices.calls = 0
         maximize_gap(g, init, options)
         assert (count_matrices.n, count_matrices.calls) == stopping, g
@@ -979,6 +1011,91 @@ def test_the_stop_changes_nothing_where_no_ascent_reaches_the_bound(monkeypatch)
     ascend = optimize._ascend
     monkeypatch.setattr(optimize, "_ascend", lambda starts, bound: ascend(starts, math.inf))
     assert documents() == stopping
+
+
+def _requests_by_ascent(monkeypatch):
+    """The count requests each ascent of a `maximize_gap` call hands up,
+    by its index; an ascent that never starts hands up none."""
+    ascent, requests = optimize._single_ascent, {}
+
+    def counted(state, trace, held=None, index=0, *rest):
+        inner = ascent(state, trace, held, index, *rest)
+        value = None
+        while True:
+            try:
+                request = inner.send(value)
+            except StopIteration as stop:
+                return stop.value
+            if request is not None:
+                requests[index] = requests.get(index, 0) + 1
+            value = yield request
+
+    monkeypatch.setattr(optimize, "_single_ascent", counted)
+    return requests
+
+
+@pytest.mark.parametrize("g, init, options", [
+    (star(5)[0], random_lengths(np.random.default_rng(1), 5), MaximizeOptions(seed=1)),
+    (flower(4)[0], random_lengths(np.random.default_rng(1), 4), MaximizeOptions(seed=1)),
+    (mandarin(3)[0], random_lengths(np.random.default_rng(1), 3), MaximizeOptions(seed=1)),
+    STOP_RUNS[1],   # perfbench's stower(2, 2)
+], ids=["star5", "flower4", "mandarin3", "stower22"])
+def test_a_given_start_at_the_bound_runs_alone(monkeypatch, g, init, options):
+    # the given start goes first; once its gap comes within GAP_SLACK of
+    # pi (E - El/2), its restarts never start and take no count
+    requests = _requests_by_ascent(monkeypatch)
+    res = maximize_gap(g, init, options)
+    assert res.gap >= upper_bound(g) - optimize.GAP_SLACK
+    assert list(requests) == [0]
+
+
+def _digest(res):
+    return hashlib.sha256(json.dumps(res.to_dict()).encode()).hexdigest()
+
+
+# runs in which no ascent reaches pi (E - El/2): the sha256 of the result's
+# to_dict() JSON and the count matrices of the call, as they were when every
+# restart ran beside the given start, from random_lengths(default_rng(s))
+# with option seed s
+BELOW_BOUND_RUNS = (
+    (necklace(3)[0], 1, "487e296826a298e39aa6fb2f5428b9465457220964cfebbf59e6f8836e538cc1", 5494),
+    (families.standarin_chain(2, 1, 2)[0], 1, "78dd5d48948dd8b9eeb8beb32a039e4139679d19148113a42a335f1b7cce538b", 2824),
+    (dumbbell(0.5)[0], 1, "fad7a8e00da43dd50ecf751bac79c9c2a377a96e7d48e7c60fbd8b59fda4432c", 1664),
+    (DiscreteGraph(4, [(0, 1), (1, 2), (2, 3), (1, 2)]), 2,
+     "91a53c0bcec6fd50233305893b817bc39a2c12e4c7bc09f7388c71d09e30cde5", 12075),
+)
+
+
+@pytest.mark.parametrize("g, s, digest, tally", BELOW_BOUND_RUNS,
+                         ids=["necklace3", "standarin212", "dumbbell", "leaf-digon-leaf"])
+def test_restarts_after_a_given_start_below_the_bound_change_nothing(count_matrices, g, s, digest, tally):
+    # the given start ends below the bound, so every restart runs after it,
+    # each sent the values it gets alone: the result and the count matrices
+    # are those of the lockstep of all eleven
+    res = maximize_gap(g, random_lengths(np.random.default_rng(s), g.edge_count), MaximizeOptions(seed=s))
+    assert (_digest(res), count_matrices.n) == (digest, tally)
+
+
+def test_an_infinite_bound_keeps_one_lockstep(count_matrices):
+    # no proof can end a call on the lasso, whose bound is infinite: every
+    # ascent runs beside the given start, in as many stacked calls as before
+    g = stower(1, 1)[0]
+    res = maximize_gap(g, random_lengths(np.random.default_rng(1), 2), MaximizeOptions(seed=1))
+    assert _digest(res) == "d96d5499845d26960d58de3662a8e3b26f042e1d2b25249749837f841388c814"
+    assert (count_matrices.n, count_matrices.calls) == (633, 95)
+
+
+@pytest.mark.parametrize("s, restarts", [(2, True), (4, False), (6, True)])
+def test_mandarin4_ends_on_its_bound(monkeypatch, s, restarts):
+    # mandarin(4)'s ascents may end short of 4 pi (FOUND 89).  The given
+    # starts of s = 2 and 6 end below the bound, so the restarts run, and
+    # the first to reach it runs on to its own end; that of s = 4 reaches
+    # it alone
+    requests = _requests_by_ascent(monkeypatch)
+    g = mandarin(4)[0]
+    res = maximize_gap(g, random_lengths(np.random.default_rng(s), 4), MaximizeOptions(seed=s))
+    assert abs(res.gap - 4 * PI) <= 1e-10
+    assert (len(requests) > 1) == restarts
 
 
 def _projection_formula(y, l_min):
