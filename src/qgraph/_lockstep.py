@@ -2,13 +2,13 @@
 
 A search is a generator that yields requests and returns its result.  It
 is sent the count's spectrum at k for a request (count, k), one row per
-k for a batch (count, 1-D array of k), the dict of replies for a dict of
-requests, which `yield from _together(...)` yields for sub-searches, and
-None for None, a wait for another search of its drive.  `_drive` groups
-each step's requests, those of every dict included, by count class and
-matrix shape (V', E), and takes a group in one stacked build and
-eigvalsh (`spectra`), a lone single request in `spectrum`, the stack of
-one.  A class builds each row of a stack as it builds that count alone,
+k for a batch (count, 1-D array of k), and the dict of replies for a
+dict of requests, which `yield from _together(...)` yields for
+sub-searches; None is no request, and the driver raises on it.  `_drive`
+groups each step's requests, those of every dict included, by count
+class and matrix shape (V', E), and takes a group in one stacked build
+and eigvalsh (`spectra`), a lone single request in `spectrum`, the stack
+of one.  A class builds each row of a stack as it builds that count alone,
 so a search is sent the same values alone or in company.
 """
 
@@ -18,14 +18,13 @@ from collections.abc import Generator
 
 import numpy as np
 
-_Search = Generator[tuple["_Count", float | np.ndarray] | dict | None, np.ndarray | dict | None, object]
+_Search = Generator[tuple["_Count", float | np.ndarray] | dict, np.ndarray | dict | None, object]
 
 
 def _together(searches: list[_Search]) -> _Search:
     """Searches advanced in lockstep, as one search that returns their
     results in order.  Each step it yields its own dict of their requests
-    by index, None where one waits, sends each its reply, then None to
-    those that waited; when all of them wait, it yields None itself."""
+    by index and sends each its reply."""
     results: list = [None] * len(searches)
     pending: dict[int, object] = {}
 
@@ -39,14 +38,8 @@ def _together(searches: list[_Search]) -> _Search:
     for j in range(len(searches)):
         send(j, None)
     while pending:
-        waiting = [j for j, request in pending.items() if request is None]
-        if len(waiting) == len(pending):
-            yield None
-        else:
-            for j, reply in (yield pending).items():
-                send(j, reply)
-        for j in waiting:
-            send(j, None)
+        for j, reply in (yield pending).items():
+            send(j, reply)
     return results
 
 
@@ -54,34 +47,28 @@ def _leaves(requests: dict, path: tuple = ()) -> dict:
     """The single and batch requests of a dict of them, keyed by their path through sub-searches' dicts."""
     out = {}
     for j, r in requests.items():
-        if r is not None:
-            out.update(_leaves(r, path + (j,)) if type(r) is dict else {path + (j,): r})
+        out.update(_leaves(r, path + (j,)) if type(r) is dict else {path + (j,): r})
     return out
 
 
 def _nested(requests: dict, replies: dict, path: tuple = ()) -> dict:
     """replies, keyed as `_leaves(requests)` keys them, nested as requests are."""
     return {j: _nested(r, replies, path + (j,)) if type(r) is dict else replies[path + (j,)]
-            for j, r in requests.items() if r is not None}
+            for j, r in requests.items()}
 
 
 def _drive(searches: list[_Search]) -> list:
     """The results of searches advanced together (`_together`), in order;
-    a key's stacked arrays serve again for the same counts.  When all
-    searches wait, it raises RuntimeError."""
+    a key's stacked arrays serve again for the same counts."""
     top = _together(searches)
     stacked: dict[tuple, tuple] = {}   # (class, V', E) -> (counts, coupling, alpha, lengths)
     try:
         requests = top.send(None)
         while True:
-            if requests is None:
-                raise RuntimeError("every pending search waits for another")
             flat = _leaves(requests) if dict in map(type, requests.values()) else requests
             replies, groups = {}, {}
-            for j, request in flat.items():
-                if request is not None:
-                    count = request[0]
-                    groups.setdefault((type(count), count.alpha.size, count.lengths.size), []).append(j)
+            for j, (count, _k) in flat.items():
+                groups.setdefault((type(count), count.alpha.size, count.lengths.size), []).append(j)
             for key, js in groups.items():
                 if len(js) == 1 and not isinstance(flat[js[0]][1], np.ndarray):
                     replies[js[0]] = flat[js[0]][0].spectrum(flat[js[0]][1])

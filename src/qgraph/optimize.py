@@ -46,18 +46,17 @@ The restarts run in lockstep.  An ascent is a generator that hands up
 the count requests of its level searches (`_lockstep._drive`), and
 `_ascend` drives the restarts together, after the given start where the
 bound applies (below): at each step the pending counts of one matrix
-shape cost one stacked eigvalsh.  An ascent runs its contract probes in
-lockstep too (`_lockstep._together`), so a step takes a count of every
-probe that needs one.  Every ascent is sent the values it would get
+shape cost one stacked eigvalsh.  An ascent searches its start and that
+start's symmetrization together, and its contract probes too
+(`_lockstep._together`).  Every ascent is sent the values it would get
 alone, so unless a stop at the bound (below) cuts it short, an ascent's
 result and trace do not depend on its company.  Eigenspaces are solved
-inside each ascent with the multiplicity its
-level search counted, and candidate metric graphs take the projected
-lengths as they are (`graph._trusted_metric`).  An ascent
-holds its gap as the `_Level` of its gap search, with the count just
-above the gap: the window of the second branch (`_cluster_energies`) is
-searched up from that count, so one count at the window's top shows when
-the gap is alone in it.
+inside each ascent with the multiplicity its level search counted, and
+candidate metric graphs take the projected lengths as they are
+(`graph._trusted_metric`).  An ascent holds its gap as the `_Level` of
+its gap search, with the count just above the gap: the window of the
+second branch (`_cluster_energies`) is searched up from that count, so
+one count at the window's top shows when the gap is alone in it.
 
 The restarts also share the topologies they reach.  `maximize_gap` builds
 one `_Topology` for its graph, holding its symmetrizable groups, its
@@ -71,43 +70,15 @@ lives for one call, so its size is bounded by the faces that call probes.
 The restarts stop at a proven optimum.  An ascent whose gap comes
 within GAP_SLACK of the bound pi (E - El/2) of the call's graph holds
 the global maximum, which every other restart can at best tie.  So the
-given start runs first, alone with its gap search, and where it reaches
-the bound the restarts never start, as from every interior start of a
-star or a flower, in its first symmetrization.  Otherwise the restarts
-run after it; the first to reach the bound runs on to its own end, and
-every ascent still below it then ends at the top of its next iteration,
-where it waits on no shared search (`_Proof`).  A stopped ascent ends
-below the bound, so it never wins, and its trace is the head of the one
-it takes alone.  Where the bound is infinite (the lasso) no proof can
-end the call, and all the ascents run in one lockstep; where it is not
-attained (necklaces, standarins, the dumbbell) no ascent stops.
-
-Restarts that reach the same state merge.  Symmetrizing never lowers the
-gap and is applied first, so on stars and flowers every restart lands on
-the same few length vectors, to the bit, in its first iteration.  After
-the symmetrization of each iteration an ascent's future is a function of
-its iteration, topology, lengths, pin counts, edge map and gap; `_ascend`
-holds that key, matched exactly, for every state one call reaches.  The
-first ascent to reach a state goes on; a later one stops there, and once
-the first has finished it takes that end and the rest of its trace, so
-every result and trace is the one it would be alone, up to a stop at
-the bound; a restart that reaches a state of the given start, which ran
-first, follows it.  Before they merge the restarts share the gap
-searches of their symmetrized states, and of the starts they search,
-keyed by topology and lengths: the first ascent to ask searches, and a
-later one takes its result, or waits in the driver while it is being
-taken.  On stars and flowers the restarts' first symmetrizations cost
-one search, or none where the given start holds that state.
-
-A start that symmetrizes is not searched by its ascent.  Its
-symmetrization is kept unless the start's gap exceeds the symmetrized
-one by GAP_SLACK, and is a move unless the start's gap comes within
-IMPROVE_TOL of it; counts of the start at those two points decide both
-(`_start_moves`), and only a start that could refuse, which the
-non-decrease rules out, is searched.  Its trace opens with an init step
-of unknown gap, nan.  The given start is searched in the drive of its
-own ascent, a winning restart's start after the ascents, so every
-result and trace is as if every start were searched.
+given start runs first, and where it reaches the bound the restarts
+never start, as from every interior start of a star or a flower, in its
+first symmetrization.  Otherwise the restarts run after it; an ascent
+that reaches the bound runs on to its own end, and every ascent still
+below it then ends at the top of its next iteration (`_Proof`).  A stopped ascent
+ends below the bound, so it never wins, and its trace is the head of the
+one it takes alone.  Where the bound is infinite (the lasso) no proof
+can end the call, and all the ascents run in one lockstep; where it is
+not attained (necklaces, standarins, the dumbbell) no ascent stops.
 """
 
 from __future__ import annotations
@@ -144,7 +115,6 @@ from .spectral import (
     _Level,
     _Search,
     _TrigCount,
-    _below,
     _drive,
     _eigenbasis_coeffs,
     _gap_search,
@@ -588,46 +558,6 @@ def _gap_above(m: MetricGraph, floor: float) -> _Search:
     return gap if gap.k > floor else None
 
 
-def _start_moves(m: MetricGraph, k: float) -> _Search:
-    """Whether symmetrizing the start m to a state of gap k is a move, where
-    counts show that the ascent keeps that state; None where they do not.
-
-    The ascent keeps the symmetrized state unless m's gap exceeds k +
-    GAP_SLACK, and counts it as a move unless m's gap reaches k -
-    IMPROVE_TOL.  Each is decided as `gap_reaches` decides, by N at that
-    point against N at the search floor, both taken from one `_TrigCount`
-    of m.  The lower point is counted first: a gap below it is below the
-    other too.  None leaves the decision to m's full gap, which the
-    non-decrease of symmetrization says is never needed.
-    """
-    count = _TrigCount(m)
-    floor = count.floor_sample().count
-    moved = (yield from _below(count, k - IMPROVE_TOL)).count > floor
-    if moved and k - IMPROVE_TOL <= k + GAP_SLACK:
-        return True
-    if (yield from _below(count, k + GAP_SLACK)).count <= floor:
-        return None
-    return moved
-
-
-def _held_gap(state: _AscentState, searched: dict) -> _Search:
-    """The gap search of a symmetrized state, or of a start that is already
-    symmetric, whose symmetrization counts leave open (`_start_moves`) or
-    that is the first (`_ascend`), taken once per call.
-
-    searched maps (topology, lengths) to the `_Level` found there, or to
-    None while the search that asked first is still going; a later one
-    waits for it (`_drive`).
-    """
-    key = (state.topo, state.lengths.tobytes())
-    if key not in searched:
-        searched[key] = None
-        searched[key] = yield from _gap_search(state.metric())
-    while searched[key] is None:
-        yield None
-    return searched[key]
-
-
 def _no_move(cand: np.ndarray, lengths: np.ndarray, atol: float) -> bool:
     """Whether every length of cand lies within atol of lengths."""
     return bool((np.abs(cand - lengths) <= atol).all())
@@ -648,38 +578,16 @@ class _Proof:
         self.reached = False
 
 
-class _Follow(NamedTuple):
-    """What an ascent returns when it reaches a state another one reached
-    first: that ascent's index and its trace length there."""
-
-    leader: int
-    at: int
-
-
-def _single_ascent(
-    state: _AscentState,
-    trace: list[TraceStep],
-    held: dict | None = None,
-    index: int = 0,
-    searched: dict | None = None,
-    proof: _Proof | None = None,
-) -> _Search:
+def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | None = None) -> _Search:
     """One ascent from state, appending its moves to trace; returns (state, gap).
 
-    With held, the states the ascents of one call have reached, keyed
-    after the symmetrization of each iteration, the ascent numbered index
-    returns a `_Follow` of the first ascent that held the state it reaches.
-    With searched, the ascents of one call share the gap searches of their
-    starts and symmetrized states (`_held_gap`); without it the ascent
-    keeps its own.  The ascent holds its gap as the `_Level` of its
-    search, whose count above k1 `_cluster_energies` starts from.  A
-    start that symmetrizes is held without one: counts decide its
-    symmetrization (`_start_moves`), and its init step's gap stays
-    nan unless they leave the decision to a search of the start.  With
-    proof, the ascents of one call share the stop at their bound: at the
-    top of each iteration, after its symmetrization, an ascent whose gap
-    has reached `proof.at` sets `proof.reached` and goes on, and one
-    below it returns (state, gap) once it is set.
+    The ascent holds its gap as the `_Level` of its search, whose count
+    above k1 `_cluster_energies` starts from.  Its first round searches
+    the start and, where the start is asymmetric, its symmetrization
+    together.  With proof, the ascents of one call share the stop at
+    their bound: at the top of each iteration, after its symmetrization,
+    an ascent whose gap has reached `proof.at` sets `proof.reached` and
+    goes on, and one below it returns (state, gap) once it is set.
 
     Each iteration steps by the bundle of `_cluster_energies`' branches
     (`_bundle_step`) within a trust radius of STEP_SCALE, halved after a
@@ -691,11 +599,10 @@ def _single_ascent(
     one takes that one's branches: after a symmetrization onto a
     certified point, and while an edge waits at the floor to be pinned.
     """
-    searched = {} if searched is None else searched
-    gap = None   # the start's, searched only where counts do not decide its symmetrization
-    if not state.asymmetric():
-        gap = yield from _held_gap(state, searched)
-    trace.append(TraceStep(math.nan if gap is None else gap.k, 0.0, "init"))
+    # the start's symmetrization, if it has one, is searched beside it
+    sym = [_settle(state)] if state.asymmetric() else []
+    gap, *sym_gap = yield from _together([_gap_search(x.metric()) for x in [state, *sym]])
+    trace.append(TraceStep(gap.k, 0.0, "init"))
     last = None   # the last `_cluster_energies` call's topology, lengths and gap, and its branches
 
     for it in range(MAX_ITERS):
@@ -703,18 +610,13 @@ def _single_ascent(
 
         # symmetrization moves are non-decreasing whenever they apply
         if state.asymmetric():
-            cand = _settle(state)
-            cand_gap = yield from _held_gap(cand, searched)
-            # whether keeping cand is a move; None where cand is refused
-            gain = None if gap is not None else (yield from _start_moves(state.metric(), cand_gap.k))
-            if gain is None:
-                if gap is None:
-                    gap = yield from _held_gap(state, searched)
-                    trace[0] = TraceStep(gap.k, 0.0, "init")
-                if cand_gap.k >= gap.k - GAP_SLACK:
-                    gain = cand_gap.k > gap.k + IMPROVE_TOL
-            if gain is not None:
-                moved = gain
+            if it == 0:
+                cand, cand_gap = sym[0], sym_gap[0]
+            else:
+                cand = _settle(state)
+                cand_gap = yield from _gap_search(cand.metric())
+            if cand_gap.k >= gap.k - GAP_SLACK:
+                moved = cand_gap.k > gap.k + IMPROVE_TOL
                 state, gap = cand, cand_gap
                 trace.append(TraceStep(gap.k, 0.0, "symmetrize"))
 
@@ -725,14 +627,6 @@ def _single_ascent(
                 proof.reached = True
             elif proof.reached:
                 return state, gap.k
-
-        # from here on the ascent is a function of this key, to the bit
-        if held is not None:
-            key = (it, moved, state.topo, state.lengths.tobytes(), state.pin_count.tobytes(),
-                   tuple(state.orig_map), gap.k)
-            first = held.setdefault(key, _Follow(index, len(trace)))
-            if first.leader != index:
-                return first
 
         # ascent step of the branches' bundle (`_bundle_step`), unless the gap
         # is certified critical; gradient moves must strictly improve (the
@@ -830,43 +724,24 @@ def _ascend(starts: list[_AscentState], bound: float) -> list[tuple[_AscentState
 
     bound is the proven bound of the graph the starts come from, infinite
     where none applies.  Where it is finite, the first start's ascent runs
-    first, with that start's gap search where counts decide its
-    symmetrization; if its gap comes within GAP_SLACK of the bound
-    (`_Proof`), it is the only ascent that runs.  Otherwise the restarts
-    run after it, and once one of them reaches the bound, every one still
-    below ends at its next iteration, so its end is not the one it
-    reaches alone; every other ascent's is.  Where the bound is infinite
-    no proof can end the call, and every ascent runs at once.  The
-    ascents of a drive run in lockstep, every pending count of a matrix
-    shape in one stacked eigvalsh.  An ascent that reaches a state
-    another held first stops there and takes that ascent's end and the
-    rest of its trace once it has its own; a leader may itself have
-    stopped on a third.
+    first; if its gap comes within GAP_SLACK of the bound (`_Proof`), it
+    is the only ascent that runs.  Otherwise the restarts run after it,
+    and once one of them reaches the bound, every one still below ends at
+    its next iteration, so its end is not the one it reaches alone; every
+    other ascent's is.  Where the bound is infinite no proof can end the
+    call, and every ascent runs at once.  The ascents of a drive run in
+    lockstep, every pending count of a matrix shape in one stacked
+    eigvalsh.
     """
     traces: list[list[TraceStep]] = [[] for _ in starts]
-    held: dict = {}
-    searched: dict = {}
     proof = _Proof(bound)
-    ascents = parallel_map(
-        lambda j: _single_ascent(starts[j], traces[j], held, j, searched, proof), range(len(starts))
-    )
-    first = [_held_gap(starts[0], searched)] if starts[0].asymmetric() else []
+    ascents = parallel_map(lambda j: _single_ascent(starts[j], traces[j], proof), range(len(starts)))
     # the given start goes first where its end can prove the optimum
     lead, rest = (ascents, []) if bound == math.inf else (ascents[:1], ascents[1:])
-    ends = _drive(lead + first)
-    if first:
-        traces[0][0] = TraceStep(ends.pop().k, 0.0, "init")
+    ends = _drive(lead)
     if rest and not proof.reached:
         ends += _drive(rest)
-
-    def resolve(j: int) -> tuple[_AscentState, float]:
-        if isinstance(ends[j], _Follow):
-            leader, at = ends[j]
-            ends[j] = resolve(leader)
-            traces[j].extend(traces[leader][at:])
-        return ends[j]
-
-    return [(*resolve(j), traces[j]) for j in range(len(ends))]
+    return [(*end, trace) for end, trace in zip(ends, traces)]
 
 
 def maximize_gap(
@@ -882,12 +757,10 @@ def maximize_gap(
     bound pi (E - El/2) applies, and where its gap comes within GAP_SLACK
     of the bound no restart runs.  Otherwise, once one ascent reaches the
     bound, it runs on to its end and every one still below stops at its
-    next iteration, so it cannot win.  The
-    winning trace opens with the gap of its start; a restart's is searched
-    after the ascents where counts decided that start's symmetrization.
-    A result above the bound pi (E - El/2) where it applies, or on a tree
-    above pi / diameter at the returned lengths, by more than 1e-8 is an
-    internal error (RuntimeError).
+    next iteration, so it cannot win.  The winning trace opens with the
+    gap of its start.  A result above the bound pi (E - El/2) where it
+    applies, or on a tree above pi / diameter at the returned lengths, by
+    more than 1e-8 is an internal error (RuntimeError).
     """
     opts = options or MaximizeOptions()
     if not isinstance(init, LengthVector):
@@ -906,16 +779,14 @@ def maximize_gap(
     for lv in families._simplex_samples(rng, g.edge_count, 2 * L_MIN, opts.seeds):
         starts.append(_AscentState(root, lv, list(range(g.edge_count))))
 
-    # an ascent rebinds its state's lengths, so these stay the starts'
-    firsts = [(s.topo.graph, s.lengths) for s in starts]
     # the root's bound: a boundary start is settled onto a face of lower bound
     bound = _face_bound(g, ())
-    best: tuple[float, _AscentState, list[TraceStep], int] | None = None
-    for j, (state, gap, trace) in enumerate(_ascend(starts, bound)):
+    best: tuple[float, _AscentState, list[TraceStep]] | None = None
+    for state, gap, trace in _ascend(starts, bound):
         if best is None or gap > best[0] + 1e-12:
-            best = (gap, state, trace, j)
+            best = (gap, state, trace)
 
-    gap, state, trace, j = best
+    gap, state, trace = best
     # a reported gap never exceeds a proven bound, within A10's tolerance
     if gap > bound + 1e-8:
         raise RuntimeError(f"maximize_gap: gap {gap!r} above the bound pi (E - El/2) = {bound!r}")
@@ -923,9 +794,6 @@ def maximize_gap(
         bound = math.pi / tree_diameter(state.metric())
         if gap > bound + 1e-8:
             raise RuntimeError(f"maximize_gap: gap {gap!r} above the bound pi / tree_diameter = {bound!r}")
-    if math.isnan(trace[0].gap):
-        # the winning restart's start was decided by counts; its trace opens with its gap
-        trace[0] = TraceStep(spectral_gap(_trusted_metric(*firsts[j]))[0], 0.0, "init")
     lengths = state.original_lengths(g.edge_count)
     classification = "maximizer-candidate" if lengths.is_interior() else "supremizer-candidate"
     return OptimizationResult(lengths, gap, classification, tuple(trace))

@@ -412,73 +412,48 @@ def test_every_count_is_taken_by_the_driver(monkeypatch):
     assert checked == set(classes)
 
 
-def test_a_waiting_search_takes_no_count(count_matrices):
-    # a search that yields None waits for another one of its drive: it is
-    # sent None after each step's counts and costs no count of its own
+def test_a_none_request_raises():
+    # a search yields a request or a dict of them; None is no request, and
+    # the drive raises at once, alone or beside a search that asks
     m = metric(*star(3))
-    found = []
 
-    def searcher():
-        found.append((yield from spectral._gap_search(m)))
-        return "searched"
+    def none():
+        yield None
 
-    def waiter():
-        while not found:
-            yield None
-        return found[0].k
-
-    alone = spectral_gap(m)
-    tally = count_matrices.n
-    assert spectral._drive([waiter(), searcher(), waiter()]) == [alone[0], "searched", alone[0]]
-    assert count_matrices.n == 2 * tally
-    # with nothing to wait for, no search of the drive can go on
-    found.clear()
-    with pytest.raises(RuntimeError, match="wait"):
-        spectral._drive([waiter(), waiter()])
+    for searches in ([none()], [spectral._gap_search(m), none()]):
+        with pytest.raises(TypeError):
+            spectral._drive(searches)
 
 
-def test_a_together_of_waiting_searches_waits():
-    # a `_together` whose searches all wait yields None itself, and goes on
-    # once one of them can; it may run beside a search its own ones wait
-    # for, but a drive in which every search waits still cannot go on
+def test_a_none_inside_a_together_raises():
+    # None inside a sub-search's dict, yielded by hand or by a `_together`
+    # whose search yields it, is no request either: the drive raises at once
     m = metric(*star(3))
-    found = []
+    count = spectral._TrigCount(m)
 
-    def searcher():
-        found.append((yield from spectral._gap_search(m)))
-        return "searched"
+    def none():
+        yield None
 
-    def waiter():
-        while not found:
-            yield None
-        return found[0].k
+    def nested():
+        yield {0: (count, 1.0), 1: None}
 
-    together = _lockstep._together([waiter(), waiter()])
-    assert next(together) is None
-    found.append(spectral._drive([spectral._gap_search(m)])[0])
-    with pytest.raises(StopIteration) as stop:
-        together.send(None)
-    assert stop.value.value == [found[0].k, found[0].k]
-    found.clear()
-    assert spectral._drive([_lockstep._together([waiter(), waiter()]), searcher()]) == [
-        [spectral_gap(m)[0]] * 2, "searched"]
-    found.clear()
-    with pytest.raises(RuntimeError, match="wait"):
-        spectral._drive([_lockstep._together([waiter(), waiter()]), waiter()])
+    for searches in ([nested()], [_lockstep._together([none(), spectral._gap_search(m)])],
+                     [spectral._gap_search(m), _lockstep._together([spectral._gap_search(m), none()])]):
+        with pytest.raises(TypeError):
+            spectral._drive(searches)
 
 
 def test_a_compound_request_is_sent_what_its_requests_get_alone(monkeypatch):
     # a search running sub-searches (`_together`) yields the dict of their
     # requests, single and batch, of several matrix shapes, a sub-search's
-    # own dict among them and None for one that waits; it is sent the dict
-    # of replies to the others.  The driver stacks its requests with the
+    # own dict among them; it is sent the dict of their replies.  The driver stacks its requests with the
     # batch and the single request of other searches, one stacked call per
     # shape, and every request is sent the values its count gives it alone
     counts = _swept_counts(metric(*star(4)), 2)   # the last, Dirichlet at 2, has one row less
     ks = np.array([0.37, 3.0, 12.9])
     requests = {
-        "compound": {0: (counts[0], 3.0), 1: (counts[-1], ks), 2: None, 3: (counts[1], 12.9),
-                     4: {0: (counts[2], 0.37), 1: None, 2: (counts[-1], 40.1)}},
+        "compound": {0: (counts[0], 3.0), 1: (counts[-1], ks), 2: (counts[1], 12.9),
+                     3: {0: (counts[2], 0.37), 1: (counts[-1], 40.1)}},
         "batch": (counts[3], ks),
         "single": (counts[4], 2 * PI),
     }
@@ -490,7 +465,7 @@ def test_a_compound_request_is_sent_what_its_requests_get_alone(monkeypatch):
 
     def alone(request):
         if type(request) is dict:
-            return {j: alone(r) for j, r in request.items() if r is not None}
+            return {j: alone(r) for j, r in request.items()}
         count, k = request
         return np.array([count.spectrum(x) for x in k]) if isinstance(k, np.ndarray) else count.spectrum(k)
 
@@ -606,20 +581,15 @@ def test_a_batch_is_sent_what_single_requests_get(monkeypatch):
                 for k in ks:
                     sent[name].append((yield count, k))
 
-            def waiting():
-                while "batch" not in sent:
-                    yield None
-                return "waited"
-
             requests = {"batch": (counts[0], ks), "same shape": (counts[1], ks),
                         "other shape": (counts[-1], ks[::-1]), "one k": (counts[2], ks[2:3])}
-            searches = [waiting()] + [(batch if name in ("batch", "one k") else singles)(name, *request)
-                                      for name, request in requests.items()]
+            searches = [(batch if name in ("batch", "one k") else singles)(name, *request)
+                        for name, request in requests.items()]
             if cls is _TrigCount and m.graph.edge_count == 14:
                 # the batch's rows keep different numbers of rows: its stack takes several eigvalsh
                 assert len({_kept_rows(counts[0], k) for k in ks}) >= 2
             stacked.clear()
-            assert spectral._drive(searches) == ["waited", None, None, None, None]
+            assert spectral._drive(searches) == [None, None, None, None]
             # the first step stacks the batches with the single request of their shape
             assert stacked[0] == ks.size + 2, (cls, m, v)
             for name, (count, request_ks) in requests.items():
