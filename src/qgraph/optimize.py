@@ -31,7 +31,9 @@ counted (BOUND_MARGIN).  The star, flower and mandarin maximizers attain
 the bound, so a certified star or flower ends without building a face.
 
 Most trial points of the ascent lose.  A gradient step, its expansion and
-a contract probe must beat the held gap plus IMPROVE_TOL; a candidate
+a contract probe must beat the held gap plus IMPROVE_TOL, or only the
+bound less GAP_SLACK where that is lower (`_Proof.floor`), so a trial
+that proves the optimum moves however little it gains; a candidate
 that does not is decided by the eigenvalue count at that floor against
 the count at the search floor (`gap_reaches`), and only a kept move gets
 the full gap search.  The brute force skips its grid points that cannot
@@ -39,7 +41,7 @@ win the same way, and first, unbuilt, every point whose face's bound
 lies below the best gap found.  The count at the search floor is known, so
 `gap_reaches` costs one count; each count couples through the incidence
 its graph built once.  A trial whose linear models do not expect it to
-beat the held gap by IMPROVE_TOL is not counted: it ends the step
+beat that floor is not counted: it ends the step
 search, as does one the length floor clips to the lengths.
 
 The restarts run in lockstep.  An ascent is a generator that hands up
@@ -130,7 +132,7 @@ MAX_ITERS = 120     # ascent iterations per start
 L_MIN = 1e-4        # length floor of the ascent
 PIN_ITERS = 5       # iterations at the floor before an edge is contracted
 STEP_SCALE = 0.1    # length of the first trial gradient step
-IMPROVE_TOL = 1e-9  # least gain that counts as a move
+IMPROVE_TOL = 1e-9  # least gain that counts as a move, save one onto the bound (`_Proof.floor`)
 # A face's gap is at most its proven bound (`_face_bound`), and a count
 # decides a floor at most 2e-11 (relative) below it, where `off_pole` moves
 # it out of a pole window; so a face whose bound lies this far below a floor
@@ -569,13 +571,21 @@ class _Proof:
     where the bound does not apply, and `reached` is set once an ascent
     holds a gap at or above it.  Stopping the others, or not starting the
     restarts once the given start has set it (`_ascend`), then gives up
-    at most GAP_SLACK of the maximum, the loss a move may take."""
+    at most GAP_SLACK of the maximum, the loss a move may take.
+
+    `floor(k)` is the gap a trial must beat to move an ascent holding k:
+    k + IMPROVE_TOL, but no higher than `at` while k lies below it, so a
+    trial that reaches `at` moves, and proves the optimum, however little
+    it gains.  The floor lies above k, so every move gains."""
 
     __slots__ = ("at", "reached")
 
     def __init__(self, bound: float):
         self.at = bound - GAP_SLACK
         self.reached = False
+
+    def floor(self, k: float) -> float:
+        return min(k + IMPROVE_TOL, self.at) if k < self.at else k + IMPROVE_TOL
 
 
 def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | None = None) -> _Search:
@@ -588,17 +598,21 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | 
     their bound: at the top of each iteration, after its symmetrization,
     an ascent whose gap has reached `proof.at` sets `proof.reached` and
     goes on, and one below it returns (state, gap) once it is set.
+    Without it the bound is taken as infinite.
 
     Each iteration steps by the bundle of `_cluster_energies`' branches
     (`_bundle_step`) within a trust radius of STEP_SCALE, halved after a
     refused trial, and doubled while a step the ball bounds keeps
-    improving.  A gradient step's trace entry records its length over
+    improving.  A trial, its expansion and, off a certified point, a
+    contract probe must beat `proof.floor` of the gap they would replace.
+    A gradient step's trace entry records its length over
     the gap's slope |g|, the step size of a plain gradient step.  An
     iteration whose gap is certified critical takes no step.  An
     iteration that holds the topology, lengths and `_Level` of the last
     one takes that one's branches: after a symmetrization onto a
     certified point, and while an edge waits at the floor to be pinned.
     """
+    proof = proof or _Proof(math.inf)
     # the start's symmetrization, if it has one, is searched beside it
     sym = [_settle(state)] if state.asymmetric() else []
     gap, *sym_gap = yield from _together([_gap_search(x.metric()) for x in [state, *sym]])
@@ -622,17 +636,16 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | 
 
         # a gap at the proven bound is the call's optimum: that ascent runs on
         # to its end, and once one has, every ascent below it ends here
-        if proof is not None:
-            if gap.k >= proof.at:
-                proof.reached = True
-            elif proof.reached:
-                return state, gap.k
+        if gap.k >= proof.at:
+            proof.reached = True
+        elif proof.reached:
+            return state, gap.k
 
         # ascent step of the branches' bundle (`_bundle_step`), unless the gap
         # is certified critical; gradient moves must strictly improve (the
         # slack is reserved for the provably non-decreasing moves, otherwise
         # slack-sized losses can accumulate).  A trial the linear models do
-        # not expect to beat the held gap by IMPROVE_TOL ends the search
+        # not expect to beat the floor ends the search
         lengths = state.lengths.tobytes()
         if last is None or last[0] is not state.topo or last[1] != lengths or last[2] is not gap:
             branches = yield from _cluster_energies(
@@ -640,13 +653,13 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | 
             last = (state.topo, lengths, gap, branches)
         branches = last[3]
         if branches is not None:
-            radius, accepted = STEP_SCALE, None
+            radius, accepted, floor = STEP_SCALE, None, proof.floor(gap.k)
             for halving in range(40):
                 step, length = _bundle_step(branches, radius)
                 cand = _project_simplex_lb(state.lengths + step, L_MIN)
-                if _model_gap(branches, cand - state.lengths) <= gap.k + IMPROVE_TOL:
+                if _model_gap(branches, cand - state.lengths) <= floor:
                     break
-                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), gap.k + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), floor)
                 if cand_gap is not None:
                     accepted = (cand, cand_gap, length)
                     break
@@ -660,7 +673,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | 
                 cand = _project_simplex_lb(state.lengths + step, L_MIN)
                 if _no_move(cand, accepted[0], 1e-15):
                     break
-                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), accepted[1].k + IMPROVE_TOL)
+                cand_gap = yield from _gap_above(_trusted_metric(state.topo.graph, cand), proof.floor(accepted[1].k))
                 if cand_gap is None:
                     break
                 accepted = (cand, cand_gap, length)
@@ -677,7 +690,7 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | 
         # A probe whose face's bound lies below the floor is skipped unbuilt:
         # its gap could not reach the floor (BOUND_MARGIN)
         if not moved and state.topo.graph.edge_count >= 2:
-            floor = gap.k - GAP_SLACK if branches is None else gap.k + IMPROVE_TOL
+            floor = gap.k - GAP_SLACK if branches is None else proof.floor(gap.k)
             probes = [_settle(state, drop) for drop, bound in zip(state.topo.probes, state.topo.bounds)
                       if bound >= floor * (1.0 - BOUND_MARGIN)]
             if probes:

@@ -358,8 +358,10 @@ def test_sgp_output_is_pinned(case, tmp_path, capsys):
 # accepted gap exactly, so a changed decision or value anywhere in the
 # ascent shows here.  stower(2, 1) from default_rng(1000) is the start whose
 # ascent stalled 8.3e-6 short of 5 pi / 2 until the bundle step landed it
-# on the crossing, 4e-14 from it; stower(1, 2) starts on the boundary, with
-# its dangling edge contracted
+# on the crossing, 4e-14 from it.  Its given start now ends on 5 pi / 2
+# itself, at (0.4, 0.4, 0.2), by a last step that gains less than
+# IMPROVE_TOL but reaches the proven bound, so no restart runs.  stower(1, 2) starts on the boundary, with its
+# dangling edge contracted
 OPTIMIZE_OUTPUT = {
     "star4-random": ((star(4)[0], random_lengths(np.random.default_rng(1), 4)), """\
 {
@@ -411,41 +413,51 @@ OPTIMIZE_OUTPUT = {
     "stower21-rng1000": ((stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)), """\
 {
   "lengths": [
-    0.400000000000002,
-    0.400000000000002,
-    0.19999999999999596
+    0.4,
+    0.4,
+    0.2
   ],
-  "gap": 7.853981633974443,
+  "gap": 7.853981633974483,
   "classification": "maximizer-candidate",
   "trace": [
     {
-      "gap": 7.0223459076574395,
+      "gap": 4.4148326876508595,
       "step": 0.0,
       "move": "init"
     },
     {
-      "gap": 7.086730235460832,
+      "gap": 4.432652649720624,
       "step": 0.0,
       "move": "symmetrize"
     },
     {
-      "gap": 7.805557116078667,
-      "step": 0.0010810799148279686,
+      "gap": 6.995250748848716,
+      "step": 0.007712695457966505,
       "move": "gradient"
     },
     {
-      "gap": 7.853066534462061,
-      "step": 4.8255388120156895e-05,
+      "gap": 7.694723511922097,
+      "step": 0.0011240500319137853,
       "move": "gradient"
     },
     {
-      "gap": 7.853981313971177,
-      "step": 9.067560384427996e-07,
+      "gap": 7.843700503579694,
+      "step": 0.00016041579222752695,
       "move": "gradient"
     },
     {
-      "gap": 7.853981633974443,
-      "step": 3.1704877144671103e-10,
+      "gap": 7.853941065851561,
+      "step": 1.0199365478371386e-05,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.85398163334583,
+      "step": 4.019377063158099e-08,
+      "move": "gradient"
+    },
+    {
+      "gap": 7.853981633974483,
+      "step": 6.228479144606044e-13,
       "move": "gradient"
     }
   ]

@@ -334,20 +334,19 @@ def _restart_lengths(g, seed, j):
 
 
 def test_the_trace_opens_with_the_winning_start_gap():
-    # the given start wins on star(4), restart 6 on stower(2, 1) with option
-    # seed 0 (restart 1 before the ascents below the bound stopped once one
-    # reached it; restart 4 when counts decided each restart's first
-    # symmetrization, a schedule in which it reached the bound before the
-    # stop ended it, and then won the tie, 8e-15 below restart 6's gap)
+    # the given start wins on star(4), restart 4 on stower(3, 2) from
+    # default_rng(2) with option seed 2, whose given start ends 7.7e-10
+    # below the bound (restart 6 of stower(2, 1) from default_rng(1000)
+    # with option seed 0, until its given start reached the bound alone)
     g = star(4)[0]
     init = random_lengths(np.random.default_rng(1), 4)
     res = maximize_gap(g, init, MaximizeOptions(seed=1))
     assert res.trace[0].gap == spectral_gap(metric(g, init))[0]
 
-    g = stower(2, 1)[0]
-    init = random_lengths(np.random.default_rng(1000), 3)
-    res = maximize_gap(g, init, MaximizeOptions(seed=0))
-    assert res.trace[0].gap == spectral_gap(metric(g, _restart_lengths(g, 0, 6)))[0]
+    g = stower(3, 2)[0]
+    init = random_lengths(np.random.default_rng(2), g.edge_count)
+    res = maximize_gap(g, init, MaximizeOptions(seed=2))
+    assert res.trace[0].gap == spectral_gap(metric(g, _restart_lengths(g, 2, 4)))[0]
     assert res.trace[0].gap != spectral_gap(metric(g, init))[0]
 
 
@@ -386,7 +385,11 @@ def test_no_full_search_is_spent_on_a_losing_candidate(monkeypatch):
     monkeypatch.setattr(optimize, "_single_ascent", traced_ascent)
     monkeypatch.setattr(optimize, "_gap_search", recorded_search)
     starts = []
-    g, init = stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)
+    # the given start of stower(3, 2) ends below the bound, so both
+    # restarts run (stower(2, 1) from default_rng(1000), until its given
+    # start reached the bound alone)
+    g = stower(3, 2)[0]
+    init = random_lengths(np.random.default_rng(2), g.edge_count)
     maximize_gap(g, init, MaximizeOptions(seeds=2, seed=1))
     assert starts == [traces[0][0].gap]
     wasted = [
@@ -890,11 +893,20 @@ def test_a_gap_above_a_proven_bound_raises(monkeypatch, g, init, bound):
 def _ascents(monkeypatch, g, init, options, stop=True):
     """The bound `maximize_gap` hands `_ascend`, and the gap, original
     lengths and trace of every ascent it runs; with stop False every
-    ascent runs to its own end, as with an infinite bound."""
+    ascent is driven alone to its own end, under its own `_Proof` of the
+    bound, so its floors are those of the call."""
     ascend, got = optimize._ascend, []
 
+    def alone(starts, bound):
+        ends = []
+        for start in starts:
+            trace = []
+            ascent = optimize._single_ascent(start, trace, optimize._Proof(bound))
+            ends.append((*spectral._drive([ascent])[0], trace))
+        return ends
+
     def recorded(starts, bound):
-        ends = ascend(starts, bound if stop else math.inf)
+        ends = (ascend if stop else alone)(starts, bound)
         got.append((bound, [(gap, state.original_lengths(g.edge_count).values.tolist(), [repr(t) for t in trace])
                             for state, gap, trace in ends]))
         return ends
@@ -905,12 +917,15 @@ def _ascents(monkeypatch, g, init, options, stop=True):
     return got[0]
 
 
-# the stower(2, 1) and stower(2, 2) inputs of perfbench's `maximize`, and
-# the stower(1, 2) boundary start of the CLI pins, whose face is a lasso
+# the stower(2, 1) and stower(2, 2) inputs of perfbench's `maximize`, the
+# stower(1, 2) boundary start of the CLI pins, whose face is a lasso, and
+# stower(3, 2) from default_rng(2), whose given start ends 7.7e-10 below
+# the bound
 STOP_RUNS = (
     (stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3), MaximizeOptions(seed=0)),
     (stower(2, 2)[0], random_lengths(np.random.default_rng(3), 4, l_min=0.02), MaximizeOptions(seed=0)),
     (stower(1, 2)[0], LengthVector([0.5, 0.5, 0.0]), MaximizeOptions(seed=1)),
+    (stower(3, 2)[0], random_lengths(np.random.default_rng(2), 5), MaximizeOptions(seed=2)),
 )
 
 
@@ -919,9 +934,11 @@ def test_an_ascent_at_the_bound_ends_as_it_would_alone(monkeypatch):
     # an ascent holds a gap within GAP_SLACK of it, every ascent below ends
     # at its next iteration, on a prefix of the trace it takes alone; one
     # at the bound runs on to its own end, as stower(1, 2)'s boundary start
-    # does to tie its face's supremizer [1, 0, 0].  The given starts of
-    # stower(2, 2) and stower(1, 2) reach the bound alone, so their restarts
-    # never start; stower(2, 1)'s ends below it, and its restarts run
+    # does to tie its face's supremizer [1, 0, 0].  Alone, each ascent
+    # holds its own `_Proof` of the bound, whose floors it meets in the
+    # call.  The given starts of stower(2, 1), stower(2, 2) and
+    # stower(1, 2) reach the bound alone, so their restarts never start;
+    # stower(3, 2)'s ends below it, and its restarts run
     stopped = 0
     for g, init, options in STOP_RUNS:
         bound, ends = _ascents(monkeypatch, g, init, options)
@@ -933,26 +950,27 @@ def test_an_ascent_at_the_bound_ends_as_it_would_alone(monkeypatch):
             else:
                 assert end[2] == own[2][:len(end[2])]
                 stopped += end != own
-    # stower(2, 1)'s given start runs to its own end before its restarts
-    # start; 6 of its 11 ascents stopped, and 5 of stower(2, 2)'s, when
-    # every ascent ran beside the given start, and 5 of stower(2, 1)'s
-    # restarts when counts decided each restart's first symmetrization
-    assert stopped == 6   # restarts of stower(2, 1)
+    # stower(3, 2)'s given start runs to its own end before its restarts
+    # start.  6 restarts of stower(2, 1) stopped while its given start
+    # ended 6.3e-10 below the bound, and 5 of stower(2, 2)'s when every
+    # ascent ran beside the given start
+    assert stopped == 7   # restarts of stower(3, 2)
 
 
 def test_the_stop_saves_counts_on_the_stowers(count_matrices, monkeypatch):
     # count matrices and stacked calls of perfbench's stower(2, 1) and
     # stower(2, 2) operations, with the stop and with every ascent run to
-    # its own end.  The given start of stower(2, 2) reaches the bound alone
-    # (830 and 100 when the restarts ran beside it); that of stower(2, 1)
-    # ends below it, and its restarts run after it, in fewer rows a call
+    # its own end.  The given starts of both reach the bound alone (830
+    # and 100 for stower(2, 2) when the restarts ran beside it).  That of
+    # stower(2, 1) took (1127, 221) while a trial had to gain IMPROVE_TOL
+    # even onto the bound: it ended 6.3e-10 below it and its restarts ran
     # (963 and 122 beside it).  Every ascent searches its start beside the
     # start's symmetrization; when counts decided the restarts' first
     # symmetrization instead, and restarts merged where they met, the
     # tallies were (1009, 244) and (143, 131) with the stop, (1198, 176)
     # and (976, 131) without it
     ascend = optimize._ascend
-    for (g, init, options), stopping, running in zip(STOP_RUNS, ((1127, 221), (142, 134)), ((1323, 161), (1111, 134))):
+    for (g, init, options), stopping, running in zip(STOP_RUNS[:2], ((140, 127), (142, 134)), ((1323, 161), (1111, 134))):
         count_matrices.n = count_matrices.calls = 0
         maximize_gap(g, init, options)
         assert (count_matrices.n, count_matrices.calls) == stopping, g
@@ -1008,15 +1026,60 @@ def _requests_by_ascent(monkeypatch):
     (star(5)[0], random_lengths(np.random.default_rng(1), 5), MaximizeOptions(seed=1)),
     (flower(4)[0], random_lengths(np.random.default_rng(1), 4), MaximizeOptions(seed=1)),
     (mandarin(3)[0], random_lengths(np.random.default_rng(1), 3), MaximizeOptions(seed=1)),
+    STOP_RUNS[0],   # perfbench's stower(2, 1)
     STOP_RUNS[1],   # perfbench's stower(2, 2)
-], ids=["star5", "flower4", "mandarin3", "stower22"])
+    (stower(1, 3)[0], random_lengths(np.random.default_rng(2), 4), MaximizeOptions(seed=2)),
+    (stower(2, 1)[0], random_lengths(np.random.default_rng(4), 3), MaximizeOptions(seed=4)),
+], ids=["star5", "flower4", "mandarin3", "stower21", "stower22", "stower13-s2", "stower21-s4"])
 def test_a_given_start_at_the_bound_runs_alone(monkeypatch, g, init, options):
     # the given start goes first; once its gap comes within GAP_SLACK of
-    # pi (E - El/2), its restarts never start and take no count
+    # pi (E - El/2), its restarts never start and take no count.  The
+    # given starts of both stower(2, 1) runs and of stower(1, 3) ended
+    # 6.3e-10, 8.5e-10 and 5.3e-10 below the bound while a trial had to
+    # gain IMPROVE_TOL even onto it
     requests = _requests_by_ascent(monkeypatch)
     res = maximize_gap(g, init, options)
     assert res.gap >= upper_bound(g) - optimize.GAP_SLACK
     assert list(requests) == [0]
+
+
+def test_an_ascent_within_improve_tol_of_the_bound_reaches_it():
+    # stower(2, 1)'s ascent from perfbench's input climbs to 6.3e-10 below
+    # 5 pi / 2 by a step of 4e-8; its next trial gains less than
+    # IMPROVE_TOL, but it passes the bound less GAP_SLACK, so it moves
+    g = stower(2, 1)[0]
+    res = maximize_gap(g, random_lengths(np.random.default_rng(1000), 3), MaximizeOptions(seeds=0, seed=0))
+    assert res.gap >= upper_bound(g) - optimize.GAP_SLACK
+    assert res.trace[-1].move == "gradient"
+    assert res.trace[-1].gap - res.trace[-2].gap < optimize.IMPROVE_TOL
+
+
+def test_every_gradient_move_gains_and_only_one_falls_short_of_improve_tol(monkeypatch):
+    # a gradient move beats the gap held before it.  It gains less than
+    # IMPROVE_TOL only where it reaches the call's bound less GAP_SLACK,
+    # where the ascent's floor is that threshold, so at most once a trace
+    ascend, runs = optimize._ascend, []
+
+    def recorded(starts, bound):
+        ends = ascend(starts, bound)
+        runs.append((bound, [trace for *_, trace in ends]))
+        return ends
+
+    monkeypatch.setattr(optimize, "_ascend", recorded)
+    for g, init, options in STOP_RUNS:
+        maximize_gap(g, init, options)
+    for g, init, s in _catalog_runs():
+        maximize_gap(g, init, MaximizeOptions(seeds=2, seed=s))
+    short = 0
+    for bound, traces in runs:
+        for trace in traces:
+            gains = [b.gap - a.gap for a, b in zip(trace, trace[1:]) if b.move == "gradient"]
+            assert all(gain > 0.0 for gain in gains), trace
+            ends = [b.gap for a, b in zip(trace, trace[1:])
+                    if b.move == "gradient" and b.gap - a.gap < optimize.IMPROVE_TOL]
+            assert len(ends) <= 1 and all(end >= bound - optimize.GAP_SLACK for end in ends), trace
+            short += len(ends)
+    assert short >= 1
 
 
 def _digest(res):
