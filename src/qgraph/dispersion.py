@@ -38,8 +38,9 @@ two poles atan G rises from -pi/2 to pi/2, and every row has exactly one
 level on it, where phi = atan G + atan(1/alpha) = 0.  The branches end
 at four points, with G taken there: the negative ones run from
 -kappa_top, where G lies below the -1/alpha of every attractive row
-(`_kappa_top`), to the hyperbolic floor, and the positive ones from the
-trig floor to the k_max + d of `_level_search`.  The rest of a theta = 0
+(`spectral._HyperbolicCount.top` of the most attractive one, a diagonal
+bound that takes no count), to the hyperbolic floor, and the positive
+ones from the trig floor to the k_max + d of `_level_search`.  The rest of a theta = 0
 level, its eigenfunctions that vanish at v, is a flat band of every
 row: the level's multiplicity, less one at a pole.  A dispersion curve
 removes its positive flat bands from every row within the count's merge
@@ -79,7 +80,8 @@ lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
 the vertex keeps the gap (Dirichlet criterion), and controls when gluing
 two graphs at marked vertices achieves the subadditive bound
 k1(glued) = k1(G1) + k1(G2).  The count identity gives it in closed form
-from g at k1 (`spectral_gap_parameter`).
+from g just below k1, and as 2pi where g has a pole at k1
+(`spectral_gap_parameter`).
 """
 
 from __future__ import annotations
@@ -370,23 +372,6 @@ def _confirmed(checks: list[_Check]) -> list[list[float]]:
     return out
 
 
-def _kappa_top(count: _HyperbolicCount, v: int, alpha: float) -> float:
-    """The first kappa = 2^j, j >= 0, where the hyperbolic vertex matrix H with
-    the coupling alpha at vertex v, and so with any weaker one, is positive
-    definite.  Each edge adds (kappa/2)(tanh p p^T + coth q q^T) to H, p and
-    q its unsigned and signed incidence, and as coth >= tanh that is at
-    least kappa tanh(kappa l/2) on the diagonal at each of its ends; so H
-    is positive definite where every alpha_u + kappa sum tanh(kappa l/2)
-    over the edge ends at u is positive."""
-    alphas = count.vertex_alpha.copy()   # inf at the Dirichlet vertices, which have no row
-    alphas[v] = alpha
-    ends = count.graph.incidence[:, : count.lengths.size]
-    kappa = 1.0
-    while np.any(kappa * (ends @ np.tanh(0.5 * kappa * count.lengths)) <= -alphas):
-        kappa *= 2.0
-    return kappa
-
-
 def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
                   k_max: float) -> tuple[list[list[float]], list[tuple[float, int]]]:
     """Every row's levels up to k_max, as `levels` gives them, and the flat
@@ -399,7 +384,8 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     floor = count.floor_sample()
     zero, negative = _drive([_level_search(count, floor, k_max), _negative_search(hyperbolic)])
     hi_k = count.off_pole(k_max + _merge_width(k_max), 1.0)
-    kappa_top = _kappa_top(hyperbolic, v, min(alphas + [0.0]))
+    # above the negative levels of the most attractive row, and so of every row
+    kappa_top = hyperbolic.with_vertex(v_row, min(alphas + [0.0])).top()
 
     def G(ss):
         """G(s) and dG/ds: g(s) of the count for s > 0, else h(-s) of the hyperbolic one."""
@@ -570,35 +556,37 @@ class SgpReport:
 def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     """theta_SG at v in closed form from the vertex function g of m.
 
-    Just below the gap k1 the count of m is 1, so the count identity (module
-    docstring) puts the branch K, the lowest level on (0, pi] and the second
-    at theta - 2pi past pi, below k1 exactly when cot(theta/2) + g(k1-) > 0.
-    cot(theta/2) falls with theta on both, so theta_SG = 2 atan2(1, -g(k1-)):
-    in (0, pi] where g(k1-) <= 0, the Dirichlet criterion, and in (pi, 2pi)
-    otherwise.  g(k1-) is taken 1e-10 max(1, k1) below k1, clear of the
-    solver noise (~1e-14 relative) yet within the strong-classification
-    window for flat dispersion slopes.  k1 is a flat band when its
-    multiplicity exceeds the one level a pole of g at k1 moves; with
-    Dirichlet at v (1/alpha = 0) k1's multiplicity gains
-    [g(k1 + d) > 0] - [g(k1 - d) > 0], d the merge width.
-    RuntimeError, an internal error, means that the Dirichlet gap's own
-    search disagrees with the sign of g(k1-).
+    g is taken at k1 -+ d, d the merge width, as `_vertex_samples` takes it
+    around every level, and that one pair of samples decides everything
+    below.  Just below the gap k1 the count of m is 1, so the count
+    identity (module docstring) puts the branch K, the lowest level on
+    (0, pi] and the second at theta - 2pi past pi, below k1 exactly when
+    cot(theta/2) + g(k1-) > 0.  Where g has a pole at k1, g falls across it
+    and k1 is the second level of theta = 0, so K(2pi) = k1 and theta_SG =
+    2pi, however weak the pole.  Elsewhere cot(theta/2) falls with theta
+    on both, so theta_SG = 2 atan2(1, -g(k1 - d)): in (0, pi] where
+    g(k1 - d) <= 0, the Dirichlet criterion, and in (pi, 2pi) otherwise.
+    k1 is a flat band when its multiplicity exceeds the one level a pole
+    of g at k1 moves; with Dirichlet at v (1/alpha = 0) k1's multiplicity
+    gains [g(k1 + d) > 0] - [g(k1 - d) > 0].  RuntimeError, an internal
+    error, means that the Dirichlet gap's own search disagrees with the
+    sign of g(k1 - d): it keeps the gap, reaching k1 - d, exactly when
+    g(k1 - d) <= 0.
     """
     if not m.is_neumann_graph():
         raise InvalidInputError("spectral gap parameter is defined for Neumann graphs")
     m_dir = _with_theta(m, v, math.pi)
     k1, k1_mult = spectral_gap(m)
     dirichlet_k0 = spectral_gap(m_dir)[0]
-    tol_k = 1e-10 * max(1.0, k1)
     count, row = _TrigCount(m), _row_of(m, v)
-    (g_gap,), below, above, pole = _vertex_samples(lambda ks: count.vertex_function(row, ks), [k1 - tol_k],
-                                                   np.array([k1]))
-    dirichlet_holds = dirichlet_k0 >= k1 - tol_k
-    if dirichlet_holds != (g_gap <= 0.0):
+    _, (below,), (above,), (pole,) = _vertex_samples(lambda ks: count.vertex_function(row, ks), [],
+                                                     np.array([k1]))
+    dirichlet_holds = dirichlet_k0 >= k1 - _merge_width(k1)
+    if dirichlet_holds != (below <= 0.0):
         raise RuntimeError(f"Dirichlet gap {dirichlet_k0} at vertex {v} against k1 = {k1}, "
-                           f"but the vertex function is {g_gap} there")
-    theta_sg = 2.0 * math.atan2(1.0, -g_gap)
-    dir_mult = k1_mult + int(above[0] > 0.0) - int(below[0] > 0.0) if dirichlet_holds else 0
+                           f"but the vertex function is {below} below it")
+    theta_sg = 2.0 * math.pi if pole else 2.0 * math.atan2(1.0, -below)
+    dir_mult = k1_mult + int(above > 0.0) - int(below > 0.0) if dirichlet_holds else 0
     if theta_sg > math.pi + STRONG_TOL:
         classification = "violates"
     elif abs(theta_sg - math.pi) <= STRONG_TOL and dir_mult > k1_mult:
@@ -614,7 +602,7 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
         k1_multiplicity=k1_mult,
         dirichlet_k0=dirichlet_k0,
         dirichlet_multiplicity=dir_mult,
-        k1_is_flat_band=k1_mult > int(pole[0]),
+        k1_is_flat_band=k1_mult > int(pole),
     )
 
 

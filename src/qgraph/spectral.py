@@ -93,7 +93,9 @@ there.  In a search of the whole range it may take in levels of the
 brackets above r's: they are not reported again, and a bracket it
 reaches into is searched again from it (`_level_search`).  Negative
 eigenvalues lambda = -kappa^2 of attractive delta couplings go through
-the same finder with the hyperbolic vertex matrix (`_negative_search`).
+the same finder with the hyperbolic vertex matrix (`_negative_search`),
+searched as a whole range from its floor to a top that a diagonal bound
+on that matrix gives in closed form, with no count (`_HyperbolicCount.top`).
 A delta sweep's rows take theirs from the vertex function of the theta
 = 0 hyperbolic count (below) instead, in one Newton lockstep with their
 positive levels, and confirm them with their own hyperbolic counts
@@ -1188,6 +1190,21 @@ class _HyperbolicCount(_Count):
     def floor_sample(self) -> _Sample:
         return _Sample(self.floor, self.alpha.size - self.zero_modes[0], 0, None)   # n_+ of -M0
 
+    def top(self) -> float:
+        """The first kappa = 2^j, j >= 0, where H is positive definite by a
+        diagonal bound, so above every negative level; no count is taken.
+        Each edge adds (kappa/2)(tanh p p^T + coth q q^T) to H, p and q its
+        unsigned and signed incidence, and as coth >= tanh that is at least
+        kappa tanh(kappa l/2) on the diagonal at each of its ends; so H is
+        positive definite where every alpha_u + kappa sum tanh(kappa l/2)
+        over the edge ends at u is positive."""
+        ends = self.graph.incidence[:, : self.lengths.size]
+        kappa = 1.0
+        # vertex_alpha is inf at the Dirichlet vertices, which have no row
+        while np.any(kappa * (ends @ np.tanh(0.5 * kappa * self.lengths)) <= -self.vertex_alpha):
+            kappa *= 2.0
+        return kappa
+
     @staticmethod
     def spectra(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, kappas: np.ndarray) -> np.ndarray:
         """counts[j].spectrum(kappas[j]) for counts of one shape, stacked: the
@@ -1226,16 +1243,12 @@ class _HyperbolicCount(_Count):
 
 def _negative_search(count: _HyperbolicCount) -> _Search:
     """`negative_spectrum` as a search: the n_-(M0) levels of the hyperbolic
-    count between its floor, kappa = 1e-9, and the first kappa = 2^j, j >= 0,
-    where the hyperbolic vertex matrix is positive definite."""
+    count between its floor, kappa = 1e-9, and its `top`, where the diagonal
+    bound makes the hyperbolic vertex matrix positive definite.  The top
+    takes no count, so the search of the range asks for the first ones."""
     if not count.zero_modes[0]:
         return []
-    kappa_hi = 1.0
-    for _ in range(80):
-        if count.made(kappa_hi, (yield count, kappa_hi)).count == count.alpha.size:
-            break
-        kappa_hi *= 2.0
-    found = yield from _level_search(count, count.floor_sample(), kappa_hi)
+    found = yield from _level_search(count, count.floor_sample(), count.top())
     return [Eigenpair(-kappa, mult) for kappa, mult, _ in reversed(found)]
 
 

@@ -1178,6 +1178,51 @@ def test_the_count_at_zero_is_the_levels_at_and_below_zero(independent_checks):
     assert attractive >= 50
 
 
+def _delta_corpus() -> list[MetricGraph]:
+    """150 seeded graphs, V = 2-5 and E = V - 1 to V + 1, each vertex delta
+    coupled with theta ~ U(-3.1, 3.1) with probability 0.6, else Neumann."""
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(150):
+        V = int(rng.integers(2, 6))
+        E = V - 1 + int(rng.integers(0, 3))
+        g = random_connected_graph(rng, V, E)
+        conditions = [DeltaTheta(float(rng.uniform(-3.1, 3.1))) if rng.random() < 0.6 else NEUMANN for _ in range(V)]
+        out.append(MetricGraph(g, random_lengths(rng, E).values, conditions))
+    return out
+
+
+def test_the_negative_range_has_its_top_without_a_count(count_matrices):
+    # the top of the negative range is the first kappa = 2^j where a diagonal
+    # bound makes H positive definite, taken without a count, so the range
+    # search asks for the first counts.  Doubling kappa with one count per
+    # step took 949 hyperbolic count matrices on this corpus
+    corpus = _delta_corpus()
+    found = [spectral.negative_spectrum(m) for m in corpus]
+    assert count_matrices.n == 783
+    attractive = 0
+    for m, negative in zip(corpus, found):
+        count = _HyperbolicCount(m)
+        top = count.top()
+        if not count.zero_modes[0]:
+            assert negative == []
+            continue
+        attractive += 1
+        asked, ks = next(spectral._negative_search(count))
+        assert asked is count and list(ks) == [top + spectral._merge_width(top)], m
+        assert all(-p.k < top for p in negative), m
+        # -H(top) is negative definite: n_- = V'
+        assert count.made(top, count.spectrum(top)).count == count.alpha.size, m
+        # the bound holds there, and top is the first power of two where it does
+        ends = m.graph.incidence[:, : m.graph.edge_count]
+
+        def bound(kappa):
+            return np.all(kappa * (ends @ np.tanh(0.5 * kappa * m.lengths)) > -m.alpha)
+
+        assert bound(top) and (top == 1.0 or not bound(top / 2)), m
+    assert attractive == 79
+
+
 # ---------------------------------------------------------------------------
 # eigenfunctions
 # ---------------------------------------------------------------------------
