@@ -3,6 +3,9 @@
 Numeric output is printed with 12 significant digits and a '.' decimal
 separator; identical inputs (including --seed) give byte-identical
 output, so emitted files can serve as golden data.
+
+Each command imports the modules it runs, so `spectrum` and
+`eigenfunction` load neither the optimizer nor the delta sweeps.
 """
 
 from __future__ import annotations
@@ -13,11 +16,8 @@ import sys
 
 import numpy as np
 
-from . import verify as verify_mod
-from .dispersion import dispersion_curve, glue, spectral_gap_parameter
 from .errors import InvalidInputError, QGraphError
 from .graph import graph_to_dict, load_graph, metric
-from .optimize import MaximizeOptions, full_catalog, infimize_gap, maximize_gap
 from .spectral import eigenfunction, eigenvalues, spectral_gap
 
 
@@ -68,6 +68,8 @@ def cmd_eigenfunction(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    from .optimize import MaximizeOptions, maximize_gap
+
     g, lengths, _ = load_graph(args.graph)
     res = maximize_gap(g, lengths, MaximizeOptions(seed=args.seed))
     _emit(json.dumps(res.to_dict(), indent=2) + "\n", args.out)
@@ -75,6 +77,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_infimum(args) -> int:
+    from .optimize import infimize_gap
+
     g, _, _ = load_graph(args.graph)
     res = infimize_gap(g)
     _emit(json.dumps(res.to_dict(), indent=2) + "\n", args.out)
@@ -82,6 +86,8 @@ def cmd_infimum(args) -> int:
 
 
 def cmd_dispersion(args) -> int:
+    from .dispersion import dispersion_curve
+
     m = _load_metric(args.graph)
     curve = dispersion_curve(m, args.vertex, grid_size=args.grid, k_max=args.kmax)
     n_levels = 6
@@ -94,6 +100,8 @@ def cmd_dispersion(args) -> int:
 
 
 def cmd_sgp(args) -> int:
+    from .dispersion import spectral_gap_parameter
+
     m = _load_metric(args.graph)
     rep = spectral_gap_parameter(m, args.vertex)
     doc = {
@@ -111,6 +119,8 @@ def cmd_sgp(args) -> int:
 
 
 def cmd_glue(args) -> int:
+    from .dispersion import glue
+
     m1 = _load_metric(args.graph)
     m2 = _load_metric(args.graph2)
     L = args.length
@@ -130,6 +140,8 @@ def cmd_glue(args) -> int:
 
 
 def cmd_catalog(args) -> int:
+    from .optimize import full_catalog
+
     lines = ["family,params,gap_closed_form,gap_computed,multiplicity_computed"]
     for entry in full_catalog():
         m = metric(entry.graph, entry.lengths)
@@ -143,7 +155,9 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_suite(args.suite, seed=args.seed)
+    from .verify import run_suite
+
+    results = run_suite(args.suite, seed=args.seed)
     lines = []
     all_ok = True
     for res in results:

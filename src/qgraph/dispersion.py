@@ -563,9 +563,13 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     (0, pi] and the second at theta - 2pi past pi, below k1 exactly when
     cot(theta/2) + g(k1-) > 0.  Where g has a pole at k1, g falls across it
     and k1 is the second level of theta = 0, so K(2pi) = k1 and theta_SG =
-    2pi, however weak the pole.  Elsewhere cot(theta/2) falls with theta
-    on both, so theta_SG = 2 atan2(1, -g(k1 - d)): in (0, pi] where
-    g(k1 - d) <= 0, the Dirichlet criterion, and in (pi, 2pi) otherwise.
+    2pi, however weak the pole.  Where g rises across k1 from
+    g(k1 - d) <= 0 to g(k1 + d) > 0 with no pole, g vanishes at k1 within
+    the merge width, so K(pi) = k1 and theta_SG = pi exactly: the same
+    sign change that raises k1's Dirichlet multiplicity.  Elsewhere
+    cot(theta/2) falls with theta on both, so theta_SG =
+    2 atan2(1, -g(k1 - d)): in (0, pi] where g(k1 - d) <= 0, the
+    Dirichlet criterion, and in (pi, 2pi) otherwise.
     k1 is a flat band when its multiplicity exceeds the one level a pole
     of g at k1 moves; with Dirichlet at v (1/alpha = 0) k1's multiplicity
     gains [g(k1 + d) > 0] - [g(k1 - d) > 0].  RuntimeError, an internal
@@ -585,7 +589,12 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     if dirichlet_holds != (below <= 0.0):
         raise RuntimeError(f"Dirichlet gap {dirichlet_k0} at vertex {v} against k1 = {k1}, "
                            f"but the vertex function is {below} below it")
-    theta_sg = 2.0 * math.pi if pole else 2.0 * math.atan2(1.0, -below)
+    if pole:
+        theta_sg = 2.0 * math.pi
+    elif below <= 0.0 < above:
+        theta_sg = math.pi
+    else:
+        theta_sg = 2.0 * math.atan2(1.0, -below)
     dir_mult = k1_mult + int(above > 0.0) - int(below > 0.0) if dirichlet_holds else 0
     if theta_sg > math.pi + STRONG_TOL:
         classification = "violates"

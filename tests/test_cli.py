@@ -301,7 +301,7 @@ def test_verify_unknown_suite_exits_2_with_one_line():
 SGP_OUTPUT = {
     "star4-v0": (star(4), 0, """{
   "vertex": 0,
-  "theta_sg": 3.141592653569899,
+  "theta_sg": 3.141592653589793,
   "classification": "strong",
   "k1": 6.2831853071795765,
   "k1_multiplicity": 3,

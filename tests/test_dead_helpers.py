@@ -1,7 +1,8 @@
 """No dead helpers: every module-level function or class in src/qgraph is
 named somewhere in src/qgraph beyond its own definition, or is exported in
 `qgraph.__all__`.  families.py is exempt; it is a public module of graph
-constructors."""
+constructors.  So are the module-level hooks `__getattr__` and `__dir__`:
+the interpreter calls them (PEP 562), no code names them."""
 
 import ast
 import collections
@@ -11,6 +12,7 @@ import qgraph
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "qgraph"
 EXEMPT = {"families.py"}
+HOOKS = {"__getattr__", "__dir__"}
 
 
 def _definitions(tree: ast.Module) -> list[ast.AST]:
@@ -42,5 +44,6 @@ def test_every_module_level_definition_is_used_or_exported():
         for node in _definitions(tree)
         # references inside a definition (recursion) do not count
         if references[node.name] == _references(node)[node.name] and node.name not in qgraph.__all__
+        and node.name not in HOOKS
     )
     assert not dead, dead

@@ -768,6 +768,17 @@ def test_star_center_is_strong():
         assert rep.k1_is_flat_band
 
 
+@pytest.mark.parametrize("graph, v", [(star(3), 0), (star(4), 0), (stower(1, 2), 0), (path_graph(2), 1)],
+                         ids=["star3", "star4", "stower12", "path2"])
+def test_sign_change_without_pole_gives_pi_exactly(graph, v):
+    # g(k1) = 0 at these vertices: g rises across k1 with no pole, so
+    # K(pi) = k1 and theta_SG is pi itself, not a value set by the
+    # distance from k1 at which g is sampled
+    rep = spectral_gap_parameter(metric(*graph), v)
+    assert rep.theta_sg == math.pi
+    assert rep.classification == "strong"
+
+
 def test_uneven_two_flower_violates():
     g, _ = flower(2)
     rep = spectral_gap_parameter(metric(g, np.array([0.6, 0.4])), 0)
