@@ -1110,6 +1110,31 @@ def test_restarts_after_a_given_start_below_the_bound_change_nothing(count_matri
     assert (_digest(res), count_matrices.n) == (digest, tally)
 
 
+# runs whose ascents contract edges pinned at the length floor: the sha256 of
+# the result's to_dict() JSON.  Every ascent of the two-edge path with a loop
+# at one end stops stepping with an edge at the floor before its pin
+# contracts it; the one pin of the four-edge graph is refused; necklace(3)
+# from default_rng(4) has both refused pins and ascents that stop stepping
+# with an edge at the floor
+PINNED_RUNS = (
+    (DiscreteGraph(3, [(0, 1), (1, 2), (0, 0)]),
+     [0.4261927337646777, 0.0653504466286606, 0.5084568196066617], MaximizeOptions(seeds=3, seed=1),
+     "dc6cd46b9108677cb5e47a14081f8ca19e303455facd989e4496b8bf71a97744"),
+    (DiscreteGraph(3, [(0, 1), (1, 2), (1, 2), (0, 2)]),
+     [0.1735519992293514, 0.3638002758842847, 0.18517021304673062, 0.2774775118396333],
+     MaximizeOptions(seeds=3, seed=3),
+     "060f2bcc52367cdbf6d7e72af94b0847befb5598ec645cb61d974e6fafac13d7"),
+    (necklace(3)[0], random_lengths(np.random.default_rng(4), 6), MaximizeOptions(seed=4),
+     "988af508c817026bea5ae172e25ad45e8d430cbf2e134e2b2e1eaea5cc748cc8"),
+)
+
+
+@pytest.mark.parametrize("g, init, options, digest", PINNED_RUNS,
+                         ids=["path-loop", "refused-pin", "necklace3-seed4"])
+def test_contractions_of_pinned_edges_are_pinned(g, init, options, digest):
+    assert _digest(maximize_gap(g, init, options)) == digest
+
+
 def test_an_infinite_bound_keeps_one_lockstep(count_matrices):
     # no proof can end a call on the lasso, whose bound is infinite: every
     # ascent runs beside the given start.  Each ascent searches its own
