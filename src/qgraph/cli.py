@@ -31,8 +31,11 @@ def _load_metric(path):
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write output file {out_path}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -2,12 +2,12 @@
 
 Maximization runs a simplex-projected ascent on the exact derivatives of
 k1^2 (minus the edge energies), symmetrizes dangling edges and loops
-(provably non-decreasing), pins edges that hit the lower length bound and
-contracts them after a few iterations so boundary supremizers are reached
-exactly, and reduces over random restarts.  Infimization is constructive:
-all length onto one bridge (unit interval, gap pi) or onto one cycle edge
-(circle, gap 2 pi).  A simplex grid brute force serves as ground truth on
-small instances.
+(provably non-decreasing), contracts edges pinned at the lower length
+bound, after a few iterations or at once when the ascent cannot step, so
+boundary supremizers are reached exactly, and reduces over random
+restarts.  Infimization is constructive: all length onto one bridge (unit
+interval, gap pi) or onto one cycle edge (circle, gap 2 pi).  A simplex
+grid brute force serves as ground truth on small instances.
 
 The maximizers sit where the gap is multiple: its lowest branches cross.
 Each step of the ascent takes the gap and, where its linear model can meet
@@ -23,25 +23,28 @@ Overton, Acta Numerica, 1996).  A certified ascent takes no step; its
 contract probes then keep a face whose gap ties it within GAP_SLACK, so
 on a plateau of maximizers the supremizer on the face is reported.
 
-Every contraction the ascent tries, a contract probe or a pinned edge, is
-first held against the global bound k1 <= pi (E' - E'_l/2) of the face
-it lands on (`_face_bound`), read off the incidence; a face whose bound
-lies below the floor its gap must reach is neither built, settled nor
-counted (BOUND_MARGIN).  The star, flower and mandarin maximizers attain
-the bound, so a certified star or flower ends without building a face.
+Each iteration ends with one round of faces, counted together: the
+contract probes where no step moved, and the face of the edges pinned at
+the length floor.  Every face is first held against the global bound
+k1 <= pi (E' - E'_l/2) of the quotient it lands on (`_face_bound`), read
+off the incidence; a face whose bound lies below the floor its gap must
+reach is neither built, settled nor counted (BOUND_MARGIN).  The star,
+flower and mandarin maximizers attain the bound, so a certified star or
+flower ends without building a face.  An ascent ends at the first
+iteration where neither a step nor a face moves.
 
 Most trial points of the ascent lose.  A gradient step, its expansion and
 a contract probe must beat the held gap plus IMPROVE_TOL, or only the
 bound less GAP_SLACK where that is lower (`_Proof.floor`), so a trial
-that proves the optimum moves however little it gains; a candidate
-that does not is decided by the eigenvalue count at that floor against
-the count at the search floor (`gap_reaches`), and only a kept move gets
-the full gap search.  The brute force skips its grid points that cannot
-win the same way, and first, unbuilt, every point whose face's bound
-lies below the best gap found.  The count at the search floor is known, so
-`gap_reaches` costs one count; each count couples through the incidence
-its graph built once.  A trial whose linear models do not expect it to
-beat that floor is not counted: it ends the step
+that proves the optimum moves however little it gains; a pinned face must
+tie the gap within GAP_SLACK.  A candidate is decided by the eigenvalue
+count at its floor against the count at the search floor (`gap_reaches`),
+and only a kept move gets the full gap search.  The brute force skips its
+grid points that cannot win the same way, and first, unbuilt, every point
+whose face's bound lies below the best gap found.  The count at the search
+floor is known, so `gap_reaches` costs one count; each count couples
+through the incidence its graph built once.  A trial whose linear models
+do not expect it to beat that floor is not counted: it ends the step
 search, as does one the length floor clips to the lengths.
 
 The restarts run in lockstep.  An ascent is a generator that hands up
@@ -49,7 +52,7 @@ the count requests of its level searches (`_lockstep._drive`), and
 `_ascend` drives the restarts together, after the given start where the
 bound applies (below): at each step the pending counts of one matrix
 shape cost one stacked eigvalsh.  An ascent searches its start and that
-start's symmetrization together, and its contract probes too
+start's symmetrization together, and each round of faces too
 (`_lockstep._together`).  Every ascent is sent the values it would get
 alone, so unless a stop at the bound (below) cuts it short, an ascent's
 result and trace do not depend on its company.  Eigenspaces are solved
@@ -130,7 +133,7 @@ from .perturbation import _project_simplex_lb, density_certificate, energy_matri
 GAP_SLACK = 1e-10   # moves must not lose more than this
 MAX_ITERS = 120     # ascent iterations per start
 L_MIN = 1e-4        # length floor of the ascent
-PIN_ITERS = 5       # iterations at the floor before an edge is contracted
+PIN_ITERS = 5       # iterations at the floor before a pin, while steps move
 STEP_SCALE = 0.1    # length of the first trial gradient step
 IMPROVE_TOL = 1e-9  # least gain that counts as a move, save one onto the bound (`_Proof.floor`)
 # A face's gap is at most its proven bound (`_face_bound`), and a count
@@ -358,49 +361,52 @@ class MaximizeOptions:
 class _Topology:
     """A graph the ascent reaches and what the ascent reads of it.
 
-    `groups` are the edge lists of its `symmetrizable_groups` (none below
-    three edges, where `symmetrize` does not apply) and `probes` the edge
-    sets its contract probes drop: each edge alone, and every internal edge
-    at once when there are at least two and the graph has other edges.
-    `bounds` holds each probe's `_face_bound`, read off the incidence, so a
-    probe whose face cannot reach the floor is skipped before its face is
-    built.  `children` holds the contractions asked for so far, keyed by
-    the edges they drop, so a face is built once per `maximize_gap` call,
-    and only for a probe or a pin that passes its bound.
+    `edge_map` maps each edge of the graph `maximize_gap` was called on to
+    its index here (None if contracted).  `groups` are the edge lists of its `symmetrizable_groups`
+    (none below three edges, where `symmetrize` does not apply) and
+    `probes` the edge sets its contract probes drop: each edge alone, and
+    every internal edge at once when there are at least two and the graph
+    has other edges.  `bounds` holds each probe's `_face_bound`, read off
+    the incidence, so a probe whose face cannot reach the floor is skipped
+    before its face is built.  `children` holds the contractions asked for
+    so far, keyed by the edges they drop, so a face and its edge map are
+    built once per `maximize_gap` call, and only for a probe or a pin that
+    passes its bound.
     """
 
-    __slots__ = ("graph", "groups", "probes", "bounds", "children")
+    __slots__ = ("graph", "edge_map", "groups", "probes", "bounds", "children")
 
-    def __init__(self, g: DiscreteGraph):
+    def __init__(self, g: DiscreteGraph, edge_map: list[int | None] | None = None):
         E = g.edge_count
         self.graph = g
+        self.edge_map = list(range(E)) if edge_map is None else edge_map
         groups = symmetrizable_groups(g) if E >= 3 else []
         self.groups = [list(edges) for _v, _kind, edges in groups]
         leaf_edges = set(g.leaf_edges())
         internal = [e for e in range(E) if e not in leaf_edges and not g.is_loop(e)]
         self.probes = [[e] for e in range(E)] + ([internal] if 1 < len(internal) < E else [])
         self.bounds = [_face_bound(g, drop) for drop in self.probes]
-        self.children: dict[tuple[int, ...], tuple[_Topology, list[int | None]]] = {}
+        self.children: dict[tuple[int, ...], _Topology] = {}
 
-    def child(self, lengths: np.ndarray) -> tuple[_Topology, list[int | None]]:
-        """The quotient by the zero edges of lengths, and every edge's index
-        in it (None if contracted), from the incidence alone: a face reads
-        no lengths, so no `LengthVector` or `MetricGraph` is built."""
+    def child(self, lengths: np.ndarray) -> _Topology:
+        """The quotient by the zero edges of lengths, with the call's edges
+        mapped onto it, from the incidence alone: a face reads no lengths,
+        so no `LengthVector` or `MetricGraph` is built."""
         zero = lengths == 0.0
         key = tuple(np.flatnonzero(zero).tolist())
         if key not in self.children:
             graph, edge_map = _contract(self.graph, zero)
-            self.children[key] = (_Topology(graph), edge_map)
+            self.children[key] = _Topology(graph, [None if cur is None else edge_map[cur] for cur in self.edge_map])
         return self.children[key]
 
 
 class _AscentState:
-    """Lengths on a (possibly contracted) topology plus the original indexing."""
+    """Lengths on a (possibly contracted) topology, and each edge's
+    iterations at the length floor."""
 
-    def __init__(self, topo: _Topology, lengths: np.ndarray, orig_map: list[int | None]):
+    def __init__(self, topo: _Topology, lengths: np.ndarray):
         self.topo = topo
         self.lengths = lengths
-        self.orig_map = orig_map          # original edge -> current index or None
         self.pin_count = np.zeros(topo.graph.edge_count, dtype=int)
 
     def metric(self) -> MetricGraph:
@@ -411,9 +417,10 @@ class _AscentState:
         lv = self.lengths.tolist()
         return any(max(x) - min(x) > 1e-13 for x in ([lv[e] for e in group] for group in self.topo.groups))
 
-    def original_lengths(self, n_orig: int) -> LengthVector:
-        out = np.zeros(n_orig)
-        for orig, cur in enumerate(self.orig_map):
+    def original_lengths(self) -> LengthVector:
+        """The lengths on the call's edges, zero where contracted."""
+        out = np.zeros(len(self.topo.edge_map))
+        for orig, cur in enumerate(self.topo.edge_map):
             if cur is not None:
                 out[orig] = self.lengths[cur]
         return LengthVector(out)
@@ -427,18 +434,18 @@ def _settle(state: _AscentState, drop=()) -> _AscentState:
     keeps their sum, so all of them are set in one move.  Without drop the
     topology and the pin counts carry over.  The ascent's lengths are
     positive, so the contracted lengths need none of `LengthVector`'s
-    checks; `_Topology.child` builds a new face's graph from the incidence.
+    checks; `_Topology.child` builds a new face, and its edge map, from
+    the incidence.
     """
-    topo, lv, orig_map = state.topo, state.lengths.copy(), state.orig_map
+    topo, lv = state.topo, state.lengths.copy()
     if drop:
         lv[list(drop)] = 0.0
         lv = lv / lv.sum()
-        topo, edge_map = topo.child(lv)
+        topo = topo.child(lv)
         lv = lv[lv != 0.0]
-        orig_map = [None if cur is None else edge_map[cur] for cur in orig_map]
     for group in topo.groups:
         lv[group] = lv[group].mean()
-    settled = _AscentState(topo, lv / lv.sum(), orig_map)
+    settled = _AscentState(topo, lv / lv.sum())
     if not drop:
         settled.pin_count = state.pin_count
     return settled
@@ -600,28 +607,31 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | 
     goes on, and one below it returns (state, gap) once it is set.
     Without it the bound is taken as infinite.
 
-    Each iteration steps by the bundle of `_cluster_energies`' branches
-    (`_bundle_step`) within a trust radius of STEP_SCALE, halved after a
-    refused trial, and doubled while a step the ball bounds keeps
-    improving.  A trial, its expansion and, off a certified point, a
-    contract probe must beat `proof.floor` of the gap they would replace.
-    A gradient step's trace entry records its length over
-    the gap's slope |g|, the step size of a plain gradient step.  An
-    iteration whose gap is certified critical takes no step.  An
-    iteration that holds the topology, lengths and `_Level` of the last
-    one takes that one's branches: after a symmetrization onto a
-    certified point, and while an edge waits at the floor to be pinned.
+    Each iteration symmetrizes, then steps by the bundle of
+    `_cluster_energies`' branches (`_bundle_step`) within a trust radius
+    of STEP_SCALE, halved after a refused trial, and doubled while a step
+    the ball bounds keeps improving.  A trial, its expansion and, off a
+    certified point, a contract probe must beat `proof.floor` of the gap
+    they would replace.  A gradient step's trace entry records its length
+    over the gap's slope |g|, the step size of a plain gradient step.  An
+    iteration whose gap is certified critical takes no step.
+
+    The iteration ends with one round of faces, each decided by
+    `_gap_above` at its floor: the contract probes where no step moved,
+    and the face of the edges at the length floor, pinned after PIN_ITERS
+    iterations there while steps move and at once when none moved, which
+    must tie the gap within GAP_SLACK.  The best probe wins before the
+    pin; a refused pin backs its edges off.  The ascent ends at the first
+    iteration where neither a step nor a face moves: a symmetrization
+    only brings the iteration to its iterate.
     """
     proof = proof or _Proof(math.inf)
     # the start's symmetrization, if it has one, is searched beside it
     sym = [_settle(state)] if state.asymmetric() else []
     gap, *sym_gap = yield from _together([_gap_search(x.metric()) for x in [state, *sym]])
     trace.append(TraceStep(gap.k, 0.0, "init"))
-    last = None   # the last `_cluster_energies` call's topology, lengths and gap, and its branches
 
     for it in range(MAX_ITERS):
-        moved = False
-
         # symmetrization moves are non-decreasing whenever they apply
         if state.asymmetric():
             if it == 0:
@@ -630,7 +640,6 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | 
                 cand = _settle(state)
                 cand_gap = yield from _gap_search(cand.metric())
             if cand_gap.k >= gap.k - GAP_SLACK:
-                moved = cand_gap.k > gap.k + IMPROVE_TOL
                 state, gap = cand, cand_gap
                 trace.append(TraceStep(gap.k, 0.0, "symmetrize"))
 
@@ -646,12 +655,9 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | 
         # slack is reserved for the provably non-decreasing moves, otherwise
         # slack-sized losses can accumulate).  A trial the linear models do
         # not expect to beat the floor ends the search
-        lengths = state.lengths.tobytes()
-        if last is None or last[0] is not state.topo or last[1] != lengths or last[2] is not gap:
-            branches = yield from _cluster_energies(
-                state.metric(), gap, [] if state.asymmetric() else state.topo.groups)
-            last = (state.topo, lengths, gap, branches)
-        branches = last[3]
+        branches = yield from _cluster_energies(
+            state.metric(), gap, [] if state.asymmetric() else state.topo.groups)
+        stepped = False
         if branches is not None:
             radius, accepted, floor = STEP_SCALE, None, proof.floor(gap.k)
             for halving in range(40):
@@ -680,52 +686,36 @@ def _single_ascent(state: _AscentState, trace: list[TraceStep], proof: _Proof | 
             if accepted is not None:
                 state.lengths, gap = accepted[0], accepted[1]
                 trace.append(TraceStep(gap.k, accepted[2] / branches[0].norm, "gradient"))
-                moved = True
+                stepped = True
 
-        # no step: probe boundary moves, symmetrized, keeping the best
-        # strictly improving one, or at a certified point the best that
-        # ties it.  Candidates: drop one edge at a time, or contract every
-        # internal edge at once (the stower realization, which is how the
-        # closed-form supremizers of trees and of non-tree graphs arise).
-        # A probe whose face's bound lies below the floor is skipped unbuilt:
-        # its gap could not reach the floor (BOUND_MARGIN)
-        if not moved and state.topo.graph.edge_count >= 2:
-            floor = gap.k - GAP_SLACK if branches is None else proof.floor(gap.k)
-            probes = [_settle(state, drop) for drop, bound in zip(state.topo.probes, state.topo.bounds)
-                      if bound >= floor * (1.0 - BOUND_MARGIN)]
-            if probes:
-                gaps = yield from _together([_gap_above(p.metric(), floor) for p in probes])
-                found = [(p, cand_gap) for p, cand_gap in zip(probes, gaps) if cand_gap is not None]
-                if found:
-                    state, gap = max(found, key=lambda probe: probe[1].k)
-                    trace.append(TraceStep(gap.k, 0.0, "contract-probe"))
-                    moved = True
-
-        # pin bookkeeping and boundary contraction; contraction is evaluated
-        # together with the symmetrization of any groups it creates, which
-        # often lands exactly on the closed-form supremizer.  A face whose
-        # bound lies below the floor is refused unbuilt
+        # one round of faces, symmetrized and counted together: the contract
+        # probes drop one edge at a time, or every internal edge at once
+        # (the stower realization, which is how the closed-form supremizers
+        # of trees and of non-tree graphs arise), and the pin the edges at
+        # the floor.  A face whose bound lies below its floor is skipped
+        # unbuilt: its gap could not reach the floor (BOUND_MARGIN)
         at_floor = state.lengths <= L_MIN * (1 + 1e-9)
         state.pin_count[at_floor] += 1
         state.pin_count[~at_floor] = 0
-        to_zero = [int(e) for e in np.nonzero(state.pin_count >= PIN_ITERS)[0]]
-        if to_zero and len(to_zero) < state.topo.graph.edge_count:
-            floor = gap.k - GAP_SLACK
-            cand_gap = None
-            if _face_bound(state.topo.graph, to_zero) >= floor * (1.0 - BOUND_MARGIN):
-                cand_state = _settle(state, to_zero)
-                cand_gap = yield from _gap_search(cand_state.metric())
-            if cand_gap is not None and cand_gap.k >= floor:
-                state, gap = cand_state, cand_gap
-                trace.append(TraceStep(gap.k, 0.0, "contract"))
-                moved = True
-            else:
-                state.pin_count[to_zero] = -10 * PIN_ITERS  # back off
-
-        pin_pending = bool(
-            np.any((state.pin_count > 0) & (state.pin_count < PIN_ITERS))
-        )
-        if not moved and not pin_pending:
+        E = state.topo.graph.edge_count
+        faces = []
+        if not stepped and E >= 2:
+            floor = gap.k - GAP_SLACK if branches is None else proof.floor(gap.k)
+            faces = [(drop, bound, floor, "contract-probe")
+                     for drop, bound in zip(state.topo.probes, state.topo.bounds)]
+        pinned = [int(e) for e in np.flatnonzero(state.pin_count >= (PIN_ITERS if stepped else 1))]
+        if 0 < len(pinned) < E:
+            faces.append((pinned, _face_bound(state.topo.graph, pinned), gap.k - GAP_SLACK, "contract"))
+        faces = [(_settle(state, drop), floor, move) for drop, bound, floor, move in faces
+                 if bound >= floor * (1.0 - BOUND_MARGIN)]
+        gaps = yield from _together([_gap_above(face.metric(), floor) for face, floor, _ in faces])
+        found = [(face, cand_gap, move) for (face, _, move), cand_gap in zip(faces, gaps) if cand_gap is not None]
+        if found:
+            state, gap, move = max(found, key=lambda face: (face[2] == "contract-probe", face[1].k))
+            trace.append(TraceStep(gap.k, 0.0, move))
+        elif 0 < len(pinned) < E:
+            state.pin_count[pinned] = -10 * PIN_ITERS  # back off
+        if not stepped and not found:
             break
 
     return state, gap.k
@@ -784,13 +774,13 @@ def maximize_gap(
 
     # every start shares one topology tree, so each face is contracted once
     root = _Topology(g)
-    starts = [_AscentState(root, init.values.copy(), list(range(g.edge_count)))]
+    starts = [_AscentState(root, init.values.copy())]
     if init.zero_edges():
         # honor a boundary start by contracting it first
         starts[0] = _settle(starts[0], init.zero_edges())
     # the restarts draw random_lengths' stream, whose checks cannot fail on it
     for lv in families._simplex_samples(rng, g.edge_count, 2 * L_MIN, opts.seeds):
-        starts.append(_AscentState(root, lv, list(range(g.edge_count))))
+        starts.append(_AscentState(root, lv))
 
     # the root's bound: a boundary start is settled onto a face of lower bound
     bound = _face_bound(g, ())
@@ -807,7 +797,7 @@ def maximize_gap(
         bound = math.pi / tree_diameter(state.metric())
         if gap > bound + 1e-8:
             raise RuntimeError(f"maximize_gap: gap {gap!r} above the bound pi / tree_diameter = {bound!r}")
-    lengths = state.original_lengths(g.edge_count)
+    lengths = state.original_lengths()
     classification = "maximizer-candidate" if lengths.is_interior() else "supremizer-candidate"
     return OptimizationResult(lengths, gap, classification, tuple(trace))
 

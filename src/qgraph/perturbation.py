@@ -21,6 +21,7 @@ the point is not critical.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -81,6 +82,12 @@ class CriticalityReport:
         }
 
 
+def _require_tol(tol) -> None:
+    """Reject a tolerance that is not a finite number >= 0, bools included."""
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not math.isfinite(tol) or tol < 0:
+        raise InvalidInputError(f"tol must be a finite number >= 0, not {tol!r}")
+
+
 def is_critical(m: MetricGraph, tol: float = 1e-6) -> CriticalityReport:
     """Critical point of the gap on the length simplex: equal edge energies.
 
@@ -90,8 +97,10 @@ def is_critical(m: MetricGraph, tol: float = 1e-6) -> CriticalityReport:
     characterizations are reported.  A multiple gap is critical when a
     density matrix rho on its eigenspace makes the energies <G_e, rho>
     equal (`density_certificate`); its report carries rho's eigenvalues
-    and no vertex violations, which speak of one eigenfunction.
+    and no vertex violations, which speak of one eigenfunction.  tol must
+    be a finite number >= 0 (`InvalidInputError` otherwise).
     """
+    _require_tol(tol)
     k, mult = spectral_gap(m)
     if mult == 1:
         return _criticality(m, k, _eigenbasis(m, k, 1)[0], tol)
@@ -290,8 +299,10 @@ def path_decomposition(m: MetricGraph, tol: float = 1e-6) -> PathDecomposition:
     The edge ends are paired as `_pair_ends` describes.  Paths run from
     each unpaired end, in vertex order, along edge, far end, partner until
     they reach another unpaired end; the edges no path reaches close into
-    cycles, each started at the first end of the lowest vertex left.
+    cycles, each started at the first end of the lowest vertex left.  tol
+    is `is_critical`'s.
     """
+    _require_tol(tol)
     k, f = gap_eigenpair(m)
     if not _criticality(m, k, f, tol).critical:
         raise PreconditionError("path decomposition requires a critical point (equal energies)")

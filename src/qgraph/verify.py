@@ -491,13 +491,16 @@ def check_a15(seed: int) -> _Check:
 def check_catalog(seed: int) -> _Check:
     c = _Check()
     for entry in full_catalog():
-        k1, _ = spectral_gap(metric(entry.graph, entry.lengths))
+        k1, mult = spectral_gap(metric(entry.graph, entry.lengths))
         c.close(
             k1,
             entry.gap,
             1e-8,
             f"{entry.family} {entry.params}: computed gap vs closed form",
         )
+        if entry.multiplicity is not None:
+            c.expect(mult == entry.multiplicity,
+                     f"{entry.family} {entry.params}: multiplicity {mult}, closed form {entry.multiplicity}")
     return c
 
 

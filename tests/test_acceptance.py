@@ -9,8 +9,11 @@ cos(pi E x) on every edge, and the criterion certifies those closed-form
 modes independently of the solver.
 """
 
+import dataclasses
+
 import pytest
 
+from qgraph import full_catalog, verify
 from qgraph.verify import CRITERIA, run_criterion
 
 
@@ -27,3 +30,17 @@ def test_every_criterion_is_fast():
     for name in ("A1", "A2", "A3", "A4", "CAT"):
         result = run_criterion(name, seed=0)
         assert result.seconds < 10.0
+
+
+def test_catalog_criterion_checks_multiplicities(monkeypatch):
+    # the closed-form gaps all hold; one entry's multiplicity, set wrong,
+    # fails the criterion on its own
+    entries = full_catalog()
+    assert sum(entry.multiplicity is not None for entry in entries) == 21   # all but the necklaces
+    i = next(i for i, entry in enumerate(entries) if entry.family == "stower")
+    wrong = entries[:i] + [dataclasses.replace(entries[i], multiplicity=entries[i].multiplicity + 1)] + entries[i + 1:]
+    monkeypatch.setattr(verify, "full_catalog", lambda: wrong)
+    result = run_criterion("CAT", seed=0)
+    assert not result.passed
+    assert result.details == [f"stower {entries[i].params}: multiplicity {entries[i].multiplicity}, "
+                              f"closed form {entries[i].multiplicity + 1}"]

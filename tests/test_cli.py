@@ -295,6 +295,18 @@ def test_verify_unknown_suite_exits_2_with_one_line():
     assert err.startswith("qgraph: InvalidInputError: unknown suite nope") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", [["spectrum", "--graph", "GRAPH", "--kmax", "5"], ["verify", "--suite", "A1"]])
+def test_unwritable_output_exits_2_with_one_line(command, star3_file, tmp_path):
+    # exit code 1 is a failed verification; an --out that cannot be opened is bad input
+    out_path = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli([star3_file if arg == "GRAPH" else arg for arg in command] + ["--out", str(out_path)])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith(f"qgraph: InvalidInputError: cannot write output file {out_path}: ")
+    assert err.count("\n") == 1
+
+
 # stdout of `qgraph sgp`, byte for byte: floats are printed exactly, so any
 # change in the solver's arithmetic shows here.  k1 is a pole of the vertex
 # function in the three "violates" cases, where theta_SG is 2 pi exactly

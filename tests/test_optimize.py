@@ -414,13 +414,13 @@ def _ascent_starts():
         (stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3), 5),
     ):
         root = optimize._Topology(g)
-        start = optimize._AscentState(root, init.values.copy(), list(range(g.edge_count)))
+        start = optimize._AscentState(root, init.values.copy())
         if init.zero_edges():
             start = optimize._settle(start, init.zero_edges())
         starts.append((g, start))
         rng = np.random.default_rng(seed)
         lv = random_lengths(rng, g.edge_count, l_min=2 * optimize.L_MIN).values
-        starts.append((g, optimize._AscentState(root, lv, list(range(g.edge_count)))))
+        starts.append((g, optimize._AscentState(root, lv)))
     return starts
 
 
@@ -436,7 +436,7 @@ def _ascent_documents(together):
 
 
 def _ascent_document(g, state, gap, trace):
-    res = optimize.OptimizationResult(state.original_lengths(g.edge_count), gap, "", tuple(trace))
+    res = optimize.OptimizationResult(state.original_lengths(), gap, "", tuple(trace))
     return json.dumps(res.to_dict())
 
 
@@ -449,15 +449,16 @@ def test_ascents_driven_together_equal_ascents_driven_alone():
 
 
 def test_probes_in_lockstep_equal_probes_one_at_a_time(monkeypatch):
-    # an ascent's contract probes take their counts together (`_together`),
-    # as do its start and the start's symmetrization; run one after another
+    # an ascent's round of faces, its contract probes and its pinned edges,
+    # takes its counts together (`_together`), as do its start and the
+    # start's symmetrization; run one after another
     # instead, each to its end, they give every result and trace the same,
     # on a star, on stower(1, 2), on the stower(2, 1) stall, and on
     # necklace(3), whose faces keep their probes
     runs = []
 
     def one_at_a_time(searches):
-        if searches[0].__name__ == "_gap_above":   # a step's contract probes, not the start round
+        if searches and searches[0].__name__ == "_gap_above":   # a round of faces, not the start round
             runs[-1].append(len(searches))
         results = []
         for search in searches:
@@ -485,9 +486,12 @@ def test_probes_in_lockstep_equal_probes_one_at_a_time(monkeypatch):
     # each before faces were bounded); each stower keeps two of its three
     # probes; necklace(3) and its five-edge faces keep all six, its
     # four-edge faces four of five, and its flower(3) face runs no batch
-    # (three before)
-    assert [sorted(set(r)) for r in runs] == [[], [2], [2], [4, 6]]
-    assert len(runs[3]) == 25
+    # (three before).  Its pinned edges join a round of six probes as its
+    # seventh face, or make a round of one after a step: 23 rounds, where
+    # 25 rounds of probes alone, sized 4 and 6, ran before the pins joined
+    # them and ascents idled at the floor
+    assert [sorted(set(r)) for r in runs] == [[], [2], [2], [1, 4, 6, 7]]
+    assert len(runs[3]) == 23
 
 
 def test_each_face_is_contracted_once_per_call(contractions, monkeypatch):
@@ -566,7 +570,7 @@ def _settle_through_length_vector(state, drop):
     lv = lengths.values[lengths.values != 0.0]
     for _v, _kind, group in optimize.symmetrizable_groups(mg.graph) if mg.graph.edge_count >= 3 else []:
         lv[list(group)] = lv[list(group)].mean()
-    orig_map = [None if cur is None else edge_map[cur] for cur in state.orig_map]
+    orig_map = [None if cur is None else edge_map[cur] for cur in state.topo.edge_map]
     return mg.graph.edges, (lv / lv.sum()).tolist(), orig_map
 
 
@@ -578,9 +582,9 @@ def test_settle_equals_the_length_vector_path():
         for _ in range(20):
             lv = random_lengths(rng, g.edge_count, l_min=optimize.L_MIN).values
             for drop in root.probes:
-                state = optimize._AscentState(root, lv.copy(), list(range(g.edge_count)))
+                state = optimize._AscentState(root, lv.copy())
                 settled = optimize._settle(state, drop)
-                got = (settled.topo.graph.edges, settled.lengths.tolist(), settled.orig_map)
+                got = (settled.topo.graph.edges, settled.lengths.tolist(), settled.topo.edge_map)
                 assert repr(got) == repr(_settle_through_length_vector(state, drop)), (g.edges, drop)
                 cases += 1
     assert cases == 20 * (5 + 4 + 3 + 4 + 6)   # the caterpillar probes its two spine edges at once too
@@ -621,7 +625,7 @@ def test_each_ascent_runs_as_it_would_alone():
     for g, lvs in runs:
         def starts():
             root = optimize._Topology(g)
-            return [optimize._AscentState(root, lv.copy(), list(range(g.edge_count))) for lv in lvs]
+            return [optimize._AscentState(root, lv.copy()) for lv in lvs]
 
         together = [_ascent_document(g, *end) for end in optimize._ascend(starts(), math.inf)]
         alone = []
@@ -736,7 +740,7 @@ def test_restarts_that_never_meet_keep_their_solves(eigenbases, monkeypatch):
 
 def _rebuilt_child(topo, lengths):
     mg, edge_map = contract_with_maps(topo.graph, lengths)
-    return optimize._Topology(mg.graph), edge_map
+    return optimize._Topology(mg.graph, [None if cur is None else edge_map[cur] for cur in topo.edge_map])
 
 
 def test_shared_topologies_equal_rebuilt_ones(monkeypatch):
@@ -907,7 +911,7 @@ def _ascents(monkeypatch, g, init, options, stop=True):
 
     def recorded(starts, bound):
         ends = (ascend if stop else alone)(starts, bound)
-        got.append((bound, [(gap, state.original_lengths(g.edge_count).values.tolist(), [repr(t) for t in trace])
+        got.append((bound, [(gap, state.original_lengths().values.tolist(), [repr(t) for t in trace])
                             for state, gap, trace in ends]))
         return ends
 
@@ -1090,11 +1094,14 @@ def _digest(res):
 # to_dict() JSON and the count matrices of the call, as they were when every
 # restart ran beside the given start, from random_lengths(default_rng(s))
 # with option seed s.  The standarin's and the dumbbell's tallies were 2824
-# and 1664 when counts decided each restart's first symmetrization
+# and 1664 when counts decided each restart's first symmetrization; the
+# necklace's, the standarin's and the dumbbell's were 5494, 2965 and 1816
+# while ascents idled at the floor until a pin fired, and a pin took a full
+# gap search apart from the probes
 BELOW_BOUND_RUNS = (
-    (necklace(3)[0], 1, "487e296826a298e39aa6fb2f5428b9465457220964cfebbf59e6f8836e538cc1", 5494),
-    (families.standarin_chain(2, 1, 2)[0], 1, "78dd5d48948dd8b9eeb8beb32a039e4139679d19148113a42a335f1b7cce538b", 2965),
-    (dumbbell(0.5)[0], 1, "fad7a8e00da43dd50ecf751bac79c9c2a377a96e7d48e7c60fbd8b59fda4432c", 1816),
+    (necklace(3)[0], 1, "487e296826a298e39aa6fb2f5428b9465457220964cfebbf59e6f8836e538cc1", 5561),
+    (families.standarin_chain(2, 1, 2)[0], 1, "78dd5d48948dd8b9eeb8beb32a039e4139679d19148113a42a335f1b7cce538b", 2924),
+    (dumbbell(0.5)[0], 1, "fad7a8e00da43dd50ecf751bac79c9c2a377a96e7d48e7c60fbd8b59fda4432c", 1728),
     (DiscreteGraph(4, [(0, 1), (1, 2), (2, 3), (1, 2)]), 2,
      "91a53c0bcec6fd50233305893b817bc39a2c12e4c7bc09f7388c71d09e30cde5", 12075),
 )
@@ -1139,11 +1146,12 @@ def test_an_infinite_bound_keeps_one_lockstep(count_matrices):
     # no proof can end a call on the lasso, whose bound is infinite: every
     # ascent runs beside the given start.  Each ascent searches its own
     # start and first symmetrization: 633 matrices in 95 calls when counts
-    # decided the restarts' first symmetrizations and restarts merged
+    # decided the restarts' first symmetrizations and restarts merged, 783
+    # in 171 while ascents idled at the floor until a pin fired
     g = stower(1, 1)[0]
     res = maximize_gap(g, random_lengths(np.random.default_rng(1), 2), MaximizeOptions(seed=1))
     assert _digest(res) == "d96d5499845d26960d58de3662a8e3b26f042e1d2b25249749837f841388c814"
-    assert (count_matrices.n, count_matrices.calls) == (783, 171)
+    assert (count_matrices.n, count_matrices.calls) == (728, 137)
 
 
 @pytest.mark.parametrize("s, restarts", [(2, True), (4, False), (6, True)])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qgraph import (
+    InvalidInputError,
     MultiplicityError,
     PreconditionError,
     edge_energies,
@@ -325,6 +326,27 @@ def test_decomposition_requires_critical_point():
     g, _ = star(3)
     with pytest.raises(PreconditionError):
         path_decomposition(metric(g, np.array([0.5, 0.3, 0.2])))
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, True])
+@pytest.mark.parametrize("check", [is_critical, path_decomposition])
+def test_a_tolerance_that_is_not_a_finite_nonnegative_number_is_rejected(check, tol):
+    # standarin_chain(2, 1, 1) is critical: a NaN or negative tol would report
+    # it not critical, and path_decomposition would blame the point
+    m = metric(*standarin_chain(2, 1, 1))
+    with pytest.raises(InvalidInputError, match="tol must be a finite number >= 0"):
+        check(m, tol)
+
+
+def test_a_zero_tolerance_is_accepted():
+    # with tol 0 only an exact spread is critical; the rounding of the
+    # energies leaves one, so the decomposition refuses the point itself
+    m = metric(*standarin_chain(2, 1, 1))
+    rep = is_critical(m, 0.0)
+    assert rep.critical == (rep.spread == 0.0)
+    assert rep.k == is_critical(m).k
+    with pytest.raises(PreconditionError):
+        path_decomposition(m, 0.0)
 
 
 # ---------------------------------------------------------------------------
