@@ -1,6 +1,9 @@
 """Delta sweeps, dispersion curves, SGP classification, gluing."""
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -277,6 +280,79 @@ def _assert_rows_match_levels(m, v, grid, every=1):
 @pytest.mark.parametrize("name, params, v", THETA_SWEEPS)
 def test_dispersion_rows_equal_per_row_levels(name, params, v):
     _assert_rows_match_levels(_sweep_graph(name, params), v, 32)
+
+
+def _curve_digest(curve):
+    """The sha256 of a dispersion curve's levels, flat bands and branch."""
+    doc = {"levels": curve.levels, "flat_bands": [(fb.k, fb.multiplicity) for fb in curve.flat_bands],
+           "branch_thetas": curve.branch_thetas.tolist(), "branch_values": curve.branch_values.tolist()}
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# the sha256 of dispersion_curve(m, v, grid_size=32) (`_curve_digest`) and of
+# the fields of spectral_gap_parameter(m, v) on the theta_sweep graphs
+SWEEP_DIGESTS = {
+    ("star", (3,), 0): ("49dad18ff12a25f6e28e9ce58cd63ed3645e6a57608fbbc1fb7d76bff4435f2f",
+        "d2cc985c036e176f46995be302d7d13db0995894ab18209f3c8914eb9345e44f"),
+    ("star", (4,), 0): ("6c2f426cb4e5e7a47036671c2bddb1f315a68657143a059fde47c239fb08202a",
+        "6477951e8dd81cc6eb2196cc901c26e0e42e3f7222cad27a2dc4650a0da3b4ae"),
+    ("star", (5,), 0): ("11f95543e3670e34fcd7dc289c769417e964c22778f29075f1664eaed5fb8e54",
+        "a1b15cfdf53e3752eed610a4ffad9332f190b897d27e8859200d8bac9935ef89"),
+    ("star", (3,), 1): ("55ef3b54a00ff291060f25df990703617b1bc3dad362097f30a22406daf50cd0",
+        "8f12c0cbbeef54c824ab43aaf41dd2d03bf23a5377f7d5f9b8654d4e453cbac8"),
+    ("star", (4,), 1): ("5ffcd0a82b55d2b4d8f650e33a14f712b5c31fe7412bdf94b975de3f3e878e08",
+        "feb36d27d03f988b0456b1aae9f1fade019cf5ed82318345b59de9d2861c1b6d"),
+    ("star", (5,), 1): ("f1165e0f4e48e28eab683e8a5c14dd20230f6dc6cac1586059c21dd79a2efdac",
+        "dfd5b9fa971f0182c82e548a02d2830331a23a61e9635eb155cf3c2be3afcd30"),
+    ("flower", (2,), 0): ("648eb3d37797746e8a1b411bb907701198befc39fa684385ea87b34e8b000a3a",
+        "f2830f03aef089a11ad9bfb624ac81e7a9d94d8b94ac38683aa7fd2ef754a5bd"),
+    ("flower", (3,), 0): ("9c05e0465d5bed8bf741086ee99a038903a65e1f4120356d0699e7077d2391be",
+        "bdb945c67279f6d0163d78ab7940f70bcc4d4ae39941a44c66a1d04671f9a465"),
+    ("flower", (4,), 0): ("b076fd2e3907761ea59bce5f6ce7ae23e29713bb9f3cf9cb1a1deb520b4bec2e",
+        "d9f1f9dab53cf877151957b1a42d7082979bc5c5ec51229f7ecd7b29933cbab4"),
+    ("stower", (1, 2), 0): ("875844896862d33791fb7ad00001749907730a761ab8be49ad4ade9a2ba4eba0",
+        "cf138b7340d7227047573be907a322308e902136109b812863cc0c8f4ec1293a"),
+    ("stower", (1, 2), 1): ("aa201efe27b87e4fcfae0597534a0405d65b104edd2a05710b94390fdc55b22e",
+        "da8631c6335b8a9ed98c4f876cc1ce643c35d46dbbcfbd0934f455b0be1a1000"),
+    ("stower", (2, 1), 0): ("80061da70981285ab00dcd684d14f374fbc7527e31ffd2a1105a19fe1c62fa1e",
+        "b6b795eb92377375b99ddb9fe34fe8fd7d0f57b493f7bb56b710b164663fea33"),
+    ("stower", (2, 1), 1): ("3f8d2044f19cbda7b8190995327850ed06140794b2c4e2f386a0d097954cbd87",
+        "0ac6683502ded6f0c909e203d226f7d9554ecbca2af8b74fc682fdab06eb57e4"),
+    ("stower", (2, 2), 0): ("37caef04672f37a48de6a867c59d19de284a8b8756e20906b729db254dcd25f7",
+        "8176bfd5a13e01521695b7029a26c8693f69f8b44d4bdc2203342abab3899bb3"),
+    ("stower", (2, 2), 1): ("f6e9d547d6f56a70e6b3ab4806170598bffa804481f9e97a4b08a28b99856d8d",
+        "c91cfb3ce2c2c6bba236fd637479ddd1348fbc4886769053f083c1d7667ad79f"),
+    ("mandarin", (2,), 0): ("fb63e03c805899cf0b48354a2b22d225f8f455eea14b2161a5cf9c83eb179275",
+        "3d00bd4d812da3738505dbf636bfd7852b1a00199aadd45baabe6eb942d110a4"),
+    ("mandarin", (3,), 0): ("13b3b67f1877804aed5790a09a3134069d6ba02853baf1627ef252fa5d1af340",
+        "7eb9ef467373054b1372dfc1e5cdc84151f08d8a631fa4c18fb6e00310b49844"),
+    ("mandarin", (4,), 0): ("2dc0f643a206c878df0230512fd7d80af27a9d2bca378da472c308fb9cd6d236",
+        "4fc6f1000323823583c4aca8c62f4d4d7d0dea2995c58646ac2424ec296903c5"),
+    ("path_graph", (1,), 0): ("42a611b2ec6bb31e4a7e1ea5da01de38cc5b60bc83bad9ec18cffab480fd6eb4",
+        "599e88d1edce789fcfe323335ee7185fce5379bb9608fb129e856567569d2ac9"),
+    ("path_graph", (2,), 1): ("c665dd800583f41e8918ea763544a4f9454b8b34839de44050b600ed9dc1b670",
+        "b26325ef650c73805e22adaa4ed8cdce88d4f7cf54ccddce4e5012e86df2a9dd"),
+    ("path_graph", (2,), 0): ("1ce917d976c8cf0854f502e54a689cbd9b7f35a36d7f1fcfcb0818db509acbf7",
+        "64ee7c507eddf51c27cd5f48f653d2ad18865285847cf5e3ce64614a43585883"),
+    ("path_graph", (3,), 1): ("2d0bf119b720b8a7a23da6e3517c0d364d5aa9a828f54b1bf4e3229d9c7962f3",
+        "95ac042e82adb71e6af25ba4dd4b87009badfd45f7b55af63abe435889aa6e66"),
+    ("necklace", (2,), 0): ("9d7dbc1123e88de3fd3474f9de347399e107f6a76894c4934af5cca9772d98aa",
+        "1625398f12937654d813b36b49fb4348240671128e9834b2441ccf384c584c8f"),
+    ("necklace", (2,), 1): ("e18a251ddf8999dfac61b1986636e2cc671945f8b6df895f6a9f4cc2e6c0655a",
+        "5ccb4edbefc5f52bb342ab416c44d02a60f160b2ae4869d4c4851ae54b2833fc"),
+    ("dumbbell", (0.2,), 0): ("3a6186e9d40a85a7135e943d8a8c630cc668ebb9a9159e85ff86205e108772b0",
+        "c5518a940b00b9260ce0aa6450fc15868284f490d2a9bc0a229b5f1bae51b136"),
+    ("dumbbell", (0.5,), 0): ("0b044110ced00248817359b5ee171f1e9f11cdcb17e740953efa4ea371907278",
+        "9ac5bc7e55c54cb287c619c69d8fc693021fd4a8499728d875a9084ad3ebb00e"),
+}
+
+
+@pytest.mark.parametrize("name, params, v", THETA_SWEEPS)
+def test_sweep_results_are_pinned(name, params, v):
+    # every value of a sweep and of theta_SG, to the bit
+    m = _sweep_graph(name, params)
+    sgp = hashlib.sha256(json.dumps(dataclasses.asdict(spectral_gap_parameter(m, v))).encode()).hexdigest()
+    assert (_curve_digest(dispersion_curve(m, v, grid_size=32)), sgp) == SWEEP_DIGESTS[name, params, v]
 
 
 def test_dispersion_rows_equal_per_row_levels_on_random_graphs():
