@@ -53,27 +53,28 @@ Newton's method on phi (`_branch_roots`), each step one stacked solve
 of each count's vertex function (`spectral._Count.vertex_function`).
 A root stops one solve before its step falls within the tolerance once
 two Newton steps in a row show quadratic convergence (`_branch_roots`).
-Every row confirms its levels with its own counts, trig above zero and
-hyperbolic below: each level's multiplicity is the row's count
+A sweep's rows are one stack per matrix shape: the theta = 0 count's
+coupling and alpha with v's row set to each row's coupling, the theta =
+pi rows, which drop v's row, a second shape (`spectral._vertex_rows`); no
+row builds a graph or a count.  As `levels` does, a row takes the number
+of its levels below and at zero from the inertia of its M0, one stacked
+eigvalsh per shape: its negative levels are the n_- lowest of its vertex
+function's, any further one lies within M0's noise of lambda = 0, and the
+levels between a floor and zero are reported at that floor.  Every row
+confirms its levels with its own counts, trig above zero and hyperbolic
+below (`_confirmed`): each level's multiplicity is the row's count
 difference around it, at the points of `spectral._around`; the trig
 count at k_max + d must equal the levels found, and the hyperbolic one
 at kappa_top must be V', every level found.  The levels fix every point
-of those counts in advance, so each row takes them as one batch of each
-kind, and `_drive` stacks the batches of all rows of one kind and
-matrix shape into one `spectra` call.  Those counts are read for N
-alone, so the trig ones take the vertex form at every size
-(`spectral._TrigInertia`), which on such stacks costs less than the
-whole K's eigvalsh.  A row whose counts disagree raises
-RuntimeError, an internal error, instead of being searched again.  As
-`levels` does, a row takes the number of its levels below and at zero
-from the inertia of its M0, the M0 of all rows in one stacked eigvalsh
-(`spectral._take_zero_modes`): its negative levels are the n_- lowest of
-its vertex function's, any further one lies within M0's noise of
-lambda = 0, and the levels between a floor and zero are reported at that
-floor.  A row's counts, trig and hyperbolic, are the theta = 0 counts
-with v's coupling changed (`_Count.with_vertex`); no row builds a graph.
-The rows equal `spectral.levels` of each row within 1e-12 relative
-(absolute below k = 1), with equal multiplicities.
+of those counts in advance, so the rows of one shape take theirs of one
+kind in one direct stacked `spectra` call, and `counts` turns them into
+N in arrays, as the merging of a row's candidates and its expected
+counts are.  Those counts are read for N alone, so the trig ones take
+the vertex form at every size (`spectral._TrigInertia`), which on such
+stacks costs less than the whole K's eigvalsh.  A row whose counts
+disagree raises RuntimeError, an internal error, instead of being
+searched again.  The rows equal `spectral.levels` of each row within
+1e-12 relative (absolute below k = 1), with equal multiplicities.
 
 The spectral gap parameter theta_SG solves K(theta_SG) = k1(Neumann); it
 lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
@@ -89,7 +90,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -98,12 +98,12 @@ from .graph import DIRICHLET, NEUMANN, DeltaTheta, MetricGraph, _integer, _quoti
 from .spectral import (
     _level_search,
     _negative_search,
-    _take_zero_modes,
+    _vertex_rows,
     _Count,
     _HyperbolicCount,
-    _Search,
     _TrigCount,
     _TrigInertia,
+    _VertexRows,
     _drive,
     _MULT_FLOOR,
     _MULT_PROBE,
@@ -163,20 +163,6 @@ def interlacing_margin(lo: np.ndarray, hi: np.ndarray) -> float:
     min_n (lo_{n+1} - hi_n) of the first n + 1 levels at two couplings,
     lo at the smaller theta; interlacing holds when it is >= -tol."""
     return min(float((hi[:-1] - lo[:-1]).min()), float((lo[1:] - hi[:-1]).min()))
-
-
-def _remove_flats(levels: list[float], flats: list[FlatBand]) -> list[float]:
-    out = list(levels)
-    for fb in flats:
-        removed = 0
-        i = 0
-        while i < len(out) and removed < fb.multiplicity:
-            if abs(out[i] - fb.k) <= _merge_width(fb.k):
-                out.pop(i)
-                removed += 1
-            else:
-                i += 1
-    return out
 
 
 def _vertex_samples(G, at: list[float], ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -278,98 +264,87 @@ def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.nd
     return k
 
 
-class _Check(NamedTuple):
-    """One row's levels of one sign and the points of the row's own counts
-    that confirm them (`_row_check`, `_confirmed`)."""
-
-    theta: float
-    count: _Count
-    levels: list[float]    # ascending, each once
-    mults: list[int]
-    points: np.ndarray     # just below the first level, just above each level, and at the top
-    floor_count: int       # the count expected just below the first level
-    total: int | None      # the count expected at the top, where it is known
+def _row_sums(row: np.ndarray, values: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The running sum of values within each of rows rows, row ascending,
+    each row's total, and where each row starts, with the end last."""
+    starts = np.searchsorted(row, np.arange(rows + 1))
+    sums = np.concatenate([[0], np.cumsum(values)])
+    return sums[1:] - sums[starts[row]], sums[starts[1:]] - sums[starts[:-1]], starts
 
 
-def _row_check(count: _Count, theta: float, ks: list[float], mults: list[int], below: list[float],
-               above: list[float], floor_count: int, hi_k: float, total: int | None = None) -> _Check:
-    """The levels of one sweep row, from its candidates ks ascending with
-    their multiplicities mults, and the points of the counts that confirm
-    them: the positive levels with the row's trig count, or the negative
-    ones, in kappa, with its hyperbolic count.
+def _confirmed(counter: _Count, spectra, stacks: list[_VertexRows], checked: np.ndarray,
+               candidates: tuple[np.ndarray, np.ndarray, np.ndarray], floor_count: np.ndarray, top: float,
+               total: np.ndarray | None = None) -> tuple[tuple[np.ndarray, ...], tuple[int, str] | None]:
+    """The levels of one sign of a sweep's rows, confirmed by the checked
+    rows' own counts: the positive levels with their trig counts, or the
+    negative ones, in kappa, with their hyperbolic counts.  candidates are
+    (row, k, multiplicity) ascending.
 
     Candidates closer than the merge width are one level, as in
     `_level_search`.  Each level's multiplicity is the row's own count
     difference around it, as `_around` takes it: the count just below the
-    first level, then the count just above each level, which is the count
-    below the next.  below and above hold those points for every
-    candidate k, k -+ d moved out of any pole window (`_Count.off_poles`).
-    The count at hi_k must equal the last one, and total where it is
-    given.
+    first level (floor_count), then the count just above each level, which
+    is the count below the next, at k -+ d moved out of any pole window
+    (`_Count.off_poles`).  The count at top must equal the last one, and
+    total where it is given.  Every point is known before any count, so the
+    rows of each matrix shape (stacks) take theirs in one call of spectra,
+    and counter turns them into N: the rows of a sweep share their lengths.
+    Returns the levels as (row, k, multiplicity), and the first row whose
+    counts disagree with what they say, or None.
     """
-    levels, counted, points = [], [], []
-    i = 0
-    while i < len(ks):
-        top = above[i]   # where `_around` takes its upper count
-        j, mult = i, 0
-        while j < len(ks) and ks[j] < top:
-            mult += mults[j]
-            j += 1
-        levels.append(ks[i])
-        counted.append(mult)
-        points.append(top)
-        i = j
-    if levels:
-        points.insert(0, below[0])
-    points.append(hi_k)
-    return _Check(theta, count, levels, counted, np.array(points), floor_count, total)
-
-
-def _batch(count: _Count, ks: np.ndarray) -> _Search:
-    """The count's spectra at every k of ks, taken as one batch."""
-    return (yield count, ks)
-
-
-def _confirmed(checks: list[_Check]) -> list[list[float]]:
-    """The levels of every check with multiplicity, each confirmed by its
-    row's own counts.
-
-    Every check's points are fixed before any count, so each takes them as
-    one batch, and one drive stacks the batches of all rows of one kind
-    and matrix shape into one `spectra` call, the vertex form's for the
-    trig counts (`spectral._TrigInertia`).  The rows of a sweep share their
-    lengths, so the count of any one turns all their spectra of one shape
-    into N at once.  A level the candidates miss breaks one of a row's
-    counts, and the row raises RuntimeError, an internal error, instead of
-    being searched again.
-    """
-    spectra = _drive([_batch(check.count, check.points) for check in checks])
-    groups: dict[tuple, list[int]] = {}
-    for i, (check, values) in enumerate(zip(checks, spectra)):
-        groups.setdefault((type(check.count), values.shape[1]), []).append(i)
-    counts: list = [None] * len(checks)
-    for group in groups.values():
-        n = checks[group[0]].count.counts(np.concatenate([checks[i].points for i in group]),
-                                          np.concatenate([spectra[i] for i in group])).tolist()
-        at = 0
-        for i in group:
-            counts[i], at = n[at : at + checks[i].points.size], at + checks[i].points.size
-    out = []
-    for check, n in zip(checks, counts):
-        theta, levels = check.theta, check.levels
-        # the counts expected below each level, and above the last
-        expected = list(itertools.accumulate([check.floor_count] + check.mults))
-        if levels and n[:-1] != expected:
-            j = max(next(j for j, (got, want) in enumerate(zip(n, expected)) if got != want) - 1, 0)
-            raise RuntimeError(f"theta = {theta}: counts {n[j]}, {n[j + 1]} around the level {levels[j]} "
-                               f"of the vertex function, expected {expected[j]}, {expected[j + 1]}")
-        top = check.points[-1]
-        if n[-1] != expected[-1]:
-            raise RuntimeError(f"theta = {theta}: count {n[-1]} at k = {top}, but {expected[-1]} levels found")
-        if check.total is not None and n[-1] != check.total:
-            raise RuntimeError(f"theta = {theta}: count {n[-1]} at k = {top}, expected {check.total}")
-        out.append([r for r, mult in zip(levels, check.mults) for _ in range(mult)])
-    return out
+    row, ks, mults = candidates
+    rows = floor_count.size
+    width = np.maximum(_MULT_PROBE * ks, _MULT_FLOOR)
+    below, above = counter.off_poles(ks - width, -1.0), counter.off_poles(ks + width, 1.0)
+    starts, mults = np.ones(ks.size, dtype=bool), mults.copy()
+    # the rows where candidates merge, as `_level_search` merges them
+    for r in set(row[:-1][(row[1:] == row[:-1]) & (ks[1:] < above[:-1])].tolist()):
+        i, end = np.searchsorted(row, [r, r + 1])
+        while i < end:
+            j = i + 1
+            while j < end and ks[j] < above[i]:
+                starts[j], mults[i], j = False, mults[i] + mults[j], j + 1
+            i = j
+    first = np.flatnonzero(starts)
+    level_row, levels, level_mults = row[first], ks[first], mults[first]
+    running, sums, at = _row_sums(level_row, level_mults, rows)
+    # each checked row's points, below its first level, above each level
+    # and at top, with the counts expected there
+    n_levels = np.diff(at)
+    size = np.where(checked, n_levels + 1 + (n_levels > 0), 0)
+    end = np.cumsum(size)
+    start, point_row = end - size, np.repeat(np.arange(rows), size)
+    points, expected = np.empty(point_row.size), np.empty(point_row.size, dtype=int)
+    lead = checked & (n_levels > 0)
+    points[start[lead]], expected[start[lead]] = below[first[at[:-1][lead]]], floor_count[lead]
+    place = start[level_row] + 1 + np.arange(first.size) - at[level_row]
+    points[place], expected[place] = above[first], floor_count[level_row] + running
+    last = end[checked] - 1
+    points[last], expected[last] = top, floor_count[checked] + sums[checked]
+    got = np.empty(point_row.size, dtype=int)
+    for stack in stacks:
+        local = np.full(rows, -1)
+        local[stack.at] = np.arange(stack.at.size)
+        take = np.flatnonzero(local[point_row] >= 0)
+        if take.size:
+            i = local[point_row[take]]
+            got[take] = counter.counts(points[take], spectra(stack.coupling[i], stack.alpha[i], counter.lengths,
+                                                             points[take]))
+    bad = got != expected
+    if total is not None:
+        bad[last] |= got[last] != total[checked]
+    if not bad.any():
+        return (level_row, levels, level_mults), None
+    r = int(point_row[bad][0])
+    found = levels[level_row == r].tolist()
+    n, want = got[start[r] : end[r]].tolist(), expected[start[r] : end[r]].tolist()
+    if found and n[:-1] != want[:-1]:
+        j = max(next(j for j, (a, b) in enumerate(zip(n, want)) if a != b) - 1, 0)
+        return (), (r, f"counts {n[j]}, {n[j + 1]} around the level {found[j]} of the vertex function, "
+                       f"expected {want[j]}, {want[j + 1]}")
+    if n[-1] != want[-1]:
+        return (), (r, f"count {n[-1]} at k = {top}, but {want[-1]} levels found")
+    return (), (r, f"count {n[-1]} at k = {top}, expected {total[r]}")
 
 
 def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
@@ -380,12 +355,14 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     count = _TrigCount(m0)
     hyperbolic = _HyperbolicCount(m0, count.zero_modes)
     v_row = _row_of(m0, v)
-    alphas = [DeltaTheta(float(t)).alpha for t in thetas]
+    alphas = np.array([DeltaTheta(float(t)).alpha for t in thetas])
     floor = count.floor_sample()
     zero, negative = _drive([_level_search(count, floor, k_max), _negative_search(hyperbolic)])
     hi_k = count.off_pole(k_max + _merge_width(k_max), 1.0)
     # above the negative levels of the most attractive row, and so of every row
-    kappa_top = hyperbolic.with_vertex(v_row, min(alphas + [0.0])).top()
+    most = int(np.argmin(alphas))
+    kappa_top = (_HyperbolicCount(_with_theta(m0, v, float(thetas[most]))) if alphas[most] < 0.0
+                 else hyperbolic).top()
 
     def G(ss):
         """G(s) and dG/ds: g(s) of the count for s > 0, else h(-s) of the hyperbolic one."""
@@ -399,12 +376,12 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
 
     # the theta = 0 levels in s, ascending: k = -kappa below 0 (`negative_spectrum`), then the count's
     ks = np.array([p.k for p in negative] + [lvl.k for lvl in zero])
-    mults = [p.multiplicity for p in negative] + [lvl.multiplicity for lvl in zero]
+    mults = np.array([p.multiplicity for p in negative] + [lvl.multiplicity for lvl in zero], dtype=int)
     at = [-kappa_top, -hyperbolic.floor, count.floor, hi_k]
     sampled, _, _, pole = _vertex_samples(G, at, ks)
-    flats = [(float(k), mult - int(p)) for k, mult, p in zip(ks, mults, pole) if mult > p]
+    flat = mults > pole
+    flats = [(float(k), int(mult)) for k, mult in zip(ks[flat], (mults - pole)[flat])]
     up_flats = [(k, mult) for k, mult in flats if k > 0.0]
-    down_flats = [(-k, mult) for k, mult in flats if k < 0.0]   # in kappa
     poles = ks[pole]
 
     # a branch runs from an end or a pole to the next: between two poles atan G
@@ -418,7 +395,7 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     branch = np.arange(lo.size)
     opens, closes = np.zeros(branch.size, dtype=bool), np.zeros(branch.size, dtype=bool)
     opens[[0, n_neg + 1]] = closes[[n_neg, -1]] = True   # the branches that start, end at an end
-    moving = [j for j, t in enumerate(thetas) if t != 0.0]
+    moving = np.flatnonzero(thetas != 0.0)
     w = np.array([complex(abs(math.sin(0.5 * t)), math.copysign(math.cos(0.5 * t), t)) for t in thetas[moving]])
     fa = np.repeat(np.angle(w)[:, None] - 0.5 * math.pi, branch.size, axis=1)
     fb = fa + math.pi
@@ -430,61 +407,63 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     roots = _branch_roots(G, np.broadcast_to(branch, fa.shape)[live], np.broadcast_to(lo, fa.shape)[live],
                           np.broadcast_to(hi, fa.shape)[live], fa[live], fb[live],
                           np.broadcast_to(w[:, None], fa.shape)[live])
-    per_row = np.split(roots, np.cumsum(live.sum(axis=1))[:-1])
-    below_zero = live[:, : n_neg + 1].sum(axis=1)
 
-    # every row's counts at the floors by the count identity (module
-    # docstring), and its candidates, positive ones in k and negative ones in
-    # kappa, both ascending
-    reader = _TrigInertia(m0)   # the rows' counts read N alone
-    rows = [reader.with_vertex(v_row, alphas[j]) for j in moving]
-    _take_zero_modes(rows)
-    sides, floors = ([], []), []
-    for n, j in enumerate(moving):
-        repels = int(thetas[j] > 0.0)
-        r, n_minus = per_row[n], rows[n].zero_modes[0]
-        floor_count = floor.count + int(fa[n, n_neg + 1] > 0.0) - repels
-        below_count = count.zero_modes[0] + int(fb[n, n_neg] > 0.0) - repels   # below the hyperbolic floor
-        sides[0].append(sorted([(float(k), 1) for k in r[below_zero[n]:]] + up_flats))
-        down = sorted([(-float(k), 1) for k in r[: below_zero[n]]] + down_flats)
-        # M0 counts the levels below 0, as in `levels`: they are the n_- lowest
-        # of the vertex function's, and any more lie within M0's noise of
-        # lambda = 0, where they count as zero
-        dropped = 0
-        while dropped < below_count - n_minus and down:
-            dropped += down.pop(0)[1]
-        sides[1].append(down if n_minus else [])
-        floors.append((floor_count, below_count - dropped))
-    # the points of the counts around each candidate, in arrays
-    points = []
-    for side, counter in zip(sides, (count, hyperbolic)):
-        cands = np.array([k for c in side for k, _ in c])
-        width = np.maximum(_MULT_PROBE * cands, _MULT_FLOOR)
-        below = counter.off_poles(cands - width, -1.0).tolist()
-        above = counter.off_poles(cands + width, 1.0).tolist()
-        at = np.cumsum([0] + [len(c) for c in side]).tolist()
-        points.append([([k for k, _ in c], [mult for _, mult in c], below[i:j], above[i:j])
-                       for c, i, j in zip(side, at, at[1:])])
+    # every row's counts, one stack per matrix shape with the inertia of
+    # their M0, and its counts at the floors by the count identity (module
+    # docstring)
+    rows = moving.size
+    stacks = _vertex_rows(count, v_row, alphas[moving])
+    n_minus, n_zero, V = np.empty((3, rows), dtype=int)
+    for stack in stacks:
+        n_minus[stack.at], n_zero[stack.at], V[stack.at] = stack.n_minus, stack.n_zero, stack.alpha.shape[1]
+    repels = (thetas[moving] > 0.0).astype(int)
+    floor_count = floor.count + (fa[:, n_neg + 1] > 0.0) - repels
+    below_count = count.zero_modes[0] + (fb[:, n_neg] > 0.0) - repels   # below the hyperbolic floor
+    # every row's candidates, positive ones in k and negative ones in kappa,
+    # ascending by (row, k, multiplicity): its roots, then the flat bands
+    root_row, root_branch = np.nonzero(live)
+    sides = []
+    for side, sign in ((root_branch > n_neg, 1.0), (root_branch <= n_neg, -1.0)):
+        band = flat & (sign * ks > 0.0)
+        row = np.concatenate([root_row[side], np.repeat(np.arange(rows), np.count_nonzero(band))])
+        k = np.concatenate([sign * roots[side], np.broadcast_to(sign * ks[band], (rows, band.sum())).ravel()])
+        mult = np.concatenate([np.ones(np.count_nonzero(side), dtype=int),
+                               np.broadcast_to((mults - pole)[band], (rows, band.sum())).ravel()])
+        order = np.lexsort((mult, k, row))
+        sides.append((row[order], k[order], mult[order]))
+    # M0 counts the levels below 0, as in `levels`: they are the n_- lowest of
+    # the vertex function's, and any more lie within M0's noise of lambda = 0,
+    # where they count as zero
+    row, kappa, mult = sides[1]
+    dropped = _row_sums(row, mult, rows)[0] - mult < (below_count - n_minus)[row]
+    below_count = below_count - _row_sums(row, np.where(dropped, mult, 0), rows)[1]
+    keep = ~dropped & (n_minus[row] > 0)
 
-    checks, low = {}, {}
-    for n, (j, (floor_count, below_count)) in enumerate(zip(moving, floors)):
-        theta = float(thetas[j])
-        n_minus, n_zero = rows[n].zero_modes
-        # the levels between a floor and lambda = 0 beyond M0's count there,
-        # n_- below zero and n_- + n_0 up to it: `levels` reports them at
-        # that floor
-        low[j] = ([-hyperbolic.floor] * (n_minus - below_count) + [0.0] * n_zero
-                  + [count.floor] * (floor_count - n_minus - n_zero))
-        checks[j, 1] = _row_check(rows[n], theta, *points[0][n], floor_count, hi_k)
-        if n_minus:
-            V = rows[n].alpha.size
-            checks[j, -1] = _row_check(hyperbolic.with_vertex(v_row, alphas[j]), theta, *points[1][n],
-                                       V - below_count, kappa_top, total=V)
-    found = dict(zip(checks, _confirmed(list(checks.values()))))
+    up, up_bad = _confirmed(count, _TrigInertia.spectra, stacks, np.ones(rows, dtype=bool), sides[0],
+                            floor_count, hi_k)
+    down, down_bad = _confirmed(hyperbolic, _HyperbolicCount.spectra, stacks, n_minus > 0,
+                                (row[keep], kappa[keep], mult[keep]), V - below_count, kappa_top, total=V)
+    bad = [b for b in (up_bad, down_bad) if b is not None]
+    if bad:
+        r, message = min(bad, key=lambda b: b[0])
+        raise RuntimeError(f"theta = {float(thetas[moving[r]])}: {message}")
+    # the levels between a floor and lambda = 0 beyond M0's count there, n_-
+    # below zero and n_- + n_0 up to it: `levels` reports them at that floor.
+    # A row's levels run from its negative ones, in kappa downward, through
+    # those to its positive ones
+    low = np.array([np.maximum(n_minus - below_count, 0), n_zero,
+                    np.maximum(floor_count - n_minus - n_zero, 0)]).T.ravel()
+    row, values = (np.concatenate(parts) for parts in zip(
+        (np.repeat(down[0], down[2])[::-1], np.repeat(-down[1], down[2])[::-1]),
+        (np.repeat(np.arange(rows), 3).repeat(low),
+         np.broadcast_to([-hyperbolic.floor, 0.0, count.floor], (rows, 3)).ravel().repeat(low)),
+        (np.repeat(up[0], up[2]), np.repeat(up[1], up[2]))))
+    order = np.argsort(row, kind="stable")
+    values, ends = values[order].tolist(), np.searchsorted(row[order], np.arange(rows), side="right").tolist()
+    found = iter([values[a:b] for a, b in zip([0] + ends, ends)])
     base = [p.k for p in negative for _ in range(p.multiplicity)] + [0.0] * count.zero_modes[1]
     base += [lvl.k for lvl in zero for _ in range(lvl.multiplicity)]
-    return [[-k for k in reversed(found.get((j, -1), []))] + low[j] + found[j, 1] if j in low else base
-            for j in range(len(thetas))], up_flats
+    return [next(found) if t != 0.0 else base for t in thetas], up_flats
 
 
 def _row_of(m: MetricGraph, v: int) -> int:
@@ -519,20 +498,25 @@ def dispersion_curve(
     thetas[-1] = math.pi
     level_lists, flat_pairs = _sweep_levels(m, v, thetas, k_max)
     flats = [FlatBand(k, mult) for k, mult in flat_pairs if 1e-9 < k <= k_max - math.pi / m.total_length]
-    nonflat = [_remove_flats(lv, flats) for lv in level_lists]
-
-    branch_th = [float(t) for t, lv in zip(thetas, nonflat) if len(lv) >= 1]
-    branch_val = [lv[0] for lv in nonflat if len(lv) >= 1]
-    branch_th += [float(t) + 2 * math.pi for t, lv in zip(thetas, nonflat) if len(lv) >= 2]
-    branch_val += [lv[1] for lv in nonflat if len(lv) >= 2]
+    # each flat band leaves every row at its multiplicity: the first levels
+    # of the row within the merge width of it
+    row = np.repeat(np.arange(grid_size), [len(lv) for lv in level_lists])
+    values = np.array([k for lv in level_lists for k in lv])
+    kept = np.ones(values.size, dtype=bool)
+    for fb in flats:
+        near = kept & (np.abs(values - fb.k) <= _merge_width(fb.k))
+        kept &= ~near | (_row_sums(row, near, grid_size)[0] > fb.multiplicity)
+    # the branch: the lowest level left in each row, then the second at theta + 2 pi
+    rank = np.where(kept, _row_sums(row, kept, grid_size)[0], 0)
+    first, second = rank == 1, rank == 2
 
     return DispersionCurve(
         vertex=v,
         thetas=thetas,
         levels=tuple(tuple(lv) for lv in level_lists),
         flat_bands=tuple(flats),
-        branch_thetas=np.array(branch_th),
-        branch_values=np.array(branch_val),
+        branch_thetas=np.concatenate([thetas[row[first]], thetas[row[second]] + 2 * math.pi]),
+        branch_values=np.concatenate([values[first], values[second]]),
     )
 
 

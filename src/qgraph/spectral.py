@@ -117,12 +117,14 @@ bisects.  Every search built on it (`_gap_search`, `_reaches`,
 the same kind, and one driver runs any number of them together and takes
 every count any of them needs, a group of one matrix shape in one
 stacked `spectra` (`_lockstep`).  A search that knows points in advance
-asks for them as one batch: a search of the whole range its first
-points, and a dispersion row the counts that confirm its levels, which
-`_Count.counts` turns into N in arrays.  The public
-functions drive one search each; the graphs of `levels`, the rows of a
-dispersion curve, the restarts of the optimizer and each ascent's
-contract probes drive theirs together.
+asks for them as one batch, as a search of the whole range asks for its
+first points.  The public functions drive one search each; the graphs of
+`levels`, the restarts of the optimizer and each ascent's contract probes
+drive theirs together.  The counts that confirm the levels of a
+dispersion curve's rows are all known before any is taken, so they go
+through no search: the rows of one matrix shape take them in one direct
+`spectra` call (`_vertex_rows`, `dispersion`), and `_Count.counts` turns
+them into N in arrays.
 
 Each count also gives the vertex function G = (M^-1)_vv of a vertex v
 and its derivative dG = -x^T M' x, x = M^-1 e_v, in the count's own
@@ -302,21 +304,6 @@ def _zero_inertia(q: np.ndarray, alpha: np.ndarray, lengths: np.ndarray) -> tupl
     return np.count_nonzero(mu < -noise, axis=1), np.count_nonzero(np.abs(mu) <= noise, axis=1)
 
 
-def _take_zero_modes(counts: list[_Count]) -> None:
-    """Set the `zero_modes` of counts that share their lengths, as a sweep's
-    rows do, from one stacked `_zero_inertia` per shape."""
-    groups: dict[int, list[_Count]] = {}
-    for count in counts:
-        if not count.neumann and "zero_modes" not in vars(count):
-            groups.setdefault(count.alpha.size, []).append(count)
-    for group in groups.values():
-        E = group[0].lengths.size
-        n_minus, n_zero = _zero_inertia(np.array([count.coupling[:, E:] for count in group]),
-                                        np.array([count.alpha for count in group]), group[0].lengths)
-        for count, minus, zero in zip(group, n_minus.tolist(), n_zero.tolist()):
-            count.zero_modes = minus, zero
-
-
 def _scaled(incidence: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The coupling and alpha of non-Dirichlet vertices with these incidence
     rows and couplings, a row or a stack of rows (`_Count`)."""
@@ -336,9 +323,9 @@ class _Count:
     per graph: a count takes its non-Dirichlet rows and scales them, and
     on a Neumann graph (every s = 1, every alpha = 0) uses it as it is.
     Each count defines the stacked `spectra` that every count request goes
-    through, and `bordered`, the matrix of its `vertex_function`.
-    `with_vertex` is the count with one vertex's coupling changed, as a
-    delta sweep's rows are.
+    through, and `bordered`, the matrix of its `vertex_function`.  The
+    rows of a delta sweep share one count's arrays with one vertex's
+    coupling changed, one stack per matrix shape (`_vertex_rows`).
     """
 
     offset = 0
@@ -357,27 +344,6 @@ class _Count:
             keep = np.isfinite(m.alpha)
             self.coupling, self.alpha = _scaled(g.incidence[keep], m.alpha[keep])
         self.lengths = np.asarray(m.lengths, dtype=float)
-
-    def with_vertex(self, row: int, alpha: float) -> _Count:
-        """This count with the coupling alpha at the vertex of its row `row`:
-        the count of the graph with that vertex's condition changed, built
-        without the graph.  Only that row changes, or goes where alpha is
-        inf, so every other entry keeps its bits."""
-        v = row   # without a Dirichlet vertex the rows are the vertices
-        if self.alpha.size < self.vertex_alpha.size:
-            v = np.flatnonzero(np.isfinite(self.vertex_alpha))[row]
-        out = object.__new__(type(self))   # a shallow copy, at a fifth of copy.copy's cost
-        out.__dict__.update(self.__dict__)
-        out.vertex_alpha = self.vertex_alpha.copy()
-        out.vertex_alpha[v] = alpha
-        out.neumann = not np.count_nonzero(out.vertex_alpha)
-        out.__dict__.pop("zero_modes", None)
-        if math.isinf(alpha):
-            out.coupling, out.alpha = np.delete(self.coupling, row, axis=0), np.delete(self.alpha, row)
-        else:
-            out.coupling, out.alpha = self.coupling.copy(), self.alpha.copy()
-            out.coupling[row], out.alpha[row] = _scaled(self.graph.incidence[v], out.vertex_alpha[v])
-        return out
 
     def vertex_function(self, row: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G = (M^-1)_vv and dG/ds = -x^T M' x, x = M^-1 e_v, at every s of s,
@@ -448,6 +414,42 @@ class _Count:
         """Both window edges of each of the lowest _BATCH_POLES poles in
         (a, b), where `_split` takes them, those inside (a, b), ascending."""
         return np.empty(0)
+
+
+class _VertexRows(NamedTuple):
+    """The counts of a delta sweep's rows of one matrix shape (`_vertex_rows`)."""
+
+    at: np.ndarray         # the index of each row among the couplings
+    coupling: np.ndarray   # (rows, V', 2E)
+    alpha: np.ndarray      # (rows, V')
+    n_minus: np.ndarray    # n_- and n_0 of each row's M0 (`_Count.zero_modes`)
+    n_zero: np.ndarray
+
+
+def _vertex_rows(count: _Count, row: int, alphas: np.ndarray) -> list[_VertexRows]:
+    """The count with the coupling alphas[j] at the vertex of its row `row`,
+    as a delta sweep's rows are, one stack per matrix shape: the rows of
+    finite alphas, then those of infinite ones, where that row goes.  Each
+    is the count of the graph with that vertex's condition changed, built
+    without the graph: only that row changes, so every other entry keeps
+    its bits.  The M0 of each stack take one `_zero_inertia`."""
+    v = row   # without a Dirichlet vertex the rows are the vertices
+    if count.alpha.size < count.vertex_alpha.size:
+        v = np.flatnonzero(np.isfinite(count.vertex_alpha))[row]
+    finite = np.isfinite(alphas)
+    out = []
+    for at in (np.flatnonzero(finite), np.flatnonzero(~finite)):
+        if not at.size:
+            continue
+        coupling, alpha = count.coupling, count.alpha
+        if not finite[at[0]]:
+            coupling, alpha = np.delete(coupling, row, axis=0), np.delete(alpha, row)
+        coupling, alpha = np.repeat(coupling[None], at.size, axis=0), np.repeat(alpha[None], at.size, axis=0)
+        if finite[at[0]]:
+            coupling[:, row], alpha[:, row] = _scaled(count.graph.incidence[v], alphas[at])
+        q = coupling[:, :, count.lengths.size :].copy()   # the Q half, as one count's M0 takes it
+        out.append(_VertexRows(at, coupling, alpha, *_zero_inertia(q, alpha, count.lengths)))
+    return out
 
 
 class _TrigCount(_Count):

@@ -685,23 +685,35 @@ def test_dispersion_count_budget(count_matrices, monkeypatch):
 
         return roots(counted_g, *args)
 
+    confirms = []   # the `spectra` calls that confirm the rows' levels of each sign
+    confirmed = dispersion._confirmed
+
+    def confirming(*args, **kwargs):
+        calls.append(0)
+        try:
+            return confirmed(*args, **kwargs)
+        finally:
+            confirms.append(calls.pop())
+
     monkeypatch.setattr(dispersion, "_drive", tallied)
     monkeypatch.setattr(dispersion, "_branch_roots", solved)
+    monkeypatch.setattr(dispersion, "_confirmed", confirming)
     dispersion_curve(metric(*star(4)), 1, grid_size=32)
     # 330 when the theta = 0 search took its counts one after another
     assert count_matrices.n == 325
     assert (count_matrices.m0.n, count_matrices.m0.calls) == (31, 2)
     # the theta = 0 search brackets its range in one batch, then searches
-    # the brackets in lockstep: 6 stacked calls, 21 one after another before
-    assert calls[1] == 6
+    # the brackets in lockstep: 6 stacked calls, 21 one after another before;
+    # it is the one drive
+    assert len(calls) == 2 and calls[1] == 6
     # the roots stop once two Newton steps show quadratic convergence: 6
     # solves, 7 when each root waited for a step within the tolerance
     assert rounds == [6]
-    # the rows confirm their levels last, each with one batch of counts of
-    # each sign: one stacked call for the trig counts of the rows that keep
-    # v, one for the theta = pi row, which drops it, and one for the
-    # hyperbolic counts of the attractive rows; level by level they took 18
-    assert len(calls) == 3 and calls[-1] == 3
+    # the rows confirm their levels last, with no drive: one stacked call
+    # for the trig counts of the rows that keep v, one for the theta = pi
+    # row, which drops it, and one for the hyperbolic counts of the
+    # attractive rows; level by level they took 18
+    assert confirms == [2, 1]
 
 
 @pytest.mark.parametrize("call", [

@@ -389,6 +389,10 @@ def test_every_count_is_taken_by_the_driver(monkeypatch):
         frame = sys._getframe(2)
         if frame.f_code.co_name == "spectrum":   # `_Count.spectrum`, the stack of one
             frame = frame.f_back
+        # a sweep confirms its rows' levels with counts it knows in advance,
+        # once no drive runs (`dispersion._confirmed`)
+        if frame.f_code.co_name == "_confirmed":
+            return depth == 0 and frame.f_globals is vars(dispersion)
         return depth > 0 and frame.f_code.co_name == "_drive"
 
     # every count matrix of either sign is built and solved by a `spectra`
@@ -601,8 +605,10 @@ def test_a_batch_is_sent_what_single_requests_get(monkeypatch):
 @pytest.mark.parametrize("cls", [_TrigCount, _HyperbolicCount])
 def test_a_count_with_one_coupling_changed_is_that_graph_s_count(cls):
     # a sweep row's count is the theta = 0 count with v's coupling changed,
-    # built without the row's graph: it is that graph's count to the bit, and
-    # its counts in arrays are those of `made`
+    # built without the row's graph, one stack per matrix shape
+    # (`spectral._vertex_rows`): each row is that graph's count to the bit,
+    # with the inertia of its M0, its stacked spectra are that count's, and
+    # the theta = 0 count turns them into the counts of `made`
     thetas = [0.0, 0.3, -0.3, 2.9, -2.9, -PI + 2 * PI / 32, PI]
     rng = np.random.default_rng(26)
     for m, v in _stacked_graphs():
@@ -611,18 +617,24 @@ def test_a_count_with_one_coupling_changed_is_that_graph_s_count(cls):
         for base in (m, m.with_condition(w, DIRICHLET)):
             m0 = base.with_condition(v, NEUMANN)
             count0 = cls(m0)
-            row = dispersion._row_of(m0, v)
-            for theta in thetas:
-                got = count0.with_vertex(row, DeltaTheta(theta).alpha)
-                want = cls(base.with_condition(v, DeltaTheta(theta)))
-                assert type(got) is cls
-                for name in ("coupling", "alpha", "lengths"):
-                    a, b = getattr(got, name), getattr(want, name)
-                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (m, v, theta, name)
-                assert (got.neumann, got.offset, repr(got.floor)) == (want.neumann, want.offset, repr(want.floor))
-                ks = np.array(_count_probes(got, rng, 10))
-                spectra = np.array([got.spectrum(k) for k in ks])
-                assert got.counts(ks, spectra).tolist() == [got.made(k, s).count for k, s in zip(ks, spectra)]
+            stacks = spectral._vertex_rows(count0, dispersion._row_of(m0, v),
+                                           np.array([DeltaTheta(t).alpha for t in thetas]))
+            assert [stack.alpha.shape[1] for stack in stacks] == [count0.alpha.size, count0.alpha.size - 1]
+            assert np.concatenate([stack.at for stack in stacks]).tolist() == list(range(len(thetas)))
+            for stack in stacks:
+                for i, j in enumerate(stack.at.tolist()):
+                    want = cls(base.with_condition(v, DeltaTheta(thetas[j])))
+                    for name, a in (("coupling", stack.coupling[i]), ("alpha", stack.alpha[i]),
+                                    ("lengths", count0.lengths)):
+                        b = getattr(want, name)
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (m, v, thetas[j], name)
+                    assert (count0.offset, repr(count0.floor)) == (want.offset, repr(want.floor))
+                    assert (stack.n_minus[i], stack.n_zero[i]) == want.zero_modes, (m, v, thetas[j])
+                    ks = np.array(_count_probes(want, rng, 10))
+                    spectra = cls.spectra(stack.coupling[[i] * ks.size], stack.alpha[[i] * ks.size],
+                                          count0.lengths, ks)
+                    assert spectra.tobytes() == np.array([want.spectrum(k) for k in ks]).tobytes()
+                    assert count0.counts(ks, spectra).tolist() == [want.made(k, s).count for k, s in zip(ks, spectra)]
 
 
 def _trig_matrix(count, k):
