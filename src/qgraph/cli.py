@@ -96,7 +96,8 @@ def cmd_dispersion(args) -> int:
     n_levels = 6
     lines = ["theta," + ",".join(f"k{i}" for i in range(n_levels))]
     for theta, levels in zip(curve.thetas, curve.levels):
-        row = [fmt(theta)] + [fmt(k) for k in levels[:n_levels]]
+        # a row with fewer levels leaves the missing ones empty, so every row has every field
+        row = [fmt(theta)] + [fmt(k) for k in levels[:n_levels]] + [""] * (n_levels - len(levels))
         lines.append(",".join(row))
     _emit("\n".join(lines) + "\n", args.out)
     return 0

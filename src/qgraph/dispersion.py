@@ -144,6 +144,8 @@ class DispersionCurve:
     branch_values: np.ndarray              # K on those points
 
     def level_array(self, n_levels: int) -> np.ndarray:
+        """The first n_levels levels of every row, n_levels an integer >= 1."""
+        n_levels = _level_count(n_levels)
         rows = []
         for lv in self.levels:
             if len(lv) < n_levels:
@@ -152,10 +154,18 @@ class DispersionCurve:
         return np.array(rows)
 
     def interlacing_slack(self, n_levels: int) -> float:
-        """min over grid pairs of `interlacing_margin`; >= -tol passes."""
-        arr = self.level_array(n_levels + 1)
+        """min over grid pairs of `interlacing_margin` of the first n_levels + 1
+        levels, n_levels an integer >= 1; >= -tol passes."""
+        arr = self.level_array(_level_count(n_levels) + 1)
         pairs = itertools.combinations(range(arr.shape[0]), 2)  # thetas[i] < thetas[j]
         return min((interlacing_margin(arr[i], arr[j]) for i, j in pairs), default=math.inf)
+
+
+def _level_count(n_levels) -> int:
+    """n_levels as an int; it must be an integer (no bool) of at least 1."""
+    if _integer(n_levels, "n_levels", InvalidInputError) < 1:
+        raise InvalidInputError(f"n_levels must be at least 1, not {n_levels}")
+    return int(n_levels)
 
 
 def interlacing_margin(lo: np.ndarray, hi: np.ndarray) -> float:
@@ -489,8 +499,7 @@ def dispersion_curve(
     """
     if _integer(grid_size, "grid_size", InvalidInputError) < 4:
         raise InvalidInputError("grid_size too small")
-    if _integer(n_levels, "n_levels", InvalidInputError) < 1:
-        raise InvalidInputError(f"n_levels must be at least 1, not {n_levels}")
+    n_levels = _level_count(n_levels)
     if k_max is None:
         k_max = math.pi * (n_levels + 3) / m.total_length
     _require_k("k_max", k_max)

@@ -1,5 +1,7 @@
 """CLI commands: formats, determinism, exit codes."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -114,6 +116,18 @@ def test_dispersion_csv_interlaces(loop_file, capsys):
             lo, hi = table[i][1:], table[j][1:]
             assert all(h >= l - 1e-8 for l, h in zip(lo, hi))
             assert all(l2 >= h - 1e-8 for l2, h in zip(lo[1:], hi))
+
+
+def test_dispersion_csv_rows_with_few_levels_keep_every_field(star3_file, capsys):
+    # below k_max = 1 the rows of star(3) hold one or two levels, and the
+    # theta = pi row none but its ground state; the missing levels are empty fields
+    main(["dispersion", "--graph", star3_file, "--vertex", "1", "--grid", "4", "--kmax", "1.0"])
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["theta", "k0", "k1", "k2", "k3", "k4", "k5"]
+    assert len(rows) == 5 and all(len(row) == 7 for row in rows)
+    assert [bool(row[1]) for row in rows[1:]] == [True, True, True, False]
+    assert all(row[2:] == [""] * 5 for row in rows[1:])
+    assert rows[-1][0] == "3.14159265359"
 
 
 def test_sgp_json(star3_file, capsys):

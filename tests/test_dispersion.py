@@ -737,6 +737,16 @@ def test_n_levels_must_be_a_positive_integer(n_levels):
         dispersion_curve(metric(*star(3)), 0, grid_size=8, n_levels=n_levels)
 
 
+@pytest.mark.parametrize("n, match", [(0, "at least 1"), (-1, "at least 1"), (1.5, "an integer"),
+                                      (True, "an integer")])
+def test_a_curve_s_level_counts_must_be_positive_integers(n, match):
+    # 0 and -1 raised numpy's ValueErrors, 1.5 a TypeError, and True was taken as 1
+    curve = dispersion_curve(metric(*star(3)), 0, grid_size=8)
+    for call in (curve.level_array, curve.interlacing_slack):
+        with pytest.raises(InvalidInputError, match=f"n_levels must be {match}"):
+            call(n)
+    assert curve.level_array(1).shape == (8, 1) and curve.interlacing_slack(1) >= -1e-8
+
 
 def test_loop_curve_flat_band_at_two_pi():
     curve = dispersion_curve(metric(*loop()), 0, grid_size=16, n_levels=4)
