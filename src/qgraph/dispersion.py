@@ -435,10 +435,11 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     sides = []
     for side, sign in ((root_branch > n_neg, 1.0), (root_branch <= n_neg, -1.0)):
         band = flat & (sign * ks > 0.0)
-        row = np.concatenate([root_row[side], np.repeat(np.arange(rows), np.count_nonzero(band))])
-        k = np.concatenate([sign * roots[side], np.broadcast_to(sign * ks[band], (rows, band.sum())).ravel()])
+        every = (rows, np.count_nonzero(band))   # each flat band in every row
+        row = np.concatenate([root_row[side], np.repeat(np.arange(rows), every[1])])
+        k = np.concatenate([sign * roots[side], np.broadcast_to(sign * ks[band], every).ravel()])
         mult = np.concatenate([np.ones(np.count_nonzero(side), dtype=int),
-                               np.broadcast_to((mults - pole)[band], (rows, band.sum())).ravel()])
+                               np.broadcast_to((mults - pole)[band], every).ravel()])
         order = np.lexsort((mult, k, row))
         sides.append((row[order], k[order], mult[order]))
     # M0 counts the levels below 0, as in `levels`: they are the n_- lowest of
@@ -507,8 +508,8 @@ def dispersion_curve(
     thetas[-1] = math.pi
     level_lists, flat_pairs = _sweep_levels(m, v, thetas, k_max)
     flats = [FlatBand(k, mult) for k, mult in flat_pairs if 1e-9 < k <= k_max - math.pi / m.total_length]
-    # each flat band leaves every row at its multiplicity: the first levels
-    # of the row within the merge width of it
+    # each flat band is taken out of every row at its multiplicity: the
+    # row's first levels within the merge width of it
     row = np.repeat(np.arange(grid_size), [len(lv) for lv in level_lists])
     values = np.array([k for lv in level_lists for k in lv])
     kept = np.ones(values.size, dtype=bool)

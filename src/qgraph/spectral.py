@@ -447,7 +447,7 @@ def _vertex_rows(count: _Count, row: int, alphas: np.ndarray) -> list[_VertexRow
         coupling, alpha = np.repeat(coupling[None], at.size, axis=0), np.repeat(alpha[None], at.size, axis=0)
         if finite[at[0]]:
             coupling[:, row], alpha[:, row] = _scaled(count.graph.incidence[v], alphas[at])
-        q = coupling[:, :, count.lengths.size :].copy()   # the Q half, as one count's M0 takes it
+        q = coupling[:, :, count.lengths.size :]   # the Q half
         out.append(_VertexRows(at, coupling, alpha, *_zero_inertia(q, alpha, count.lengths)))
     return out
 
