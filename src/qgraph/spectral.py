@@ -59,7 +59,11 @@ takes one batch of counts: the top of the range and both window edges
 of every pole below it, the points where `_split` would take them.  Each
 bracket between two of them where N rises is then searched on its own,
 all of them in lockstep; a search of the first level alone, as the gap
-searches take it, takes the top only.  A search bisects on N until a
+searches take it, takes the top only.  A Neumann graph's gap search takes
+not even that: its gap lies below the cap (`gap_upper_bound`), so N there
+is at least one more than at the floor, and that bound stands in for the
+count, which bisection on N never needs; regula falsi takes the cap's
+spectrum where it reads it.  A search bisects on N until a
 bracket holds levels and no pole, then runs regula falsi on the value of
 the count's spectrum (below) that crosses zero in it; a bracket that shrinks
 inside a pole window is reported as the pole itself.  Regula falsi scales
@@ -284,7 +288,10 @@ class _Sample:
     k: float
     count: int
     poles: int
-    evals: np.ndarray | None   # None where the count is known without a matrix (`floor_sample`)
+    # None where the count is known without a matrix: a search's floor
+    # (`floor_sample`), and a Neumann gap search's cap, where it is a lower
+    # bound (`_gap_search`)
+    evals: np.ndarray | None
 
 
 def _zero_inertia(q: np.ndarray, alpha: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -690,7 +697,10 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
     i = lo.count - lo.poles - count.offset   # n_- at lo
     a, b = float(lo.k), float(hi.k)
     fa = math.inf if count.off_scale(a) else float(lo.evals[i])
-    fb = -math.inf if count.off_scale(b) else float(hi.evals[i])
+    if count.off_scale(b):
+        fb = -math.inf
+    else:   # a Neumann gap search's cap has no spectrum until it is read here (`_gap_search`)
+        fb = float((hi.evals if hi.evals is not None else (yield count, b))[i])
     tol = 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
     side = 0
     last = None   # (c, f_c) of the last sample whose value is finite
@@ -902,7 +912,15 @@ def multiplicity_at(m: MetricGraph, k: float) -> int:
 
 
 def gap_upper_bound(m: MetricGraph) -> float:
-    """Safe search cap: pi E / L (equilateral flower) plus 2 pi / L for the circle."""
+    """Safe search cap: pi E / L (equilateral flower) plus 2 pi / L for the circle.
+
+    On a Neumann graph the gap lies strictly below it: k1 <= pi (E - El/2) / L,
+    El counting leaf edges (Band-Levy, arXiv 1608.00520; `optimize.upper_bound`),
+    on every graph but the three that bound excludes, the interval (pi / L),
+    the loop (2 pi / L) and the lasso (below 2 pi / L).  So a Neumann gap
+    search knows N at the cap is at least one more than at its floor, and
+    takes no count there (`_gap_search`).  A delta or Dirichlet vertex voids
+    that bound, and such a graph's search counts at the cap."""
     return math.pi * (m.graph.edge_count + 2) / m.total_length
 
 
@@ -910,7 +928,15 @@ def _gap_search(m: MetricGraph, count: _TrigCount | None = None) -> _Search:
     """`spectral_gap` as a search, on m's count where the caller built one;
     it returns the gap's `_Level`, from whose count above it a search can go on."""
     count = count if count is not None else _TrigCount(m)
-    levels = yield from _level_search(count, count.floor_sample(), gap_upper_bound(m), first_only=True)
+    floor, cap = count.floor_sample(), gap_upper_bound(m)
+    if count.neumann:
+        # the gap lies below the cap (`gap_upper_bound`), so N there is at
+        # least floor.count + 1: the cap enters as that bound, with no
+        # spectrum, which regula falsi takes only where it reads it (`_illinois`)
+        hi_k = count.off_pole(cap + _merge_width(cap), 1.0)
+        top = _Sample(hi_k, floor.count + 1, count.poles(hi_k), None)
+        return (yield from _levels_in(count, floor, top, first_only=True, start=True))[0]
+    levels = yield from _level_search(count, floor, cap, first_only=True)
     if not levels:
         raise NoEigenspaceError("no eigenvalue found below the universal bound")
     return levels[0]

@@ -1062,9 +1062,12 @@ def test_known_neumann_floor_saves_one_count(count_matrices, monkeypatch):
     # every search knows N at its floor without a count, and that sample
     # stands in for the count just below the gap: a Neumann graph's from the
     # inertia (0, 1) of its weighted Laplacian, with no matrix solved, any
-    # other graph's from the inertia of its M0.  Taken for a graph of any
-    # conditions, a Neumann graph solves its M0 once and counts the same
-    for m, tally in ((metric(*star(16)), 7), (metric(*flower(3)), 4)):
+    # other graph's from the inertia of its M0.  A Neumann gap search also
+    # knows a bound on N at its cap, which its gap lies below, and takes no
+    # count there.  Taken for a graph of any conditions, a Neumann graph
+    # solves its M0 once, counts at the cap too and finds the same gap.
+    # The Neumann searches took 7 and 4 matrices while they counted the cap
+    for m, tally in ((metric(*star(16)), 6), (metric(*flower(3)), 3)):
         count_matrices.n = count_matrices.m0.n = 0
         known = spectral_gap(m)
         assert (count_matrices.n, count_matrices.m0.n) == (tally, 0), m
@@ -1072,7 +1075,106 @@ def test_known_neumann_floor_saves_one_count(count_matrices, monkeypatch):
             patch.setattr(MetricGraph, "is_neumann_graph", lambda self: False)
             count_matrices.n = 0
             assert spectral_gap(m) == known
-        assert (count_matrices.n, count_matrices.m0.n) == (tally, 1), m
+        assert (count_matrices.n, count_matrices.m0.n) == (tally + 1, 1), m
+
+
+def _cap_count(m):
+    """N where a gap search of m would count at its cap (the merge width past
+    it, moved off any pole window), and N at the search's floor."""
+    count, cap = _TrigCount(m), spectral.gap_upper_bound(m)
+    k = count.off_pole(cap + spectral._merge_width(cap), 1.0)
+    return count.made(k, count.spectrum(k)).count, count.floor_sample().count
+
+
+def _neumann_shapes():
+    """The catalog; the interval and the loop as one edge, and with the lasso
+    at 19 splits of their length into two edges; and 320 seeded random
+    connected graphs with 1-8 edges, loops and parallel edges among them."""
+    shapes = [metric(e.graph, e.lengths) for e in optimize.full_catalog()]
+    shapes += [metric(*interval()), metric(*loop())]
+    for t in np.arange(1, 20) / 20:
+        for g in (path_graph(2)[0], mandarin(2)[0], stower(1, 1)[0]):
+            shapes.append(metric(g, [t, 1.0 - t]))
+    rng = np.random.default_rng(45)
+    for E in np.repeat(np.arange(1, 9), 40):
+        V = int(rng.integers(1, E + 2))
+        shapes.append(metric(random_connected_graph(rng, V, int(E)), random_lengths(rng, int(E))))
+    return shapes
+
+
+def test_a_neumann_gap_lies_below_its_cap():
+    # a Neumann gap search takes N at its cap as floor.count + 1 without a
+    # count (`_gap_search`): the bound k1 <= pi (E - El/2) / L on every
+    # graph but the interval (pi / L), the loop (2 pi / L) and the lasso
+    # (below 2 pi / L), all of which lie below pi (E + 2) / L.  A real
+    # count there shows the level it stands for
+    for m in _neumann_shapes():
+        assert m.is_neumann_graph()
+        at_cap, at_floor = _cap_count(m)
+        assert at_floor == 1 and at_cap >= at_floor + 1, m
+
+
+def _requested(monkeypatch):
+    """Every k a trig count is requested at, in order of request."""
+    ks, spectra = [], _TrigCount.spectra
+
+    def recorded(coupling, alpha, lengths, at, spectra=spectra):
+        ks.extend(at.tolist())
+        return spectra(coupling, alpha, lengths, at)
+
+    monkeypatch.setattr(_TrigCount, "spectra", staticmethod(recorded))
+    return ks
+
+
+def test_only_a_neumann_gap_search_skips_its_cap(monkeypatch):
+    # the bound that stands in for the count at the cap holds on Neumann
+    # graphs alone: with one delta or one Dirichlet vertex the search
+    # counts at the cap as before
+    ks = _requested(monkeypatch)
+    rng = np.random.default_rng(31)
+    graphs = [star(16), flower(3), (random_connected_graph(rng, 5, 8), random_lengths(rng, 8))]
+    for g, lengths in graphs:
+        m = metric(g, lengths)
+        ks.clear()
+        spectral_gap(m)
+        assert ks and max(ks) < spectral.gap_upper_bound(m), m
+        for condition in (DeltaTheta(0.5), DIRICHLET):
+            conditions = [NEUMANN] * g.vertex_count
+            conditions[0] = condition
+            m = metric(g, lengths, conditions)
+            ks.clear()
+            spectral_gap(m)
+            assert max(ks) >= spectral.gap_upper_bound(m), (m, condition)
+
+
+def test_a_neumann_cap_is_counted_where_regula_falsi_reads_it(monkeypatch):
+    # with the cap just above star(16)'s gap 8 pi and no pole between them,
+    # the first bracket is the floor and the cap: regula falsi reads the
+    # cap's value, so it requests the cap's count itself, once, and finds
+    # the gap the search finds under the true cap
+    m = metric(*star(16))
+    count = _TrigCount(m)
+    known = spectral_gap(m)
+    cap = known[0] * (1.0 + 1e-3)
+    at_cap = count.off_pole(cap + spectral._merge_width(cap), 1.0)
+    assert count.poles(at_cap) == count.floor_sample().poles   # the first pole is 16 pi
+    monkeypatch.setattr(spectral, "gap_upper_bound", lambda m: cap)
+    ks, illinois, from_illinois = _requested(monkeypatch), spectral._illinois, []
+
+    def recorded(count, lo, hi):
+        search, reply = illinois(count, lo, hi), None
+        try:
+            while True:
+                request = search.send(reply)
+                from_illinois.append(request[1])
+                reply = yield request
+        except StopIteration as stop:
+            return stop.value
+
+    monkeypatch.setattr(spectral, "_illinois", recorded)
+    k, mult = spectral_gap(m)
+    assert ks.count(at_cap) == 1 and from_illinois.count(at_cap) == 1
+    assert k == pytest.approx(known[0], rel=1e-12) and mult == known[1] == 15
 
 
 def test_levels_takes_each_m0_once(count_matrices):
