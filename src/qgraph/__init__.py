@@ -51,12 +51,8 @@ from .spectral import (
     Spectrum,
     eigenfunction,
     eigenvalues,
-    harmonic_interpolant,
     levels,
     negative_spectrum,
-    rayleigh,
-    rayleigh_centered,
-    secular_value,
     spectral_gap,
 )
 # public name -> the module that defines it, imported when the name is first read;
@@ -94,7 +90,6 @@ _LAZY = {
             "CatalogEntry",
             "MaximizeOptions",
             "OptimizationResult",
-            "brute_force_gap",
             "catalog_entry",
             "full_catalog",
             "infimize_gap",

@@ -427,7 +427,9 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     for stack in stacks:
         n_minus[stack.at], n_zero[stack.at], V[stack.at] = stack.n_minus, stack.n_zero, stack.alpha.shape[1]
     repels = (thetas[moving] > 0.0).astype(int)
-    floor_count = floor.count + (fa[:, n_neg + 1] > 0.0) - repels
+    # phi = 0 at the floor puts a root there, off the first branch (not
+    # live): it counts below the floor, as `levels` reports it
+    floor_count = floor.count + (fa[:, n_neg + 1] >= 0.0) - repels
     below_count = count.zero_modes[0] + (fb[:, n_neg] > 0.0) - repels   # below the hyperbolic floor
     # every row's candidates, positive ones in k and negative ones in kappa,
     # ascending by (row, k, multiplicity): its roots, then the flat bands

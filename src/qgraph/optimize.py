@@ -6,8 +6,7 @@ k1^2 (minus the edge energies), symmetrizes dangling edges and loops
 bound, after a few iterations or at once when the ascent cannot step, so
 boundary supremizers are reached exactly, and reduces over random
 restarts.  Infimization is constructive: all length onto one bridge (unit
-interval, gap pi) or onto one cycle edge (circle, gap 2 pi).  A simplex
-grid brute force serves as ground truth on small instances.
+interval, gap pi) or onto one cycle edge (circle, gap 2 pi).
 
 The maximizers sit where the gap is multiple: its lowest branches cross.
 Each step of the ascent takes the gap and, where its linear model can meet
@@ -38,14 +37,13 @@ a contract probe must beat the held gap plus IMPROVE_TOL, or only the
 bound less GAP_SLACK where that is lower (`_Proof.floor`), so a trial
 that proves the optimum moves however little it gains; a pinned face must
 tie the gap within GAP_SLACK.  A candidate is decided by the eigenvalue
-count at its floor against the count at the search floor (`gap_reaches`),
-and only a kept move gets the full gap search.  The brute force skips its
-grid points that cannot win the same way, and first, unbuilt, every point
-whose face's bound lies below the best gap found.  The count at the search
-floor is known, so `gap_reaches` costs one count; each count couples
-through the incidence its graph built once.  A trial whose linear models
-do not expect it to beat that floor is not counted: it ends the step
-search, as does one the length floor clips to the lengths.
+count at its floor against the count at the search floor
+(`spectral._reaches`), and only a kept move gets the full gap search.
+The count at the search floor is known, so that decision costs one
+count; each count couples through the incidence its graph built once.
+A trial whose linear models do not expect it to beat that floor is not
+counted: it ends the step search, as does one the length floor clips to
+the lengths.
 
 The restarts run in lockstep.  An ascent is a generator that hands up
 the count requests of its level searches (`_lockstep._drive`), and
@@ -98,7 +96,6 @@ from .errors import (
     InvalidGroupError,
     InvalidInputError,
     NotApplicableError,
-    ResourceBudgetError,
 )
 from ._lockstep import _together
 from ._parallel import parallel_map
@@ -125,7 +122,6 @@ from .spectral import (
     _gap_search,
     _level_search,
     _reaches,
-    gap_reaches,
     spectral_gap,
 )
 from .perturbation import _project_simplex_lb, density_certificate, energy_matrices
@@ -557,7 +553,7 @@ def _model_gap(branches: list[_Branch], step: np.ndarray) -> float:
 def _gap_above(m: MetricGraph, floor: float) -> _Search:
     """The `_Level` of m's gap when the gap exceeds floor, else None.
 
-    `gap_reaches` settles a candidate below floor with one count of m's one
+    `_reaches` settles a candidate below floor with one count of m's one
     `_TrigCount`; only one that reaches floor gets the full search.
     """
     count = _TrigCount(m)
@@ -835,61 +831,3 @@ def infimize_gap(g: DiscreteGraph) -> OptimizationResult:
         )
     trace = (TraceStep(gap, 0.0, "construct"),)
     return OptimizationResult(lengths, gap, "infimizer", trace)
-
-
-# ---------------------------------------------------------------------------
-# brute force over a simplex grid
-# ---------------------------------------------------------------------------
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, parts - 1):
-            yield (head,) + rest
-
-
-def brute_force_gap(g: DiscreteGraph, resolution: int, mode: str = "max") -> OptimizationResult:
-    """Exhaustive scan of the simplex grid { c / resolution }; small instances only."""
-    if mode not in ("max", "min"):
-        raise InvalidInputError("mode must be 'max' or 'min'")
-    if _integer(resolution, "resolution", InvalidInputError) < 1:
-        raise InvalidInputError(f"resolution must be positive, not {resolution}")
-    E = g.edge_count
-    if E > 5 or resolution > 40:
-        raise ResourceBudgetError("brute force supports E <= 5 and resolution <= 40")
-    n_points = math.comb(resolution + E - 1, E - 1)
-    if n_points > 300_000:
-        raise ResourceBudgetError(f"grid of {n_points} points exceeds the budget")
-
-    best_gap = None
-    best_lengths = None
-    sign = 1.0 if mode == "max" else -1.0
-    bounds: dict[tuple[int, ...], float] = {}   # `_face_bound` of each zero pattern met
-    for comp in _compositions(resolution, E):
-        if mode == "max" and best_gap is not None:
-            # a point whose face's bound lies below the best gap cannot win
-            zero = tuple(e for e, c in enumerate(comp) if c == 0)
-            if zero not in bounds:
-                bounds[zero] = _face_bound(g, zero)
-            if bounds[zero] * (1.0 + BOUND_MARGIN) <= best_gap:
-                continue
-        lengths = LengthVector(np.array(comp, dtype=float) / resolution)
-        mg = contract_zero_edges(g, lengths)
-        # a max winner reaches best + 1e-12, a min winner does not reach
-        # best - 1e-12; two counts rule out every other point
-        if best_gap is not None and gap_reaches(mg, best_gap + sign * 1e-12) != (mode == "max"):
-            continue
-        gap, _ = spectral_gap(mg)
-        if best_gap is None or sign * gap > sign * best_gap + 1e-12:
-            best_gap = gap
-            best_lengths = lengths
-    assert best_gap is not None and best_lengths is not None
-    label = "maximizer" if mode == "max" else "minimizer"
-    classification = f"{label}-candidate" if best_lengths.is_interior() else (
-        "supremizer-candidate" if mode == "max" else "infimizer-candidate"
-    )
-    trace = (TraceStep(best_gap, 0.0, f"brute-{mode}"),)
-    return OptimizationResult(best_lengths, best_gap, classification, trace)

@@ -164,19 +164,17 @@ on a basis function's sign.  At k = 0 a Neumann graph's eigenspace, the
 constants, is given symbolically; any other graph's zero modes are not
 constant on some edge.
 
-`EdgeTrig` is the one representation of such functions.  It also serves
-the Rayleigh quotients, whose test functions have one frequency on every
-edge (`harmonic_interpolant`): the norm is `_gram`, and the Dirichlet
-energy follows from the per-edge energies f'^2 + k^2 f^2, constant along
-each edge.  The vertex conditions are read from the values and outgoing
-derivatives at the 2E edge ends, `EdgeTrig.at_ends`.
+`EdgeTrig` is the one representation of such functions.  The vertex
+conditions are read from the values and outgoing derivatives at the 2E
+edge ends, `EdgeTrig.at_ends`.
 
-`BondScattering` is on no solver path.  It is the independent oracle
-behind `secular_value` and the tests: on bond b the solution of
--f'' = k^2 f is a^in e^{-ikx} + a^out e^{ikx}, and the vertex conditions
-force a = U(k) a with the unitary U(k) = e^{ikL} J Sigma(k), where L is
-the diagonal of bond lengths, J the bond-reversal permutation and Sigma
-the block-diagonal vertex scattering matrix:
+`BondScattering` is on no solver path.  It stays here as the tests'
+independent oracle and as a target of the benchmark's layer tracer
+(perfbench/layers.py), which wraps it by name: on bond b the solution
+of -f'' = k^2 f is a^in e^{-ikx} + a^out e^{ikx}, and the vertex
+conditions force a = U(k) a with the unitary U(k) = e^{ikL} J Sigma(k),
+where L is the diagonal of bond lengths, J the bond-reversal permutation
+and Sigma the block-diagonal vertex scattering matrix:
     Neumann           2/d - delta_{ee'}
     Dirichlet         -delta_{ee'}
     delta-type        -delta_{ee'} + 2/(d + i alpha/k), alpha = tan(theta/2)
@@ -216,8 +214,9 @@ _BATCH_POLES = 256     # most poles whose window edges a level search takes in i
 class BondScattering:
     """The bond-scattering matrix U(k) of a metric graph, kept as an oracle.
 
-    No solver path builds it: `secular_value` and the tests check the
-    counted levels and the eigenfunctions against it (module docstring).
+    No solver path builds it: the tests check the counted levels and the
+    eigenfunctions against it, and the benchmark's layer tracer wraps it
+    by name (module docstring).
     Bonds 0..E-1 run along the stored edge direction, bonds E..2E-1 are
     their reversals; J swaps the two halves.
     """
@@ -267,13 +266,6 @@ def _require_k(name: str, k: float, zero_ok: bool = False) -> None:
     """Reject a k that is not finite and positive (or zero, where zero_ok)."""
     if not math.isfinite(k) or k < 0 or (k == 0 and not zero_ok):
         raise InvalidInputError(f"{name} must be finite and {'>= 0' if zero_ok else '> 0'}, not {k}")
-
-
-def secular_value(m: MetricGraph, k: float) -> float:
-    """Smallest singular value of I - U(k), k > 0; zero exactly at eigenvalues
-    (k = 0 is handled symbolically)."""
-    _require_k("k", k)
-    return float(BondScattering(m).singular_values(k)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -950,19 +942,14 @@ def spectral_gap(m: MetricGraph) -> tuple[float, int]:
 
 
 def _reaches(m: MetricGraph, k: float, count: _TrigCount | None = None) -> _Search:
-    """`gap_reaches` as a search: N(k), k at least the floor, against the
-    known N(k_floor), with m's count where the caller has built it."""
+    """Whether spectral_gap(m)[0] >= k, as a search of one count: N(k) <=
+    N(k_floor), the known count at the floor where `spectral_gap` starts,
+    with k at least that floor and moved below any pole window it sits in;
+    m's count is the caller's where it has built one."""
     _require_k("k", k)
     count = count if count is not None else _TrigCount(m)
     below = yield from _below(count, max(k, count.floor))
     return below.count <= count.floor_sample().count
-
-
-def gap_reaches(m: MetricGraph, k: float) -> bool:
-    """spectral_gap(m)[0] >= k, decided by one count: N(k) <= N(k_floor), so no
-    level lies between the floor where `spectral_gap` starts and k, k moved
-    below any pole window it sits in."""
-    return _drive([_reaches(m, k)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -981,8 +968,8 @@ def _trig_integrals(k: float, l):
 
 @dataclass(frozen=True, eq=False)
 class EdgeTrig:
-    """Real function A_e cos(kx) + B_e sin(kx) on each edge (x along the edge):
-    an eigenfunction, or a test function of the Rayleigh quotients.
+    """Real function A_e cos(kx) + B_e sin(kx) on each edge (x along the edge),
+    such as an eigenfunction.
 
     amp_cos and amp_sin are read-only float arrays of length E.
     """
@@ -1013,9 +1000,6 @@ class EdgeTrig:
         E = self.amp_cos.size
         value, slope = self.at(np.tile(np.arange(E), 2), np.concatenate([np.zeros(E), lengths]))
         return value, np.concatenate([slope[:E], -slope[E:]])
-
-    def norm_sq(self, lengths: np.ndarray) -> float:
-        return float(_gram(self.k, self.amp_cos[None], self.amp_sin[None], lengths)[0, 0])
 
     def inner(self, other: "EdgeTrig", lengths: np.ndarray) -> float:
         amp_cos = np.stack([self.amp_cos, other.amp_cos])
@@ -1130,71 +1114,6 @@ def vertex_condition_residual(m: MetricGraph, f: EdgeTrig) -> float:
     flux = np.bincount(g.ends, weights=slope, minlength=g.vertex_count) - alpha * value[g.first_end]
     free = np.maximum(high - low, np.abs(flux) / max(1.0, abs(f.k)))
     return float(np.where(dirichlet, np.maximum(high, -low), free).max())
-
-
-# ---------------------------------------------------------------------------
-# Rayleigh quotients of test functions
-# ---------------------------------------------------------------------------
-
-
-def harmonic_interpolant(m: MetricGraph, vertex_values, freq: float) -> EdgeTrig:
-    """The unique f with f'' + freq^2 f = 0 on edges matching the vertex values.
-
-    Needs freq * l_e < pi on every edge so the interpolation is well posed.
-    """
-    _require_k("freq", freq)
-    if freq * float(m.lengths.max()) >= math.pi:
-        raise InvalidInputError("need 0 < freq < pi / max edge length")
-    vals = np.asarray(vertex_values, dtype=float)
-    if vals.shape != (m.graph.vertex_count,):
-        raise InvalidInputError("need one value per vertex")
-    start, end = vals[m.graph.ends].reshape(2, m.graph.edge_count)
-    kl = freq * m.lengths
-    return EdgeTrig(freq, start, (end - start * np.cos(kl)) / np.sin(kl))
-
-
-def _energy_and_norm(m: MetricGraph, f: EdgeTrig) -> tuple[float, float]:
-    """The Dirichlet energy int f'^2 and the squared L^2 norm of a test function.
-
-    f must be finite, nonzero and continuous at every vertex (its values
-    at the ends there agree within 1e-8 max(1, max |f|)).  On each edge
-    f'^2 + k^2 f^2 is the constant energy, so int f'^2 = sum_e energy_e l_e
-    - k^2 ||f||^2.
-    """
-    E = m.graph.edge_count
-    if f.amp_cos.size != E:
-        raise InvalidInputError(f"test function needs one amplitude pair on each of the {E} edges")
-    if not (math.isfinite(f.k) and np.isfinite(f.amp_cos).all() and np.isfinite(f.amp_sin).all()):
-        raise InvalidInputError("test function must be finite")
-    value = f.at_ends(m.lengths)[0]
-    low, high = m.graph.end_range(value)
-    jumps = np.flatnonzero(high - low > 1e-8 * max(float(np.abs(value).max()), 1.0))
-    if jumps.size:
-        raise InvalidInputError(f"test function discontinuous at vertex {jumps[0]}")
-    norm_sq = f.norm_sq(m.lengths)
-    if norm_sq <= 1e-300:
-        raise InvalidInputError("test function is zero")
-    return float(f.energies() @ m.lengths) - f.k**2 * norm_sq, norm_sq
-
-
-def rayleigh(m: MetricGraph, f: EdgeTrig) -> float:
-    """Rayleigh quotient int f'^2 / int f^2 of a continuous test function."""
-    energy, norm_sq = _energy_and_norm(m, f)
-    return energy / norm_sq
-
-
-def rayleigh_centered(m: MetricGraph, f: EdgeTrig) -> float:
-    """Rayleigh quotient of f minus its best constant (zero-mean shift)."""
-    energy, norm_sq = _energy_and_norm(m, f)
-    if f.k == 0.0:
-        integral = float(f.amp_cos @ m.lengths)
-    else:
-        kl = f.k * m.lengths
-        integral = float(f.amp_cos @ np.sin(kl) + f.amp_sin @ (1.0 - np.cos(kl))) / f.k
-    denom = norm_sq - integral**2 / m.total_length
-    if denom <= 1e-300:
-        raise InvalidInputError("test function is constant")
-    return energy / denom
 
 
 # ---------------------------------------------------------------------------

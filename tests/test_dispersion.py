@@ -266,7 +266,10 @@ def _grouped(row):
 def _assert_rows_match_levels(m, v, grid, every=1):
     """Every row of the curve (every `every`-th one) against `levels` of that row alone."""
     curve = dispersion_curve(m, v, grid_size=grid)
-    thetas, rows = curve.thetas[::every], curve.levels[::every]
+    _assert_each_row_is_its_levels(m, v, curve.thetas[::every], curve.levels[::every])
+
+
+def _assert_each_row_is_its_levels(m, v, thetas, rows):
     oracle = levels([_with_theta(m, v, float(t)) for t in thetas], 9 * PI / m.total_length)
     for theta, row, expected in zip(thetas, rows, oracle):
         got, want = _grouped(row), _grouped(expected)
@@ -601,6 +604,41 @@ def test_a_level_within_the_rounding_of_m0_counts_as_zero():
     curve = dispersion_curve(m, 1, grid_size=44)
     assert curve.thetas[10] == theta and curve.levels[10][0] == 0.0
     _assert_rows_match_levels(m, 1, 44)
+
+
+@pytest.mark.parametrize("graph, v", [(star(3), 0), (star(3), 1), (interval(), 0), (flower(2), 0)],
+                         ids=["star3-centre", "star3-leaf", "interval", "flower2"])
+def test_a_row_whose_level_sits_on_the_trig_floor(monkeypatch, graph, v):
+    # a tiny repulsive coupling lifts the constant mode of a Neumann graph to
+    # lambda ~ alpha / L, by the floor.  At the theta found below, phi =
+    # arg((1 + i g) w) of `_sweep_levels` is exactly 0 at the trig floor: the
+    # row's root sits on the floor, where the first branch does not search
+    # it, so the floor count must take it.  Counted only where phi > 0, the
+    # level was neither counted nor found, and the row's counts raised
+    # RuntimeError
+    m = metric(*graph)
+    k_max = 9 * PI / m.total_length
+    at_floor, vertex_samples = [], dispersion._vertex_samples
+
+    def spied(G, at, ks):
+        sampled = vertex_samples(G, at, ks)
+        at_floor.append(float(sampled[0][2]))
+        return sampled
+
+    monkeypatch.setattr(dispersion, "_vertex_samples", spied)
+    dispersion._sweep_levels(m, v, np.array([1.0]), k_max)
+    g = at_floor[0]
+    assert g < -1e12   # the constant mode's pole at k = 0
+
+    def phi(theta):
+        w = complex(abs(math.sin(0.5 * theta)), math.copysign(math.cos(0.5 * theta), theta))
+        return float(np.angle((1.0 + 1j * np.array([g])) * w)[0])
+
+    near = -2.0 / g   # phi = 0 where tan(theta / 2) = -1 / g
+    theta = next(t for t in (near + j * math.ulp(near) for j in range(-2000, 2000)) if phi(t) == 0.0)
+    rows, _ = dispersion._sweep_levels(m, v, np.array([theta]), k_max)
+    assert at_floor[1] == g
+    _assert_each_row_is_its_levels(m, v, [theta], rows)
 
 
 def test_a_deep_negative_level_of_a_fine_grid(recwarn):

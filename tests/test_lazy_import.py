@@ -34,6 +34,30 @@ def test_import_loads_only_the_core():
     assert json.loads(out) == CORE
 
 
+# every public name, sorted: a name is added to or dropped from the API only
+# by changing this list
+PUBLIC = [
+    "BondScattering", "CatalogEntry", "CriticalityReport", "DIRICHLET", "DegenerateGraphError",
+    "DeltaTheta", "DiscreteGraph", "DispersionCurve", "EdgeTrig", "Eigenpair", "GluingReport",
+    "GraphStructureError", "InvalidGroupError", "InvalidInputError", "LengthVector",
+    "MaximizeOptions", "MetricGraph", "MultiplicityError", "NEUMANN", "NoEigenspaceError",
+    "NotApplicableError", "OptimizationResult", "PathDecomposition", "PathPart",
+    "PreconditionError", "QGraphError", "ResourceBudgetError", "SgpReport", "Spectrum",
+    "UnsupportedTopologyError", "betti", "catalog_entry", "contract_zero_edges", "dispersion",
+    "dispersion_curve", "edge_energies", "eigenfunction", "eigenvalues", "equilateral", "errors",
+    "families", "find_bridges", "full_catalog", "gap_eigenpair", "gap_gradient", "glue",
+    "gluing_bound_check", "graph", "graph_from_dict", "graph_to_dict", "identify_vertices",
+    "infimize_gap", "is_critical", "levels", "load_graph", "maximize_gap", "metric",
+    "negative_spectrum", "nodal_count", "optimize", "path_decomposition", "perturbation",
+    "save_graph", "spectral", "spectral_gap", "spectral_gap_parameter", "symmetrize",
+    "tree_diameter", "upper_bound",
+]
+
+
+def test_the_public_names_are_pinned():
+    assert qgraph.__all__ == PUBLIC
+
+
 PUBLIC_NAMES = """
 import sys, types
 import qgraph

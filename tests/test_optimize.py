@@ -15,9 +15,7 @@ from qgraph import (
     InvalidInputError,
     LengthVector,
     NotApplicableError,
-    ResourceBudgetError,
     betti,
-    brute_force_gap,
     catalog_entry,
     full_catalog,
     infimize_gap,
@@ -42,6 +40,8 @@ from qgraph.families import (
     star,
     stower,
 )
+
+from oracles import brute_force_gap
 
 PI = math.pi
 
@@ -1265,7 +1265,7 @@ def test_random_samples_respect_infimum_bounds():
 
 
 # ---------------------------------------------------------------------------
-# brute force
+# brute force (the oracle's own checks)
 # ---------------------------------------------------------------------------
 
 
@@ -1286,49 +1286,12 @@ def test_brute_force_stower12_plateau():
     assert other == pytest.approx(2 * PI, abs=1e-8)
 
 
-# the brute-force scans of the tests, and the points each builds of its
-# grid: stower(1, 2)'s faces that drop the loop are paths, of gap pi, which
-# the scan meets first, so their bound pi ties the best gap and none is
-# skipped
-BRUTE_FORCE_RUNS = ((stower(2, 1)[0], 30, 467), (stower(1, 2)[0], 30, 496), (stower(1, 2)[0], 20, 231),
-                    (mandarin(3)[0], 20, 194), (star(3)[0], 20, 194))
-
-
-@pytest.mark.parametrize("g, resolution, kept", BRUTE_FORCE_RUNS)
-def test_brute_force_skips_only_points_that_cannot_win(monkeypatch, g, resolution, kept):
-    # a point whose face's bound lies below the best gap is skipped unbuilt;
-    # with every bound infinite the scan builds every point, and ends alike
-    contract, built = optimize.contract_zero_edges, []
-
-    def counted(graph, lengths):
-        built.append(lengths)
-        return contract(graph, lengths)
-
-    monkeypatch.setattr(optimize, "contract_zero_edges", counted)
-    bounded = brute_force_gap(g, resolution, "max").to_dict()
-    assert len(built) == kept
-    monkeypatch.setattr(optimize, "_face_bound", lambda g, drop: math.inf)
-    assert brute_force_gap(g, resolution, "max").to_dict() == bounded
-    assert len(built) - kept == math.comb(resolution + g.edge_count - 1, g.edge_count - 1)
-
-
 def test_brute_force_two_mandarin_min():
     res = brute_force_gap(mandarin(2)[0], 30, "min")
     assert res.gap == pytest.approx(2 * PI, abs=1e-8)
     # every grid point of a two-mandarin is the same circle
     mid, _ = spectral_gap(metric(mandarin(2)[0], np.array([0.5, 0.5])))
     assert mid == pytest.approx(2 * PI, abs=1e-8)
-
-
-@pytest.mark.parametrize("resolution", [0, -1, 2.5, True])
-def test_brute_force_needs_a_positive_integer_resolution(resolution):
-    with pytest.raises(InvalidInputError, match="resolution"):
-        brute_force_gap(star(3)[0], resolution, "max")
-
-
-def test_brute_force_budget():
-    with pytest.raises(ResourceBudgetError):
-        brute_force_gap(star(3)[0], 41, "max")
 
 
 # ---------------------------------------------------------------------------
