@@ -8,8 +8,10 @@ sub-searches; None is no request, and the driver raises on it.  `_drive`
 groups each step's requests, those of every dict included, by count
 class and matrix shape (V', E), and takes a group in one stacked build
 and eigvalsh (`spectra`), a lone single request in `spectrum`, the stack
-of one.  A class builds each row of a stack as it builds that count alone,
-so a search is sent the same values alone or in company.
+of one.  Each step stacks its groups' arrays afresh: keeping them for a
+later step of the same counts saved under 1% of an optimizer run
+(CHANGES.md).  A class builds each row of a stack as it builds that
+count alone, so a search is sent the same values alone or in company.
 """
 
 from __future__ import annotations
@@ -58,10 +60,8 @@ def _nested(requests: dict, replies: dict, path: tuple = ()) -> dict:
 
 
 def _drive(searches: list[_Search]) -> list:
-    """The results of searches advanced together (`_together`), in order;
-    a key's stacked arrays serve again for the same counts."""
+    """The results of searches advanced together (`_together`), in order."""
     top = _together(searches)
-    stacked: dict[tuple, tuple] = {}   # (class, V', E) -> (counts, coupling, alpha, lengths)
     try:
         requests = top.send(None)
         while True:
@@ -74,10 +74,8 @@ def _drive(searches: list[_Search]) -> list:
                     replies[js[0]] = flat[js[0]][0].spectrum(flat[js[0]][1])
                     continue
                 counts = [flat[j][0] for j in js]
-                if key not in stacked or stacked[key][0] != counts:
-                    stacked[key] = (counts, np.array([c.coupling for c in counts]),
-                                    np.array([c.alpha for c in counts]), np.array([c.lengths for c in counts]))
-                arrays = stacked[key][1:]
+                arrays = (np.array([c.coupling for c in counts]), np.array([c.alpha for c in counts]),
+                          np.array([c.lengths for c in counts]))
                 ks = [flat[j][1] for j in js]
                 if np.ndarray in map(type, ks):
                     # a batch takes one row per k, and is sent its rows

@@ -11,6 +11,7 @@ Each command imports the modules it runs, so `spectrum` and
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -108,17 +109,7 @@ def cmd_sgp(args) -> int:
 
     m = _load_metric(args.graph)
     rep = spectral_gap_parameter(m, args.vertex)
-    doc = {
-        "vertex": rep.vertex,
-        "theta_sg": rep.theta_sg,
-        "classification": rep.classification,
-        "k1": rep.k1,
-        "k1_multiplicity": rep.k1_multiplicity,
-        "dirichlet_k0": rep.dirichlet_k0,
-        "dirichlet_multiplicity": rep.dirichlet_multiplicity,
-        "k1_is_flat_band": rep.k1_is_flat_band,
-    }
-    _emit(json.dumps(doc, indent=2) + "\n", args.out)
+    _emit(json.dumps(dataclasses.asdict(rep), indent=2) + "\n", args.out)
     return 0
 
 

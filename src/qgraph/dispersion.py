@@ -40,9 +40,10 @@ at four points, with G taken there: the negative ones run from
 -kappa_top, where G lies below the -1/alpha of every attractive row
 (`spectral._HyperbolicCount.top` of the most attractive one, a diagonal
 bound that takes no count), to the hyperbolic floor, and the positive
-ones from the trig floor to the k_max + d of `_level_search`.  The rest of a theta = 0
-level, its eigenfunctions that vanish at v, is a flat band of every
-row: the level's multiplicity, less one at a pole.  A dispersion curve
+ones from the trig floor to the top of the theta = 0 row's search up to
+k_max (`spectral._range_top`).  The rest of a theta = 0 level, its
+eigenfunctions that vanish at v, is a flat band of every row: the
+level's multiplicity, less one at a pole.  A dispersion curve
 removes its positive flat bands from every row within the count's merge
 width.
 
@@ -108,6 +109,7 @@ from .spectral import (
     _MULT_FLOOR,
     _MULT_PROBE,
     _merge_width,
+    _range_top,
     _require_k,
     spectral_gap,
 )
@@ -364,11 +366,11 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     m0 = _with_theta(m, v, 0.0)
     count = _TrigCount(m0)
     hyperbolic = _HyperbolicCount(m0, count.zero_modes)
-    v_row = _row_of(m0, v)
+    v_row = count.row(v)   # of both counts
     alphas = np.array([DeltaTheta(float(t)).alpha for t in thetas])
     floor = count.floor_sample()
     zero, negative = _drive([_level_search(count, floor, k_max), _negative_search(hyperbolic)])
-    hi_k = count.off_pole(k_max + _merge_width(k_max), 1.0)
+    hi_k = _range_top(count, k_max)
     # above the negative levels of the most attractive row, and so of every row
     most = int(np.argmin(alphas))
     kappa_top = (_HyperbolicCount(_with_theta(m0, v, float(thetas[most]))) if alphas[most] < 0.0
@@ -422,7 +424,7 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     # their M0, and its counts at the floors by the count identity (module
     # docstring)
     rows = moving.size
-    stacks = _vertex_rows(count, v_row, alphas[moving])
+    stacks = _vertex_rows(count, v, alphas[moving])
     n_minus, n_zero, V = np.empty((3, rows), dtype=int)
     for stack in stacks:
         n_minus[stack.at], n_zero[stack.at], V[stack.at] = stack.n_minus, stack.n_zero, stack.alpha.shape[1]
@@ -477,11 +479,6 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     base = [p.k for p in negative for _ in range(p.multiplicity)] + [0.0] * count.zero_modes[1]
     base += [lvl.k for lvl in zero for _ in range(lvl.multiplicity)]
     return [next(found) if t != 0.0 else base for t in thetas], up_flats
-
-
-def _row_of(m: MetricGraph, v: int) -> int:
-    """v's row among the non-Dirichlet vertices of a count of m."""
-    return int(np.count_nonzero(np.isfinite(m.alpha[:v])))
 
 
 def dispersion_curve(
@@ -578,8 +575,8 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     m_dir = _with_theta(m, v, math.pi)
     k1, k1_mult = spectral_gap(m)
     dirichlet_k0 = spectral_gap(m_dir)[0]
-    count, row = _TrigCount(m), _row_of(m, v)
-    _, (below,), (above,), (pole,) = _vertex_samples(lambda ks: count.vertex_function(row, ks), [],
+    count = _TrigCount(m)
+    _, (below,), (above,), (pole,) = _vertex_samples(lambda ks: count.vertex_function(count.row(v), ks), [],
                                                      np.array([k1]))
     dirichlet_holds = dirichlet_k0 >= k1 - _merge_width(k1)
     if dirichlet_holds != (below <= 0.0):

@@ -119,8 +119,8 @@ from .spectral import (
     _TrigCount,
     _drive,
     _eigenbasis_coeffs,
+    _first_level,
     _gap_search,
-    _level_search,
     _reaches,
     spectral_gap,
 )
@@ -509,9 +509,10 @@ def _cluster_energies(m: MetricGraph, gap: _Level, groups: list[list[int]]) -> _
         return None
     top = math.sqrt(first.lam + 2.0 * STEP_SCALE * first.norm)
     branches = [first]
-    for p in (yield from _level_search(_TrigCount(m), gap.above, top, first_only=True)):
-        (basis,) = _eigenbasis_coeffs(m, [p.k], [p.multiplicity])
-        branches.append(_branch(p.k, _trace_energies(p.k, basis), groups))
+    second = yield from _first_level(_TrigCount(m), gap.above, top)
+    if second is not None:
+        (basis,) = _eigenbasis_coeffs(m, [second.k], [second.multiplicity])
+        branches.append(_branch(second.k, _trace_energies(second.k, basis), groups))
     return branches
 
 

@@ -69,18 +69,6 @@ class CriticalityReport:
     multiplicity: int = 1
     weights: tuple[float, ...] = (1.0,)   # the eigenvalues of rho, ascending
 
-    def to_dict(self) -> dict:
-        return {
-            "critical": self.critical,
-            "k": self.k,
-            "energies": {str(e): x for e, x in enumerate(self.energies)},
-            "spread": self.spread,
-            "odd_vertex_violations": list(self.odd_vertex_violations),
-            "even_vertex_violations": list(self.even_vertex_violations),
-            "multiplicity": self.multiplicity,
-            "weights": list(self.weights),
-        }
-
 
 def _require_tol(tol) -> None:
     """Reject a tolerance that is not a finite number >= 0, bools included."""

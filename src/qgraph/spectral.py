@@ -47,28 +47,32 @@ confirming counts are, takes the vertex form at every size
 on 512, and 0.55-1.55 times it on 16 (timeit, 2-core machine).  Its
 values are unsorted and steer no secant.
 
-The pole term and the pole-window tests (`poles`, `pole_near`,
+The trig count's pole term and pole-window tests (`poles`, `pole_near`,
 `lone_pole`, `off_scale`) loop over the lengths as a tuple of Python
 floats, built once per count: on a handful of edges that costs less than
 numpy's ufuncs, and each value is formed by the same operations, in the
 same order, as the array formulas, so it is the same to the bit.
 
-One level finder serves every spectrum.  A search of the whole range,
-as `eigenvalues`, `levels` and a sweep's theta = 0 row take it, first
-takes one batch of counts: the top of the range and both window edges
-of every pole below it, the points where `_split` would take them.  Each
-bracket between two of them where N rises is then searched on its own,
-all of them in lockstep; a search of the first level alone, as the gap
-searches take it, takes the top only.  A Neumann graph's gap search takes
-not even that: its gap lies below the cap (`gap_upper_bound`), so N there
-is at least one more than at the floor, and that bound stands in for the
-count, which bisection on N never needs; regula falsi takes the cap's
-spectrum where it reads it.  A search bisects on N until a
-bracket holds levels and no pole, then runs regula falsi on the value of
-the count's spectrum (below) that crosses zero in it; a bracket that shrinks
-inside a pole window is reported as the pole itself.  Regula falsi scales
-the value at the end it keeps by Anderson-Bjorck's m = 1 - f_c / f_old
-(1/2 where m <= 0) when two steps in a row replace the same end.  At the
+One level finder serves every spectrum.  A range up to k ends at its
+top, k plus the merge width (below), moved off any pole window
+(`_range_top`), so a level sitting on k belongs to it.  A search of the
+whole range (`_level_search`), as `eigenvalues`, `levels` and a sweep's
+theta = 0 row take it, first takes one batch of counts: the top and
+both window edges of every pole below it, the points where `_split`
+would take them.  Each bracket between two of them where N rises is
+then searched on its own, all of them in lockstep.  A search of the
+first level alone (`_first_level`), as the gap searches and the
+optimizer's window above a gap take it, takes the top only, or not even
+that where a bound on N there stands in for the count, which bisection
+on N never needs: a Neumann graph's gap lies below the cap
+(`gap_upper_bound`), so N there is at least one more than at the floor.
+Regula falsi takes such a top's spectrum where it reads it.  A search
+bisects on N until a bracket holds levels and no pole, then runs regula
+falsi on the value of the count's spectrum (below) that crosses zero in
+it; a bracket that shrinks inside a pole window is reported as the pole
+itself.  Regula falsi scales the value at the end it keeps by
+Anderson-Bjorck's m = 1 - f_c / f_old (1/2 where m <= 0) when two steps
+in a row replace the same end.  At the
 search floor, and within 4 _POLE_WINDOW of a pole, where `off_pole` and
 `_split` put their samples, the value it follows is of the size of k or
 of the window, and a secant through it creeps along that end; such an
@@ -106,17 +110,17 @@ positive levels, and confirm them with their own hyperbolic counts
 (`dispersion`); the theta = 0 row still searches its negative levels
 here.
 
-The finder is a generator, `_level_search`: it yields a request, the
-count and a k where it needs that count, and is sent the count's
-spectrum there, V' + 2E ascending values with the inertia of K.  A whole
-K sends its eigenvalues.  The vertex form sends its matrix's
+Each finder is a generator: it yields a request, the count and a k
+where it needs that count, and is sent the count's spectrum there,
+V' + 2E ascending values with the inertia of K.  A whole K sends its
+eigenvalues.  The vertex form sends its matrix's
 eigenvalues between -inf for each negative pivot and +inf for each
 positive one, one of each for an edge whose rows both go.  So the count,
 and the index n_- that regula falsi follows across a bracket, are those
 of K; the value at that index jumps where an edge's rows start or stop
 going, but its sign does not.  Where a bracket end's value is infinite,
 a stand-in or an off-scale end, the secant is nan and the finder
-bisects.  Every search built on it (`_gap_search`, `_reaches`,
+bisects.  Every search built on them (`_gap_search`, `_reaches`,
 `_eigenvalue_search`, `_negative_search`, `_around`) is a generator of
 the same kind, and one driver runs any number of them together and takes
 every count any of them needs, a group of one matrix shape in one
@@ -281,8 +285,8 @@ class _Sample:
     count: int
     poles: int
     # None where the count is known without a matrix: a search's floor
-    # (`floor_sample`), and a Neumann gap search's cap, where it is a lower
-    # bound (`_gap_search`)
+    # (`floor_sample`), and a first-level search's top where a lower bound
+    # stands in for it (`_first_level`)
     evals: np.ndarray | None
 
 
@@ -344,6 +348,10 @@ class _Count:
             self.coupling, self.alpha = _scaled(g.incidence[keep], m.alpha[keep])
         self.lengths = np.asarray(m.lengths, dtype=float)
 
+    def row(self, v: int) -> int:
+        """The row of vertex v among the count's non-Dirichlet vertices."""
+        return int(np.count_nonzero(np.isfinite(self.vertex_alpha[:v])))
+
     def vertex_function(self, row: int, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """G = (M^-1)_vv and dG/ds = -x^T M' x, x = M^-1 e_v, at every s of s,
         the count's own variable (k or kappa), with M its `bordered` matrix
@@ -370,10 +378,6 @@ class _Count:
 
     def pole_near(self, k: float) -> tuple[float, float] | None:
         """(pole, half-width of its window) when k lies inside that window."""
-        return None
-
-    def lone_pole(self, a: float, b: float) -> tuple[float, float] | None:
-        """(pole, half-width of its window) when (a, b) holds one pole only."""
         return None
 
     def off_scale(self, k: float) -> bool:
@@ -425,16 +429,14 @@ class _VertexRows(NamedTuple):
     n_zero: np.ndarray
 
 
-def _vertex_rows(count: _Count, row: int, alphas: np.ndarray) -> list[_VertexRows]:
-    """The count with the coupling alphas[j] at the vertex of its row `row`,
+def _vertex_rows(count: _Count, v: int, alphas: np.ndarray) -> list[_VertexRows]:
+    """The count with the coupling alphas[j] at its non-Dirichlet vertex v,
     as a delta sweep's rows are, one stack per matrix shape: the rows of
     finite alphas, then those of infinite ones, where that row goes.  Each
     is the count of the graph with that vertex's condition changed, built
     without the graph: only that row changes, so every other entry keeps
     its bits.  The M0 of each stack take one `_zero_inertia`."""
-    v = row   # without a Dirichlet vertex the rows are the vertices
-    if count.alpha.size < count.vertex_alpha.size:
-        v = np.flatnonzero(np.isfinite(count.vertex_alpha))[row]
+    row = count.row(v)
     finite = np.isfinite(alphas)
     out = []
     for at in (np.flatnonzero(finite), np.flatnonzero(~finite)):
@@ -585,6 +587,7 @@ class _TrigCount(_Count):
         return n * math.pi / l, _POLE_WINDOW * math.pi / l
 
     def lone_pole(self, a: float, b: float) -> tuple[float, float] | None:
+        """(pole, half-width of its window) when (a, b) holds one pole only."""
         poles, shortest = [], math.inf
         for l in self.edge_lengths:
             first = math.ceil(a * l / math.pi)
@@ -691,7 +694,7 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
     fa = math.inf if count.off_scale(a) else float(lo.evals[i])
     if count.off_scale(b):
         fb = -math.inf
-    else:   # a Neumann gap search's cap has no spectrum until it is read here (`_gap_search`)
+    else:   # a top known by a bound has no spectrum until it is read here (`_first_level`)
         fb = float((hi.evals if hi.evals is not None else (yield count, b))[i])
     tol = 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
     side = 0
@@ -777,58 +780,81 @@ class _Level(NamedTuple):
     above: _Sample
 
 
-def _levels_in(count: _Count, lo: _Sample, hi: _Sample, first_only: bool = False, start: bool = False) -> _Search:
+def _next_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample], start: bool = False) -> _Search:
+    """The lowest level in (lo.k, hi.k] as a `_Level`; needs hi.count >
+    lo.count.  Every count taken is added to seen (`_lowest_level`); with
+    start, lo is the start of the search, which may lie within the merge
+    width of the level (`_around`)."""
+    r = yield from _lowest_level(count, lo, hi, seen)
+    if start and lo.k > max(r - _merge_width(r), count.floor):
+        lo = yield from _below(count, max(r - _merge_width(r), count.floor))
+    below, above = yield from _around(count, r, lo)
+    return _Level(r, above.count - below.count, above)
+
+
+def _levels_in(count: _Count, lo: _Sample, hi: _Sample, start: bool = False) -> _Search:
     """The levels in (lo.k, hi.k] as `_Level`s, ascending, searched up from
-    the sample lo; with start, lo is the start of the search, which may lie
-    within the merge width of a level (`_around`)."""
+    the sample lo, the start of the search where start (`_next_level`)."""
     seen = [lo, hi]
     out: list[_Level] = []
     while lo.count < hi.count:
         # the tightest bracket above lo among the counts taken so far
         lo = max((s for s in seen if s.count == lo.count), key=lambda s: s.k)
         upper = min((s for s in seen if s.count > lo.count), key=lambda s: s.k)
-        r = yield from _lowest_level(count, lo, upper, seen)
-        if start and lo is seen[0] and lo.k > max(r - _merge_width(r), count.floor):
-            lo = yield from _below(count, max(r - _merge_width(r), count.floor))
-        below, above = yield from _around(count, r, lo)
-        out.append(_Level(r, above.count - below.count, above))
-        if first_only:
-            break
-        seen.append(above)
-        lo = above
+        out.append((yield from _next_level(count, lo, upper, seen, start and not out)))
+        seen.append(out[-1].above)
+        lo = out[-1].above
     return out
 
 
-def _level_search(count: _Count, lo: _Sample, k_hi: float, first_only: bool = False) -> _Search:
+def _range_top(count: _Count, k: float) -> float:
+    """Where a search of the levels up to k takes its top count: the merge
+    width past k, so that a level sitting on k belongs to the range, moved
+    off any pole window."""
+    return count.off_pole(k + _merge_width(k), 1.0)
+
+
+def _first_level(count: _Count, lo: _Sample, k_hi: float, at_least: int | None = None) -> _Search:
+    """The lowest level in (lo.k, k_hi] as a `_Level`, searched up from the
+    start lo, or None where the range holds none.
+
+    It takes the count at the top of the range alone.  at_least, a lower
+    bound on N there, stands in for that count where it is given: bisection
+    on N never needs more, and regula falsi takes the top's spectrum only
+    where it reads it (`_illinois`).
+    """
+    top = _range_top(count, k_hi)
+    if at_least is None:
+        hi = count.made(top, (yield count, top))
+    else:
+        hi = _Sample(top, at_least, count.poles(top), None)
+    if hi.count == lo.count:
+        return None
+    return (yield from _next_level(count, lo, hi, [lo, hi], start=True))
+
+
+def _level_search(count: _Count, lo: _Sample, k_hi: float) -> _Search:
     """The levels in (lo.k, k_hi] as `_Level`s, ascending, searched up from
     the sample lo.
 
-    A search of the first level takes the count at the top of the range
-    and searches up from lo (`_levels_in`).  A search of the whole range
-    takes, in one batch, the top and both window edges of every pole in
-    between, the points where `_split` would take them (`window_edges`,
-    those of the lowest _BATCH_POLES poles).  Every bracket between
-    neighbouring points where the count rises is then searched on its own,
-    all of them in lockstep.  A level's multiplicity is counted up to d
-    past it (`_around`), and may take in levels of the brackets above:
-    those go, and a bracket of which it took some but not all is searched
-    again from the count above the level, as a search of the range one
-    level after another would go on from there.
+    It takes, in one batch, the top of the range (`_range_top`) and both
+    window edges of every pole in between, the points where `_split` would
+    take them (`window_edges`, those of the lowest _BATCH_POLES poles).
+    Every bracket between neighbouring points where the count rises is
+    then searched on its own, all of them in lockstep.  A level's
+    multiplicity is counted up to d past it (`_around`), and may take in
+    levels of the brackets above: those go, and a bracket of which it took
+    some but not all is searched again from the count above the level, as
+    a search of the range one level after another would go on from there.
     """
-    # a level sitting on k_hi belongs to the range
-    hi_k = count.off_pole(k_hi + _merge_width(k_hi), 1.0)
-    if first_only:
-        samples = [lo, count.made(hi_k, (yield count, hi_k))]
-    else:
-        ks = np.append(count.window_edges(lo.k, hi_k), hi_k)
-        samples = [lo] + [count.made(k, evals) for k, evals in zip(ks.tolist(), (yield count, ks))]
+    top = _range_top(count, k_hi)
+    ks = np.append(count.window_edges(lo.k, top), top)
+    samples = [lo] + [count.made(k, evals) for k, evals in zip(ks.tolist(), (yield count, ks))]
     hi = samples[-1]
     if hi.count - lo.count > _MAX_LEVELS:
         raise ResourceBudgetError(
             f"{hi.count - lo.count} eigenvalues in ({lo.k}, {k_hi}], more than {_MAX_LEVELS}"
         )
-    if first_only:
-        return (yield from _levels_in(count, lo, hi, first_only=True, start=True))
     brackets = [(a, b) for a, b in zip(samples, samples[1:]) if b.count > a.count]
     found = yield from _together([_levels_in(count, a, b, start=a is lo) for a, b in brackets])
     out: list[_Level] = []
@@ -918,20 +944,16 @@ def gap_upper_bound(m: MetricGraph) -> float:
 
 def _gap_search(m: MetricGraph, count: _TrigCount | None = None) -> _Search:
     """`spectral_gap` as a search, on m's count where the caller built one;
-    it returns the gap's `_Level`, from whose count above it a search can go on."""
+    it returns the gap's `_Level`, from whose count above it a search can
+    go on.  A Neumann graph's gap lies below the cap (`gap_upper_bound`),
+    so N there is at least one more than at the floor, and that bound
+    stands in for the count there (`_first_level`)."""
     count = count if count is not None else _TrigCount(m)
-    floor, cap = count.floor_sample(), gap_upper_bound(m)
-    if count.neumann:
-        # the gap lies below the cap (`gap_upper_bound`), so N there is at
-        # least floor.count + 1: the cap enters as that bound, with no
-        # spectrum, which regula falsi takes only where it reads it (`_illinois`)
-        hi_k = count.off_pole(cap + _merge_width(cap), 1.0)
-        top = _Sample(hi_k, floor.count + 1, count.poles(hi_k), None)
-        return (yield from _levels_in(count, floor, top, first_only=True, start=True))[0]
-    levels = yield from _level_search(count, floor, cap, first_only=True)
-    if not levels:
+    floor = count.floor_sample()
+    gap = yield from _first_level(count, floor, gap_upper_bound(m), floor.count + 1 if count.neumann else None)
+    if gap is None:
         raise NoEigenspaceError("no eigenvalue found below the universal bound")
-    return levels[0]
+    return gap
 
 
 def spectral_gap(m: MetricGraph) -> tuple[float, int]:

@@ -10,14 +10,16 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import families
 from .dispersion import glue, interlacing_margin
 from .errors import InvalidInputError, MultiplicityError, NotApplicableError
-from .graph import DeltaTheta, LengthVector, metric, tree_diameter
+from .graph import DeltaTheta, LengthVector, MetricGraph, metric, tree_diameter
 from .optimize import (
+    CatalogEntry,
     MaximizeOptions,
     full_catalog,
     infimize_gap,
@@ -89,31 +91,29 @@ def _random_instances(seed: int, count: int, v_range=(2, 5), extra_edges=(0, 2),
 # ---------------------------------------------------------------------------
 
 
-def check_a1(seed: int) -> _Check:
+def _closed_form(c: _Check, entry: CatalogEntry) -> MetricGraph:
+    """The solver's gap of a `full_catalog` entry against its closed form,
+    and its multiplicity where the closed form gives one; returns the
+    entry's metric graph."""
+    m = metric(entry.graph, entry.lengths)
+    k1, mult = spectral_gap(m)
+    c.close(k1, entry.gap, 1e-8, f"{entry.family} {entry.params}: computed gap vs closed form")
+    if entry.multiplicity is not None:
+        c.expect(mult == entry.multiplicity,
+                 f"{entry.family} {entry.params}: multiplicity {mult}, closed form {entry.multiplicity}")
+    return m
+
+
+def _catalog(family: str | None) -> list[CatalogEntry]:
+    """The `full_catalog` entries of a family, or all of them where None."""
+    return [entry for entry in full_catalog() if family in (None, entry.family)]
+
+
+def _catalog_check(family: str | None, seed: int) -> _Check:
+    """`_closed_form` of each catalog entry of a family, or of every entry."""
     c = _Check()
-    for E in (2, 3, 4, 5):
-        g, l = families.star(E)
-        k1, mult = spectral_gap(metric(g, l))
-        c.close(k1, PI * E / 2, 1e-8, f"star {E} gap")
-        c.expect(mult == E - 1, f"star {E} multiplicity: got {mult}, want {E - 1}")
-    return c
-
-
-def check_a2(seed: int) -> _Check:
-    c = _Check()
-    for E in (2, 3, 4):
-        g, l = families.flower(E)
-        k1, _ = spectral_gap(metric(g, l))
-        c.close(k1, PI * E, 1e-8, f"flower {E} gap")
-    return c
-
-
-def check_a3(seed: int) -> _Check:
-    c = _Check()
-    for Ep, El in ((3, 2), (2, 2), (1, 3), (2, 1), (3, 1)):
-        g, l = families.stower(Ep, El)
-        k1, _ = spectral_gap(metric(g, l))
-        c.close(k1, PI * (2 * Ep + El) / 2, 1e-8, f"stower ({Ep},{El}) gap")
+    for entry in _catalog(family):
+        _closed_form(c, entry)
     return c
 
 
@@ -128,13 +128,8 @@ def check_a4(seed: int) -> _Check:
     # the symmetric mode cos(pi E x) and the E - 1 sine differences.  The
     # closed-form modes certify that count independently of the solver.
     c = _Check()
-    for E in (2, 3, 4):
-        g, l = families.mandarin(E)
-        m = metric(g, l)
-        k1, mult = spectral_gap(m)
-        c.close(k1, PI * E, 1e-8, f"mandarin {E} gap")
-        c.expect(mult == E, f"mandarin {E} multiplicity: got {mult}, want {E}")
-
+    for entry in _catalog("mandarin"):
+        m, (E,) = _closed_form(c, entry), entry.params
         zeros = (0.0,) * E
         modes = [EdgeTrig(PI * E, (1.0,) * E, zeros)]
         for i in range(E - 1):
@@ -488,22 +483,6 @@ def check_a15(seed: int) -> _Check:
     return c
 
 
-def check_catalog(seed: int) -> _Check:
-    c = _Check()
-    for entry in full_catalog():
-        k1, mult = spectral_gap(metric(entry.graph, entry.lengths))
-        c.close(
-            k1,
-            entry.gap,
-            1e-8,
-            f"{entry.family} {entry.params}: computed gap vs closed form",
-        )
-        if entry.multiplicity is not None:
-            c.expect(mult == entry.multiplicity,
-                     f"{entry.family} {entry.params}: multiplicity {mult}, closed form {entry.multiplicity}")
-    return c
-
-
 def check_a16(seed: int) -> _Check:
     c = _Check()
     instances = _random_instances(seed + 16, 40)
@@ -523,9 +502,9 @@ def check_a16(seed: int) -> _Check:
 
 
 CRITERIA: dict[str, tuple[str, object]] = {
-    "A1": ("equilateral stars: gap pi E / 2, multiplicity E - 1", check_a1),
-    "A2": ("equilateral flowers: gap pi E", check_a2),
-    "A3": ("equilateral stowers incl. small cases", check_a3),
+    "A1": ("equilateral stars: gap pi E / 2, multiplicity E - 1", partial(_catalog_check, "star")),
+    "A2": ("equilateral flowers: gap pi E", partial(_catalog_check, "flower")),
+    "A3": ("equilateral stowers incl. small cases", partial(_catalog_check, "stower")),
     "A4": ("equilateral mandarins: gap pi E, multiplicity E", check_a4),
     "A5": ("gap gradient matches central finite differences", check_a5),
     "A6": ("infimum bounds pi / 2 pi and exact infimizers", check_a6),
@@ -539,7 +518,7 @@ CRITERIA: dict[str, tuple[str, object]] = {
     "A14": ("lasso secular function roots and gap below 2 pi", check_a14),
     "A15": ("contraction continuity and composite scattering limits", check_a15),
     "A16": ("two nodal domains for simple gaps", check_a16),
-    "CAT": ("closed-form catalog gaps reproduced by the solver", check_catalog),
+    "CAT": ("closed-form catalog gaps reproduced by the solver", partial(_catalog_check, None)),
 }
 
 SUITES: dict[str, list[str]] = {

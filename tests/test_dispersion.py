@@ -218,7 +218,8 @@ def _identity_mismatches(m, v, thetas, ks):
     coupling of the row at v, differs from the row's own count (theta = 0 is
     the count N0 itself)."""
     m0 = _with_theta(m, v, 0.0)
-    g = spectral._TrigCount(m0).vertex_function(dispersion._row_of(m0, v), np.array(ks))[0]
+    count = spectral._TrigCount(m0)
+    g = count.vertex_function(count.row(v), np.array(ks))[0]
     base = _counts(m0, ks)
     bad = []
     for theta in (t for t in thetas if t != 0.0):
@@ -522,8 +523,8 @@ def test_the_hyperbolic_vertex_function_at_a_star_centre():
         kappas = rng.uniform(0.05, 20.0, 6)
         poles = np.array([k for k in levels([m0], 21.0)[0] if k > 0.0])
         ks = kappas[np.abs(kappas[:, None] - poles).min(axis=1, initial=np.inf) > 0.05]
-        row = dispersion._row_of(m0, v)
         for count, s in ((spectral._HyperbolicCount(m0), kappas), (spectral._TrigCount(m0), ks)):
+            row = count.row(v)
             step = 1e-6 * s
             G, dG = count.vertex_function(row, s)
             up = count.vertex_function(row, s + step)[0]
@@ -539,7 +540,8 @@ def test_the_trig_slope_near_zero_is_that_of_tan_k_over_k():
     # function's dG is 0, 0 and 6.7055e-8 at k = 1e-9, 1e-8 and 1e-7
     m = metric(*path_graph(2)).with_condition(2, DIRICHLET)
     ks = np.array([1e-9, 1e-8, 1e-7])
-    dg = spectral._TrigCount(m).vertex_function(dispersion._row_of(m, 0), ks)[1]
+    count = spectral._TrigCount(m)
+    dg = count.vertex_function(count.row(0), ks)[1]
     assert dg == pytest.approx(2.0 * ks / 3.0, rel=1e-6, abs=0.0)
 
 
@@ -555,7 +557,7 @@ def test_a_nonsingular_m0_makes_the_vertex_function_continuous_at_zero():
     q = count.coupling[:, count.lengths.size :]
     g0 = np.linalg.inv(np.diag(count.alpha) + (q / count.lengths) @ q.T)[v, v]
     s = np.array([-1e-3, -1e-9, 1e-9, 1e-3])
-    v_row = dispersion._row_of(m0, v)
+    v_row = count.row(v)
     h, dh = hyperbolic.vertex_function(v_row, -s[:2])   # G(s) = h(-s), so dG/ds = -h'(-s)
     g, dg = count.vertex_function(v_row, s[2:])
     G, dG = np.concatenate([h, g]), np.concatenate([-dh, dg])
@@ -887,6 +889,23 @@ def test_gluing_interlacing_opposite_deltas():
     assert float((a[1:] - b[:-1]).min()) >= -1e-8
 
 
+def test_identifying_a_vertex_with_itself_keeps_the_graph():
+    m = metric(*star(3)).with_condition(1, DeltaTheta(0.7))
+    assert identify_vertices(m, 1, 1) is m
+
+
+@pytest.mark.parametrize("other", [NEUMANN, DeltaTheta(-1.0), DIRICHLET])
+def test_a_dirichlet_vertex_makes_the_merged_vertex_dirichlet(other):
+    # identifying the leaves 1 and 3 of star(3), Dirichlet at either of
+    # them: f = 0 there, whatever the coupling of the other
+    for pair in ((DIRICHLET, other), (other, DIRICHLET)):
+        m = metric(*star(3)).with_condition(1, pair[0]).with_condition(3, pair[1])
+        merged = identify_vertices(m, 1, 3)
+        assert merged.conditions[1] == DIRICHLET
+        assert merged.graph.vertex_count == 3 and merged.graph.edges == ((0, 1), (0, 2), (0, 1))
+        assert (merged.conditions[0], merged.conditions[2]) == (NEUMANN, NEUMANN)
+
+
 # ---------------------------------------------------------------------------
 # spectral gap parameter
 # ---------------------------------------------------------------------------
@@ -972,6 +991,34 @@ def test_a_gap_that_barely_moves_is_no_flat_band():
     rep = spectral_gap_parameter(metric(g, lengths), 0)
     assert not rep.k1_is_flat_band
     assert rep.theta_sg == 2 * PI
+
+
+@pytest.mark.parametrize("lengths, pinned", [
+    ((0.4, 0.4, 0.2), 3.640289371351311),
+    ((0.45, 0.45, 0.1), 3.3493813678),
+    ((0.35, 0.35, 0.3), 4.6883288200),
+])
+def test_theta_sg_off_a_pole_and_a_sign_change_is_read_below_k1(lengths, pinned, independent_checks):
+    # the star with edges a, a, b from its centre 0 to the leaves 1, 2, 3.
+    # Its gap k1 = pi / (2a) is the mode odd in the two equal edges, which
+    # vanishes on edge b: a flat band at leaf 3, where g has no pole and no
+    # sign change, so theta_SG = 2 atan2(1, -g(k1 - d)).  On the mode even in
+    # the equal edges, the row with coupling alpha at leaf 3 has a level at k
+    # where alpha = k (cot(ka) sin(kb) + 2 cos(kb)) / (cot(ka) cos(kb) - 2 sin(kb)),
+    # so -1/g(k) is that alpha, and theta_SG is 2 pi + 2 atan(alpha) at
+    # k1 - d.  At k1 + d it differs by 3e-10 to 4e-9
+    a, _, b = lengths
+    g = DiscreteGraph(4, [(0, 1), (0, 2), (0, 3)])
+    rep = spectral_gap_parameter(metric(g, list(lengths)), 3)
+    k = rep.k1 - spectral._merge_width(rep.k1)
+    cot = math.cos(k * a) / math.sin(k * a)
+    alpha = k * (cot * math.sin(k * b) + 2.0 * math.cos(k * b)) / (cot * math.cos(k * b) - 2.0 * math.sin(k * b))
+    assert rep.theta_sg == pytest.approx(2.0 * PI + 2.0 * math.atan(alpha), rel=0.0, abs=1e-13)
+    assert rep.theta_sg == pytest.approx(pinned, rel=0.0, abs=1e-10)
+    assert (rep.classification, rep.k1_multiplicity, rep.k1_is_flat_band) == ("violates", 1, True)
+    assert independent_checks.sgp_problems(independent_checks.Graph(4, g.edges, lengths), 3,
+                                           rep.theta_sg, rep.classification, rep.k1, rep.k1_multiplicity,
+                                           rep.dirichlet_k0) == []
 
 
 def test_a_vertex_function_that_disagrees_with_the_dirichlet_gap_raises(monkeypatch):

@@ -118,6 +118,20 @@ def test_degree_counts_loops_twice():
     assert g.degree(0) == 5  # two loops + one dangling edge
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: star(3)[0], "edges"),
+    (lambda: LengthVector([0.5, 0.5]), "values"),
+    (lambda: metric(*star(3)), "lengths"),
+    (lambda: metric(*star(3)), "anything_new"),
+])
+def test_graph_objects_take_no_attribute(build, name):
+    # DiscreteGraph, LengthVector and MetricGraph are immutable: no
+    # attribute of theirs can be set, a new one included
+    obj = build()
+    with pytest.raises(AttributeError, match="is immutable"):
+        setattr(obj, name, None)
+
+
 def test_length_vector_renormalizes_small_drift():
     lv = LengthVector([0.5, 0.5 + 5e-10])
     assert abs(lv.values.sum() - 1.0) <= 1e-15

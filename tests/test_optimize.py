@@ -680,7 +680,7 @@ def test_a_two_level_cluster_window_matches_the_full_scan(monkeypatch):
     # finds a second level, that level is the one a scan of the whole
     # window from below k1 finds next, and its branch carries the energies
     # of its eigenspace trace, set to their mean on the petals
-    cluster, level_search = optimize._cluster_energies, optimize._level_search
+    cluster, first_level = optimize._cluster_energies, optimize._first_level
     windows = []
 
     def recorded_cluster(m, gap, groups):
@@ -689,17 +689,17 @@ def test_a_two_level_cluster_window_matches_the_full_scan(monkeypatch):
         windows[-1].append(branches)
         return branches
 
-    def recorded_levels(count, lo, k_hi, first_only=False):
-        found = yield from level_search(count, lo, k_hi, first_only)
+    def recorded_level(count, lo, k_hi, at_least=None):
+        found = yield from first_level(count, lo, k_hi, at_least)
         windows[-1][2].append((k_hi, found))
         return found
 
     monkeypatch.setattr(optimize, "_cluster_energies", recorded_cluster)
-    monkeypatch.setattr(optimize, "_level_search", recorded_levels)
+    monkeypatch.setattr(optimize, "_first_level", recorded_level)
     g = stower(2, 1)[0]
     maximize_gap(g, random_lengths(np.random.default_rng(1000), 3), MaximizeOptions(seed=0, seeds=0))
-    two = [(m, gap, top, found[0], branches) for m, gap, [(top, found)], branches in
-           (w for w in windows if w[3] is not None) if found]
+    two = [(m, gap, top, found, branches) for m, gap, [(top, found)], branches in
+           (w for w in windows if w[3] is not None) if found is not None]
     assert len(two) >= 3
     for m, gap, top, level, branches in two:
         assert top == math.sqrt(gap.k**2 + 2.0 * optimize.STEP_SCALE * branches[0].norm)

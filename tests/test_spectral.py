@@ -609,8 +609,7 @@ def test_a_count_with_one_coupling_changed_is_that_graph_s_count(cls):
         for base in (m, m.with_condition(w, DIRICHLET)):
             m0 = base.with_condition(v, NEUMANN)
             count0 = cls(m0)
-            stacks = spectral._vertex_rows(count0, dispersion._row_of(m0, v),
-                                           np.array([DeltaTheta(t).alpha for t in thetas]))
+            stacks = spectral._vertex_rows(count0, v, np.array([DeltaTheta(t).alpha for t in thetas]))
             assert [stack.alpha.shape[1] for stack in stacks] == [count0.alpha.size, count0.alpha.size - 1]
             assert np.concatenate([stack.at for stack in stacks]).tolist() == list(range(len(thetas)))
             for stack in stacks:
@@ -998,7 +997,7 @@ def test_a_full_range_search_first_takes_every_window_edge(name, params):
             asked, ks = search.send(None)
             assert asked is count and isinstance(ks, np.ndarray)
             assert ks.tolist() == _window_edges_by_hand(count, lo.k, hi_k) + [hi_k], (name, k_min)
-            first = spectral._level_search(count, lo, k_max, first_only=True)
+            first = spectral._first_level(count, lo, k_max)
             assert first.send(None) == (count, hi_k)
 
 
