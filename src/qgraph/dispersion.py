@@ -54,28 +54,30 @@ Newton's method on phi (`_branch_roots`), each step one stacked solve
 of each count's vertex function (`spectral._Count.vertex_function`).
 A root stops one solve before its step falls within the tolerance once
 two Newton steps in a row show quadratic convergence (`_branch_roots`).
-A sweep's rows are one stack per matrix shape: the theta = 0 count's
-coupling and alpha with v's row set to each row's coupling, the theta =
-pi rows, which drop v's row, a second shape (`spectral._vertex_rows`); no
-row builds a graph or a count.  As `levels` does, a row takes the number
-of its levels below and at zero from the inertia of its M0, one stacked
-eigvalsh per shape: its negative levels are the n_- lowest of its vertex
+A sweep's rows are one stack: the theta = 0 count's coupling and alpha
+with v's row set to each row's scaled coupling, at theta = pi its limit,
+coupling 0 and alpha s^2 = 1 (`spectral._vertex_rows`); no row builds a
+graph or a count.  As `levels` does, a row takes the number of its levels
+below and at zero from the inertia of its M0, one stacked eigvalsh for
+all rows: its negative levels are the n_- lowest of its vertex
 function's, any further one lies within M0's noise of lambda = 0, and the
 levels between a floor and zero are reported at that floor.  Every row
 confirms its levels with its own counts, trig above zero and hyperbolic
 below (`_confirmed`): each level's multiplicity is the row's count
 difference around it, at the points of `spectral._around`; the trig
 count at k_max + d must equal the levels found, and the hyperbolic one
-at kappa_top must be V', every level found.  The levels fix every point
-of those counts in advance, so the rows of one shape take theirs of one
-kind in one direct stacked `spectra` call, and `counts` turns them into
-N in arrays, as the merging of a row's candidates and its expected
-counts are.  Those counts are read for N alone, so the trig ones take
-the vertex form at every size (`spectral._TrigInertia`), which on such
-stacks costs less than the whole K's eigvalsh.  A row whose counts
-disagree raises RuntimeError, an internal error, instead of being
-searched again.  The rows equal `spectral.levels` of each row within
-1e-12 relative (absolute below k = 1), with equal multiplicities.
+at kappa_top must be V', every level found.  The theta = pi row's
+decoupled row of diagonal 1 adds a negative eigenvalue to -H and none to
+K, so its hyperbolic count there is V' too.  The levels fix every point
+of those counts in advance, so the rows take theirs of one kind in one
+direct stacked `spectra` call, and `counts` turns them into N in arrays,
+as the merging of a row's candidates and its expected counts are.  Those
+counts are read for N alone, so the trig ones take the vertex form at
+every size (`spectral._TrigInertia`), which on such stacks costs less
+than the whole K's eigvalsh.  A row whose counts disagree raises
+RuntimeError, an internal error, instead of being searched again.  The
+rows equal `spectral.levels` of each row within 1e-12 relative (absolute
+below k = 1), with equal multiplicities.
 
 The spectral gap parameter theta_SG solves K(theta_SG) = k1(Neumann); it
 lies in [0, 2pi], equals at most pi exactly when imposing Dirichlet at
@@ -97,6 +99,7 @@ import numpy as np
 from .errors import InvalidInputError
 from .graph import DIRICHLET, NEUMANN, DeltaTheta, MetricGraph, _integer, _quotient
 from .spectral import (
+    _gap_search,
     _level_search,
     _negative_search,
     _vertex_rows,
@@ -284,9 +287,9 @@ def _row_sums(row: np.ndarray, values: np.ndarray, rows: int) -> tuple[np.ndarra
     return sums[1:] - sums[starts[row]], sums[starts[1:]] - sums[starts[:-1]], starts
 
 
-def _confirmed(counter: _Count, spectra, stacks: list[_VertexRows], checked: np.ndarray,
+def _confirmed(counter: _Count, spectra, stack: _VertexRows, checked: np.ndarray,
                candidates: tuple[np.ndarray, np.ndarray, np.ndarray], floor_count: np.ndarray, top: float,
-               total: np.ndarray | None = None) -> tuple[tuple[np.ndarray, ...], tuple[int, str] | None]:
+               total: int | None = None) -> tuple[tuple[np.ndarray, ...], tuple[int, str] | None]:
     """The levels of one sign of a sweep's rows, confirmed by the checked
     rows' own counts: the positive levels with their trig counts, or the
     negative ones, in kappa, with their hyperbolic counts.  candidates are
@@ -299,8 +302,8 @@ def _confirmed(counter: _Count, spectra, stacks: list[_VertexRows], checked: np.
     is the count below the next, at k -+ d moved out of any pole window
     (`_Count.off_poles`).  The count at top must equal the last one, and
     total where it is given.  Every point is known before any count, so the
-    rows of each matrix shape (stacks) take theirs in one call of spectra,
-    and counter turns them into N: the rows of a sweep share their lengths.
+    rows (stack) take theirs in one call of spectra, and counter turns them
+    into N: the rows of a sweep share their lengths.
     Returns the levels as (row, k, multiplicity), and the first row whose
     counts disagree with what they say, or None.
     """
@@ -333,18 +336,10 @@ def _confirmed(counter: _Count, spectra, stacks: list[_VertexRows], checked: np.
     points[place], expected[place] = above[first], floor_count[level_row] + running
     last = end[checked] - 1
     points[last], expected[last] = top, floor_count[checked] + sums[checked]
-    got = np.empty(point_row.size, dtype=int)
-    for stack in stacks:
-        local = np.full(rows, -1)
-        local[stack.at] = np.arange(stack.at.size)
-        take = np.flatnonzero(local[point_row] >= 0)
-        if take.size:
-            i = local[point_row[take]]
-            got[take] = counter.counts(points[take], spectra(stack.coupling[i], stack.alpha[i], counter.lengths,
-                                                             points[take]))
+    got = counter.counts(points, spectra(stack.coupling[point_row], stack.alpha[point_row], counter.lengths, points))
     bad = got != expected
     if total is not None:
-        bad[last] |= got[last] != total[checked]
+        bad[last] |= got[last] != total
     if not bad.any():
         return (level_row, levels, level_mults), None
     r = int(point_row[bad][0])
@@ -356,7 +351,7 @@ def _confirmed(counter: _Count, spectra, stacks: list[_VertexRows], checked: np.
                        f"expected {want[j]}, {want[j + 1]}")
     if n[-1] != want[-1]:
         return (), (r, f"count {n[-1]} at k = {top}, but {want[-1]} levels found")
-    return (), (r, f"count {n[-1]} at k = {top}, expected {total[r]}")
+    return (), (r, f"count {n[-1]} at k = {top}, expected {total}")
 
 
 def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
@@ -420,14 +415,11 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
                           np.broadcast_to(hi, fa.shape)[live], fa[live], fb[live],
                           np.broadcast_to(w[:, None], fa.shape)[live])
 
-    # every row's counts, one stack per matrix shape with the inertia of
-    # their M0, and its counts at the floors by the count identity (module
-    # docstring)
+    # every row's counts, one stack with the inertia of their M0, and its
+    # counts at the floors by the count identity (module docstring)
     rows = moving.size
-    stacks = _vertex_rows(count, v, alphas[moving])
-    n_minus, n_zero, V = np.empty((3, rows), dtype=int)
-    for stack in stacks:
-        n_minus[stack.at], n_zero[stack.at], V[stack.at] = stack.n_minus, stack.n_zero, stack.alpha.shape[1]
+    stack = _vertex_rows(count, v, alphas[moving])
+    n_minus, n_zero, V = stack.n_minus, stack.n_zero, count.alpha.size
     repels = (thetas[moving] > 0.0).astype(int)
     # phi = 0 at the floor puts a root there, off the first branch (not
     # live): it counts below the floor, as `levels` reports it
@@ -454,9 +446,9 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     below_count = below_count - _row_sums(row, np.where(dropped, mult, 0), rows)[1]
     keep = ~dropped & (n_minus[row] > 0)
 
-    up, up_bad = _confirmed(count, _TrigInertia.spectra, stacks, np.ones(rows, dtype=bool), sides[0],
+    up, up_bad = _confirmed(count, _TrigInertia.spectra, stack, np.ones(rows, dtype=bool), sides[0],
                             floor_count, hi_k)
-    down, down_bad = _confirmed(hyperbolic, _HyperbolicCount.spectra, stacks, n_minus > 0,
+    down, down_bad = _confirmed(hyperbolic, _HyperbolicCount.spectra, stack, n_minus > 0,
                                 (row[keep], kappa[keep], mult[keep]), V - below_count, kappa_top, total=V)
     bad = [b for b in (up_bad, down_bad) if b is not None]
     if bad:
@@ -549,12 +541,13 @@ class SgpReport:
 def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     """theta_SG at v in closed form from the vertex function g of m.
 
-    g is taken at k1 -+ d, d the merge width, as `_vertex_samples` takes it
-    around every level, and that one pair of samples decides everything
-    below.  Just below the gap k1 the count of m is 1, so the count
-    identity (module docstring) puts the branch K, the lowest level on
-    (0, pi] and the second at theta - 2pi past pi, below k1 exactly when
-    cot(theta/2) + g(k1-) > 0.  Where g has a pole at k1, g falls across it
+    The gap searches with Neumann and with Dirichlet at v run in one drive,
+    and g is read from the Neumann search's count.  g is taken at k1 -+ d,
+    d the merge width, as `_vertex_samples` takes it around every level,
+    and that one pair of samples decides everything below.  Just below the
+    gap k1 the count of m is 1, so the count identity (module docstring)
+    puts the branch K, the lowest level on (0, pi] and the second at
+    theta - 2pi past pi, below k1 exactly when cot(theta/2) + g(k1-) > 0.  Where g has a pole at k1, g falls across it
     and k1 is the second level of theta = 0, so K(2pi) = k1 and theta_SG =
     2pi, however weak the pole.  Where g rises across k1 from
     g(k1 - d) <= 0 to g(k1 + d) > 0 with no pole, g vanishes at k1 within
@@ -572,10 +565,9 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     """
     if not m.is_neumann_graph():
         raise InvalidInputError("spectral gap parameter is defined for Neumann graphs")
-    m_dir = _with_theta(m, v, math.pi)
-    k1, k1_mult = spectral_gap(m)
-    dirichlet_k0 = spectral_gap(m_dir)[0]
     count = _TrigCount(m)
+    (k1, k1_mult, _), (dirichlet_k0, _, _) = _drive([_gap_search(m, count),
+                                                     _gap_search(_with_theta(m, v, math.pi))])
     _, (below,), (above,), (pole,) = _vertex_samples(lambda ks: count.vertex_function(count.row(v), ks), [],
                                                      np.array([k1]))
     dirichlet_holds = dirichlet_k0 >= k1 - _merge_width(k1)

@@ -512,9 +512,7 @@ def tree_diameter(m: MetricGraph) -> float:
     """
     if betti(m.graph) != 0:
         raise UnsupportedTopologyError("diameter is only computed for metric trees")
-    leaves = m.graph.leaf_vertices()
-    if len(leaves) < 2:
-        raise UnsupportedTopologyError("tree diameter needs at least two leaves")
+    leaves = m.graph.leaf_vertices()   # at least two: a tree has an edge and no loop
     far = leaves[0]
     for _ in range(2):   # two sweeps: the leaf farthest from any vertex ends a longest path
         # on a tree the breadth-first tree is the tree itself: each vertex

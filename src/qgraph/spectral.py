@@ -130,9 +130,9 @@ first points.  The public functions drive one search each; the graphs of
 `levels`, the restarts of the optimizer and each ascent's contract probes
 drive theirs together.  The counts that confirm the levels of a
 dispersion curve's rows are all known before any is taken, so they go
-through no search: the rows of one matrix shape take them in one direct
-`spectra` call (`_vertex_rows`, `dispersion`), and `_Count.counts` turns
-them into N in arrays.
+through no search: the rows, one stack, take those of one kind in one
+direct `spectra` call (`_vertex_rows`, `dispersion`), and `_Count.counts`
+turns them into N in arrays.
 
 Each count also gives the vertex function G = (M^-1)_vv of a vertex v
 and its derivative dG = -x^T M' x, x = M^-1 e_v, in the count's own
@@ -308,10 +308,14 @@ def _zero_inertia(q: np.ndarray, alpha: np.ndarray, lengths: np.ndarray) -> tupl
 
 
 def _scaled(incidence: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The coupling and alpha of non-Dirichlet vertices with these incidence
-    rows and couplings, a row or a stack of rows (`_Count`)."""
+    """The coupling and alpha of vertices with these incidence rows and
+    couplings, a row or a stack of rows (`_Count`).  At alpha = inf
+    (Dirichlet) they are the limit of large alpha, coupling 0 and alpha s^2
+    = 1 (`_vertex_rows`)."""
     s = 1.0 / np.sqrt(np.maximum(1.0, np.abs(alpha)))
-    return incidence * s[..., None], alpha * s * s
+    with np.errstate(invalid="ignore"):   # inf * 0, replaced by its limit
+        alpha_s2 = alpha * s * s
+    return incidence * s[..., None], np.where(np.isinf(alpha), 1.0, alpha_s2)
 
 
 class _Count:
@@ -328,7 +332,8 @@ class _Count:
     Each count defines the stacked `spectra` that every count request goes
     through, and `bordered`, the matrix of its `vertex_function`.  The
     rows of a delta sweep share one count's arrays with one vertex's
-    coupling changed, one stack per matrix shape (`_vertex_rows`).
+    coupling changed, in one stack: the theta = pi row keeps that vertex's
+    row at the scaled row's limit (`_vertex_rows`).
     """
 
     offset = 0
@@ -420,37 +425,31 @@ class _Count:
 
 
 class _VertexRows(NamedTuple):
-    """The counts of a delta sweep's rows of one matrix shape (`_vertex_rows`)."""
+    """The counts of a delta sweep's rows, stacked (`_vertex_rows`)."""
 
-    at: np.ndarray         # the index of each row among the couplings
     coupling: np.ndarray   # (rows, V', 2E)
     alpha: np.ndarray      # (rows, V')
     n_minus: np.ndarray    # n_- and n_0 of each row's M0 (`_Count.zero_modes`)
     n_zero: np.ndarray
 
 
-def _vertex_rows(count: _Count, v: int, alphas: np.ndarray) -> list[_VertexRows]:
+def _vertex_rows(count: _Count, v: int, alphas: np.ndarray) -> _VertexRows:
     """The count with the coupling alphas[j] at its non-Dirichlet vertex v,
-    as a delta sweep's rows are, one stack per matrix shape: the rows of
-    finite alphas, then those of infinite ones, where that row goes.  Each
-    is the count of the graph with that vertex's condition changed, built
-    without the graph: only that row changes, so every other entry keeps
-    its bits.  The M0 of each stack take one `_zero_inertia`."""
+    as a delta sweep's rows are, in one stack.  A row of finite alpha is
+    the count of the graph with that vertex's condition changed, built
+    without the graph: only v's row changes, so every other entry keeps its
+    bits.  At alpha = inf (theta = pi) v's row takes the scaled row's limit,
+    coupling 0 and alpha s^2 = 1 (`_scaled`), where that graph's count drops
+    the row: a decoupled row of diagonal 1 adds no negative eigenvalue to
+    K, to its vertex form or to M0, so the trig count and M0's inertia are
+    that graph's, and it adds one to -H, so the hyperbolic count is that
+    graph's plus one.  The M0 of the stack take one `_zero_inertia`."""
     row = count.row(v)
-    finite = np.isfinite(alphas)
-    out = []
-    for at in (np.flatnonzero(finite), np.flatnonzero(~finite)):
-        if not at.size:
-            continue
-        coupling, alpha = count.coupling, count.alpha
-        if not finite[at[0]]:
-            coupling, alpha = np.delete(coupling, row, axis=0), np.delete(alpha, row)
-        coupling, alpha = np.repeat(coupling[None], at.size, axis=0), np.repeat(alpha[None], at.size, axis=0)
-        if finite[at[0]]:
-            coupling[:, row], alpha[:, row] = _scaled(count.graph.incidence[v], alphas[at])
-        q = coupling[:, :, count.lengths.size :]   # the Q half
-        out.append(_VertexRows(at, coupling, alpha, *_zero_inertia(q, alpha, count.lengths)))
-    return out
+    coupling = np.repeat(count.coupling[None], alphas.size, axis=0)
+    alpha = np.repeat(count.alpha[None], alphas.size, axis=0)
+    coupling[:, row], alpha[:, row] = _scaled(count.graph.incidence[v], alphas)
+    q = coupling[:, :, count.lengths.size :]   # the Q half
+    return _VertexRows(coupling, alpha, *_zero_inertia(q, alpha, count.lengths))
 
 
 class _TrigCount(_Count):

@@ -13,7 +13,7 @@ import dataclasses
 
 import pytest
 
-from qgraph import full_catalog, verify
+from qgraph import InvalidInputError, full_catalog, verify
 from qgraph.verify import CRITERIA, run_criterion
 
 
@@ -44,3 +44,9 @@ def test_catalog_criterion_checks_multiplicities(monkeypatch):
     assert not result.passed
     assert result.details == [f"stower {entries[i].params}: multiplicity {entries[i].multiplicity}, "
                               f"closed form {entries[i].multiplicity + 1}"]
+
+
+@pytest.mark.parametrize("name", ["A0", "a1", ""])
+def test_an_unknown_criterion_is_rejected(name):
+    with pytest.raises(InvalidInputError, match=f"unknown criterion {name}"):
+        run_criterion(name)

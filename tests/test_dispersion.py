@@ -391,8 +391,9 @@ def test_the_vertex_form_reads_the_inertia_of_whole_k(monkeypatch):
     # a row's confirming counts read N alone, from the vertex form at every
     # size (`spectral._TrigInertia`): its n_- is that of the whole K at every
     # point the rows of the theta_sweep graphs take, the theta = pi row,
-    # which drops v, and the points next to a pole window included; and at
-    # random points and every window edge of seeded random rows
+    # whose v row is the scaled row's limit, and the points next to a pole
+    # window included; and at random points and every window edge of
+    # seeded random rows
     stacks = []
     vertex_form = spectral._TrigInertia.spectra
 
@@ -401,12 +402,10 @@ def test_the_vertex_form_reads_the_inertia_of_whole_k(monkeypatch):
         return vertex_form(coupling, alpha, lengths, ks)
 
     monkeypatch.setattr(spectral._TrigInertia, "spectra", staticmethod(recorded))
-    shapes = set()
     for name, params, v in THETA_SWEEPS:
-        m, taken = _sweep_graph(name, params), len(stacks)
-        dispersion_curve(m, v, grid_size=32)
-        shapes |= {(m.graph.vertex_count, stack[1].shape[1]) for stack in stacks[taken:]}
-    assert any(nv < V for V, nv in shapes)   # the theta = pi rows
+        dispersion_curve(_sweep_graph(name, params), v, grid_size=32)
+    # the theta = pi rows: v's row has coupling 0 and alpha 1
+    assert any(((coupling == 0.0).all(axis=-1) & (alpha == 1.0)).any() for coupling, alpha, _, _ in stacks)
     swept = len(stacks)
     rng = np.random.default_rng(3701)
     for _ in range(40):
@@ -697,9 +696,8 @@ def test_dispersion_count_budget(count_matrices, monkeypatch):
     # theta = 0 levels without a pole of the vertex function, and take no
     # count: the 32 per-row searches took 2,542, and a search of each row's
     # negative branch 479.  No row counts at its floor: each takes the
-    # inertia of its M0, all rows of one shape in one stacked solve (31
-    # solves before), save the theta = 0 row, a Neumann graph whose floor
-    # count is known
+    # inertia of its M0, all rows in one stacked solve (31 solves before),
+    # save the theta = 0 row, a Neumann graph whose floor count is known
     calls = [0]   # the `spectra` calls of each drive
     for cls in (spectral._TrigCount, spectral._TrigInertia, spectral._HyperbolicCount):
         def counted(coupling, alpha, lengths, ks, spectra=cls.spectra):
@@ -741,7 +739,7 @@ def test_dispersion_count_budget(count_matrices, monkeypatch):
     dispersion_curve(metric(*star(4)), 1, grid_size=32)
     # 330 when the theta = 0 search took its counts one after another
     assert count_matrices.n == 325
-    assert (count_matrices.m0.n, count_matrices.m0.calls) == (31, 2)
+    assert (count_matrices.m0.n, count_matrices.m0.calls) == (31, 1)
     # the theta = 0 search brackets its range in one batch, then searches
     # the brackets in lockstep: 6 stacked calls, 21 one after another before;
     # it is the one drive
@@ -750,10 +748,10 @@ def test_dispersion_count_budget(count_matrices, monkeypatch):
     # solves, 7 when each root waited for a step within the tolerance
     assert rounds == [6]
     # the rows confirm their levels last, with no drive: one stacked call
-    # for the trig counts of the rows that keep v, one for the theta = pi
-    # row, which drops it, and one for the hyperbolic counts of the
-    # attractive rows; level by level they took 18
-    assert confirms == [2, 1]
+    # for the trig counts of every row, the theta = pi row included, and
+    # one for the hyperbolic counts of the attractive rows; level by level
+    # they took 18
+    assert confirms == [1, 1]
 
 
 @pytest.mark.parametrize("call", [
@@ -786,6 +784,26 @@ def test_a_curve_s_level_counts_must_be_positive_integers(n, match):
         with pytest.raises(InvalidInputError, match=f"n_levels must be {match}"):
             call(n)
     assert curve.level_array(1).shape == (8, 1) and curve.interlacing_slack(1) >= -1e-8
+
+
+def test_dispersion_input_checks():
+    m = metric(*star(3))
+    for grid_size in (3, 0, -4):
+        with pytest.raises(InvalidInputError, match="grid_size too small"):
+            dispersion_curve(m, 0, grid_size=grid_size)
+    # no row holds 50 levels up to the default k_max
+    curve = dispersion_curve(m, 0, grid_size=8)
+    with pytest.raises(InvalidInputError, match="k_max too small for the requested level count"):
+        curve.level_array(50)
+    with pytest.raises(InvalidInputError, match="defined for Neumann graphs"):
+        spectral_gap_parameter(_with_theta(m, 1, 0.5), 0)
+    with pytest.raises(InvalidInputError, match="defined for Neumann graphs"):
+        spectral_gap_parameter(m.with_condition(2, DIRICHLET), 0)
+    # the unnormalized graphs of `MetricGraph`: total length 2 on either side
+    long = MetricGraph(m.graph, [2 / 3] * 3)
+    for parts in ((long, m), (m, long)):
+        with pytest.raises(InvalidInputError, match="gluing expects total length one on both graphs"):
+            glue(parts[0], 0, parts[1], 0, 0.5)
 
 
 def test_loop_curve_flat_band_at_two_pi():

@@ -1,6 +1,7 @@
 """Graph model: topology queries, length vectors, contraction, distances."""
 
 import math
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
@@ -34,7 +35,8 @@ from qgraph.families import (
     star,
     stower,
 )
-from qgraph.graph import _spanning_tree
+from qgraph import families
+from qgraph.graph import _spanning_tree, contract_with_maps
 
 
 # ---------------------------------------------------------------------------
@@ -57,6 +59,59 @@ def test_edgeless_graph_rejected(vertex_count):
 def test_bad_vertex_id_rejected():
     with pytest.raises(GraphStructureError):
         DiscreteGraph(2, [(0, 2)])
+
+
+@pytest.mark.parametrize("vertex_count", [0, -1])
+def test_a_graph_without_vertices_rejected(vertex_count):
+    with pytest.raises(GraphStructureError, match="graph needs at least one vertex"):
+        DiscreteGraph(vertex_count, [(0, 0)])
+
+
+@pytest.mark.parametrize("lengths, conditions, match", [
+    ([0.5, 0.5], None, "need one length per edge"),
+    ([[1 / 3] * 3], None, "need one length per edge"),
+    ([0.5, 0.5, 0.0], None, "strictly positive"),
+    ([1.5, 0.5, -1.0], None, "strictly positive"),
+    ([1 / 3] * 3, [NEUMANN] * 3, "need one condition per vertex"),
+    ([1 / 3] * 3, [NEUMANN] * 5, "need one condition per vertex"),
+])
+def test_metric_graph_input_checks(lengths, conditions, match):
+    with pytest.raises(InvalidInputError, match=match):
+        MetricGraph(star(3)[0], lengths, conditions)
+
+
+@pytest.mark.parametrize("lengths", [[0.5, 0.5], LengthVector([0.25] * 4)])
+def test_a_contraction_needs_one_length_per_edge(lengths):
+    with pytest.raises(InvalidInputError, match="length vector does not match edge count"):
+        contract_with_maps(star(3)[0], lengths)
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: families.path_graph(0), "path needs at least one edge"),
+    (lambda: families.star(0), "star needs at least one edge"),
+    (lambda: families.flower(0), "flower needs at least one petal"),
+    (lambda: families.stower(0, 0), "stower needs at least one edge"),
+    (lambda: families.stower(-1, 2), "stower needs at least one edge"),
+    (lambda: families.mandarin(1), "mandarin needs at least two parallel edges"),
+    (lambda: families.necklace(0), "necklace needs at least one cell"),
+    (lambda: families.dumbbell(1.0), "bridge length must be in \\(0, 1\\)"),
+    (lambda: families.standarin_chain(1, 2, 0), "needs n >= 2, M >= 1"),
+    (lambda: families.standarin_chain(2, 1, 3), "needs n >= 2, M >= 1"),
+    (lambda: families.standarin_chain(2, 1, 0), "needs M \\+ S >= 2"),
+    (lambda: families.standarin_chain(2, 1, 1, leaf_length=0.25), "leaf length must lie in"),
+    # an exact leaf 1/(2n) = 1/50 lies below the float 1 / 50, which rounds up,
+    # and leaves the mandarins 1/25 - 2/50 = 0
+    (lambda: families.standarin_chain(25, 1, 2, leaf_length=Fraction(1, 50)), "leave no room"),
+    (lambda: families.standarin_chain(2, 2, 0, mandarin_lengths=[0.5]), "one positive length per mandarin"),
+    (lambda: families.standarin_chain(2, 2, 0, mandarin_lengths=[0.75, -0.25]), "one positive length"),
+    (lambda: families.standarin_chain(2, 2, 0, mandarin_lengths=[0.25, 0.5]), "must fill the chain"),
+    (lambda: families.random_lengths(np.random.default_rng(0), 4, l_min=0.25), "l_min too large"),
+    (lambda: families.random_tree(np.random.default_rng(0), 1), "tree needs at least two vertices"),
+    (lambda: families.random_connected_graph(np.random.default_rng(0), 4, 2), "too few edges"),
+])
+def test_family_input_checks(build, match):
+    with pytest.raises(InvalidInputError, match=match):
+        build()
 
 
 @pytest.mark.parametrize("vertex_count, edges", [

@@ -100,3 +100,23 @@ def test_bad_save_leaves_the_file_as_it_was(tmp_path):
     assert path.read_text() == before
     with pytest.raises(InvalidInputError):
         graph_to_dict(g, None, [])
+
+
+@pytest.mark.parametrize("doc, match", [
+    ({"edges": [[0, 1]]}, "missing field 'vertices'"),
+    ({"vertices": 2}, "missing field 'edges'"),
+    ([2, [[0, 1]]], "must be a JSON object"),
+    ("graph", "must be a JSON object"),
+    ({"vertices": 2, "edges": 5}, "malformed vertex or edge"),
+    ({"vertices": 2, "edges": [[0]]}, "malformed vertex or edge"),
+    ({"vertices": 2, "edges": [[0, 1, 1]]}, "malformed vertex or edge"),
+    ({"vertices": 2, "edges": [[0, 1]], "lengths": 1.0}, "lengths must be a list of numbers"),
+    ({"vertices": 2, "edges": [[0, 1]], "lengths": [0.5, 0.5]}, "lengths do not match edge count"),
+    ({"vertices": 2, "edges": [[0, 1]], "conditions": [0.5]}, "conditions must be an object"),
+    ({"vertices": 2, "edges": [[0, 1]], "conditions": {"-1": 0.5}}, "condition key '-1' is not a vertex id"),
+    ({"vertices": 2, "edges": [[0, 1]], "conditions": {"v0": 0.5}}, "condition key 'v0' is not a vertex id"),
+    ({"vertices": 2, "edges": [[0, 1]], "conditions": {"2": 0.5}}, "condition for unknown vertex 2"),
+])
+def test_malformed_graph_documents_rejected(doc, match):
+    with pytest.raises(InvalidInputError, match=match):
+        graph_from_dict(doc)

@@ -67,6 +67,18 @@ def test_catalog_rejects_lasso_stower():
         catalog_entry("stower", 1, 1)
 
 
+@pytest.mark.parametrize("args, match", [
+    (("star", 1), "star family needs E >= 2"),
+    (("star", -3), "star family needs E >= 2"),
+    (("flower", 0), "flower family needs E >= 1"),
+    (("stower", 1, 0), "stower family needs Ep \\+ El >= 2"),
+    (("stower", 0, 1), "stower family needs Ep \\+ El >= 2"),
+])
+def test_catalog_rejects_parameters_below_a_family_s_range(args, match):
+    with pytest.raises(InvalidInputError, match=match):
+        catalog_entry(*args)
+
+
 @pytest.mark.parametrize(
     "args",
     [("star",), ("star", 3, 4), ("star", 2.5), ("flower", 2.0), ("stower", 1.0, 2),
@@ -143,6 +155,17 @@ def test_symmetrize_needs_integer_ids_each_edge_once(v, group, match):
     m = metric(*star(4))
     with pytest.raises(InvalidGroupError, match=match):
         symmetrize(m, v, group)
+
+
+@pytest.mark.parametrize("m, group, match", [
+    (metric(*star(4)), [1], "needs at least two edges"),
+    (metric(*star(4)), [], "needs at least two edges"),
+    (metric(*star(2)), [0, 1], "requires a graph with E >= 3"),
+    (metric(*flower(2)), [0, 1], "requires a graph with E >= 3"),
+])
+def test_symmetrize_needs_two_edges_on_three(m, group, match):
+    with pytest.raises(InvalidGroupError, match=match):
+        symmetrize(m, 0, group)
 
 
 def test_symmetrize_takes_numpy_integers():
@@ -896,6 +919,12 @@ def test_a_gap_above_a_proven_bound_raises(monkeypatch, g, init, bound):
         maximize_gap(g, init, MaximizeOptions(seeds=2, seed=3))
 
 
+@pytest.mark.parametrize("init", [[0.5, 0.5], [0.2] * 5, LengthVector([1 / 3] * 3)])
+def test_maximize_needs_one_start_length_per_edge(init):
+    with pytest.raises(InvalidInputError, match="init lengths do not match the graph"):
+        maximize_gap(star(4)[0], init)
+
+
 def _ascents(monkeypatch, g, init, options, stop=True):
     """The bound `maximize_gap` hands `_ascend`, and the gap, original
     lengths and trace of every ascent it runs; with stop False every
@@ -1251,6 +1280,17 @@ def test_infimize_bridged_dumbbell():
     res = infimize_gap(dumbbell(0.3)[0])
     assert res.gap == pytest.approx(PI, abs=1e-9)
     assert res.lengths.values[1] == 1.0  # all length on the bridge
+
+
+@pytest.mark.parametrize("g", [star(3)[0], mandarin(4)[0]])
+def test_an_infimizer_off_its_closed_form_is_an_internal_error(monkeypatch, g):
+    # a realized gap 1e-7 off pi (a bridge) or 2 pi (a circle) is the
+    # library's fault, not bad input: RuntimeError, as `maximize_gap`'s
+    # bound checks raise
+    gap = optimize.spectral_gap
+    monkeypatch.setattr(optimize, "spectral_gap", lambda m: (gap(m)[0] + 1e-7, gap(m)[1]))
+    with pytest.raises(RuntimeError, match="infimize_gap: realized gap .* differs from the closed form"):
+        infimize_gap(g)
 
 
 def test_random_samples_respect_infimum_bounds():

@@ -242,6 +242,15 @@ def test_equilateral_star_gap_and_multiplicity():
     assert spec.eigenpairs[1].multiplicity == 2
 
 
+@pytest.mark.parametrize("k_min", [0.0, 1.0])
+def test_a_spectrum_without_a_positive_level_has_no_gap(k_min):
+    # below the star(3) gap 3 pi / 2 only k = 0, or nothing above k_min
+    spec = eigenvalues(metric(*star(3)), 4.0, k_min)
+    assert [p.k for p in spec.eigenpairs] == ([0.0] if k_min == 0.0 else [])
+    with pytest.raises(NoEigenspaceError, match="no positive eigenvalue in the computed range"):
+        spec.gap
+
+
 @pytest.mark.parametrize("graph, level, multiplicity",
                          [(star(3), 1.5 * PI, 2), (mandarin(3), 3 * PI, 3), (interval(), PI, 1)])
 def test_a_level_just_above_k_min_keeps_its_multiplicity(graph, level, multiplicity):
@@ -597,10 +606,14 @@ def test_a_batch_is_sent_what_single_requests_get(monkeypatch):
 @pytest.mark.parametrize("cls", [_TrigCount, _HyperbolicCount])
 def test_a_count_with_one_coupling_changed_is_that_graph_s_count(cls):
     # a sweep row's count is the theta = 0 count with v's coupling changed,
-    # built without the row's graph, one stack per matrix shape
-    # (`spectral._vertex_rows`): each row is that graph's count to the bit,
-    # with the inertia of its M0, its stacked spectra are that count's, and
-    # the theta = 0 count turns them into the counts of `made`
+    # built without the row's graph, in one stack (`spectral._vertex_rows`):
+    # each row of finite coupling is that graph's count to the bit, with the
+    # inertia of its M0, its stacked spectra are that count's, and the
+    # theta = 0 count turns them into the counts of `made`.  The theta = pi
+    # row keeps v's row at the scaled row's limit, coupling 0 and alpha 1,
+    # where the Dirichlet graph's count drops it: at the same points its
+    # trig counts are that graph's, its hyperbolic counts that graph's plus
+    # one, and its M0 has that graph's inertia
     thetas = [0.0, 0.3, -0.3, 2.9, -2.9, -PI + 2 * PI / 32, PI]
     rng = np.random.default_rng(26)
     for m, v in _stacked_graphs():
@@ -609,23 +622,29 @@ def test_a_count_with_one_coupling_changed_is_that_graph_s_count(cls):
         for base in (m, m.with_condition(w, DIRICHLET)):
             m0 = base.with_condition(v, NEUMANN)
             count0 = cls(m0)
-            stacks = spectral._vertex_rows(count0, v, np.array([DeltaTheta(t).alpha for t in thetas]))
-            assert [stack.alpha.shape[1] for stack in stacks] == [count0.alpha.size, count0.alpha.size - 1]
-            assert np.concatenate([stack.at for stack in stacks]).tolist() == list(range(len(thetas)))
-            for stack in stacks:
-                for i, j in enumerate(stack.at.tolist()):
-                    want = cls(base.with_condition(v, DeltaTheta(thetas[j])))
-                    for name, a in (("coupling", stack.coupling[i]), ("alpha", stack.alpha[i]),
-                                    ("lengths", count0.lengths)):
-                        b = getattr(want, name)
-                        assert a.shape == b.shape and a.tobytes() == b.tobytes(), (m, v, thetas[j], name)
-                    assert (count0.offset, repr(count0.floor)) == (want.offset, repr(want.floor))
-                    assert (stack.n_minus[i], stack.n_zero[i]) == want.zero_modes, (m, v, thetas[j])
-                    ks = np.array(_count_probes(want, rng, 10))
-                    spectra = cls.spectra(stack.coupling[[i] * ks.size], stack.alpha[[i] * ks.size],
-                                          count0.lengths, ks)
-                    assert spectra.tobytes() == np.array([want.spectrum(k) for k in ks]).tobytes()
-                    assert count0.counts(ks, spectra).tolist() == [want.made(k, s).count for k, s in zip(ks, spectra)]
+            stack = spectral._vertex_rows(count0, v, np.array([DeltaTheta(t).alpha for t in thetas]))
+            assert stack.alpha.shape == (len(thetas), count0.alpha.size)
+            for i, theta in enumerate(thetas):
+                want = cls(base.with_condition(v, DeltaTheta(theta)))
+                assert (count0.offset, repr(count0.floor)) == (want.offset, repr(want.floor))
+                assert (stack.n_minus[i], stack.n_zero[i]) == want.zero_modes, (m, v, theta)
+                ks = np.array(_count_probes(want, rng, 10))
+                spectra = cls.spectra(stack.coupling[[i] * ks.size], stack.alpha[[i] * ks.size],
+                                      count0.lengths, ks)
+                alone = np.array([want.spectrum(k) for k in ks])
+                wanted = [want.made(k, s).count for k, s in zip(ks, alone)]
+                if theta == PI:
+                    row = count0.row(v)
+                    assert not stack.coupling[i, row].any() and stack.alpha[i, row] == 1.0
+                    plus = int(cls is _HyperbolicCount)
+                    assert count0.counts(ks, spectra).tolist() == [n + plus for n in wanted], (m, v)
+                    continue
+                for name, a in (("coupling", stack.coupling[i]), ("alpha", stack.alpha[i]),
+                                ("lengths", count0.lengths)):
+                    b = getattr(want, name)
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes(), (m, v, theta, name)
+                assert spectra.tobytes() == alone.tobytes()
+                assert count0.counts(ks, spectra).tolist() == wanted
 
 
 def _trig_matrix(count, k):
