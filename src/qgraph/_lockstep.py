@@ -7,11 +7,12 @@ dict of requests, which `yield from _together(...)` yields for
 sub-searches; None is no request, and the driver raises on it.  `_drive`
 groups each step's requests, those of every dict included, by count
 class and matrix shape (V', E), and takes a group in one stacked build
-and eigvalsh (`spectra`), a lone single request in `spectrum`, the stack
-of one.  Each step stacks its groups' arrays afresh: keeping them for a
-later step of the same counts saved under 1% of an optimizer run
-(CHANGES.md).  A class builds each row of a stack as it builds that
-count alone, so a search is sent the same values alone or in company.
+and eigvalsh (`spectra`), a lone single request in `spectrum`, which
+builds a trig count's one matrix in 2-D, with no stack.  Each step
+stacks its groups' arrays afresh: keeping them for a later step of the
+same counts saved under 1% of an optimizer run (CHANGES.md).  A class
+builds each row of a stack as it builds that count alone, so a search is
+sent the same values alone or in company.
 """
 
 from __future__ import annotations

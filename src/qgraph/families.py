@@ -109,11 +109,11 @@ def standarin_chain(
     copy_length = 1.0 / n  # each of the n parallel interval copies
     if leaf_length is None:
         leaf_length = 1.0 / (4 * n) if n_stars else 0.0
+    leaf_length = float(leaf_length)   # double precision, as the mandarin lengths take
     if n_stars and not 0 < leaf_length < 1.0 / (2 * n):
         raise InvalidInputError("leaf length must lie in (0, 1/(2n))")
+    # positive: two leaves below copy_length / 2 sum exactly to less than it
     mandarin_total = copy_length - n_stars * leaf_length
-    if mandarin_total <= 0:
-        raise InvalidInputError("leaves leave no room for the mandarins")
     if mandarin_lengths is None:
         mandarin_lengths = [mandarin_total / n_mandarins] * n_mandarins
     mandarin_lengths = [float(x) for x in mandarin_lengths]

@@ -124,9 +124,10 @@ bisects.  Every search built on them (`_gap_search`, `_reaches`,
 `_eigenvalue_search`, `_negative_search`, `_around`) is a generator of
 the same kind, and one driver runs any number of them together and takes
 every count any of them needs, a group of one matrix shape in one
-stacked `spectra` (`_lockstep`).  A search that knows points in advance
-asks for them as one batch, as a search of the whole range asks for its
-first points.  The public functions drive one search each; the graphs of
+stacked `spectra`, and a lone request of a trig count in its own 2-D
+build, `_TrigCount.spectrum` (`_lockstep`).  A search that knows points
+in advance asks for them as one batch, as a search of the whole range
+asks for its first points.  The public functions drive one search each; the graphs of
 `levels`, the restarts of the optimizer and each ascent's contract probes
 drive theirs together.  The counts that confirm the levels of a
 dispersion curve's rows are all known before any is taken, so they go
@@ -207,6 +208,7 @@ _MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a
 _MULT_FLOOR = 1e-9     # and its least absolute value, for levels near k = 0
 _MAX_LEVELS = 10_000   # most levels one search resolves
 _REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more take the vertex form
+_KEEP_ABOVE = 0.9330127018922193   # cos^2(pi / 12): a vertex-form row whose s^2 or c^2 passes it stays
 _BATCH_POLES = 256     # most poles whose window edges a level search takes in its first batch
 
 
@@ -329,9 +331,9 @@ class _Count:
     the other entries.  [P | Q] is the graph's own `incidence`, built once
     per graph: a count takes its non-Dirichlet rows and scales them, and
     on a Neumann graph (every s = 1, every alpha = 0) uses it as it is.
-    Each count defines the stacked `spectra` that every count request goes
-    through, and `bordered`, the matrix of its `vertex_function`.  The
-    rows of a delta sweep share one count's arrays with one vertex's
+    Each count defines the stacked `spectra` that the driver's groups of
+    requests go through, and `bordered`, the matrix of its
+    `vertex_function`.  The rows of a delta sweep share one count's arrays with one vertex's
     coupling changed, in one stack: the theta = pi row keeps that vertex's
     row at the scaled row's limit (`_vertex_rows`).
     """
@@ -391,8 +393,9 @@ class _Count:
         return k == self.floor
 
     def spectrum(self, k: float) -> np.ndarray:
-        """Ascending values with the inertia of K(k): `spectra` of the stack
-        of this count alone."""
+        """Ascending values with the inertia of K(k), its row of `spectra`:
+        here the stack of this count alone, which the hyperbolic count
+        takes; the trig count builds its one matrix itself."""
         return self.spectra(self.coupling[None], self.alpha[None], self.lengths, np.array([k]))[0]
 
     def made(self, k: float, evals: np.ndarray) -> _Sample:
@@ -499,15 +502,55 @@ class _TrigCount(_Count):
 
         return self.matrices(self.coupling[None], np.broadcast_to(self.alpha, (b, nv)), self.lengths, ks), form
 
+    def spectrum(self, k: float) -> np.ndarray:
+        """Its row of `spectra`, to the bit, built in 2-D: the whole K's
+        eigenvalues below _REDUCE_FROM rows; from there on the kept rows,
+        gathered by index, and already sorted: -inf for each negative
+        eliminated pivot, the eigenvalues, +inf for each positive one."""
+        nv, E = self.alpha.size, self.lengths.size
+        half_k = 0.5 * k
+        half = half_k * self.lengths
+        trig = np.empty(2 * E)
+        np.sin(half, out=trig[:E])
+        np.cos(half, out=trig[E:])
+        if nv + 2 * E < _REDUCE_FROM:
+            n = nv + 2 * E
+            edge = 0.5 * np.sin(2.0 * half)
+            K = np.zeros((n, n))
+            K[:nv, nv:] = math.sqrt(half_k) * self.coupling * trig
+            K[nv:, :nv] = K[:nv, nv:].T
+            K.ravel()[:: n + 1] = np.concatenate([self.alpha, edge, -edge])
+            return np.linalg.eigvalsh(K)
+        sc = trig[:E] * trig[E:]
+        pivot = np.concatenate([sc, -sc])
+        square = trig * trig
+        rows = (square > _KEEP_ABOVE).nonzero()[0]   # the kept rows
+        w = -half_k * square / pivot
+        w[rows] = 0.0
+        n = nv + rows.size
+        R = np.zeros((n, n))
+        R[:nv, :nv] = (self.coupling * w) @ self.coupling.T
+        R.ravel()[: nv * n : n + 1] += self.alpha
+        R[nv:, :nv] = (self.coupling[:, rows] * (math.sqrt(half_k) * trig[rows])).T
+        diagonal = R.ravel()[nv * (n + 1) :: n + 1]
+        diagonal[:] = pivot[rows]
+        # each edge has one negative pivot of its two (no pivot is 0); the eliminated ones are -+inf
+        negative = E - np.count_nonzero(diagonal < 0.0)
+        values = np.empty(nv + 2 * E)
+        values[:negative] = -np.inf
+        values[negative : negative + n] = np.linalg.eigvalsh(R)
+        values[negative + n :] = np.inf
+        return values
+
     @staticmethod
     def spectra(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, ks: np.ndarray) -> np.ndarray:
         """counts[j].spectrum(ks[j]) for counts of one shape, stacked; the
         arguments are those of `matrices`.
 
         Below _REDUCE_FROM rows they are the eigenvalues of `matrices`, from
-        there on the `vertex_form`'s values, sorted.  Each row is built as it
-        is built alone: a single count is the stack of one, so the two agree
-        bit for bit.
+        there on the `vertex_form`'s values, sorted.  Each row is built with
+        the arithmetic, in the order, of the count's own 2-D build
+        (`spectrum`), so the two agree bit for bit.
         """
         b, nv = alpha.shape
         E = lengths.shape[-1]
@@ -536,7 +579,7 @@ class _TrigCount(_Count):
         sc = trig[:, :E] * trig[:, E:]
         pivot = np.concatenate([sc, -sc], axis=1)   # their diagonal
         square = trig * trig
-        kept = square > 0.9330127018922193   # cos^2(pi / 12) = (2 + sqrt 3) / 4
+        kept = square > _KEEP_ABOVE
         w = -half_k * square / pivot   # a row r that goes adds w_r C_r C_r^T: -(k/2) tan, (k/2) cot
         w[kept] = 0.0
         block = (coupling * w[:, None]) @ coupling.transpose(0, 2, 1)
@@ -679,6 +722,11 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
     replaces the same end as the step before, the value of the end it
     keeps is scaled by m = 1 - f_c / f_old, f_old the value it replaces,
     or by 1/2 where m <= 0 (Anderson-Bjorck; Illinois takes 1/2 always).
+    Where the secant point rounds onto an end whose own sample reads the
+    followed value within eigvalsh's noise (`_in_noise`), that end is the
+    level and is returned: a level sampled exactly, as 7 pi on a path of two
+    edges, reads rounding noise of either sign, and bisecting onto it cost
+    some 40 steps.  Onto any other end the step bisects.
 
     It stops when the bracket is narrower than tol = 4 eps max(|a|, |b|),
     or sooner, once the secant correction through the last two samples of
@@ -690,30 +738,37 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
     """
     i = lo.count - lo.poles - count.offset   # n_- at lo
     a, b = float(lo.k), float(hi.k)
-    fa = math.inf if count.off_scale(a) else float(lo.evals[i])
+    ea = None if count.off_scale(a) else lo.evals   # the spectrum of each end whose value is on scale
+    fa = math.inf if ea is None else float(ea[i])
     if count.off_scale(b):
-        fb = -math.inf
+        eb, fb = None, -math.inf
     else:   # a top known by a bound has no spectrum until it is read here (`_first_level`)
-        fb = float((hi.evals if hi.evals is not None else (yield count, b))[i])
+        eb = hi.evals if hi.evals is not None else (yield count, b)
+        fb = float(eb[i])
     tol = 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
     side = 0
     last = None   # (c, f_c) of the last sample whose value is finite
     while b - a > tol:
         c = (a * fb - b * fa) / (fb - fa)
+        if c <= a and _in_noise(ea, i):
+            return a
+        if c >= b and _in_noise(eb, i):
+            return b
         if not a < c < b:
             c = 0.5 * (a + b)
-        fc = float((yield count, c)[i])
+        evals = yield count, c
+        fc = float(evals[i])
         if fc > 0.0:
             if side == 1:
                 m = 1.0 - fc / fa
                 fb *= m if m > 0.0 else 0.5
-            a, fa = c, fc
+            a, fa, ea = c, fc, evals
             side = 1
         elif fc < 0.0:
             if side == -1:
                 m = 1.0 - fc / fb
                 fa *= m if m > 0.0 else 0.5
-            b, fb = c, fc
+            b, fb, eb = c, fc, evals
             side = -1
         else:
             return c
@@ -724,6 +779,15 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
                     return min(max(c - step, a), b)
             last = c, fc
     return a if a == count.floor else 0.5 * (a + b)   # a level never lifted off the floor lies below it
+
+
+def _in_noise(evals: np.ndarray | None, i: int) -> bool:
+    """Whether evals[i] is within eigvalsh's noise, n eps max |mu| over the
+    n finite values mu of evals (a vertex form's stand-ins are not)."""
+    if evals is None:
+        return False
+    finite = evals[np.isfinite(evals)]
+    return abs(float(evals[i])) <= finite.size * np.finfo(float).eps * float(np.abs(finite).max(initial=0.0))
 
 
 def _lowest_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample]) -> _Search:

@@ -19,9 +19,11 @@ class Tally:
 def count_matrices(monkeypatch):
     """Tally every count matrix the solvers request: each row of a
     `spectra` call of `_TrigCount`, `_TrigInertia` or `_HyperbolicCount` is
-    one.  A lone request's `spectrum` is the stack of one, so it is
-    tallied there too, and no matrix twice.  `calls` tallies those stacked
-    calls, one per group of a drive step.  Apart from them, `m0.n` tallies the matrices M0
+    one, and so is each lone request's `_TrigCount.spectrum`, which builds
+    its one matrix without `spectra`; a lone hyperbolic `spectrum` is the
+    stack of one, tallied in `spectra`, so no matrix counts twice.  `calls`
+    tallies those calls, one per group of a drive step.  Apart from them,
+    `m0.n` tallies the matrices M0
     whose inertia a count takes for its floor, each matrix of a stacked
     `_zero_inertia` call, and `m0.calls` those calls.  It wraps the private
     entry points until the library counts its own requests."""
@@ -36,6 +38,14 @@ def count_matrices(monkeypatch):
             return spectra(coupling, alpha, lengths, ks)
 
         monkeypatch.setattr(cls, "spectra", staticmethod(counted))
+    spectrum = spectral._TrigCount.spectrum
+
+    def alone(count, k):
+        tally.n += 1
+        tally.calls += 1
+        return spectrum(count, k)
+
+    monkeypatch.setattr(spectral._TrigCount, "spectrum", alone)
     zero_inertia = spectral._zero_inertia
 
     def solved(q, alpha, lengths):

@@ -99,9 +99,8 @@ def test_a_contraction_needs_one_length_per_edge(lengths):
     (lambda: families.standarin_chain(2, 1, 3), "needs n >= 2, M >= 1"),
     (lambda: families.standarin_chain(2, 1, 0), "needs M \\+ S >= 2"),
     (lambda: families.standarin_chain(2, 1, 1, leaf_length=0.25), "leaf length must lie in"),
-    # an exact leaf 1/(2n) = 1/50 lies below the float 1 / 50, which rounds up,
-    # and leaves the mandarins 1/25 - 2/50 = 0
-    (lambda: families.standarin_chain(25, 1, 2, leaf_length=Fraction(1, 50)), "leave no room"),
+    # an exact leaf 1/(2n) = 1/50 is taken as the float 0.02, the bound itself
+    (lambda: families.standarin_chain(25, 1, 2, leaf_length=Fraction(1, 50)), "leaf length must lie in \\(0, 1/\\(2n\\)\\)"),
     (lambda: families.standarin_chain(2, 2, 0, mandarin_lengths=[0.5]), "one positive length per mandarin"),
     (lambda: families.standarin_chain(2, 2, 0, mandarin_lengths=[0.75, -0.25]), "one positive length"),
     (lambda: families.standarin_chain(2, 2, 0, mandarin_lengths=[0.25, 0.5]), "must fill the chain"),
@@ -112,6 +111,15 @@ def test_a_contraction_needs_one_length_per_edge(lengths):
 def test_family_input_checks(build, match):
     with pytest.raises(InvalidInputError, match=match):
         build()
+
+
+def test_a_single_precision_leaf_builds_in_double():
+    # float32(0.1) lies in (0, 1/6); taken as a double, the mandarins fill
+    # the rest and the lengths sum to 1
+    g, lengths = families.standarin_chain(3, 1, 2, leaf_length=np.float32(0.1))
+    leaf = float(np.float32(0.1))
+    assert lengths.values.dtype == np.float64 and g.edge_count == 9
+    assert lengths.values.tolist().count(leaf) == 6 and math.isclose(lengths.values.sum(), 1.0, abs_tol=1e-15)
 
 
 @pytest.mark.parametrize("vertex_count, edges", [

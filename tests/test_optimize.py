@@ -1005,9 +1005,11 @@ def test_the_stop_saves_counts_on_the_stowers(count_matrices, monkeypatch):
     # tallies were (1009, 244) and (143, 131) with the stop, (1198, 176)
     # and (976, 131) without it.  They took (140, 127) and (142, 134) with
     # the stop, and (1323, 161) and (1111, 134) without it, while a Neumann
-    # gap search took a count at its cap
+    # gap search took a count at its cap.  stower(2, 2) took (133, 126) and
+    # (1039, 126) while regula falsi bisected onto an end whose value reads
+    # rounding noise
     ascend = optimize._ascend
-    for (g, init, options), stopping, running in zip(STOP_RUNS[:2], ((130, 118), (133, 126)), ((1232, 151), (1039, 126))):
+    for (g, init, options), stopping, running in zip(STOP_RUNS[:2], ((130, 118), (134, 127)), ((1232, 151), (1040, 127))):
         count_matrices.n = count_matrices.calls = 0
         maximize_gap(g, init, options)
         assert (count_matrices.n, count_matrices.calls) == stopping, g
@@ -1131,10 +1133,12 @@ def _digest(res):
 # necklace's, the standarin's and the dumbbell's were 5494, 2965 and 1816
 # while ascents idled at the floor until a pin fired, and a pin took a full
 # gap search apart from the probes; all four were 5561, 2924, 1728 and
-# 12075 while a Neumann gap search took a count at its cap
+# 12075 while a Neumann gap search took a count at its cap; the necklace's
+# and the standarin's were 5396 and 2815 while regula falsi bisected onto an
+# end whose value reads rounding noise
 BELOW_BOUND_RUNS = (
-    (necklace(3)[0], 1, "487e296826a298e39aa6fb2f5428b9465457220964cfebbf59e6f8836e538cc1", 5396),
-    (families.standarin_chain(2, 1, 2)[0], 1, "78dd5d48948dd8b9eeb8beb32a039e4139679d19148113a42a335f1b7cce538b", 2815),
+    (necklace(3)[0], 1, "487e296826a298e39aa6fb2f5428b9465457220964cfebbf59e6f8836e538cc1", 5395),
+    (families.standarin_chain(2, 1, 2)[0], 1, "78dd5d48948dd8b9eeb8beb32a039e4139679d19148113a42a335f1b7cce538b", 2813),
     (dumbbell(0.5)[0], 1, "fad7a8e00da43dd50ecf751bac79c9c2a377a96e7d48e7c60fbd8b59fda4432c", 1650),
     (DiscreteGraph(4, [(0, 1), (1, 2), (2, 3), (1, 2)]), 2,
      "91a53c0bcec6fd50233305893b817bc39a2c12e4c7bc09f7388c71d09e30cde5", 11632),

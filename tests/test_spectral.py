@@ -388,7 +388,7 @@ def test_every_count_is_taken_by_the_driver(monkeypatch):
 
     def taken_by_the_driver():
         frame = sys._getframe(2)
-        if frame.f_code.co_name == "spectrum":   # `_Count.spectrum`, the stack of one
+        if frame.f_code.co_name == "spectrum":   # a lone hyperbolic request's `_Count.spectrum`
             frame = frame.f_back
         # a sweep confirms its rows' levels with counts it knows in advance,
         # once no drive runs (`dispersion._confirmed`)
@@ -396,7 +396,8 @@ def test_every_count_is_taken_by_the_driver(monkeypatch):
             return depth == 0 and frame.f_globals is vars(dispersion)
         return depth > 0 and frame.f_code.co_name == "_drive"
 
-    # every count matrix of either sign is built and solved by a `spectra`
+    # every count matrix of either sign is built and solved by a `spectra`,
+    # or alone by the trig count's `spectrum`
     classes = (spectral._TrigCount, spectral._HyperbolicCount)
     checked = set()
     for cls in classes:
@@ -406,6 +407,14 @@ def test_every_count_is_taken_by_the_driver(monkeypatch):
             return spectra(coupling, alpha, lengths, ks)
 
         monkeypatch.setattr(cls, "spectra", staticmethod(checked_spectra))
+    spectrum = spectral._TrigCount.spectrum
+
+    def checked_spectrum(count, k):
+        assert taken_by_the_driver()
+        checked.add("alone")
+        return spectrum(count, k)
+
+    monkeypatch.setattr(spectral._TrigCount, "spectrum", checked_spectrum)
     for module in (spectral, optimize, dispersion):
         monkeypatch.setattr(module, "_drive", counted_drive)
     dispersion_curve(metric(*star(3)), 1, grid_size=8)
@@ -414,7 +423,7 @@ def test_every_count_is_taken_by_the_driver(monkeypatch):
     assert spectral_gap_parameter(metric(*star(3)), 0).theta_sg <= PI
     maximize_gap(*star(3), MaximizeOptions(seeds=1))
     assert depth == 0
-    assert checked == set(classes)
+    assert checked == {*classes, "alone"}
 
 
 def test_a_none_request_raises():
@@ -559,6 +568,50 @@ def test_stacked_count_matrices_equal_single_ones():
                                 oracle = np.linalg.eigvalsh(matrix(count, k))
                                 assert np.array_equal(spectra[j], oracle), (cls, m, v, j, k)
     assert kept_counts >= 3
+
+
+def _lone_graphs():
+    """Graphs on both sides of _REDUCE_FROM, Neumann, with a delta vertex
+    and with a Dirichlet one, and seeded random graphs with E = 16-24.  The
+    couplings |alpha| = |tan(theta / 2)| > 1 scale their vertices' rows."""
+    rng = np.random.default_rng(49)
+
+    def delta():
+        return DeltaTheta(float(rng.choice([-1.0, 1.0]) * rng.uniform(2.0, 3.0)))
+
+    out = []
+    for graph, v in ((star(3), 0), (flower(4), 0), (star(16), 3), (mandarin(21), 1)):
+        m = metric(*graph)
+        out += [m, m.with_condition(v, delta()), m.with_condition(v, DIRICHLET)]
+    for E in (16, 20, 24):
+        g = random_connected_graph(rng, 8, E)
+        m = metric(g, random_lengths(rng, E, l_min=0.01))
+        out += [m, m.with_condition(1, delta()).with_condition(5, DIRICHLET)]
+    return out
+
+
+def test_a_lone_count_equals_its_row_of_a_stack():
+    # a lone request's spectrum is built in 2-D, apart from `spectra`, and is
+    # its row of a stack to the bit, +-inf included: at points across (floor,
+    # cap] and at every pole-window edge, where the vertex form's rows keep
+    # different numbers of rows in one stack
+    rng = np.random.default_rng(4901)
+    vertex_forms = set()
+    for m in _lone_graphs():
+        count = _TrigCount(m)
+        cap = spectral.gap_upper_bound(m)
+        ks = np.concatenate([rng.uniform(count.floor, cap, 40), [cap], count.window_edges(count.floor, cap)])
+        spectra = _TrigCount.spectra(np.repeat(count.coupling[None], ks.size, axis=0),
+                                     np.repeat(count.alpha[None], ks.size, axis=0), count.lengths, ks)
+        vertex_form = count.alpha.size + 2 * count.lengths.size >= _REDUCE_FROM
+        vertex_forms.add(vertex_form)
+        if vertex_form:
+            assert len({_kept_rows(count, k) for k in ks}) >= 2, m
+        # every vertex-form row eliminates some pivot, and the whole K none
+        assert (np.isinf(spectra).any(axis=1) == vertex_form).all(), m
+        for k, row in zip(ks.tolist(), spectra):
+            assert np.array_equal(count.spectrum(k), row), (m, k)
+    assert vertex_forms == {False, True}
 
 
 def test_a_batch_is_sent_what_single_requests_get(monkeypatch):
@@ -1046,6 +1099,9 @@ class _StandInCount(_TrigCount):
     def spectra(cls, coupling, alpha, lengths, ks):
         return np.array([cls.stand_in(k) for k in ks.tolist()])
 
+    def spectrum(self, k):
+        return self.stand_in(k)
+
 
 @pytest.mark.parametrize("levels, at_pole, found", [
     # a level 5e-11 relative past the pole's window, within the merge width
@@ -1125,14 +1181,20 @@ def test_a_neumann_gap_lies_below_its_cap():
 
 
 def _requested(monkeypatch):
-    """Every k a trig count is requested at, in order of request."""
-    ks, spectra = [], _TrigCount.spectra
+    """Every k a trig count is requested at, in order of request: in a
+    stacked `spectra` call, or alone in `spectrum`."""
+    ks, spectra, spectrum = [], _TrigCount.spectra, _TrigCount.spectrum
 
     def recorded(coupling, alpha, lengths, at, spectra=spectra):
         ks.extend(at.tolist())
         return spectra(coupling, alpha, lengths, at)
 
+    def alone(count, k):
+        ks.append(k)
+        return spectrum(count, k)
+
     monkeypatch.setattr(_TrigCount, "spectra", staticmethod(recorded))
+    monkeypatch.setattr(_TrigCount, "spectrum", alone)
     return ks
 
 
@@ -1320,10 +1382,11 @@ def test_the_negative_range_has_its_top_without_a_count(count_matrices):
     # the top of the negative range is the first kappa = 2^j where a diagonal
     # bound makes H positive definite, taken without a count, so the range
     # search asks for the first counts.  Doubling kappa with one count per
-    # step took 949 hyperbolic count matrices on this corpus
+    # step took 949 hyperbolic count matrices on this corpus, and 783 while
+    # regula falsi bisected onto an end whose value reads rounding noise
     corpus = _delta_corpus()
     found = [spectral.negative_spectrum(m) for m in corpus]
-    assert count_matrices.n == 783
+    assert count_matrices.n == 781
     attractive = 0
     for m, negative in zip(corpus, found):
         count = _HyperbolicCount(m)
