@@ -52,8 +52,24 @@ negative levels with the hyperbolic count, in one drive.  It then finds
 the roots of all rows on all branches of both signs in lockstep by
 Newton's method on phi (`_branch_roots`), each step one stacked solve
 of each count's vertex function (`spectral._Count.vertex_function`).
-A root stops one solve before its step falls within the tolerance once
-two Newton steps in a row show quadratic convergence (`_branch_roots`).
+Each root starts from a model of G on its branch (`_model_starts`).  In
+lambda = s |s| G is the diagonal Green's function G(v, v; lambda) of the
+theta = 0 graph, a Herglotz function whose simple poles are the theta = 0
+levels, with residues |phi_j(v)|^2 (Berkolaiko-Kuchment, ch. 3).  So on
+a branch G is the sum of R / (lambda_p - lambda) over the poles found
+plus a part analytic across the branch.  The residues come from the
+samples around each level (`_vertex_samples`), the one at lambda = 0
+from G at the trig floor, and the analytic part is the polynomial
+through the rest of G at _NODES Chebyshev nodes of each branch, one
+stacked solve for all branches.  The nodes narrow each root's bracket,
+and _MODEL_STEPS Newton steps on the model give its start.  On the
+theta_sweep graphs of perfbench half the starts lie within 1e-13
+relative of their root and 99.7% within 1e-6; most of the others lie on
+the last branch, which the poles above the search's top bend.  A root
+stops one solve before its step falls within the tolerance once two
+Newton steps in a row show quadratic convergence, with the curvature
+that shows it read from the change of phi' across the step as well as
+from the steps' ratio (`_branch_roots`).
 A sweep's rows are one stack: the theta = 0 count's coupling and alpha
 with v's row set to each row's scaled coupling, at theta = pi its limit,
 coupling 0 and alpha s^2 = 1 (`spectral._vertex_rows`); no row builds a
@@ -117,11 +133,32 @@ from .spectral import (
     spectral_gap,
 )
 
-_CLEAR = 1e-12   # atan g this far from a root's target puts a sample on one side of it
 _MAX_STEPS = 128  # a root still open after this many steps is left to its row's counts
+_NODES = 8        # the Chebyshev nodes in lambda of each branch's model of G
+_MODEL_STEPS = 2  # the bracketed Newton steps on the model toward each root's start
+_NODE_ANGLES = (np.arange(_NODES, 0, -1) - 0.5) * math.pi / _NODES
+_NODE_X = np.cos(_NODE_ANGLES)   # ascending in (-1, 1)
 
 STRONG_TOL = 1e-6
 GLUE_K_TOL = 1e-8  # the glued gap meets the bound k1(G1) + k1(G2) within this
+
+
+def _chebyshev_powers() -> np.ndarray:
+    """The matrix that takes a function's values at _NODE_X to the power
+    coefficients, in x, of the polynomial through them: its Chebyshev
+    coefficients c_m = (2 / n) sum_j f_j T_m(x_j), c_0 halved, and the
+    coefficients of T_m by T_{m+1} = 2 x T_m - T_{m-1}."""
+    cosines = 2.0 / _NODES * np.cos(np.outer(np.arange(_NODES), _NODE_ANGLES))
+    cosines[0] *= 0.5
+    T = np.zeros((_NODES, _NODES))
+    T[0, 0] = T[1, 1] = 1.0
+    for m in range(1, _NODES - 1):
+        T[m + 1, 1:] = 2.0 * T[m, :-1]
+        T[m + 1] -= T[m - 1]
+    return T.T @ cosines
+
+
+_POWERS = _chebyshev_powers()
 
 
 def _with_theta(m: MetricGraph, v: int, theta: float) -> MetricGraph:
@@ -180,89 +217,82 @@ def interlacing_margin(lo: np.ndarray, hi: np.ndarray) -> float:
     return min(float((hi[:-1] - lo[:-1]).min()), float((lo[1:] - hi[:-1]).min()))
 
 
-def _vertex_samples(G, at: list[float], ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _vertex_samples(G, at: list[float], ks: np.ndarray) -> tuple[np.ndarray, ...]:
     """The vertex function G (`spectral._Count.vertex_function`, or the signed
     one of `_sweep_levels`) at the points of at, at s -+ d around every
-    theta = 0 level s of ks (d the merge width of |s|), and whether G has a
-    pole at s, from one call of G: G rises between its poles, so it falls
-    across a level, G(s - d) > G(s + d), only at a pole."""
+    theta = 0 level s of ks (d the merge width of |s|), whether G has a
+    pole at s, and its residue there in lambda = s |s|, from one call of G:
+    G rises between its poles, so it falls across a level, G(s - d) >
+    G(s + d), only at a pole.  Near a pole G = R / (lambda_s - lambda) plus
+    a part that stays finite, so R = G^2 / (dG / dlambda), dlambda / ds =
+    2 |s|; that holds for the G computed at a pole rounding has moved too,
+    and the mean of the two sides is taken."""
     width = np.array([_merge_width(abs(k)) for k in ks])
-    values = G(np.concatenate([at, ks - width, ks + width]))[0]
+    values, slopes = G(np.concatenate([at, ks - width, ks + width]))
     n = len(at)
     below, above = values[n : n + ks.size], values[n + ks.size :]
-    return values[:n], below, above, below > above
+    with np.errstate(divide="ignore", invalid="ignore"):
+        residue = 2.0 * np.abs(ks) * (values[n:] ** 2 / slopes[n:]).reshape(2, ks.size).mean(axis=0)
+    return values[:n], below, above, below > above, residue
 
 
-def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-                  w: np.ndarray) -> np.ndarray:
+def _branch_roots(g, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, w: np.ndarray,
+                  start: np.ndarray) -> np.ndarray:
     """The root of phi(s) = arg((1 + i g(s)) w) in every bracket (a, b), where
-    phi rises from fa <= 0 to fb >= 0 and (a, b) lies on the given branch of g.
+    phi rises from fa <= 0 to fb >= 0.
 
     phi is atan g + arg w, taken as one argument so that it keeps its
     relative accuracy near the root where the two terms cancel.  The roots
     are found in lockstep, each step one call g(ss), which gives g and g'
-    at the current point of every root still open.  Every root starts at
-    the secant point of its bracket.  A step's samples narrow the bracket
-    of every root on their branch, where they lie clearly on one side of
-    it: atan g is the same function for all of them.  Then each point
+    at the current point of every root still open.  A root whose fa or fb
+    is 0 is that end, and takes no step; every other one starts at start,
+    or at the secant point of its bracket where start does not lie inside
+    it.  A step's sample narrows its root's bracket.  Then each point
     takes its Newton step on phi, phi' = g' / (1 + g^2), where that stays
-    in the narrowed bracket and at least halves the move before (as in
-    Numerical Recipes' rtsafe); else the secant point of the bracket, or
-    its midpoint after a secant point.  Near a pole of g too weak for
+    in the bracket and at least halves the move before (as in Numerical
+    Recipes' rtsafe); else the secant point of the bracket, or its
+    midpoint after a secant point.  Near a pole of g too weak for
     `_sweep_levels` to see, Newton's steps would shrink without end.  A
     root is found when its Newton step is within half the tolerance
     4 eps |s| of `spectral._illinois`, or has stopped shrinking within 64
     times it, at the noise of g; or when its bracket is narrower than the
     tolerance.  It is also found when its step d_n follows a Newton step
     d_{n-1} and shows quadratic convergence, |d_n| <= 0.01 |d_{n-1}|, with
-    the move after it, about |d_n|^3 / d_{n-1}^2, within half the
-    tolerance.  A found root takes k - d_n, clamped to its bracket.  A root
-    still open after _MAX_STEPS steps keeps its point, and its row's
-    counts judge it.
+    the move after it, about C d_n^2, within half the tolerance.  C =
+    |phi''| / (2 phi') is taken as the larger of its two estimates from
+    that step: |d_n| / d_{n-1}^2, and the change of phi' across it; a far
+    step d_{n-1} shows a small ratio where phi' still changes.  A found
+    root takes k - d_n, clamped to its bracket.  A root still open after
+    _MAX_STEPS steps keeps its point, and its row's counts judge it.
     """
-    ends = a.copy(), b.copy()
     a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
-    target = -np.angle(w)   # where atan g meets each root
-    k = (a * fb - b * fa) / (fb - fa)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        secant = (a * fb - b * fa) / (fb - fa)
+    k = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.where((a < start) & (start < b), start, secant)))
     last = np.full(k.size, np.inf)   # the size of the move that led to k
     led = np.zeros(k.size, dtype=bool)   # whether that move was a Newton step
+    slope = np.zeros(k.size)   # phi' where that move started
     bisect = np.zeros(k.size, dtype=bool)   # whether the next fallback bisects
     tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b))
-    # a start on an end, where fa or fb is 0, is the root: g is not taken there
     i = np.flatnonzero((a < k) & (k < b))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
             if not i.size:
                 break
-            ki, bi = k[i], branch[i]
+            ki = k[i]
             gk, dg = g(ki)
             f = np.angle((1.0 + 1j * gk) * w[i])
             a[i], fa[i] = np.where(f < 0.0, ki, a[i]), np.where(f < 0.0, f, fa[i])
             b[i], fb[i] = np.where(f > 0.0, ki, b[i]), np.where(f > 0.0, f, fb[i])
-            # the samples clear of their branch's ends, ascending by (branch, atan g),
-            # so by s too; |atan g| and |target| are below 2
-            probe = _MULT_PROBE * np.abs(ki)
-            clear = np.flatnonzero((ki - ends[0][i] > probe) & (ends[1][i] - ki > probe))
-            if clear.size:
-                phi = np.arctan(gk[clear])
-                order = np.lexsort((phi, bi[clear]))
-                sk, sb, sphi = ki[clear][order], bi[clear][order], phi[order]
-                above = np.searchsorted(4.0 * sb + sphi, 4.0 * bi + target[i])
-                below = np.maximum(above - 1, 0)
-                above = np.minimum(above, sk.size - 1)
-                gap = sphi[below] - target[i]
-                up = (sb[below] == bi) & (gap < -_CLEAR) & (sk[below] > a[i])
-                a[i], fa[i] = np.where(up, sk[below], a[i]), np.where(up, gap, fa[i])
-                gap = sphi[above] - target[i]
-                down = (sb[above] == bi) & (gap > _CLEAR) & (sk[above] < b[i])
-                b[i], fb[i] = np.where(down, sk[above], b[i]), np.where(down, gap, fb[i])
 
-            step = f * (1.0 + gk * gk) / dg
+            dphi = dg / (1.0 + gk * gk)
+            step = f / dphi
             new = ki - step
             size = np.abs(step)
             # past this step a quadratic convergence, shown by the two Newton steps,
-            # moves by about size^3 / last^2
-            quadratic = led[i] & (size <= 0.01 * last[i]) & (size**3 <= 0.5 * tol[i] * last[i] ** 2)
+            # moves by about C size^2
+            curve = np.maximum(size / last[i] ** 2, np.abs(dphi - slope[i]) / (2.0 * np.abs(dphi) * last[i]))
+            quadratic = led[i] & (size <= 0.01 * last[i]) & (curve * size**2 <= 0.5 * tol[i])
             found = (size <= 0.5 * tol[i]) | ((size >= 0.5 * last[i]) & (size <= 64.0 * tol[i])) | quadratic
             narrow = b[i] - a[i] <= tol[i]
             # Newton where it stays in the bracket and at least halves the move
@@ -274,9 +304,88 @@ def _branch_roots(g, branch: np.ndarray, a: np.ndarray, b: np.ndarray, fa: np.nd
             k[i] = np.where(f == 0.0, ki, np.where(found, np.clip(new, a[i], b[i]),
                             np.where(narrow, 0.5 * (a[i] + b[i]), np.where(newton, new, fallback))))
             bisect[i] = ~newton & ~bisect[i]
-            last[i], led[i] = np.abs(k[i] - ki), newton
+            last[i], led[i], slope[i] = np.abs(k[i] - ki), newton, dphi
             i = i[~(found | narrow | (f == 0.0))]
     return k
+
+
+def _model_starts(G, lo: np.ndarray, hi: np.ndarray, at_ends: np.ndarray, poles: np.ndarray, residues: np.ndarray,
+                  branch: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+                  w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bracket (a, b) of each root for `_branch_roots`, with phi at its
+    ends, and its start, from a model of G on every branch (lo, hi): each
+    root's phi = arg((1 + i G) w) rises on its branch from fa to fb.
+
+    The model works in lambda = s |s|, where G has simple poles: poles[j],
+    with residues[j] (0 where G has no pole there), lies between branches
+    j and j + 1, and at_ends holds G at each end of a branch that is no
+    pole.  On each branch the model is every pole's R / (p - lambda) plus
+    the polynomial of degree _NODES - 1 in lambda through the rest of G at
+    the branch's Chebyshev nodes, all taken in one call of G.  G at the
+    nodes narrows every bracket of the branch to the two nodes around its
+    root.  A root of phi = arg((1 + i G) w) is one of F = (Re w G + Im w) q,
+    q the product of |lambda - p| over the poles at the branch's ends,
+    where F has none: the start is the secant point of F between those
+    two nodes, followed by _MODEL_STEPS bracketed Newton steps on the
+    model's F.
+    """
+    ends = np.stack([lo * np.abs(lo), hi * np.abs(hi)])
+    mid, half = 0.5 * (ends[1] + ends[0]), 0.5 * (ends[1] - ends[0])
+    lam = mid[:, None] + half[:, None] * _NODE_X
+    nodes = np.sign(lam) * np.sqrt(np.abs(lam))
+    at_nodes = G(nodes.ravel())[0].reshape(nodes.shape)
+    power = (at_nodes - (residues / (poles - lam[:, :, None])).sum(axis=2)) @ _POWERS.T
+    # each branch's end poles, pole j - 1 at its lo and pole j at its hi, and the others
+    end_residues = np.concatenate([[0.0], residues, [0.0]])
+    lo_pole, hi_pole = np.concatenate([ends[0, :1], poles])[branch], np.concatenate([poles, ends[1, -1:]])[branch]
+    lo_residue, hi_residue = end_residues[:-1][branch], end_residues[1:][branch]
+    has_lo, has_hi = lo_residue > 0.0, hi_residue > 0.0
+    far = np.tile(residues, (lo.size, 1))
+    far[np.arange(1, lo.size), np.arange(poles.size)] = far[np.arange(poles.size), np.arange(poles.size)] = 0.0
+
+    def ends_part(x):
+        """q, dq / dlambda, and the end poles' part of G q, R_hi d_lo - R_lo d_hi, with
+        its slope, at each root's x; d_lo and d_hi are the factors of q."""
+        d_lo, d_hi = np.where(has_lo, x - lo_pole, 1.0), np.where(has_hi, hi_pole - x, 1.0)
+        return (d_lo * d_hi, has_lo * d_hi - has_hi * d_lo, hi_residue * d_lo - lo_residue * d_hi,
+                hi_residue * has_lo + lo_residue * has_hi)
+
+    # each root's bracket: the nodes just below it and above it, as phi rises
+    # along the branch; point j of the branch is its end lo, its nodes, its end hi
+    f = np.angle((1.0 + 1j * at_nodes[branch]) * w[:, None])
+    n = np.count_nonzero(f < 0.0, axis=1)
+    each, up = np.arange(n.size), np.minimum(n, _NODES - 1)
+    # a node out of order, as by a pole too weak to see, leaves the bracket as it was
+    below = (n > 0) & (f[each, n - 1] < 0.0) & ((n == _NODES) | (f[each, up] >= 0.0))
+    above = (n < _NODES) & (f[each, up] >= 0.0) & ((n == 0) | (f[each, n - 1] < 0.0))
+    a, fa = np.where(below, nodes[branch, n - 1], lo[branch]), np.where(below, f[each, n - 1], fa)
+    b, fb = np.where(above, nodes[branch, up], hi[branch]), np.where(above, f[each, up], fb)
+    points = np.concatenate([ends[0, :, None], lam, ends[1, :, None]], axis=1)[branch]
+    values = np.concatenate([at_ends[:, :1], at_nodes, at_ends[:, 1:]], axis=1)[branch]
+    wr, wi = w.real, w.imag
+
+    def F_at(j):
+        """F at point j of each root's branch, from G there, or from the end poles' part at a pole, where q = 0."""
+        q, _, part, _ = ends_part(points[each, j])
+        return wr * np.where(q == 0.0, part, values[each, j] * q) + wi * q
+
+    low, high, F_low, F_high = points[each, n], points[each, n + 1], F_at(n), F_at(n + 1)
+    c, m, h, r = power[branch], mid[branch], half[branch], far[branch]
+    degree = np.arange(1, _NODES)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = low + (high - low) * F_low / (F_low - F_high)
+        for _ in range(_MODEL_STEPS):
+            U = np.vander((x - m) / h, _NODES, increasing=True)
+            inverse = 1.0 / (poles - x[:, None])
+            S = (c * U).sum(axis=1) + (r * inverse).sum(axis=1)
+            dS = (c[:, 1:] * degree * U[:, :-1]).sum(axis=1) / h + (r * inverse * inverse).sum(axis=1)
+            q, dq, part, dpart = ends_part(x)
+            F = wr * (S * q + part) + wi * q
+            dF = wr * (dS * q + S * dq + dpart) + wi * dq
+            low, high = np.where(F < 0.0, x, low), np.where(F > 0.0, x, high)
+            new = x - F / dF
+            x = np.where((low <= new) & (new <= high), new, 0.5 * (low + high))
+    return a, b, fa, fb, np.sign(x) * np.sqrt(np.abs(x))
 
 
 def _row_sums(row: np.ndarray, values: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -385,7 +494,7 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     ks = np.array([p.k for p in negative] + [lvl.k for lvl in zero])
     mults = np.array([p.multiplicity for p in negative] + [lvl.multiplicity for lvl in zero], dtype=int)
     at = [-kappa_top, -hyperbolic.floor, count.floor, hi_k]
-    sampled, _, _, pole = _vertex_samples(G, at, ks)
+    sampled, _, _, pole, residue = _vertex_samples(G, at, ks)
     flat = mults > pole
     flats = [(float(k), int(mult)) for k, mult in zip(ks[flat], (mults - pole)[flat])]
     up_flats = [(k, mult) for k, mult in flats if k > 0.0]
@@ -411,9 +520,18 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     # a root on a branch between two poles is there for every row; rounding
     # may put it on a pole, where fa or fb is 0
     live = ((fa < 0.0) | ~opens) & ((fb > 0.0) | ~closes)
-    roots = _branch_roots(G, np.broadcast_to(branch, fa.shape)[live], np.broadcast_to(lo, fa.shape)[live],
-                          np.broadcast_to(hi, fa.shape)[live], fa[live], fb[live],
-                          np.broadcast_to(w[:, None], fa.shape)[live])
+    # G's poles in lambda = s |s| between the branches, with the one at lambda = 0 between
+    # the floors (R = -lambda G at the trig floor, 0 where M0 has no null vector
+    # nonzero at v), their residues, and G at each end of a branch that is no pole
+    model_poles = np.concatenate([poles[:n_neg] * np.abs(poles[:n_neg]), [0.0], poles[n_neg:] ** 2])
+    residues = np.concatenate([residue[pole][:n_neg], [max(-sampled[2] * count.floor**2, 0.0)],
+                               residue[pole][n_neg:]])
+    at_ends = np.zeros((branch.size, 2))
+    at_ends[[0, n_neg + 1], 0], at_ends[[n_neg, -1], 1] = sampled[[0, 2]], sampled[[1, 3]]
+    root_w = np.broadcast_to(w[:, None], fa.shape)[live]
+    *brackets, start = _model_starts(G, lo, hi, at_ends, model_poles, residues,
+                                     np.broadcast_to(branch, fa.shape)[live], fa[live], fb[live], root_w)
+    roots = _branch_roots(G, *brackets, root_w, start)
 
     # every row's counts, one stack with the inertia of their M0, and its
     # counts at the floors by the count identity (module docstring)
@@ -568,8 +686,8 @@ def spectral_gap_parameter(m: MetricGraph, v: int) -> SgpReport:
     count = _TrigCount(m)
     (k1, k1_mult, _), (dirichlet_k0, _, _) = _drive([_gap_search(m, count),
                                                      _gap_search(_with_theta(m, v, math.pi))])
-    _, (below,), (above,), (pole,) = _vertex_samples(lambda ks: count.vertex_function(count.row(v), ks), [],
-                                                     np.array([k1]))
+    _, (below,), (above,), (pole,), _ = _vertex_samples(lambda ks: count.vertex_function(count.row(v), ks), [],
+                                                        np.array([k1]))
     dirichlet_holds = dirichlet_k0 >= k1 - _merge_width(k1)
     if dirichlet_holds != (below <= 0.0):
         raise RuntimeError(f"Dirichlet gap {dirichlet_k0} at vertex {v} against k1 = {k1}, "
