@@ -340,8 +340,8 @@ def _model_starts(G, lo: np.ndarray, hi: np.ndarray, at_ends: np.ndarray, poles:
     lo_pole, hi_pole = np.concatenate([ends[0, :1], poles])[branch], np.concatenate([poles, ends[1, -1:]])[branch]
     lo_residue, hi_residue = end_residues[:-1][branch], end_residues[1:][branch]
     has_lo, has_hi = lo_residue > 0.0, hi_residue > 0.0
-    far = np.tile(residues, (lo.size, 1))
-    far[np.arange(1, lo.size), np.arange(poles.size)] = far[np.arange(poles.size), np.arange(poles.size)] = 0.0
+    j, p = np.arange(lo.size)[:, None], np.arange(poles.size)
+    far = np.where((p == j - 1) | (p == j), 0.0, residues)
 
     def ends_part(x):
         """q, dq / dlambda, and the end poles' part of G q, R_hi d_lo - R_lo d_hi, with
