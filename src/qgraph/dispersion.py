@@ -56,20 +56,22 @@ Each root starts from a model of G on its branch (`_model_starts`).  In
 lambda = s |s| G is the diagonal Green's function G(v, v; lambda) of the
 theta = 0 graph, a Herglotz function whose simple poles are the theta = 0
 levels, with residues |phi_j(v)|^2 (Berkolaiko-Kuchment, ch. 3).  So on
-a branch G is the sum of R / (lambda_p - lambda) over the poles found
-plus a part analytic across the branch.  The residues come from the
-samples around each level (`_vertex_samples`), the one at lambda = 0
-from G at the trig floor, and the analytic part is the polynomial
-through the rest of G at _NODES Chebyshev nodes of each branch, one
-stacked solve for all branches.  The nodes narrow each root's bracket,
-and _MODEL_STEPS Newton steps on the model give its start.  On the
-theta_sweep graphs of perfbench half the starts lie within 1e-13
-relative of their root and 99.7% within 1e-6; most of the others lie on
-the last branch, which the poles above the search's top bend.  A root
-stops one solve before its step falls within the tolerance once two
-Newton steps in a row show quadratic convergence, with the curvature
-that shows it read from the change of phi' across the step as well as
-from the steps' ratio (`_branch_roots`).
+a branch G is R / (lambda_p - lambda) of its two end poles and of the
+_NEAR poles beyond each, plus a part analytic across the branch, which
+takes in the poles further away.  The residues come from the samples
+around each level (`_vertex_samples`), the one at lambda = 0 from G at
+the trig floor, and the analytic part is the polynomial through the
+rest of G at _NODES Chebyshev nodes of each branch, one stacked solve
+for all branches.  So a root's model costs the same however many levels
+the sweep has.  The nodes narrow each root's bracket, and _MODEL_STEPS
+Newton steps on the model give its start.  On the theta_sweep graphs of
+perfbench half the starts lie within 3e-13 relative of their root and
+99.3% within 1e-6; most of the others lie on the last branch, which the
+poles above the search's top bend.  A root stops one solve before its
+step falls within the tolerance once two Newton steps in a row show
+quadratic convergence, with the curvature that shows it read from the
+change of phi' across the step as well as from the steps' ratio
+(`_branch_roots`).
 A sweep's rows are one stack: the theta = 0 count's coupling and alpha
 with v's row set to each row's scaled coupling, at theta = pi its limit,
 coupling 0 and alpha s^2 = 1 (`spectral._vertex_rows`); no row builds a
@@ -111,6 +113,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .errors import InvalidInputError
 from .graph import DIRICHLET, NEUMANN, DeltaTheta, MetricGraph, _integer, _quotient
@@ -135,30 +138,17 @@ from .spectral import (
 
 _MAX_STEPS = 128  # a root still open after this many steps is left to its row's counts
 _NODES = 8        # the Chebyshev nodes in lambda of each branch's model of G
+_NEAR = 2         # the poles on each side of a branch, beyond its end poles, in its model of G
 _MODEL_STEPS = 2  # the bracketed Newton steps on the model toward each root's start
-_NODE_ANGLES = (np.arange(_NODES, 0, -1) - 0.5) * math.pi / _NODES
-_NODE_X = np.cos(_NODE_ANGLES)   # ascending in (-1, 1)
+_NODE_X = np.cos((np.arange(_NODES, 0, -1) - 0.5) * math.pi / _NODES)   # ascending in (-1, 1)
+# values at _NODE_X @ _FIT: the Chebyshev coefficients of the polynomial through them,
+# c_m = (2 / n) sum_j f_j T_m(x_j), c_0 halved
+_FIT = 2.0 / _NODES * chebyshev.chebvander(_NODE_X, _NODES - 1)
+_FIT[:, 0] *= 0.5
+_SLOPE = chebyshev.chebder(np.eye(_NODES)).T   # Chebyshev coefficients @ _SLOPE: those of the derivative
 
 STRONG_TOL = 1e-6
 GLUE_K_TOL = 1e-8  # the glued gap meets the bound k1(G1) + k1(G2) within this
-
-
-def _chebyshev_powers() -> np.ndarray:
-    """The matrix that takes a function's values at _NODE_X to the power
-    coefficients, in x, of the polynomial through them: its Chebyshev
-    coefficients c_m = (2 / n) sum_j f_j T_m(x_j), c_0 halved, and the
-    coefficients of T_m by T_{m+1} = 2 x T_m - T_{m-1}."""
-    cosines = 2.0 / _NODES * np.cos(np.outer(np.arange(_NODES), _NODE_ANGLES))
-    cosines[0] *= 0.5
-    T = np.zeros((_NODES, _NODES))
-    T[0, 0] = T[1, 1] = 1.0
-    for m in range(1, _NODES - 1):
-        T[m + 1, 1:] = 2.0 * T[m, :-1]
-        T[m + 1] -= T[m - 1]
-    return T.T @ cosines
-
-
-_POWERS = _chebyshev_powers()
 
 
 def _with_theta(m: MetricGraph, v: int, theta: float) -> MetricGraph:
@@ -319,29 +309,35 @@ def _model_starts(G, lo: np.ndarray, hi: np.ndarray, at_ends: np.ndarray, poles:
     The model works in lambda = s |s|, where G has simple poles: poles[j],
     with residues[j] (0 where G has no pole there), lies between branches
     j and j + 1, and at_ends holds G at each end of a branch that is no
-    pole.  On each branch the model is every pole's R / (p - lambda) plus
-    the polynomial of degree _NODES - 1 in lambda through the rest of G at
-    the branch's Chebyshev nodes, all taken in one call of G.  G at the
-    nodes narrows every bracket of the branch to the two nodes around its
-    root.  A root of phi = arg((1 + i G) w) is one of F = (Re w G + Im w) q,
-    q the product of |lambda - p| over the poles at the branch's ends,
-    where F has none: the start is the secant point of F between those
-    two nodes, followed by _MODEL_STEPS bracketed Newton steps on the
-    model's F.
+    pole.  On each branch the model is R / (p - lambda) of its end poles
+    and of the _NEAR poles beyond each of them, plus the polynomial of
+    degree _NODES - 1 in lambda through the rest of G at the branch's
+    Chebyshev nodes, all taken in one call of G; the poles further away
+    are analytic across the branch, and the polynomial takes them in.  So
+    the model of a root costs the same however many poles there are.  G
+    at the nodes narrows every bracket of the branch to the two nodes
+    around its root.  A root of phi = arg((1 + i G) w) is one of F =
+    (Re w G + Im w) q, q the product of |lambda - p| over the poles at the
+    branch's ends, where F has none: the start is the secant point of F
+    between those two nodes, followed by _MODEL_STEPS bracketed Newton
+    steps on the model's F.
     """
     ends = np.stack([lo * np.abs(lo), hi * np.abs(hi)])
     mid, half = 0.5 * (ends[1] + ends[0]), 0.5 * (ends[1] - ends[0])
     lam = mid[:, None] + half[:, None] * _NODE_X
     nodes = np.sign(lam) * np.sqrt(np.abs(lam))
     at_nodes = G(nodes.ravel())[0].reshape(nodes.shape)
-    power = (at_nodes - (residues / (poles - lam[:, :, None])).sum(axis=2)) @ _POWERS.T
-    # each branch's end poles, pole j - 1 at its lo and pole j at its hi, and the others
-    end_residues = np.concatenate([[0.0], residues, [0.0]])
-    lo_pole, hi_pole = np.concatenate([ends[0, :1], poles])[branch], np.concatenate([poles, ends[1, -1:]])[branch]
-    lo_residue, hi_residue = end_residues[:-1][branch], end_residues[1:][branch]
+    # each branch's poles: pole j - 1 at the lo of branch j, pole j at its hi,
+    # and _NEAR more on each side, none (at infinity, residue 0) past the last
+    near = np.arange(lo.size)[:, None] + np.arange(-1 - _NEAR, 1 + _NEAR)
+    inside, clipped = (near >= 0) & (near < poles.size), np.clip(near, 0, poles.size - 1)
+    near_poles, near_residues = np.where(inside, poles[clipped], np.inf), np.where(inside, residues[clipped], 0.0)
+    fit = (at_nodes - (near_residues[:, None] / (near_poles[:, None] - lam[:, :, None])).sum(axis=2)) @ _FIT
+    lo_pole, hi_pole = near_poles[branch, _NEAR : _NEAR + 2].T
+    lo_residue, hi_residue = near_residues[branch, _NEAR : _NEAR + 2].T
     has_lo, has_hi = lo_residue > 0.0, hi_residue > 0.0
-    j, p = np.arange(lo.size)[:, None], np.arange(poles.size)
-    far = np.where((p == j - 1) | (p == j), 0.0, residues)
+    others = np.r_[:_NEAR, _NEAR + 2 : 2 * _NEAR + 2]
+    r, p = near_residues[branch][:, others], near_poles[branch][:, others]
 
     def ends_part(x):
         """q, dq / dlambda, and the end poles' part of G q, R_hi d_lo - R_lo d_hi, with
@@ -370,15 +366,13 @@ def _model_starts(G, lo: np.ndarray, hi: np.ndarray, at_ends: np.ndarray, poles:
         return wr * np.where(q == 0.0, part, values[each, j] * q) + wi * q
 
     low, high, F_low, F_high = points[each, n], points[each, n + 1], F_at(n), F_at(n + 1)
-    c, m, h, r = power[branch], mid[branch], half[branch], far[branch]
-    degree = np.arange(1, _NODES)
+    m, h, c, dc = mid[branch], half[branch], fit[branch].T, (fit @ _SLOPE)[branch].T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = low + (high - low) * F_low / (F_low - F_high)
         for _ in range(_MODEL_STEPS):
-            U = np.vander((x - m) / h, _NODES, increasing=True)
-            inverse = 1.0 / (poles - x[:, None])
-            S = (c * U).sum(axis=1) + (r * inverse).sum(axis=1)
-            dS = (c[:, 1:] * degree * U[:, :-1]).sum(axis=1) / h + (r * inverse * inverse).sum(axis=1)
+            u, inverse = (x - m) / h, 1.0 / (p - x[:, None])
+            S = chebyshev.chebval(u, c, tensor=False) + (r * inverse).sum(axis=1)
+            dS = chebyshev.chebval(u, dc, tensor=False) / h + (r * inverse * inverse).sum(axis=1)
             q, dq, part, dpart = ends_part(x)
             F = wr * (S * q + part) + wi * q
             dF = wr * (dS * q + S * dq + dpart) + wi * dq
