@@ -402,18 +402,17 @@ def _confirmed(counter: _Count, spectra, stack: _VertexRows, checked: np.ndarray
     `_level_search`.  Each level's multiplicity is the row's own count
     difference around it, as `_around` takes it: the count just below the
     first level (floor_count), then the count just above each level, which
-    is the count below the next, at k -+ d moved out of any pole window
-    (`_Count.off_poles`).  The count at top must equal the last one, and
-    total where it is given.  Every point is known before any count, so the
-    rows (stack) take theirs in one call of spectra, and counter turns them
-    into N: the rows of a sweep share their lengths.
+    is the count below the next, at k -+ d.  The count at top must equal
+    the last one, and total where it is given.  Every point is known before
+    any count, so the rows (stack) take theirs in one call of spectra, and
+    counter turns them into N: the rows of a sweep share their lengths.
     Returns the levels as (row, k, multiplicity), and the first row whose
     counts disagree with what they say, or None.
     """
     row, ks, mults = candidates
     rows = floor_count.size
     width = np.maximum(_MULT_PROBE * ks, _MULT_FLOOR)
-    below, above = counter.off_poles(ks - width, -1.0), counter.off_poles(ks + width, 1.0)
+    below, above = ks - width, ks + width
     starts, mults = np.ones(ks.size, dtype=bool), mults.copy()
     # the rows where candidates merge, as `_level_search` merges them
     for r in set(row[:-1][(row[1:] == row[:-1]) & (ks[1:] < above[:-1])].tolist()):
@@ -468,7 +467,7 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     alphas = np.array([DeltaTheta(float(t)).alpha for t in thetas])
     floor = count.floor_sample()
     zero, negative = _drive([_level_search(count, floor, k_max), _negative_search(hyperbolic)])
-    hi_k = _range_top(count, k_max)
+    hi_k = _range_top(k_max)
     # above the negative levels of the most attractive row, and so of every row
     most = int(np.argmin(alphas))
     kappa_top = (_HyperbolicCount(_with_theta(m0, v, float(thetas[most]))) if alphas[most] < 0.0

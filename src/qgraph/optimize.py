@@ -132,12 +132,14 @@ L_MIN = 1e-4        # length floor of the ascent
 PIN_ITERS = 5       # iterations at the floor before a pin, while steps move
 STEP_SCALE = 0.1    # length of the first trial gradient step
 IMPROVE_TOL = 1e-9  # least gain that counts as a move, save one onto the bound (`_Proof.floor`)
-# A face's gap is at most its proven bound (`_face_bound`), and a count
-# decides a floor at most 2e-11 (relative) below it, where `off_pole` moves
-# it out of a pole window; so a face whose bound lies this far below a floor
-# cannot reach it, whatever its lengths.  The margin keeps skipping such
-# faces exact; it is not tuned to any graph.
+# A face's gap is at most its proven bound (`_face_bound`), and a level is
+# found to within its float error, LEVEL_ULPS ulps; so a face whose bound
+# lies this far below a floor cannot reach it, whatever its lengths.  The
+# margin is far above that error, so skipping such faces stays exact, and
+# also above GAP_SLACK, which a floor may lie below the gap it came from;
+# it is not tuned to any graph.
 BOUND_MARGIN = 1e-9
+LEVEL_ULPS = 16     # the float error of a level, in ulps of k: no gap lies further above a proven bound
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +762,8 @@ def maximize_gap(
     next iteration, so it cannot win.  The winning trace opens with the
     gap of its start.  A result above the bound pi (E - El/2) where it
     applies, or on a tree above pi / diameter at the returned lengths, by
-    more than 1e-8 is an internal error (RuntimeError).
+    more than the float error of a level, LEVEL_ULPS ulps, is an internal
+    error (RuntimeError).
     """
     opts = options or MaximizeOptions()
     if not isinstance(init, LengthVector):
@@ -787,12 +790,12 @@ def maximize_gap(
             best = (gap, state, trace)
 
     gap, state, trace = best
-    # a reported gap never exceeds a proven bound, within A10's tolerance
-    if gap > bound + 1e-8:
+    # a reported gap never exceeds a proven bound, within a level's float error
+    if gap > bound + LEVEL_ULPS * math.ulp(bound):
         raise RuntimeError(f"maximize_gap: gap {gap!r} above the bound pi (E - El/2) = {bound!r}")
     if g.is_tree():
         bound = math.pi / tree_diameter(state.metric())
-        if gap > bound + 1e-8:
+        if gap > bound + LEVEL_ULPS * math.ulp(bound):
             raise RuntimeError(f"maximize_gap: gap {gap!r} above the bound pi / tree_diameter = {bound!r}")
     lengths = state.original_lengths()
     classification = "maximizer-candidate" if lengths.is_interior() else "supremizer-candidate"

@@ -20,8 +20,22 @@ Q = 0; each graph builds [P | Q] once, `DiscreteGraph.incidence`).  The
 Schur complement of the two edge blocks is the vertex matrix
 with diagonal sum_e k cot(k l_e) + alpha_v and off-diagonal -k csc(k l_e);
 K keeps every entry analytic in k, so no pole cancels.  The first term
-jumps at the poles k l_e / pi in Z, and the count is never taken within
-_POLE_WINDOW of one.
+jumps at the poles x_e = k l_e / pi in Z.
+
+Near a pole one row of the edge, its near-pole row, is nearly decoupled:
+the sin row where x_e is near an even integer, the cos row near an odd
+one.  Its coupling and its diagonal +-(1/2) sin k l_e both vanish at the
+pole, so its eigenvalue of K crosses zero there, as the ceiling jumps.
+In floating point the two would be decided apart, one by the rounding of
+x_e and the other by eigvalsh's noise.  So the count reads that row's
+sign from x_e itself: with n = ceil(x_e) - 1, sin k l_e has the sign
+(-1)^n, its left limit at an integer x_e (`_half_sin`), so the sin
+row's pivot is negative where n is odd and the cos row's where n is
+even.  Across an integer x_e the ceiling rises by one and that pivot
+turns positive at the same float, and N does not move; the count is
+exact at the pole itself.  A row is its edge's near-pole row where its
+own s^2 or c^2 is below sin^2(pi / 12), |sin k l_e| < 1/2, save the sin
+rows below x_e = 1/2, where there is no pole.
 
 A count of _REDUCE_FROM rows or more takes the vertex form, which
 eliminates edge rows first.  With s, c = sin, cos(k l_e / 2), the sin row
@@ -36,48 +50,50 @@ of every other edge go; their |tan| and |cot| are at most 2 + sqrt 3,
 and their pivots +-(1/2) sin k l_e are one of each sign.  The choice is
 made at every k, so every entry stays bounded, and V' + (edges near a
 pole) rows are left.  By Sylvester's law of inertia n_-(K) is the number
-of negative pivots plus n_- of what is left.  Below _REDUCE_FROM rows the
+of negative pivots plus n_- of what is left; each near-pole row goes,
+with its pivot's sign read from x_e.  Below _REDUCE_FROM rows the
 elimination costs more than the eigvalsh it saves on the single counts
-and small stacks a search steers by, and K is taken whole; the constant
-comes from a timing sweep of spectral_gap over flowers, stars and random
-graphs (CHANGES.md).  A large stack read for n_- alone, as a sweep's
-confirming counts are, takes the vertex form at every size
+and small stacks a search steers by, and K is taken whole, paired: each
+near-pole row is scaled by 1 / (2 sqrt|s c|), a congruence that keeps
+the inertia, and its diagonal set to +-1/4 with the sign read from x_e.
+Its coupling becomes sqrt(k |tan| / 8) or sqrt(k |cot| / 8) times its
+incidence, which vanishes at the pole, so the row's eigenvalue stays
+near +-1/4 instead of crossing zero; at the edge of the near-pole zone,
+|s c| = 1/4, the scale is 1 and the paired K meets K.  The constant
+_REDUCE_FROM comes from a timing sweep of spectral_gap over flowers,
+stars and random graphs (CHANGES.md).  A large stack read for n_- alone,
+as a sweep's confirming counts are, takes the vertex form at every size
 (`_TrigInertia`): on six catalog graphs with 9-16 rows it costs
 0.35-0.6 of the eigvalsh of the whole K on stacks of 128 points, 0.3-0.45
 on 512, and 0.55-1.55 times it on 16 (timeit, 2-core machine).  Its
 values are unsorted and steer no secant.
 
-The trig count's pole term and pole-window tests (`poles`, `pole_near`,
-`lone_pole`, `off_scale`) loop over the lengths as a tuple of Python
-floats, built once per count: on a handful of edges that costs less than
-numpy's ufuncs, and each value is formed by the same operations, in the
-same order, as the array formulas, so it is the same to the bit.
+The trig count's pole term (`poles`) loops over the lengths as a tuple
+of Python floats, built once per count: on a handful of edges that costs
+less than numpy's ufuncs, and each x_e is formed by the same operations,
+in the same order, as the array formulas, so it is the same to the bit.
 
 One level finder serves every spectrum.  A range up to k ends at its
-top, k plus the merge width (below), moved off any pole window
-(`_range_top`), so a level sitting on k belongs to it.  A search of the
-whole range (`_level_search`), as `eigenvalues`, `levels` and a sweep's
-theta = 0 row take it, first takes one batch of counts: the top and
-both window edges of every pole below it, the points where `_split`
-would take them.  Each bracket between two of them where N rises is
-then searched on its own, all of them in lockstep.  A search of the
-first level alone (`_first_level`), as the gap searches and the
-optimizer's window above a gap take it, takes the top only, or not even
-that where a bound on N there stands in for the count, which bisection
+top, k plus the merge width (below) (`_range_top`), so a level sitting
+on k belongs to it.  A search of the whole range (`_level_search`), as
+`eigenvalues`, `levels` and a sweep's theta = 0 row take it, first takes
+one batch of counts: the top and every pole below it.  Each bracket
+between two of them where N rises is then searched on its own, all of
+them in lockstep.  A search of the first level alone (`_first_level`),
+as the gap searches and the optimizer's window above a gap take it,
+takes the top only, or not even that where a bound on N there stands in for the count, which bisection
 on N never needs: a Neumann graph's gap lies below the cap
 (`gap_upper_bound`), so N there is at least one more than at the floor.
 Regula falsi takes such a top's spectrum where it reads it.  A search
-bisects on N until a bracket holds levels and no pole, then runs regula
-falsi on the value of the count's spectrum (below) that crosses zero in
-it; a bracket that shrinks inside a pole window is reported as the pole
-itself.  Regula falsi scales the value at the end it keeps by
-Anderson-Bjorck's m = 1 - f_c / f_old (1/2 where m <= 0) when two steps
-in a row replace the same end.  At the
-search floor, and within 4 _POLE_WINDOW of a pole, where `off_pole` and
-`_split` put their samples, the value it follows is of the size of k or
-of the window, and a secant through it creeps along that end; such an
-end enters as an infinite value, +inf below the level and -inf above, so
-the step bisects until a sample replaces it.  Regula falsi stops once the
+bisects on N at the poles inside a bracket, the one nearest its midpoint
+first, so that a level sitting on a pole ends up at an end of its
+bracket, then runs regula falsi on the value of the count's spectrum
+(below) that crosses zero in it (`_lowest_level`).  Regula falsi scales
+the value at the end it keeps by Anderson-Bjorck's m = 1 - f_c / f_old
+(1/2 where m <= 0) when two steps in a row replace the same end.  At the
+search floor the value it follows is of the size of k, and a secant
+through it creeps along that end; the floor enters as nan, so the step
+bisects until a sample replaces it.  Regula falsi stops once the
 secant correction through its last two samples of finite value is within
 half the bracket tolerance 4 eps k: past that point the value it follows
 is eigvalsh's noise, and a further step only drags the far end in.  A
@@ -94,7 +110,8 @@ multiplicity of a level r is N(r + d) - N(r - d) with d = max(1e-10 r,
 1e-9), with no threshold on any matrix; levels closer than d merge into
 one.  r is the lowest level of its bracket, so the count at the
 bracket's lower end is N(r - d) and is not taken again (`_around`),
-save a search's start within d of r, which may hold copies of r.  The
+save where that end lies within d of r, as a search's start or a count
+at a pole with r on it may, and may hold copies of r.  The
 count N(r + d) starts the search of the next level, and a search's
 `_Level`s carry it, so a later search of the levels above r starts
 there.  In a search of the whole range it may take in levels of the
@@ -112,16 +129,17 @@ here.
 
 Each finder is a generator: it yields a request, the count and a k
 where it needs that count, and is sent the count's spectrum there,
-V' + 2E ascending values with the inertia of K.  A whole K sends its
+V' + 2E ascending values with the inertia of K.  The paired K sends its
 eigenvalues.  The vertex form sends its matrix's
 eigenvalues between -inf for each negative pivot and +inf for each
 positive one, one of each for an edge whose rows both go.  So the count,
 and the index n_- that regula falsi follows across a bracket, are those
 of K; the value at that index jumps where an edge's rows start or stop
-going, but its sign does not.  Where a bracket end's value is infinite,
-a stand-in or an off-scale end, the secant is nan and the finder
-bisects.  Every search built on them (`_gap_search`, `_reaches`,
-`_eigenvalue_search`, `_negative_search`, `_around`) is a generator of
+going, but its sign does not.  Where a bracket end's value is a
+stand-in's infinity, the secant point is the other end, and the finder
+bisects unless that end reads zero within rounding noise.  Every search
+built on them (`_gap_search`, `_reaches`, `_eigenvalue_search`,
+`_negative_search`, `_around`) is a generator of
 the same kind, and one driver runs any number of them together and takes
 every count any of them needs, a group of one matrix shape in one
 stacked `spectra`, and a lone request of a trig count in its own 2-D
@@ -203,13 +221,12 @@ from .errors import (
 from ._lockstep import _drive, _Search, _together
 from .graph import MetricGraph, _integer
 
-_POLE_WINDOW = 1e-11   # the count is never taken this close (in k l_e / pi) to a pole
 _MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a multiplicity,
 _MULT_FLOOR = 1e-9     # and its least absolute value, for levels near k = 0
 _MAX_LEVELS = 10_000   # most levels one search resolves
 _REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more take the vertex form
 _KEEP_ABOVE = 0.9330127018922193   # cos^2(pi / 12): a vertex-form row whose s^2 or c^2 passes it stays
-_BATCH_POLES = 256     # most poles whose window edges a level search takes in its first batch
+_NEAR_POLE = 0.0669872981077807    # sin^2(pi / 12): a row whose s^2 or c^2 is below it is its edge's near-pole row
 
 
 # ---------------------------------------------------------------------------
@@ -320,6 +337,12 @@ def _scaled(incidence: np.ndarray, alpha: np.ndarray) -> tuple[np.ndarray, np.nd
     return incidence * s[..., None], np.where(np.isinf(alpha), 1.0, alpha_s2)
 
 
+def _half_sin(s: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(1/2) sin k l_e = s c, elementwise, with the sign (-1)^n, n = ceil(x_e) - 1,
+    read from x_e = k l_e / pi, the float of the pole term (module docstring)."""
+    return np.copysign(s * c, np.ceil(x) % 2.0 - 0.5)
+
+
 class _Count:
     """N(k) = poles(k) + offset + n_-(K(k)), nondecreasing in k, counted
     from spectrum(k), which has the inertia of the count matrix K(k).
@@ -383,14 +406,9 @@ class _Count:
     def poles(self, k: float) -> int:
         return 0
 
-    def pole_near(self, k: float) -> tuple[float, float] | None:
-        """(pole, half-width of its window) when k lies inside that window."""
-        return None
-
-    def off_scale(self, k: float) -> bool:
-        """Whether the spectrum at k is too small to steer a secant: at the
-        search floor, and within 4 _POLE_WINDOW of a pole (`_illinois`)."""
-        return k == self.floor
+    def poles_in(self, a: float, b: float) -> list[float]:
+        """The poles in (a, b), ascending, each once."""
+        return []
 
     def spectrum(self, k: float) -> np.ndarray:
         """Ascending values with the inertia of K(k), its row of `spectra`:
@@ -407,24 +425,6 @@ class _Count:
         """N at every k of ks, from the spectra there stacked: `made(k,
         spectra[j]).count` in arrays."""
         return self.offset + np.count_nonzero(spectra < 0.0, axis=1)
-
-    def off_pole(self, k: float, direction: float) -> float:
-        """k itself, or the first point past its pole window in the given direction."""
-        hit = self.pole_near(k)
-        while hit is not None:
-            pole, half = hit
-            k = pole + direction * 2.0 * half
-            hit = self.pole_near(k)
-        return k
-
-    def off_poles(self, ks: np.ndarray, direction: float) -> np.ndarray:
-        """`off_pole` at every k of ks."""
-        return ks
-
-    def window_edges(self, a: float, b: float) -> np.ndarray:
-        """Both window edges of each of the lowest _BATCH_POLES poles in
-        (a, b), where `_split` takes them, those inside (a, b), ascending."""
-        return np.empty(0)
 
 
 class _VertexRows(NamedTuple):
@@ -503,27 +503,39 @@ class _TrigCount(_Count):
         return self.matrices(self.coupling[None], np.broadcast_to(self.alpha, (b, nv)), self.lengths, ks), form
 
     def spectrum(self, k: float) -> np.ndarray:
-        """Its row of `spectra`, to the bit, built in 2-D: the whole K's
-        eigenvalues below _REDUCE_FROM rows; from there on the kept rows,
-        gathered by index, and already sorted: -inf for each negative
-        eliminated pivot, the eigenvalues, +inf for each positive one."""
+        """Its row of `spectra`, to the bit, built in 2-D: below _REDUCE_FROM
+        rows the paired K's eigenvalues, its few near-pole rows set one by
+        one in Python floats, whose arithmetic is numpy's to the bit; from
+        there on the kept rows, gathered by index, and already sorted: -inf
+        for each negative eliminated pivot, the eigenvalues, +inf for each
+        positive one."""
         nv, E = self.alpha.size, self.lengths.size
         half_k = 0.5 * k
         half = half_k * self.lengths
         trig = np.empty(2 * E)
         np.sin(half, out=trig[:E])
         np.cos(half, out=trig[E:])
+        square = trig * trig
         if nv + 2 * E < _REDUCE_FROM:
             n = nv + 2 * E
-            edge = 0.5 * np.sin(2.0 * half)
+            sc = trig[:E] * trig[E:]
+            diagonal = np.concatenate([self.alpha, sc, -sc])
+            rows = math.sqrt(half_k) * trig
+            for r in (square < _NEAR_POLE).nonzero()[0].tolist():
+                e = r % E
+                x = k * self.edge_lengths[e] / math.pi
+                if r < E and x <= 0.5:   # no pole at x = 0
+                    continue
+                pivot = math.copysign(sc[e], math.ceil(x) % 2.0 - 0.5)   # `_half_sin`
+                diagonal[nv + e], diagonal[nv + E + e] = pivot, -pivot
+                rows[r] *= 0.5 / math.sqrt(abs(pivot))
+                diagonal[nv + r] = math.copysign(0.25, diagonal[nv + r])
             K = np.zeros((n, n))
-            K[:nv, nv:] = math.sqrt(half_k) * self.coupling * trig
-            K[nv:, :nv] = K[:nv, nv:].T
-            K.ravel()[:: n + 1] = np.concatenate([self.alpha, edge, -edge])
+            K[nv:, :nv] = rows[:, None] * self.coupling.T
+            K.ravel()[:: n + 1] = diagonal
             return np.linalg.eigvalsh(K)
-        sc = trig[:E] * trig[E:]
+        sc = _half_sin(trig[:E], trig[E:], k * self.lengths / math.pi)
         pivot = np.concatenate([sc, -sc])
-        square = trig * trig
         rows = (square > _KEEP_ABOVE).nonzero()[0]   # the kept rows
         w = -half_k * square / pivot
         w[rows] = 0.0
@@ -547,16 +559,31 @@ class _TrigCount(_Count):
         """counts[j].spectrum(ks[j]) for counts of one shape, stacked; the
         arguments are those of `matrices`.
 
-        Below _REDUCE_FROM rows they are the eigenvalues of `matrices`, from
-        there on the `vertex_form`'s values, sorted.  Each row is built with
-        the arithmetic, in the order, of the count's own 2-D build
-        (`spectrum`), so the two agree bit for bit.
+        Below _REDUCE_FROM rows they are the eigenvalues of the paired K,
+        whose near-pole rows are scaled (module docstring), from there on the
+        `vertex_form`'s values, sorted.  Each row is built with the
+        arithmetic, in the order, of the count's own 2-D build (`spectrum`),
+        so the two agree bit for bit.
         """
         b, nv = alpha.shape
         E = lengths.shape[-1]
-        if nv + 2 * E < _REDUCE_FROM:
-            return np.linalg.eigvalsh(_TrigCount.matrices(coupling, alpha, lengths, ks))
-        return np.sort(_TrigCount.vertex_form(coupling, alpha, lengths, ks), axis=1)[:, : nv + 2 * E]
+        if nv + 2 * E >= _REDUCE_FROM:
+            return np.sort(_TrigCount.vertex_form(coupling, alpha, lengths, ks), axis=1)[:, : nv + 2 * E]
+        n = nv + 2 * E
+        half_k = 0.5 * ks[:, None]
+        half = half_k * lengths
+        trig = np.concatenate([np.sin(half), np.cos(half)], axis=1)
+        x = ks[:, None] * lengths / math.pi
+        sc = _half_sin(trig[:, :E], trig[:, E:], x)
+        pivot = np.concatenate([sc, -sc], axis=1)
+        near = trig * trig < _NEAR_POLE
+        near[:, :E] &= x > 0.5
+        K = np.zeros((b, n, n))
+        scale = np.where(near, 0.5 / np.sqrt(np.abs(pivot)), 1.0)
+        K[:, nv:, :nv] = (np.sqrt(half_k) * trig * scale)[:, :, None] * coupling.transpose(0, 2, 1)
+        diagonal = np.concatenate([alpha, np.where(near, np.copysign(0.25, pivot), pivot)], axis=1)
+        K.reshape(b, n * n)[:, :: n + 1] = diagonal
+        return np.linalg.eigvalsh(K)
 
     @staticmethod
     def vertex_form(coupling: np.ndarray, alpha: np.ndarray, lengths: np.ndarray, ks: np.ndarray) -> np.ndarray:
@@ -576,7 +603,7 @@ class _TrigCount(_Count):
         half_k = 0.5 * ks[:, None]
         half = half_k * lengths
         trig = np.concatenate([np.sin(half), np.cos(half)], axis=1)   # s of the sin rows, c of the cos rows
-        sc = trig[:, :E] * trig[:, E:]
+        sc = _half_sin(trig[:, :E], trig[:, E:], ks[:, None] * lengths / math.pi)
         pivot = np.concatenate([sc, -sc], axis=1)   # their diagonal
         square = trig * trig
         kept = square > _KEEP_ABOVE
@@ -607,76 +634,15 @@ class _TrigCount(_Count):
     def poles(self, k: float) -> int:
         return sum(math.ceil(k * l / math.pi) for l in self.edge_lengths)
 
+    def poles_in(self, a: float, b: float) -> list[float]:
+        # n pi / l_e for a l_e / pi < n < b l_e / pi; equal lengths share their poles
+        poles = {n * math.pi / l for l in self.edge_lengths
+                 for n in range(math.floor(a * l / math.pi) + 1, math.ceil(b * l / math.pi))}
+        return sorted(k for k in poles if a < k < b)
+
     def counts(self, ks: np.ndarray, spectra: np.ndarray) -> np.ndarray:
         poles = np.ceil(ks[:, None] * self.lengths / math.pi).sum(axis=1).astype(int)
         return poles + super().counts(ks, spectra)
-
-    def _pole_within(self, k: float, window: float) -> tuple[int, float] | None:
-        """(n, l_e) of the first edge with k l_e / pi within window of an
-        integer n > 0 (round is numpy's rint: half to even)."""
-        for l in self.edge_lengths:
-            x = k * l / math.pi
-            n = round(x)
-            if 0 < n and abs(x - n) < window:
-                return n, l
-        return None
-
-    def pole_near(self, k: float) -> tuple[float, float] | None:
-        hit = self._pole_within(k, _POLE_WINDOW)
-        if hit is None:
-            return None
-        n, l = hit
-        return n * math.pi / l, _POLE_WINDOW * math.pi / l
-
-    def lone_pole(self, a: float, b: float) -> tuple[float, float] | None:
-        """(pole, half-width of its window) when (a, b) holds one pole only."""
-        poles, shortest = [], math.inf
-        for l in self.edge_lengths:
-            first = math.ceil(a * l / math.pi)
-            inside = math.ceil(b * l / math.pi) - first
-            if inside > 1:
-                return None
-            if inside == 1:
-                poles.append(first * math.pi / l)
-                shortest = min(shortest, l)
-        if not poles:
-            return None
-        half = _POLE_WINDOW * math.pi / shortest
-        # equal lengths, or lengths in integer ratios, share their poles
-        if max(poles) - min(poles) > half:
-            return None
-        return min(poles), half
-
-    def off_scale(self, k: float) -> bool:
-        return k == self.floor or self._pole_within(k, 4.0 * _POLE_WINDOW) is not None
-
-    def off_poles(self, ks: np.ndarray, direction: float) -> np.ndarray:
-        """`off_pole` in arrays, to the bit: each k moves past the window of the
-        first edge whose pole it lies in, until it lies in none."""
-        ks = np.array(ks, dtype=float)
-        while True:
-            x = ks[:, None] * self.lengths / math.pi
-            n = np.rint(x)
-            inside = (n > 0.0) & (np.abs(x - n) < _POLE_WINDOW)
-            hit = np.flatnonzero(inside.any(axis=1))
-            if not hit.size:
-                return ks
-            first = inside[hit].argmax(axis=1)
-            l = self.lengths[first]
-            ks[hit] = n[hit, first] * math.pi / l + direction * 2.0 * (_POLE_WINDOW * math.pi / l)
-
-    def window_edges(self, a: float, b: float) -> np.ndarray:
-        # each edge's poles n pi / l_e above a, n > a l_e / pi, as many as fit in (a, b)
-        span = min(_BATCH_POLES, math.ceil((b - a) * max(self.edge_lengths) / math.pi) + 1)
-        n = np.floor(a * self.lengths / math.pi)[:, None] + np.arange(1.0, span + 1.0)
-        poles = (n * math.pi / self.lengths[:, None]).ravel()
-        order = np.argsort(poles)
-        order = order[poles[order] < b][:_BATCH_POLES]
-        half = _POLE_WINDOW * math.pi / self.lengths[order // span]
-        edges = np.sort(np.concatenate([self.off_poles(poles[order] - 2.0 * half, -1.0),
-                                        self.off_poles(poles[order] + 2.0 * half, 1.0)]))
-        edges = edges[np.diff(edges, prepend=-np.inf) > 0.0]   # poles of equal lengths share their edges
-        return edges[(a < edges) & (edges < b)]
 
 
 class _TrigInertia(_TrigCount):
@@ -689,44 +655,28 @@ class _TrigInertia(_TrigCount):
     spectra = staticmethod(_TrigCount.vertex_form)
 
 
-def _split(count: _Count, a: float, b: float) -> tuple[float | None, float | None]:
-    """(point, None) with the point inside (a, b) and clear of every pole
-    window, or (None, pole) when the bracket has shrunk onto a pole.
-
-    A bracket holding a single pole is split at the edges of that pole's
-    window, so a level sitting on the pole costs two counts.  Otherwise
-    the midpoint splits it, moved out of any pole window.
-    """
-    mid = 0.5 * (a + b)
-    hit = count.lone_pole(a, b) or count.pole_near(mid)
-    if hit is None:
-        return mid, None
-    pole, half = hit
-    edges = (count.off_pole(pole - 2.0 * half, -1.0), count.off_pole(pole + 2.0 * half, 1.0))
-    for k in sorted(edges, key=lambda x: abs(x - mid)):
-        if a < k < b:
-            return k, None
-    return None, pole
-
-
 def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
-    """The lowest level of a pole-free bracket, by regula falsi.
+    """The lowest level in (lo.k, hi.k], by regula falsi; needs hi.count > lo.count.
 
-    With i = n_- at lo, the i-th value of the count's spectrum is
-    nonnegative at lo, negative at hi and changes sign exactly at the
-    lowest level in between.  An end where that value is off scale
-    (`off_scale`: the search floor and the edges of a pole window, where
-    it is of the size of k or of the window) enters as +inf at lo and -inf
-    at hi, as the vertex form's stand-ins do: the secant is then nan, and
-    the step bisects until a sample replaces that end.  When a step
-    replaces the same end as the step before, the value of the end it
-    keeps is scaled by m = 1 - f_c / f_old, f_old the value it replaces,
-    or by 1/2 where m <= 0 (Anderson-Bjorck; Illinois takes 1/2 always).
-    Where the secant point rounds onto an end whose own sample reads the
-    followed value within eigvalsh's noise (`_in_noise`), that end is the
-    level and is returned: a level sampled exactly, as 7 pi on a path of two
-    edges, reads rounding noise of either sign, and bisecting onto it cost
-    some 40 steps.  Onto any other end the step bisects.
+    At a sample c it follows the i-th value of the count's spectrum, i =
+    lo.count - poles(c) - offset, -inf where i < 0: that value is negative
+    exactly where N(c) > lo.count, so it changes sign at the lowest level in
+    between.  Across a pole the pole term and the number of negative
+    near-pole pivots (the vertex form's -inf, the paired K's -1/4) move by
+    one together, so i follows the same value, and a bracket may hold
+    poles.  The search floor's value is off scale,
+    of the size of k, and enters as nan: the secant is then nan, and the
+    step bisects until a sample replaces that end.  An infinite value, a
+    vertex form's stand-in, puts the secant point on the other end, its
+    limit.  When a step replaces the same end as the step before, the
+    value of the end it keeps is scaled by m = 1 - f_c / f_old, f_old the
+    value it replaces, or by 1/2 where m <= 0 (Anderson-Bjorck; Illinois
+    takes 1/2 always).  Where the secant point rounds onto an end whose own
+    sample reads the followed value within rounding noise (`_in_noise`),
+    that end is the level and is returned: a level sampled exactly, as 7 pi
+    on a path of two edges or a level on a pole at a count taken there,
+    reads rounding noise of either sign, and bisecting onto it cost some 40
+    steps.  Onto any other end the step bisects.
 
     It stops when the bracket is narrower than tol = 4 eps max(|a|, |b|),
     or sooner, once the secant correction through the last two samples of
@@ -736,39 +686,44 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
     in.  It returns c - step, clamped to the bracket.  Python floats carry
     that arithmetic, so it raises no numpy warning.
     """
-    i = lo.count - lo.poles - count.offset   # n_- at lo
-    a, b = float(lo.k), float(hi.k)
-    ea = None if count.off_scale(a) else lo.evals   # the spectrum of each end whose value is on scale
-    fa = math.inf if ea is None else float(ea[i])
-    if count.off_scale(b):
-        eb, fb = None, -math.inf
-    else:   # a top known by a bound has no spectrum until it is read here (`_first_level`)
-        eb = hi.evals if hi.evals is not None else (yield count, b)
-        fb = float(eb[i])
+    below = lo.count - count.offset   # i + poles(c)
+
+    def value(evals: np.ndarray, i: int) -> float:
+        return -math.inf if i < 0 else math.inf if i >= evals.size else float(evals[i])
+
+    a, ea, ia = lo.k, lo.evals, below - lo.poles   # each end's k, spectrum and followed index
+    b, eb, ib = hi.k, hi.evals, below - hi.poles
+    fa = math.nan if a == count.floor else value(ea, ia)   # off scale: the secant is nan, and the step bisects
+    fb = -math.inf if eb is None else value(eb, ib)
     tol = 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
     side = 0
     last = None   # (c, f_c) of the last sample whose value is finite
     while b - a > tol:
-        c = (a * fb - b * fa) / (fb - fa)
-        if c <= a and _in_noise(ea, i):
+        if eb is None and math.isfinite(fa):   # a top known by a bound, read once a secant can use it
+            eb = yield count, b
+            fb = value(eb, ib)
+        # an infinite value at one end puts the secant point on the other
+        c = b if fa == math.inf else a if fb == -math.inf else (a * fb - b * fa) / (fb - fa)
+        if c <= a and _in_noise(a, ea, ia):
             return a
-        if c >= b and _in_noise(eb, i):
+        if c >= b and _in_noise(b, eb, ib):
             return b
         if not a < c < b:
             c = 0.5 * (a + b)
         evals = yield count, c
-        fc = float(evals[i])
+        ic = ia if ia == ib else below - count.poles(c)   # the pole term is monotone in c
+        fc = value(evals, ic)
         if fc > 0.0:
             if side == 1:
                 m = 1.0 - fc / fa
                 fb *= m if m > 0.0 else 0.5
-            a, fa, ea = c, fc, evals
+            a, fa, ea, ia = c, fc, evals, ic
             side = 1
         elif fc < 0.0:
             if side == -1:
                 m = 1.0 - fc / fb
                 fa *= m if m > 0.0 else 0.5
-            b, fb, eb = c, fc, evals
+            b, fb, eb, ib = c, fc, evals, ic
             side = -1
         else:
             return c
@@ -781,30 +736,36 @@ def _illinois(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
     return a if a == count.floor else 0.5 * (a + b)   # a level never lifted off the floor lies below it
 
 
-def _in_noise(evals: np.ndarray | None, i: int) -> bool:
-    """Whether evals[i] is within eigvalsh's noise, n eps max |mu| over the
-    n finite values mu of evals (a vertex form's stand-ins are not)."""
-    if evals is None:
+def _in_noise(k: float, evals: np.ndarray | None, i: int) -> bool:
+    """Whether evals[i], a spectrum at k, is within rounding noise: n eps
+    max(|mu|, sqrt(k/2)) over the n finite values mu (a vertex form's
+    stand-ins are not).  sqrt(k/2) is the scale of an edge row's coupling,
+    whose rounding stays in the values where every entry cancels, as on a
+    flower at a pole, whose whole K is then rounding noise."""
+    if evals is None or not 0 <= i < evals.size:
         return False
     finite = evals[np.isfinite(evals)]
-    return abs(float(evals[i])) <= finite.size * np.finfo(float).eps * float(np.abs(finite).max(initial=0.0))
+    scale = max(float(np.abs(finite).max(initial=0.0)), math.sqrt(0.5 * k))
+    return abs(float(evals[i])) <= finite.size * np.finfo(float).eps * scale
 
 
 def _lowest_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample]) -> _Search:
     """The lowest level in (lo.k, hi.k]; needs hi.count > lo.count.
 
-    Every count taken is added to seen, for the brackets of later levels.
+    While poles lie inside the bracket, it bisects on N at the one nearest
+    the midpoint, which puts a level sitting on a pole at an end of its
+    bracket; regula falsi then searches what is left.  Every count taken
+    is added to seen, for the brackets of later levels.
     """
-    while lo.poles != hi.poles:
-        mid, pole = _split(count, lo.k, hi.k)
-        if pole is not None:
-            return pole
-        s = count.made(mid, (yield count, mid))
+    inside = count.poles_in(lo.k, hi.k) if lo.poles != hi.poles else []
+    while inside:
+        k = min(inside, key=lambda p: abs(p - 0.5 * (lo.k + hi.k)))
+        s = count.made(k, (yield count, k))
         seen.append(s)
         if s.count > lo.count:
-            hi = s
+            hi, inside = s, [p for p in inside if p < k]
         else:
-            lo = s
+            lo, inside = s, [p for p in inside if p > k]
     return (yield from _illinois(count, lo, hi))
 
 
@@ -819,18 +780,15 @@ def _around(count: _Count, r: float, lo: _Sample | None = None) -> _Search:
     the lower count: no level lies between it and r - d."""
     width = _merge_width(r)
     if lo is None:
-        below_k = count.off_pole(r - width, -1.0)
-        lo = count.made(below_k, (yield count, below_k))
-    above_k = count.off_pole(r + width, 1.0)
-    return lo, count.made(above_k, (yield count, above_k))
+        lo = count.made(r - width, (yield count, r - width))
+    return lo, count.made(r + width, (yield count, r + width))
 
 
 def _below(count: _Count, k: float) -> _Search:
-    """The sample at k, moved below any pole window it sits in; at the floor
-    `floor_sample`, whose spectrum regula falsi never reads (off scale)."""
+    """The sample at k; at the floor `floor_sample`, whose spectrum regula
+    falsi never reads (off scale)."""
     if k == count.floor:
         return count.floor_sample()
-    k = count.off_pole(k, -1.0)
     return count.made(k, (yield count, k))
 
 
@@ -843,38 +801,38 @@ class _Level(NamedTuple):
     above: _Sample
 
 
-def _next_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample], start: bool = False) -> _Search:
+def _next_level(count: _Count, lo: _Sample, hi: _Sample, seen: list[_Sample]) -> _Search:
     """The lowest level in (lo.k, hi.k] as a `_Level`; needs hi.count >
-    lo.count.  Every count taken is added to seen (`_lowest_level`); with
-    start, lo is the start of the search, which may lie within the merge
-    width of the level (`_around`)."""
+    lo.count.  Every count taken is added to seen (`_lowest_level`).  Where
+    lo lies within the merge width of the level, as a search's start or a
+    count at a pole with the level on it may, it may hold copies of the
+    level, and the count at r - d is taken (`_around`)."""
     r = yield from _lowest_level(count, lo, hi, seen)
-    if start and lo.k > max(r - _merge_width(r), count.floor):
+    if lo.k > max(r - _merge_width(r), count.floor):
         lo = yield from _below(count, max(r - _merge_width(r), count.floor))
     below, above = yield from _around(count, r, lo)
     return _Level(r, above.count - below.count, above)
 
 
-def _levels_in(count: _Count, lo: _Sample, hi: _Sample, start: bool = False) -> _Search:
+def _levels_in(count: _Count, lo: _Sample, hi: _Sample) -> _Search:
     """The levels in (lo.k, hi.k] as `_Level`s, ascending, searched up from
-    the sample lo, the start of the search where start (`_next_level`)."""
+    the sample lo."""
     seen = [lo, hi]
     out: list[_Level] = []
     while lo.count < hi.count:
         # the tightest bracket above lo among the counts taken so far
         lo = max((s for s in seen if s.count == lo.count), key=lambda s: s.k)
         upper = min((s for s in seen if s.count > lo.count), key=lambda s: s.k)
-        out.append((yield from _next_level(count, lo, upper, seen, start and not out)))
+        out.append((yield from _next_level(count, lo, upper, seen)))
         seen.append(out[-1].above)
         lo = out[-1].above
     return out
 
 
-def _range_top(count: _Count, k: float) -> float:
+def _range_top(k: float) -> float:
     """Where a search of the levels up to k takes its top count: the merge
-    width past k, so that a level sitting on k belongs to the range, moved
-    off any pole window."""
-    return count.off_pole(k + _merge_width(k), 1.0)
+    width past k, so that a level sitting on k belongs to the range."""
+    return k + _merge_width(k)
 
 
 def _first_level(count: _Count, lo: _Sample, k_hi: float, at_least: int | None = None) -> _Search:
@@ -882,36 +840,38 @@ def _first_level(count: _Count, lo: _Sample, k_hi: float, at_least: int | None =
     start lo, or None where the range holds none.
 
     It takes the count at the top of the range alone.  at_least, a lower
-    bound on N there, stands in for that count where it is given: bisection
-    on N never needs more, and regula falsi takes the top's spectrum only
-    where it reads it (`_illinois`).
+    bound on N there, stands in for that count where it is given: regula
+    falsi takes the top's spectrum only where it reads it (`_illinois`).
     """
-    top = _range_top(count, k_hi)
+    top = _range_top(k_hi)
     if at_least is None:
         hi = count.made(top, (yield count, top))
     else:
         hi = _Sample(top, at_least, count.poles(top), None)
     if hi.count == lo.count:
         return None
-    return (yield from _next_level(count, lo, hi, [lo, hi], start=True))
+    return (yield from _next_level(count, lo, hi, [lo, hi]))
 
 
 def _level_search(count: _Count, lo: _Sample, k_hi: float) -> _Search:
     """The levels in (lo.k, k_hi] as `_Level`s, ascending, searched up from
     the sample lo.
 
-    It takes, in one batch, the top of the range (`_range_top`) and both
-    window edges of every pole in between, the points where `_split` would
-    take them (`window_edges`, those of the lowest _BATCH_POLES poles).
-    Every bracket between neighbouring points where the count rises is
-    then searched on its own, all of them in lockstep.  A level's
+    It takes, in one batch, the top of the range (`_range_top`) and every
+    pole in between (`poles_in`), one point per pole; a range with more
+    poles than _MAX_LEVELS + V' + E, where N must rise by more than
+    _MAX_LEVELS, takes its top alone and fails.  Every bracket between
+    neighbouring points where the count rises is then searched on its own,
+    all of them in lockstep.  A level's
     multiplicity is counted up to d past it (`_around`), and may take in
     levels of the brackets above: those go, and a bracket of which it took
     some but not all is searched again from the count above the level, as
     a search of the range one level after another would go on from there.
     """
-    top = _range_top(count, k_hi)
-    ks = np.append(count.window_edges(lo.k, top), top)
+    top = _range_top(k_hi)
+    # N rises by one at each pole, less n_- at lo, which is at most V' + E
+    least = count.poles(top) - lo.poles - count.alpha.size - count.lengths.size
+    ks = np.append(count.poles_in(lo.k, top) if least <= _MAX_LEVELS else [], top)
     samples = [lo] + [count.made(k, evals) for k, evals in zip(ks.tolist(), (yield count, ks))]
     hi = samples[-1]
     if hi.count - lo.count > _MAX_LEVELS:
@@ -919,7 +879,7 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float) -> _Search:
             f"{hi.count - lo.count} eigenvalues in ({lo.k}, {k_hi}], more than {_MAX_LEVELS}"
         )
     brackets = [(a, b) for a, b in zip(samples, samples[1:]) if b.count > a.count]
-    found = yield from _together([_levels_in(count, a, b, start=a is lo) for a, b in brackets])
+    found = yield from _together([_levels_in(count, a, b) for a, b in brackets])
     out: list[_Level] = []
     below = lo   # the count above the last level kept
     for (a, b), levels in zip(brackets, found):
@@ -1029,8 +989,8 @@ def spectral_gap(m: MetricGraph) -> tuple[float, int]:
 def _reaches(m: MetricGraph, k: float, count: _TrigCount | None = None) -> _Search:
     """Whether spectral_gap(m)[0] >= k, as a search of one count: N(k) <=
     N(k_floor), the known count at the floor where `spectral_gap` starts,
-    with k at least that floor and moved below any pole window it sits in;
-    m's count is the caller's where it has built one."""
+    with k at least that floor; m's count is the caller's where it has
+    built one."""
     _require_k("k", k)
     count = count if count is not None else _TrigCount(m)
     below = yield from _below(count, max(k, count.floor))

@@ -329,7 +329,7 @@ SGP_OUTPUT = {
   "vertex": 0,
   "theta_sg": 3.141592653589793,
   "classification": "strong",
-  "k1": 6.2831853071795765,
+  "k1": 6.283185307179584,
   "k1_multiplicity": 3,
   "dirichlet_k0": 6.283185307179583,
   "dirichlet_multiplicity": 4,
@@ -342,7 +342,7 @@ SGP_OUTPUT = {
   "classification": "violates",
   "k1": 6.283185307179586,
   "k1_multiplicity": 2,
-  "dirichlet_k0": 3.1415926535897936,
+  "dirichlet_k0": 3.141592653589794,
   "dirichlet_multiplicity": 0,
   "k1_is_flat_band": true
 }
@@ -353,7 +353,7 @@ SGP_OUTPUT = {
   "classification": "violates",
   "k1": 6.28318530717959,
   "k1_multiplicity": 1,
-  "dirichlet_k0": 3.1415926535897998,
+  "dirichlet_k0": 3.1415926535897944,
   "dirichlet_multiplicity": 0,
   "k1_is_flat_band": false
 }
@@ -364,7 +364,7 @@ SGP_OUTPUT = {
   "classification": "violates",
   "k1": 7.853981633974483,
   "k1_multiplicity": 2,
-  "dirichlet_k0": 2.318238045004027,
+  "dirichlet_k0": 2.3182380450040307,
   "dirichlet_multiplicity": 0,
   "k1_is_flat_band": true
 }
@@ -398,16 +398,16 @@ OPTIMIZE_OUTPUT = {
     0.25,
     0.25
   ],
-  "gap": 6.2831853071795765,
+  "gap": 6.283185307179584,
   "classification": "maximizer-candidate",
   "trace": [
     {
-      "gap": 3.2973822709578644,
+      "gap": 3.297382270957866,
       "step": 0.0,
       "move": "init"
     },
     {
-      "gap": 6.2831853071795765,
+      "gap": 6.283185307179584,
       "step": 0.0,
       "move": "symmetrize"
     }
@@ -440,51 +440,51 @@ OPTIMIZE_OUTPUT = {
     "stower21-rng1000": ((stower(2, 1)[0], random_lengths(np.random.default_rng(1000), 3)), """\
 {
   "lengths": [
-    0.4,
-    0.4,
-    0.2
+    0.39999999999999997,
+    0.39999999999999997,
+    0.20000000000000012
   ],
-  "gap": 7.853981633974483,
+  "gap": 7.853981633974481,
   "classification": "maximizer-candidate",
   "trace": [
     {
-      "gap": 4.4148326876508595,
+      "gap": 4.414832687650867,
       "step": 0.0,
       "move": "init"
     },
     {
-      "gap": 4.432652649720624,
+      "gap": 4.432652649720628,
       "step": 0.0,
       "move": "symmetrize"
     },
     {
-      "gap": 6.995250748848716,
-      "step": 0.007712695457966505,
+      "gap": 6.995250748848719,
+      "step": 0.007712695457966489,
       "move": "gradient"
     },
     {
-      "gap": 7.694723511922097,
-      "step": 0.0011240500319137853,
+      "gap": 7.6947235119220965,
+      "step": 0.0011240500319137836,
       "move": "gradient"
     },
     {
-      "gap": 7.843700503579694,
-      "step": 0.00016041579222752695,
+      "gap": 7.843700503579697,
+      "step": 0.0001604157922275308,
       "move": "gradient"
     },
     {
-      "gap": 7.853941065851561,
-      "step": 1.0199365478371386e-05,
+      "gap": 7.853941065851559,
+      "step": 1.0199365478365467e-05,
       "move": "gradient"
     },
     {
-      "gap": 7.85398163334583,
-      "step": 4.019377063158099e-08,
+      "gap": 7.853981633345825,
+      "step": 4.0193770629303686e-08,
       "move": "gradient"
     },
     {
-      "gap": 7.853981633974483,
-      "step": 6.228479144606044e-13,
+      "gap": 7.853981633974481,
+      "step": 6.228538892948814e-13,
       "move": "gradient"
     }
   ]
@@ -501,13 +501,13 @@ OPTIMIZE_OUTPUT = {
   "classification": "supremizer-candidate",
   "trace": [
     {
-      "gap": 3.8212664724980314,
+      "gap": 3.8212664724980323,
       "step": 0.0,
       "move": "init"
     },
     {
-      "gap": 6.283185307117572,
-      "step": 0.03874006467487756,
+      "gap": 6.2831853071175745,
+      "step": 0.03874006467487755,
       "move": "gradient"
     },
     {

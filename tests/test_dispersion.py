@@ -304,58 +304,58 @@ def _curve_digest(curve):
 # reads rounding noise there: it came out 21.991148575128555, and is now
 # the bracket's end, fl(7 pi) = 21.991148575128552
 SWEEP_DIGESTS = {
-    ("star", (3,), 0): ("951f05e984b2d0005a514cb8b7fc84473b9c06c230bbb31511412ceb34cfd1a5",  # was 49dad18ff12a...
-        "d2cc985c036e176f46995be302d7d13db0995894ab18209f3c8914eb9345e44f"),
-    ("star", (4,), 0): ("5876ee75b648ca41c02e072f34f3627c1db9a757d80c5bb678fef25fb39bce20",  # was 6c2f426cb4e5...
-        "6477951e8dd81cc6eb2196cc901c26e0e42e3f7222cad27a2dc4650a0da3b4ae"),
-    ("star", (5,), 0): ("964295567097e78505545b5412f97a26fe10a4a393f69a3f896cc864f4e88990",  # was 11f95543e367...
-        "a1b15cfdf53e3752eed610a4ffad9332f190b897d27e8859200d8bac9935ef89"),
-    ("star", (3,), 1): ("552dfd7cedc84899242e5039c57b01cb0fead125f46645acff00bfde1356a3e9",  # was 55ef3b54a00f...
-        "8f12c0cbbeef54c824ab43aaf41dd2d03bf23a5377f7d5f9b8654d4e453cbac8"),
-    ("star", (4,), 1): ("3b02663371104900e637c12f6a9299cbdd0a9333646f04c58ec1563567156e60",  # was 5ffcd0a82b55...
-        "feb36d27d03f988b0456b1aae9f1fade019cf5ed82318345b59de9d2861c1b6d"),
-    ("star", (5,), 1): ("3e97f2220eaaaf858afd6b7f19c9cc04cfaad9c4b5af98fe6483ee147305cc34",  # was f1165e0f4e48...
-        "dfd5b9fa971f0182c82e548a02d2830331a23a61e9635eb155cf3c2be3afcd30"),
-    ("flower", (2,), 0): ("f69141fb90b44423373c909ab2a9127f5df6d69b9381c2a1f203337682f33099",  # was 648eb3d37797...
-        "f2830f03aef089a11ad9bfb624ac81e7a9d94d8b94ac38683aa7fd2ef754a5bd"),
-    ("flower", (3,), 0): ("03ba7e76fd7e600e401603b8b31ca70c757c23ac7770d5eba4dda1f2dcc3ee68",  # was 9c05e0465d5b...
+    ("star", (3,), 0): ("196df0837e14a246698c00569140efd62d20f98746c8bc482eecc73ce0936cd4",  # was 49dad18ff12a...
+        "a45b3130ef882a3a69f46ec236ad1014dd1405a70c4126bb83101f9d94d5195f"),
+    ("star", (4,), 0): ("30d5a1749d0434497bf3db9d158fc2895b621795cad006eb8079269867364978",  # was 6c2f426cb4e5...
+        "c91a2662f879e5943080f2e34e1e50e2406a70610e81b1e51b6e71e0b6877e48"),
+    ("star", (5,), 0): ("22c2a9b17fde12fb0c909e6a9f06ca38f4e567d26a969ca78f9880ec52b2ff99",  # was 11f95543e367...
+        "01ef5f7cd457a2ac204ff25b77ca2772e50a61b55e6485c792e885b158bb4daf"),
+    ("star", (3,), 1): ("a95bcb8caeb0799836f4576f7e2558cfd7b135c6ffd51442caa802991a048282",  # was 55ef3b54a00f...
+        "9aabe27bdc7afe49419f5702a76a964e8e7a12de2fd684d676cb848eeac7a9cc"),
+    ("star", (4,), 1): ("88214b4eca37b2281ad1b4c01ab2fa600d6d4cf24223d871acde8b3723bfae11",  # was 5ffcd0a82b55...
+        "bd5123f675b78cd2d7db988491e85c2161050bd9e3a19ee3889b30163dc3b746"),
+    ("star", (5,), 1): ("4d9455d62a54dba6c78b11a787ceb35642a6e60d6daacf89601405f21794b1df",  # was f1165e0f4e48...
+        "afbcb01b4e1c330364c3a172b775f6d6dcf2a3145fbc165522d3628df5462a17"),
+    ("flower", (2,), 0): ("7e3c843ec3c8266d8ebfbcb51e4e2ddd7d67fbabc16d752d11474d7595a9bc3c",  # was 648eb3d37797...
+        "ec4978482ea1dad473c2a13b88a7ae10ce1ec69b472e323332a9735fac190d8f"),
+    ("flower", (3,), 0): ("26109bfe97503c03cfb5f2ca36d5a21b5388da128db56e8e18b59f9911f1867b",  # was 9c05e0465d5b...
         "bdb945c67279f6d0163d78ab7940f70bcc4d4ae39941a44c66a1d04671f9a465"),
     ("flower", (4,), 0): ("dab67299e94390932ba6aa2554aab2963c6f3f9ffdc2f31fd356cf4cdaa1755a",  # was b076fd2e3907...
         "d9f1f9dab53cf877151957b1a42d7082979bc5c5ec51229f7ecd7b29933cbab4"),
-    ("stower", (1, 2), 0): ("c2054f40cef767f342747c2b9d4d0577648c9122bbc77793fed10638b02698b0",  # was 875844896862...
-        "cf138b7340d7227047573be907a322308e902136109b812863cc0c8f4ec1293a"),
-    ("stower", (1, 2), 1): ("79a933437f053c0601a22f0b0e00fb6007f3e47fb4136491bea0c5d4310e2504",  # was aa201efe27b8...
-        "da8631c6335b8a9ed98c4f876cc1ce643c35d46dbbcfbd0934f455b0be1a1000"),
-    ("stower", (2, 1), 0): ("14729d3e8d711eeccd4c3c47e0f013c35c79fdb3d8923bb85dce3bfb756cfc77",  # was 80061da70981...
-        "b6b795eb92377375b99ddb9fe34fe8fd7d0f57b493f7bb56b710b164663fea33"),
-    ("stower", (2, 1), 1): ("68c28667e12341089ae1e65463d30387376de2e9c16ce61f75c1017400b072b8",  # was 3f8d2044f19c...
-        "0ac6683502ded6f0c909e203d226f7d9554ecbca2af8b74fc682fdab06eb57e4"),
-    ("stower", (2, 2), 0): ("3021269860df1443c0cd1fdc529bc76f14bf0ff7027a971b52da44772f8ebc89",  # was 37caef04672f...
-        "8176bfd5a13e01521695b7029a26c8693f69f8b44d4bdc2203342abab3899bb3"),
-    ("stower", (2, 2), 1): ("071992316514e58daa3c7cbdf3d2ba34072842d30678791a8d259bc8814d99ab",  # was f6e9d547d6f5...
-        "c91cfb3ce2c2c6bba236fd637479ddd1348fbc4886769053f083c1d7667ad79f"),
-    ("mandarin", (2,), 0): ("9c7918e0468f4dbc95526d9e64981c90bb443497d23249bdd2039bfd022aa07c",  # was fb63e03c8058...
-        "3d00bd4d812da3738505dbf636bfd7852b1a00199aadd45baabe6eb942d110a4"),
-    ("mandarin", (3,), 0): ("044e2c877f818c38976eb5081e77cb2b011cac3df207082c4dd7fb6feabf5688",  # was 13b3b67f1877...
-        "7eb9ef467373054b1372dfc1e5cdc84151f08d8a631fa4c18fb6e00310b49844"),
-    ("mandarin", (4,), 0): ("b5512825e935aaffcd846a3f967aa0e95120218eef2a73654c45388e8e487e1d",  # was 2dc0f643a206...
-        "4fc6f1000323823583c4aca8c62f4d4d7d0dea2995c58646ac2424ec296903c5"),
-    ("path_graph", (1,), 0): ("491a1d9f074cebf410b99491c8fe1f6d2558a8d6af0709990c16c7038f6a2fd4",  # was 42a611b2ec6b...
-        "599e88d1edce789fcfe323335ee7185fce5379bb9608fb129e856567569d2ac9"),
-    ("path_graph", (2,), 1): ("df5364cff1d1c7707854e5a2043ee3b1f58d2dd373d6323941a7833f62953afd",  # was a228de4336ee...
-        "b26325ef650c73805e22adaa4ed8cdce88d4f7cf54ccddce4e5012e86df2a9dd"),
-    ("path_graph", (2,), 0): ("ccf1cf21a67ccee92ed23ea82d70e23ac1bfe1630fda9a4bc0f5fbb3a01c6c33",  # was e9cc1b5fd4e4...
-        "64ee7c507eddf51c27cd5f48f653d2ad18865285847cf5e3ce64614a43585883"),
-    ("path_graph", (3,), 1): ("efd32883f899af2a4e007efa2656471598ef024ad0eefc3832fb8d2b07d5bf40",  # was 2d0bf119b720...
-        "95ac042e82adb71e6af25ba4dd4b87009badfd45f7b55af63abe435889aa6e66"),
+    ("stower", (1, 2), 0): ("ad432e4e1c84ca22ecbbac7723ffc43693fc696b8f1f4e9ea7949201cfc565b2",  # was 875844896862...
+        "aaab5765f21549bf3d7e956d5ecc751782ed9babb7a1fb11d0d78e8c5c3f04a2"),
+    ("stower", (1, 2), 1): ("9dd4db928fa156920f8db2fad9be77f544b0b522ab8519331636116a626852ce",  # was aa201efe27b8...
+        "b365dff5b32642b90afd6647fe6ccdbf6645237d463ff924aa6ba7b8da3ca729"),
+    ("stower", (2, 1), 0): ("aa43b9030926b5dfad57ac7682bd89a769609a2a7601efdd4598379b81d4b4a4",  # was 80061da70981...
+        "4e92b22c52878a2c45eda2fee1f41019b629b7731583481d489c4c88c1873268"),
+    ("stower", (2, 1), 1): ("eb9456c9fb6f247c0f6e9cadb40afe182914f7a205613966ee9ab2a428ec13a2",  # was 3f8d2044f19c...
+        "ad2228232063d17124d70315e97cb4b83fded2a6b94e94bda1b925de2e36dd64"),
+    ("stower", (2, 2), 0): ("2cf82d538abd660439e91b359b28cd5a82d8e74a591fa3da3848162ee11c1690",  # was 37caef04672f...
+        "21dcdbae8153fdecca6c172dcc7dafc5c74d25a6845e345efaf6831eeb90f75f"),
+    ("stower", (2, 2), 1): ("26a48fd0ab93baf3979a096a873ecba90805a8af7720e36370991386e1cc574b",  # was f6e9d547d6f5...
+        "7d84209d677fdaaca1003d7ce583fc3484e86e9a0ac3bcc78985be887ee45db7"),
+    ("mandarin", (2,), 0): ("391b94965b468406116c78569fc8e25ef985c27a61694abf3c687a69c10ab6a2",  # was fb63e03c8058...
+        "757c97efcd81be95e31725e4c8224ae6d735c17aaeb16a7cbd060f9448d53f1f"),
+    ("mandarin", (3,), 0): ("b5c460cb1487b832e3f75b18ee44c9a433c9c6259248829dcf669da4ccc5fe9f",  # was 13b3b67f1877...
+        "07827e3098290a2aa2aa67f93fad7b090e57a3df2b3e9f291d66f2f607e6d816"),
+    ("mandarin", (4,), 0): ("8574d595b7b63e8d20a17e42636b75d093ea2101fb8897e5ae6a3ceed4774eaf",  # was 2dc0f643a206...
+        "a957001f2508f05dc63c5e5d976a11affaf14b037c80cba3f28d2221d9054bb4"),
+    ("path_graph", (1,), 0): ("662db7ee9c2a1f2541397277bcb9e82636c01350771b29a07d217d1398bd2542",  # was 42a611b2ec6b...
+        "e030a59b9ba679b9ee3fd06121523320d5155602cbc539603826cc244dfa720b"),
+    ("path_graph", (2,), 1): ("9254f1f705e57178fac7e2c9f5b85c445b6760dc0efbb13ef8d4f38e45f7f95f",  # was a228de4336ee...
+        "a23af14ae64520a1164a8c7dcee44b01be61cc80b6da3fd9fd260839524d2bbb"),
+    ("path_graph", (2,), 0): ("bcd22e53666664a2b5dd3cc15e29951eddb000ebaa014d1157c928ed166b9d8e",  # was e9cc1b5fd4e4...
+        "edc63b81a76fafeba7b360f080215b593b5070a71a647205111d77b97dbc72b9"),
+    ("path_graph", (3,), 1): ("935aac889e7349fc7957a34e501dd4dcb04e1e015373a8afde6f87fbdc2fdf34",  # was 2d0bf119b720...
+        "6602fa08f496c7b99d35cc402fa0fa8ca30688835867bfba055e6310cd5c4506"),
     ("necklace", (2,), 0): ("064ffdb7cd7465ae6bf1b6d24d442da1ad62baf702efcacc5f0dbb41f2964d93",  # was 9d7dbc1123e8...
-        "1625398f12937654d813b36b49fb4348240671128e9834b2441ccf384c584c8f"),
+        "b3381c37a6d672f5c93d5abddc2a39f50cb891c473fe9fca2bd0a7236ce14384"),
     ("necklace", (2,), 1): ("4e19fb7a898f2465ce451be24489c36cca1194dd71ed935abbe0903ebd8c6c30",  # was e18a251ddf89...
-        "5ccb4edbefc5f52bb342ab416c44d02a60f160b2ae4869d4c4851ae54b2833fc"),
-    ("dumbbell", (0.2,), 0): ("0d52cfd03ac09d126dae6e35cedc6bf00b65b0a8c0a9c0ab873ae8fabdb4e7a5",  # was 3a6186e9d40a...
-        "c5518a940b00b9260ce0aa6450fc15868284f490d2a9bc0a229b5f1bae51b136"),
-    ("dumbbell", (0.5,), 0): ("eaefc55794dda4b7662bed233bc93958e726bf17ff38363bc010f7246fb3d8f9",  # was 0b044110ced0...
-        "9ac5bc7e55c54cb287c619c69d8fc693021fd4a8499728d875a9084ad3ebb00e"),
+        "7759fdacdfaac8b2377797d4a1a20d6d8ff160faf8465770a90e8df7b4690b03"),
+    ("dumbbell", (0.2,), 0): ("b39f0fbab5e4f701cd1b1e4044f743f7c47ed90aa381a62caba4e5adff988f9c",  # was 3a6186e9d40a...
+        "2f408ceeff089b55f44863ce98f9990d351ff37ea70ea18198d493354dbeee4f"),
+    ("dumbbell", (0.5,), 0): ("7d16a9777891f9338d42828a38107ecd9b61f3d2b9bc45d5ad6febe7762b5609",  # was 0b044110ced0...
+        "5c06e1d41dab4b8d88b1790c3a9d65cf33bc371a6d87586b348df98cd4438cec"),
 }
 
 
@@ -400,8 +400,8 @@ def test_the_vertex_form_reads_the_inertia_of_whole_k(monkeypatch):
     # size (`spectral._TrigInertia`): its n_- is that of the whole K at every
     # point the rows of the theta_sweep graphs take, the theta = pi row,
     # whose v row is the scaled row's limit, and the points next to a pole
-    # window included; and at random points and every window edge of
-    # seeded random rows
+    # included; and at random points and 1e-9 relative either side of every
+    # pole of seeded random rows
     stacks = []
     vertex_form = spectral._TrigInertia.spectra
 
@@ -420,18 +420,19 @@ def test_the_vertex_form_reads_the_inertia_of_whole_k(monkeypatch):
         m, v = _random_sweep(rng, deltas=True)
         for theta in (float(rng.uniform(-3.0, 3.0)), PI):
             count = spectral._TrigCount(_with_theta(m, v, theta))
-            ks = np.concatenate([rng.uniform(0.1, 30.0, 16), count.window_edges(0.1, 30.0)])
+            poles = np.array(count.poles_in(0.1, 30.0))
+            ks = np.concatenate([rng.uniform(0.1, 30.0, 16), poles * (1.0 - 1e-9), poles * (1.0 + 1e-9)])
             stacks.append((np.repeat(count.coupling[None], ks.size, axis=0),
                            np.repeat(count.alpha[None], ks.size, axis=0), count.lengths, ks))
     # the points of the sweeps within twice the merge width of a pole, and those
-    # of the random rows within 4 windows of one
+    # of the random rows within 2e-9 relative of one
     near = []
     for n, (coupling, alpha, lengths, ks) in enumerate(stacks):
         whole = np.linalg.eigvalsh(spectral._TrigCount.matrices(coupling, alpha, lengths, ks))
         n_minus = np.count_nonzero(spectral._TrigCount.vertex_form(coupling, alpha, lengths, ks) < 0.0, axis=1)
         assert n_minus.tolist() == np.count_nonzero(whole < 0.0, axis=1).tolist()
         x = ks[:, None] * lengths / PI
-        width = 4.0 * spectral._POLE_WINDOW if n >= swept else 2.0 * spectral._MULT_PROBE * x
+        width = (2e-9 if n >= swept else 2.0 * spectral._MULT_PROBE) * x
         near.append(np.count_nonzero((np.abs(x - np.rint(x)) < width).any(axis=-1)))
     assert sum(near[:swept]) > 100 and sum(near[swept:]) > 100
 
@@ -811,22 +812,26 @@ def test_dispersion_count_budget(count_matrices, monkeypatch):
     monkeypatch.setattr(dispersion, "_branch_roots", solved)
     monkeypatch.setattr(dispersion, "_confirmed", confirming)
     dispersion_curve(metric(*star(4)), 1, grid_size=32)
-    # 330 when the theta = 0 search took its counts one after another
-    assert count_matrices.n == 325
+    # 330 when the theta = 0 search took its counts one after another, 325
+    # when its first batch took both window edges of each pole and a count
+    # was never taken near one
+    assert count_matrices.n == 329
     assert (count_matrices.m0.n, count_matrices.m0.calls) == (31, 1)
     # the theta = 0 search brackets its range in one batch, then searches
-    # the brackets in lockstep: 6 stacked calls, 21 one after another before;
-    # it is the one drive
-    assert len(calls) == 2 and calls[1] == 6
+    # the brackets in lockstep: 10 stacked calls, 21 one after another
+    # before, 6 while the batch took both window edges of each pole; it is
+    # the one drive
+    assert len(calls) == 2 and calls[1] == 10
     # each root starts from a model of the vertex function on its branch
     # (`_model_starts`) and stops once two Newton steps show quadratic
     # convergence: 2 solves; 6 from the secant point of each branch, 7 when
     # each root waited for a step within the tolerance there
     assert rounds == [2]
-    # the vertex function's points: 12 samples around the theta = 0 levels
-    # and at the ends, 48 nodes of the model and 297 lockstep points; 732
+    # the vertex function's points: samples around the theta = 0 levels and
+    # at the ends, nodes of the model and lockstep points, 354 in all; 357
+    # while the theta = 0 levels came from counts kept off the poles, 732
     # from the secant points, 720 of them in the lockstep
-    assert points == [357]
+    assert points == [354]
     # the rows confirm their levels last, with no drive: one stacked call
     # for the trig counts of every row, the theta = pi row included, and
     # one for the hyperbolic counts of the attractive rows; level by level

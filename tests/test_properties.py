@@ -130,6 +130,6 @@ def test_neumann_floor_count_is_one(m):
     # Neumann graph without counting it: k = 0 is the only level below
     # k_1 >= pi / L
     count = _TrigCount(m)
-    floor_k = count.off_pole(_k_floor(m), -1.0)
+    floor_k = _k_floor(m)
     assert count.made(floor_k, count.spectrum(floor_k)).count == 1, m
     assert _drive([_below(count, count.floor)])[0].count == 1, m
