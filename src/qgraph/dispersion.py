@@ -38,10 +38,11 @@ two poles atan G rises from -pi/2 to pi/2, and every row has exactly one
 level on it, where phi = atan G + atan(1/alpha) = 0.  The branches end
 at four points, with G taken there: the negative ones run from
 -kappa_top, where G lies below the -1/alpha of every attractive row
-(`spectral._HyperbolicCount.top` of the most attractive one, a diagonal
-bound that takes no count), to the hyperbolic floor, and the positive
-ones from the trig floor to the top of the theta = 0 row's search up to
-k_max (`spectral._range_top`).  The rest of a theta = 0 level, its
+(`spectral._HyperbolicCount.top` of the theta = 0 count with the most
+attractive row's coupling at v, a diagonal bound that takes no count),
+to the hyperbolic floor, and the positive ones from the trig floor to
+the top of the theta = 0 row's search up to k_max
+(`spectral._range_top`).  The rest of a theta = 0 level, its
 eigenfunctions that vanish at v, is a flat band of every row: the
 level's multiplicity, less one at a pole.  A dispersion curve
 removes its positive flat bands from every row within the count's merge
@@ -468,10 +469,11 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     floor = count.floor_sample()
     zero, negative = _drive([_level_search(count, floor, k_max), _negative_search(hyperbolic)])
     hi_k = _range_top(k_max)
-    # above the negative levels of the most attractive row, and so of every row
-    most = int(np.argmin(alphas))
-    kappa_top = (_HyperbolicCount(_with_theta(m0, v, float(thetas[most]))) if alphas[most] < 0.0
-                 else hyperbolic).top()
+    # above the negative levels of the most attractive row, and so of every
+    # row: the theta = 0 couplings with that row's at v, where it is below 0
+    most_attractive = hyperbolic.vertex_alpha.copy()
+    most_attractive[v] = min(0.0, alphas.min())
+    kappa_top = hyperbolic.top(most_attractive)
 
     def G(ss):
         """G(s) and dG/ds: g(s) of the count for s > 0, else h(-s) of the hyperbolic one."""

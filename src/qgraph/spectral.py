@@ -77,7 +77,7 @@ One level finder serves every spectrum.  A range up to k ends at its
 top, k plus the merge width (below) (`_range_top`), so a level sitting
 on k belongs to it.  A search of the whole range (`_level_search`), as
 `eigenvalues`, `levels` and a sweep's theta = 0 row take it, first takes
-one batch of counts: the top and every pole below it.  Each bracket
+one round of counts: the top and every pole below it.  Each bracket
 between two of them where N rises is then searched on its own, all of
 them in lockstep.  A search of the first level alone (`_first_level`),
 as the gap searches and the optimizer's window above a gap take it,
@@ -143,9 +143,10 @@ built on them (`_gap_search`, `_reaches`, `_eigenvalue_search`,
 the same kind, and one driver runs any number of them together and takes
 every count any of them needs, a group of one matrix shape in one
 stacked `spectra`, and a lone request of a trig count in its own 2-D
-build, `_TrigCount.spectrum` (`_lockstep`).  A search that knows points
-in advance asks for them as one batch, as a search of the whole range
-asks for its first points.  The public functions drive one search each; the graphs of
+build, `_TrigCount.spectrum` (`_lockstep`).  Every request is one count
+at one point; a search that knows several points in advance, as a
+search of the whole range knows its first ones, asks for them as one
+dict of such requests.  The public functions drive one search each; the graphs of
 `levels`, the restarts of the optimizer and each ascent's contract probes
 drive theirs together.  The counts that confirm the levels of a
 dispersion curve's rows are all known before any is taken, so they go
@@ -857,8 +858,9 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float) -> _Search:
     """The levels in (lo.k, k_hi] as `_Level`s, ascending, searched up from
     the sample lo.
 
-    It takes, in one batch, the top of the range (`_range_top`) and every
-    pole in between (`poles_in`), one point per pole; a range with more
+    It first asks, as one dict of single requests keyed by index, for the
+    top of the range (`_range_top`) and every pole in between (`poles_in`),
+    one point per pole; a range with more
     poles than _MAX_LEVELS + V' + E, where N must rise by more than
     _MAX_LEVELS, takes its top alone and fails.  Every bracket between
     neighbouring points where the count rises is then searched on its own,
@@ -871,8 +873,9 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float) -> _Search:
     top = _range_top(k_hi)
     # N rises by one at each pole, less n_- at lo, which is at most V' + E
     least = count.poles(top) - lo.poles - count.alpha.size - count.lengths.size
-    ks = np.append(count.poles_in(lo.k, top) if least <= _MAX_LEVELS else [], top)
-    samples = [lo] + [count.made(k, evals) for k, evals in zip(ks.tolist(), (yield count, ks))]
+    ks = (count.poles_in(lo.k, top) if least <= _MAX_LEVELS else []) + [float(top)]
+    spectra = yield {i: (count, k) for i, k in enumerate(ks)}
+    samples = [lo] + [count.made(k, spectra[i]) for i, k in enumerate(ks)]
     hi = samples[-1]
     if hi.count - lo.count > _MAX_LEVELS:
         raise ResourceBudgetError(
@@ -1182,18 +1185,19 @@ class _HyperbolicCount(_Count):
     def floor_sample(self) -> _Sample:
         return _Sample(self.floor, self.alpha.size - self.zero_modes[0], 0, None)   # n_+ of -M0
 
-    def top(self) -> float:
-        """The first kappa = 2^j, j >= 0, where H is positive definite by a
-        diagonal bound, so above every negative level; no count is taken.
-        Each edge adds (kappa/2)(tanh p p^T + coth q q^T) to H, p and q its
-        unsigned and signed incidence, and as coth >= tanh that is at least
-        kappa tanh(kappa l/2) on the diagonal at each of its ends; so H is
-        positive definite where every alpha_u + kappa sum tanh(kappa l/2)
-        over the edge ends at u is positive."""
+    def top(self, vertex_alpha: np.ndarray) -> float:
+        """The first kappa = 2^j, j >= 0, where H with the couplings
+        vertex_alpha of every vertex, this count's own or a sweep row's, is
+        positive definite by a diagonal bound, so above every negative
+        level; no count is taken.  Each edge adds (kappa/2)(tanh p p^T +
+        coth q q^T) to H, p and q its unsigned and signed incidence, and as
+        coth >= tanh that is at least kappa tanh(kappa l/2) on the diagonal
+        at each of its ends; so H is positive definite where every alpha_u
+        + kappa sum tanh(kappa l/2) over the edge ends at u is positive."""
         ends = self.graph.incidence[:, : self.lengths.size]
         kappa = 1.0
         # vertex_alpha is inf at the Dirichlet vertices, which have no row
-        while np.any(kappa * (ends @ np.tanh(0.5 * kappa * self.lengths)) <= -self.vertex_alpha):
+        while np.any(kappa * (ends @ np.tanh(0.5 * kappa * self.lengths)) <= -vertex_alpha):
             kappa *= 2.0
         return kappa
 
@@ -1240,7 +1244,7 @@ def _negative_search(count: _HyperbolicCount) -> _Search:
     takes no count, so the search of the range asks for the first ones."""
     if not count.zero_modes[0]:
         return []
-    found = yield from _level_search(count, count.floor_sample(), count.top())
+    found = yield from _level_search(count, count.floor_sample(), count.top(count.vertex_alpha))
     return [Eigenpair(-kappa, mult) for kappa, mult, _ in reversed(found)]
 
 

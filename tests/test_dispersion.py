@@ -745,7 +745,7 @@ def test_a_kappa_top_below_a_negative_level_raises(monkeypatch):
     # count must be V'; one below the level of an attractive row leaves that
     # level to no branch, and the row's count there must refuse it
     m = metric(*star(3))
-    monkeypatch.setattr(spectral._HyperbolicCount, "top", lambda count: 1.0)
+    monkeypatch.setattr(spectral._HyperbolicCount, "top", lambda count, vertex_alpha: 1.0)
     with pytest.raises(RuntimeError, match="theta = .*: count 3 at k = 1.0, expected 4"):
         dispersion_curve(m, 0, grid_size=16)
 

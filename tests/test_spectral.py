@@ -456,17 +456,17 @@ def test_a_none_inside_a_together_raises():
 
 
 def test_a_compound_request_is_sent_what_its_requests_get_alone(monkeypatch):
-    # a search running sub-searches (`_together`) yields the dict of their
-    # requests, single and batch, of several matrix shapes, a sub-search's
-    # own dict among them; it is sent the dict of their replies.  The driver stacks its requests with the
-    # batch and the single request of other searches, one stacked call per
-    # shape, and every request is sent the values its count gives it alone
+    # a search may yield a dict of single requests, of several matrix shapes,
+    # and is sent the dict of their replies.  A search running sub-searches
+    # (`_together`) yields one flat dict: sub-search j's request under j, each
+    # entry of its dict under (j, key).  The driver stacks a dict's requests
+    # with other searches' requests, one stacked call per shape, and every
+    # request is sent the values its count gives it alone
     counts = _swept_counts(metric(*star(4)), 2)   # the last, Dirichlet at 2, has one row less
-    ks = np.array([0.37, 3.0, 12.9])
     requests = {
-        "compound": {0: (counts[0], 3.0), 1: (counts[-1], ks), 2: (counts[1], 12.9),
-                     3: {0: (counts[2], 0.37), 1: (counts[-1], 40.1)}},
-        "batch": (counts[3], ks),
+        "dict": {0: (counts[0], 3.0), 1: (counts[-1], 0.37), 2: (counts[1], 12.9), 3: (counts[-1], 3.0)},
+        "inner dict": {0: (counts[2], 0.37), "x": (counts[-1], 40.1)},
+        "inner single": (counts[3], 12.9),
         "single": (counts[4], 2 * PI),
     }
     sent = {}
@@ -479,19 +479,23 @@ def test_a_compound_request_is_sent_what_its_requests_get_alone(monkeypatch):
         if type(request) is dict:
             return {j: alone(r) for j, r in request.items()}
         count, k = request
-        return np.array([count.spectrum(x) for x in k]) if isinstance(k, np.ndarray) else count.spectrum(k)
+        return count.spectrum(k)
 
     def same(got, expected):
         if type(expected) is dict:
             return type(got) is dict and got.keys() == expected.keys() and all(same(got[j], expected[j]) for j in got)
         return np.shape(got) == expected.shape and np.asarray(got).tobytes() == expected.tobytes()
 
+    # a step of `_together`: its searches' requests, flattened one level
+    assert next(_lockstep._together([asks("inner dict"), asks("inner single")])) == {
+        (0, 0): requests["inner dict"][0], (0, "x"): requests["inner dict"]["x"], 1: requests["inner single"]}
     stacked = []
     spectra = _TrigCount.spectra
     monkeypatch.setattr(_TrigCount, "spectra", staticmethod(
         lambda *args: stacked.append(len(args[-1])) or spectra(*args)))
-    assert spectral._drive([asks(name) for name in requests]) == list(requests)
-    assert sorted(stacked) == [1 + 3, 1 + 3 + 1 + 1 + 1]
+    searches = [asks("dict"), _lockstep._together([asks("inner dict"), asks("inner single")]), asks("single")]
+    assert spectral._drive(searches) == ["dict", ["inner dict", "inner single"], "single"]
+    assert sorted(stacked) == [2 + 1, 2 + 1 + 1 + 1]
     for name, request in requests.items():
         assert same(sent[name], alone(request)), name
 
@@ -616,9 +620,9 @@ def test_a_lone_count_equals_its_row_of_a_stack():
 
 
 def test_a_batch_is_sent_what_single_requests_get(monkeypatch):
-    # a search may yield a batch, a count and a 1-D array of k, and is sent
-    # one spectrum per k; the driver stacks it with the single requests and
-    # the other batches of its shape, and a batch of one k still gets a row
+    # a search may yield a batch, a dict of single requests of one count, and
+    # is sent one spectrum per key; the driver stacks it with the single
+    # requests and the other batches of its shape, a batch of one k included
     ks = np.array([1e-7, 0.37, 3.0, 2 * PI, 12.9, 40.1])
     stacked = []   # the rows of each `spectra` call
     for cls in (_TrigCount, _HyperbolicCount):
@@ -633,7 +637,8 @@ def test_a_batch_is_sent_what_single_requests_get(monkeypatch):
             sent = {}
 
             def batch(name, count, ks):
-                sent[name] = yield count, ks
+                replies = yield dict(enumerate((count, k) for k in ks.tolist()))
+                sent[name] = [replies[i] for i in range(ks.size)]
 
             def singles(name, count, ks):
                 sent[name] = []
@@ -902,9 +907,10 @@ def test_pole_bookkeeping_equals_the_array_formulas():
 
 
 def test_regula_falsi_stays_within_its_count_budget(count_matrices):
-    # the search floor's and the pole-window edges' values are off scale,
-    # O(1e-11), and a secant through them creeps: taken as values, they
-    # cost 5,516, 20 and 16 count matrices here
+    # the search floor's value is off scale, of the size of k, and a secant
+    # through it creeps, so regula falsi bisects until a sample replaces it:
+    # taken as values, the floor's and the edges of the pole windows the
+    # search once counted at cost 5,516, 20 and 16 count matrices here
     m = metric(*star(3))
     thetas = [-PI + 2 * PI * (j + 1) / 32 for j in range(31)] + [PI]
     rows = [m.with_condition(1, DeltaTheta(t)) for t in thetas]
@@ -1007,10 +1013,10 @@ def _poles_by_hand(count, a, b):
 
 
 @pytest.mark.parametrize("name, params", POLE_CATALOG + (("star", (4,)), ("stower", (2, 1))))
-def test_a_full_range_search_first_takes_every_window_edge(name, params):
-    # the search of the whole range asks first for one batch: a count at
-    # every pole in range and at the top; a first-level search asks for the
-    # top alone
+def test_a_full_range_search_first_asks_for_every_pole_and_the_top(name, params):
+    # the search of the whole range asks first for one dict of single
+    # requests keyed by index: a count at every pole in range and at the
+    # top; a first-level search asks for the top alone
     m = metric(*getattr(families, name)(*params))
     for m_row in (m, m.with_condition(0, DeltaTheta(1.0))):
         count = _TrigCount(m_row)
@@ -1018,15 +1024,14 @@ def test_a_full_range_search_first_takes_every_window_edge(name, params):
             lo = count.floor_sample() if k_min == 0.0 else count.made(k_min, count.spectrum(k_min))
             hi_k = k_max + spectral._merge_width(k_max)
             search = spectral._level_search(count, lo, k_max)
-            asked, ks = search.send(None)
-            assert asked is count and isinstance(ks, np.ndarray)
-            assert ks.tolist() == _poles_by_hand(count, lo.k, hi_k) + [hi_k], (name, k_min)
+            ks = _poles_by_hand(count, lo.k, hi_k) + [hi_k]
+            assert search.send(None) == {i: (count, k) for i, k in enumerate(ks)}, (name, k_min)
             first = spectral._first_level(count, lo, k_max)
             assert first.send(None) == (count, hi_k)
 
 
 class _StandInCount(_TrigCount):
-    """star(3)'s trig count, poles and windows included, with a stand-in
+    """star(3)'s trig count, poles included, with a stand-in
     spectrum whose levels near the pole 3 pi of every edge are those of
     `levels`: a level at the pole where `at_pole`, and each other level L
     where the value L - k crosses zero.  Ten values, n_- of them negative,
@@ -1056,13 +1061,13 @@ class _StandInCount(_TrigCount):
 
 
 @pytest.mark.parametrize("levels, at_pole, found", [
-    # a level 5e-11 relative past the pole's window, within the merge width
+    # a level 5e-11 relative past the pole, within the merge width
     # d = 1e-10 k of the level on the pole: the count above the pole takes it
-    # in, and the bracket above the window, searched again from that count,
+    # in, and the bracket above the pole, searched again from that count,
     # holds only the level after it
     ((3 * PI * (1 + 5e-11), 3 * PI + 0.05), True, [(3 * PI, 2), (3 * PI + 0.05, 1)]),
-    # a level 5e-11 relative below the pole's window, whose count above takes
-    # in the level on the pole: the window's bracket keeps no level of its own
+    # a level 5e-11 relative below the pole, whose count above takes in the
+    # level on the pole: the bracket above the pole keeps only the level after it
     ((3 * PI * (1 - 5e-11), 3 * PI + 0.05), True, [(3 * PI * (1 - 5e-11), 2), (3 * PI + 0.05, 1)]),
     ((3 * PI - 0.05, 3 * PI + 0.05), False, [(3 * PI - 0.05, 1), (3 * PI + 0.05, 1)]),
 ])
@@ -1098,7 +1103,7 @@ def test_known_neumann_floor_saves_one_count(count_matrices, monkeypatch):
 
 def _cap_count(m):
     """N where a gap search of m would count at its cap (the merge width past
-    it, moved off any pole window), and N at the search's floor."""
+    it), and N at the search's floor."""
     count, cap = _TrigCount(m), spectral.gap_upper_bound(m)
     k = cap + spectral._merge_width(cap)
     return count.made(k, count.spectrum(k)).count, count.floor_sample().count
@@ -1342,13 +1347,12 @@ def test_the_negative_range_has_its_top_without_a_count(count_matrices):
     attractive = 0
     for m, negative in zip(corpus, found):
         count = _HyperbolicCount(m)
-        top = count.top()
+        top = count.top(count.vertex_alpha)
         if not count.zero_modes[0]:
             assert negative == []
             continue
         attractive += 1
-        asked, ks = next(spectral._negative_search(count))
-        assert asked is count and list(ks) == [top + spectral._merge_width(top)], m
+        assert next(spectral._negative_search(count)) == {0: (count, top + spectral._merge_width(top))}, m
         assert all(-p.k < top for p in negative), m
         # -H(top) is negative definite: n_- = V'
         assert count.made(top, count.spectrum(top)).count == count.alpha.size, m
@@ -1783,6 +1787,25 @@ def test_perturbed_catalog_maximizers_stay_below_the_bound():
                 assert gap <= bound + optimize.LEVEL_ULPS * math.ulp(bound), (name, params, s, lv)
                 drawn += 1
     assert drawn == 280
+
+
+# pi / L of the path below, L = 1 + 1.145e-16 (mpmath, 40 digits: 3.14159265358979287877...)
+PATH_PI_OVER_L = 3.1415926535897927
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="CHANGES.md FOUND 118: a path's gap lies 17.5 ulps above pi / L")
+def test_a_path_s_gap_is_within_a_level_s_float_error_of_pi_over_its_length():
+    # tree #67 of check_a13(0)'s corpus, a path of five edges; its gap is
+    # pi / L, and spectral_gap returns 3.1415926535898007, 17.5 ulps above
+    # it, past the LEVEL_ULPS ulps of a level's float error (tree #116,
+    # another five-edge path, reads 15.3 ulps)
+    m = metric(DiscreteGraph(6, [(0, 1), (1, 2), (2, 3), (0, 4), (3, 5)]),
+               [0.10786896868227012, 0.3839377084762581, 0.021354835296006073, 0.09133597807486639,
+                0.39550250947059945])
+    k1, mult = spectral_gap(m)
+    assert mult == 1
+    assert abs(k1 - PATH_PI_OVER_L) <= optimize.LEVEL_ULPS * math.ulp(PATH_PI_OVER_L), k1
 
 
 def _pole_sweep_graphs():

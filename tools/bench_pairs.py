@@ -18,6 +18,7 @@ incorrect output; only the standard library is used.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import statistics
@@ -25,9 +26,22 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+@contextlib.contextmanager
+def exported(ref: str) -> Iterator[Path]:
+    """The tree of git ref `ref` of this repository, `git archive`d into a
+    temporary directory that is removed on exit."""
+    archive = subprocess.run(["git", "archive", "--format=tar", ref], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        yield Path(tmp)
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -73,14 +87,10 @@ def main(argv: list[str] | None = None) -> int:
     args = p.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = args.seconds or spec["run_seconds"]
-    archive = subprocess.run(["git", "archive", "--format=tar", args.parent], cwd=ROOT,
-                             capture_output=True, check=True).stdout
     values: dict[str, dict[str, list[float]]] = {m["name"]: {"parent": [], "change": []}
                                                  for m in spec["end_to_end"]}
-    with tempfile.TemporaryDirectory() as tmp:
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp, filter="data")
-        sides = {"parent": Path(tmp), "change": ROOT}
+    with exported(args.parent) as parent:
+        sides = {"parent": parent, "change": ROOT}
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
