@@ -1013,10 +1013,11 @@ def _poles_by_hand(count, a, b):
 
 
 @pytest.mark.parametrize("name, params", POLE_CATALOG + (("star", (4,)), ("stower", (2, 1))))
-def test_a_full_range_search_first_asks_for_every_pole_and_the_top(name, params):
+def test_a_full_range_search_first_takes_every_window_edge(name, params):
     # the search of the whole range asks first for one dict of single
-    # requests keyed by index: a count at every pole in range and at the
-    # top; a first-level search asks for the top alone
+    # requests keyed by index: a count at every edge of its windows, that
+    # is every pole in range and the top; a first-level search asks for
+    # the top alone
     m = metric(*getattr(families, name)(*params))
     for m_row in (m, m.with_condition(0, DeltaTheta(1.0))):
         count = _TrigCount(m_row)
