@@ -218,7 +218,7 @@ def _vertex_samples(G, at: list[float], ks: np.ndarray) -> tuple[np.ndarray, ...
     a part that stays finite, so R = G^2 / (dG / dlambda), dlambda / ds =
     2 |s|; that holds for the G computed at a pole rounding has moved too,
     and the mean of the two sides is taken."""
-    width = np.array([_merge_width(abs(k)) for k in ks])
+    width = np.maximum(_MULT_PROBE * np.abs(ks), _MULT_FLOOR)
     values, slopes = G(np.concatenate([at, ks - width, ks + width]))
     n = len(at)
     below, above = values[n : n + ks.size], values[n + ks.size :]

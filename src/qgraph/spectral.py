@@ -59,11 +59,18 @@ the inertia, and its diagonal set to +-1/4 with the sign read from x_e.
 Its coupling becomes sqrt(k |tan| / 8) or sqrt(k |cot| / 8) times its
 incidence, which vanishes at the pole, so the row's eigenvalue stays
 near +-1/4 instead of crossing zero; at the edge of the near-pole zone,
-|s c| = 1/4, the scale is 1 and the paired K meets K.  The constant
-_REDUCE_FROM comes from a timing sweep of spectral_gap over flowers,
-stars and random graphs (CHANGES.md).  A large stack read for n_- alone,
-as a sweep's confirming counts are, takes the vertex form at every size
-(`_TrigInertia`): on six catalog graphs with 9-16 rows it costs
+|s c| = 1/4, the scale is 1 and the paired K meets K.  One helper pairs
+a row (`_pair`), in Python floats, and both builds of the paired K call
+it: a lone count's (`spectrum`) on its near-pole rows, and a stack's
+(`spectra`) on the near-pole rows of all its counts at once.  So a lone
+count equals its row of a stack because both run one code.  The vertex
+form, whose stacks run to hundreds of points, signs its pivots with the
+same rule in array form (`_half_sin`), and keeps the rows past 1 -
+_NEAR_POLE (_KEEP_ABOVE), the complement of the near-pole threshold.
+The constant _REDUCE_FROM comes from a timing sweep of spectral_gap over
+flowers, stars and random graphs (CHANGES.md).  A large stack read for
+n_- alone, as a sweep's confirming counts are, takes the vertex form at
+every size (`_TrigInertia`): on six catalog graphs with 9-16 rows it costs
 0.35-0.6 of the eigvalsh of the whole K on stacks of 128 points, 0.3-0.45
 on 512, and 0.55-1.55 times it on 16 (timeit, 2-core machine).  Its
 values are unsorted and steer no secant.
@@ -226,8 +233,8 @@ _MULT_PROBE = 1e-10    # relative offset of the two counts whose difference is a
 _MULT_FLOOR = 1e-9     # and its least absolute value, for levels near k = 0
 _MAX_LEVELS = 10_000   # most levels one search resolves
 _REDUCE_FROM = 32      # counts of this many rows (V' + 2E) and more take the vertex form
-_KEEP_ABOVE = 0.9330127018922193   # cos^2(pi / 12): a vertex-form row whose s^2 or c^2 passes it stays
 _NEAR_POLE = 0.0669872981077807    # sin^2(pi / 12): a row whose s^2 or c^2 is below it is its edge's near-pole row
+_KEEP_ABOVE = 1.0 - _NEAR_POLE     # cos^2(pi / 12): a vertex-form row whose s^2 or c^2 passes it stays
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +349,21 @@ def _half_sin(s: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(1/2) sin k l_e = s c, elementwise, with the sign (-1)^n, n = ceil(x_e) - 1,
     read from x_e = k l_e / pi, the float of the pole term (module docstring)."""
     return np.copysign(s * c, np.ceil(x) % 2.0 - 0.5)
+
+
+def _pair(diagonal: np.ndarray, rows: np.ndarray, r: int, x: float, nv: int, E: int) -> None:
+    """Pair row r of a paired K, a near-pole row of edge r % E, in place:
+    diagonal holds alpha, s c, -s c and rows sqrt(k/2) times s, c of each
+    edge, with x = k l_e / pi, the float of the pole term (module
+    docstring).  Both edge pivots take the sign of `_half_sin`, and row r is
+    scaled to the diagonal +-1/4.  A sin row below x = 1/2 is left as it is."""
+    e = r % E
+    if r < E and x <= 0.5:   # no pole at x = 0
+        return
+    pivot = math.copysign(diagonal[nv + e], math.ceil(x) % 2.0 - 0.5)   # `_half_sin`
+    diagonal[nv + e], diagonal[nv + E + e] = pivot, -pivot
+    rows[r] *= 0.5 / math.sqrt(abs(pivot))
+    diagonal[nv + r] = math.copysign(0.25, diagonal[nv + r])
 
 
 class _Count:
@@ -505,11 +527,11 @@ class _TrigCount(_Count):
 
     def spectrum(self, k: float) -> np.ndarray:
         """Its row of `spectra`, to the bit, built in 2-D: below _REDUCE_FROM
-        rows the paired K's eigenvalues, its few near-pole rows set one by
-        one in Python floats, whose arithmetic is numpy's to the bit; from
-        there on the kept rows, gathered by index, and already sorted: -inf
-        for each negative eliminated pivot, the eigenvalues, +inf for each
-        positive one."""
+        rows the paired K's eigenvalues, its few near-pole rows paired one by
+        one by `_pair`, the code that pairs a stack's; from there on the
+        kept rows, gathered by index, and already sorted: -inf for each
+        negative eliminated pivot, the eigenvalues, +inf for each positive
+        one."""
         nv, E = self.alpha.size, self.lengths.size
         half_k = 0.5 * k
         half = half_k * self.lengths
@@ -523,14 +545,7 @@ class _TrigCount(_Count):
             diagonal = np.concatenate([self.alpha, sc, -sc])
             rows = math.sqrt(half_k) * trig
             for r in (square < _NEAR_POLE).nonzero()[0].tolist():
-                e = r % E
-                x = k * self.edge_lengths[e] / math.pi
-                if r < E and x <= 0.5:   # no pole at x = 0
-                    continue
-                pivot = math.copysign(sc[e], math.ceil(x) % 2.0 - 0.5)   # `_half_sin`
-                diagonal[nv + e], diagonal[nv + E + e] = pivot, -pivot
-                rows[r] *= 0.5 / math.sqrt(abs(pivot))
-                diagonal[nv + r] = math.copysign(0.25, diagonal[nv + r])
+                _pair(diagonal, rows, r, k * self.edge_lengths[r % E] / math.pi, nv, E)
             K = np.zeros((n, n))
             K[nv:, :nv] = rows[:, None] * self.coupling.T
             K.ravel()[:: n + 1] = diagonal
@@ -560,29 +575,28 @@ class _TrigCount(_Count):
         """counts[j].spectrum(ks[j]) for counts of one shape, stacked; the
         arguments are those of `matrices`.
 
-        Below _REDUCE_FROM rows they are the eigenvalues of the paired K,
-        whose near-pole rows are scaled (module docstring), from there on the
-        `vertex_form`'s values, sorted.  Each row is built with the
-        arithmetic, in the order, of the count's own 2-D build (`spectrum`),
-        so the two agree bit for bit.
+        Below _REDUCE_FROM rows they are the eigenvalues of the paired K
+        (module docstring): the near-pole rows of all the counts are found
+        at once and each is paired by `_pair`, as a count's own 2-D build
+        (`spectrum`) pairs its rows, so the two agree bit for bit.  From
+        there on they are the `vertex_form`'s values, sorted.
         """
         b, nv = alpha.shape
         E = lengths.shape[-1]
         if nv + 2 * E >= _REDUCE_FROM:
             return np.sort(_TrigCount.vertex_form(coupling, alpha, lengths, ks), axis=1)[:, : nv + 2 * E]
         n = nv + 2 * E
-        half_k = 0.5 * ks[:, None]
-        half = half_k * lengths
+        half = (0.5 * ks)[:, None] * lengths
         trig = np.concatenate([np.sin(half), np.cos(half)], axis=1)
-        x = ks[:, None] * lengths / math.pi
-        sc = _half_sin(trig[:, :E], trig[:, E:], x)
-        pivot = np.concatenate([sc, -sc], axis=1)
-        near = trig * trig < _NEAR_POLE
-        near[:, :E] &= x > 0.5
+        sc = trig[:, :E] * trig[:, E:]
+        diagonal = np.concatenate([alpha, sc, -sc], axis=1)
+        rows = np.sqrt(0.5 * ks)[:, None] * trig
+        row_ks, row_lengths = ks.tolist(), lengths.tolist() if lengths.ndim == 2 else [lengths.tolist()] * b
+        near = (trig * trig < _NEAR_POLE).nonzero()
+        for j, r in zip(near[0].tolist(), near[1].tolist()):
+            _pair(diagonal[j], rows[j], r, row_ks[j] * row_lengths[j][r % E] / math.pi, nv, E)
         K = np.zeros((b, n, n))
-        scale = np.where(near, 0.5 / np.sqrt(np.abs(pivot)), 1.0)
-        K[:, nv:, :nv] = (np.sqrt(half_k) * trig * scale)[:, :, None] * coupling.transpose(0, 2, 1)
-        diagonal = np.concatenate([alpha, np.where(near, np.copysign(0.25, pivot), pivot)], axis=1)
+        K[:, nv:, :nv] = rows[:, :, None] * coupling.transpose(0, 2, 1)
         K.reshape(b, n * n)[:, :: n + 1] = diagonal
         return np.linalg.eigvalsh(K)
 

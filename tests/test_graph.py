@@ -142,7 +142,7 @@ def test_non_integral_or_boolean_graph_integers_rejected(vertex_count, edges):
 def test_numpy_integers_are_graph_integers():
     # contraction and vertex identification pass numpy integers
     g = DiscreteGraph(np.int64(2), [(np.int64(0), np.int32(1))])
-    assert g == DiscreteGraph(2, [(0, 1)])
+    assert g == DiscreteGraph(2, [(0, 1)]) and hash(g) == hash(DiscreteGraph(2, [(0, 1)]))
     assert type(g.vertex_count) is int and all(type(x) is int for edge in g.edges for x in edge)
 
 
@@ -198,6 +198,12 @@ def test_graph_objects_take_no_attribute(build, name):
 def test_length_vector_renormalizes_small_drift():
     lv = LengthVector([0.5, 0.5 + 5e-10])
     assert abs(lv.values.sum() - 1.0) <= 1e-15
+
+
+def test_length_vector_repr_rebuilds_it():
+    lv = LengthVector([0.25, 0.75])
+    assert repr(lv) == "LengthVector([0.25, 0.75])"
+    assert eval(repr(lv), {"LengthVector": LengthVector}) == lv
 
 
 def test_length_vector_rejects_large_drift():

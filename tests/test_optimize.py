@@ -1231,6 +1231,9 @@ def test_float_projection_equals_the_array_formula():
                 y[rng.random(n) < 0.5] = l_min
             projected = optimize._project_simplex_lb(y, l_min)
             assert repr(projected.tolist()) == repr(_projection_formula(y, l_min).tolist()), y
+    # n lower bounds that sum past 1 leave no point to project onto
+    with pytest.raises(InvalidInputError, match="lower bound infeasible"):
+        optimize._project_simplex_lb(np.array([0.5, 0.5]), 0.6)
 
 
 def test_maximize_takes_plain_sequences_through_length_vector():

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from qgraph import (
+    EdgeTrig,
     InvalidInputError,
+    LengthVector,
     MultiplicityError,
     PreconditionError,
     edge_energies,
@@ -326,6 +328,10 @@ def test_decomposition_requires_critical_point():
     g, _ = star(3)
     with pytest.raises(PreconditionError):
         path_decomposition(metric(g, np.array([0.5, 0.3, 0.2])))
+    # a tolerance loose enough to pass the criticality check still leaves
+    # the center's three slopes without a pairing
+    with pytest.raises(PreconditionError, match="derivative pairing failed"):
+        path_decomposition(metric(g, LengthVector([0.3, 0.33, 0.37])), tol=5.0)
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, True])
@@ -352,6 +358,13 @@ def test_a_zero_tolerance_is_accepted():
 # ---------------------------------------------------------------------------
 # nodal domains
 # ---------------------------------------------------------------------------
+
+
+def test_edge_zeros_rejects_an_edge_where_the_function_vanishes():
+    f = EdgeTrig(2.0, [1.0, 0.0], [0.0, 0.0])
+    assert perturbation.edge_zeros(f, 0, 1.0, 1.0) == [PI / 4]   # cos 2x
+    with pytest.raises(InvalidInputError, match="vanishes identically on edge 1"):
+        perturbation.edge_zeros(f, 1, 0.5, 1.0)
 
 
 def test_interval_two_nodal_domains():
