@@ -33,46 +33,51 @@ g(s) for s > 0 and h(-s) for s < 0, and both sides meet M0 of
 Dirichlet-to-Neumann matrix.  It rises with s between its poles, which
 are the theta = 0 levels with an eigenfunction that does not vanish at
 v; G falls across a theta = 0 level only where it has a pole there, and
-that is how a pole is told from a flat band.  So on each branch between
-two poles atan G rises from -pi/2 to pi/2, and every row has exactly one
-level on it, where phi = atan G + atan(1/alpha) = 0.  The branches end
-at four points, with G taken there: the negative ones run from
--kappa_top, where G lies below the -1/alpha of every attractive row
-(`spectral._HyperbolicCount.top` of the theta = 0 count with the most
-attractive row's coupling at v, a diagonal bound that takes no count),
-to the hyperbolic floor, and the positive ones from the trig floor to
-the top of the theta = 0 row's search up to k_max
-(`spectral._range_top`).  The rest of a theta = 0 level, its
-eigenfunctions that vanish at v, is a flat band of every row: the
-level's multiplicity, less one at a pole.  A dispersion curve
-removes its positive flat bands from every row within the count's merge
-width.
+that is how a pole is told from a flat band.  So between two poles
+atan G rises from -pi/2 to pi/2, and every row has exactly one level
+there, where phi = atan G + atan(1/alpha) = 0.  The sweep cuts each
+sign's range at the theta = 0 levels into pieces, none of which holds a
+pole, and each row's level lies on one of them; the ranges end at four
+points: the negative one runs from -kappa_top, where G lies below the
+-1/alpha of every attractive row (`spectral._HyperbolicCount.top` of
+the theta = 0 count with the most attractive row's coupling at v, a
+diagonal bound that takes no count), to the hyperbolic floor, and the
+positive one from the trig floor to the top of the theta = 0 row's
+search up to k_max (`spectral._range_top`).  Each piece end reads phi
+one way: the limit atan(1/alpha) -+ pi/2 at a pole, else G there, taken
+at the four ends and as the mean of its two samples around a level.
+The rest of a theta = 0 level, its eigenfunctions that vanish at v, is
+a flat band of every row: the level's multiplicity, less one at a pole.
+A dispersion curve takes its positive flat bands out of every row at
+their multiplicity: the merge of the row's candidates (below) says how
+much of each of its levels they hold.
 
 `dispersion_curve` searches the theta = 0 row with the count, and its
 negative levels with the hyperbolic count, in one drive.  It then finds
-the roots of all rows on all branches of both signs in lockstep by
+the roots of all rows on all pieces of both signs in lockstep by
 Newton's method on phi (`_branch_roots`), each step one stacked solve
 of each count's vertex function (`spectral._Count.vertex_function`).
-Each root starts from a model of G on its branch (`_model_starts`).  In
+Each root starts from a model of G on its piece (`_model_starts`).  In
 lambda = s |s| G is the diagonal Green's function G(v, v; lambda) of the
 theta = 0 graph, a Herglotz function whose simple poles are the theta = 0
 levels, with residues |phi_j(v)|^2 (Berkolaiko-Kuchment, ch. 3).  So on
-a branch G is R / (lambda_p - lambda) of its two end poles and of the
-_NEAR poles beyond each, plus a part analytic across the branch, which
-takes in the poles further away.  The residues come from the samples
-around each level (`_vertex_samples`), the one at lambda = 0 from G at
-the trig floor, and the analytic part is the polynomial through the
-rest of G at _NODES Chebyshev nodes of each branch, one stacked solve
-for all branches.  So a root's model costs the same however many levels
-the sweep has.  The nodes narrow each root's bracket, and _MODEL_STEPS
-Newton steps on the model give its start.  On the theta_sweep graphs of
-perfbench half the starts lie within 3e-13 relative of their root and
-99.3% within 1e-6; most of the others lie on the last branch, which the
-poles above the search's top bend.  A root stops one solve before its
-step falls within the tolerance once two Newton steps in a row show
-quadratic convergence, with the curvature that shows it read from the
-change of phi' across the step as well as from the steps' ratio
-(`_branch_roots`).
+a piece G is R / (lambda_p - lambda) of its end poles and of the _NEAR
+levels beyond each, plus a part analytic across the piece, which takes
+in the poles further away.  The residues come from the samples around
+each level (`_vertex_samples`), the one at lambda = 0 from G at the trig
+floor, and the analytic part is the polynomial through the rest of G at
+_NODES Chebyshev nodes of each piece.  The pieces are known before G is
+called, so the one call of `_vertex_samples` takes every node with the
+samples around the levels and at the ends, and a root's model costs the
+same however many levels the sweep has.  The nodes narrow each root's
+bracket, and _MODEL_STEPS Newton steps on the model give its start.  A
+root stops once a bound proves its Newton step within half the
+tolerance: G is Herglotz, so |G''| <= 2 G' / delta in lambda, delta the
+distance to the nearest pole, which is at least the distance to the
+nearer end of the piece (`_branch_roots`).  On the theta_sweep graphs of
+perfbench 3,466 of the 3,567 roots that take a step are proven after
+their first; 79 of the others start more than 1e-8 relative off, 30
+of them on the last piece, which the poles above the search's top bend.
 A sweep's rows are one stack: the theta = 0 count's coupling and alpha
 with v's row set to each row's scaled coupling, at theta = pi its limit,
 coupling 0 and alpha s^2 = 1 (`spectral._vertex_rows`); no row builds a
@@ -208,7 +213,7 @@ def interlacing_margin(lo: np.ndarray, hi: np.ndarray) -> float:
     return min(float((hi[:-1] - lo[:-1]).min()), float((lo[1:] - hi[:-1]).min()))
 
 
-def _vertex_samples(G, at: list[float], ks: np.ndarray) -> tuple[np.ndarray, ...]:
+def _vertex_samples(G, at: np.ndarray | list[float], ks: np.ndarray) -> tuple[np.ndarray, ...]:
     """The vertex function G (`spectral._Count.vertex_function`, or the signed
     one of `_sweep_levels`) at the points of at, at s -+ d around every
     theta = 0 level s of ks (d the merge width of |s|), whether G has a
@@ -228,9 +233,9 @@ def _vertex_samples(G, at: list[float], ks: np.ndarray) -> tuple[np.ndarray, ...
 
 
 def _branch_roots(g, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarray, w: np.ndarray,
-                  start: np.ndarray) -> np.ndarray:
-    """The root of phi(s) = arg((1 + i g(s)) w) in every bracket (a, b), where
-    phi rises from fa <= 0 to fb >= 0.
+                  start: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The root of phi(s) = arg((1 + i g(s)) w) in every bracket (a, b) of a
+    piece (lo, hi) free of poles of g, where phi rises from fa <= 0 to fb >= 0.
 
     phi is atan g + arg w, taken as one argument so that it keeps its
     relative accuracy near the root where the two terms cancel.  The roots
@@ -239,21 +244,23 @@ def _branch_roots(g, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarra
     is 0 is that end, and takes no step; every other one starts at start,
     or at the secant point of its bracket where start does not lie inside
     it.  A step's sample narrows its root's bracket.  Then each point
-    takes its Newton step on phi, phi' = g' / (1 + g^2), where that stays
+    takes its Newton step d on phi, phi' = g' / (1 + g^2), where that stays
     in the bracket and at least halves the move before (as in Numerical
     Recipes' rtsafe); else the secant point of the bracket, or its
-    midpoint after a secant point.  Near a pole of g too weak for
-    `_sweep_levels` to see, Newton's steps would shrink without end.  A
-    root is found when its Newton step is within half the tolerance
-    4 eps |s| of `spectral._illinois`, or has stopped shrinking within 64
-    times it, at the noise of g; or when its bracket is narrower than the
-    tolerance.  It is also found when its step d_n follows a Newton step
-    d_{n-1} and shows quadratic convergence, |d_n| <= 0.01 |d_{n-1}|, with
-    the move after it, about C d_n^2, within half the tolerance.  C =
-    |phi''| / (2 phi') is taken as the larger of its two estimates from
-    that step: |d_n| / d_{n-1}^2, and the change of phi' across it; a far
-    step d_{n-1} shows a small ratio where phi' still changes.  A found
-    root takes k - d_n, clamped to its bracket.  A root still open after
+    midpoint after a secant point.  A root is found when the root lies
+    within half the tolerance 4 eps |s| of `spectral._illinois` past its
+    Newton step, by a bound: the move after the step is at most C d^2,
+    C the bound on |phi''| / (2 phi') over the step.  In lambda = s |s| g
+    is a Herglotz function (module docstring), so |g''| <= 2 g' / delta in
+    lambda, delta the distance to its nearest pole, at least the distance
+    to the nearer end of the piece less the step's own move; carried
+    through lambda = s |s| and phi = atan g + arg w, that gives C = (4 |s|
+    / delta + 1 / |s| + |dg / ds|) / 2.  A root is also found when its step
+    is within half the tolerance, or has stopped shrinking within 64 times
+    it, at the noise of g, as next to a pole of g too weak for
+    `_sweep_levels` to see, where Newton's steps would shrink without end;
+    or when its bracket is narrower than the tolerance.  A found root
+    takes s - d, clamped to its bracket.  A root still open after
     _MAX_STEPS steps keeps its point, and its row's counts judge it.
     """
     a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
@@ -261,10 +268,9 @@ def _branch_roots(g, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarra
         secant = (a * fb - b * fa) / (fb - fa)
     k = np.where(fa == 0.0, a, np.where(fb == 0.0, b, np.where((a < start) & (start < b), start, secant)))
     last = np.full(k.size, np.inf)   # the size of the move that led to k
-    led = np.zeros(k.size, dtype=bool)   # whether that move was a Newton step
-    slope = np.zeros(k.size)   # phi' where that move started
     bisect = np.zeros(k.size, dtype=bool)   # whether the next fallback bisects
     tol = 4.0 * np.finfo(float).eps * np.maximum(np.abs(a), np.abs(b))
+    lo, hi = lo * np.abs(lo), hi * np.abs(hi)
     i = np.flatnonzero((a < k) & (k < b))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_MAX_STEPS):
@@ -276,15 +282,14 @@ def _branch_roots(g, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarra
             a[i], fa[i] = np.where(f < 0.0, ki, a[i]), np.where(f < 0.0, f, fa[i])
             b[i], fb[i] = np.where(f > 0.0, ki, b[i]), np.where(f > 0.0, f, fb[i])
 
-            dphi = dg / (1.0 + gk * gk)
-            step = f / dphi
+            step = f / (dg / (1.0 + gk * gk))
             new = ki - step
             size = np.abs(step)
-            # past this step a quadratic convergence, shown by the two Newton steps,
-            # moves by about C size^2
-            curve = np.maximum(size / last[i] ** 2, np.abs(dphi - slope[i]) / (2.0 * np.abs(dphi) * last[i]))
-            quadratic = led[i] & (size <= 0.01 * last[i]) & (curve * size**2 <= 0.5 * tol[i])
-            found = (size <= 0.5 * tol[i]) | ((size >= 0.5 * last[i]) & (size <= 64.0 * tol[i])) | quadratic
+            lam = ki * np.abs(ki)
+            delta = np.maximum(np.minimum(lam - lo[i], hi[i] - lam) - np.abs(new * np.abs(new) - lam), 0.0)
+            bound = 0.5 * (4.0 * np.abs(ki) / delta + 1.0 / np.abs(ki) + np.abs(dg))
+            found = (size <= 0.5 * tol[i]) | ((size >= 0.5 * last[i]) & (size <= 64.0 * tol[i])) | (
+                bound * size**2 <= 0.5 * tol[i])
             narrow = b[i] - a[i] <= tol[i]
             # Newton where it stays in the bracket and at least halves the move
             # before (Numerical Recipes' rtsafe); else the secant point of the
@@ -295,50 +300,54 @@ def _branch_roots(g, a: np.ndarray, b: np.ndarray, fa: np.ndarray, fb: np.ndarra
             k[i] = np.where(f == 0.0, ki, np.where(found, np.clip(new, a[i], b[i]),
                             np.where(narrow, 0.5 * (a[i] + b[i]), np.where(newton, new, fallback))))
             bisect[i] = ~newton & ~bisect[i]
-            last[i], led[i], slope[i] = np.abs(k[i] - ki), newton, dphi
+            last[i] = np.abs(k[i] - ki)
             i = i[~(found | narrow | (f == 0.0))]
     return k
 
 
-def _model_starts(G, lo: np.ndarray, hi: np.ndarray, at_ends: np.ndarray, poles: np.ndarray, residues: np.ndarray,
-                  branch: np.ndarray, fa: np.ndarray, fb: np.ndarray,
-                  w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The bracket (a, b) of each root for `_branch_roots`, with phi at its
-    ends, and its start, from a model of G on every branch (lo, hi): each
-    root's phi = arg((1 + i G) w) rises on its branch from fa to fb.
-
-    The model works in lambda = s |s|, where G has simple poles: poles[j],
-    with residues[j] (0 where G has no pole there), lies between branches
-    j and j + 1, and at_ends holds G at each end of a branch that is no
-    pole.  On each branch the model is R / (p - lambda) of its end poles
-    and of the _NEAR poles beyond each of them, plus the polynomial of
-    degree _NODES - 1 in lambda through the rest of G at the branch's
-    Chebyshev nodes, all taken in one call of G; the poles further away
-    are analytic across the branch, and the polynomial takes them in.  So
-    the model of a root costs the same however many poles there are.  G
-    at the nodes narrows every bracket of the branch to the two nodes
-    around its root.  A root of phi = arg((1 + i G) w) is one of F =
-    (Re w G + Im w) q, q the product of |lambda - p| over the poles at the
-    branch's ends, where F has none: the start is the secant point of F
-    between those two nodes, followed by _MODEL_STEPS bracketed Newton
-    steps on the model's F.
-    """
+def _nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each piece (lo, hi) in lambda = s |s|: its ends, middle and half
+    width, and its _NODES Chebyshev nodes, in lambda and in s."""
     ends = np.stack([lo * np.abs(lo), hi * np.abs(hi)])
     mid, half = 0.5 * (ends[1] + ends[0]), 0.5 * (ends[1] - ends[0])
     lam = mid[:, None] + half[:, None] * _NODE_X
-    nodes = np.sign(lam) * np.sqrt(np.abs(lam))
-    at_nodes = G(nodes.ravel())[0].reshape(nodes.shape)
-    # each branch's poles: pole j - 1 at the lo of branch j, pole j at its hi,
+    return ends, mid, half, lam, np.sign(lam) * np.sqrt(np.abs(lam))
+
+
+def _model_starts(lo: np.ndarray, hi: np.ndarray, at_nodes: np.ndarray, at_ends: np.ndarray, poles: np.ndarray,
+                  residues: np.ndarray, piece: np.ndarray, fa: np.ndarray, fb: np.ndarray,
+                  w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The bracket (a, b) of each root for `_branch_roots`, with phi at its
+    ends, and its start, from a model of G on every piece (lo, hi): each
+    root's phi = arg((1 + i G) w) rises on its piece from fa to fb.
+
+    The model works in lambda = s |s|, where G has simple poles: poles[j],
+    with residues[j] (0 where G has no pole there), lies between pieces j
+    and j + 1, at_ends holds G at each end of a piece that is no pole, and
+    at_nodes G at its `_nodes`.  On each piece the model is R / (p -
+    lambda) of its end poles and of the _NEAR poles beyond each of them,
+    plus the polynomial of degree _NODES - 1 in lambda through the rest of
+    G at the nodes; the poles further away are analytic across the piece,
+    and the polynomial takes them in.  So the model of a root costs the
+    same however many poles there are.  G at the nodes narrows every
+    bracket of the piece to the two nodes around its root.  A root of phi
+    = arg((1 + i G) w) is one of F = (Re w G + Im w) q, q the product of
+    |lambda - p| over the poles at the piece's ends, where F has none: the
+    start is the secant point of F between those two nodes, followed by
+    _MODEL_STEPS bracketed Newton steps on the model's F.
+    """
+    ends, mid, half, lam, nodes = _nodes(lo, hi)
+    # each piece's poles: pole j - 1 at the lo of piece j, pole j at its hi,
     # and _NEAR more on each side, none (at infinity, residue 0) past the last
     near = np.arange(lo.size)[:, None] + np.arange(-1 - _NEAR, 1 + _NEAR)
     inside, clipped = (near >= 0) & (near < poles.size), np.clip(near, 0, poles.size - 1)
     near_poles, near_residues = np.where(inside, poles[clipped], np.inf), np.where(inside, residues[clipped], 0.0)
     fit = (at_nodes - (near_residues[:, None] / (near_poles[:, None] - lam[:, :, None])).sum(axis=2)) @ _FIT
-    lo_pole, hi_pole = near_poles[branch, _NEAR : _NEAR + 2].T
-    lo_residue, hi_residue = near_residues[branch, _NEAR : _NEAR + 2].T
+    lo_pole, hi_pole = near_poles[piece, _NEAR : _NEAR + 2].T
+    lo_residue, hi_residue = near_residues[piece, _NEAR : _NEAR + 2].T
     has_lo, has_hi = lo_residue > 0.0, hi_residue > 0.0
     others = np.r_[:_NEAR, _NEAR + 2 : 2 * _NEAR + 2]
-    r, p = near_residues[branch][:, others], near_poles[branch][:, others]
+    r, p = near_residues[piece][:, others], near_poles[piece][:, others]
 
     def ends_part(x):
         """q, dq / dlambda, and the end poles' part of G q, R_hi d_lo - R_lo d_hi, with
@@ -348,26 +357,26 @@ def _model_starts(G, lo: np.ndarray, hi: np.ndarray, at_ends: np.ndarray, poles:
                 hi_residue * has_lo + lo_residue * has_hi)
 
     # each root's bracket: the nodes just below it and above it, as phi rises
-    # along the branch; point j of the branch is its end lo, its nodes, its end hi
-    f = np.angle((1.0 + 1j * at_nodes[branch]) * w[:, None])
+    # along the piece; point j of the piece is its end lo, its nodes, its end hi
+    f = np.angle((1.0 + 1j * at_nodes[piece]) * w[:, None])
     n = np.count_nonzero(f < 0.0, axis=1)
     each, up = np.arange(n.size), np.minimum(n, _NODES - 1)
     # a node out of order, as by a pole too weak to see, leaves the bracket as it was
     below = (n > 0) & (f[each, n - 1] < 0.0) & ((n == _NODES) | (f[each, up] >= 0.0))
     above = (n < _NODES) & (f[each, up] >= 0.0) & ((n == 0) | (f[each, n - 1] < 0.0))
-    a, fa = np.where(below, nodes[branch, n - 1], lo[branch]), np.where(below, f[each, n - 1], fa)
-    b, fb = np.where(above, nodes[branch, up], hi[branch]), np.where(above, f[each, up], fb)
-    points = np.concatenate([ends[0, :, None], lam, ends[1, :, None]], axis=1)[branch]
-    values = np.concatenate([at_ends[:, :1], at_nodes, at_ends[:, 1:]], axis=1)[branch]
+    a, fa = np.where(below, nodes[piece, n - 1], lo[piece]), np.where(below, f[each, n - 1], fa)
+    b, fb = np.where(above, nodes[piece, up], hi[piece]), np.where(above, f[each, up], fb)
+    points = np.concatenate([ends[0, :, None], lam, ends[1, :, None]], axis=1)[piece]
+    values = np.concatenate([at_ends[:, :1], at_nodes, at_ends[:, 1:]], axis=1)[piece]
     wr, wi = w.real, w.imag
 
     def F_at(j):
-        """F at point j of each root's branch, from G there, or from the end poles' part at a pole, where q = 0."""
+        """F at point j of each root's piece, from G there, or from the end poles' part at a pole, where q = 0."""
         q, _, part, _ = ends_part(points[each, j])
         return wr * np.where(q == 0.0, part, values[each, j] * q) + wi * q
 
     low, high, F_low, F_high = points[each, n], points[each, n + 1], F_at(n), F_at(n + 1)
-    m, h, c, dc = mid[branch], half[branch], fit[branch].T, (fit @ _SLOPE)[branch].T
+    m, h, c, dc = mid[piece], half[piece], fit[piece].T, (fit @ _SLOPE)[piece].T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = low + (high - low) * F_low / (F_low - F_high)
         for _ in range(_MODEL_STEPS):
@@ -392,39 +401,42 @@ def _row_sums(row: np.ndarray, values: np.ndarray, rows: int) -> tuple[np.ndarra
 
 
 def _confirmed(counter: _Count, spectra, stack: _VertexRows, checked: np.ndarray,
-               candidates: tuple[np.ndarray, np.ndarray, np.ndarray], floor_count: np.ndarray, top: float,
+               candidates: tuple[np.ndarray, ...], floor_count: np.ndarray, top: float,
                total: int | None = None) -> tuple[tuple[np.ndarray, ...], tuple[int, str] | None]:
     """The levels of one sign of a sweep's rows, confirmed by the checked
     rows' own counts: the positive levels with their trig counts, or the
     negative ones, in kappa, with their hyperbolic counts.  candidates are
-    (row, k, multiplicity) ascending.
+    (row, k, multiplicity, flat) ascending, flat the share of the
+    multiplicity that a flat band of the curve holds.
 
     Candidates closer than the merge width are one level, as in
-    `_level_search`.  Each level's multiplicity is the row's own count
+    `_level_search`, and their multiplicities and flat shares add.  Each
+    level's multiplicity is the row's own count
     difference around it, as `_around` takes it: the count just below the
     first level (floor_count), then the count just above each level, which
     is the count below the next, at k -+ d.  The count at top must equal
     the last one, and total where it is given.  Every point is known before
     any count, so the rows (stack) take theirs in one call of spectra, and
     counter turns them into N: the rows of a sweep share their lengths.
-    Returns the levels as (row, k, multiplicity), and the first row whose
-    counts disagree with what they say, or None.
+    Returns the levels as (row, k, multiplicity, flat), and the first row
+    whose counts disagree with what they say, or None.
     """
-    row, ks, mults = candidates
+    row, ks, mults, flats = candidates
     rows = floor_count.size
     width = np.maximum(_MULT_PROBE * ks, _MULT_FLOOR)
     below, above = ks - width, ks + width
-    starts, mults = np.ones(ks.size, dtype=bool), mults.copy()
+    starts = np.ones(ks.size, dtype=bool)
     # the rows where candidates merge, as `_level_search` merges them
     for r in set(row[:-1][(row[1:] == row[:-1]) & (ks[1:] < above[:-1])].tolist()):
         i, end = np.searchsorted(row, [r, r + 1])
         while i < end:
             j = i + 1
             while j < end and ks[j] < above[i]:
-                starts[j], mults[i], j = False, mults[i] + mults[j], j + 1
+                starts[j], j = False, j + 1
             i = j
     first = np.flatnonzero(starts)
-    level_row, levels, level_mults = row[first], ks[first], mults[first]
+    level_row, levels = row[first], ks[first]
+    level_mults, level_flats = np.add.reduceat(np.stack([mults, flats]), first, axis=1)
     running, sums, at = _row_sums(level_row, level_mults, rows)
     # each checked row's points, below its first level, above each level
     # and at top, with the counts expected there
@@ -444,7 +456,7 @@ def _confirmed(counter: _Count, spectra, stack: _VertexRows, checked: np.ndarray
     if total is not None:
         bad[last] |= got[last] != total
     if not bad.any():
-        return (level_row, levels, level_mults), None
+        return (level_row, levels, level_mults, level_flats), None
     r = int(point_row[bad][0])
     found = levels[level_row == r].tolist()
     n, want = got[start[r] : end[r]].tolist(), expected[start[r] : end[r]].tolist()
@@ -457,10 +469,18 @@ def _confirmed(counter: _Count, spectra, stack: _VertexRows, checked: np.ndarray
     return (), (r, f"count {n[-1]} at k = {top}, expected {total}")
 
 
+def _by_row(row: np.ndarray, values: np.ndarray, rows: int) -> list[list[float]]:
+    """values, row ascending, as one list for each of rows rows."""
+    values, ends = values.tolist(), np.searchsorted(row, np.arange(rows), side="right").tolist()
+    return [values[a:b] for a, b in zip([0] + ends, ends)]
+
+
 def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
-                  k_max: float) -> tuple[list[list[float]], list[tuple[float, int]]]:
-    """Every row's levels up to k_max, as `levels` gives them, and the flat
-    bands in (0, k_max] as (k, multiplicity) pairs (module docstring)."""
+                  k_max: float) -> tuple[list[list[float]], list[list[float]], list[tuple[float, int]]]:
+    """Every row's levels up to k_max, as `levels` gives them, each row's
+    levels left once the curve's flat bands are taken out at their
+    multiplicity, and those flat bands as (k, multiplicity) pairs: the
+    ones in (1e-9, k_max - pi / L] (module docstring)."""
     m0 = _with_theta(m, v, 0.0)
     count = _TrigCount(m0)
     hyperbolic = _HyperbolicCount(m0, count.zero_modes)
@@ -488,45 +508,47 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     # the theta = 0 levels in s, ascending: k = -kappa below 0 (`negative_spectrum`), then the count's
     ks = np.array([p.k for p in negative] + [lvl.k for lvl in zero])
     mults = np.array([p.multiplicity for p in negative] + [lvl.multiplicity for lvl in zero], dtype=int)
-    at = [-kappa_top, -hyperbolic.floor, count.floor, hi_k]
-    sampled, _, _, pole, residue = _vertex_samples(G, at, ks)
+    n_neg = len(negative)
+    # each sign's range cut at its theta = 0 levels into pieces, each free of
+    # poles of G: the negative ones from -kappa_top to the hyperbolic floor,
+    # the positive ones from the trig floor to hi_k.  One call of G takes the
+    # four ends, both sides of every level and the nodes of every piece
+    edges = [0, n_neg, n_neg, ks.size]   # where the ends go among the levels
+    points = np.insert(ks, edges, [-kappa_top, -hyperbolic.floor, count.floor, hi_k])
+    piece = np.delete(np.arange(points.size - 1), n_neg + 1)   # each piece's lo; no piece spans the floors
+    lo, hi = points[piece], points[piece + 1]
+    nodes = _nodes(lo, hi)[-1]
+    at = np.concatenate([points[edges + np.arange(4)], nodes.ravel()])
+    sampled, below, above, pole, residue = _vertex_samples(G, at, ks)
     flat = mults > pole
-    flats = [(float(k), int(mult)) for k, mult in zip(ks[flat], (mults - pole)[flat])]
-    up_flats = [(k, mult) for k, mult in flats if k > 0.0]
-    poles = ks[pole]
+    # the multiplicity of each level that is the curve's flat band
+    shares = np.where(flat & (1e-9 < ks) & (ks <= k_max - math.pi / m.total_length), mults - pole, 0)
 
-    # a branch runs from an end or a pole to the next: between two poles atan G
-    # rises from -pi/2 to pi/2, and every row has one root there.  The
-    # negative branches run from -kappa_top to the hyperbolic floor, the
-    # positive ones from the trig floor to hi_k, each with G taken at those
-    # ends.  w carries the coupling, phi = arg((1 + i G) w) = atan G + atan(1 / alpha)
-    n_neg = int(np.count_nonzero(poles < 0.0))
-    lo = np.concatenate([[-kappa_top], poles[:n_neg], [count.floor], poles[n_neg:]])
-    hi = np.concatenate([poles[:n_neg], [-hyperbolic.floor], poles[n_neg:], [hi_k]])
-    branch = np.arange(lo.size)
-    opens, closes = np.zeros(branch.size, dtype=bool), np.zeros(branch.size, dtype=bool)
-    opens[[0, n_neg + 1]] = closes[[n_neg, -1]] = True   # the branches that start, end at an end
+    # between two poles atan G rises from -pi/2 to pi/2, and every row has
+    # one root there, on one of its pieces: where phi = arg((1 + i G) w) =
+    # atan G + atan(1 / alpha) rises through 0.  Each piece end reads phi
+    # from the limit at a pole, or from G there: the mean of its sides at a
+    # level, with w carrying the coupling
     moving = np.flatnonzero(thetas != 0.0)
     w = np.array([complex(abs(math.sin(0.5 * t)), math.copysign(math.cos(0.5 * t), t)) for t in thetas[moving]])
-    fa = np.repeat(np.angle(w)[:, None] - 0.5 * math.pi, branch.size, axis=1)
-    fb = fa + math.pi
-    fa[:, opens] = np.angle((1.0 + 1j * sampled[[0, 2]]) * w[:, None])
-    fb[:, closes] = np.angle((1.0 + 1j * sampled[[1, 3]]) * w[:, None])
-    # a root on a branch between two poles is there for every row; rounding
-    # may put it on a pole, where fa or fb is 0
-    live = ((fa < 0.0) | ~opens) & ((fb > 0.0) | ~closes)
-    # G's poles in lambda = s |s| between the branches, with the one at lambda = 0 between
+    at_points = np.insert(np.where(pole, 0.0, 0.5 * (below + above)), edges, sampled[:4])
+    is_pole = np.insert(pole, edges, False)
+    phi = np.angle((1.0 + 1j * at_points) * w[:, None])
+    fa = np.where(is_pole[piece], np.angle(w)[:, None] - 0.5 * math.pi, phi[:, piece])
+    fb = np.where(is_pole[piece + 1], np.angle(w)[:, None] + 0.5 * math.pi, phi[:, piece + 1])
+    # a root between two pieces is on neither where phi = 0 at a level, a
+    # point of measure zero; at a floor or at hi_k it is counted there
+    live = (fa < 0.0) & (fb > 0.0)
+    # G's poles in lambda = s |s| between the pieces, with the one at lambda = 0 between
     # the floors (R = -lambda G at the trig floor, 0 where M0 has no null vector
-    # nonzero at v), their residues, and G at each end of a branch that is no pole
-    model_poles = np.concatenate([poles[:n_neg] * np.abs(poles[:n_neg]), [0.0], poles[n_neg:] ** 2])
-    residues = np.concatenate([residue[pole][:n_neg], [max(-sampled[2] * count.floor**2, 0.0)],
-                               residue[pole][n_neg:]])
-    at_ends = np.zeros((branch.size, 2))
-    at_ends[[0, n_neg + 1], 0], at_ends[[n_neg, -1], 1] = sampled[[0, 2]], sampled[[1, 3]]
-    root_w = np.broadcast_to(w[:, None], fa.shape)[live]
-    *brackets, start = _model_starts(G, lo, hi, at_ends, model_poles, residues,
-                                     np.broadcast_to(branch, fa.shape)[live], fa[live], fb[live], root_w)
-    roots = _branch_roots(G, *brackets, root_w, start)
+    # nonzero at v), and their residues, 0 at a level that is no pole
+    model_poles = np.insert(ks * np.abs(ks), n_neg, 0.0)
+    residues = np.insert(np.where(pole, residue, 0.0), n_neg, max(-sampled[2] * count.floor**2, 0.0))
+    root_row, root_piece = np.nonzero(live)
+    at_ends = np.stack([at_points[piece], at_points[piece + 1]], axis=1)
+    *brackets, start = _model_starts(lo, hi, sampled[4:].reshape(nodes.shape), at_ends, model_poles, residues,
+                                     root_piece, fa[live], fb[live], w[root_row])
+    roots = _branch_roots(G, *brackets, w[root_row], start, lo[root_piece], hi[root_piece])
 
     # every row's counts, one stack with the inertia of their M0, and its
     # counts at the floors by the count identity (module docstring)
@@ -534,27 +556,26 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     stack = _vertex_rows(count, v, alphas[moving])
     n_minus, n_zero, V = stack.n_minus, stack.n_zero, count.alpha.size
     repels = (thetas[moving] > 0.0).astype(int)
-    # phi = 0 at the floor puts a root there, off the first branch (not
+    # phi = 0 at the floor puts a root there, off the first piece (not
     # live): it counts below the floor, as `levels` reports it
     floor_count = floor.count + (fa[:, n_neg + 1] >= 0.0) - repels
     below_count = count.zero_modes[0] + (fb[:, n_neg] > 0.0) - repels   # below the hyperbolic floor
     # every row's candidates, positive ones in k and negative ones in kappa,
     # ascending by (row, k, multiplicity): its roots, then the flat bands
-    root_row, root_branch = np.nonzero(live)
     sides = []
-    for side, sign in ((root_branch > n_neg, 1.0), (root_branch <= n_neg, -1.0)):
+    for side, sign in ((root_piece > n_neg, 1.0), (root_piece <= n_neg, -1.0)):
         band = flat & (sign * ks > 0.0)
         every = (rows, np.count_nonzero(band))   # each flat band in every row
         row = np.concatenate([root_row[side], np.repeat(np.arange(rows), every[1])])
         k = np.concatenate([sign * roots[side], np.broadcast_to(sign * ks[band], every).ravel()])
-        mult = np.concatenate([np.ones(np.count_nonzero(side), dtype=int),
-                               np.broadcast_to((mults - pole)[band], every).ravel()])
+        mult, share = (np.concatenate([np.full(np.count_nonzero(side), n), np.broadcast_to(x[band], every).ravel()])
+                       for n, x in ((1, mults - pole), (0, shares)))
         order = np.lexsort((mult, k, row))
-        sides.append((row[order], k[order], mult[order]))
+        sides.append((row[order], k[order], mult[order], share[order]))
     # M0 counts the levels below 0, as in `levels`: they are the n_- lowest of
     # the vertex function's, and any more lie within M0's noise of lambda = 0,
     # where they count as zero
-    row, kappa, mult = sides[1]
+    row, kappa, mult, share = sides[1]
     dropped = _row_sums(row, mult, rows)[0] - mult < (below_count - n_minus)[row]
     below_count = below_count - _row_sums(row, np.where(dropped, mult, 0), rows)[1]
     keep = ~dropped & (n_minus[row] > 0)
@@ -562,7 +583,8 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     up, up_bad = _confirmed(count, _TrigInertia.spectra, stack, np.ones(rows, dtype=bool), sides[0],
                             floor_count, hi_k)
     down, down_bad = _confirmed(hyperbolic, _HyperbolicCount.spectra, stack, n_minus > 0,
-                                (row[keep], kappa[keep], mult[keep]), V - below_count, kappa_top, total=V)
+                                (row[keep], kappa[keep], mult[keep], share[keep]), V - below_count, kappa_top,
+                                total=V)
     bad = [b for b in (up_bad, down_bad) if b is not None]
     if bad:
         r, message = min(bad, key=lambda b: b[0])
@@ -570,20 +592,26 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     # the levels between a floor and lambda = 0 beyond M0's count there, n_-
     # below zero and n_- + n_0 up to it: `levels` reports them at that floor.
     # A row's levels run from its negative ones, in kappa downward, through
-    # those to its positive ones
+    # those to its positive ones, the copies of its levels that are flat
+    # bands last
     low = np.array([np.maximum(n_minus - below_count, 0), n_zero,
                     np.maximum(floor_count - n_minus - n_zero, 0)]).T.ravel()
     row, values = (np.concatenate(parts) for parts in zip(
         (np.repeat(down[0], down[2])[::-1], np.repeat(-down[1], down[2])[::-1]),
         (np.repeat(np.arange(rows), 3).repeat(low),
          np.broadcast_to([-hyperbolic.floor, 0.0, count.floor], (rows, 3)).ravel().repeat(low)),
-        (np.repeat(up[0], up[2]), np.repeat(up[1], up[2]))))
-    order = np.argsort(row, kind="stable")
-    values, ends = values[order].tolist(), np.searchsorted(row[order], np.arange(rows), side="right").tolist()
-    found = iter([values[a:b] for a, b in zip([0] + ends, ends)])
+        (np.repeat(up[0], up[2] - up[3]), np.repeat(up[1], up[2] - up[3])),
+        (np.repeat(up[0], up[3]), np.repeat(up[1], up[3]))))
+    left = np.arange(row.size) < row.size - up[3].sum()
+    order = np.lexsort((values, row))
+    row, values, left = row[order], values[order], left[order]
+    found, kept = iter(_by_row(row, values, rows)), iter(_by_row(row[left], values[left], rows))
     base = [p.k for p in negative for _ in range(p.multiplicity)] + [0.0] * count.zero_modes[1]
+    base_left = base + [lvl.k for lvl, n in zip(zero, shares[n_neg:]) for _ in range(lvl.multiplicity - n)]
     base += [lvl.k for lvl in zero for _ in range(lvl.multiplicity)]
-    return [next(found) if t != 0.0 else base for t in thetas], up_flats
+    rows_left = [(next(found), next(kept)) if t != 0.0 else (base, base_left) for t in thetas]
+    return [lv for lv, _ in rows_left], [lv for _, lv in rows_left], [
+        (float(k), int(n)) for k, n in zip(ks[shares > 0], shares[shares > 0])]
 
 
 def dispersion_curve(
@@ -610,27 +638,17 @@ def dispersion_curve(
     _require_k("k_max", k_max)
     thetas = np.array([-math.pi + 2 * math.pi * (j + 1) / grid_size for j in range(grid_size)])
     thetas[-1] = math.pi
-    level_lists, flat_pairs = _sweep_levels(m, v, thetas, k_max)
-    flats = [FlatBand(k, mult) for k, mult in flat_pairs if 1e-9 < k <= k_max - math.pi / m.total_length]
-    # each flat band is taken out of every row at its multiplicity: the
-    # row's first levels within the merge width of it
-    row = np.repeat(np.arange(grid_size), [len(lv) for lv in level_lists])
-    values = np.array([k for lv in level_lists for k in lv])
-    kept = np.ones(values.size, dtype=bool)
-    for fb in flats:
-        near = kept & (np.abs(values - fb.k) <= _merge_width(fb.k))
-        kept &= ~near | (_row_sums(row, near, grid_size)[0] > fb.multiplicity)
+    level_lists, left, flat_pairs = _sweep_levels(m, v, thetas, k_max)
     # the branch: the lowest level left in each row, then the second at theta + 2 pi
-    rank = np.where(kept, _row_sums(row, kept, grid_size)[0], 0)
-    first, second = rank == 1, rank == 2
+    branch = [(t + 2 * math.pi * n, lv[n]) for n in (0, 1) for t, lv in zip(thetas, left) if len(lv) > n]
 
     return DispersionCurve(
         vertex=v,
         thetas=thetas,
         levels=tuple(tuple(lv) for lv in level_lists),
-        flat_bands=tuple(flats),
-        branch_thetas=np.concatenate([thetas[row[first]], thetas[row[second]] + 2 * math.pi]),
-        branch_values=np.concatenate([values[first], values[second]]),
+        flat_bands=tuple(FlatBand(k, mult) for k, mult in flat_pairs),
+        branch_thetas=np.array([t for t, _ in branch]),
+        branch_values=np.array([k for _, k in branch]),
     )
 
 

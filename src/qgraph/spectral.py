@@ -84,9 +84,10 @@ One level finder serves every spectrum.  A range up to k ends at its
 top, k plus the merge width (below) (`_range_top`), so a level sitting
 on k belongs to it.  A search of the whole range (`_level_search`), as
 `eigenvalues`, `levels` and a sweep's theta = 0 row take it, first takes
-one round of counts: the top and every pole below it.  Each bracket
-between two of them where N rises is then searched on its own, all of
-them in lockstep.  A search of the first level alone (`_first_level`),
+one round of counts: the top and every pole below it, and for the trig
+count the midpoint between each pair of neighbouring points, its start
+included.  Each bracket between two of them where N rises is then
+searched on its own, all of them in lockstep.  A search of the first level alone (`_first_level`),
 as the gap searches and the optimizer's window above a gap take it,
 takes the top only, or not even that where a bound on N there stands in for the count, which bisection
 on N never needs: a Neumann graph's gap lies below the cap
@@ -874,7 +875,10 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float) -> _Search:
 
     It first asks, as one dict of single requests keyed by index, for the
     top of the range (`_range_top`) and every pole in between (`poles_in`),
-    one point per pole; a range with more
+    one point per pole, and of a trig count also for the midpoint between
+    each pair of neighbouring points, lo included: regula falsi from a
+    bracket whose ends are poles steps by secants through their samples,
+    and these narrower brackets take fewer steps.  A range with more
     poles than _MAX_LEVELS + V' + E, where N must rise by more than
     _MAX_LEVELS, takes its top alone and fails.  Every bracket between
     neighbouring points where the count rises is then searched on its own,
@@ -888,6 +892,8 @@ def _level_search(count: _Count, lo: _Sample, k_hi: float) -> _Search:
     # N rises by one at each pole, less n_- at lo, which is at most V' + E
     least = count.poles(top) - lo.poles - count.alpha.size - count.lengths.size
     ks = (count.poles_in(lo.k, top) if least <= _MAX_LEVELS else []) + [float(top)]
+    if isinstance(count, _TrigCount) and least <= _MAX_LEVELS:   # and the midpoint of each pair of neighbours
+        ks = [k for a, b in zip([lo.k] + ks, ks) for k in (0.5 * (a + b), b)]
     spectra = yield {i: (count, k) for i, k in enumerate(ks)}
     samples = [lo] + [count.made(k, spectra[i]) for i, k in enumerate(ks)]
     hi = samples[-1]

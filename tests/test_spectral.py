@@ -1016,8 +1016,9 @@ def _poles_by_hand(count, a, b):
 def test_a_full_range_search_first_takes_every_window_edge(name, params):
     # the search of the whole range asks first for one dict of single
     # requests keyed by index: a count at every edge of its windows, that
-    # is every pole in range and the top; a first-level search asks for
-    # the top alone
+    # is every pole in range and the top, and at the midpoint between each
+    # pair of neighbouring points, lo included; a first-level search asks
+    # for the top alone
     m = metric(*getattr(families, name)(*params))
     for m_row in (m, m.with_condition(0, DeltaTheta(1.0))):
         count = _TrigCount(m_row)
@@ -1025,7 +1026,8 @@ def test_a_full_range_search_first_takes_every_window_edge(name, params):
             lo = count.floor_sample() if k_min == 0.0 else count.made(k_min, count.spectrum(k_min))
             hi_k = k_max + spectral._merge_width(k_max)
             search = spectral._level_search(count, lo, k_max)
-            ks = _poles_by_hand(count, lo.k, hi_k) + [hi_k]
+            edges = _poles_by_hand(count, lo.k, hi_k) + [hi_k]
+            ks = [k for a, b in zip([lo.k] + edges, edges) for k in (0.5 * (a + b), b)]
             assert search.send(None) == {i: (count, k) for i, k in enumerate(ks)}, (name, k_min)
             first = spectral._first_level(count, lo, k_max)
             assert first.send(None) == (count, hi_k)
