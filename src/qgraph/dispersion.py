@@ -480,7 +480,10 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     """Every row's levels up to k_max, as `levels` gives them, each row's
     levels left once the curve's flat bands are taken out at their
     multiplicity, and those flat bands as (k, multiplicity) pairs: the
-    ones in (1e-9, k_max - pi / L] (module docstring)."""
+    ones in (1e-9, k_max - pi / L], whose top takes the merge width past
+    it as the top of a search's range does (`spectral._range_top`), so
+    that a band on it is decided by the merge and not by the last bits
+    of its level (module docstring)."""
     m0 = _with_theta(m, v, 0.0)
     count = _TrigCount(m0)
     hyperbolic = _HyperbolicCount(m0, count.zero_modes)
@@ -522,7 +525,7 @@ def _sweep_levels(m: MetricGraph, v: int, thetas: np.ndarray,
     sampled, below, above, pole, residue = _vertex_samples(G, at, ks)
     flat = mults > pole
     # the multiplicity of each level that is the curve's flat band
-    shares = np.where(flat & (1e-9 < ks) & (ks <= k_max - math.pi / m.total_length), mults - pole, 0)
+    shares = np.where(flat & (1e-9 < ks) & (ks <= _range_top(k_max - math.pi / m.total_length)), mults - pole, 0)
 
     # between two poles atan G rises from -pi/2 to pi/2, and every row has
     # one root there, on one of its pieces: where phi = arg((1 + i G) w) =

@@ -25,8 +25,9 @@ Q signed (start +1, end -1), so a loop has P = 2 and Q = 0.
 
 Connectivity has two primitives: `_spanning_tree`, a breadth-first search
 over `adjacency()` (read from `edges`) in edge-id order, for connectedness,
-bridges, the infimizer's cycle edge and tree distances; and `_components`,
-a union-find, for contraction and nodal domains.
+the infimizer's cycle edge and tree distances; and `_components`, a
+union-find, for bridges (the edges without which it leaves more than one
+class), contraction and nodal domains.
 """
 
 from __future__ import annotations
@@ -280,30 +281,10 @@ def _components(n: int, pairs) -> list[int]:
 
 
 def find_bridges(g: DiscreteGraph) -> set[int]:
-    """Edges whose removal disconnects the graph.
-
-    A spanning-tree edge is a bridge unless the tree path of a non-tree
-    edge runs through it; loops and parallel edges never are.  Each path
-    is walked up from its ends, deeper end first; `up` sends a vertex
-    whose tree edge is covered on to its parent, so no edge is walked twice.
-    """
-    order, via = _spanning_tree(g)
-    parent = list(range(g.vertex_count))
-    depth = [0] * g.vertex_count
-    for w in order[1:]:
-        u, v = g.edges[via[w]]
-        parent[w] = u + v - w
-        depth[w] = depth[parent[w]] + 1
-    up = list(range(g.vertex_count))
-    for e in set(range(g.edge_count)).difference(via):
-        u, v = g.edges[e]
-        a, b = _find(up, u), _find(up, v)
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            up[a] = parent[a]
-            a = _find(up, a)
-    return {via[w] for w in order[1:] if up[w] == w}
+    """Edges whose removal disconnects the graph: those without which
+    `_components` leaves more than one class, so loops and parallel edges
+    never are.  O(E (V + E)): only the infimizer calls it."""
+    return {e for e in range(g.edge_count) if any(_components(g.vertex_count, g.edges[:e] + g.edges[e + 1:]))}
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -157,78 +157,58 @@ class CatalogEntry:
     multiplicity: int | None
 
 
-_FAMILY_ARITY = {"star": 1, "flower": 1, "stower": 2, "mandarin": 1, "necklace": 1, "standarin": 3}
+class _Family(NamedTuple):
+    """A row of the catalog: the family's builder, the least sum of its
+    parameters with the name of that sum (None where the builder checks
+    its own range), its closed-form (gap, multiplicity), and the parameters
+    `full_catalog` takes, whose length is the family's number of parameters."""
+
+    build: Callable[..., tuple[DiscreteGraph, LengthVector]]
+    least: tuple[int, str] | None
+    closed_form: Callable[..., tuple[float, int | None]]
+    listed: tuple[tuple[int, ...], ...]
+
+
+_CATALOG = {
+    "star": _Family(families.star, (2, "E"), lambda E: (math.pi * E / 2.0, E - 1), ((2,), (3,), (4,), (5,))),
+    "flower": _Family(families.flower, (1, "E"),
+                      lambda E: (math.pi * E, E - 1) if E > 1 else (2 * math.pi, 2), ((2,), (3,), (4,))),
+    "stower": _Family(families.stower, (2, "Ep + El"), lambda Ep, El: (math.pi * (2 * Ep + El) / 2.0, Ep + El - 1),
+                      ((3, 2), (2, 2), (1, 2), (1, 3), (2, 1), (3, 1))),
+    # the sine-difference modes span E-1 dimensions and the symmetric
+    # cosine mode adds one, so the gap pi E carries multiplicity E
+    "mandarin": _Family(families.mandarin, None, lambda E: (math.pi * E, E), ((2,), (3,), (4,))),
+    "necklace": _Family(families.necklace, None, lambda B: (2 * math.pi, None), ((1,), (2,), (3,))),
+    "standarin": _Family(families.standarin_chain, None, lambda n, M, S: (math.pi * n, 1),
+                         ((2, 1, 1), (2, 2, 0), (2, 1, 2), (2, 2, 1), (2, 3, 0))),
+}
 
 
 def catalog_entry(family: str, *params: int) -> CatalogEntry:
-    """Canonical lengths and closed-form gap for a named family.
+    """Canonical lengths and closed-form gap for a named family of `_CATALOG`.
 
     Families: star E, flower E, stower (Ep, El), mandarin E, necklace B,
     standarin (n, M, S).  The stower (1, 1) has no equilateral maximizer
     (its supremizer is a single loop) and is rejected, as are a wrong
     number of parameters and parameters that are not integers.
     """
-    if not isinstance(family, str) or family not in _FAMILY_ARITY:
+    if not isinstance(family, str) or family not in _CATALOG:
         raise InvalidInputError(f"unknown catalog family {family!r}")
-    if len(params) != _FAMILY_ARITY[family]:
-        raise InvalidInputError(
-            f"{family} family takes {_FAMILY_ARITY[family]} parameter(s), not {len(params)}"
-        )
+    row = _CATALOG[family]
+    arity = len(row.listed[0])
+    if len(params) != arity:
+        raise InvalidInputError(f"{family} family takes {arity} parameter(s), not {len(params)}")
     params = tuple(_integer(p, f"{family} parameter", InvalidInputError) for p in params)
-    if family == "star":
-        (E,) = params
-        if E < 2:
-            raise InvalidInputError("star family needs E >= 2")
-        g, l = families.star(E)
-        return CatalogEntry(family, params, g, l, math.pi * E / 2.0, E - 1)
-    if family == "flower":
-        (E,) = params
-        if E < 1:
-            raise InvalidInputError("flower family needs E >= 1")
-        g, l = families.flower(E)
-        return CatalogEntry(family, params, g, l, math.pi * E if E > 1 else 2 * math.pi,
-                            E - 1 if E > 1 else 2)
-    if family == "stower":
-        Ep, El = params
-        if Ep + El < 2:
-            raise InvalidInputError("stower family needs Ep + El >= 2")
-        if (Ep, El) == (1, 1):
-            raise InvalidInputError(
-                "stower (1,1) has no equilateral maximizer; its supremizer is a single loop"
-            )
-        g, l = families.stower(Ep, El)
-        return CatalogEntry(family, params, g, l, math.pi * (2 * Ep + El) / 2.0, Ep + El - 1)
-    if family == "mandarin":
-        (E,) = params
-        g, l = families.mandarin(E)
-        # the sine-difference modes span E-1 dimensions and the symmetric
-        # cosine mode adds one, so the gap pi E carries multiplicity E
-        return CatalogEntry(family, params, g, l, math.pi * E, E)
-    if family == "necklace":
-        (B,) = params
-        g, l = families.necklace(B)
-        return CatalogEntry(family, params, g, l, 2 * math.pi, None)
-    if family == "standarin":
-        n, M, S = params
-        g, l = families.standarin_chain(n, M, S)
-        return CatalogEntry(family, params, g, l, math.pi * n, 1)
+    if row.least is not None and sum(params) < row.least[0]:
+        raise InvalidInputError(f"{family} family needs {row.least[1]} >= {row.least[0]}")
+    if family == "stower" and params == (1, 1):
+        raise InvalidInputError("stower (1,1) has no equilateral maximizer; its supremizer is a single loop")
+    g, l = row.build(*params)
+    return CatalogEntry(family, params, g, l, *row.closed_form(*params))
 
 
 def full_catalog() -> list[CatalogEntry]:
-    entries = []
-    for E in (2, 3, 4, 5):
-        entries.append(catalog_entry("star", E))
-    for E in (2, 3, 4):
-        entries.append(catalog_entry("flower", E))
-    for Ep, El in ((3, 2), (2, 2), (1, 2), (1, 3), (2, 1), (3, 1)):
-        entries.append(catalog_entry("stower", Ep, El))
-    for E in (2, 3, 4):
-        entries.append(catalog_entry("mandarin", E))
-    for B in (1, 2, 3):
-        entries.append(catalog_entry("necklace", B))
-    for n, M, S in ((2, 1, 1), (2, 2, 0), (2, 1, 2), (2, 2, 1), (2, 3, 0)):
-        entries.append(catalog_entry("standarin", n, M, S))
-    return entries
+    return [catalog_entry(family, *params) for family, row in _CATALOG.items() for params in row.listed]
 
 
 def upper_bound(g: DiscreteGraph) -> float:

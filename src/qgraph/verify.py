@@ -149,24 +149,17 @@ def check_a4(seed: int) -> _Check:
 def check_a5(seed: int) -> _Check:
     c = _Check()
     h = 1e-6
-    rng = np.random.default_rng(seed + 5)
     tested = 0
-    attempts = 0
-    while tested < 50 and attempts < 400:
-        attempts += 1
-        V = int(rng.integers(2, 5))
-        E = min(5, V - 1 + int(rng.integers(0, 3)))
-        if E < 1:
-            continue
-        g = families.random_connected_graph(rng, V, E)
-        lengths = families.random_lengths(rng, E, l_min=0.05)
+    for g, lengths in _random_instances(seed + 5, 400, (2, 4), (0, 2), l_min=0.05):
+        if tested == 50:
+            break
         m = metric(g, lengths)
         k1, mult = spectral_gap(m)
         if mult != 1:
             continue
         _, f = gap_eigenpair(m)
         energies = f.energies()
-        for e in range(E):
+        for e in range(g.edge_count):
             lp = lengths.values.copy()
             lm = lengths.values.copy()
             lp[e] += h

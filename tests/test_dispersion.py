@@ -1017,6 +1017,24 @@ def test_flat_bands_are_exact(graph, expected):
     assert np.all(np.diff(curve.branch_values) > 0)
 
 
+@pytest.mark.parametrize("steps", [1, 2])
+@pytest.mark.parametrize(
+    "graph, v, band, mult",
+    [(star(4), 1, 6, 2), (mandarin(3), 0, 6, 2), (flower(3), 0, 6, 3), (path_graph(2), 1, 7, 1)],
+    ids=["star4", "mandarin3", "flower3", "path2"],
+)
+def test_a_flat_band_on_the_window_s_edge_is_kept(graph, v, band, mult, steps):
+    # k_max a step or two below (band + 1) pi puts the window's top,
+    # k_max - pi / L, a few ulps below the band's theta = 0 level: the merge
+    # width keeps the band, not the last bits of that level
+    k_max = (band + 1) * PI
+    for _ in range(steps):
+        k_max = math.nextafter(k_max, 0.0)
+    curve = dispersion_curve(metric(*graph), v, grid_size=8, k_max=k_max)
+    top = curve.flat_bands[-1]
+    assert abs(top.k - band * PI) <= 1e-9 and top.multiplicity == mult
+
+
 def test_interval_curve_has_no_flat_bands():
     curve = dispersion_curve(metric(*interval()), 0, grid_size=12, n_levels=3, k_max=4 * PI)
     assert curve.flat_bands == ()

@@ -99,6 +99,68 @@ def test_catalog_entries_match_solver():
             assert mult == entry.multiplicity, entry
 
 
+# every catalog entry to the bit: family, params, edges, lengths, gap.hex()
+# and multiplicity; a closed form off in its last bits changes a row
+CATALOG_BITS = [
+    ("star", (2,), [(0, 1), (0, 2)],
+     [0.5, 0.5], "0x1.921fb54442d18p+1", 1),
+    ("star", (3,), [(0, 1), (0, 2), (0, 3)],
+     [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], "0x1.2d97c7f3321d2p+2", 2),
+    ("star", (4,), [(0, 1), (0, 2), (0, 3), (0, 4)],
+     [0.25, 0.25, 0.25, 0.25], "0x1.921fb54442d18p+2", 3),
+    ("star", (5,), [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)],
+     [0.2, 0.2, 0.2, 0.2, 0.2], "0x1.f6a7a2955385ep+2", 4),
+    ("flower", (2,), [(0, 0), (0, 0)],
+     [0.5, 0.5], "0x1.921fb54442d18p+2", 1),
+    ("flower", (3,), [(0, 0), (0, 0), (0, 0)],
+     [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], "0x1.2d97c7f3321d2p+3", 2),
+    ("flower", (4,), [(0, 0), (0, 0), (0, 0), (0, 0)],
+     [0.25, 0.25, 0.25, 0.25], "0x1.921fb54442d18p+3", 3),
+    ("stower", (3, 2), [(0, 0), (0, 0), (0, 0), (0, 1), (0, 2)],
+     [0.25, 0.25, 0.25, 0.125, 0.125], "0x1.921fb54442d18p+3", 4),
+    ("stower", (2, 2), [(0, 0), (0, 0), (0, 1), (0, 2)],
+     [0.3333333333333333, 0.3333333333333333, 0.16666666666666666, 0.16666666666666666], "0x1.2d97c7f3321d2p+3", 3),
+    ("stower", (1, 2), [(0, 0), (0, 1), (0, 2)],
+     [0.5, 0.25, 0.25], "0x1.921fb54442d18p+2", 2),
+    ("stower", (1, 3), [(0, 0), (0, 1), (0, 2), (0, 3)],
+     [0.4, 0.2, 0.2, 0.2], "0x1.f6a7a2955385ep+2", 3),
+    ("stower", (2, 1), [(0, 0), (0, 0), (0, 1)],
+     [0.4, 0.4, 0.2], "0x1.f6a7a2955385ep+2", 2),
+    ("stower", (3, 1), [(0, 0), (0, 0), (0, 0), (0, 1)],
+     [0.2857142857142857, 0.2857142857142857, 0.2857142857142857, 0.14285714285714285], "0x1.5fdbbe9bba775p+3", 3),
+    ("mandarin", (2,), [(0, 1), (0, 1)],
+     [0.5, 0.5], "0x1.921fb54442d18p+2", 2),
+    ("mandarin", (3,), [(0, 1), (0, 1), (0, 1)],
+     [0.3333333333333333, 0.3333333333333333, 0.3333333333333333], "0x1.2d97c7f3321d2p+3", 3),
+    ("mandarin", (4,), [(0, 1), (0, 1), (0, 1), (0, 1)],
+     [0.25, 0.25, 0.25, 0.25], "0x1.921fb54442d18p+3", 4),
+    ("necklace", (1,), [(0, 1), (0, 1)],
+     [0.5, 0.5], "0x1.921fb54442d18p+2", None),
+    ("necklace", (2,), [(0, 1), (0, 1), (1, 2), (1, 2)],
+     [0.25, 0.25, 0.25, 0.25], "0x1.921fb54442d18p+2", None),
+    ("necklace", (3,), [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3)],
+     [0.16666666666666666, 0.16666666666666666, 0.16666666666666666,
+      0.16666666666666666, 0.16666666666666666, 0.16666666666666666], "0x1.921fb54442d18p+2", None),
+    ("standarin", (2, 1, 1), [(0, 1), (0, 1), (0, 2), (0, 3)],
+     [0.375, 0.375, 0.125, 0.125], "0x1.921fb54442d18p+2", 1),
+    ("standarin", (2, 2, 0), [(0, 1), (0, 1), (1, 2), (1, 2)],
+     [0.25, 0.25, 0.25, 0.25], "0x1.921fb54442d18p+2", 1),
+    ("standarin", (2, 1, 2), [(0, 1), (0, 1), (0, 2), (0, 3), (1, 4), (1, 5)],
+     [0.25, 0.25, 0.125, 0.125, 0.125, 0.125], "0x1.921fb54442d18p+2", 1),
+    ("standarin", (2, 2, 1), [(0, 1), (0, 1), (1, 2), (1, 2), (0, 3), (0, 4)],
+     [0.1875, 0.1875, 0.1875, 0.1875, 0.125, 0.125], "0x1.921fb54442d18p+2", 1),
+    ("standarin", (2, 3, 0), [(0, 1), (0, 1), (1, 2), (1, 2), (2, 3), (2, 3)],
+     [0.16666666666666666, 0.16666666666666666, 0.16666666666666666,
+      0.16666666666666666, 0.16666666666666666, 0.16666666666666666], "0x1.921fb54442d18p+2", 1),
+]
+
+
+def test_the_catalog_is_pinned_to_the_bit():
+    got = [(e.family, e.params, list(e.graph.edges), e.lengths.values.tolist(), e.gap.hex(), e.multiplicity)
+           for e in full_catalog()]
+    assert got == CATALOG_BITS
+
+
 # ---------------------------------------------------------------------------
 # symmetrization
 # ---------------------------------------------------------------------------

@@ -1,21 +1,29 @@
 """Count the lines of each module of a package as code, docstring, comment and blank.
 
-    python tools/code_lines.py [package directory, default src/qgraph]
+    python tools/code_lines.py [package directory, default src/qgraph] [--parent REF]
 
 A docstring line is a line of a module, class or function docstring (found
 with `ast`).  A comment line holds a comment and nothing else, and a blank
 line nothing at all (found with `tokenize`).  Every other line is code,
 a line with code and a trailing comment, or inside a multi-line string
 that is not a docstring, included.
+
+With --parent REF the tool instead compares code lines with git ref REF,
+exported as tools/bench_pairs.py exports it: it prints each module's code
+lines, parent -> change (0 where a side lacks the module), and the total
+delta.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import pathlib
 import sys
 import tokenize
+
+from bench_pairs import ROOT, exported
 
 KINDS = ("code", "docstring", "comment", "blank")
 
@@ -49,14 +57,41 @@ def count(source: str) -> dict[str, int]:
     return out
 
 
+def counts(root: pathlib.Path) -> dict[str, dict[str, int]]:
+    """Each module's line counts, keyed by its path below root."""
+    return {path.relative_to(root).as_posix(): count(path.read_text(encoding="utf-8"))
+            for path in sorted(root.rglob("*.py"))}
+
+
+def delta_table(parent: dict[str, int], change: dict[str, int]) -> list[str]:
+    """Each module's code lines, parent -> change, and the total delta;
+    a module one side lacks has 0 lines there."""
+    names = sorted(parent.keys() | change.keys())
+    rows = [(name, parent.get(name, 0), change.get(name, 0)) for name in names]
+    rows.append(("total", sum(parent.values()), sum(change.values())))
+    width = max(len(name) for name, _, _ in rows)
+    out = [f"{'module':<{width}}  {'parent':>9}  {'change':>9}  {'delta':>9}"]
+    out += [f"{name:<{width}}  {p:>9}  {c:>9}  {c - p:>+9}" for name, p, c in rows]
+    return out
+
+
 def main(argv: list[str]) -> int:
-    root = pathlib.Path(argv[0] if argv else "src/qgraph")
-    rows = [(path.relative_to(root).as_posix(), count(path.read_text(encoding="utf-8")))
-            for path in sorted(root.rglob("*.py"))]
-    total = {kind: sum(row[kind] for _, row in rows) for kind in KINDS}
-    width = max(len(name) for name, _ in rows + [("total", {})])
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("package", nargs="?", default="src/qgraph")
+    p.add_argument("--parent", help="git ref to compare code lines with")
+    args = p.parse_args(argv)
+    root = pathlib.Path(args.package)
+    rows = counts(root)
+    if args.parent is not None:
+        with exported(args.parent) as parent_root:
+            parent = counts(parent_root / root.resolve().relative_to(ROOT))
+        code = [{name: row["code"] for name, row in side.items()} for side in (parent, rows)]
+        print(*delta_table(*code), sep="\n")
+        return 0
+    total = {kind: sum(row[kind] for row in rows.values()) for kind in KINDS}
+    width = max(len(name) for name in [*rows, "total"])
     print(f"{'module':<{width}}  " + "  ".join(f"{kind:>9}" for kind in KINDS) + f"  {'lines':>9}")
-    for name, row in rows + [("total", total)]:
+    for name, row in [*rows.items(), ("total", total)]:
         print(f"{name:<{width}}  " + "  ".join(f"{row[kind]:>9}" for kind in KINDS) + f"  {sum(row.values()):>9}")
     return 0
 
